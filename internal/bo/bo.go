@@ -146,13 +146,12 @@ func Suggest(m Model, acq Acquisition, best float64, candidates [][]float64) (in
 }
 
 // SuggestBatch is Suggest over a BatchModel: the whole candidate pool is
-// scored with one PredictBatchInto call, then the selection replays
-// Suggest's exact skip-and-argmax logic (non-finite scores skipped, first
-// strict maximum wins, ErrNoFiniteScore when nothing survives). Because
-// the batched posterior is bit-identical to per-candidate Predict, the
-// chosen index and score always match Suggest's. mu and sigma are
-// caller-owned scratch of length len(candidates); scratch may be nil, in
-// which case a temporary is allocated.
+// scored with one PredictBatchInto call, then Argmax replays Suggest's
+// selection. Because the batched posterior is bit-identical to
+// per-candidate Predict, the chosen index and score always match
+// Suggest's. mu and sigma are caller-owned scratch of length
+// len(candidates); scratch may be nil, in which case a temporary is
+// allocated.
 func SuggestBatch(m BatchModel, scratch *gp.PredictScratch, acq Acquisition, best float64, candidates [][]float64, mu, sigma []float64) (int, float64, error) {
 	if len(candidates) == 0 {
 		return -1, 0, errors.New("bo: no candidates to score")
@@ -161,8 +160,19 @@ func SuggestBatch(m BatchModel, scratch *gp.PredictScratch, acq Acquisition, bes
 		scratch = &gp.PredictScratch{}
 	}
 	m.PredictBatchInto(scratch, mu, sigma, candidates)
+	return Argmax(acq, best, mu, sigma)
+}
+
+// Argmax is Suggest's selection over a pool whose posterior (mu[i],
+// sigma[i]) is already known, however it was scored: non-finite
+// acquisition scores are skipped, the first strict maximum wins, and
+// ErrNoFiniteScore is reported when nothing survives.
+func Argmax(acq Acquisition, best float64, mu, sigma []float64) (int, float64, error) {
+	if len(mu) == 0 {
+		return -1, 0, errors.New("bo: no candidates to score")
+	}
 	bestIdx, bestScore := -1, math.Inf(-1)
-	for i := range candidates {
+	for i := range mu {
 		s := acq.Score(mu[i], sigma[i], best)
 		if math.IsNaN(s) || math.IsInf(s, 0) {
 			continue

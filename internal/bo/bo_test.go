@@ -465,6 +465,12 @@ func TestSuggestBatchEmptyAndNilScratch(t *testing.T) {
 	if _, _, err := SuggestBatch(m, nil, EI{}, 0, nil, nil, nil); err == nil {
 		t.Fatal("empty candidates: want error, got nil")
 	}
+	if _, _, err := Argmax(EI{}, 0, nil, nil); err == nil {
+		t.Fatal("Argmax over an empty pool: want error, got nil")
+	}
+	if _, _, err := Argmax(EI{}, 0, []float64{math.NaN()}, []float64{1}); !errors.Is(err, ErrNoFiniteScore) {
+		t.Fatalf("Argmax over an all-NaN pool: got %v, want ErrNoFiniteScore", err)
+	}
 	pool := [][]float64{{0.25}, {0.75}}
 	mu := make([]float64, 2)
 	sigma := make([]float64, 2)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"satori/internal/bo"
 	"satori/internal/gp"
@@ -107,8 +108,7 @@ type Engine struct {
 	managedRows []int // indices of managed rows, for uniform sampling
 	equalSplit  resource.Config
 
-	prevPreds   map[string]float64
-	currPreds   map[string]float64 // ping-pong partner of prevPreds
+	sweep       int // proxy-change sweeps run so far (trackProxyChange)
 	proxyChange float64
 	lastObj     float64
 	lastWeights Weights
@@ -118,11 +118,10 @@ type Engine struct {
 	exploits    int
 
 	// Incremental proxy-model state: model row i conditions on
-	// modelRecs[i] (modelSet is its index), so per-tick target
+	// modelRecs[i] (Record.row is the inverse), so per-tick target
 	// reconstruction can feed UpdateTargets/Append in model order.
 	model     *gp.Incremental
 	modelRecs []*Record
-	modelSet  map[*Record]int
 
 	// Per-tick scratch, reused across Decide calls.
 	windowBuf    []*Record
@@ -134,13 +133,25 @@ type Engine struct {
 	muBuf        []float64
 	sigmaBuf     []float64
 	batchScratch gp.PredictScratch
+	// One scored neighborhood per top-configuration slot (scorePool).
+	blocks [3]neighborBlock
+}
+
+// neighborBlock is the scored one-unit neighborhood of a recorded
+// configuration. The neighborhood is a function of the record's (fixed)
+// configuration, so while a slot keeps its record the block's kernel-only
+// part is reusable for as long as the model says so. The slot holds the
+// record itself — not its key or window position — so an evicted and
+// re-created configuration can never be mistaken for it.
+type neighborBlock struct {
+	rec *Record
+	gp.Block
 }
 
 // proxyModel is the posterior surface Decide scores against — satisfied
 // by both the incremental model and the from-scratch *gp.GP.
 type proxyModel interface {
 	Predict(x []float64) (mu, sigma float64)
-	PredictMean(x []float64) float64
 	Posterior(points [][]float64) (mu []float64, cov *linalg.Matrix)
 }
 
@@ -162,9 +173,7 @@ func New(space *resource.Space, opt Options) (*Engine, error) {
 		sched:      sched,
 		recs:       NewRecords(),
 		equalSplit: space.EqualSplit(),
-		prevPreds:  make(map[string]float64),
 		model:      gp.NewIncremental(gp.Options{Noise: opt.Noise}),
-		modelSet:   make(map[*Record]int),
 	}
 	switch opt.Acquisition {
 	case "", "ei", "ucb", "pi", "ts":
@@ -313,7 +322,7 @@ func (e *Engine) Decide(obs policy.Observation, current resource.Config) resourc
 	// seeding, kept in fixed arrays to stay off the heap.
 	topN := 0
 	var topY [3]float64
-	var topCfg [3]resource.Config
+	var topRec [3]*Record
 	for _, rec := range window {
 		y := rec.Objective(w)
 		if y > best {
@@ -332,12 +341,13 @@ func (e *Engine) Decide(obs policy.Observation, current resource.Config) resourc
 				topN++
 			}
 			for i := topN - 1; i > p; i-- {
-				topY[i], topCfg[i] = topY[i-1], topCfg[i-1]
+				topY[i], topRec[i] = topY[i-1], topRec[i-1]
 			}
-			topY[p], topCfg[p] = y, rec.Config
+			topY[p], topRec[p] = y, rec
 		}
 	}
 	var model proxyModel
+	var full *gp.GP // the FullRefit reference model; nil on the incremental path
 	if e.opt.FullRefit {
 		// Golden reference path: rebuild the kernel matrix and
 		// refactorize from scratch, exactly as before the incremental
@@ -347,14 +357,15 @@ func (e *Engine) Decide(obs policy.Observation, current resource.Config) resourc
 			e.xsBuf = append(e.xsBuf, rec.Vector)
 			e.ysBuf = append(e.ysBuf, rec.Objective(w))
 		}
-		m, err := gp.Fit(e.xsBuf, e.ysBuf, gp.Options{Noise: e.opt.Noise})
+		var err error
+		full, err = gp.Fit(e.xsBuf, e.ysBuf, gp.Options{Noise: e.opt.Noise})
 		if err != nil {
 			// Degenerate window (should not happen after seeding):
 			// fall back to exploration.
 			e.fitFailures++
 			return e.restrictToManaged(e.space.Random(e.rng))
 		}
-		model = m
+		model = full
 	} else {
 		if err := e.syncModel(window, w); err != nil {
 			e.fitFailures++
@@ -362,7 +373,7 @@ func (e *Engine) Decide(obs policy.Observation, current resource.Config) resourc
 		}
 		model = e.model
 	}
-	e.trackProxyChange(model, window)
+	e.trackProxyChange(window, full)
 
 	// (5) Candidate pool: uniform random managed configurations for
 	// global coverage, short random walks from the incumbent for local
@@ -382,37 +393,28 @@ func (e *Engine) Decide(obs policy.Observation, current resource.Config) resourc
 	for i := e.opt.Candidates / 2; i < e.opt.Candidates; i++ {
 		e.randomWalkInto(e.nextCandidate(), bestCfg, 3)
 	}
+	var topEnd [3]int // pool index one past each top configuration's neighborhood
 	for t := 0; t < topN; t++ {
-		e.appendManagedNeighbors(topCfg[t])
+		e.appendManagedNeighbors(topRec[t].Config)
+		topEnd[t] = e.candCount
 	}
 	cands := e.candidateCfg[:e.candCount]
-	for len(e.candidateBuf) < e.candCount {
-		e.candidateBuf = append(e.candidateBuf, nil)
-	}
-	for i, c := range cands {
-		e.candidateBuf[i] = e.space.VectorInto(e.candidateBuf[i], c)
-	}
-	vecs := e.candidateBuf[:e.candCount]
 
 	// (6) Acquisition maximization (Expected Improvement by default,
 	// Sec. III-A; UCB/PI/Thompson for the acquisition ablation). A
 	// degenerate posterior (bo.ErrNoFiniteScore) or any other
 	// acquisition error holds the current configuration, but is counted
 	// in diagnostics instead of silently masquerading as a hold.
-	// The steady-state path batch-scores the whole pool with one
-	// matrix-level triangular solve (bit-identical to per-candidate
+	// The steady-state path scores the pool block by block with
+	// matrix-level triangular solves (bit-identical to per-candidate
 	// scoring, so goldens are unaffected); the FullRefit ablation keeps
 	// the per-candidate bo.Suggest as the golden reference path.
 	suggest := func(acq bo.Acquisition) (int, float64, error) {
 		if e.opt.FullRefit {
-			return bo.Suggest(model, acq, best, vecs)
+			return bo.Suggest(model, acq, best, e.vectors(0, len(cands)))
 		}
-		if cap(e.muBuf) < len(vecs) {
-			e.muBuf = make([]float64, len(vecs))
-			e.sigmaBuf = make([]float64, len(vecs))
-		}
-		mu, sigma := e.muBuf[:len(vecs)], e.sigmaBuf[:len(vecs)]
-		return bo.SuggestBatch(e.model, &e.batchScratch, acq, best, vecs, mu, sigma)
+		mu, sigma := e.scorePool(topRec[:topN], topEnd[:topN])
+		return bo.Argmax(acq, best, mu, sigma)
 	}
 	var idx int
 	var score float64
@@ -445,7 +447,7 @@ func (e *Engine) Decide(obs policy.Observation, current resource.Config) resourc
 			return current
 		}
 	case "ts":
-		idx, err = bo.ThompsonSuggest(model, e.rng, vecs)
+		idx, err = bo.ThompsonSuggest(model, e.rng, e.vectors(0, len(cands)))
 		if err != nil || idx < 0 {
 			e.acqFailures++
 			return current
@@ -475,7 +477,7 @@ func (e *Engine) syncModel(window []*Record, w Weights) error {
 		(n == len(e.modelRecs) || n == len(e.modelRecs)+1) {
 		miss = 0
 		for _, rec := range window {
-			if _, ok := e.modelSet[rec]; !ok {
+			if rec.row >= len(e.modelRecs) || e.modelRecs[rec.row] != rec {
 				miss++
 				fresh = rec
 				if miss > 1 {
@@ -502,19 +504,16 @@ func (e *Engine) syncModel(window []*Record, w Weights) error {
 		if err := e.model.Append(fresh.Vector, e.ysBuf); err != nil {
 			return e.dropModel(err)
 		}
-		e.modelSet[fresh] = len(e.modelRecs)
+		fresh.row = len(e.modelRecs)
 		e.modelRecs = append(e.modelRecs, fresh)
 	default:
 		e.xsBuf, e.ysBuf = e.xsBuf[:0], e.ysBuf[:0]
 		e.modelRecs = e.modelRecs[:0]
-		for k := range e.modelSet {
-			delete(e.modelSet, k)
-		}
 		for i, rec := range window {
 			e.xsBuf = append(e.xsBuf, rec.Vector)
 			e.ysBuf = append(e.ysBuf, rec.Objective(w))
 			e.modelRecs = append(e.modelRecs, rec)
-			e.modelSet[rec] = i
+			rec.row = i
 		}
 		if err := e.model.Reset(e.xsBuf, e.ysBuf); err != nil {
 			return e.dropModel(err)
@@ -527,10 +526,62 @@ func (e *Engine) syncModel(window []*Record, w Weights) error {
 // next tick rebuilds from the window.
 func (e *Engine) dropModel(err error) error {
 	e.modelRecs = e.modelRecs[:0]
-	for k := range e.modelSet {
-		delete(e.modelSet, k)
-	}
 	return err
+}
+
+// vectors encodes pool candidates [lo, hi) as GP inputs and returns them.
+func (e *Engine) vectors(lo, hi int) [][]float64 {
+	for len(e.candidateBuf) < hi {
+		e.candidateBuf = append(e.candidateBuf, nil)
+	}
+	for i := lo; i < hi; i++ {
+		e.candidateBuf[i] = e.space.VectorInto(e.candidateBuf[i], e.candidateCfg[i])
+	}
+	return e.candidateBuf[lo:hi]
+}
+
+// scorePool returns the incremental model's posterior mean and standard
+// deviation at every pool candidate, in pool order. The random and
+// random-walk candidates are new every tick and scored from scratch. The
+// neighborhood of top[t] — pool entries up to ends[t] — depends on that
+// record alone, so its block survives in the slot that last scored the
+// record, and the model re-scores it (means only) until a refit or append
+// outdates the block.
+func (e *Engine) scorePool(top []*Record, ends []int) (mu, sigma []float64) {
+	if cap(e.muBuf) < e.candCount {
+		e.muBuf = make([]float64, e.candCount)
+		e.sigmaBuf = make([]float64, e.candCount)
+	}
+	mu, sigma = e.muBuf[:e.candCount], e.sigmaBuf[:e.candCount]
+	lo := e.opt.Candidates
+	e.model.PredictBatchInto(&e.batchScratch, mu[:lo], sigma[:lo], e.vectors(0, lo))
+	for t, rec := range top {
+		hi := ends[t]
+		blk := e.blockFor(rec, top)
+		if blk.rec != rec || !e.model.RepredictBlockInto(&blk.Block, mu[lo:hi], sigma[lo:hi]) {
+			blk.rec = rec
+			e.model.PredictBlockInto(&e.batchScratch, &blk.Block, mu[lo:hi], sigma[lo:hi], e.vectors(lo, hi))
+		}
+		lo = hi
+	}
+	return mu, sigma
+}
+
+// blockFor returns the slot holding rec's neighborhood block, or failing
+// that a slot whose record is not among this tick's top configurations
+// (there are as many slots as top configurations, so one always is).
+func (e *Engine) blockFor(rec *Record, top []*Record) *neighborBlock {
+	var free *neighborBlock
+	for i := range e.blocks {
+		blk := &e.blocks[i]
+		if blk.rec == rec {
+			return blk
+		}
+		if !slices.Contains(top, blk.rec) {
+			free = blk
+		}
+	}
+	return free
 }
 
 // nextCandidate hands out the next pooled candidate configuration,
@@ -598,33 +649,35 @@ func (e *Engine) appendManagedNeighbors(c resource.Config) {
 // trackProxyChange records the mean absolute relative change of the proxy
 // model's predictions across consecutive iterations over the recorded
 // configurations — the quantity of Fig. 17(b).
-func (e *Engine) trackProxyChange(model proxyModel, window []*Record) {
-	// Ping-pong between two maps so steady state allocates nothing.
-	preds := e.currPreds
-	if preds == nil {
-		preds = make(map[string]float64, len(window))
-	}
-	for k := range preds {
-		delete(preds, k)
-	}
+//
+// Every window record is a row of the incremental model once syncModel has
+// succeeded, so its posterior mean is one Gram-row dot product; full, when
+// not nil, is the FullRefit reference model to predict from instead. A
+// record counts only when the previous sweep predicted it too (a tick
+// whose fit fails runs no sweep).
+func (e *Engine) trackProxyChange(window []*Record, full *gp.GP) {
+	e.sweep++
 	sum, n := 0.0, 0
 	for _, rec := range window {
-		p := model.PredictMean(rec.Vector)
-		preds[rec.Key] = p
-		if prev, ok := e.prevPreds[rec.Key]; ok {
-			denom := math.Abs(prev)
+		var p float64
+		if full != nil {
+			p = full.PredictMean(rec.Vector)
+		} else {
+			p = e.model.PredictMeanAt(rec.row)
+		}
+		if rec.predFor == e.sweep {
+			denom := math.Abs(rec.pred)
 			if denom < 1e-9 {
 				denom = 1e-9
 			}
-			sum += math.Abs(p-prev) / denom * 100
+			sum += math.Abs(p-rec.pred) / denom * 100
 			n++
 		}
+		rec.pred, rec.predFor = p, e.sweep+1
 	}
 	if n > 0 {
 		e.proxyChange = sum / float64(n)
 	}
-	e.currPreds = e.prevPreds
-	e.prevPreds = preds
 }
 
 // LastWeights returns the weight decomposition of the last Decide call
@@ -661,6 +714,7 @@ func (e *Engine) AcquisitionFailures() int { return e.acqFailures }
 func (e *Engine) GPStats() gp.IncrementalStats { return e.model.Stats() }
 
 // Exploits counts ticks on which the engine held the incumbent best
-// configuration instead of probing (diagnostics; also the trigger for the
-// paper's skip-GP-update overhead optimization).
+// configuration instead of probing (diagnostics). Such ticks leave the
+// window's membership alone, which is what lets the proxy model take its
+// target-only update and the pool its cached neighborhood blocks.
 func (e *Engine) Exploits() int { return e.exploits }

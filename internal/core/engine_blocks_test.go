@@ -1,0 +1,164 @@
+package core
+
+import (
+	"slices"
+	"sort"
+	"testing"
+
+	"satori/internal/gp"
+	"satori/internal/policy"
+)
+
+// blockProbe watches an incremental engine between Decide calls: it holds
+// the block-scored pool against a stateless whole-pool scoring, and counts
+// the situations the block cache must survive.
+type blockProbe struct {
+	t   *testing.T
+	eng *Engine
+
+	prevTop   []*Record
+	prevEpoch int
+	slotRecs  map[string]*Record // every record a slot has held, by config key
+
+	scored    int // ticks whose pool was checked
+	flips     int // ticks whose top set kept its members and factor but changed order
+	recreated int // slots taken by a re-created record of a config a slot held before
+}
+
+func newBlockProbe(t *testing.T, eng *Engine) *blockProbe {
+	return &blockProbe{t: t, eng: eng, slotRecs: map[string]*Record{}}
+}
+
+// top recomputes the engine's top configurations (descending objective,
+// earlier window entries first among ties) for the last Decide.
+func (p *blockProbe) top() []*Record {
+	e := p.eng
+	window := e.recs.Window(e.opt.Window)
+	w := e.LastWeights()
+	sort.SliceStable(window, func(i, j int) bool { return window[i].Objective(w) > window[j].Objective(w) })
+	return window[:min(3, len(window))]
+}
+
+// check runs after a Decide at tick.
+func (p *blockProbe) check(tick int) {
+	e := p.eng
+	if e.model.Len() == 0 || len(e.initQueue) > 0 || e.candCount == 0 {
+		return
+	}
+	n := e.candCount
+	mu, sigma := make([]float64, n), make([]float64, n)
+	e.model.PredictBatchInto(&gp.PredictScratch{}, mu, sigma, e.vectors(0, n))
+	for i := 0; i < n; i++ {
+		if e.muBuf[i] != mu[i] || e.sigmaBuf[i] != sigma[i] {
+			p.t.Fatalf("tick %d: candidate %d of %d: block-scored (%v, %v) != stateless (%v, %v)",
+				tick, i, n, e.muBuf[i], e.sigmaBuf[i], mu[i], sigma[i])
+		}
+	}
+	p.scored++
+
+	top := p.top()
+	st := e.GPStats()
+	epoch := st.Refits + st.Extends
+	if epoch == p.prevEpoch && len(top) == len(p.prevTop) {
+		same, moved := true, false
+		for i, rec := range top {
+			same = same && slices.Contains(p.prevTop, rec)
+			moved = moved || p.prevTop[i] != rec
+		}
+		if same && moved {
+			p.flips++
+		}
+	}
+	p.prevTop, p.prevEpoch = top, epoch
+
+	for i := range e.blocks {
+		rec := e.blocks[i].rec
+		if rec == nil {
+			continue
+		}
+		if old, ok := p.slotRecs[rec.Key]; ok && old != rec {
+			p.recreated++
+		}
+		p.slotRecs[rec.Key] = rec
+	}
+}
+
+// driveProbed is driveKeys with the probe checked after every Decide.
+func driveProbed(t *testing.T, eng *Engine, env *syntheticEnv, n int, probe *blockProbe) []string {
+	t.Helper()
+	current := env.space.EqualSplit()
+	keys := make([]string, 0, n)
+	for tick := 1; tick <= n; tick++ {
+		tp, fair := env.eval(current)
+		next := eng.Decide(policy.Observation{
+			Tick: tick, Time: float64(tick) * 0.1,
+			Throughput: tp, Fairness: fair,
+		}, current)
+		if probe != nil {
+			probe.check(tick)
+		}
+		keys = append(keys, next.Key())
+		current = next
+	}
+	return keys
+}
+
+// probedAgainstFullRefit drives two identically seeded engines for 400
+// ticks — the incremental one under a blockProbe, the FullRefit reference
+// bare — requires their decisions to match tick for tick, and returns the
+// probe. recordCap > 0 shrinks both record stores.
+func probedAgainstFullRefit(t *testing.T, opt Options, recordCap int) *blockProbe {
+	t.Helper()
+	run := func(fullRefit bool) ([]string, *blockProbe) {
+		env := newSyntheticEnv(0.02)
+		opt.FullRefit = fullRefit
+		eng, err := New(env.space, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recordCap > 0 {
+			eng.Records().SetCap(recordCap)
+		}
+		var probe *blockProbe
+		if !fullRefit {
+			probe = newBlockProbe(t, eng)
+		}
+		return driveProbed(t, eng, env, 400, probe), probe
+	}
+	inc, probe := run(false)
+	full, _ := run(true)
+	for i := range inc {
+		if inc[i] != full[i] {
+			t.Fatalf("decision diverged at tick %d: incremental %q vs full refit %q", i+1, inc[i], full[i])
+		}
+	}
+	return probe
+}
+
+// TestEngineBlockReuseUnderSwingingWeights runs the default (dynamic)
+// weight schedule, whose swings reorder the top configurations while the
+// window — and so the factor — stands still. Reordered neighborhoods are
+// re-scored from blocks filled at other pool offsets, so every tick's pool
+// must still equal a stateless scoring bit for bit, and the decisions must
+// equal the FullRefit reference's tick for tick.
+func TestEngineBlockReuseUnderSwingingWeights(t *testing.T) {
+	probe := probedAgainstFullRefit(t, Options{Seed: 13, Window: 12}, 0)
+	if probe.scored == 0 || probe.flips == 0 {
+		t.Fatalf("%d pools checked, %d top-order flips under a standing factor: reordered reuse not exercised", probe.scored, probe.flips)
+	}
+	t.Logf("%d pools checked, %d top-order flips under a standing factor", probe.scored, probe.flips)
+}
+
+// TestEngineBlockKeySurvivesEviction shrinks the record store until top
+// configurations are evicted and later re-created as new records. A block
+// keyed by anything recyclable (a config key, a window index, a reused
+// address) would be taken for the old record's; keyed by the record it
+// must miss, keeping pools equal to the stateless scoring and decisions
+// equal to the FullRefit reference's.
+func TestEngineBlockKeySurvivesEviction(t *testing.T) {
+	probe := probedAgainstFullRefit(t, Options{Seed: 17, Window: 8, ExploitThreshold: 0.002}, 5)
+	if probe.scored == 0 || probe.recreated == 0 {
+		t.Fatalf("%d pools checked, %d re-created top configurations: eviction path not exercised", probe.scored, probe.recreated)
+	}
+	t.Logf("%d pools checked, %d re-created top configurations", probe.scored, probe.recreated)
+}

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"satori/internal/resource"
 )
@@ -26,6 +27,14 @@ type Record struct {
 	LastTick int
 	// Visits counts how many times the configuration has been run.
 	Visits int
+
+	// Bookkeeping of the engine that owns the store. row is the record's
+	// row in the proxy model, valid only while modelRecs[row] is this
+	// record; pred is its latest posterior mean, the previous prediction
+	// for proxy-change sweep number predFor only (sweeps count from 1).
+	row     int
+	pred    float64
+	predFor int
 }
 
 // Records stores one Record per distinct configuration. To bound memory
@@ -113,12 +122,14 @@ func (r *Records) WindowInto(dst []*Record, n int) []*Record {
 	for _, rec := range r.bySig {
 		all = append(all, rec)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].LastTick != all[j].LastTick {
-			return all[i].LastTick > all[j].LastTick
+	// A strict total order (keys are unique), so the unstable sort has
+	// exactly one result.
+	slices.SortFunc(all, func(a, b *Record) int {
+		if a.LastTick != b.LastTick {
+			return cmp.Compare(b.LastTick, a.LastTick)
 		}
 		// Deterministic tie-break for replayability.
-		return all[i].Key < all[j].Key
+		return cmp.Compare(a.Key, b.Key)
 	})
 	if n > 0 && len(all) > n {
 		all = all[:n]

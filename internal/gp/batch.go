@@ -1,16 +1,22 @@
 // Batched posterior prediction: score a whole candidate pool against the
-// shared Cholesky factor with one matrix-level triangular solve.
+// shared Cholesky factor with matrix-level triangular solves.
 //
 // The per-candidate path (PredictInto) pays an O(n²) forward solve per
 // query whose subtract-accumulate chain is latency-bound; amortizing one
-// traversal of the factor over all m pool columns turns the same flops
-// into contiguous throughput-bound sweeps (linalg.SolveLowerMatrixInto).
-// Crucially the arithmetic is the *identical sequence* per candidate —
-// same kernel evaluations, same k-ascending subtractions, same divisions,
-// same accumulation order for the mean and variance dots — so batched
-// results are bit-identical to the per-candidate reference and the engine
-// can adopt them without perturbing committed goldens. The property tests
-// in batch_test.go pin that equivalence with == comparisons.
+// traversal of the factor over a panel of pool columns turns the same
+// flops into contiguous throughput-bound sweeps
+// (linalg.SolveLowerMatrixInto). Crucially the arithmetic is the
+// *identical sequence* per candidate — same kernel evaluations, same
+// k-ascending subtractions, same divisions, same accumulation order for
+// the mean and variance dots — so batched results are bit-identical to the
+// per-candidate reference and the engine can adopt them without perturbing
+// committed goldens. The property tests in batch_test.go pin that
+// equivalence with == comparisons.
+//
+// Of a scored point, only the mean depends on the targets. A Block keeps
+// the rest — K* columns and standard deviations — so that a group of
+// points scored again under the same kernel epoch (see Incremental) costs
+// one K*ᵀα product; epoch_test.go pins that reuse with == as well.
 
 package gp
 
@@ -32,16 +38,19 @@ func (g *GP) PredictBatch(points [][]float64) (mu, sigma []float64) {
 }
 
 // PredictBatchInto scores all query points into mu and sigma (each of
-// length len(points)) using one matrix-level triangular solve. After the
-// scratch has grown to the model×pool size it performs no allocations.
+// length len(points)) using one matrix-level triangular solve per panel of
+// panelWidth points. After the scratch has grown to the model×pool size it
+// performs no allocations.
 // Results are bit-identical to calling PredictInto per point.
 func (g *GP) PredictBatchInto(s *PredictScratch, mu, sigma []float64, points [][]float64) {
-	predictBatch(s, mu, sigma, points, g.xs, g.alpha, g.chol, g.kernel, g.mean)
+	s.kmat = grow(s.kmat, len(g.xs)*len(points))
+	predictBatch(s, s.kmat, mu, sigma, points, g.xs, g.alpha, g.chol, g.kernel, g.mean)
 }
 
 // PredictBatchInto is the Incremental counterpart of GP.PredictBatchInto.
 func (m *Incremental) PredictBatchInto(s *PredictScratch, mu, sigma []float64, points [][]float64) {
-	predictBatch(s, mu, sigma, points, m.xbuf[:m.n], m.alpha, m.chol, m.kernel, m.mean)
+	s.kmat = grow(s.kmat, m.n*len(points))
+	predictBatch(s, s.kmat, mu, sigma, points, m.xbuf[:m.n], m.alpha, m.chol, m.kernel, m.mean)
 }
 
 // PredictBatch scores all query points into mu and sigma using the model's
@@ -52,73 +61,144 @@ func (m *Incremental) PredictBatch(mu, sigma []float64, points [][]float64) {
 	m.PredictBatchInto(&m.scratch, mu, sigma, points)
 }
 
-// predictBatch is the shared batch-scoring kernel. For bit-identity with
-// the per-candidate path every stage accumulates in the same order
-// PredictInto does: kstar entries are independent; the matrix solve's
-// column c replays SolveLowerInto exactly; the mean and squared-norm
-// accumulators run over model rows in ascending order, matching
-// linalg.Dot.
-func predictBatch(s *PredictScratch, mu, sigma []float64, points [][]float64, xs [][]float64, alpha []float64, chol *linalg.Cholesky, kernel Kernel, mean float64) {
+// Block is what scoring one group of query points leaves behind that the
+// model's targets cannot change: the cross-covariance columns K* and the
+// posterior standard deviations, functions of the window inputs, the
+// kernel and the factor only. While the model's kernel epoch stands,
+// RepredictBlockInto re-scores the group from it in O(n) per point. The
+// zero value is an empty block; a block belongs to one model and one
+// fixed group of points.
+type Block struct {
+	epoch uint64 // the model's kernel epoch at the last PredictBlockInto; 0 = never filled
+	kstar []float64
+	sigma []float64
+}
+
+// PredictBlockInto is PredictBatchInto keeping the group's kernel-only
+// results in b for RepredictBlockInto.
+func (m *Incremental) PredictBlockInto(s *PredictScratch, b *Block, mu, sigma []float64, points [][]float64) {
+	b.kstar = grow(b.kstar, m.n*len(points))
+	predictBatch(s, b.kstar, mu, sigma, points, m.xbuf[:m.n], m.alpha, m.chol, m.kernel, m.mean)
+	b.sigma = append(b.sigma[:0], sigma...)
+	b.epoch = m.epoch
+}
+
+// RepredictBlockInto re-scores the points b was last filled for under the
+// model's current targets: sigma is copied from b and mu recomputed as
+// mean + K*ᵀα, both bit-identical to a fresh PredictBatchInto. It reports
+// false, writing nothing, when b is stale — the model's inputs, kernel or
+// factor changed since b was filled — or was filled for a group of another
+// size than len(mu).
+func (m *Incremental) RepredictBlockInto(b *Block, mu, sigma []float64) bool {
+	q := len(b.sigma)
+	if b.epoch != m.epoch || len(mu) != q || len(sigma) != q {
+		return false
+	}
+	copy(sigma, b.sigma)
+	for p0 := 0; p0 < q; p0 += panelWidth {
+		p1 := min(p0+panelWidth, q)
+		panelMeans(mu[p0:p1], b.kstar[m.n*p0:m.n*p1], m.alpha, m.mean)
+	}
+	return true
+}
+
+// panelWidth is how many query points share one triangular sweep. The
+// solve's working set — the factor plus two n×panelWidth panels — then
+// stays cache-resident at the engine's window of 64, and the solve
+// workspace no longer grows with the pool.
+const panelWidth = 32
+
+// grow returns buf resized to n entries, reallocating only when it is too
+// small (contents are not preserved).
+func grow(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// predictBatch is the shared batch-scoring kernel. The pool is cut into
+// panels of at most panelWidth points; panel p's cross-covariances are
+// kept as an n×w row-major matrix at kstar[n·p·panelWidth:], so kstar
+// (n·len(points) entries) can outlive the call. For bit-identity with the
+// per-candidate path every stage accumulates in the same order PredictInto
+// does: kstar entries are independent; the matrix solve's column c replays
+// SolveLowerInto exactly (columns are independent, so the panel cut does
+// not show); the mean and squared-norm accumulators run over model rows in
+// ascending order, matching linalg.Dot.
+func predictBatch(s *PredictScratch, kstar, mu, sigma []float64, points [][]float64, xs [][]float64, alpha []float64, chol *linalg.Cholesky, kernel Kernel, mean float64) {
 	q := len(points)
 	if len(mu) != q || len(sigma) != q {
 		panic(fmt.Sprintf("gp: PredictBatch got %d mu and %d sigma for %d points", len(mu), len(sigma), q))
 	}
-	if q == 0 {
-		return
-	}
 	n := len(xs)
-	s.resizeBatch(n, q)
-	kmat, vmat := &s.kmat, &s.vmat
-	// Cross-covariance fill + posterior-mean accumulation
-	// mu_c = Σ_i k*_ic·α_i, rows ascending (matching linalg.Dot's order).
-	// The Matérn 5/2 default takes a staged concrete-type fill; anything
-	// else goes through the interface.
+	s.panel = grow(s.panel, n*min(q, panelWidth))
+	m52, isM52 := kernel.(Matern52)
+	for p0 := 0; p0 < q; p0 += panelWidth {
+		p1 := min(p0+panelWidth, q)
+		w := p1 - p0
+		pts, psigma := points[p0:p1], sigma[p0:p1]
+		kmat := linalg.Matrix{Rows: n, Cols: w, Data: kstar[n*p0 : n*p1]}
+		// Cross-covariance fill. The Matérn 5/2 default takes a staged
+		// concrete-type fill; anything else goes through the interface.
+		if isM52 {
+			fillRowsMatern52(s, &kmat, xs, pts, m52)
+		} else {
+			for i, xi := range xs {
+				row := kmat.Data[i*w : i*w+w : i*w+w]
+				for c, x := range pts {
+					row[c] = kernel.Eval(x, xi)
+				}
+			}
+		}
+		panelMeans(mu[p0:p1], kmat.Data, alpha, mean)
+		// One triangular sweep for the whole panel: V = L⁻¹·K*.
+		vmat := linalg.Matrix{Rows: n, Cols: w, Data: s.panel[:n*w]}
+		chol.SolveLowerMatrixInto(&vmat, &kmat)
+		// Squared norms ‖v_c‖², rows ascending; sigma doubles as accumulator.
+		for c := range psigma {
+			psigma[c] = 0
+		}
+		for i := 0; i < n; i++ {
+			row := vmat.Data[i*w : i*w+w : i*w+w]
+			for c, v := range row {
+				psigma[c] += v * v
+			}
+		}
+		for c, x := range pts {
+			// k(x, x): every shipped kernel evaluates to exactly Variance at
+			// zero distance (r = 0, exp(-0) = 1), so the concrete fast path
+			// skips the call; the value is bit-identical to Eval(x, x).
+			var kxx float64
+			if isM52 {
+				kxx = m52.Variance
+			} else {
+				kxx = kernel.Eval(x, x)
+			}
+			variance := kxx - psigma[c]
+			if variance < 0 {
+				variance = 0
+			}
+			psigma[c] = math.Sqrt(variance)
+		}
+	}
+}
+
+// panelMeans writes the posterior means mu_c = mean + Σ_i k*_ic·α_i of one
+// n×len(mu) cross-covariance panel, rows ascending (linalg.Dot's order).
+func panelMeans(mu, kpanel, alpha []float64, mean float64) {
+	w := len(mu)
 	for c := range mu {
 		mu[c] = 0
 	}
-	m52, isM52 := kernel.(Matern52)
-	if isM52 {
-		fillRowsMatern52(s, kmat, mu, alpha, xs, points, m52)
-	} else {
-		for i, xi := range xs {
-			row := kmat.Data[i*q : i*q+q : i*q+q]
-			for c, x := range points {
-				row[c] = kernel.Eval(x, xi)
-			}
-			ai := alpha[i]
-			for c, v := range row {
-				mu[c] += v * ai
-			}
-		}
-	}
-	// One triangular sweep for the whole pool: V = L⁻¹·K*.
-	chol.SolveLowerMatrixInto(vmat, kmat)
-	// Squared norms ‖v_c‖², rows ascending; sigma doubles as accumulator.
-	for c := range sigma {
-		sigma[c] = 0
-	}
-	for i := 0; i < n; i++ {
-		row := vmat.Data[i*q : i*q+q : i*q+q]
+	for i, ai := range alpha {
+		row := kpanel[i*w : i*w+w : i*w+w]
 		for c, v := range row {
-			sigma[c] += v * v
+			mu[c] += v * ai
 		}
 	}
-	for c, x := range points {
+	for c := range mu {
 		mu[c] = mean + mu[c]
-		// k(x, x): every shipped kernel evaluates to exactly Variance at
-		// zero distance (r = 0, exp(-0) = 1), so the concrete fast path
-		// skips the call; the value is bit-identical to Eval(x, x).
-		var kxx float64
-		if isM52 {
-			kxx = m52.Variance
-		} else {
-			kxx = kernel.Eval(x, x)
-		}
-		variance := kxx - sigma[c]
-		if variance < 0 {
-			variance = 0
-		}
-		sigma[c] = math.Sqrt(variance)
 	}
 }
 
@@ -126,28 +206,25 @@ func predictBatch(s *PredictScratch, mu, sigma []float64, points [][]float64, xs
 var sqrt5 = math.Sqrt(5)
 
 // fillRowsMatern52 is the staged cross-covariance fill for the default
-// kernel: a dim-outer squared-distance sweep over a dim-major transposed
-// pool, one sqrt/exp transform sweep, and one mean-accumulation sweep per
-// model row. Each element's value is computed by the verbatim
-// Matern52.Eval expression sequence — the squared distance still sums
-// dimension-ascending per element, the transform is Eval's exact formula
-// — so splitting the loops only removes interface dispatch and short-loop
-// overhead and lets independent elements pipeline through the
-// sqrt/div/exp units; results stay bit-identical to the per-candidate
-// path.
-func fillRowsMatern52(s *PredictScratch, kmat *linalg.Matrix, mu, alpha []float64, xs, points [][]float64, k Matern52) {
+// kernel: a dim-outer squared-distance sweep over the dim-major transposed
+// panel and one sqrt/exp transform sweep per model row. Each element's
+// value is computed by the verbatim Matern52.Eval expression sequence —
+// the squared distance still sums dimension-ascending per element, the
+// transform is Eval's exact formula — so splitting the loops only removes
+// interface dispatch and short-loop overhead and lets independent elements
+// pipeline through the sqrt/div/exp units; results stay bit-identical to
+// the per-candidate path.
+func fillRowsMatern52(s *PredictScratch, kmat *linalg.Matrix, xs, points [][]float64, k Matern52) {
 	q := kmat.Cols
 	ls, vr := k.LengthScale, k.Variance
 	dim := 0
 	if len(xs) > 0 {
 		dim = len(xs[0])
 	}
-	// Transpose the pool once: pt[d*q+c] = points[c][d], so the distance
+	// Transpose the panel once: pt[d*q+c] = points[c][d], so the distance
 	// sweep below streams contiguously for every dimension.
-	if cap(s.pt) < dim*q {
-		s.pt = make([]float64, dim*q)
-	}
-	pt := s.pt[:dim*q]
+	s.pt = grow(s.pt, dim*q)
+	pt := s.pt
 	for c, x := range points {
 		for d, v := range x[:dim] {
 			pt[d*q+c] = v
@@ -169,10 +246,6 @@ func fillRowsMatern52(s *PredictScratch, kmat *linalg.Matrix, mu, alpha []float6
 			r := math.Sqrt(d2) / ls
 			s5r := sqrt5 * r
 			row[c] = vr * (1 + s5r + 5*r*r/3) * math.Exp(-s5r)
-		}
-		ai := alpha[i]
-		for c, v := range row {
-			mu[c] += v * ai
 		}
 	}
 }

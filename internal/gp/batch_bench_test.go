@@ -75,12 +75,10 @@ func BenchmarkFillRowsMatern52(b *testing.B) {
 	m, pool := benchModel(b, 64, 15)
 	k := m.kernel.(Matern52)
 	var s PredictScratch
-	s.resizeBatch(64, len(pool))
-	mu := make([]float64, len(pool))
-	alpha := m.alpha
+	kmat := linalg.NewMatrix(64, len(pool))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fillRowsMatern52(&s, &s.kmat, mu, alpha, m.xbuf[:64], pool, k)
+		fillRowsMatern52(&s, kmat, m.xbuf[:64], pool, k)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(64*len(pool)), "ns/eval")
 }

@@ -198,34 +198,18 @@ func cloneInputs(xs [][]float64) [][]float64 {
 type PredictScratch struct {
 	kstar []float64
 	v     []float64
-	// Batch workspace (PredictBatchInto): the n×m cross-covariance block
-	// and its triangular solve, stored as value matrices so steady-state
-	// batches touch the allocator only when the pool outgrows them, plus
-	// the dim-major transposed pool the staged fill streams over.
-	kmat linalg.Matrix
-	vmat linalg.Matrix
-	pt   []float64
+	// Batch workspace (see predictBatch): kmat holds the n×m
+	// cross-covariance block of a stateless PredictBatchInto, panel the
+	// triangular solve of one panelWidth-column slice of it, and pt that
+	// slice's query points transposed dim-major for the staged fill.
+	kmat  []float64
+	panel []float64
+	pt    []float64
 }
 
 // resize readies the scratch for an n-observation model.
 func (s *PredictScratch) resize(n int) {
-	if cap(s.kstar) < n {
-		s.kstar = make([]float64, n)
-		s.v = make([]float64, n)
-	}
-	s.kstar = s.kstar[:n]
-	s.v = s.v[:n]
-}
-
-// resizeBatch readies the batch workspace for m query points against an
-// n-observation model.
-func (s *PredictScratch) resizeBatch(n, m int) {
-	if cap(s.kmat.Data) < n*m {
-		s.kmat.Data = make([]float64, n*m)
-		s.vmat.Data = make([]float64, n*m)
-	}
-	s.kmat.Rows, s.kmat.Cols, s.kmat.Data = n, m, s.kmat.Data[:n*m]
-	s.vmat.Rows, s.vmat.Cols, s.vmat.Data = n, m, s.vmat.Data[:n*m]
+	s.kstar, s.v = grow(s.kstar, n), grow(s.v, n)
 }
 
 // Predict returns the posterior mean and standard deviation at x.

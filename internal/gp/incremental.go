@@ -21,12 +21,20 @@
 // the data-scaled signal variance), and the full rebuild runs only when
 // they actually changed. All paths reuse internal buffers, so a model
 // that has reached its steady-state size performs no heap allocations.
+//
+// Everything that depends on the inputs, the kernel and the factor alone
+// is stamped with one kernel epoch, which moves exactly when a refit or a
+// rank-1 append does (Stats().Refits + Stats().Extends) and never on a
+// target-only update. Under an unchanged epoch the median length scale,
+// the window's Gram matrix (PredictMeanAt) and a scored Block's K* columns
+// and standard deviations carry over from tick to tick.
 
 package gp
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"satori/internal/linalg"
 )
@@ -54,6 +62,9 @@ type Incremental struct {
 	kernel Kernel
 	ls     float64 // heuristic length scale backing kernel
 	vr     float64 // heuristic signal variance backing kernel
+	// lsStale marks ls as older than the inputs: set by setX, cleared
+	// when refreshHeuristics recomputes the median pairwise distance.
+	lsStale bool
 
 	n      int
 	dim    int
@@ -64,8 +75,9 @@ type Incremental struct {
 	jitter float64
 
 	stats IncrementalStats
+	epoch uint64 // kernel epoch: Refits + Extends, so 0 means never fitted
 
-	kbuf    *linalg.Matrix
+	kbuf    linalg.Matrix // the window's Gram matrix k(x_i, x_j), jitter-free
 	distBuf []float64
 	rowBuf  []float64
 	ctrBuf  []float64
@@ -160,12 +172,27 @@ func (m *Incremental) Append(x []float64, ys []float64) error {
 	for i := 0; i < m.n-1; i++ {
 		row[i] = m.kernel.Eval(xnew, m.xbuf[i])
 	}
-	if err := m.chol.Extend(row, m.kernel.Eval(xnew, xnew)+m.jitter); err != nil {
+	diag := m.kernel.Eval(xnew, xnew)
+	if err := m.chol.Extend(row, diag+m.jitter); err != nil {
 		// Near-singular append (e.g. a duplicate input): fall back to
 		// refactorization with jitter escalation.
 		return m.rebuild(ys)
 	}
+	// The Gram matrix gains the same row and column: re-stride the old
+	// rows back to front (in place when the storage is kept), then write
+	// the new ones.
+	n := m.n
+	old := m.kbuf.Data
+	m.resizeGram(n)
+	g := m.kbuf.Data
+	for i := n - 2; i >= 0; i-- {
+		copy(g[i*n:i*n+n-1], old[i*(n-1):(i+1)*(n-1)])
+		g[i*n+n-1] = row[i]
+	}
+	copy(g[(n-1)*n:], row)
+	g[n*n-1] = diag
 	m.stats.Extends++
+	m.epoch++
 	m.solveAlpha(ys)
 	return nil
 }
@@ -173,10 +200,11 @@ func (m *Incremental) Append(x []float64, ys []float64) error {
 // UpdateTargets re-solves the posterior for re-weighted targets over the
 // unchanged window — the engine's fast path while it exploits: the paper
 // skips the proxy-model update after the optimal configuration has been
-// detected, and with an unchanged window membership the kernel factor
-// carries over, leaving one O(n²) solve. When the data-scaled variance
-// heuristic moves (it is floored, so it rarely does), the kernel itself
-// changed and the model refits in place.
+// detected, and with an unchanged window membership the length scale and
+// the kernel factor carry over, leaving one O(n) variance check and one
+// O(n²) solve. When the data-scaled variance heuristic moves (it is
+// floored, so it rarely does), the kernel itself changed and the model
+// refits in place.
 func (m *Incremental) UpdateTargets(ys []float64) error {
 	if m.n == 0 {
 		return ErrNoData
@@ -196,12 +224,19 @@ func (m *Incremental) UpdateTargets(ys []float64) error {
 
 // refreshHeuristics re-evaluates the no-tuning hyperparameters over the
 // current window and reports whether they changed, updating the kernel
-// when they did. Note the 256-point cap in the median scan: beyond it the
-// scan is order-sensitive, so windows larger than 256 may refresh on
-// revisit-induced reorderings that a from-scratch Fit would not notice.
+// when they did. The median length scale is a function of the inputs
+// alone, so its O(n²) pair scan and sort run only after setX touched a
+// row; target-only calls reuse m.ls. Note the 256-point cap in that scan:
+// beyond it the scan is order-sensitive, so windows larger than 256 may
+// refresh on revisit-induced reorderings that a from-scratch Fit would not
+// notice — every reordering reaches the model through Reset, hence setX,
+// so the reuse never hides one.
 func (m *Incremental) refreshHeuristics(ys []float64) bool {
-	var ls float64
-	ls, m.distBuf = medianLengthScaleInto(m.distBuf, m.xbuf[:m.n])
+	ls := m.ls
+	if m.lsStale {
+		ls, m.distBuf = medianLengthScaleInto(m.distBuf, m.xbuf[:m.n])
+		m.lsStale = false
+	}
 	vr := flooredVariance(ys, sampleMean(ys))
 	if ls == m.ls && vr == m.vr && m.kernel != nil {
 		return false
@@ -212,18 +247,12 @@ func (m *Incremental) refreshHeuristics(ys []float64) bool {
 }
 
 // rebuild refactorizes the kernel matrix — the same computation as Fit,
-// including the jitter escalation schedule, but into reused buffers. On
-// failure the model is left empty.
+// including the jitter escalation schedule, but into reused buffers — and
+// leaves the jitter-free Gram matrix behind in kbuf. On failure the model
+// is left empty.
 func (m *Incremental) rebuild(ys []float64) error {
 	n := m.n
-	if m.kbuf == nil {
-		m.kbuf = linalg.NewMatrix(n, n)
-	} else if cap(m.kbuf.Data) < n*n {
-		*m.kbuf = *linalg.NewMatrix(n, n)
-	} else {
-		m.kbuf.Rows, m.kbuf.Cols = n, n
-		m.kbuf.Data = m.kbuf.Data[:n*n]
-	}
+	m.resizeGram(n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < i; j++ {
 			v := m.kernel.Eval(m.xbuf[i], m.xbuf[j])
@@ -239,7 +268,7 @@ func (m *Incremental) rebuild(ys []float64) error {
 		for i := 0; i < n; i++ {
 			m.kbuf.Set(i, i, m.kernel.Eval(m.xbuf[i], m.xbuf[i])+j)
 		}
-		if err = m.chol.Factorize(m.kbuf); err == nil {
+		if err = m.chol.Factorize(&m.kbuf); err == nil {
 			m.jitter = j
 			break
 		}
@@ -248,7 +277,11 @@ func (m *Incremental) rebuild(ys []float64) error {
 		m.n = 0
 		return fmt.Errorf("gp: kernel matrix not factorizable even with jitter: %w", err)
 	}
+	for i := 0; i < n; i++ {
+		m.kbuf.Set(i, i, m.kernel.Eval(m.xbuf[i], m.xbuf[i]))
+	}
 	m.stats.Refits++
+	m.epoch++
 	m.solveAlpha(ys)
 	return nil
 }
@@ -269,8 +302,19 @@ func (m *Incremental) solveAlpha(ys []float64) {
 	m.chol.SolveVecInto(m.alpha, m.ctrBuf)
 }
 
+// resizeGram reshapes kbuf to n×n. Storage grows amortized and keeps its
+// leading entries, so an append can re-stride the old rows in place.
+func (m *Incremental) resizeGram(n int) {
+	data := m.kbuf.Data
+	if n*n > len(data) {
+		data = slices.Grow(data, n*n-len(data))
+	}
+	m.kbuf = linalg.Matrix{Rows: n, Cols: n, Data: data[:n*n]}
+}
+
 // setX copies x into the owned input buffer at index i.
 func (m *Incremental) setX(i int, x []float64) {
+	m.lsStale = true
 	for i >= len(m.xbuf) {
 		m.xbuf = append(m.xbuf, make([]float64, len(x)))
 	}
@@ -321,6 +365,14 @@ func (m *Incremental) PredictMean(x []float64) float64 {
 		s.kstar[i] = m.kernel.Eval(x, m.xbuf[i])
 	}
 	return m.mean + linalg.Dot(s.kstar, m.alpha)
+}
+
+// PredictMeanAt returns the posterior mean at the model's own input i —
+// PredictMean(x_i) to the bit, read off the Gram row instead of n kernel
+// evaluations.
+func (m *Incremental) PredictMeanAt(i int) float64 {
+	n := m.n
+	return m.mean + linalg.Dot(m.kbuf.Data[i*n:i*n+n], m.alpha)
 }
 
 // Posterior returns the joint posterior mean vector and covariance matrix
