@@ -215,7 +215,7 @@ func newResctrlSession(machine satori.MachineSpec, jobs []*satori.Workload,
 	}
 	platform, err := rdt.NewResctrlPlatformGrouped(machine, names, rdt.ResctrlWriter{Root: root}, sampler, grouping)
 	if err != nil {
-		return nil, resctrlErr(err)
+		return nil, err
 	}
 	pol, err := genericPolicy(policyName, seed, clusterK)
 	if err != nil {
@@ -223,7 +223,7 @@ func newResctrlSession(machine satori.MachineSpec, jobs []*satori.Workload,
 	}
 	sess, err := satori.NewSessionOn(platform, satori.SessionConfig{Policy: pol, Seed: seed})
 	if err != nil {
-		return nil, resctrlErr(err)
+		return nil, err
 	}
 	return sess, nil
 }
@@ -249,15 +249,6 @@ func checkResctrlRoot(root string) error {
 	}
 	os.Remove(probe)
 	return nil
-}
-
-// resctrlErr rewrites backend errors whose remedy is a flag change —
-// today just the stub perf sampler — and passes everything else through.
-func resctrlErr(err error) error {
-	if errors.Is(err, rdt.ErrPerfUnimplemented) {
-		return fmt.Errorf("%w\n  record a per-tick IPS trace and replay it with -trace <file>, or omit -trace to synthesize one from the simulator", err)
-	}
-	return err
 }
 
 // simPolicy resolves a policy for the simulated backend: clustered

@@ -120,9 +120,12 @@ type Status struct {
 	// (nil when the decision was accepted). The loop keeps running on
 	// the live configuration; Summary counts the rejections.
 	RejectedApply error
-	// ResetErr is a failed periodic baseline re-measurement (nil when
-	// none was due or it succeeded). The previous baselines stay in
-	// force and the refresh is retried at the next boundary.
+	// ResetErr is a transiently failed baseline re-measurement (nil when
+	// none was due or it succeeded); a non-transient failure aborts Step
+	// instead. After a failed periodic refresh the previous baselines stay
+	// in force until the next boundary. After a membership change whose
+	// re-measurement failed there are no baselines to fall back on: the
+	// refresh is retried every tick and each tick is held until it lands.
 	ResetErr error
 	// SampledTick reports that this interval's observation was
 	// extrapolated from phase-stable state (sampled simulation) instead
@@ -204,6 +207,7 @@ type Loop struct {
 	tm         metrics.ThroughputMetric
 	fm         metrics.FairnessMetric
 	isolated   []float64
+	needIso    bool // isolated is a placeholder: re-measure before scoring
 	current    resource.Config
 	tick       int
 	resetEvery int
@@ -338,128 +342,182 @@ func (l *Loop) SetObjectives(tm metrics.ThroughputMetric, fm metrics.FairnessMet
 	l.tm, l.fm = tm.Resolve(), fm.Resolve()
 }
 
-// Step advances one 100 ms interval: refresh isolated baselines if an
-// equalization boundary was crossed (skipped when churn already
-// refreshed them), sample IPS, score both goals, let the policy decide,
-// and apply the next partition. Rejected applies are surfaced in the
-// status, not swallowed; a stale-shaped decision is a *StaleDecisionError.
-func (l *Loop) Step() (Status, error) {
-	// Algorithm 1 line 13: re-record isolated baselines every
-	// equalization period. The refresh is scheduled at the start of the
-	// interval after the boundary tick — the same position in the
-	// platform's sampling sequence as refreshing at the previous tick's
-	// end — so a membership change between ticks (which re-measures on
-	// its own) makes the periodic refresh redundant and it is skipped.
-	var resetErr error
-	if l.tick > 0 && l.tick%l.resetEvery == 0 && !l.pendReset {
-		if iso, err := l.measureIsolatedRetry(); err != nil {
-			// The previous baselines stay in force; the refresh retries
-			// at the next boundary. Callers distinguish transient blips
-			// (count, continue) from fatal failures via rdt.IsTransient.
-			resetErr = err
-			l.resetErrs++
-		} else {
-			l.isolated = iso
-			l.pendReset = true
-			// A baseline refresh is a re-measurement boundary: force the
-			// stability window to re-arm through detailed ticks.
-			l.resetStability()
-		}
+// Step advances one 100 ms interval through the tick's stages:
+//
+//	refreshIfDue  re-measure isolated baselines at an equalization
+//	              boundary (skipped when churn already refreshed them)
+//	observe       sample IPS, validate it, score both goals
+//	decide        let the policy decide and apply the next partition
+//	account       close the tick as landed (noteGoodTick) or held
+//
+// The loop owns the failure taxonomy: every transient fault is absorbed
+// and surfaced in the status (SampleErr, BadSample, ResetErr,
+// RejectedApply), every non-transient Sample or MeasureIsolated failure
+// aborts Step with the error, and a stale-shaped decision aborts it with
+// a *StaleDecisionError. Callers never classify a Status field.
+func (l *Loop) Step() (st Status, err error) {
+	resetErr := l.refreshIfDue()
+	if resetErr != nil && !rdt.IsTransient(resetErr) {
+		return st, resetErr
 	}
-	// Sampled simulation: once the phase-stability window is armed, ask
-	// the backend to extrapolate this interval. The backend refuses (with
-	// no side effects) whenever extrapolation could diverge — imminent
-	// phase boundary, configuration change, churn — and we fall through
-	// to the detailed path. MaxRun bounds how long extrapolation may run
-	// before a detailed re-validation.
-	sampled := false
+	ok, err := l.observe(true, &st)
+	st.ResetErr = resetErr
+	if err != nil || !ok {
+		return st, err
+	}
+	err = l.decide(&st)
+	return st, err
+}
+
+// refreshIfDue is Algorithm 1 line 13: re-record isolated baselines every
+// equalization period. The refresh is scheduled at the start of the
+// interval after the boundary tick — the same position in the platform's
+// sampling sequence as refreshing at the previous tick's end — so a
+// membership change between ticks (which re-measures on its own) makes
+// the periodic refresh redundant and it is skipped. Baselines a failed
+// churn re-measurement left missing are due every tick. A failed refresh
+// leaves the loop's baselines as they were and is returned; transient
+// failures are counted.
+func (l *Loop) refreshIfDue() error {
+	periodic := l.tick > 0 && l.tick%l.resetEvery == 0 && !l.pendReset
+	if !periodic && !l.needIso {
+		return nil
+	}
+	iso, err := l.measureIsolatedRetry()
+	if err != nil {
+		if rdt.IsTransient(err) {
+			l.resetErrs++
+		}
+		return err
+	}
+	return l.commitBaselines(iso, nil)
+}
+
+// commitBaselines installs a baseline measurement and makes it a
+// re-measurement boundary: the next accepted observation carries
+// BaselineReset and the stability window re-arms through detailed ticks.
+// A failed measurement (membership-change callers only — a failed
+// refresh of an unchanged job set keeps its old baselines instead)
+// installs a placeholder of the live length marked missing: refreshIfDue
+// retries it every tick and observe holds every tick until it lands.
+func (l *Loop) commitBaselines(iso []float64, err error) error {
+	if err != nil {
+		iso = make([]float64, l.NumJobs())
+	}
+	l.isolated, l.needIso = iso, err != nil
+	l.pendReset = true
+	l.resetStability()
+	return err
+}
+
+// observe is the only code that advances the clock by an observed
+// interval: sample per-job IPS, validate it, score both goals and fold
+// them into the running aggregates, writing the tick's status to st. ok
+// reports a usable observation; otherwise st is already closed as a held
+// tick. A non-transient sampling failure returns the error with the
+// clock and st untouched.
+//
+// Sampled simulation: the backend is asked to extrapolate the interval
+// instead of evaluating it in detail. The backend refuses (with no side
+// effects) whenever extrapolation could diverge — imminent phase
+// boundary, configuration change, churn — and the detailed sample runs.
+// A gated tick (Step) asks only once the phase-stability window is armed,
+// and MaxRun bounds how long extrapolation may run before a detailed
+// re-validation; an ungated one (idle replay inside an IdleHorizon
+// promise, which already accounts for both) always asks.
+func (l *Loop) observe(gated bool, st *Status) (ok bool, err error) {
 	var ips []float64
-	if l.fast != nil && l.stable >= l.sampling.StableTicks && l.sampledRun < l.sampling.MaxRun {
-		if v, ok := l.fast.SampleFast(); ok {
-			ips, sampled = v, true
+	sampled := false
+	if l.fast != nil && (!gated || l.stable >= l.sampling.StableTicks && l.sampledRun < l.sampling.MaxRun) {
+		if ips, sampled = l.fast.SampleFast(); sampled {
 			l.sampledRun++
 			l.sampledTicks++
 		}
 	}
 	if !sampled {
-		var err error
 		ips, err = l.platform.Sample()
-		if err != nil {
-			if !rdt.IsTransient(err) {
-				return Status{}, err
-			}
-			// A transient dropout: the interval elapsed but the reading
-			// was lost. Sampling is never retried (the 100 ms is gone) —
-			// the loop degrades gracefully instead: hold the last good
-			// configuration, skip the policy, count the miss.
-			l.tick++
-			l.sampleErrs++
-			l.sampledRun = 0
-			l.resetStability()
-			st := Status{
-				Tick: l.tick, Time: float64(l.tick) * TickSeconds,
-				Isolated:  l.isolated,
-				ResetErr:  resetErr,
-				SampleErr: err,
-				Degraded:  true,
-				Config:    l.current,
-			}
-			l.noteFailedTick(&st)
-			return st, nil
+		if err != nil && !rdt.IsTransient(err) {
+			return false, err
 		}
 		l.sampledRun = 0
 	}
 	l.tick++
+	if err != nil {
+		// A transient dropout: the interval elapsed but the reading was
+		// lost. Sampling is never retried (the 100 ms is gone) — the loop
+		// degrades gracefully instead: hold the last good configuration,
+		// skip the policy, count the miss.
+		l.sampleErrs++
+		l.resetStability()
+		*st = Status{SampleErr: err, Degraded: true}
+		l.held(st)
+		return false, nil
+	}
 	// Reject corrupt observations before they reach the metrics or the
 	// policy: a non-finite or negative IPS (a wedged hardware counter, a
 	// torn resctrl read) would silently poison the Welford aggregates and
-	// the proxy model. The tick is flagged, counted, and otherwise
-	// skipped; the current partition stays in force.
+	// the proxy model. l.pendReset is left pending so the policy still
+	// sees the BaselineReset flag on the next accepted observation.
 	for _, v := range ips {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 			l.badSamples++
 			l.resetStability()
-			// l.pendReset is left pending so the policy still sees the
-			// BaselineReset flag on the next accepted observation.
-			st := Status{
-				Tick: l.tick, Time: float64(l.tick) * TickSeconds,
-				IPS: ips, Isolated: l.isolated,
-				ResetErr:    resetErr,
-				SampledTick: sampled,
-				BadSample:   true,
-				Config:      l.current,
-			}
-			l.noteFailedTick(&st)
-			return st, nil
+			*st = Status{IPS: ips, SampledTick: sampled, BadSample: true}
+			l.held(st)
+			return false, nil
 		}
+	}
+	if l.needIso {
+		// No baselines for the live job set (see commitBaselines): the
+		// reading is sound but there is nothing to score it against.
+		*st = Status{IPS: ips, SampledTick: sampled}
+		l.held(st)
+		return false, nil
 	}
 	l.lastGoodSample = l.tick
 	l.updateStability(ips)
 	if l.slo != nil {
 		l.slo.observe(ips)
 	}
-	speedups := metrics.Speedups(ips, l.isolated)
-	t := l.scoreThroughput(ips)
-	f := l.scoreFairness(ips)
-	l.accT.Add(t)
-	l.accF.Add(f)
-	l.accObj.Add(0.5*t + 0.5*f)
-	l.lastT, l.lastF = t, f
-
-	obs := policy.Observation{
+	*st = Status{
 		Tick: l.tick, Time: float64(l.tick) * TickSeconds,
-		IPS: ips, Isolated: l.isolated, Speedups: speedups,
-		Throughput: t, Fairness: f,
-		BaselineReset: l.pendReset,
+		IPS: ips, Isolated: l.isolated, Speedups: metrics.Speedups(ips, l.isolated),
+		Throughput: l.scoreThroughput(ips), Fairness: l.scoreFairness(ips),
+		SampledTick: sampled,
+		Config:      l.current,
 	}
 	if l.slo != nil {
-		obs.SLOViolating = l.slo.det.Violating()
-		obs.SLOAttainment = l.slo.attainment
+		l.slo.fill(st)
 	}
-	wasReset := l.pendReset
-	l.pendReset = false
-	next := l.pol.Decide(obs, l.current)
-	regrouped := false
+	l.accT.Add(st.Throughput)
+	l.accF.Add(st.Fairness)
+	l.accObj.Add(0.5*st.Throughput + 0.5*st.Fairness)
+	l.lastT, l.lastF = st.Throughput, st.Fairness
+	return true, nil
+}
+
+// held closes a tick that landed no fresh decision — a lost or rejected
+// observation, missing baselines, a rejected apply: stamp the clock, the
+// baselines in force and the partition held, and count the tick toward
+// the circuit breaker.
+func (l *Loop) held(st *Status) {
+	st.Tick, st.Time = l.tick, float64(l.tick)*TickSeconds
+	st.Isolated = l.isolated
+	st.SafeFallback = l.noteFailedTick()
+	st.Config = l.current
+}
+
+// decide consults the policy on a scored observation and applies its
+// decision, closing the tick as landed or held.
+func (l *Loop) decide(st *Status) error {
+	st.BaselineReset, l.pendReset = l.pendReset, false
+	next := l.pol.Decide(policy.Observation{
+		Tick: st.Tick, Time: st.Time,
+		IPS: st.IPS, Isolated: st.Isolated, Speedups: st.Speedups,
+		Throughput: st.Throughput, Fairness: st.Fairness,
+		BaselineReset: st.BaselineReset,
+		SLOViolating:  st.SLOViolating, SLOAttainment: st.SLOAttainment,
+	}, l.current)
 	if l.regroup != nil {
 		if n := l.regroup.Regroups(); n > l.lastRegroups {
 			// The policy committed a cluster-membership migration inside
@@ -469,31 +527,10 @@ func (l *Loop) Step() (Status, error) {
 			l.regroups += n - l.lastRegroups
 			l.lastRegroups = n
 			l.resetStability()
-			regrouped = true
+			st.Regrouped = true
 		}
 	}
-	st := Status{
-		Tick: l.tick, Time: float64(l.tick) * TickSeconds,
-		IPS: ips, Isolated: l.isolated, Speedups: speedups,
-		Throughput: t, Fairness: f,
-		BaselineReset: wasReset,
-		ResetErr:      resetErr,
-		SampledTick:   sampled,
-		Regrouped:     regrouped,
-	}
-	if l.slo != nil {
-		l.slo.fill(&st)
-	}
-	err := l.platform.Apply(next)
-	// A transient rejection (a busy resctrl write, an injected chaos
-	// fault) is retried in-tick with backoff; the retry loop is inlined
-	// so the fault-free fast path allocates nothing.
-	for attempt := 1; attempt <= l.resil.MaxRetries && rdt.IsTransient(err); attempt++ {
-		l.backoff(attempt)
-		l.retries++
-		err = l.platform.Apply(next)
-	}
-	if err != nil {
+	if err := l.applyRetry(next); err != nil {
 		// A shape rejection is fatal only when it is genuinely stale:
 		// churn changes the job dimension but never the resource rows,
 		// so a config with the machine's resource count and the wrong
@@ -503,24 +540,22 @@ func (l *Loop) Step() (Status, error) {
 		// rejection like any other invalid decision.
 		var shape *rdt.ConfigShapeError
 		if errors.As(err, &shape) && shape.ConfigResources == shape.SpaceResources {
-			st.Config = l.current
-			return st, &StaleDecisionError{Tick: l.tick, Shape: shape}
+			return &StaleDecisionError{Tick: l.tick, Shape: shape}
 		}
 		st.RejectedApply = err
 		l.rejected++
-		st.Config = l.current
-		l.noteFailedTick(&st)
-		return st, nil
+		l.held(st)
+		return nil
 	}
 	if !l.current.Equal(next) {
 		// l.current tracks the platform's installed configuration (both
 		// are updated only here and in the churn paths), so an unchanged
 		// decision needs no re-clone — the steady-state fast path.
 		l.current = l.platform.Current()
+		st.Config = l.current
 	}
-	st.Config = l.current
 	l.noteGoodTick()
-	return st, nil
+	return nil
 }
 
 // scoreThroughput maps this tick's observation to the normalized
@@ -649,84 +684,14 @@ func (l *Loop) IdleHorizon() int {
 func (l *Loop) AdvanceIdle(n int) (Status, error) {
 	var st Status
 	for i := 0; i < n; i++ {
-		sampled := false
-		var ips []float64
-		if l.fast != nil {
-			if v, ok := l.fast.SampleFast(); ok {
-				ips, sampled = v, true
-				l.sampledRun++
-				l.sampledTicks++
-			}
+		ok, err := l.observe(false, &st)
+		if err != nil {
+			return st, err
 		}
-		if !sampled {
-			var err error
-			ips, err = l.platform.Sample()
-			if err != nil {
-				if !rdt.IsTransient(err) {
-					return st, err
-				}
-				l.tick++
-				l.idleTicks++
-				l.sampleErrs++
-				l.sampledRun = 0
-				l.resetStability()
-				st = Status{
-					Tick: l.tick, Time: float64(l.tick) * TickSeconds,
-					Isolated:  l.isolated,
-					SampleErr: err,
-					Degraded:  true,
-					Config:    l.current,
-				}
-				l.noteFailedTick(&st)
-				continue
-			}
-			l.sampledRun = 0
-		}
-		l.tick++
 		l.idleTicks++
-		bad := false
-		for _, v := range ips {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				bad = true
-				break
-			}
+		if ok {
+			l.noteGoodTick()
 		}
-		if bad {
-			l.badSamples++
-			l.resetStability()
-			st = Status{
-				Tick: l.tick, Time: float64(l.tick) * TickSeconds,
-				IPS: ips, Isolated: l.isolated,
-				SampledTick: sampled,
-				BadSample:   true,
-				Config:      l.current,
-			}
-			l.noteFailedTick(&st)
-			continue
-		}
-		l.lastGoodSample = l.tick
-		l.updateStability(ips)
-		if l.slo != nil {
-			l.slo.observe(ips)
-		}
-		speedups := metrics.Speedups(ips, l.isolated)
-		tScore := l.scoreThroughput(ips)
-		f := l.scoreFairness(ips)
-		l.accT.Add(tScore)
-		l.accF.Add(f)
-		l.accObj.Add(0.5*tScore + 0.5*f)
-		l.lastT, l.lastF = tScore, f
-		st = Status{
-			Tick: l.tick, Time: float64(l.tick) * TickSeconds,
-			IPS: ips, Isolated: l.isolated, Speedups: speedups,
-			Throughput: tScore, Fairness: f,
-			SampledTick: sampled,
-			Config:      l.current,
-		}
-		if l.slo != nil {
-			l.slo.fill(&st)
-		}
-		l.noteGoodTick()
 	}
 	return st, nil
 }
@@ -789,10 +754,7 @@ func (l *Loop) RefreshBaselines() error {
 	if err != nil {
 		return err
 	}
-	l.isolated = iso
-	l.pendReset = true
-	l.resetStability()
-	return nil
+	return l.commitBaselines(iso, nil)
 }
 
 // Reinit is the membership-change tail for externally mutated platforms:
@@ -808,29 +770,25 @@ func (l *Loop) Reinit() error {
 	return l.rebuildAfterChurn()
 }
 
-// rebuildAfterChurn rebuilds the policy on the live space and re-records
-// baselines; state is committed only when every step succeeded, so a
-// failed rebuild leaves the previous policy running.
+// rebuildAfterChurn is the loop-side commit of a membership change the
+// platform has already made: rebuild the policy on the live space, adopt
+// the re-split partition, rebuild the SLO tracker against the new job set
+// (the detector restarts attaining, like a freshly built loop) and
+// re-record baselines. Once the policy rebuilt, everything commits even
+// when the measurement fails — the loop must describe the job set the
+// platform runs, or the next observation would be scored against
+// baselines of another length; commitBaselines marks them missing and
+// the error is returned for the caller to count.
 func (l *Loop) rebuildAfterChurn() error {
 	pol, err := l.rebuild()
 	if err != nil {
 		return err
 	}
-	iso, err := l.measureIsolatedRetry()
-	if err != nil {
-		return err
-	}
 	l.pol = pol
-	l.isolated = iso
+	l.captureRegrouper() // the rebuilt policy starts its migration counter fresh
 	l.current = l.platform.Current()
-	l.pendReset = true
-	l.resetStability()
-	// Membership changed: rebuild the SLO tracker against the new job
-	// set (the detector restarts attaining, like a freshly built loop).
 	l.slo = newSLOTracker(l.platform, l.sloOpt)
-	// The rebuilt policy starts its migration counter fresh.
-	l.captureRegrouper()
-	return nil
+	return l.commitBaselines(l.measureIsolatedRetry())
 }
 
 // captureRegrouper re-detects the policy's optional migration counter —
@@ -878,7 +836,7 @@ func (l *Loop) ReplaceJob(j int, p *sim.Profile) error {
 	// The slot's workload (and so possibly its SLO spec) changed:
 	// rebuild the tracker like any other membership change.
 	l.slo = newSLOTracker(l.platform, l.sloOpt)
-	return l.RefreshBaselines()
+	return l.commitBaselines(l.measureIsolatedRetry())
 }
 
 // AddJob admits a new job into the co-location (a fleet-layer arrival).

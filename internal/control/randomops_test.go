@@ -1,0 +1,239 @@
+package control
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"satori/internal/metrics"
+	"satori/internal/policy"
+	"satori/internal/rdt"
+	"satori/internal/resource"
+	"satori/internal/sim"
+	"satori/internal/stats"
+	"satori/internal/workloads"
+)
+
+// wanderPolicy mostly holds the partition (so the stability window arms
+// and idle promises open), sometimes moves one unit between two jobs,
+// and occasionally emits a malformed decision the platform must reject.
+type wanderPolicy struct {
+	space *resource.Space
+	rng   *stats.RNG
+}
+
+func (*wanderPolicy) Name() string { return "wander" }
+
+func (p *wanderPolicy) Decide(_ policy.Observation, current resource.Config) resource.Config {
+	switch u := p.rng.Float64(); {
+	case u < 0.03:
+		return resource.Config{}
+	case u < 0.25 && p.space.Jobs > 1:
+		r, from := p.rng.Intn(len(current.Alloc)), p.rng.Intn(p.space.Jobs)
+		to := (from + 1 + p.rng.Intn(p.space.Jobs-1)) % p.space.Jobs
+		if next, ok := p.space.Move(current, r, from, to); ok {
+			return next
+		}
+	}
+	return current
+}
+
+// ledger is the model side of the test: Summary's counters and the
+// breaker's state re-derived from nothing but the Status values the loop
+// returned. BreakerTrips is modelled as closed→open transitions of the
+// consecutive-failure automaton, not as a count of SafeFallback: an
+// injected apply fault can reject the fallback installation itself, and a
+// clean tick may then close the breaker before it is ever installed.
+type ledger struct {
+	ticks, bad, sampleErrs, rejected, resetErrs, sampled, trips int
+
+	consec int
+	open   bool
+}
+
+const modelBreakerThreshold = 3
+
+func (m *ledger) fold(t *testing.T, st Status) {
+	count := func(n *int, hit bool) {
+		if hit {
+			*n++
+		}
+	}
+	m.ticks++
+	count(&m.bad, st.BadSample)
+	count(&m.sampleErrs, st.SampleErr != nil)
+	count(&m.rejected, st.RejectedApply != nil)
+	count(&m.resetErrs, st.ResetErr != nil)
+	count(&m.sampled, st.SampledTick)
+	if st.Speedups != nil && st.RejectedApply == nil {
+		m.landed()
+	} else if m.consec++; m.consec >= modelBreakerThreshold && !m.open {
+		m.open = true
+		m.trips++
+	}
+	if st.SafeFallback && !m.open {
+		t.Errorf("tick %d: SafeFallback with the breaker closed", st.Tick)
+	}
+}
+
+// landed accounts ticks that landed a decision or an idle replay: the
+// failure run ends and the breaker closes.
+func (m *ledger) landed() { m.consec, m.open = 0, false }
+
+// Seeded random operation sequences over a fault-injected simulator: no
+// operation may panic or abort, the loop must keep describing the job set
+// the platform runs (baselines, partition), and Summary must equal the
+// fold over the returned Status stream. Idle operations stay inside an
+// IdleHorizon promise, where every tick is a clean extrapolated one by
+// contract, so the model predicts their n ticks without seeing them.
+func TestRandomOpsLedgerAndInvariants(t *testing.T) {
+	const seeds, ops = 26, 400
+	ran, idleOps, heldOnMissing := 0, 0, 0
+	for seed := uint64(1); seed <= seeds; seed++ {
+		booted, i, h := runRandomOps(t, seed, ops)
+		if booted {
+			ran++
+		}
+		idleOps += i
+		heldOnMissing += h
+	}
+	if ran < 20 || idleOps == 0 || heldOnMissing == 0 {
+		t.Errorf("vacuous run: %d seeds booted, %d idle ops, %d ticks held on missing baselines", ran, idleOps, heldOnMissing)
+	}
+	t.Logf("%d seeds x %d ops: %d idle ops, %d ticks held on missing baselines", ran, ops, idleOps, heldOnMissing)
+}
+
+// runRandomOps drives one seed; booted is false when the injected faults
+// failed the construction-time baseline measurement and no loop exists.
+func runRandomOps(t *testing.T, seed uint64, ops int) (booted bool, idleOps, heldOnMissing int) {
+	pool := workloads.PARSEC()
+	simulator, err := sim.New(sim.DefaultMachine(), pool[:3], sim.Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := rdt.NewSimPlatform(simulator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	platform, err := rdt.NewFaultInjector(inner, rdt.FaultScript{
+		Seed:           seed,
+		ApplyErrorRate: 0.05, SampleErrorRate: 0.05, SampleCorruptRate: 0.05,
+		MeasureErrorRate: 0.3, ResyncErrorRate: 0.3,
+		Sleep: func(time.Duration) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(seed ^ 0x5A7031)
+	loop, err := New(Options{
+		Platform: platform,
+		Policy: func(p rdt.Platform) (policy.Policy, error) {
+			return &wanderPolicy{space: p.Space(), rng: rng.Split()}, nil
+		},
+		BaselineResetTicks: 25,
+		Sampling:           SamplingOptions{Enabled: true},
+		Resilience:         ResilienceOptions{MaxRetries: 1, BreakerThreshold: modelBreakerThreshold},
+	})
+	if err != nil {
+		if !rdt.IsTransient(err) {
+			t.Fatalf("seed %d: New: %v", seed, err)
+		}
+		return false, 0, 0
+	}
+
+	var model ledger
+	op, name := 0, "new"
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("seed %d op %d (%s) panicked: %v", seed, op, name, r)
+		}
+	}()
+	transientOnly := func(err error) {
+		if err != nil && !rdt.IsTransient(err) {
+			t.Fatalf("seed %d op %d (%s): %v", seed, op, name, err)
+		}
+	}
+	step := func() {
+		name = "Step"
+		st, err := loop.Step()
+		if err != nil {
+			t.Fatalf("seed %d op %d: Step aborted: %v", seed, op, err)
+		}
+		model.fold(t, st)
+		if st.IPS != nil && st.Speedups == nil && !st.BadSample {
+			heldOnMissing++
+		}
+	}
+	for op = 1; op <= ops; op++ {
+		switch u := rng.Float64(); {
+		case u < 0.55:
+			step()
+		case u < 0.70:
+			h := loop.IdleHorizon()
+			if h == 0 {
+				step()
+				break
+			}
+			idleOps++
+			n := 1 + rng.Intn(h)
+			if rng.Intn(2) == 0 {
+				name = fmt.Sprintf("AdvanceIdle(%d of %d)", n, h)
+				st, err := loop.AdvanceIdle(n)
+				if err != nil || st.Tick != loop.Ticks() || !st.SampledTick {
+					t.Fatalf("seed %d op %d (%s): status %+v, err %v", seed, op, name, st, err)
+				}
+			} else {
+				name = fmt.Sprintf("SkipIdle(%d of %d)", n, h)
+				if err := loop.SkipIdle(n); err != nil {
+					t.Fatalf("seed %d op %d (%s): %v", seed, op, name, err)
+				}
+			}
+			model.ticks += n
+			model.sampled += n
+			model.landed()
+		case u < 0.78:
+			if loop.NumJobs() < 5 {
+				name = "AddJob"
+				before := loop.NumJobs()
+				transientOnly(loop.AddJob(pool[rng.Intn(len(pool))]))
+				if loop.NumJobs() != before+1 {
+					t.Fatalf("seed %d op %d: AddJob left %d jobs, want %d", seed, op, loop.NumJobs(), before+1)
+				}
+			}
+		case u < 0.86:
+			if loop.NumJobs() > 1 {
+				name = "RemoveJob"
+				transientOnly(loop.RemoveJob(rng.Intn(loop.NumJobs())))
+			}
+		case u < 0.92:
+			name = "ReplaceJob"
+			transientOnly(loop.ReplaceJob(rng.Intn(loop.NumJobs()), pool[rng.Intn(len(pool))]))
+		case u < 0.96:
+			name = "SetObjectives"
+			loop.SetObjectives(
+				[]metrics.ThroughputMetric{metrics.SumIPS, metrics.GeoMeanSpeedup, metrics.HarmonicMeanSpeedup}[rng.Intn(3)],
+				[]metrics.FairnessMetric{metrics.JainIndex, metrics.OneMinusCoV}[rng.Intn(2)])
+		default:
+			name = "Reinit"
+			transientOnly(loop.Reinit())
+		}
+
+		if len(loop.Isolated()) != loop.NumJobs() {
+			t.Fatalf("seed %d op %d (%s): %d baselines for %d jobs", seed, op, name, len(loop.Isolated()), loop.NumJobs())
+		}
+		if err := platform.Space().Validate(loop.Current()); err != nil {
+			t.Fatalf("seed %d op %d (%s): loop configuration invalid on the live space: %v", seed, op, name, err)
+		}
+		if !loop.Current().Equal(platform.Current()) {
+			t.Fatalf("seed %d op %d (%s): loop configuration diverged from the platform's", seed, op, name)
+		}
+		s := loop.Summary()
+		h := loop.Health()
+		got := ledger{s.Ticks, s.BadSamples, s.SampleErrors, s.RejectedApplies, s.ResetErrs, s.SampledTicks, s.BreakerTrips,
+			h.ConsecutiveFailures, h.BreakerOpen}
+		if got != model {
+			t.Fatalf("seed %d op %d (%s): Summary ledger %+v != fold over statuses %+v", seed, op, name, got, model)
+		}
+	}
+	return true, idleOps, heldOnMissing
+}

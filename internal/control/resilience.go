@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"satori/internal/rdt"
+	"satori/internal/resource"
 )
 
 // ResilienceOptions tunes how the loop survives platform flakiness. The
@@ -156,31 +157,34 @@ func (l *Loop) noteGoodTick() {
 // noteFailedTick closes out a tick that failed to land a fresh decision
 // (lost/corrupt observation or rejected apply). Crossing the breaker
 // threshold — or remaining open with the safe config not yet installed —
-// falls back to the equal-split safe configuration; st reflects the
-// installed partition either way.
-func (l *Loop) noteFailedTick(st *Status) {
+// falls back to the equal-split safe configuration, reported as true.
+func (l *Loop) noteFailedTick() bool {
 	l.consecFail++
 	if l.resil.BreakerThreshold <= 0 || l.consecFail < l.resil.BreakerThreshold {
-		return
+		return false
 	}
 	if !l.breakerOpen {
 		l.breakerOpen = true
 		l.breakerTrips++
 	}
-	if !l.safeInstalled {
-		safe := l.platform.Space().EqualSplit()
-		err := l.platform.Apply(safe)
-		for attempt := 1; attempt <= l.resil.MaxRetries && rdt.IsTransient(err); attempt++ {
-			l.backoff(attempt)
-			l.retries++
-			err = l.platform.Apply(safe)
-		}
-		if err == nil {
-			l.current = l.platform.Current()
-			l.safeInstalled = true
-			st.SafeFallback = true
-			l.resetStability()
-		}
+	if l.safeInstalled || l.applyRetry(l.platform.Space().EqualSplit()) != nil {
+		return false
 	}
-	st.Config = l.current
+	l.current = l.platform.Current()
+	l.safeInstalled = true
+	l.resetStability()
+	return true
+}
+
+// applyRetry installs cfg, retrying a transient rejection (a busy resctrl
+// write, an injected chaos fault) in-tick with backoff. It is closure-free
+// so the fault-free tick allocates nothing.
+func (l *Loop) applyRetry(cfg resource.Config) error {
+	err := l.platform.Apply(cfg)
+	for attempt := 1; attempt <= l.resil.MaxRetries && rdt.IsTransient(err); attempt++ {
+		l.backoff(attempt)
+		l.retries++
+		err = l.platform.Apply(cfg)
+	}
+	return err
 }

@@ -358,3 +358,77 @@ func TestLoopSetObjectives(t *testing.T) {
 		t.Errorf("ticks = %d, want 10 (aggregates carry across the switch)", loop.Summary().Ticks)
 	}
 }
+
+// A membership change is committed loop-side even when its baseline
+// re-measurement fails: the platform already runs the new job set, so a
+// loop still describing the old one would score the next observation
+// against baselines of another length (the parent of this test panicked
+// in metrics.Speedups). Instead the baselines are marked missing, every
+// tick is held with ResetErr until a re-measurement lands, and the first
+// scored observation carries BaselineReset.
+func TestLoopChurnSurvivesFailedRemeasure(t *testing.T) {
+	// Call 1 is the construction baseline. AddJob's measurement burns
+	// calls 2-4 (1 + 2 retries), the next Step's refresh calls 5-7; the
+	// Step after that measures successfully.
+	loop, _ := newFaultLoop(t, rdt.FaultScript{Faults: []rdt.Fault{
+		{Op: rdt.OpMeasureIsolated, Kind: rdt.FaultError, Call: 2, Repeat: 6},
+	}}, Options{})
+	if _, err := loop.Run(5); err != nil {
+		t.Fatal(err)
+	}
+	if err := loop.AddJob(workloads.PARSEC()[4]); !rdt.IsTransient(err) {
+		t.Fatalf("AddJob error = %v, want the transient measurement failure", err)
+	}
+	inSync := func(when string) {
+		t.Helper()
+		if loop.NumJobs() != 4 || len(loop.Isolated()) != 4 {
+			t.Fatalf("%s: %d jobs, %d baselines, want 4 and 4", when, loop.NumJobs(), len(loop.Isolated()))
+		}
+		if err := loop.Platform().Space().Validate(loop.Current()); err != nil {
+			t.Fatalf("%s: loop configuration does not fit the live space: %v", when, err)
+		}
+	}
+	inSync("after AddJob")
+	st, err := loop.Step()
+	if err != nil {
+		t.Fatalf("held tick aborted: %v", err)
+	}
+	if !rdt.IsTransient(st.ResetErr) || st.Speedups != nil || st.BaselineReset || st.Tick != 6 {
+		t.Errorf("tick 6 should be held on missing baselines with ResetErr set: %+v", st)
+	}
+	if h := loop.Health(); h.ConsecutiveFailures != 1 {
+		t.Errorf("held tick not breaker-eligible: %+v", h)
+	}
+	inSync("after the held tick")
+	st, err = loop.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ResetErr != nil || !st.BaselineReset || len(st.Speedups) != 4 || len(st.Config.Alloc[0]) != 4 {
+		t.Errorf("tick 7 should score 4 jobs against fresh baselines: %+v", st)
+	}
+	if sum := loop.Summary(); sum.ResetErrs != 1 || sum.Ticks != 7 {
+		t.Errorf("summary = %+v, want 1 reset error over 7 ticks", sum)
+	}
+	if !loop.Health().Healthy() {
+		t.Errorf("loop did not recover: %+v", loop.Health())
+	}
+}
+
+// The loop, not its callers, classifies a failed baseline refresh: a
+// non-transient one aborts Step before the interval is observed, exactly
+// as a non-transient Sample failure does.
+func TestLoopFatalRefreshAbortsStep(t *testing.T) {
+	loop, _ := newFaultLoop(t, rdt.FaultScript{Faults: []rdt.Fault{
+		{Op: rdt.OpMeasureIsolated, Kind: rdt.FaultFatal, Call: 2},
+	}}, Options{BaselineResetTicks: 10})
+	if _, err := loop.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loop.Step(); err == nil || rdt.IsTransient(err) {
+		t.Fatalf("Step error = %v, want the fatal refresh failure", err)
+	}
+	if sum := loop.Summary(); sum.Ticks != 10 || sum.ResetErrs != 0 {
+		t.Errorf("aborted Step was accounted: %+v", sum)
+	}
+}

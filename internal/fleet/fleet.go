@@ -34,7 +34,6 @@ import (
 
 	"satori/internal/control"
 	"satori/internal/harness"
-	"satori/internal/metrics"
 	"satori/internal/policy"
 	"satori/internal/rdt"
 	"satori/internal/sim"
@@ -107,9 +106,10 @@ type node struct {
 	owed    int
 	skipped int
 
-	// agg caches this node's contribution to the event-driven fleet
-	// aggregates, so skipped nodes cost O(1) at aggregation time instead
-	// of O(jobs). Valid only while last is unchanged.
+	// agg caches this node's contribution to the fleet aggregates, so a
+	// node whose status did not change (skipped, in event-driven runs)
+	// costs O(1) at aggregation time instead of O(jobs). Valid only while
+	// last is unchanged.
 	agg      nodeAgg
 	aggValid bool
 }
@@ -369,68 +369,45 @@ func (c *Cluster) Step() (TickStats, error) {
 	})
 	c.ticks++
 
-	// (5) Fleet aggregation, strictly in node order. Event-driven runs
-	// reduce per-node cached partials — O(active nodes) instead of
-	// O(total jobs), which is what lets the tick cost track activity at
-	// 10k nodes — the Jain index and geomean decompose exactly into the
-	// cached sums (up to float association; lockstep keeps the
-	// concatenated-slice arithmetic unchanged). Both reductions run in
-	// fixed node order, so output stays independent of worker count.
+	// (5) Fleet aggregation, strictly in node order, over per-node cached
+	// partials — O(active nodes) instead of O(total jobs), which is what
+	// lets the tick cost track activity at 10k nodes. The Jain index and
+	// geomean decompose exactly into the cached sums, and the fixed order
+	// keeps the output independent of worker count.
 	st.Queued = c.queued()
 	st.Jain = 1.0
-	if c.opt.EventDriven {
-		var agg nodeAgg
-		for _, n := range c.nodes {
-			st.Running += len(n.jobs)
-			if !n.hasLast {
-				continue
-			}
-			if !n.aggValid {
-				n.agg = buildAgg(n.last)
-				n.aggValid = true
-			}
-			agg.jobs += n.agg.jobs
-			agg.sumIPS += n.agg.sumIPS
-			agg.sumS += n.agg.sumS
-			agg.sumS2 += n.agg.sumS2
-			agg.sumLog += n.agg.sumLog
-			agg.nonPos = agg.nonPos || n.agg.nonPos
+	var agg nodeAgg
+	for _, n := range c.nodes {
+		st.Running += len(n.jobs)
+		if !n.hasLast {
+			continue
 		}
-		st.SumIPS = agg.sumIPS
-		if agg.jobs > 0 {
-			if !agg.nonPos {
-				st.GeoMeanSpeedup = math.Exp(agg.sumLog / float64(agg.jobs))
-			}
-			// (Σs)²/(n·Σs²) is Jain's index; a zero sum means every
-			// speedup is zero, which the CoV form treats as perfectly
-			// fair (mean-zero guard).
-			if agg.sumS > 0 {
-				st.Jain = agg.sumS * agg.sumS / (float64(agg.jobs) * agg.sumS2)
-			}
-			c.accSum.Add(st.SumIPS)
-			c.accGeo.Add(st.GeoMeanSpeedup)
-			c.accJain.Add(st.Jain)
-			c.busyTicks++
+		if !n.aggValid {
+			n.agg = buildAgg(n.last)
+			n.aggValid = true
 		}
-	} else {
-		var ips, speedups []float64
-		for _, n := range c.nodes {
-			st.Running += len(n.jobs)
-			if !n.hasLast {
-				continue
-			}
-			ips = append(ips, n.last.IPS...)
-			speedups = append(speedups, n.last.Speedups...)
+		agg.jobs += n.agg.jobs
+		agg.sumIPS += n.agg.sumIPS
+		agg.sumS += n.agg.sumS
+		agg.sumS2 += n.agg.sumS2
+		agg.sumLog += n.agg.sumLog
+		agg.nonPos = agg.nonPos || n.agg.nonPos
+	}
+	st.SumIPS = agg.sumIPS
+	if agg.jobs > 0 {
+		if !agg.nonPos {
+			st.GeoMeanSpeedup = math.Exp(agg.sumLog / float64(agg.jobs))
 		}
-		st.SumIPS = stats.Sum(ips)
-		st.GeoMeanSpeedup = stats.GeoMean(speedups)
-		if len(speedups) > 0 {
-			st.Jain = metrics.Jain(speedups)
-			c.accSum.Add(st.SumIPS)
-			c.accGeo.Add(st.GeoMeanSpeedup)
-			c.accJain.Add(st.Jain)
-			c.busyTicks++
+		// (Σs)²/(n·Σs²) is Jain's index; a zero sum means every
+		// speedup is zero, which the CoV form treats as perfectly
+		// fair (mean-zero guard).
+		if agg.sumS > 0 {
+			st.Jain = agg.sumS * agg.sumS / (float64(agg.jobs) * agg.sumS2)
 		}
+		c.accSum.Add(st.SumIPS)
+		c.accGeo.Add(st.GeoMeanSpeedup)
+		c.accJain.Add(st.Jain)
+		c.busyTicks++
 	}
 	// SLO reduction: O(1) per node off the cached last status, in fixed
 	// node order like the metric reductions above. A skipped node's held
@@ -674,12 +651,6 @@ func (n *node) step(event bool) error {
 			return fmt.Errorf("fleet: node %d: policy/platform desync after churn: %w", n.id, stale)
 		}
 		return err
-	}
-	// A transient baseline-refresh failure does not kill the node: the
-	// stale baselines hold and the loop retries at the next boundary
-	// (the node's Summary counts it). Fatal reset failures still abort.
-	if st.ResetErr != nil && !rdt.IsTransient(st.ResetErr) {
-		return st.ResetErr
 	}
 	n.last = st
 	n.hasLast = true

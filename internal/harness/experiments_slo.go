@@ -69,9 +69,6 @@ func RunSLO(opt ExpOptions) (*Report, error) {
 			if err != nil {
 				return outcome{}, err
 			}
-			if st.ResetErr != nil && !rdt.IsTransient(st.ResetErr) {
-				return outcome{}, st.ResetErr
-			}
 			att.Add(st.SLOAttainment)
 			obj.Add(0.5*st.Throughput + 0.5*st.Fairness)
 			attains = append(attains, st.SLOAttainment)

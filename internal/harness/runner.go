@@ -211,12 +211,6 @@ func Run(spec RunSpec) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// A transient baseline-refresh failure is survivable: the stale
-		// baselines stay in force and the refresh retries next boundary.
-		// Only a fatal (non-retry-safe) failure aborts the experiment.
-		if st.ResetErr != nil && !rdt.IsTransient(st.ResetErr) {
-			return nil, st.ResetErr
-		}
 		obj := 0.5*st.Throughput + 0.5*st.Fairness
 		worst := metrics.WorstSpeedup(st.IPS, st.Isolated)
 		accWorst.Add(worst)

@@ -2,7 +2,6 @@ package rdt
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -137,26 +136,3 @@ func WriteIPSTrace(w io.Writer, isolated []float64, rows [][]float64) error {
 	}
 	return bw.Flush()
 }
-
-// ErrPerfUnimplemented reports that the perf-counter sampler is a stub.
-var ErrPerfUnimplemented = errors.New("rdt: perf-counter sampling not implemented on this build; use a TraceSampler or supply your own Sampler")
-
-// PerfSampler is the documented stub for live hardware monitoring. A
-// real implementation opens one perf_event_open(2) fd per job for
-// PERF_COUNT_HW_INSTRUCTIONS (cgroup- or CPU-scoped to the plan's
-// CPUSet, the pqos equivalent of the paper's 10 Hz IPS monitor), reads
-// and resets the counters every Sample, and measures SampleIsolated by
-// briefly running each job with the whole machine. That needs root
-// privileges and Linux-only syscalls, so it is intentionally left
-// unimplemented here: both methods return ErrPerfUnimplemented, and the
-// control plane above it is exercised hermetically via TraceSampler.
-type PerfSampler struct {
-	// Jobs is the number of co-located jobs the sampler would monitor.
-	Jobs int
-}
-
-// Sample implements Sampler (stub).
-func (PerfSampler) Sample(Plan) ([]float64, error) { return nil, ErrPerfUnimplemented }
-
-// SampleIsolated implements Sampler (stub).
-func (PerfSampler) SampleIsolated() ([]float64, error) { return nil, ErrPerfUnimplemented }

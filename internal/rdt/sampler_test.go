@@ -95,16 +95,6 @@ func TestReadIPSTraceErrors(t *testing.T) {
 	}
 }
 
-func TestPerfSamplerIsDocumentedStub(t *testing.T) {
-	var s Sampler = PerfSampler{Jobs: 2}
-	if _, err := s.Sample(Plan{}); !errors.Is(err, ErrPerfUnimplemented) {
-		t.Errorf("Sample error = %v, want ErrPerfUnimplemented", err)
-	}
-	if _, err := s.SampleIsolated(); !errors.Is(err, ErrPerfUnimplemented) {
-		t.Errorf("SampleIsolated error = %v, want ErrPerfUnimplemented", err)
-	}
-}
-
 func newTracePlatform(t *testing.T) *ResctrlPlatform {
 	t.Helper()
 	sampler, err := NewTraceSampler(

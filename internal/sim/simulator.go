@@ -503,16 +503,6 @@ func (s *Simulator) SampledHorizon() int {
 	return h
 }
 
-// StepSampled advances one tick by extrapolation (Pac-Sim style sampled
-// simulation): instead of re-evaluating the analytical model it reuses
-// each job's noise-free IPS cached by the last detailed Step, drawing the
-// same single noise sample per job. ok is false — with NO side effects —
-// whenever extrapolation would diverge from a detailed step: no valid
-// cache (configuration change, churn, or a stall since the last detailed
-// tick) or an imminent phase-boundary crossing; the caller must then run
-// the detailed Step. When ok is true the returned sample, the RNG stream,
-// and all job state are bit-identical to what Step would have produced,
-// which is what lets sampled runs share committed goldens.
 // SkipSampled advances n ticks in one coarse jump: every job retires
 // n·dt·modelIPS instructions in a single multiply, with no per-tick noise
 // draws and no Sample construction. It refuses (returning false, state
@@ -537,6 +527,16 @@ func (s *Simulator) SkipSampled(n int) bool {
 	return true
 }
 
+// StepSampled advances one tick by extrapolation (Pac-Sim style sampled
+// simulation): instead of re-evaluating the analytical model it reuses
+// each job's noise-free IPS cached by the last detailed Step, drawing the
+// same single noise sample per job. ok is false — with NO side effects —
+// whenever extrapolation would diverge from a detailed step: no valid
+// cache (configuration change, churn, or a stall since the last detailed
+// tick) or an imminent phase-boundary crossing; the caller must then run
+// the detailed Step. When ok is true the returned sample, the RNG stream,
+// and all job state are bit-identical to what Step would have produced,
+// which is what lets sampled runs share committed goldens.
 func (s *Simulator) StepSampled() (Sample, bool) {
 	if !s.ipsValid || len(s.modelIPS) != len(s.jobs) {
 		return Sample{}, false
