@@ -152,7 +152,7 @@ func main() {
 		w := eng.LastWeights()
 		fmt.Printf("weights: W_T=%.2f W_F=%.2f; configurations explored: %d\n", w.T, w.F, eng.Records().Len())
 	}
-	if rp, ok := sess.Platform().(*rdt.ResctrlPlatform); ok {
+	if rp, ok := rdt.As[*rdt.ResctrlPlatform](sess.Platform()); ok {
 		reportResctrl(rp, len(jobs), *resctrlRoot)
 	}
 	if *csvPath != "" {

@@ -36,7 +36,6 @@ import (
 	"satori/internal/control"
 	"satori/internal/core"
 	"satori/internal/harness"
-	"satori/internal/policy"
 	"satori/internal/rdt"
 	"satori/internal/server"
 	"satori/internal/sim"
@@ -99,7 +98,7 @@ func main() {
 	h := loop.Health()
 	fmt.Printf("health: ticks=%d healthy=%v breaker-trips=%d retries=%d\n",
 		h.Ticks, h.Healthy(), h.BreakerTrips, h.Retries)
-	if fi, ok := rdt.InjectorOf(loop.Platform()); ok {
+	if fi, ok := rdt.As[*rdt.FaultInjector](loop.Platform()); ok {
 		c := fi.Counts()
 		fmt.Printf("injected-faults: apply=%d sample=%d nan=%d negative=%d measure=%d resync=%d total=%d\n",
 			c.ApplyErrors, c.SampleErrors, c.SampleNaNs, c.SampleNegatives,
@@ -154,7 +153,6 @@ func buildServer(addr, workloadList, suite string, mixIdx int, policyName string
 	if err != nil {
 		return nil, err
 	}
-	var injector *rdt.FaultInjector
 	if faultSpec != "" {
 		script, err := rdt.ParseFaultScript(faultSpec)
 		if err != nil {
@@ -165,14 +163,11 @@ func buildServer(addr, workloadList, suite string, mixIdx int, policyName string
 		if err != nil {
 			return nil, err
 		}
-		injector, _ = rdt.InjectorOf(platform)
 	}
 
 	loop, err := control.New(control.Options{
 		Platform: platform,
-		Policy: func(p rdt.Platform) (policy.Policy, error) {
-			return policyFor(p, factory, seed)
-		},
+		Policy:   harness.Bind(factory, seed),
 		Sampling: control.SamplingOptions{Enabled: sampled},
 		SLO:      control.SLOOptions{GoalSwitch: sloGoalSwitch},
 		Resilience: control.ResilienceOptions{
@@ -187,7 +182,6 @@ func buildServer(addr, workloadList, suite string, mixIdx int, policyName string
 		Loop:              loop,
 		TickEvery:         tick,
 		MaxTicks:          maxTicks,
-		Injector:          injector,
 		SLOUnhealthyAfter: sloUnhealthy,
 		Logf:              log.Printf,
 	})
@@ -209,20 +203,4 @@ func daemonPolicy(policyName string, clusterK int) (harness.PolicyFactory, error
 		}
 	}
 	return harness.PolicyByName(policyName)
-}
-
-// policyFor builds the named policy against the platform's live
-// simulator, unwrapping a fault injector first — policies score against
-// the true analytical model; faults perturb only the control/monitor
-// boundary.
-func policyFor(p rdt.Platform, factory harness.PolicyFactory, seed uint64) (policy.Policy, error) {
-	inner := p
-	if fi, ok := rdt.InjectorOf(p); ok {
-		inner = fi.Inner()
-	}
-	sp, ok := inner.(*rdt.SimPlatform)
-	if !ok {
-		return nil, fmt.Errorf("satorid: policy %T requires the simulated backend", factory)
-	}
-	return factory(sp, seed)
 }

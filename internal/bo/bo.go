@@ -1,7 +1,7 @@
 // Package bo implements the Bayesian-optimization machinery SATORI uses to
 // navigate the resource-partitioning configuration space (Sec. III-A):
-// acquisition functions over a Gaussian-process posterior and a small
-// generic optimizer loop.
+// acquisition functions over a Gaussian-process posterior and the
+// suggest step that maximizes one over a candidate set.
 //
 // The paper's configuration is Expected Improvement over a Matérn 5/2 GP;
 // UCB and Probability of Improvement are included for ablations. Candidate
@@ -11,7 +11,6 @@ package bo
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"satori/internal/gp"
@@ -251,121 +250,4 @@ func ThompsonSuggest(g PosteriorModel, rng *stats.RNG, candidates [][]float64) (
 		return -1, ErrNoFiniteScore
 	}
 	return best, nil
-}
-
-// Observation is one evaluated point.
-type Observation struct {
-	X []float64
-	Y float64
-}
-
-// Optimizer is a generic maximize-f(x) BO loop over user-supplied
-// candidate sets: observe points, then ask for the next one to evaluate.
-// SATORI's engine (internal/core) embeds the same pieces but reconstructs
-// objectives each tick; Optimizer is the traditional static-objective
-// variant, used directly by examples, ablations, and tests.
-type Optimizer struct {
-	acq    Acquisition
-	noise  float64
-	kernel gp.Kernel // nil means heuristic Matérn 5/2 per refit
-	window int       // 0 means unbounded observation history
-
-	obs []Observation
-}
-
-// OptimizerOptions configures NewOptimizer.
-type OptimizerOptions struct {
-	// Acquisition defaults to EI{}.
-	Acquisition Acquisition
-	// Noise is the GP observation-noise variance (default 1e-4).
-	Noise float64
-	// Kernel overrides the heuristic Matérn 5/2 (optional).
-	Kernel gp.Kernel
-	// Window caps the number of most-recent observations the model is
-	// fitted on; 0 keeps everything.
-	Window int
-}
-
-// NewOptimizer returns an empty optimizer.
-func NewOptimizer(opt OptimizerOptions) *Optimizer {
-	if opt.Acquisition == nil {
-		opt.Acquisition = EI{}
-	}
-	if opt.Noise <= 0 {
-		opt.Noise = 1e-4
-	}
-	if opt.Window < 0 {
-		opt.Window = 0
-	}
-	return &Optimizer{
-		acq:    opt.Acquisition,
-		noise:  opt.Noise,
-		kernel: opt.Kernel,
-		window: opt.Window,
-	}
-}
-
-// Observe records an evaluated point.
-func (o *Optimizer) Observe(x []float64, y float64) {
-	xc := make([]float64, len(x))
-	copy(xc, x)
-	o.obs = append(o.obs, Observation{X: xc, Y: y})
-	if o.window > 0 && len(o.obs) > o.window {
-		o.obs = o.obs[len(o.obs)-o.window:]
-	}
-}
-
-// Observations returns the retained observation history (not a copy; do
-// not mutate).
-func (o *Optimizer) Observations() []Observation { return o.obs }
-
-// Best returns the incumbent observation. ok is false before any Observe.
-func (o *Optimizer) Best() (Observation, bool) {
-	if len(o.obs) == 0 {
-		return Observation{}, false
-	}
-	best := o.obs[0]
-	for _, ob := range o.obs[1:] {
-		if ob.Y > best.Y {
-			best = ob
-		}
-	}
-	return best, true
-}
-
-// Suggest fits the posterior on the retained history and returns the
-// candidate index maximizing the acquisition. With no observations yet it
-// returns 0 (callers seed with an initial design first, per Algorithm 1).
-func (o *Optimizer) Suggest(candidates [][]float64) (int, error) {
-	if len(candidates) == 0 {
-		return -1, errors.New("bo: no candidates to score")
-	}
-	if len(o.obs) == 0 {
-		return 0, nil
-	}
-	model, err := o.Fit()
-	if err != nil {
-		return -1, err
-	}
-	best, _ := o.Best()
-	idx, _, err := Suggest(model, o.acq, best.Y, candidates)
-	return idx, err
-}
-
-// Fit returns the GP posterior over the retained history.
-func (o *Optimizer) Fit() (*gp.GP, error) {
-	if len(o.obs) == 0 {
-		return nil, gp.ErrNoData
-	}
-	xs := make([][]float64, len(o.obs))
-	ys := make([]float64, len(o.obs))
-	for i, ob := range o.obs {
-		xs[i] = ob.X
-		ys[i] = ob.Y
-	}
-	model, err := gp.Fit(xs, ys, gp.Options{Kernel: o.kernel, Noise: o.noise})
-	if err != nil {
-		return nil, fmt.Errorf("bo: refit failed: %w", err)
-	}
-	return model, nil
 }

@@ -116,31 +116,60 @@ func TestSuggestEmptyCandidates(t *testing.T) {
 	}
 }
 
+// boLoop is the textbook static-objective BO loop the two convergence
+// tests below drive: refit on everything observed, suggest by EI against
+// the incumbent.
+type boLoop struct {
+	xs [][]float64
+	ys []float64
+}
+
+func (l *boLoop) observe(x []float64, y float64) {
+	l.xs = append(l.xs, x)
+	l.ys = append(l.ys, y)
+}
+
+func (l *boLoop) best() (x []float64, y float64) {
+	i := 0
+	for j := range l.ys {
+		if l.ys[j] > l.ys[i] {
+			i = j
+		}
+	}
+	return l.xs[i], l.ys[i]
+}
+
+func (l *boLoop) suggest(t *testing.T, candidates [][]float64) int {
+	t.Helper()
+	model, err := gp.Fit(l.xs, l.ys, gp.Options{Noise: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, incumbent := l.best()
+	idx, _, err := Suggest(model, EI{}, incumbent, candidates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
 func TestOptimizerFindsMaximumOf1DFunction(t *testing.T) {
 	// Maximize f(x) = -(x-0.3)² on [0,1]: optimum at 0.3.
 	f := func(x float64) float64 { return -(x - 0.3) * (x - 0.3) }
-	opt := NewOptimizer(OptimizerOptions{Noise: 1e-6})
+	var opt boLoop
 	// Seed with endpoints.
-	opt.Observe([]float64{0}, f(0))
-	opt.Observe([]float64{1}, f(1))
+	opt.observe([]float64{0}, f(0))
+	opt.observe([]float64{1}, f(1))
 	var cands [][]float64
 	for i := 0; i <= 50; i++ {
 		cands = append(cands, []float64{float64(i) / 50})
 	}
 	for iter := 0; iter < 15; iter++ {
-		idx, err := opt.Suggest(cands)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := cands[idx][0]
-		opt.Observe([]float64{x}, f(x))
+		x := cands[opt.suggest(t, cands)][0]
+		opt.observe([]float64{x}, f(x))
 	}
-	best, ok := opt.Best()
-	if !ok {
-		t.Fatal("no best observation")
-	}
-	if math.Abs(best.X[0]-0.3) > 0.06 {
-		t.Errorf("BO converged to %g, want ~0.3 (best y = %g)", best.X[0], best.Y)
+	if x, y := opt.best(); math.Abs(x[0]-0.3) > 0.06 {
+		t.Errorf("BO converged to %g, want ~0.3 (best y = %g)", x[0], y)
 	}
 }
 
@@ -158,21 +187,17 @@ func TestOptimizerBeatsCoarseRandomSearchOn2D(t *testing.T) {
 	}
 	runBO := func(seed uint64) float64 {
 		rng := stats.NewRNG(seed)
-		opt := NewOptimizer(OptimizerOptions{Noise: 1e-6})
+		var opt boLoop
 		for i := 0; i < 3; i++ {
 			c := cands[rng.Intn(len(cands))]
-			opt.Observe(c, f(c[0], c[1]))
+			opt.observe(c, f(c[0], c[1]))
 		}
 		for iter := 0; iter < 17; iter++ {
-			idx, err := opt.Suggest(cands)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := cands[idx]
-			opt.Observe(c, f(c[0], c[1]))
+			c := cands[opt.suggest(t, cands)]
+			opt.observe(c, f(c[0], c[1]))
 		}
-		best, _ := opt.Best()
-		return best.Y
+		_, y := opt.best()
+		return y
 	}
 	runRandom := func(seed uint64) float64 {
 		rng := stats.NewRNG(seed)
@@ -193,46 +218,6 @@ func TestOptimizerBeatsCoarseRandomSearchOn2D(t *testing.T) {
 	}
 	if boSum/trials < rndSum/trials {
 		t.Errorf("BO mean %g worse than random search mean %g", boSum/trials, rndSum/trials)
-	}
-}
-
-func TestOptimizerWindow(t *testing.T) {
-	opt := NewOptimizer(OptimizerOptions{Window: 3})
-	for i := 0; i < 10; i++ {
-		opt.Observe([]float64{float64(i)}, float64(i))
-	}
-	if n := len(opt.Observations()); n != 3 {
-		t.Errorf("window retained %d observations, want 3", n)
-	}
-	if opt.Observations()[0].X[0] != 7 {
-		t.Errorf("window kept wrong observations: %v", opt.Observations())
-	}
-}
-
-func TestOptimizerSuggestBeforeObserve(t *testing.T) {
-	opt := NewOptimizer(OptimizerOptions{})
-	idx, err := opt.Suggest([][]float64{{0}, {1}})
-	if err != nil || idx != 0 {
-		t.Errorf("pre-observation Suggest = (%d, %v), want (0, nil)", idx, err)
-	}
-	if _, err := opt.Suggest(nil); err == nil {
-		t.Error("empty candidates accepted")
-	}
-	if _, ok := opt.Best(); ok {
-		t.Error("Best reported before any observation")
-	}
-	if _, err := opt.Fit(); err == nil {
-		t.Error("Fit with no data should error")
-	}
-}
-
-func TestOptimizerObserveCopiesInput(t *testing.T) {
-	opt := NewOptimizer(OptimizerOptions{})
-	x := []float64{0.5}
-	opt.Observe(x, 1)
-	x[0] = 99
-	if opt.Observations()[0].X[0] != 0.5 {
-		t.Error("Observe aliased the caller's slice")
 	}
 }
 

@@ -194,7 +194,7 @@ func (e *StaleDecisionError) Error() string {
 func (e *StaleDecisionError) Unwrap() error { return e.Shape }
 
 // ErrChurnUnsupported reports a membership-churn request against a
-// backend that does not implement rdt.Churner (e.g. a trace-driven
+// backend without the rdt.Churner capability (e.g. a trace-driven
 // resctrl deployment, whose job set is fixed at construction).
 var ErrChurnUnsupported = errors.New("control: platform backend does not support job membership churn")
 
@@ -214,12 +214,18 @@ type Loop struct {
 	pendReset  bool
 	rejected   int
 
-	// Sampled-simulation state: fast is non-nil only when sampling is
-	// enabled AND the backend has the capability; prevIPS/stable track
-	// the phase-stability ε-band; sampledRun counts consecutive
-	// extrapolated ticks toward MaxRun.
+	// The platform's optional capabilities, resolved once by New through
+	// rdt.As (so they are found behind any decorator); nil when absent.
+	// fast and batch are additionally nil unless sampling is enabled.
+	churn rdt.Churner
+	fast  rdt.FastSampler
+	batch rdt.BatchSampler
+	lc    rdt.SLOProvider
+
+	// Sampled-simulation state: prevIPS/stable track the phase-stability
+	// ε-band; sampledRun counts consecutive extrapolated ticks toward
+	// MaxRun.
 	sampling     SamplingOptions
-	fast         rdt.FastSampler
 	prevIPS      []float64
 	stable       int
 	sampledRun   int
@@ -299,18 +305,19 @@ func New(opt Options) (*Loop, error) {
 		resil:      opt.Resilience.fill(),
 		sloOpt:     opt.SLO,
 	}
-	l.slo = newSLOTracker(opt.Platform, l.sloOpt)
+	l.churn, _ = rdt.As[rdt.Churner](opt.Platform)
+	l.lc, _ = rdt.As[rdt.SLOProvider](opt.Platform)
+	if opt.Sampling.Enabled {
+		l.fast, _ = rdt.As[rdt.FastSampler](opt.Platform)
+		l.batch, _ = l.fast.(rdt.BatchSampler)
+	}
+	l.slo = newSLOTracker(l.lc, l.sloOpt)
 	l.captureRegrouper()
 	iso, err := l.measureIsolatedRetry()
 	if err != nil {
 		return nil, err
 	}
 	l.isolated = iso
-	if opt.Sampling.Enabled {
-		if fs, ok := opt.Platform.(rdt.FastSampler); ok {
-			l.fast = fs
-		}
-	}
 	return l, nil
 }
 
@@ -711,7 +718,7 @@ func (l *Loop) SkipIdle(n int) error {
 	if n <= 0 {
 		return nil
 	}
-	if b, ok := l.fast.(rdt.BatchSampler); ok && b.SkipFast(n) {
+	if l.batch != nil && l.batch.SkipFast(n) {
 		l.tick += n
 		l.idleTicks += n
 		l.sampledTicks += n
@@ -787,7 +794,7 @@ func (l *Loop) rebuildAfterChurn() error {
 	l.pol = pol
 	l.captureRegrouper() // the rebuilt policy starts its migration counter fresh
 	l.current = l.platform.Current()
-	l.slo = newSLOTracker(l.platform, l.sloOpt)
+	l.slo = newSLOTracker(l.lc, l.sloOpt)
 	return l.commitBaselines(l.measureIsolatedRetry())
 }
 
@@ -803,19 +810,11 @@ func (l *Loop) captureRegrouper() {
 	}
 }
 
-// churner returns the platform's churn capability, or the typed error.
-func (l *Loop) churner() (rdt.Churner, error) {
-	if c, ok := l.platform.(rdt.Churner); ok {
-		return c, nil
-	}
-	return nil, ErrChurnUnsupported
-}
-
 // NumJobs returns the number of co-located jobs (falling back to the
 // space's job count on backends without the churn capability).
 func (l *Loop) NumJobs() int {
-	if c, ok := l.platform.(rdt.Churner); ok {
-		return c.NumJobs()
+	if l.churn != nil {
+		return l.churn.NumJobs()
 	}
 	return l.platform.Space().Jobs
 }
@@ -826,16 +825,15 @@ func (l *Loop) NumJobs() int {
 // BaselineReset on its next observation; SATORI requires no other
 // re-initialization (Sec. III-C).
 func (l *Loop) ReplaceJob(j int, p *sim.Profile) error {
-	c, err := l.churner()
-	if err != nil {
-		return err
+	if l.churn == nil {
+		return ErrChurnUnsupported
 	}
-	if err := c.ReplaceJob(j, p); err != nil {
+	if err := l.churn.ReplaceJob(j, p); err != nil {
 		return err
 	}
 	// The slot's workload (and so possibly its SLO spec) changed:
 	// rebuild the tracker like any other membership change.
-	l.slo = newSLOTracker(l.platform, l.sloOpt)
+	l.slo = newSLOTracker(l.lc, l.sloOpt)
 	return l.commitBaselines(l.measureIsolatedRetry())
 }
 
@@ -846,11 +844,10 @@ func (l *Loop) ReplaceJob(j int, p *sim.Profile) error {
 // re-initialization a job-count change requires (its proxy-model inputs
 // are per-(resource, job) coordinates).
 func (l *Loop) AddJob(p *sim.Profile) error {
-	c, err := l.churner()
-	if err != nil {
-		return err
+	if l.churn == nil {
+		return ErrChurnUnsupported
 	}
-	if err := c.AddJob(p); err != nil {
+	if err := l.churn.AddJob(p); err != nil {
 		return err
 	}
 	return l.rebuildAfterChurn()
@@ -861,11 +858,10 @@ func (l *Loop) AddJob(p *sim.Profile) error {
 // baselines and rebuilds the policy on the shrunken space. The last job
 // cannot be removed.
 func (l *Loop) RemoveJob(j int) error {
-	c, err := l.churner()
-	if err != nil {
-		return err
+	if l.churn == nil {
+		return ErrChurnUnsupported
 	}
-	if err := c.RemoveJob(j); err != nil {
+	if err := l.churn.RemoveJob(j); err != nil {
 		return err
 	}
 	return l.rebuildAfterChurn()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"satori/internal/cluster"
 	"satori/internal/metrics"
 	"satori/internal/policy"
 	"satori/internal/rdt"
@@ -45,7 +46,7 @@ func (p *wanderPolicy) Decide(_ policy.Observation, current resource.Config) res
 // injected apply fault can reject the fallback installation itself, and a
 // clean tick may then close the breaker before it is ever installed.
 type ledger struct {
-	ticks, bad, sampleErrs, rejected, resetErrs, sampled, trips int
+	ticks, bad, sampleErrs, rejected, resetErrs, sampled, regroups, trips int
 
 	consec int
 	open   bool
@@ -65,6 +66,7 @@ func (m *ledger) fold(t *testing.T, st Status) {
 	count(&m.rejected, st.RejectedApply != nil)
 	count(&m.resetErrs, st.ResetErr != nil)
 	count(&m.sampled, st.SampledTick)
+	count(&m.regroups, st.Regrouped)
 	if st.Speedups != nil && st.RejectedApply == nil {
 		m.landed()
 	} else if m.consec++; m.consec >= modelBreakerThreshold && !m.open {
@@ -85,27 +87,32 @@ func (m *ledger) landed() { m.consec, m.open = 0, false }
 // the platform runs (baselines, partition), and Summary must equal the
 // fold over the returned Status stream. Idle operations stay inside an
 // IdleHorizon promise, where every tick is a clean extrapolated one by
-// contract, so the model predicts their n ticks without seeing them.
+// contract, so the model predicts their n ticks without seeing them. The
+// last clusteredSeeds seeds run the same policy behind a K=2 cluster
+// partitioner, so regrouping, churn and faults meet: the simulator under
+// the injector must always run exactly the grouping the policy searches.
 func TestRandomOpsLedgerAndInvariants(t *testing.T) {
-	const seeds, ops = 26, 400
-	ran, idleOps, heldOnMissing := 0, 0, 0
+	const seeds, clusteredSeeds, ops = 32, 6, 400
+	ran, idleOps, heldOnMissing, regroups := 0, 0, 0, 0
 	for seed := uint64(1); seed <= seeds; seed++ {
-		booted, i, h := runRandomOps(t, seed, ops)
+		booted, i, h, r := runRandomOps(t, seed, ops, seed > seeds-clusteredSeeds)
 		if booted {
 			ran++
 		}
 		idleOps += i
 		heldOnMissing += h
+		regroups += r
 	}
-	if ran < 20 || idleOps == 0 || heldOnMissing == 0 {
-		t.Errorf("vacuous run: %d seeds booted, %d idle ops, %d ticks held on missing baselines", ran, idleOps, heldOnMissing)
+	if ran < 24 || idleOps == 0 || heldOnMissing == 0 || regroups == 0 {
+		t.Errorf("vacuous run: %d seeds booted, %d idle ops, %d ticks held on missing baselines, %d regroups",
+			ran, idleOps, heldOnMissing, regroups)
 	}
-	t.Logf("%d seeds x %d ops: %d idle ops, %d ticks held on missing baselines", ran, ops, idleOps, heldOnMissing)
+	t.Logf("%d seeds x %d ops: %d idle ops, %d ticks held on missing baselines, %d regroups", ran, ops, idleOps, heldOnMissing, regroups)
 }
 
 // runRandomOps drives one seed; booted is false when the injected faults
 // failed the construction-time baseline measurement and no loop exists.
-func runRandomOps(t *testing.T, seed uint64, ops int) (booted bool, idleOps, heldOnMissing int) {
+func runRandomOps(t *testing.T, seed uint64, ops int, clustered bool) (booted bool, idleOps, heldOnMissing, regroups int) {
 	pool := workloads.PARSEC()
 	simulator, err := sim.New(sim.DefaultMachine(), pool[:3], sim.Options{Seed: seed})
 	if err != nil {
@@ -128,7 +135,17 @@ func runRandomOps(t *testing.T, seed uint64, ops int) (booted bool, idleOps, hel
 	loop, err := New(Options{
 		Platform: platform,
 		Policy: func(p rdt.Platform) (policy.Policy, error) {
-			return &wanderPolicy{space: p.Space(), rng: rng.Split()}, nil
+			wander := func(space *resource.Space) (policy.Policy, error) {
+				return &wanderPolicy{space: space, rng: rng.Split()}, nil
+			}
+			if !clustered {
+				return wander(p.Space())
+			}
+			g, _ := rdt.As[rdt.Grouper](p)
+			// Churn rebuilds the policy every few ops, so the classifier
+			// must be quick to get a migration in between.
+			return cluster.New(p.Space(), cluster.Options{K: 2, Inner: wander, Grouper: g,
+				Classifier: cluster.ClassifierOptions{ReclassifyEvery: 3, MinSamples: 3, Hysteresis: 1}})
 		},
 		BaselineResetTicks: 25,
 		Sampling:           SamplingOptions{Enabled: true},
@@ -138,7 +155,7 @@ func runRandomOps(t *testing.T, seed uint64, ops int) (booted bool, idleOps, hel
 		if !rdt.IsTransient(err) {
 			t.Fatalf("seed %d: New: %v", seed, err)
 		}
-		return false, 0, 0
+		return false, 0, 0, 0
 	}
 
 	var model ledger
@@ -227,13 +244,20 @@ func runRandomOps(t *testing.T, seed uint64, ops int) (booted bool, idleOps, hel
 		if !loop.Current().Equal(platform.Current()) {
 			t.Fatalf("seed %d op %d (%s): loop configuration diverged from the platform's", seed, op, name)
 		}
+		if clustered {
+			g := loop.Policy().(*cluster.Partitioner).Grouping()
+			if inner.Grouping() != g || g.Jobs() != loop.NumJobs() || len(inner.Plan().Jobs) != g.Clusters {
+				t.Fatalf("seed %d op %d (%s): platform grouping %+v with %d control groups, policy searches %+v over %d jobs",
+					seed, op, name, inner.Grouping(), len(inner.Plan().Jobs), g, loop.NumJobs())
+			}
+		}
 		s := loop.Summary()
 		h := loop.Health()
-		got := ledger{s.Ticks, s.BadSamples, s.SampleErrors, s.RejectedApplies, s.ResetErrs, s.SampledTicks, s.BreakerTrips,
+		got := ledger{s.Ticks, s.BadSamples, s.SampleErrors, s.RejectedApplies, s.ResetErrs, s.SampledTicks, s.Regroups, s.BreakerTrips,
 			h.ConsecutiveFailures, h.BreakerOpen}
 		if got != model {
 			t.Fatalf("seed %d op %d (%s): Summary ledger %+v != fold over statuses %+v", seed, op, name, got, model)
 		}
 	}
-	return true, idleOps, heldOnMissing
+	return true, idleOps, heldOnMissing, model.regroups
 }

@@ -26,12 +26,11 @@ func newFaultLoop(t *testing.T, script rdt.FaultScript, opt Options) (*Loop, *rd
 		t.Fatal(err)
 	}
 	script.Sleep = func(time.Duration) {} // no wall-clock in tests
-	platform, err := rdt.NewFaultInjector(inner, script)
+	fi, err := rdt.NewFaultInjector(inner, script)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fi, _ := rdt.InjectorOf(platform)
-	opt.Platform = platform
+	opt.Platform = fi
 	if opt.Policy == nil {
 		opt.Policy = func(rdt.Platform) (policy.Policy, error) { return policy.Static{}, nil }
 	}

@@ -6,9 +6,9 @@ import (
 )
 
 // SLOOptions tunes the loop's latency-critical tracking. The tracker
-// itself is automatic: it exists exactly when the platform implements
-// rdt.SLOProvider and at least one live job carries an SLO spec, and a
-// loop without it is bit-identical to a pre-SLO loop.
+// itself is automatic: it exists exactly when the platform has the
+// rdt.SLOProvider capability and at least one live job carries an SLO
+// spec, and a loop without it is bit-identical to a pre-SLO loop.
 type SLOOptions struct {
 	// GoalSwitch enables violation-driven goal switching: while the
 	// hysteretic detector reports a persistent SLO violation, the
@@ -47,12 +47,12 @@ type sloTracker struct {
 	switches  int // scoring-channel flips (on and off each count once)
 }
 
-// newSLOTracker probes the platform for latency-critical jobs; nil when
-// the capability or the specs are absent, which keeps every loop hot
-// path allocation-free for batch-only co-locations.
-func newSLOTracker(platform rdt.Platform, opt SLOOptions) *sloTracker {
-	p, ok := platform.(rdt.SLOProvider)
-	if !ok {
+// newSLOTracker asks the platform's SLO capability (nil when it has
+// none) for latency-critical jobs; nil when the capability or the specs
+// are absent, which keeps every loop hot path allocation-free for
+// batch-only co-locations.
+func newSLOTracker(p rdt.SLOProvider, opt SLOOptions) *sloTracker {
+	if p == nil {
 		return nil
 	}
 	specs := p.SLOSpecs()

@@ -84,7 +84,10 @@ type Options struct {
 	EventDriven bool
 	// WrapPlatform, when non-nil, wraps each node's freshly built
 	// platform before the control loop boots on it — the seam fault
-	// injection (rdt.FaultInjector) and instrumentation hook into.
+	// injection (rdt.FaultInjector) and instrumentation hook into. A
+	// decorator either has an Unwrap() rdt.Platform method, so rdt.As
+	// finds what it does not implement, or implements every capability of
+	// the platform it was handed.
 	WrapPlatform func(node int, p rdt.Platform) rdt.Platform
 }
 
@@ -542,20 +545,26 @@ func (n *node) admit(job *Job, now float64, opt Options) error {
 		if err != nil {
 			return err
 		}
-		platform, err := rdt.NewSimPlatform(simulator)
+		simPlatform, err := rdt.NewSimPlatform(simulator)
 		if err != nil {
 			return err
 		}
-		// The policy factory builds on the bare simulator platform; the
-		// loop drives the (possibly wrapped) one — the same split the
-		// harness uses for fault-injection runs.
-		var loopPlatform rdt.Platform = platform
+		var platform rdt.Platform = simPlatform
 		if opt.WrapPlatform != nil {
-			loopPlatform = opt.WrapPlatform(n.id, loopPlatform)
+			platform = opt.WrapPlatform(n.id, platform)
 		}
+		build := harness.Bind(factory, seed)
 		loop, err := control.New(control.Options{
-			Platform: loopPlatform,
-			Policy:   func(rdt.Platform) (policy.Policy, error) { return factory(platform, seed) },
+			Platform: platform,
+			Policy: func(p rdt.Platform) (policy.Policy, error) {
+				if _, ok := rdt.As[*rdt.SimPlatform](p); !ok {
+					// The hook returned a decorator with no Unwrap, which
+					// must forward every capability itself (see
+					// Options.WrapPlatform) and hides only the simulator.
+					p = simPlatform
+				}
+				return build(p)
+			},
 			// Sampled simulation is default-on for fleet runs: node ticks
 			// are bit-identical either way on the sim backend, and
 			// phase-stable nodes skip the detailed model evaluation. The

@@ -256,21 +256,6 @@ func (g *GP) Posterior(points [][]float64) (mu []float64, cov *linalg.Matrix) {
 	return posteriorBatch(points, g.xs, g.alpha, g.chol, g.kernel, g.mean)
 }
 
-// LogMarginalLikelihood returns log p(y | X) of the fitted model — useful
-// for diagnosing kernel choices in tests and ablations.
-func (g *GP) LogMarginalLikelihood(ys []float64) float64 {
-	n := len(g.xs)
-	if len(ys) != n {
-		panic(fmt.Sprintf("gp: LogMarginalLikelihood got %d observations for %d inputs", len(ys), n))
-	}
-	centered := make([]float64, n)
-	for i, y := range ys {
-		centered[i] = y - g.mean
-	}
-	fit := linalg.Dot(centered, g.chol.SolveVec(centered))
-	return -0.5*fit - 0.5*g.chol.LogDet() - 0.5*float64(n)*math.Log(2*math.Pi)
-}
-
 // NumObservations returns how many points the posterior conditions on.
 func (g *GP) NumObservations() int { return len(g.xs) }
 

@@ -189,42 +189,6 @@ func TestSinglePoint(t *testing.T) {
 	}
 }
 
-func TestLogMarginalLikelihoodPrefersTrueScale(t *testing.T) {
-	// Data drawn smooth; a wildly wrong (tiny) length scale should have
-	// lower marginal likelihood than a reasonable one.
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i <= 15; i++ {
-		x := float64(i) / 15
-		xs = append(xs, []float64{x})
-		ys = append(ys, math.Sin(2*x))
-	}
-	good, err := Fit(xs, ys, Options{Kernel: Matern52{LengthScale: 0.5, Variance: 1}, Noise: 1e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := Fit(xs, ys, Options{Kernel: Matern52{LengthScale: 0.005, Variance: 1}, Noise: 1e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if good.LogMarginalLikelihood(ys) <= bad.LogMarginalLikelihood(ys) {
-		t.Error("marginal likelihood does not prefer the smooth model")
-	}
-}
-
-func TestLogMarginalLikelihoodPanicsOnMismatch(t *testing.T) {
-	g, err := Fit([][]float64{{0}}, []float64{1}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched ys did not panic")
-		}
-	}()
-	g.LogMarginalLikelihood([]float64{1, 2})
-}
-
 func TestMedianLengthScale(t *testing.T) {
 	// Unit square corners: distances {1,1,1,1,sqrt2,sqrt2}; median = 1.
 	xs := [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
@@ -261,42 +225,6 @@ func TestFitDoesNotAliasCallerSlices(t *testing.T) {
 	mu, _ := g.Predict([]float64{0.5})
 	if math.Abs(mu-1) > 1e-6 {
 		t.Error("GP aliased caller-owned input slice")
-	}
-}
-
-func TestFitTunedSelectsByEvidence(t *testing.T) {
-	// Smooth data: the tuned fit's marginal likelihood must be at least
-	// as good as the plain heuristic fit's.
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i <= 25; i++ {
-		x := float64(i) / 25
-		xs = append(xs, []float64{x})
-		ys = append(ys, math.Sin(4*x)+0.5*x)
-	}
-	plain, err := Fit(xs, ys, Options{Noise: 1e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuned, err := FitTuned(xs, ys, 1e-4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tuned.LogMarginalLikelihood(ys) < plain.LogMarginalLikelihood(ys)-1e-9 {
-		t.Errorf("tuned evidence %g below heuristic %g",
-			tuned.LogMarginalLikelihood(ys), plain.LogMarginalLikelihood(ys))
-	}
-	// And it should still interpolate.
-	mu, _ := tuned.Predict([]float64{0.5})
-	want := math.Sin(2.0) + 0.25
-	if math.Abs(mu-want) > 0.1 {
-		t.Errorf("tuned prediction at 0.5 = %g, want ~%g", mu, want)
-	}
-}
-
-func TestFitTunedErrors(t *testing.T) {
-	if _, err := FitTuned(nil, nil, 1e-4); err == nil {
-		t.Error("empty fit accepted")
 	}
 }
 

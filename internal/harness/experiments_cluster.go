@@ -5,7 +5,6 @@ import (
 
 	"satori/internal/control"
 	"satori/internal/core"
-	"satori/internal/policy"
 	"satori/internal/rdt"
 	"satori/internal/sim"
 	"satori/internal/trace"
@@ -78,7 +77,7 @@ func RunCluster(opt ExpOptions) (*Report, error) {
 		}
 		loop, err := control.New(control.Options{
 			Platform: platform,
-			Policy:   func(rdt.Platform) (policy.Policy, error) { return r.factory(platform, opt.Seed) },
+			Policy:   Bind(r.factory, opt.Seed),
 		})
 		if err != nil {
 			return err

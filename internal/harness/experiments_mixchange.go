@@ -5,7 +5,6 @@ import (
 
 	"satori/internal/control"
 	"satori/internal/core"
-	"satori/internal/policy"
 	"satori/internal/rdt"
 	"satori/internal/sim"
 	"satori/internal/stats"
@@ -49,7 +48,7 @@ func RunMixChange(opt ExpOptions) (*Report, error) {
 		}
 		loop, err := control.New(control.Options{
 			Platform: platform,
-			Policy:   func(rdt.Platform) (policy.Policy, error) { return factory(platform, opt.Seed) },
+			Policy:   Bind(factory, opt.Seed),
 		})
 		if err != nil {
 			return outcome{}, err

@@ -5,7 +5,6 @@ import (
 
 	"satori/internal/control"
 	"satori/internal/core"
-	"satori/internal/policy"
 	"satori/internal/rdt"
 	"satori/internal/sim"
 	"satori/internal/stats"
@@ -55,7 +54,7 @@ func RunSLO(opt ExpOptions) (*Report, error) {
 		}
 		loop, err := control.New(control.Options{
 			Platform: platform,
-			Policy:   func(rdt.Platform) (policy.Policy, error) { return factory(platform, opt.Seed) },
+			Policy:   Bind(factory, opt.Seed),
 			SLO:      sloOpt,
 		})
 		if err != nil {

@@ -46,6 +46,21 @@ type MetricSet struct {
 // pool; see parallel.go).
 type PolicyFactory func(p *rdt.SimPlatform, seed uint64) (policy.Policy, error)
 
+// Bind adapts a factory to control.Options.Policy: the returned builder
+// takes the platform the loop drives and hands the factory the simulator
+// platform behind whatever decorators it carries (rdt.As), so every
+// stack — harness runs, fleet nodes, satorid, satori.NewPolicyByName —
+// builds, and after churn rebuilds, its policy on the loop's own platform.
+func Bind(f PolicyFactory, seed uint64) func(rdt.Platform) (policy.Policy, error) {
+	return func(p rdt.Platform) (policy.Policy, error) {
+		sp, ok := rdt.As[*rdt.SimPlatform](p)
+		if !ok {
+			return nil, fmt.Errorf("harness: registry policies are built against the simulator, and %T has none underneath", p)
+		}
+		return f(sp, seed)
+	}
+}
+
 // RunSpec fully describes one run.
 type RunSpec struct {
 	// Machine defaults to sim.DefaultMachine().
@@ -76,9 +91,7 @@ type RunSpec struct {
 	// KeepTrace retains the full per-tick series in the result.
 	KeepTrace bool
 	// Faults, when non-nil, wraps the platform in a deterministic fault
-	// injector running this script (resilience experiments). Nil leaves
-	// the platform bare and the run byte-identical to builds without
-	// this field.
+	// injector running this script (resilience experiments).
 	Faults *rdt.FaultScript
 }
 
@@ -156,20 +169,20 @@ func Run(spec RunSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	platform, err := rdt.NewSimPlatform(simulator)
+	var platform rdt.Platform
+	platform, err = rdt.NewSimPlatform(simulator)
 	if err != nil {
 		return nil, err
 	}
-	var loopPlatform rdt.Platform = platform
 	if spec.Faults != nil {
-		loopPlatform, err = rdt.NewFaultInjector(platform, *spec.Faults)
+		platform, err = rdt.NewFaultInjector(platform, *spec.Faults)
 		if err != nil {
 			return nil, err
 		}
 	}
 	loop, err := control.New(control.Options{
-		Platform:           loopPlatform,
-		Policy:             func(rdt.Platform) (policy.Policy, error) { return spec.Policy(platform, spec.Seed) },
+		Platform:           platform,
+		Policy:             Bind(spec.Policy, spec.Seed),
 		Throughput:         spec.Metrics.Throughput,
 		Fairness:           spec.Metrics.Fairness,
 		BaselineResetTicks: spec.BaselineResetTicks,
@@ -212,8 +225,12 @@ func Run(spec RunSpec) (*Result, error) {
 			return nil, err
 		}
 		obj := 0.5*st.Throughput + 0.5*st.Fairness
-		worst := metrics.WorstSpeedup(st.IPS, st.Isolated)
-		accWorst.Add(worst)
+		// A tick held without a scored observation (a lost or corrupt
+		// sample) has no speedups and stays out of the worst-job mean.
+		worst := metrics.WorstSpeedup(st.Speedups)
+		if st.Speedups != nil {
+			accWorst.Add(worst)
+		}
 
 		var dist float64
 		if spec.TrackOracleDistance {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"testing"
 
 	"satori/internal/core"
@@ -222,6 +223,53 @@ func TestRunSurvivesTransientResetFailure(t *testing.T) {
 	}
 	if clean.TransientResets != 0 {
 		t.Errorf("clean run has TransientResets = %d", clean.TransientResets)
+	}
+}
+
+// Run must survive every kind of held tick — a sample dropout, a corrupt
+// reading, a rejected apply — in one script: the first two carry no
+// speedups and stay out of the worst-job mean (Run used to recompute
+// them from the nil IPS and panic), the third was scored and counts. The
+// clustered policy rides along: built through Bind on the injected
+// platform, its grouping must still reach the simulator.
+func TestRunSurvivesHeldTicks(t *testing.T) {
+	var platform *rdt.SimPlatform
+	clustered := ClusteredSatoriFactory(2, core.Options{})
+	spec := smokeSpec(t, func(p *rdt.SimPlatform, seed uint64) (policy.Policy, error) {
+		platform = p
+		return clustered(p, seed)
+	})
+	spec.KeepTrace = true
+	// Repeat 3 on the apply outlasts the loop's default 2 retries.
+	script, err := rdt.ParseFaultScript("sample:error@20,sample:nan@40,apply:error@60x3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Faults = &script
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ticks != 120 || res.Trace.Len() != 120 || res.RejectedApplies != 1 {
+		t.Fatalf("ticks=%d rows=%d rejected=%d, want 120, 120, 1", res.Ticks, res.Trace.Len(), res.RejectedApplies)
+	}
+	var sum float64
+	scored := 0
+	for i, w := range res.Trace.Column("worst") {
+		held := i+1 == 20 || i+1 == 40
+		if held != (w == 0) {
+			t.Errorf("tick %d: worst speedup %g (held=%v)", i+1, w, held)
+		}
+		if w > 0 {
+			sum += w
+			scored++
+		}
+	}
+	if scored != 118 || math.Abs(res.MeanWorstSpeedup-sum/118) > 1e-12 {
+		t.Errorf("MeanWorstSpeedup = %g over %d scored ticks, want %g over 118", res.MeanWorstSpeedup, scored, sum/118)
+	}
+	if got := len(platform.Plan().Jobs); got != 2 {
+		t.Errorf("platform plan has %d control groups, want the policy's 2 clusters", got)
 	}
 }
 

@@ -208,12 +208,12 @@ func NormalizedFairness(m FairnessMetric, ips, isolated []float64) float64 {
 	return stats.Clamp(f, 0, 1)
 }
 
-// WorstSpeedup returns the minimum per-job speedup — the "worst performing
-// job in a mix" quantity plotted in Fig. 9. An empty input yields 0.
-func WorstSpeedup(ips, isolated []float64) float64 {
-	s := Speedups(ips, isolated)
-	if len(s) == 0 {
+// WorstSpeedup returns the minimum of the per-job speedups — the "worst
+// performing job in a mix" quantity plotted in Fig. 9. An empty input
+// yields 0.
+func WorstSpeedup(speedups []float64) float64 {
+	if len(speedups) == 0 {
 		return 0
 	}
-	return stats.Min(s)
+	return stats.Min(speedups)
 }

@@ -170,11 +170,11 @@ func TestNormalizedRangeProperty(t *testing.T) {
 }
 
 func TestWorstSpeedup(t *testing.T) {
-	got := WorstSpeedup([]float64{90, 20, 50}, []float64{100, 100, 100})
+	got := WorstSpeedup(Speedups([]float64{90, 20, 50}, []float64{100, 100, 100}))
 	if math.Abs(got-0.2) > 1e-12 {
 		t.Errorf("WorstSpeedup = %g, want 0.2", got)
 	}
-	if got := WorstSpeedup(nil, nil); got != 0 {
+	if got := WorstSpeedup(nil); got != 0 {
 		t.Errorf("WorstSpeedup(empty) = %g, want 0", got)
 	}
 }

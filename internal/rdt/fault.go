@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"satori/internal/resource"
-	"satori/internal/sim"
-	"satori/internal/slo"
 	"satori/internal/stats"
 )
 
@@ -188,19 +186,23 @@ func (c FaultCounts) Total() int {
 		c.MeasureErrors + c.ResyncErrors + c.Latencies + c.FatalErrors
 }
 
-// FaultInjector is a chaos wrapper around any Platform: it forwards every
-// operation to the inner backend, deterministically injecting the faults
-// its script calls for — transient Apply rejections, Sample dropouts and
-// NaN/negative IPS corruption, MeasureIsolated and Resync failures, and
-// latency spikes. Every injected error is marked Transient — except the
-// explicit FaultFatal kind — so the control loop's retry/degradation
-// policies engage exactly as they would for real platform flakiness, and
-// every injection is counted so tests can reconcile loop counters
-// against ground truth.
+// FaultInjector is a chaos decorator around any Platform: it implements
+// the four operations where every control-loop failure path lives —
+// Apply, Sample, MeasureIsolated, Resync — deterministically injecting
+// the faults its script calls for (transient rejections, Sample dropouts
+// and NaN/negative IPS corruption, latency spikes), and unwraps the rest.
+// Every injected error is marked Transient — except the explicit
+// FaultFatal kind — so the control loop's retry/degradation policies
+// engage exactly as they would for real platform flakiness, and every
+// injection is counted so tests can reconcile loop counters against
+// ground truth.
 //
-// Construct via NewFaultInjector, which preserves the inner platform's
-// optional capabilities (Churner, FastSampler) in the returned value.
-// With a zero-value script the wrapper is a transparent pass-through.
+// The inner platform's optional capabilities stay reachable through
+// Unwrap (see As), so churn, fast-sample, SLO and grouping calls reach
+// the inner backend un-faulted. Churn resyncs internally; the script's
+// resync faults target explicit Resync calls, which keeps counter
+// reconciliation exact. With a zero-value script the decorator is a
+// transparent pass-through.
 type FaultInjector struct {
 	inner  Platform
 	script FaultScript
@@ -211,13 +213,8 @@ type FaultInjector struct {
 	scripted [numFaultOps]map[int]FaultKind
 }
 
-// NewFaultInjector wraps inner with the script. The returned Platform
-// additionally implements Churner and/or FastSampler exactly when inner
-// does, so capability probes behave as if the injector were not there.
-// Churn and fast-sample calls pass through un-faulted: the script targets
-// the four core Platform operations, where every control-loop failure
-// path lives.
-func NewFaultInjector(inner Platform, script FaultScript) (Platform, error) {
+// NewFaultInjector wraps inner with the script.
+func NewFaultInjector(inner Platform, script FaultScript) (*FaultInjector, error) {
 	if script.Seed == 0 {
 		script.Seed = 1
 	}
@@ -249,51 +246,17 @@ func NewFaultInjector(inner Platform, script FaultScript) (Platform, error) {
 			fi.scripted[f.Op][f.Call+i] = f.Kind
 		}
 	}
-	churner, hasChurn := inner.(Churner)
-	fast, hasFast := inner.(FastSampler)
-	switch {
-	case hasChurn && hasFast:
-		return &churnFastFaultPlatform{churnFaultPlatform{fi, churner}, fast}, nil
-	case hasChurn:
-		return &churnFaultPlatform{fi, churner}, nil
-	case hasFast:
-		return &fastFaultPlatform{fi, fast}, nil
-	default:
-		return fi, nil
-	}
+	return fi, nil
 }
 
-// InjectorOf unwraps the *FaultInjector behind a Platform returned by
-// NewFaultInjector (regardless of which capability wrapper it is), so
-// callers can read Counts. ok is false for un-wrapped platforms.
-func InjectorOf(p Platform) (*FaultInjector, bool) {
-	if c, ok := p.(interface{ injector() *FaultInjector }); ok {
-		return c.injector(), true
-	}
-	return nil, false
-}
-
-func (f *FaultInjector) injector() *FaultInjector { return f }
+// Unwrap returns the wrapped platform (see As).
+func (f *FaultInjector) Unwrap() Platform { return f.inner }
 
 // Counts returns the faults injected so far.
 func (f *FaultInjector) Counts() FaultCounts { return f.counts }
 
 // Calls returns how many times op has been invoked through the injector.
 func (f *FaultInjector) Calls(op FaultOp) int { return f.calls[op] }
-
-// Inner returns the wrapped platform.
-func (f *FaultInjector) Inner() Platform { return f.inner }
-
-// SLOSpecs forwards the SLOProvider capability (promoted into every
-// capability wrapper, so LC tracking survives fault injection). A nil
-// result — the inner platform lacks the capability or carries no specs
-// — leaves the control loop's SLO tracker disabled, as usual.
-func (f *FaultInjector) SLOSpecs() []*slo.Spec {
-	if p, ok := f.inner.(SLOProvider); ok {
-		return p.SLOSpecs()
-	}
-	return nil
-}
 
 // next advances op's call counter and resolves the fault (if any) firing
 // on this call: scripted faults first, then the seeded random stream.
@@ -321,6 +284,25 @@ func (f *FaultInjector) next(op FaultOp, rate, corruptRate float64) (FaultKind, 
 	return 0, false
 }
 
+// gate resolves this call of Apply, MeasureIsolated or Resync against the
+// script: nil lets the call through (after any injected latency), anything
+// else is the injected failure, transient ones tallied in *transient.
+func (f *FaultInjector) gate(op FaultOp, rate float64, transient *int) error {
+	switch kind, fire := f.next(op, rate, 0); {
+	case !fire:
+	case kind == FaultLatency:
+		f.counts.Latencies++
+		f.script.Sleep(f.script.Latency)
+	case kind == FaultFatal:
+		f.counts.FatalErrors++
+		return fmt.Errorf("injected fatal %s failure (call %d)", op, f.calls[op])
+	default:
+		*transient++
+		return Transient(fmt.Errorf("injected %s failure (call %d)", op, f.calls[op]))
+	}
+	return nil
+}
+
 // Space implements Platform.
 func (f *FaultInjector) Space() *resource.Space { return f.inner.Space() }
 
@@ -330,20 +312,10 @@ func (f *FaultInjector) Current() resource.Config { return f.inner.Current() }
 // JobNames implements Platform.
 func (f *FaultInjector) JobNames() []string { return f.inner.JobNames() }
 
-// Apply implements Platform, injecting transient rejections and latency
-// spikes per the script.
+// Apply implements Platform, injecting rejections and latency spikes.
 func (f *FaultInjector) Apply(c resource.Config) error {
-	switch kind, fire := f.next(OpApply, f.script.ApplyErrorRate, 0); {
-	case !fire:
-	case kind == FaultLatency:
-		f.counts.Latencies++
-		f.script.Sleep(f.script.Latency)
-	case kind == FaultFatal:
-		f.counts.FatalErrors++
-		return fmt.Errorf("injected fatal apply failure (call %d)", f.calls[OpApply])
-	default:
-		f.counts.ApplyErrors++
-		return Transient(fmt.Errorf("injected apply rejection (call %d)", f.calls[OpApply]))
+	if err := f.gate(OpApply, f.script.ApplyErrorRate, &f.counts.ApplyErrors); err != nil {
+		return err
 	}
 	return f.inner.Apply(c)
 }
@@ -384,101 +356,20 @@ func (f *FaultInjector) Sample() ([]float64, error) {
 	return ips, nil
 }
 
-// MeasureIsolated implements Platform, injecting transient failures.
+// MeasureIsolated implements Platform, injecting failures.
 func (f *FaultInjector) MeasureIsolated() ([]float64, error) {
-	switch kind, fire := f.next(OpMeasureIsolated, f.script.MeasureErrorRate, 0); {
-	case !fire:
-	case kind == FaultLatency:
-		f.counts.Latencies++
-		f.script.Sleep(f.script.Latency)
-	case kind == FaultFatal:
-		f.counts.FatalErrors++
-		return nil, fmt.Errorf("injected fatal isolated-measurement failure (call %d)", f.calls[OpMeasureIsolated])
-	default:
-		f.counts.MeasureErrors++
-		return nil, Transient(fmt.Errorf("injected isolated-measurement failure (call %d)", f.calls[OpMeasureIsolated]))
+	if err := f.gate(OpMeasureIsolated, f.script.MeasureErrorRate, &f.counts.MeasureErrors); err != nil {
+		return nil, err
 	}
 	return f.inner.MeasureIsolated()
 }
 
-// Resync implements Platform, injecting transient failures.
+// Resync implements Platform, injecting failures.
 func (f *FaultInjector) Resync() error {
-	switch kind, fire := f.next(OpResync, f.script.ResyncErrorRate, 0); {
-	case !fire:
-	case kind == FaultLatency:
-		f.counts.Latencies++
-		f.script.Sleep(f.script.Latency)
-	case kind == FaultFatal:
-		f.counts.FatalErrors++
-		return fmt.Errorf("injected fatal resync failure (call %d)", f.calls[OpResync])
-	default:
-		f.counts.ResyncErrors++
-		return Transient(fmt.Errorf("injected resync failure (call %d)", f.calls[OpResync]))
+	if err := f.gate(OpResync, f.script.ResyncErrorRate, &f.counts.ResyncErrors); err != nil {
+		return err
 	}
 	return f.inner.Resync()
-}
-
-// churnFaultPlatform adds pass-through Churner forwarding (churn already
-// resyncs internally; the script's resync faults target explicit Resync
-// calls, keeping counter reconciliation exact).
-type churnFaultPlatform struct {
-	*FaultInjector
-	churner Churner
-}
-
-// AddJob implements Churner.
-func (p *churnFaultPlatform) AddJob(profile *sim.Profile) error { return p.churner.AddJob(profile) }
-
-// RemoveJob implements Churner.
-func (p *churnFaultPlatform) RemoveJob(j int) error { return p.churner.RemoveJob(j) }
-
-// ReplaceJob implements Churner.
-func (p *churnFaultPlatform) ReplaceJob(j int, profile *sim.Profile) error {
-	return p.churner.ReplaceJob(j, profile)
-}
-
-// NumJobs implements Churner.
-func (p *churnFaultPlatform) NumJobs() int { return p.churner.NumJobs() }
-
-// fastFaultPlatform adds pass-through FastSampler forwarding.
-type fastFaultPlatform struct {
-	*FaultInjector
-	fast FastSampler
-}
-
-// SampleFast implements FastSampler.
-func (p *fastFaultPlatform) SampleFast() ([]float64, bool) { return p.fast.SampleFast() }
-
-// FastHorizon implements FastSampler.
-func (p *fastFaultPlatform) FastHorizon() int { return p.fast.FastHorizon() }
-
-// SkipFast forwards BatchSampler when the inner platform has it; refusing
-// otherwise keeps callers on the per-interval path.
-func (p *fastFaultPlatform) SkipFast(n int) bool {
-	if b, ok := p.fast.(BatchSampler); ok {
-		return b.SkipFast(n)
-	}
-	return false
-}
-
-// churnFastFaultPlatform carries both optional capabilities.
-type churnFastFaultPlatform struct {
-	churnFaultPlatform
-	fast FastSampler
-}
-
-// SampleFast implements FastSampler.
-func (p *churnFastFaultPlatform) SampleFast() ([]float64, bool) { return p.fast.SampleFast() }
-
-// FastHorizon implements FastSampler.
-func (p *churnFastFaultPlatform) FastHorizon() int { return p.fast.FastHorizon() }
-
-// SkipFast forwards BatchSampler when the inner platform has it.
-func (p *churnFastFaultPlatform) SkipFast(n int) bool {
-	if b, ok := p.fast.(BatchSampler); ok {
-		return b.SkipFast(n)
-	}
-	return false
 }
 
 // ParseFaultScript parses the compact fault-script DSL used by command

@@ -11,7 +11,7 @@ import (
 	"satori/internal/workloads"
 )
 
-func newFaultTestPlatform(t *testing.T, script FaultScript) (Platform, *FaultInjector) {
+func newFaultTestPlatform(t *testing.T, script FaultScript) *FaultInjector {
 	t.Helper()
 	profiles := workloads.PARSEC()[:3]
 	simulator, err := sim.New(sim.DefaultMachine(), profiles, sim.Options{Seed: 7})
@@ -22,15 +22,11 @@ func newFaultTestPlatform(t *testing.T, script FaultScript) (Platform, *FaultInj
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewFaultInjector(inner, script)
+	fi, err := NewFaultInjector(inner, script)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fi, ok := InjectorOf(p)
-	if !ok {
-		t.Fatal("InjectorOf failed on a freshly wrapped platform")
-	}
-	return p, fi
+	return fi
 }
 
 // Transient marking must survive wrapping and be absent from ordinary
@@ -56,39 +52,125 @@ func TestTransientErrorChain(t *testing.T) {
 	}
 }
 
-// The injector must preserve the inner platform's optional capabilities:
-// a SimPlatform (Churner + FastSampler) stays both; a ResctrlPlatform
-// (neither) stays neither.
+// A capability is found through the injector — or a stack of them —
+// exactly when the inner platform has it, and the injector itself
+// implements none of them.
 func TestFaultInjectorPreservesCapabilities(t *testing.T) {
-	p, _ := newFaultTestPlatform(t, FaultScript{})
-	if _, ok := p.(Churner); !ok {
-		t.Error("churn capability lost through the injector")
+	newSim := func() Platform {
+		simulator, err := sim.New(sim.DefaultMachine(), workloads.PARSEC()[:3], sim.Options{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewSimPlatform(simulator)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	if _, ok := p.(FastSampler); !ok {
-		t.Error("fast-sampler capability lost through the injector")
+	newResctrl := func() Platform {
+		sampler, err := NewTraceSampler([]float64{2e9}, [][]float64{{1e9}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewResctrlPlatform(sim.DefaultMachine(), []string{"a"},
+			ResctrlWriter{Root: t.TempDir()}, sampler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
+	inject := func(p Platform) Platform {
+		fi, err := NewFaultInjector(p, FaultScript{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi
+	}
+	capabilities := []struct {
+		name string
+		has  func(Platform) bool
+	}{
+		{"Churner", hasCapability[Churner]},
+		{"FastSampler", hasCapability[FastSampler]},
+		{"BatchSampler", hasCapability[BatchSampler]},
+		{"SLOProvider", hasCapability[SLOProvider]},
+		{"Grouper", hasCapability[Grouper]},
+		{"CLOSLimiter", hasCapability[CLOSLimiter]},
+	}
+	for _, inner := range []struct {
+		name string
+		mk   func() Platform
+	}{
+		{"SimPlatform", newSim},
+		{"trace-driven ResctrlPlatform", newResctrl},
+		{"injector over SimPlatform", func() Platform { return inject(newSim()) }},
+	} {
+		bare := inner.mk()
+		wrapped := inject(bare)
+		for _, c := range capabilities {
+			if got, want := c.has(wrapped), c.has(bare); got != want {
+				t.Errorf("%s: %s through the injector = %v, inner has it = %v", inner.name, c.name, got, want)
+			}
+		}
+		if fi, ok := As[*FaultInjector](wrapped); !ok || Platform(fi) != wrapped {
+			t.Errorf("%s: As[*FaultInjector] did not return the outermost injector", inner.name)
+		}
+	}
+	// Ground truth for the table above, so a regression in As cannot make
+	// "equal on both sides" pass vacuously.
+	for _, c := range capabilities {
+		if !c.has(newSim()) {
+			t.Errorf("SimPlatform lacks %s", c.name)
+		}
+	}
+	rp := newResctrl()
+	if hasCapability[Churner](rp) || hasCapability[FastSampler](rp) || hasCapability[SLOProvider](rp) {
+		t.Error("trace-driven ResctrlPlatform gained a churn, fast-sample or SLO capability")
+	}
+	if !hasCapability[Grouper](rp) || !hasCapability[CLOSLimiter](rp) {
+		t.Error("ResctrlPlatform lacks Grouper or CLOSLimiter")
+	}
+}
 
-	sampler, err := NewTraceSampler([]float64{2e9}, [][]float64{{1e9}})
-	if err != nil {
+func hasCapability[T any](p Platform) bool { _, ok := As[T](p); return ok }
+
+// budgetDecorator is a decorator as DESIGN.md §7 asks for one: it
+// implements what it changes (the CLOS budget) and unwraps the rest.
+type budgetDecorator struct {
+	Platform
+	budget int
+}
+
+func (d budgetDecorator) Unwrap() Platform { return d.Platform }
+func (d budgetDecorator) MaxCLOS() int     { return d.budget }
+
+// As returns the outermost implementation: a capability the decorator
+// implements itself shadows the wrapped platform's (the benchmark's
+// tracing decorator, which forwards all six and has no Unwrap, relies on
+// this), everything else is found underneath, and a platform that does
+// not unwrap ends the search.
+func TestAsPrefersTheOuterDecorator(t *testing.T) {
+	inner := newFaultTestPlatform(t, FaultScript{})
+	sp, _ := As[*SimPlatform](inner)
+	if err := sp.SetMaxCLOS(12); err != nil {
 		t.Fatal(err)
 	}
-	rp, err := NewResctrlPlatform(sim.DefaultMachine(), []string{"a"},
-		ResctrlWriter{Root: t.TempDir()}, sampler)
-	if err != nil {
-		t.Fatal(err)
+	outer := budgetDecorator{Platform: inner, budget: 3}
+	if lim, ok := As[CLOSLimiter](outer); !ok || lim.MaxCLOS() != 3 {
+		t.Errorf("As[CLOSLimiter] skipped the decorator's own implementation (ok=%v)", ok)
 	}
-	wrapped, err := NewFaultInjector(rp, FaultScript{})
-	if err != nil {
-		t.Fatal(err)
+	if lim, ok := As[CLOSLimiter](inner); !ok || lim.MaxCLOS() != 12 {
+		t.Errorf("As[CLOSLimiter] under the decorator: ok=%v", ok)
 	}
-	if _, ok := wrapped.(Churner); ok {
-		t.Error("injector invented a churn capability the inner platform lacks")
+	if c, ok := As[Churner](outer); !ok || c != Churner(sp) {
+		t.Error("As[Churner] did not reach the simulator through two decorators")
 	}
-	if _, ok := wrapped.(FastSampler); ok {
-		t.Error("injector invented a fast-sampler capability the inner platform lacks")
+	opaque := struct{ Platform }{outer} // forwards the base ops, no Unwrap
+	if _, ok := As[Churner](opaque); ok {
+		t.Error("As looked through a platform that does not unwrap")
 	}
-	if _, ok := InjectorOf(wrapped); !ok {
-		t.Error("InjectorOf failed on the capability-free wrapper")
+	if _, ok := As[Churner](nil); ok {
+		t.Error("As found a capability on a nil platform")
 	}
 }
 
@@ -124,8 +206,7 @@ func TestFaultInjectorTransparentWhenIdle(t *testing.T) {
 			}
 		}
 	}
-	fi, _ := InjectorOf(wrapped)
-	if c := fi.Counts(); c.Total() != 0 {
+	if c := wrapped.Counts(); c.Total() != 0 {
 		t.Errorf("idle script injected faults: %+v", c)
 	}
 }
@@ -146,7 +227,7 @@ func TestFaultInjectorScriptExact(t *testing.T) {
 		},
 		Sleep: func(time.Duration) { slept++ },
 	}
-	p, fi := newFaultTestPlatform(t, script)
+	p := newFaultTestPlatform(t, script)
 
 	if _, err := p.MeasureIsolated(); !IsTransient(err) {
 		t.Errorf("measure call 1: err = %v, want transient", err)
@@ -197,14 +278,14 @@ func TestFaultInjectorScriptExact(t *testing.T) {
 		ApplyErrors: 3, SampleErrors: 2, SampleNaNs: 1, SampleNegatives: 1,
 		MeasureErrors: 1, ResyncErrors: 1, Latencies: 1,
 	}
-	if got := fi.Counts(); got != want {
+	if got := p.Counts(); got != want {
 		t.Errorf("counts = %+v, want %+v", got, want)
 	}
 	if slept != 1 {
 		t.Errorf("Sleep hook called %d times, want 1", slept)
 	}
-	if fi.Calls(OpSample) != 10 || fi.Calls(OpApply) != 5 {
-		t.Errorf("call counters = sample %d apply %d, want 10, 5", fi.Calls(OpSample), fi.Calls(OpApply))
+	if p.Calls(OpSample) != 10 || p.Calls(OpApply) != 5 {
+		t.Errorf("call counters = sample %d apply %d, want 10, 5", p.Calls(OpSample), p.Calls(OpApply))
 	}
 }
 
@@ -213,7 +294,7 @@ func TestFaultInjectorScriptExact(t *testing.T) {
 func TestFaultInjectorRandomDeterminism(t *testing.T) {
 	run := func(seed uint64) []bool {
 		script := FaultScript{Seed: seed, SampleErrorRate: 0.3}
-		p, _ := newFaultTestPlatform(t, script)
+		p := newFaultTestPlatform(t, script)
 		out := make([]bool, 100)
 		for i := range out {
 			_, err := p.Sample()
@@ -245,7 +326,7 @@ func TestFaultInjectorRandomDeterminism(t *testing.T) {
 // an unfaulted replay.
 func TestFaultInjectorDropoutAdvancesTime(t *testing.T) {
 	mk := func(script FaultScript) Platform {
-		p, _ := newFaultTestPlatform(t, script)
+		p := newFaultTestPlatform(t, script)
 		return p
 	}
 	clean := mk(FaultScript{})
@@ -315,7 +396,7 @@ func TestFaultInjectorFatalKind(t *testing.T) {
 			{Op: OpResync, Kind: FaultFatal, Call: 1},
 		},
 	}
-	p, fi := newFaultTestPlatform(t, script)
+	p := newFaultTestPlatform(t, script)
 	if _, err := p.Sample(); err != nil {
 		t.Fatalf("sample call 1: %v", err)
 	}
@@ -331,7 +412,7 @@ func TestFaultInjectorFatalKind(t *testing.T) {
 	if err := p.Resync(); err == nil || IsTransient(err) {
 		t.Errorf("resync call 1: err = %v, want non-transient failure", err)
 	}
-	if got := fi.Counts().FatalErrors; got != 4 {
+	if got := p.Counts().FatalErrors; got != 4 {
 		t.Errorf("FatalErrors = %d, want 4", got)
 	}
 	// The DSL knows the kind on every op.

@@ -191,6 +191,27 @@ type Platform interface {
 	Resync() error
 }
 
+// As finds an optional capability — or a concrete backend — behind any
+// stack of decorators: it returns the first platform in p's chain that is
+// a T, checking p itself and then whatever each Unwrap() Platform method
+// returns (errors.As for platforms). A decorator therefore implements
+// only the operations it changes plus Unwrap; a capability it does
+// implement itself is found before the wrapped platform's.
+func As[T any](p Platform) (T, bool) {
+	for p != nil {
+		if t, ok := p.(T); ok {
+			return t, true
+		}
+		u, ok := p.(interface{ Unwrap() Platform })
+		if !ok {
+			break
+		}
+		p = u.Unwrap()
+	}
+	var zero T
+	return zero, false
+}
+
 // Churner is the optional membership-churn capability of a Platform:
 // admit a job, evict a job, or swap the workload in a slot. Backends
 // that cannot change their job set at runtime (e.g. a trace-driven

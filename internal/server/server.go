@@ -43,9 +43,6 @@ type Options struct {
 	// MaxTicks stops the driver cleanly after this many intervals
 	// (0 = run until the context is canceled).
 	MaxTicks int
-	// Injector, when the platform is wrapped in a fault injector,
-	// surfaces ground-truth fault counts in /status.
-	Injector *rdt.FaultInjector
 	// SLOUnhealthyAfter, when positive, makes /healthz report 503 once a
 	// latency-critical job's SLO violation has persisted for this many
 	// consecutive ticks — the orchestrator-facing "this node needs
@@ -66,7 +63,7 @@ type Server struct {
 	stopped   bool
 	tickEvery time.Duration
 	maxTicks  int
-	injector  *rdt.FaultInjector
+	injector  *rdt.FaultInjector // the one on the loop's platform, if any (/status ground truth)
 	sloAfter  int
 	logf      func(string, ...any)
 
@@ -88,11 +85,12 @@ func New(opt Options) (*Server, error) {
 	if tickEvery == 0 {
 		tickEvery = 100 * time.Millisecond
 	}
+	injector, _ := rdt.As[*rdt.FaultInjector](opt.Loop.Platform())
 	return &Server{
 		loop:      opt.Loop,
 		tickEvery: tickEvery,
 		maxTicks:  opt.MaxTicks,
-		injector:  opt.Injector,
+		injector:  injector,
 		sloAfter:  opt.SLOUnhealthyAfter,
 		logf:      logf,
 		subs:      map[int]chan TickMetrics{},

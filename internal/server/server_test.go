@@ -34,14 +34,12 @@ func newTestServer(t *testing.T, script *rdt.FaultScript, maxTicks int) *Server 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var injector *rdt.FaultInjector
 	if script != nil {
 		script.Sleep = func(time.Duration) {}
 		platform, err = rdt.NewFaultInjector(platform, *script)
 		if err != nil {
 			t.Fatal(err)
 		}
-		injector, _ = rdt.InjectorOf(platform)
 	}
 	loop, err := control.New(control.Options{
 		Platform: platform,
@@ -50,7 +48,7 @@ func newTestServer(t *testing.T, script *rdt.FaultScript, maxTicks int) *Server 
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Options{Loop: loop, TickEvery: -1, MaxTicks: maxTicks, Injector: injector})
+	srv, err := New(Options{Loop: loop, TickEvery: -1, MaxTicks: maxTicks})
 	if err != nil {
 		t.Fatal(err)
 	}

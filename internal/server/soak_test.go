@@ -180,7 +180,7 @@ func TestSoakChurnUnderFaults(t *testing.T) {
 	if sum.Ticks != soakTicks {
 		t.Errorf("completed %d ticks, want %d", sum.Ticks, soakTicks)
 	}
-	fi, _ := rdt.InjectorOf(loop.Platform())
+	fi, _ := rdt.As[*rdt.FaultInjector](loop.Platform())
 	counts := fi.Counts()
 	if counts.Total() == 0 {
 		t.Error("soak injected no faults — script rates never fired")

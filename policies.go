@@ -1,6 +1,8 @@
 package satori
 
 import (
+	"fmt"
+
 	"satori/internal/cluster"
 	"satori/internal/core"
 	"satori/internal/harness"
@@ -89,12 +91,13 @@ func NewPARTIESPolicy() func(Platform) (Policy, error) {
 // the BO engine searches the reduced cluster space, so a co-location
 // larger than the machine's CLOS budget still fits — one control group
 // per cluster. With k ≥ jobs the behavior is bit-identical to plain
-// SATORI. When the platform implements the Grouper capability (both the
-// simulator and the resctrl backend do), the grouping is pushed down so
-// the hardware layout follows every membership migration.
+// SATORI. When the platform has the Grouper capability (both the
+// simulator and the resctrl backend do, behind any decorator), the
+// grouping is pushed down so the hardware layout follows every
+// membership migration.
 func NewClusteredSatoriPolicy(k int, opt EngineOptions) func(Platform) (Policy, error) {
 	return func(p Platform) (Policy, error) {
-		g, _ := p.(rdt.Grouper)
+		g, _ := rdt.As[rdt.Grouper](p)
 		return cluster.New(p.Space(), cluster.Options{
 			K:       k,
 			Inner:   func(space *resource.Space) (Policy, error) { return core.New(space, opt) },
@@ -107,7 +110,7 @@ func NewClusteredSatoriPolicy(k int, opt EngineOptions) func(Platform) (Policy, 
 // classifier, allocation computed directly from the classes (no search).
 func NewLFOCPolicy(k int) func(Platform) (Policy, error) {
 	return func(p Platform) (Policy, error) {
-		g, _ := p.(rdt.Grouper)
+		g, _ := rdt.As[rdt.Grouper](p)
 		return cluster.NewLFOC(p.Space(), cluster.LFOCOptions{K: k, Grouper: g})
 	}
 }
@@ -127,7 +130,7 @@ const (
 // practically-infeasible references).
 func NewOraclePolicy(goal OracleGoal) func(Platform) (Policy, error) {
 	return func(p Platform) (Policy, error) {
-		sp, ok := p.(*rdt.SimPlatform)
+		sp, ok := rdt.As[*rdt.SimPlatform](p)
 		if !ok {
 			return nil, errNotSimulated
 		}
@@ -142,18 +145,21 @@ func NewOraclePolicy(goal OracleGoal) func(Platform) (Policy, error) {
 // name registry — the same table cmd/satori, cmd/fleet and the harness
 // use, so every front-end accepts identical names. Unknown names error
 // with the sorted list of valid ones. seed parameterizes stochastic
-// policies (SATORI's candidate sampling, Random's draw sequence).
+// policies (SATORI's candidate sampling, Random's draw sequence). The
+// registry builds against the simulator, which the platform must have
+// underneath (fault injectors and other decorators are looked through).
 func NewPolicyByName(name string, seed uint64) (func(Platform) (Policy, error), error) {
 	factory, err := harness.PolicyByName(name)
 	if err != nil {
 		return nil, err
 	}
+	build := harness.Bind(factory, seed)
 	return func(p Platform) (Policy, error) {
-		sp, ok := p.(*rdt.SimPlatform)
-		if !ok {
-			return nil, errNotSimulated
+		pol, err := build(p)
+		if err != nil {
+			return nil, fmt.Errorf("satori: policy %q: %w", name, err)
 		}
-		return factory(sp, seed)
+		return pol, nil
 	}, nil
 }
 
