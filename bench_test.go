@@ -74,11 +74,15 @@ func benchSuite(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	random, err := harness.PolicyByName("random")
+	if err != nil {
+		b.Fatal(err)
+	}
 	spec := harness.SuiteSpec{
 		Mixes: mixes[:4],
 		Policies: []harness.NamedFactory{
 			{Name: "satori", Factory: harness.SatoriFactory(core.Options{})},
-			{Name: "random", Factory: harness.RandomFactory()},
+			{Name: "random", Factory: random},
 		},
 		Base:    harness.DefaultSuiteBase(9, 60),
 		Workers: workers,

@@ -9,7 +9,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"strings"
 
 	"satori/internal/harness"
 	"satori/internal/metrics"
@@ -27,24 +26,9 @@ func main() {
 	seed := flag.Uint64("seed", 1, "random seed")
 	flag.Parse()
 
-	var profiles []*sim.Profile
-	if *workloadList != "" {
-		for _, name := range strings.Split(*workloadList, ",") {
-			p, err := workloads.ByName(strings.TrimSpace(name))
-			if err != nil {
-				log.Fatal(err)
-			}
-			profiles = append(profiles, p)
-		}
-	} else {
-		mixes, err := workloads.PaperMixes(*suite)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *mixIdx < 0 || *mixIdx >= len(mixes) {
-			log.Fatalf("mix %d out of range (%d mixes)", *mixIdx, len(mixes))
-		}
-		profiles = mixes[*mixIdx].Profiles
+	profiles, err := workloads.Select(*workloadList, *suite, *mixIdx)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	s, err := sim.New(sim.DefaultMachine(), profiles, sim.Options{Seed: *seed, NoiseSigma: -1})

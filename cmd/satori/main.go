@@ -26,13 +26,14 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"satori"
+	"satori/internal/harness"
 	"satori/internal/rdt"
 	"satori/internal/resource"
 	"satori/internal/sim"
 	"satori/internal/trace"
+	"satori/internal/workloads"
 )
 
 func main() {
@@ -65,8 +66,7 @@ func main() {
 	}
 
 	var jobs []*satori.Workload
-	switch {
-	case *profilesPath != "":
+	if *profilesPath != "" {
 		f, err := os.Open(*profilesPath)
 		if err != nil {
 			log.Fatal(err)
@@ -76,25 +76,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-	case *workloadList != "":
-		for _, name := range strings.Split(*workloadList, ",") {
-			w, err := satori.WorkloadByName(strings.TrimSpace(name))
-			if err != nil {
-				log.Fatal(err)
-			}
-			jobs = append(jobs, w)
-		}
-	case *suite != "":
-		mixes, err := satori.PaperMixes(*suite)
+	} else {
+		var err error
+		jobs, err = workloads.Select(*workloadList, *suite, *mixIdx)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *mixIdx < 0 || *mixIdx >= len(mixes) {
-			log.Fatalf("mix %d out of range (suite has %d)", *mixIdx, len(mixes))
-		}
-		jobs = mixes[*mixIdx].Profiles
-	default:
-		log.Fatal("pass -workloads or -suite (see -h)")
 	}
 
 	machine := satori.DefaultMachine()
@@ -103,31 +90,26 @@ func main() {
 	}
 	ticks := int(*seconds / satori.TickSeconds)
 
+	// One table for both backends: any registry name, -cluster-k
+	// interpreted by the resolver; k is the control-group budget the
+	// policy runs under (0: one group per job).
+	policy, k, err := harness.ResolvePolicy(*policyName, *seed, *clusterK)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg := satori.SessionConfig{Policy: policy, Seed: *seed}
 	var sess *satori.Session
 	switch *backend {
 	case "sim":
-		factory, err := simPolicy(*policyName, *seed, *clusterK)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sess, err = satori.NewSession(satori.SessionConfig{
-			Machine:   &machine,
-			Workloads: jobs,
-			Policy:    factory,
-			Seed:      *seed,
-			Sampled:   *sampled,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
+		cfg.Machine, cfg.Workloads, cfg.Sampled = &machine, jobs, *sampled
+		sess, err = satori.NewSession(cfg)
 	case "resctrl":
-		var err error
-		sess, err = newResctrlSession(machine, jobs, *policyName, *resctrlRoot, *tracePath, *seed, ticks, *clusterK)
-		if err != nil {
-			log.Fatal(err)
-		}
+		sess, err = newResctrlSession(machine, jobs, cfg, k, *resctrlRoot, *tracePath, ticks)
 	default:
 		log.Fatalf("unknown -backend %q (valid: sim, resctrl)", *backend)
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("backend: %s\njobs: %v\npolicy: %s\nspace: %.0f configurations\n",
 		*backend, sess.JobNames(), *policyName, sess.SpaceInfo().Size())
@@ -173,10 +155,9 @@ func main() {
 // newResctrlSession assembles the resctrl deployment stack: a sampler
 // (recorded trace, or one synthesized deterministically from the
 // simulator), the resctrl writer rooted at -resctrl-root, and the
-// platform-generic policy, all driven by the same control loop as the
-// simulated backend.
+// policy, all driven by the same control loop as the simulated backend.
 func newResctrlSession(machine satori.MachineSpec, jobs []*satori.Workload,
-	policyName, root, tracePath string, seed uint64, ticks, clusterK int) (*satori.Session, error) {
+	cfg satori.SessionConfig, clusterK int, root, tracePath string, ticks int) (*satori.Session, error) {
 	if root == "" {
 		return nil, fmt.Errorf("-backend resctrl needs -resctrl-root (the resctrl mount point, e.g. /sys/fs/resctrl, or a scratch directory)")
 	}
@@ -196,7 +177,7 @@ func newResctrlSession(machine satori.MachineSpec, jobs []*satori.Workload,
 		}
 	} else {
 		var err error
-		sampler, err = synthesizeTrace(machine, jobs, seed, ticks)
+		sampler, err = synthesizeTrace(machine, jobs, cfg.Seed, ticks)
 		if err != nil {
 			return nil, err
 		}
@@ -205,27 +186,19 @@ func newResctrlSession(machine satori.MachineSpec, jobs []*satori.Workload,
 	for i, j := range jobs {
 		names[i] = j.Name
 	}
-	// With clustering requested, the platform boots under the same
+	// Under a clustered policy the platform boots under the same
 	// deterministic round-robin grouping the classifier starts from, so a
 	// job set larger than the tree's CLOS budget passes preflight; the
 	// policy then migrates memberships through the Grouper capability.
 	var grouping *satori.Grouping
-	if k := effectiveClusterK(policyName, clusterK); k > 0 {
-		grouping = resource.RoundRobinGrouping(len(names), k)
+	if clusterK > 0 {
+		grouping = resource.RoundRobinGrouping(len(names), clusterK)
 	}
 	platform, err := rdt.NewResctrlPlatformGrouped(machine, names, rdt.ResctrlWriter{Root: root}, sampler, grouping)
 	if err != nil {
 		return nil, err
 	}
-	pol, err := genericPolicy(policyName, seed, clusterK)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := satori.NewSessionOn(platform, satori.SessionConfig{Policy: pol, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return sess, nil
+	return satori.NewSessionOn(platform, cfg)
 }
 
 // checkResctrlRoot pre-flights -resctrl-root so a missing or unwritable
@@ -249,68 +222,6 @@ func checkResctrlRoot(root string) error {
 	}
 	os.Remove(probe)
 	return nil
-}
-
-// simPolicy resolves a policy for the simulated backend: clustered
-// requests (-cluster-k, or the satori-clustered/lfoc names) go through
-// the backend-generic path so the flag is honored; everything else —
-// including the sim-only oracle family — resolves from the shared name
-// registry.
-func simPolicy(name string, seed uint64, clusterK int) (func(satori.Platform) (satori.Policy, error), error) {
-	if effectiveClusterK(name, clusterK) > 0 {
-		return genericPolicy(name, seed, clusterK)
-	}
-	return satori.NewPolicyByName(name, seed)
-}
-
-// effectiveClusterK resolves the cluster budget a (policy, -cluster-k)
-// pair implies: 0 means no clustering; the clustered policies default to
-// 8 groups when the flag is unset.
-func effectiveClusterK(name string, clusterK int) int {
-	if clusterK > 0 {
-		return clusterK
-	}
-	if name == "satori-clustered" || name == "lfoc" {
-		return 8
-	}
-	return 0
-}
-
-// genericPolicy resolves the policy names that work against any Platform
-// backend. The oracle family needs noise-free simulator access, so it is
-// sim-backend-only by construction.
-func genericPolicy(name string, seed uint64, clusterK int) (func(satori.Platform) (satori.Policy, error), error) {
-	if k := effectiveClusterK(name, clusterK); k > 0 {
-		switch name {
-		case "satori", "satori-clustered":
-			return satori.NewClusteredSatoriPolicy(k, satori.EngineOptions{Seed: seed}), nil
-		case "lfoc":
-			return satori.NewLFOCPolicy(k), nil
-		default:
-			return nil, fmt.Errorf("-cluster-k only applies to the satori, satori-clustered, and lfoc policies (got -policy %s)", name)
-		}
-	}
-	switch name {
-	case "satori":
-		return satori.NewSatoriPolicy(satori.EngineOptions{Seed: seed}), nil
-	case "satori-static":
-		return satori.NewStaticSatoriPolicy(0.5), nil
-	case "satori-throughput":
-		return satori.NewStaticSatoriPolicy(1), nil
-	case "satori-fairness":
-		return satori.NewStaticSatoriPolicy(0), nil
-	case "random":
-		return satori.NewRandomPolicy(seed), nil
-	case "static":
-		return satori.NewStaticPolicy(), nil
-	case "dcat":
-		return satori.NewDCATPolicy(), nil
-	case "copart":
-		return satori.NewCoPartPolicy(), nil
-	case "parties":
-		return satori.NewPARTIESPolicy(), nil
-	}
-	return nil, fmt.Errorf("policy %q is not available on the resctrl backend (oracles need the simulator); valid: copart, dcat, lfoc, parties, random, satori, satori-clustered, satori-fairness, satori-static, satori-throughput, static", name)
 }
 
 // synthesizeTrace records a deterministic IPS trace by running the

@@ -29,12 +29,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"satori/internal/control"
-	"satori/internal/core"
 	"satori/internal/harness"
 	"satori/internal/rdt"
 	"satori/internal/server"
@@ -115,31 +113,11 @@ func main() {
 func buildServer(addr, workloadList, suite string, mixIdx int, policyName string, clusterK int,
 	seed uint64, tick time.Duration, maxTicks int, faultSpec string, sampled bool,
 	sloGoalSwitch bool, sloUnhealthy int) (*server.Server, error) {
-	var profiles []*sim.Profile
-	switch {
-	case workloadList != "":
-		for _, name := range strings.Split(workloadList, ",") {
-			p, err := workloads.ByName(strings.TrimSpace(name))
-			if err != nil {
-				return nil, err
-			}
-			profiles = append(profiles, p)
-		}
-	case suite != "":
-		mixes, err := workloads.PaperMixes(suite)
-		if err != nil {
-			return nil, err
-		}
-		if mixIdx < 0 || mixIdx >= len(mixes) {
-			return nil, fmt.Errorf("mix %d out of range (suite %s has %d)", mixIdx, suite, len(mixes))
-		}
-		profiles = mixes[mixIdx].Profiles
-	default:
-		return nil, fmt.Errorf("pass -workloads or -suite (see -h); valid workloads: %s",
-			strings.Join(workloads.Names(), ", "))
+	profiles, err := workloads.Select(workloadList, suite, mixIdx)
+	if err != nil {
+		return nil, err
 	}
-
-	factory, err := daemonPolicy(policyName, clusterK)
+	policy, _, err := harness.ResolvePolicy(policyName, seed, clusterK)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +145,7 @@ func buildServer(addr, workloadList, suite string, mixIdx int, policyName string
 
 	loop, err := control.New(control.Options{
 		Platform: platform,
-		Policy:   harness.Bind(factory, seed),
+		Policy:   policy,
 		Sampling: control.SamplingOptions{Enabled: sampled},
 		SLO:      control.SLOOptions{GoalSwitch: sloGoalSwitch},
 		Resilience: control.ResilienceOptions{
@@ -185,22 +163,4 @@ func buildServer(addr, workloadList, suite string, mixIdx int, policyName string
 		SLOUnhealthyAfter: sloUnhealthy,
 		Logf:              log.Printf,
 	})
-}
-
-// daemonPolicy resolves the policy factory, honoring -cluster-k: a
-// positive K turns satori/satori-clustered into clustered SATORI at that
-// budget and sizes lfoc likewise; every other name resolves from the
-// shared registry (where satori-clustered and lfoc default to K=8).
-func daemonPolicy(policyName string, clusterK int) (harness.PolicyFactory, error) {
-	if clusterK > 0 {
-		switch policyName {
-		case "satori", "satori-clustered":
-			return harness.ClusteredSatoriFactory(clusterK, core.Options{}), nil
-		case "lfoc":
-			return harness.LFOCFactory(clusterK), nil
-		default:
-			return nil, fmt.Errorf("-cluster-k only applies to the satori, satori-clustered, and lfoc policies (got -policy %s)", policyName)
-		}
-	}
-	return harness.PolicyByName(policyName)
 }

@@ -1,6 +1,7 @@
 package satori_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,9 +52,41 @@ func TestClusteredPolicyGroupsThroughInjector(t *testing.T) {
 	}
 }
 
-// Every registry name builds on a decorated simulator platform, and a
-// platform with no simulator underneath is refused with an error that
-// names the policy — not one that blames oracles for parties.
+// traceDrivenResctrl builds a 3-job resctrl platform on a scratch root
+// replaying a 60-tick IPS trace recorded from the simulator — the stack
+// cmd/satori -backend resctrl drives, with no simulator underneath.
+func traceDrivenResctrl(t *testing.T) *rdt.ResctrlPlatform {
+	t.Helper()
+	jobs := parsecJobs(t, 3)
+	simulator, err := sim.New(satori.DefaultMachine(), jobs, sim.Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	isolated := simulator.MeasureIsolated()
+	rows := make([][]float64, 60)
+	for i := range rows {
+		rows[i] = simulator.Step().IPS
+	}
+	sampler, err := rdt.NewTraceSampler(isolated, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(jobs))
+	for i, j := range jobs {
+		names[i] = j.Name
+	}
+	platform, err := rdt.NewResctrlPlatform(satori.DefaultMachine(), names,
+		rdt.ResctrlWriter{Root: t.TempDir()}, sampler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return platform
+}
+
+// Every registry name builds on a decorated simulator platform, and every
+// name but the oracles builds on a platform with no simulator underneath
+// and runs there, honouring the seed; the oracles are refused with an
+// error that names the policy and what it needs.
 func TestNamedPoliciesOnDecoratedPlatforms(t *testing.T) {
 	for _, name := range satori.PolicyNames() {
 		build, err := satori.NewPolicyByName(name, 3)
@@ -69,26 +102,51 @@ func TestNamedPoliciesOnDecoratedPlatforms(t *testing.T) {
 		if _, err := sess.Run(5); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
+
+		sess, err = satori.NewSessionOn(traceDrivenResctrl(t), satori.SessionConfig{Policy: build, Seed: 3})
+		if strings.HasSuffix(name, "-oracle") {
+			if err == nil {
+				t.Errorf("%s built on a platform with no simulator", name)
+			} else if msg := err.Error(); !strings.Contains(msg, `"`+name+`"`) || !strings.Contains(msg, "simulator") {
+				t.Errorf("%s: error does not name the policy and what it needs: %v", name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s on a trace-driven resctrl platform: %v", name, err)
+			continue
+		}
+		if _, err := sess.Run(60); err != nil {
+			t.Errorf("%s over its trace: %v", name, err)
+		}
 	}
 
-	sampler, err := rdt.NewTraceSampler([]float64{2e9, 2e9}, [][]float64{{1e9, 1e9}})
-	if err != nil {
-		t.Fatal(err)
+	// The seed reaches the policy on every backend: satori-static used to
+	// be built with seed 0 on the resctrl path whatever the caller passed.
+	decisions := func(seed uint64) []string {
+		build, err := satori.NewPolicyByName("satori-static", seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		platform := traceDrivenResctrl(t)
+		sess, err := satori.NewSessionOn(platform, satori.SessionConfig{Policy: build, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, 60)
+		for i := range out {
+			st, err := sess.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = platform.Space().String(st.Config)
+		}
+		return out
 	}
-	resctrl, err := rdt.NewResctrlPlatform(satori.DefaultMachine(), []string{"a", "b"},
-		rdt.ResctrlWriter{Root: t.TempDir()}, sampler)
-	if err != nil {
-		t.Fatal(err)
+	if a, b := decisions(1), decisions(2); slices.Equal(a, b) {
+		t.Error("satori-static made the same 60 decisions under seeds 1 and 2")
 	}
-	build, err := satori.NewPolicyByName("parties", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = build(resctrl)
-	if err == nil {
-		t.Fatal("registry policy built on a platform with no simulator")
-	}
-	if msg := err.Error(); !strings.Contains(msg, `"parties"`) || !strings.Contains(msg, "simulator") || strings.Contains(msg, "oracle") {
-		t.Errorf("error does not name the policy and what it needs: %v", err)
+	if a, b := decisions(1), decisions(1); !slices.Equal(a, b) {
+		t.Error("satori-static is not reproducible under one seed")
 	}
 }

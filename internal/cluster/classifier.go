@@ -136,7 +136,6 @@ type Classifier struct {
 	grouping  *resource.Grouping
 	candidate *resource.Grouping
 	streak    int
-	migrated  int
 
 	// singleton short-circuits everything when K ≥ jobs: the identity
 	// grouping is pinned, Observe is a no-op, and clustered search is
@@ -177,9 +176,6 @@ func NewClassifier(space *resource.Space, opt ClassifierOptions) *Classifier {
 
 // Grouping returns the committed job→cluster map.
 func (c *Classifier) Grouping() *resource.Grouping { return c.grouping }
-
-// Migrations counts committed membership migrations so far.
-func (c *Classifier) Migrations() int { return c.migrated }
 
 // Classes returns the per-job classes from the last classification round
 // (all Insensitive before the first round).
@@ -243,7 +239,6 @@ func (c *Classifier) round() bool {
 	}
 	c.grouping = c.candidate
 	c.candidate, c.streak = nil, 0
-	c.migrated++
 	return true
 }
 

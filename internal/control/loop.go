@@ -70,9 +70,6 @@ type SamplingOptions struct {
 	// Enabled turns sampled simulation on. Backends without the
 	// FastSampler capability silently run every tick detailed.
 	Enabled bool
-	// Epsilon is the relative IPS band defining phase stability
-	// (default 0.1, i.e. ±10%).
-	Epsilon float64
 	// StableTicks is how many consecutive in-band ticks arm
 	// extrapolation (default 5).
 	StableTicks int
@@ -81,11 +78,13 @@ type SamplingOptions struct {
 	MaxRun int
 }
 
+// stabilityEpsilon is the relative IPS band defining phase stability:
+// a job whose IPS moved by more than ±10% since the previous tick is not
+// phase-stable.
+const stabilityEpsilon = 0.1
+
 // fill resolves defaulted sampling knobs.
 func (o SamplingOptions) fill() SamplingOptions {
-	if o.Epsilon <= 0 {
-		o.Epsilon = 0.1
-	}
 	if o.StableTicks <= 0 {
 		o.StableTicks = 5
 	}
@@ -611,7 +610,7 @@ func (l *Loop) updateStability(ips []float64) {
 		if ref < 1e-12 {
 			ref = 1e-12
 		}
-		if math.Abs(v-l.prevIPS[j])/ref > l.sampling.Epsilon {
+		if math.Abs(v-l.prevIPS[j])/ref > stabilityEpsilon {
 			within = false
 			break
 		}
@@ -751,17 +750,6 @@ func (l *Loop) Run(n int) (Status, error) {
 		}
 	}
 	return last, nil
-}
-
-// RefreshBaselines re-measures isolated baselines immediately; the next
-// observation carries BaselineReset and any periodic refresh due at the
-// same boundary is skipped as redundant.
-func (l *Loop) RefreshBaselines() error {
-	iso, err := l.measureIsolatedRetry()
-	if err != nil {
-		return err
-	}
-	return l.commitBaselines(iso, nil)
 }
 
 // Reinit is the membership-change tail for externally mutated platforms:

@@ -8,7 +8,10 @@ import (
 // SLOOptions tunes the loop's latency-critical tracking. The tracker
 // itself is automatic: it exists exactly when the platform has the
 // rdt.SLOProvider capability and at least one live job carries an SLO
-// spec, and a loop without it is bit-identical to a pre-SLO loop.
+// spec, and a loop without it is bit-identical to a pre-SLO loop. Its
+// violation detector runs at the slo package's default hysteresis
+// (DefaultOnsetTicks to flip into the violating state, the slower
+// DefaultClearTicks to flip back, so it does not flap).
 type SLOOptions struct {
 	// GoalSwitch enables violation-driven goal switching: while the
 	// hysteretic detector reports a persistent SLO violation, the
@@ -17,12 +20,6 @@ type SLOOptions struct {
 	// violation clears. This is the "sacrifice short-term fairness for
 	// long-term SLO health" arbitration the SLO experiment measures.
 	GoalSwitch bool
-	// OnsetTicks is how many consecutive violating observations flip
-	// the detector into the violating state (default 5).
-	OnsetTicks int
-	// ClearTicks is how many consecutive attaining observations flip it
-	// back (default 10); clearing slower than onset prevents flapping.
-	ClearTicks int
 }
 
 // sloTracker carries the loop's per-tick latency state: the live SLO
@@ -61,7 +58,7 @@ func newSLOTracker(p rdt.SLOProvider, opt SLOOptions) *sloTracker {
 	}
 	return &sloTracker{
 		specs:      specs,
-		det:        slo.NewDetector(opt.OnsetTicks, opt.ClearTicks),
+		det:        slo.NewDetector(slo.DefaultOnsetTicks, slo.DefaultClearTicks),
 		goalSwitch: opt.GoalSwitch,
 	}
 }

@@ -121,9 +121,6 @@ type Scheduler struct {
 type SchedulerOptions struct {
 	// Mode defaults to WeightsDynamic.
 	Mode WeightMode
-	// StaticWT is the throughput weight under WeightsStatic (fairness
-	// gets 1−StaticWT). Defaults to 0.5.
-	StaticWT float64
 	// PrioritizationTicks is T_P in 100 ms ticks (default 10 = 1 s).
 	PrioritizationTicks int
 	// EqualizationTicks is T_E in 100 ms ticks (default 100 = 10 s).
@@ -166,7 +163,7 @@ func NewScheduler(opt SchedulerOptions) *Scheduler {
 	}
 	s := &Scheduler{
 		mode:    opt.Mode,
-		staticT: opt.StaticWT,
+		staticT: 0.5, // WeightsStatic's balanced default; Options.StaticWT overrides it
 		tpTicks: opt.PrioritizationTicks,
 		teTicks: opt.EqualizationTicks,
 		floor:   opt.WeightFloor,
@@ -176,13 +173,6 @@ func NewScheduler(opt SchedulerOptions) *Scheduler {
 		lateF:   make([]float64, winLen),
 		wTP:     0.5,
 		wFP:     0.5,
-	}
-	if opt.Mode == WeightsStatic && opt.StaticWT == 0 {
-		// Distinguish "unset" from an explicit fairness-only request:
-		// callers wanting W_T=0 set StaticWT to a tiny epsilon-free
-		// explicit 0 via StaticWTSet; the plain zero value means the
-		// balanced default.
-		s.staticT = 0.5
 	}
 	return s
 }

@@ -34,7 +34,6 @@ import (
 
 	"satori/internal/control"
 	"satori/internal/harness"
-	"satori/internal/policy"
 	"satori/internal/rdt"
 	"satori/internal/sim"
 	"satori/internal/stats"
@@ -87,7 +86,9 @@ type Options struct {
 	// injection (rdt.FaultInjector) and instrumentation hook into. A
 	// decorator either has an Unwrap() rdt.Platform method, so rdt.As
 	// finds what it does not implement, or implements every capability of
-	// the platform it was handed.
+	// the platform it was handed. Policies are built against the wrapped
+	// platform, so an opaque decorator (no Unwrap) costs only the oracle
+	// policies, which cannot reach the simulator through it.
 	WrapPlatform func(node int, p rdt.Platform) rdt.Platform
 }
 
@@ -198,7 +199,7 @@ func New(opt Options) (*Cluster, error) {
 	}
 	// Resolve the policy once for validation; nodes rebuild per session
 	// with their own seeds.
-	if _, err := harness.PolicyByName(opt.Policy); err != nil {
+	if _, _, err := harness.ResolvePolicy(opt.Policy, 0, 0); err != nil {
 		return nil, err
 	}
 	if opt.Shards <= 0 {
@@ -256,15 +257,10 @@ func New(opt Options) (*Cluster, error) {
 }
 
 // nodeSeed mixes the fleet seed with a node's identity and session
-// generation (splitmix64 finalizer), so node sessions draw independent
-// streams that do not depend on placement history elsewhere in the fleet.
+// generation, so node sessions draw independent streams that do not
+// depend on placement history elsewhere in the fleet.
 func nodeSeed(base uint64, id, gen int) uint64 {
-	x := base + 0x9E3779B97F4A7C15*uint64(id+1) + 0xD1B54A32D192ED03*uint64(gen+1)
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
+	x := mix64(base + 0x9E3779B97F4A7C15*uint64(id+1) + 0xD1B54A32D192ED03*uint64(gen+1))
 	if x == 0 {
 		x = 1 // the session layer maps seed 0 to 1; keep streams distinct
 	}
@@ -536,7 +532,7 @@ func (n *node) admit(job *Job, now float64, opt Options) error {
 	if len(n.jobs) == 0 {
 		seed := nodeSeed(opt.Seed, n.id, n.gen)
 		n.gen++
-		factory, err := harness.PolicyByName(opt.Policy)
+		build, _, err := harness.ResolvePolicy(opt.Policy, seed, 0)
 		if err != nil {
 			return err
 		}
@@ -545,26 +541,17 @@ func (n *node) admit(job *Job, now float64, opt Options) error {
 		if err != nil {
 			return err
 		}
-		simPlatform, err := rdt.NewSimPlatform(simulator)
+		var platform rdt.Platform
+		platform, err = rdt.NewSimPlatform(simulator)
 		if err != nil {
 			return err
 		}
-		var platform rdt.Platform = simPlatform
 		if opt.WrapPlatform != nil {
 			platform = opt.WrapPlatform(n.id, platform)
 		}
-		build := harness.Bind(factory, seed)
 		loop, err := control.New(control.Options{
 			Platform: platform,
-			Policy: func(p rdt.Platform) (policy.Policy, error) {
-				if _, ok := rdt.As[*rdt.SimPlatform](p); !ok {
-					// The hook returned a decorator with no Unwrap, which
-					// must forward every capability itself (see
-					// Options.WrapPlatform) and hides only the simulator.
-					p = simPlatform
-				}
-				return build(p)
-			},
+			Policy:   build,
 			// Sampled simulation is default-on for fleet runs: node ticks
 			// are bit-identical either way on the sim backend, and
 			// phase-stable nodes skip the detailed model evaluation. The

@@ -22,6 +22,8 @@ package fleet
 // pre-sharding fleet behavior.
 
 import (
+	"slices"
+
 	"satori/internal/stats"
 )
 
@@ -35,9 +37,9 @@ type shard struct {
 	queue  []*Job
 }
 
-// shardMix finalizes a seeded hash (splitmix64 finalizer), used for both
-// the partition shuffle seed and job→shard routing.
-func shardMix(x uint64) uint64 {
+// mix64 finalizes a seeded hash (splitmix64 finalizer): the partition
+// shuffle seed, job→shard routing and per-session node seeds.
+func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
@@ -55,7 +57,7 @@ func buildShards(seed uint64, n, k int, placerName string) ([]*shard, error) {
 	for i := range perm {
 		perm[i] = i
 	}
-	rng := stats.NewRNG(shardMix(seed + 0xA55A*uint64(k) + 1))
+	rng := stats.NewRNG(mix64(seed + 0xA55A*uint64(k) + 1))
 	for i := n - 1; i > 0; i-- {
 		j := rng.Intn(i + 1)
 		perm[i], perm[j] = perm[j], perm[i]
@@ -73,19 +75,9 @@ func buildShards(seed uint64, n, k int, placerName string) ([]*shard, error) {
 		s.nodes = append(s.nodes, nodeID)
 	}
 	for _, s := range shards {
-		insertionSortInts(s.nodes)
+		slices.Sort(s.nodes)
 	}
 	return shards, nil
-}
-
-// insertionSortInts sorts a small int slice ascending without pulling in
-// package sort's interface machinery on the per-tick path.
-func insertionSortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // shardOf routes a job to a shard: a seeded hash of the job's arrival ID,
@@ -96,7 +88,7 @@ func (c *Cluster) shardOf(job *Job) *shard {
 	if k == 1 {
 		return c.shards[0]
 	}
-	return c.shards[shardMix(c.opt.Seed^(0x9E3779B97F4A7C15*uint64(job.ID)))%k]
+	return c.shards[mix64(c.opt.Seed^(0x9E3779B97F4A7C15*uint64(job.ID)))%k]
 }
 
 // shardViews snapshots the shard's nodes for its placer. View IDs are

@@ -256,9 +256,6 @@ func (g *GP) Posterior(points [][]float64) (mu []float64, cov *linalg.Matrix) {
 	return posteriorBatch(points, g.xs, g.alpha, g.chol, g.kernel, g.mean)
 }
 
-// NumObservations returns how many points the posterior conditions on.
-func (g *GP) NumObservations() int { return len(g.xs) }
-
 // Jitter returns the diagonal jitter that was required to factorize the
 // kernel matrix (equal to the noise term when no escalation was needed).
 func (g *GP) Jitter() float64 { return g.jitter }

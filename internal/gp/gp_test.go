@@ -184,9 +184,6 @@ func TestSinglePoint(t *testing.T) {
 	if math.Abs(mu-5) > 1e-6 || sigma > 0.05 {
 		t.Errorf("single-point posterior at datum: mu=%g sigma=%g", mu, sigma)
 	}
-	if g.NumObservations() != 1 {
-		t.Errorf("NumObservations = %d", g.NumObservations())
-	}
 }
 
 func TestMedianLengthScale(t *testing.T) {

@@ -18,7 +18,7 @@ func cachedSuiteSpec(t *testing.T, cache *CellCache) SuiteSpec {
 		Mixes: mixes[:2],
 		Policies: []NamedFactory{
 			{Name: "satori", Factory: SatoriFactory(core.Options{})},
-			{Name: "random", Factory: RandomFactory()},
+			{Name: "random", Factory: onSim(random)},
 		},
 		Base:  DefaultSuiteBase(3, 80),
 		Cache: cache,
@@ -123,7 +123,7 @@ func TestCellCacheSkipsTraceCells(t *testing.T) {
 	}
 	spec := DefaultSuiteBase(3, 40)
 	spec.Profiles = mixes[0].Profiles
-	spec.Policy = RandomFactory()
+	spec.Policy = onSim(random)
 	spec.KeepTrace = true
 	for i := 0; i < 2; i++ {
 		res, err := cache.Run(spec, "policy:random")

@@ -55,13 +55,10 @@ func RunScalability(opt ExpOptions) (*Report, error) {
 	outer, inner := splitWorkers(opt.Workers, len(degrees))
 	err := forEach(outer, len(degrees), func(i int) error {
 		suite, err := RunSuite(SuiteSpec{
-			Mixes: chosenPerDegree[i],
-			Policies: []NamedFactory{
-				{Name: "satori", Factory: SatoriFactory(core.Options{})},
-				{Name: "parties", Factory: PARTIESFactory()},
-			},
-			Base:    DefaultSuiteBase(opt.Seed, opt.Ticks),
-			Workers: inner,
+			Mixes:    chosenPerDegree[i],
+			Policies: lineup("satori", "parties"),
+			Base:     DefaultSuiteBase(opt.Seed, opt.Ticks),
+			Workers:  inner,
 		})
 		if err != nil {
 			return err
@@ -119,10 +116,10 @@ func RunAblationResources(opt ExpOptions) (*Report, error) {
 	suite, err := RunSuite(SuiteSpec{
 		Mixes: mixes,
 		Policies: []NamedFactory{
-			{Name: "dcat", Factory: DCATFactory()},
+			{Name: "dcat", Factory: onSim(DCAT)},
 			{Name: "satori-llc", Factory: SatoriFactory(core.Options{
 				Managed: []resource.Kind{resource.LLCWays}, Name: "satori-llc"})},
-			{Name: "copart", Factory: CoPartFactory()},
+			{Name: "copart", Factory: onSim(CoPart)},
 			{Name: "satori-llc+bw", Factory: SatoriFactory(core.Options{
 				Managed: []resource.Kind{resource.LLCWays, resource.MemBW}, Name: "satori-llc+bw"})},
 			{Name: "satori", Factory: SatoriFactory(core.Options{})},
@@ -159,14 +156,10 @@ func RunCLITE(opt ExpOptions) (*Report, error) {
 	}
 	mixes = mixes[:opt.limitMixes(8)]
 	suite, err := RunSuite(SuiteSpec{
-		Mixes: mixes,
-		Policies: []NamedFactory{
-			{Name: "parties", Factory: PARTIESFactory()},
-			{Name: "clite", Factory: CLITEFactory()},
-			{Name: "satori", Factory: SatoriFactory(core.Options{})},
-		},
-		Base:    DefaultSuiteBase(opt.Seed, opt.Ticks),
-		Workers: opt.Workers,
+		Mixes:    mixes,
+		Policies: lineup("parties", "clite", "satori"),
+		Base:     DefaultSuiteBase(opt.Seed, opt.Ticks),
+		Workers:  opt.Workers,
 	})
 	if err != nil {
 		return nil, err
@@ -292,7 +285,7 @@ func RunAblationNoise(opt ExpOptions) (*Report, error) {
 		base.NoiseSigma = sigmas[i]
 		suite, err := RunSuite(SuiteSpec{
 			Mixes:    mixes,
-			Policies: []NamedFactory{{Name: "satori", Factory: SatoriFactory(core.Options{})}},
+			Policies: lineup("satori"),
 			Base:     base,
 			Workers:  inner,
 		})
@@ -379,13 +372,10 @@ func RunAblationMachine(opt ExpOptions) (*Report, error) {
 		base := DefaultSuiteBase(opt.Seed, opt.Ticks)
 		base.Machine = &machine
 		suite, err := RunSuite(SuiteSpec{
-			Mixes: mixes,
-			Policies: []NamedFactory{
-				{Name: "satori", Factory: SatoriFactory(core.Options{})},
-				{Name: "parties", Factory: PARTIESFactory()},
-			},
-			Base:    base,
-			Workers: inner,
+			Mixes:    mixes,
+			Policies: lineup("satori", "parties"),
+			Base:     base,
+			Workers:  inner,
 		})
 		if err != nil {
 			return err

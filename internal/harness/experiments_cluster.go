@@ -5,7 +5,6 @@ import (
 
 	"satori/internal/control"
 	"satori/internal/core"
-	"satori/internal/rdt"
 	"satori/internal/sim"
 	"satori/internal/trace"
 	"satori/internal/workloads"
@@ -58,8 +57,8 @@ func RunCluster(opt ExpOptions) (*Report, error) {
 		regroups int
 	}
 	rows := []*row{
-		{name: "static", factory: StaticFactory()},
-		{name: "lfoc", factory: LFOCFactory(8)},
+		{name: "static", factory: onSim(Static)},
+		{name: "lfoc", factory: onSim(LFOC(8))},
 		{name: "satori-clustered-k4", factory: ClusteredSatoriFactory(4, core.Options{})},
 		{name: "satori-clustered-k8", factory: ClusteredSatoriFactory(8, core.Options{})},
 		{name: "satori-clustered-k16", factory: ClusteredSatoriFactory(16, core.Options{})},
@@ -67,18 +66,8 @@ func RunCluster(opt ExpOptions) (*Report, error) {
 	}
 	err := forEach(opt.Workers, len(rows), func(i int) error {
 		r := rows[i]
-		simulator, err := sim.New(clusterMachine(), profiles, sim.Options{Seed: opt.Seed})
-		if err != nil {
-			return err
-		}
-		platform, err := rdt.NewSimPlatform(simulator)
-		if err != nil {
-			return err
-		}
-		loop, err := control.New(control.Options{
-			Platform: platform,
-			Policy:   Bind(r.factory, opt.Seed),
-		})
+		loop, _, err := bootSim(clusterMachine(), profiles, sim.Options{Seed: opt.Seed},
+			nil, r.factory, control.Options{})
 		if err != nil {
 			return err
 		}

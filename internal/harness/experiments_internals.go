@@ -68,13 +68,10 @@ func RunFig14(opt ExpOptions) (*Report, error) {
 	}
 	mixes = mixes[:opt.limitMixes(len(mixes))]
 	suite, err := RunSuite(SuiteSpec{
-		Mixes: mixes,
-		Policies: []NamedFactory{
-			{Name: "satori", Factory: SatoriFactory(core.Options{})},
-			{Name: "satori-static", Factory: SatoriStaticFactory(0.5)},
-		},
-		Base:    DefaultSuiteBase(opt.Seed, opt.Ticks),
-		Workers: opt.Workers,
+		Mixes:    mixes,
+		Policies: lineup("satori", "satori-static"),
+		Base:     DefaultSuiteBase(opt.Seed, opt.Ticks),
+		Workers:  opt.Workers,
 	})
 	if err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"satori/internal/policies/oracle"
 	"satori/internal/trace"
 	"satori/internal/workloads"
 )
@@ -12,14 +11,8 @@ import (
 // single-goal SATORI variants, and the single-goal oracles (everything
 // normalized to the Balanced Oracle).
 func fullLineup() []NamedFactory {
-	lineup := CompetingPolicies()
-	lineup = append(lineup,
-		NamedFactory{Name: "satori-throughput", Factory: SatoriStaticFactory(1)},
-		NamedFactory{Name: "satori-fairness", Factory: SatoriStaticFactory(0)},
-		NamedFactory{Name: "throughput-oracle", Factory: OracleFactory(oracle.Throughput, oracle.Options{})},
-		NamedFactory{Name: "fairness-oracle", Factory: OracleFactory(oracle.Fairness, oracle.Options{})},
-	)
-	return lineup
+	return append(CompetingPolicies(),
+		lineup("satori-throughput", "satori-fairness", "throughput-oracle", "fairness-oracle")...)
 }
 
 // runSuiteExperiment runs a full policy lineup over a suite's paper

@@ -5,12 +5,19 @@ import (
 
 	"satori/internal/control"
 	"satori/internal/core"
-	"satori/internal/rdt"
 	"satori/internal/sim"
 	"satori/internal/stats"
 	"satori/internal/trace"
 	"satori/internal/workloads"
 )
+
+// fmtRecovery renders a recovery time given in ticks (negative: never).
+func fmtRecovery(ticks int) string {
+	if ticks < 0 {
+		return "never"
+	}
+	return fmt.Sprintf("%.1fs", float64(ticks)*sim.TickSeconds)
+}
 
 // RunMixChange exercises Algorithm 1 line 12 end to end: halfway through
 // a run one co-located job departs and a new benchmark arrives in its
@@ -38,18 +45,8 @@ func RunMixChange(opt ExpOptions) (*Report, error) {
 		recovery      int // ticks until the post-change objective window reaches 95% of pre-change
 	}
 	runOne := func(factory PolicyFactory) (outcome, error) {
-		simulator, err := sim.New(sim.DefaultMachine(), mixes[0].Profiles, sim.Options{Seed: opt.Seed})
-		if err != nil {
-			return outcome{}, err
-		}
-		platform, err := rdt.NewSimPlatform(simulator)
-		if err != nil {
-			return outcome{}, err
-		}
-		loop, err := control.New(control.Options{
-			Platform: platform,
-			Policy:   Bind(factory, opt.Seed),
-		})
+		loop, _, err := bootSim(sim.DefaultMachine(), mixes[0].Profiles, sim.Options{Seed: opt.Seed},
+			nil, factory, control.Options{})
 		if err != nil {
 			return outcome{}, err
 		}
@@ -100,20 +97,14 @@ func RunMixChange(opt ExpOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rnd, err := runOne(RandomFactory())
+	rnd, err := runOne(onSim(random))
 	if err != nil {
 		return nil, err
 	}
 
 	tbl := trace.NewTable("policy", "objective before", "objective after", "recovery")
-	fmtRec := func(r int) string {
-		if r < 0 {
-			return "never"
-		}
-		return fmt.Sprintf("%.1fs", float64(r)*sim.TickSeconds)
-	}
-	tbl.AddRow("satori", trace.F(sat.before), trace.F(sat.after), fmtRec(sat.recovery))
-	tbl.AddRow("random", trace.F(rnd.before), trace.F(rnd.after), fmtRec(rnd.recovery))
+	tbl.AddRow("satori", trace.F(sat.before), trace.F(sat.after), fmtRecovery(sat.recovery))
+	tbl.AddRow("random", trace.F(rnd.before), trace.F(rnd.after), fmtRecovery(rnd.recovery))
 	rep := &Report{ID: "mix-change", Title: "Workload-mix change mid-run (canneal departs, swaptions arrives)"}
 	rep.Tables = append(rep.Tables, tbl)
 	rep.Notes = append(rep.Notes,

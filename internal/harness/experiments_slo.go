@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"satori/internal/control"
-	"satori/internal/core"
-	"satori/internal/rdt"
 	"satori/internal/sim"
 	"satori/internal/stats"
 	"satori/internal/trace"
@@ -44,19 +42,8 @@ func RunSLO(opt ExpOptions) (*Report, error) {
 	const recoverWin = 10
 	const recoverLevel = 0.95
 	runOne := func(factory PolicyFactory, sloOpt control.SLOOptions) (outcome, error) {
-		simulator, err := sim.New(sim.DefaultMachine(), mix, sim.Options{Seed: opt.Seed})
-		if err != nil {
-			return outcome{}, err
-		}
-		platform, err := rdt.NewSimPlatform(simulator)
-		if err != nil {
-			return outcome{}, err
-		}
-		loop, err := control.New(control.Options{
-			Platform: platform,
-			Policy:   Bind(factory, opt.Seed),
-			SLO:      sloOpt,
-		})
+		loop, _, err := bootSim(sim.DefaultMachine(), mix, sim.Options{Seed: opt.Seed},
+			nil, factory, control.Options{SLO: sloOpt})
 		if err != nil {
 			return outcome{}, err
 		}
@@ -92,30 +79,15 @@ func RunSLO(opt ExpOptions) (*Report, error) {
 		return out, nil
 	}
 
-	rows := []struct {
-		name    string
-		factory PolicyFactory
-		slo     control.SLOOptions
-	}{
-		{"satori-slo", SatoriFactory(core.Options{Scheduler: core.SchedulerOptions{Mode: core.WeightsSLOAware}}), control.SLOOptions{GoalSwitch: true}},
-		{"satori", SatoriFactory(core.Options{}), control.SLOOptions{}},
-		{"satori-static", SatoriStaticFactory(0.5), control.SLOOptions{}},
-		{"parties", PARTIESFactory(), control.SLOOptions{}},
-		{"copart", CoPartFactory(), control.SLOOptions{}},
-	}
-	fmtRec := func(r int) string {
-		if r < 0 {
-			return "never"
-		}
-		return fmt.Sprintf("%.1fs", float64(r)*sim.TickSeconds)
-	}
 	tbl := trace.NewTable("policy", "slo attainment", "violated ticks", "recovery", "objective")
-	for _, r := range rows {
-		oc, err := runOne(r.factory, r.slo)
+	for _, r := range lineup("satori-slo", "satori", "satori-static", "parties", "copart") {
+		// Only satori-slo arbitrates goals; the baselines run the
+		// identical scenario without the switch.
+		oc, err := runOne(r.Factory, control.SLOOptions{GoalSwitch: r.Name == "satori-slo"})
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", r.name, err)
+			return nil, fmt.Errorf("%s: %w", r.Name, err)
 		}
-		tbl.AddRow(r.name, trace.F(oc.attainment), fmt.Sprintf("%d", oc.violated), fmtRec(oc.recovery), trace.F(oc.objective))
+		tbl.AddRow(r.Name, trace.F(oc.attainment), fmt.Sprintf("%d", oc.violated), fmtRecovery(oc.recovery), trace.F(oc.objective))
 	}
 	rep := &Report{ID: "slo", Title: "SLO recovery on a mixed batch+LC co-location (2 LC + 3 PARSEC)"}
 	rep.Tables = append(rep.Tables, tbl)

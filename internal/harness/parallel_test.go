@@ -117,7 +117,7 @@ func parallelSpec(t *testing.T, workers int) SuiteSpec {
 		Mixes: mixes[:3],
 		Policies: []NamedFactory{
 			{Name: "satori", Factory: SatoriFactory(core.Options{})},
-			{Name: "random", Factory: RandomFactory()},
+			{Name: "random", Factory: onSim(random)},
 		},
 		Base:    DefaultSuiteBase(11, 60),
 		Workers: workers,

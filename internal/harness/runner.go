@@ -38,27 +38,55 @@ type MetricSet struct {
 	Fairness   metrics.FairnessMetric
 }
 
-// PolicyFactory builds a policy for a prepared platform. Oracle policies
-// use the platform's simulator for noise-free model access. Factories
-// must be safe to call from concurrent runs: every call builds a fresh
-// policy bound to that run's platform and seed, and any captured options
-// are copied, never mutated (the harness fans runs out over a worker
-// pool; see parallel.go).
+// PolicyFactory is the shape a harness run takes its policy in
+// (RunSpec.Policy, NamedFactory): a builder pinned to the simulator
+// platform every harness run boots. The factories this package hands out
+// are thin adapters over the platform-generic builders of factories.go;
+// front-ends that drive other platforms use ResolvePolicy instead.
+// Factories must be safe to call from concurrent runs: every call builds
+// a fresh policy bound to that run's platform and seed, and any captured
+// options are copied, never mutated (the harness fans runs out over a
+// worker pool; see parallel.go).
 type PolicyFactory func(p *rdt.SimPlatform, seed uint64) (policy.Policy, error)
 
-// Bind adapts a factory to control.Options.Policy: the returned builder
+// bind adapts a factory to control.Options.Policy: the returned builder
 // takes the platform the loop drives and hands the factory the simulator
-// platform behind whatever decorators it carries (rdt.As), so every
-// stack — harness runs, fleet nodes, satorid, satori.NewPolicyByName —
-// builds, and after churn rebuilds, its policy on the loop's own platform.
-func Bind(f PolicyFactory, seed uint64) func(rdt.Platform) (policy.Policy, error) {
+// platform behind whatever decorators it carries (rdt.As).
+func bind(f PolicyFactory, seed uint64) func(rdt.Platform) (policy.Policy, error) {
 	return func(p rdt.Platform) (policy.Policy, error) {
 		sp, ok := rdt.As[*rdt.SimPlatform](p)
 		if !ok {
-			return nil, fmt.Errorf("harness: registry policies are built against the simulator, and %T has none underneath", p)
+			return nil, fmt.Errorf("harness: a PolicyFactory builds on the simulator platform, and %T has none underneath", p)
 		}
 		return f(sp, seed)
 	}
+}
+
+// bootSim assembles the simulated stack every harness run drives:
+// simulator → platform → (fault injector) → control loop. opt carries
+// the loop's tuning; its Platform and Policy are filled here, the policy
+// seeded like the simulator.
+func bootSim(machine sim.MachineSpec, profiles []*sim.Profile, simOpt sim.Options,
+	faults *rdt.FaultScript, f PolicyFactory, opt control.Options) (*control.Loop, *sim.Simulator, error) {
+	simulator, err := sim.New(machine, profiles, simOpt)
+	if err != nil {
+		return nil, nil, err
+	}
+	var platform rdt.Platform
+	platform, err = rdt.NewSimPlatform(simulator)
+	if err != nil {
+		return nil, nil, err
+	}
+	if faults != nil {
+		platform, err = rdt.NewFaultInjector(platform, *faults)
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	opt.Platform = platform
+	opt.Policy = bind(f, simOpt.Seed)
+	loop, err := control.New(opt)
+	return loop, simulator, err
 }
 
 // RunSpec fully describes one run.
@@ -165,28 +193,13 @@ func Run(spec RunSpec) (*Result, error) {
 	if spec.Policy == nil {
 		return nil, fmt.Errorf("harness: RunSpec.Policy is required")
 	}
-	simulator, err := sim.New(machine, spec.Profiles, sim.Options{Seed: spec.Seed, NoiseSigma: spec.NoiseSigma})
-	if err != nil {
-		return nil, err
-	}
-	var platform rdt.Platform
-	platform, err = rdt.NewSimPlatform(simulator)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Faults != nil {
-		platform, err = rdt.NewFaultInjector(platform, *spec.Faults)
-		if err != nil {
-			return nil, err
-		}
-	}
-	loop, err := control.New(control.Options{
-		Platform:           platform,
-		Policy:             Bind(spec.Policy, spec.Seed),
-		Throughput:         spec.Metrics.Throughput,
-		Fairness:           spec.Metrics.Fairness,
-		BaselineResetTicks: spec.BaselineResetTicks,
-	})
+	loop, simulator, err := bootSim(machine, spec.Profiles,
+		sim.Options{Seed: spec.Seed, NoiseSigma: spec.NoiseSigma}, spec.Faults, spec.Policy,
+		control.Options{
+			Throughput:         spec.Metrics.Throughput,
+			Fairness:           spec.Metrics.Fairness,
+			BaselineResetTicks: spec.BaselineResetTicks,
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -91,7 +91,7 @@ func TestRunTraceColumns(t *testing.T) {
 }
 
 func TestRunWithoutWeightReporterOmitsColumns(t *testing.T) {
-	spec := smokeSpec(t, RandomFactory())
+	spec := smokeSpec(t, onSim(random))
 	spec.KeepTrace = true
 	res, err := Run(spec)
 	if err != nil {
@@ -106,7 +106,7 @@ func TestRunWithoutWeightReporterOmitsColumns(t *testing.T) {
 }
 
 func TestRunOracleDistanceTracking(t *testing.T) {
-	spec := smokeSpec(t, PARTIESFactory())
+	spec := smokeSpec(t, onSim(PARTIES))
 	spec.TrackOracleDistance = true
 	spec.KeepTrace = true
 	spec.Ticks = 60
@@ -148,7 +148,7 @@ func TestAllFactoriesRun(t *testing.T) {
 		}
 	}
 	for _, f := range []PolicyFactory{
-		SatoriStaticFactory(1), SatoriStaticFactory(0), StaticFactory(),
+		SatoriStaticFactory(1), SatoriStaticFactory(0), onSim(Static),
 	} {
 		if _, err := Run(smokeSpec(t, f)); err != nil {
 			t.Fatal(err)

@@ -17,7 +17,7 @@ func smokeSuite(t *testing.T) *SuiteResult {
 		Mixes: mixes[:2],
 		Policies: []NamedFactory{
 			{Name: "satori", Factory: SatoriFactory(core.Options{})},
-			{Name: "random", Factory: RandomFactory()},
+			{Name: "random", Factory: onSim(random)},
 		},
 		Base: DefaultSuiteBase(3, 120),
 	})

@@ -290,15 +290,6 @@ func (c *Cholesky) SolveLowerMatrixInto(dst, b *Matrix) *Matrix {
 	return dst
 }
 
-// LogDet returns log|A| = 2·Σ log L_ii, computed stably from the factor.
-func (c *Cholesky) LogDet() float64 {
-	s := 0.0
-	for i := 0; i < c.n; i++ {
-		s += math.Log(c.l[i*c.stride+i])
-	}
-	return 2 * s
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {

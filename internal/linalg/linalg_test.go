@@ -159,20 +159,6 @@ func TestCholeskyReconstructionProperty(t *testing.T) {
 	}
 }
 
-func TestLogDet(t *testing.T) {
-	// diag(2, 3) has log det = log 6.
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 2)
-	a.Set(1, 1, 3)
-	c, err := NewCholesky(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.LogDet(); math.Abs(got-math.Log(6)) > 1e-12 {
-		t.Errorf("LogDet = %g, want log 6 = %g", got, math.Log(6))
-	}
-}
-
 func TestSolveLower(t *testing.T) {
 	// L = [[2,0],[1,1]]; L·y = [2, 3] -> y = [1, 2].
 	a := NewMatrix(2, 2)
@@ -263,9 +249,6 @@ func TestCholeskyExtendMatchesFullFactorization(t *testing.T) {
 						trial, i, j, d, inc.LAt(i, j), full.LAt(i, j))
 				}
 			}
-		}
-		if d := math.Abs(inc.LogDet() - full.LogDet()); d > 1e-9 {
-			t.Fatalf("trial %d: LogDet differs by %g", trial, d)
 		}
 	}
 }

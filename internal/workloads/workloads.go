@@ -18,6 +18,7 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"satori/internal/sim"
 )
@@ -284,6 +285,35 @@ func Names() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Select resolves the -workloads / -suite / -mix flags the CLIs share: a
+// comma-separated benchmark list wins; otherwise the mix of that index
+// among the suite's paper mixes.
+func Select(list, suite string, mix int) ([]*sim.Profile, error) {
+	switch {
+	case list != "":
+		var profiles []*sim.Profile
+		for _, name := range strings.Split(list, ",") {
+			p, err := ByName(strings.TrimSpace(name))
+			if err != nil {
+				return nil, err
+			}
+			profiles = append(profiles, p)
+		}
+		return profiles, nil
+	case suite != "":
+		mixes, err := PaperMixes(suite)
+		if err != nil {
+			return nil, err
+		}
+		if mix < 0 || mix >= len(mixes) {
+			return nil, fmt.Errorf("mix %d out of range (suite %s has %d)", mix, suite, len(mixes))
+		}
+		return mixes[mix].Profiles, nil
+	}
+	return nil, fmt.Errorf("pass -workloads or -suite (see -h); valid workloads: %s",
+		strings.Join(Names(), ", "))
 }
 
 // Mix is one co-location job mix: an index plus its member profiles.

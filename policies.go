@@ -1,18 +1,11 @@
 package satori
 
 import (
-	"fmt"
-
-	"satori/internal/cluster"
 	"satori/internal/core"
 	"satori/internal/harness"
-	"satori/internal/policies/copart"
-	"satori/internal/policies/dcat"
 	"satori/internal/policies/oracle"
-	"satori/internal/policies/parties"
 	"satori/internal/policy"
 	"satori/internal/rdt"
-	"satori/internal/resource"
 )
 
 // EngineOptions re-exports the SATORI engine configuration.
@@ -31,60 +24,45 @@ const (
 // Engine is the SATORI BO engine (policy implementation).
 type Engine = core.Engine
 
+// seeded pins the seed of one of the shared policy builders
+// (internal/harness/factories.go holds the one body of each policy kind;
+// the name registry builds from the same ones).
+func seeded(b func(rdt.Platform, uint64) (policy.Policy, error), seed uint64) func(Platform) (Policy, error) {
+	return func(p Platform) (Policy, error) { return b(p, seed) }
+}
+
 // NewSatoriPolicy builds full SATORI with dynamic goal prioritization.
 // Pass the result as SessionConfig.Policy.
 func NewSatoriPolicy(opt EngineOptions) func(Platform) (Policy, error) {
-	return func(p Platform) (Policy, error) {
-		return core.New(p.Space(), opt)
-	}
+	return seeded(harness.Satori(opt), 0)
 }
 
 // NewStaticSatoriPolicy builds SATORI with fixed weights: wT = 1 is
 // Throughput SATORI, wT = 0 is Fairness SATORI, wT = 0.5 is the
 // no-dynamic-prioritization variant.
 func NewStaticSatoriPolicy(wT float64) func(Platform) (Policy, error) {
-	return NewSatoriPolicy(EngineOptions{
-		Scheduler:   SchedulerOptions{Mode: WeightsStatic},
-		StaticWT:    wT,
-		StaticWTSet: true,
-	})
+	return seeded(harness.StaticSatori(wT), 0)
 }
 
 // NewRandomPolicy builds the Random Search baseline.
 func NewRandomPolicy(seed uint64) func(Platform) (Policy, error) {
-	return func(p Platform) (Policy, error) {
-		return policy.NewRandom(p.Space(), seed), nil
-	}
+	return seeded(harness.Random, seed)
 }
 
 // NewStaticPolicy builds the hold-current-partition (unmanaged) baseline.
-func NewStaticPolicy() func(Platform) (Policy, error) {
-	return func(Platform) (Policy, error) { return policy.Static{}, nil }
-}
+func NewStaticPolicy() func(Platform) (Policy, error) { return seeded(harness.Static, 0) }
 
 // NewDCATPolicy builds the dCAT baseline (throughput-oriented dynamic LLC
 // way partitioning).
-func NewDCATPolicy() func(Platform) (Policy, error) {
-	return func(p Platform) (Policy, error) {
-		return dcat.New(p.Space(), dcat.Options{})
-	}
-}
+func NewDCATPolicy() func(Platform) (Policy, error) { return seeded(harness.DCAT, 0) }
 
 // NewCoPartPolicy builds the CoPart baseline (fairness-oriented dual-FSM
 // partitioning of LLC ways and memory bandwidth).
-func NewCoPartPolicy() func(Platform) (Policy, error) {
-	return func(p Platform) (Policy, error) {
-		return copart.New(p.Space(), copart.Options{})
-	}
-}
+func NewCoPartPolicy() func(Platform) (Policy, error) { return seeded(harness.CoPart, 0) }
 
 // NewPARTIESPolicy builds the adapted-PARTIES baseline (gradient-descent,
 // one resource dimension at a time, balanced objective).
-func NewPARTIESPolicy() func(Platform) (Policy, error) {
-	return func(p Platform) (Policy, error) {
-		return parties.New(p.Space(), parties.Options{}), nil
-	}
-}
+func NewPARTIESPolicy() func(Platform) (Policy, error) { return seeded(harness.PARTIES, 0) }
 
 // NewClusteredSatoriPolicy builds SATORI behind the cluster indirection:
 // jobs are classified online (LFOC-style) into at most k clusters and
@@ -96,24 +74,12 @@ func NewPARTIESPolicy() func(Platform) (Policy, error) {
 // grouping is pushed down so the hardware layout follows every
 // membership migration.
 func NewClusteredSatoriPolicy(k int, opt EngineOptions) func(Platform) (Policy, error) {
-	return func(p Platform) (Policy, error) {
-		g, _ := rdt.As[rdt.Grouper](p)
-		return cluster.New(p.Space(), cluster.Options{
-			K:       k,
-			Inner:   func(space *resource.Space) (Policy, error) { return core.New(space, opt) },
-			Grouper: g,
-		})
-	}
+	return seeded(harness.ClusteredSatori(k, opt), 0)
 }
 
 // NewLFOCPolicy builds the standalone LFOC baseline: the same online
 // classifier, allocation computed directly from the classes (no search).
-func NewLFOCPolicy(k int) func(Platform) (Policy, error) {
-	return func(p Platform) (Policy, error) {
-		g, _ := rdt.As[rdt.Grouper](p)
-		return cluster.NewLFOC(p.Space(), cluster.LFOCOptions{K: k, Grouper: g})
-	}
-}
+func NewLFOCPolicy(k int) func(Platform) (Policy, error) { return seeded(harness.LFOC(k), 0) }
 
 // OracleGoal selects a brute-force oracle variant.
 type OracleGoal = oracle.Goal
@@ -125,51 +91,30 @@ const (
 	FairnessOracle   = oracle.Fairness
 )
 
-// NewOraclePolicy builds a brute-force oracle. It requires a simulated
-// platform (oracles read the noise-free model — they are offline,
-// practically-infeasible references).
+// NewOraclePolicy builds a brute-force oracle. It requires a platform
+// with the simulator underneath (oracles read the noise-free model —
+// they are offline, practically-infeasible references) and fails naming
+// the oracle and what it needs on any other.
 func NewOraclePolicy(goal OracleGoal) func(Platform) (Policy, error) {
-	return func(p Platform) (Policy, error) {
-		sp, ok := rdt.As[*rdt.SimPlatform](p)
-		if !ok {
-			return nil, errNotSimulated
-		}
-		return oracle.New(goal, sp.Simulator(), oracle.Options{
-			ThroughputMetric: SumIPS,
-			FairnessMetric:   JainIndex,
-		}), nil
-	}
+	return seeded(harness.Oracle(goal, oracle.Options{
+		ThroughputMetric: SumIPS,
+		FairnessMetric:   JainIndex,
+	}), 0)
 }
 
 // NewPolicyByName builds a session policy factory from the shared policy
-// name registry — the same table cmd/satori, cmd/fleet and the harness
-// use, so every front-end accepts identical names. Unknown names error
-// with the sorted list of valid ones. seed parameterizes stochastic
-// policies (SATORI's candidate sampling, Random's draw sequence). The
-// registry builds against the simulator, which the platform must have
-// underneath (fault injectors and other decorators are looked through).
+// name registry — the same table cmd/satori, cmd/satorid, cmd/fleet and
+// the harness use, so every front-end accepts identical names on every
+// backend. Unknown names error with the sorted list of valid ones. seed
+// parameterizes stochastic policies (SATORI's candidate sampling,
+// Random's draw sequence). The policy is built against whatever platform
+// the session drives; only the oracle names need the simulator
+// underneath (fault injectors and other decorators are looked through)
+// and fail, naming the policy, where there is none.
 func NewPolicyByName(name string, seed uint64) (func(Platform) (Policy, error), error) {
-	factory, err := harness.PolicyByName(name)
-	if err != nil {
-		return nil, err
-	}
-	build := harness.Bind(factory, seed)
-	return func(p Platform) (Policy, error) {
-		pol, err := build(p)
-		if err != nil {
-			return nil, fmt.Errorf("satori: policy %q: %w", name, err)
-		}
-		return pol, nil
-	}, nil
+	build, _, err := harness.ResolvePolicy(name, seed, 0)
+	return build, err
 }
 
 // PolicyNames lists every registered policy name, sorted.
 func PolicyNames() []string { return harness.PolicyNames() }
-
-type notSimulatedError struct{}
-
-func (notSimulatedError) Error() string {
-	return "satori: oracle policies need a simulated platform (noise-free model access)"
-}
-
-var errNotSimulated = notSimulatedError{}
