@@ -8,10 +8,9 @@ import (
 	"satori/internal/sim"
 )
 
-// churnSession builds a 2-job session whose policy is a SATORI engine,
-// optionally on the FullRefit proxy path, and runs it long enough to
-// accumulate GP observations.
-func churnSession(t *testing.T, fullRefit bool) *Session {
+// churnSession builds a 2-job session whose policy is a SATORI engine and
+// runs it long enough to accumulate GP observations.
+func churnSession(t *testing.T) *Session {
 	t.Helper()
 	jobs, err := Suite(SuitePARSEC)
 	if err != nil {
@@ -21,7 +20,7 @@ func churnSession(t *testing.T, fullRefit bool) *Session {
 		Workloads: jobs[:2],
 		Seed:      11,
 		Policy: func(p Platform) (Policy, error) {
-			return core.New(p.Space(), core.Options{Seed: 11, FullRefit: fullRefit})
+			return core.New(p.Space(), core.Options{Seed: 11})
 		},
 	})
 	if err != nil {
@@ -35,15 +34,14 @@ func churnSession(t *testing.T, fullRefit bool) *Session {
 	return sess
 }
 
-// testChurnReinit is the membership-change contract, shared by the
-// incremental and FullRefit engine paths: after AddWorkload /
-// RemoveWorkload the isolated baselines are re-measured at the new job
-// count, the engine is a fresh instance with an empty observation window
-// (no stale-job observations can leak into the GP — its inputs are
-// per-(resource, job) coordinates), and the next observation carries
-// BaselineReset.
-func testChurnReinit(t *testing.T, fullRefit bool) {
-	sess := churnSession(t, fullRefit)
+// TestChurnReinitIncremental is the membership-change contract: after
+// AddWorkload / RemoveWorkload the isolated baselines are re-measured at
+// the new job count, the engine is a fresh instance with an empty
+// observation window (no stale-job observations can leak into the GP — its
+// inputs are per-(resource, job) coordinates), and the next observation
+// carries BaselineReset.
+func TestChurnReinitIncremental(t *testing.T) {
+	sess := churnSession(t)
 	jobs, err := Suite(SuitePARSEC)
 	if err != nil {
 		t.Fatal(err)
@@ -113,14 +111,11 @@ func testChurnReinit(t *testing.T, fullRefit bool) {
 	}
 }
 
-func TestChurnReinitIncremental(t *testing.T) { testChurnReinit(t, false) }
-func TestChurnReinitFullRefit(t *testing.T)   { testChurnReinit(t, true) }
-
 // TestChurnRejectsStaleConfig: a config captured before churn must be
 // rejected by the platform with the typed shape error, end to end
 // through the session's platform.
 func TestChurnRejectsStaleConfig(t *testing.T) {
-	sess := churnSession(t, false)
+	sess := churnSession(t)
 	jobs, err := Suite(SuitePARSEC)
 	if err != nil {
 		t.Fatal(err)

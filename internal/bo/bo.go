@@ -89,25 +89,14 @@ func stdNormCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }
 
-// Model is the posterior interface the acquisition machinery scores
-// against. Both *gp.GP and *gp.Incremental satisfy it; the incremental
-// model's Predict reuses internal scratch, so batch-scoring a candidate
-// set through Suggest allocates nothing.
-type Model interface {
-	Predict(x []float64) (mu, sigma float64)
-}
-
 // PosteriorModel is the joint-posterior interface Thompson sampling needs.
 type PosteriorModel interface {
 	Posterior(points [][]float64) (mu []float64, cov *linalg.Matrix)
 }
 
 // BatchModel is the pool-scoring interface: one call fills the posterior
-// mean and stddev for every candidate through a single matrix-level
-// triangular solve against the shared Cholesky factor. Both *gp.GP and
-// *gp.Incremental satisfy it, and both guarantee results bit-identical to
-// per-candidate Predict — which is what lets SuggestBatch replace Suggest
-// on the engine's default path without moving a single golden byte.
+// mean and stddev for every candidate through matrix-level triangular
+// solves against the shared Cholesky factor. *gp.Incremental satisfies it.
 type BatchModel interface {
 	PredictBatchInto(s *gp.PredictScratch, mu, sigma []float64, points [][]float64)
 }
@@ -115,42 +104,13 @@ type BatchModel interface {
 // ErrNoFiniteScore is returned when every candidate's acquisition score is
 // NaN or infinite — a degenerate posterior (e.g. collapsed length-scale or
 // an incumbent of ±Inf), not a legitimate "hold the current config"
-// signal. Callers that previously treated idx < 0 with a nil error as a
-// hold must surface this instead.
+// signal.
 var ErrNoFiniteScore = errors.New("bo: no candidate produced a finite acquisition score")
 
-// Suggest returns the index of the candidate maximizing the acquisition
-// under the posterior m, along with the winning score. Candidates whose
-// score is NaN or ±Inf are skipped; if none survives, Suggest reports
-// ErrNoFiniteScore rather than silently returning index -1.
-func Suggest(m Model, acq Acquisition, best float64, candidates [][]float64) (int, float64, error) {
-	if len(candidates) == 0 {
-		return -1, 0, errors.New("bo: no candidates to score")
-	}
-	bestIdx, bestScore := -1, math.Inf(-1)
-	for i, x := range candidates {
-		mu, sigma := m.Predict(x)
-		s := acq.Score(mu, sigma, best)
-		if math.IsNaN(s) || math.IsInf(s, 0) {
-			continue
-		}
-		if s > bestScore {
-			bestIdx, bestScore = i, s
-		}
-	}
-	if bestIdx < 0 {
-		return -1, 0, ErrNoFiniteScore
-	}
-	return bestIdx, bestScore, nil
-}
-
-// SuggestBatch is Suggest over a BatchModel: the whole candidate pool is
-// scored with one PredictBatchInto call, then Argmax replays Suggest's
-// selection. Because the batched posterior is bit-identical to
-// per-candidate Predict, the chosen index and score always match
-// Suggest's. mu and sigma are caller-owned scratch of length
-// len(candidates); scratch may be nil, in which case a temporary is
-// allocated.
+// SuggestBatch scores the whole candidate pool with one PredictBatchInto
+// call and returns Argmax's choice over it. mu and sigma are caller-owned
+// scratch of length len(candidates); scratch may be nil, in which case a
+// temporary is allocated.
 func SuggestBatch(m BatchModel, scratch *gp.PredictScratch, acq Acquisition, best float64, candidates [][]float64, mu, sigma []float64) (int, float64, error) {
 	if len(candidates) == 0 {
 		return -1, 0, errors.New("bo: no candidates to score")
@@ -162,10 +122,12 @@ func SuggestBatch(m BatchModel, scratch *gp.PredictScratch, acq Acquisition, bes
 	return Argmax(acq, best, mu, sigma)
 }
 
-// Argmax is Suggest's selection over a pool whose posterior (mu[i],
-// sigma[i]) is already known, however it was scored: non-finite
-// acquisition scores are skipped, the first strict maximum wins, and
-// ErrNoFiniteScore is reported when nothing survives.
+// Argmax returns the index of the candidate maximizing the acquisition,
+// along with the winning score, over a pool whose posterior (mu[i],
+// sigma[i]) is already known, however it was scored. Candidates whose score
+// is NaN or ±Inf are skipped and the first strict maximum wins; if none
+// survives, Argmax reports ErrNoFiniteScore rather than silently returning
+// index -1.
 func Argmax(acq Acquisition, best float64, mu, sigma []float64) (int, float64, error) {
 	if len(mu) == 0 {
 		return -1, 0, errors.New("bo: no candidates to score")

@@ -87,32 +87,43 @@ func TestAcquisitionNames(t *testing.T) {
 	}
 }
 
+// fitted returns the incremental model fitted on (xs, ys).
+func fitted(t *testing.T, xs [][]float64, ys []float64, opt gp.Options) *gp.Incremental {
+	t.Helper()
+	m := gp.NewIncremental(opt)
+	if err := m.Reset(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// suggest runs SuggestBatch with throwaway scratch.
+func suggest(m BatchModel, acq Acquisition, best float64, cands [][]float64) (int, float64, error) {
+	return SuggestBatch(m, nil, acq, best, cands, make([]float64, len(cands)), make([]float64, len(cands)))
+}
+
 func TestSuggestPrefersUnexploredOverKnownBad(t *testing.T) {
 	// Observations: low values at x=0 and x=1; candidate far away should
 	// win EI over a candidate at a known-bad location.
 	xs := [][]float64{{0}, {0.05}, {1}, {0.95}}
 	ys := []float64{0.1, 0.12, 0.1, 0.11}
-	model, err := gp.Fit(xs, ys, gp.Options{Kernel: gp.Matern52{LengthScale: 0.1, Variance: 1}, Noise: 1e-4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands := [][]float64{{0.01}, {0.5}}
-	idx, score, err := Suggest(model, EI{}, 0.12, cands)
+	model := fitted(t, xs, ys, gp.Options{Kernel: gp.Matern52{LengthScale: 0.1, Variance: 1}, Noise: 1e-4})
+	idx, score, err := suggest(model, EI{}, 0.12, [][]float64{{0.01}, {0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if idx != 1 {
-		t.Errorf("Suggest picked known-bad region (idx %d, score %g)", idx, score)
+		t.Errorf("SuggestBatch picked known-bad region (idx %d, score %g)", idx, score)
 	}
 }
 
 func TestSuggestEmptyCandidates(t *testing.T) {
-	model, err := gp.Fit([][]float64{{0}}, []float64{1}, gp.Options{})
-	if err != nil {
-		t.Fatal(err)
+	model := fitted(t, [][]float64{{0}}, []float64{1}, gp.Options{})
+	if _, _, err := suggest(model, EI{}, 1, nil); err == nil {
+		t.Error("SuggestBatch accepted an empty candidate set")
 	}
-	if _, _, err := Suggest(model, EI{}, 1, nil); err == nil {
-		t.Error("empty candidate set accepted")
+	if _, _, err := Argmax(EI{}, 1, nil, nil); err == nil {
+		t.Error("Argmax accepted an empty pool")
 	}
 }
 
@@ -141,12 +152,9 @@ func (l *boLoop) best() (x []float64, y float64) {
 
 func (l *boLoop) suggest(t *testing.T, candidates [][]float64) int {
 	t.Helper()
-	model, err := gp.Fit(l.xs, l.ys, gp.Options{Noise: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
+	model := fitted(t, l.xs, l.ys, gp.Options{Noise: 1e-6})
 	_, incumbent := l.best()
-	idx, _, err := Suggest(model, EI{}, incumbent, candidates)
+	idx, _, err := suggest(model, EI{}, incumbent, candidates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,21 +285,13 @@ func TestThompsonSuggestErrors(t *testing.T) {
 	}
 }
 
-// scriptedModel is a Model stub whose prediction is a pure function of the
-// candidate, for driving degenerate posteriors through Suggest.
-type scriptedModel struct {
-	predict func(x []float64) (float64, float64)
-}
-
-func (m scriptedModel) Predict(x []float64) (float64, float64) { return m.predict(x) }
-
 // TestSuggestAllNaNScoresReturnsTypedError is the regression test for the
-// silent-failure bug: Suggest used to return idx=-1 with a NIL error when
-// every score was NaN, and the engine then silently held the current
-// config. It must now surface ErrNoFiniteScore.
+// silent-failure bug: the suggest step used to return idx=-1 with a NIL
+// error when every score was NaN, and the engine then silently held the
+// current config. It must surface ErrNoFiniteScore.
 func TestSuggestAllNaNScoresReturnsTypedError(t *testing.T) {
-	nan := scriptedModel{predict: func([]float64) (float64, float64) { return math.NaN(), 1 }}
-	idx, _, err := Suggest(nan, EI{}, 0, [][]float64{{0}, {1}})
+	nan := math.NaN()
+	idx, _, err := Argmax(EI{}, 0, []float64{nan, nan}, []float64{1, 1})
 	if !errors.Is(err, ErrNoFiniteScore) {
 		t.Fatalf("all-NaN scores: got idx=%d err=%v, want ErrNoFiniteScore", idx, err)
 	}
@@ -301,59 +301,55 @@ func TestSuggestAllNaNScoresReturnsTypedError(t *testing.T) {
 
 	// A degenerate incumbent (best=+Inf) drives EI to NaN through a
 	// perfectly healthy GP — the realistic trigger.
-	model, ferr := gp.Fit([][]float64{{0}, {0.5}}, []float64{0.1, 0.2}, gp.Options{})
-	if ferr != nil {
-		t.Fatal(ferr)
-	}
-	if _, _, err := Suggest(model, EI{}, math.Inf(1), [][]float64{{0.2}, {0.8}}); !errors.Is(err, ErrNoFiniteScore) {
+	model := fitted(t, [][]float64{{0}, {0.5}}, []float64{0.1, 0.2}, gp.Options{})
+	if _, _, err := suggest(model, EI{}, math.Inf(1), [][]float64{{0.2}, {0.8}}); !errors.Is(err, ErrNoFiniteScore) {
 		t.Fatalf("best=+Inf: err=%v, want ErrNoFiniteScore", err)
 	}
 }
 
 // TestSuggestSkipsNonFiniteScores: candidates with NaN/Inf scores must be
-// passed over, not win or poison the argmax.
+// passed over, not win or poison the argmax, and of two equal maxima the
+// first wins.
 func TestSuggestSkipsNonFiniteScores(t *testing.T) {
-	m := scriptedModel{predict: func(x []float64) (float64, float64) {
-		switch {
-		case x[0] < 0:
-			return math.NaN(), 1
-		case x[0] > 10:
-			return math.Inf(1), 0
-		default:
-			return x[0], 0
-		}
-	}}
-	cands := [][]float64{{-1}, {2}, {99}, {5}, {-3}}
-	idx, score, err := Suggest(m, UCB{}, 0, cands)
+	mu := []float64{math.NaN(), 2, math.Inf(1), 5, math.NaN(), 5}
+	sigma := []float64{1, 0, 0, 0, 1, 0}
+	idx, score, err := Argmax(UCB{}, 0, mu, sigma)
 	if err != nil {
-		t.Fatalf("Suggest: %v", err)
+		t.Fatalf("Argmax: %v", err)
 	}
 	if idx != 3 || score != 5 {
-		t.Fatalf("got idx=%d score=%g, want the finite maximum idx=3 score=5", idx, score)
+		t.Fatalf("got idx=%d score=%g, want the first finite maximum idx=3 score=5", idx, score)
 	}
 }
 
-// TestSuggestAcceptsIncrementalModel pins the Model seam: the incremental
-// posterior must be scoreable by the same acquisition machinery and agree
-// with the from-scratch fit.
-func TestSuggestAcceptsIncrementalModel(t *testing.T) {
-	xs := [][]float64{{0}, {0.05}, {1}, {0.95}}
-	ys := []float64{0.1, 0.12, 0.1, 0.11}
-	opt := gp.Options{Kernel: gp.Matern52{LengthScale: 0.1, Variance: 1}, Noise: 1e-4}
+// referenceArgmax is the acquisition's choice when every candidate is
+// scored on its own by the textbook gp.Fit(...).Predict.
+func referenceArgmax(t *testing.T, xs [][]float64, ys []float64, opt gp.Options, acq Acquisition, best float64, cands [][]float64) (int, float64, error) {
+	t.Helper()
 	full, err := gp.Fit(xs, ys, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc := gp.NewIncremental(opt)
-	if err := inc.Reset(xs, ys); err != nil {
-		t.Fatal(err)
+	mu, sigma := make([]float64, len(cands)), make([]float64, len(cands))
+	for i, x := range cands {
+		mu[i], sigma[i] = full.Predict(x)
 	}
+	return Argmax(acq, best, mu, sigma)
+}
+
+// TestSuggestAcceptsIncrementalModel pins the BatchModel seam: the
+// incremental posterior must be scoreable by the acquisition machinery and
+// agree with the from-scratch fit.
+func TestSuggestAcceptsIncrementalModel(t *testing.T) {
+	xs := [][]float64{{0}, {0.05}, {1}, {0.95}}
+	ys := []float64{0.1, 0.12, 0.1, 0.11}
+	opt := gp.Options{Kernel: gp.Matern52{LengthScale: 0.1, Variance: 1}, Noise: 1e-4}
 	cands := [][]float64{{0.01}, {0.5}}
-	fi, fs, err := Suggest(full, EI{}, 0.12, cands)
+	fi, fs, err := referenceArgmax(t, xs, ys, opt, EI{}, 0.12, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ii, is, err := Suggest(inc, EI{}, 0.12, cands)
+	ii, is, err := suggest(fitted(t, xs, ys, opt), EI{}, 0.12, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +374,7 @@ func (nanPosterior) Posterior(points [][]float64) ([]float64, *linalg.Matrix) {
 }
 
 // TestThompsonSuggestAllNaNReturnsTypedError: same silent-failure class as
-// Suggest — a fully degenerate posterior must surface ErrNoFiniteScore,
+// Argmax — a fully degenerate posterior must surface ErrNoFiniteScore,
 // not an arbitrary index.
 func TestThompsonSuggestAllNaNReturnsTypedError(t *testing.T) {
 	idx, err := ThompsonSuggest(nanPosterior{}, stats.NewRNG(1), [][]float64{{0}, {1}})
@@ -387,10 +383,10 @@ func TestThompsonSuggestAllNaNReturnsTypedError(t *testing.T) {
 	}
 }
 
-// TestSuggestBatchMatchesSuggest: the batched pool scorer must return the
-// identical index and bit-identical score as the per-candidate Suggest
-// across random models, pools, and acquisitions — that equivalence is what
-// lets the engine's default path switch over without moving goldens.
+// TestSuggestBatchMatchesSuggest: the batched pool scorer must choose the
+// candidate, at the score (to 1e-9), that per-candidate scoring by the
+// reference gp.Fit model chooses, across random models, pools, and
+// acquisitions.
 func TestSuggestBatchMatchesSuggest(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	acqs := []Acquisition{EI{}, EI{Xi: 0.05}, UCB{Beta: 2}, PI{Xi: 0.01}}
@@ -408,10 +404,8 @@ func TestSuggestBatchMatchesSuggest(t *testing.T) {
 			}
 			ys[i] = rng.NormFloat64()
 		}
-		m := gp.NewIncremental(gp.Options{Kernel: kernels[trial%len(kernels)], Noise: 1e-4})
-		if err := m.Reset(xs, ys); err != nil {
-			t.Fatal(err)
-		}
+		opt := gp.Options{Kernel: kernels[trial%len(kernels)], Noise: 1e-4}
+		m := fitted(t, xs, ys, opt)
 		pool := make([][]float64, q)
 		for i := range pool {
 			pool[i] = make([]float64, dim)
@@ -426,7 +420,7 @@ func TestSuggestBatchMatchesSuggest(t *testing.T) {
 			}
 		}
 		acq := acqs[trial%len(acqs)]
-		wantIdx, wantScore, wantErr := Suggest(m, acq, best, pool)
+		wantIdx, wantScore, wantErr := referenceArgmax(t, xs, ys, opt, acq, best, pool)
 		mu := make([]float64, q)
 		sigma := make([]float64, q)
 		var scratch gp.PredictScratch
@@ -434,27 +428,18 @@ func TestSuggestBatchMatchesSuggest(t *testing.T) {
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("trial %d: err mismatch: batch %v, per-candidate %v", trial, gotErr, wantErr)
 		}
-		if gotIdx != wantIdx || gotScore != wantScore {
+		if gotIdx != wantIdx || math.Abs(gotScore-wantScore) > 1e-9 {
 			t.Fatalf("trial %d: batch (%d, %v) != per-candidate (%d, %v)", trial, gotIdx, gotScore, wantIdx, wantScore)
 		}
 	}
 }
 
 // TestSuggestBatchEmptyAndNilScratch pins the edge-case contract: empty
-// pools error like Suggest, and a nil scratch is tolerated.
+// pools error even with no scratch at all, and a nil scratch is tolerated.
 func TestSuggestBatchEmptyAndNilScratch(t *testing.T) {
-	m := gp.NewIncremental(gp.Options{})
-	if err := m.Reset([][]float64{{0}, {1}}, []float64{0, 1}); err != nil {
-		t.Fatal(err)
-	}
+	m := fitted(t, [][]float64{{0}, {1}}, []float64{0, 1}, gp.Options{})
 	if _, _, err := SuggestBatch(m, nil, EI{}, 0, nil, nil, nil); err == nil {
 		t.Fatal("empty candidates: want error, got nil")
-	}
-	if _, _, err := Argmax(EI{}, 0, nil, nil); err == nil {
-		t.Fatal("Argmax over an empty pool: want error, got nil")
-	}
-	if _, _, err := Argmax(EI{}, 0, []float64{math.NaN()}, []float64{1}); !errors.Is(err, ErrNoFiniteScore) {
-		t.Fatalf("Argmax over an all-NaN pool: got %v, want ErrNoFiniteScore", err)
 	}
 	pool := [][]float64{{0.25}, {0.75}}
 	mu := make([]float64, 2)

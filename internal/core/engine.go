@@ -7,7 +7,6 @@ import (
 
 	"satori/internal/bo"
 	"satori/internal/gp"
-	"satori/internal/linalg"
 	"satori/internal/policy"
 	"satori/internal/resource"
 	"satori/internal/stats"
@@ -64,11 +63,6 @@ type Options struct {
 	// manages everything. Used for the Sec. V source-of-benefit
 	// ablation (SATORI on LLC only vs dCAT; LLC+MBW vs CoPart).
 	Managed []resource.Kind
-	// FullRefit rebuilds the proxy model from scratch with gp.Fit every
-	// tick instead of updating it incrementally — the pre-incremental
-	// behavior, kept as the golden reference for equivalence tests and
-	// as the overhead benchmarks' baseline.
-	FullRefit bool
 	// Name overrides the policy name in reports.
 	Name string
 }
@@ -102,24 +96,31 @@ type Engine struct {
 	rng   *stats.RNG
 	sched *Scheduler
 	recs  *Records
+	// acq is Options.Acquisition resolved once by New; nil is Thompson
+	// sampling, which draws from the joint posterior instead of scoring.
+	// exploitBelow is the acquisition score under which the engine holds
+	// the incumbent: Options.ExploitThreshold for EI, -Inf (never) for the
+	// alternatives, whose scores are not expected improvements.
+	acq          bo.Acquisition
+	exploitBelow float64
 
 	initQueue   []resource.Config
 	managedRow  []bool
 	managedRows []int // indices of managed rows, for uniform sampling
 	equalSplit  resource.Config
 
-	sweep       int // proxy-change sweeps run so far (trackProxyChange)
-	proxyChange float64
-	lastObj     float64
-	lastWeights Weights
-	fitFailures int
-	acqFailures int
-	decideTicks int
-	exploits    int
+	// Diagnostics, each written by exactly one stage of Decide.
+	lastWeights Weights // scheduleWeights
+	lastObj     float64 // scheduleWeights
+	fitFailures int     // syncModel
+	sweep       int     // trackProxyChange: sweeps run so far
+	proxyChange float64 // trackProxyChange
+	acqFailures int     // settle
+	exploits    int     // settle
 
-	// Incremental proxy-model state: model row i conditions on
-	// modelRecs[i] (Record.row is the inverse), so per-tick target
-	// reconstruction can feed UpdateTargets/Append in model order.
+	// The proxy model: row i conditions on modelRecs[i] (Record.row is the
+	// inverse), so per-tick target reconstruction can feed
+	// UpdateTargets/Append in model order.
 	model     *gp.Incremental
 	modelRecs []*Record
 
@@ -148,11 +149,20 @@ type neighborBlock struct {
 	gp.Block
 }
 
-// proxyModel is the posterior surface Decide scores against — satisfied
-// by both the incremental model and the from-scratch *gp.GP.
-type proxyModel interface {
-	Predict(x []float64) (mu, sigma float64)
-	Posterior(points [][]float64) (mu []float64, cov *linalg.Matrix)
+// tick is the state one Decide call threads through its stages.
+type tick struct {
+	obs     policy.Observation
+	current resource.Config
+	w       Weights // this tick's goal weights
+
+	window  []*Record       // most recent records, the proxy model's inputs
+	best    float64         // highest window objective under w
+	bestCfg resource.Config // the incumbent: the configuration that reached it
+	top     [3]*Record      // best topN window records, descending objective
+	topN    int
+	topEnd  [3]int // pool index one past each top record's neighborhood
+
+	mu, sigma []float64 // the proxy model's posterior over the pool
 }
 
 // New builds a SATORI engine over space.
@@ -167,16 +177,23 @@ func New(space *resource.Space, opt Options) (*Engine, error) {
 		sched = NewScheduler(opt.Scheduler)
 	}
 	e := &Engine{
-		space:      space,
-		opt:        opt,
-		rng:        stats.NewRNG(opt.Seed ^ 0x5A7031),
-		sched:      sched,
-		recs:       NewRecords(),
-		equalSplit: space.EqualSplit(),
-		model:      gp.NewIncremental(gp.Options{Noise: opt.Noise}),
+		space:        space,
+		opt:          opt,
+		rng:          stats.NewRNG(opt.Seed ^ 0x5A7031),
+		sched:        sched,
+		recs:         NewRecords(),
+		equalSplit:   space.EqualSplit(),
+		model:        gp.NewIncremental(gp.Options{Noise: opt.Noise}),
+		exploitBelow: math.Inf(-1),
 	}
 	switch opt.Acquisition {
-	case "", "ei", "ucb", "pi", "ts":
+	case "", "ei":
+		e.acq, e.exploitBelow = bo.EI{Xi: opt.Xi}, opt.ExploitThreshold
+	case "ucb":
+		e.acq = bo.UCB{Beta: 2}
+	case "pi":
+		e.acq = bo.PI{Xi: opt.Xi}
+	case "ts":
 	default:
 		return nil, fmt.Errorf("core: unknown acquisition %q (want ei, ucb, pi, or ts)", opt.Acquisition)
 	}
@@ -209,7 +226,7 @@ func New(space *resource.Space, opt Options) (*Engine, error) {
 	if opt.RandomInit {
 		// Ablation mode: random initial design.
 		for i := 0; i < opt.InitialSamples; i++ {
-			e.initQueue = append(e.initQueue, e.restrictToManaged(space.Random(e.rng)))
+			e.initQueue = append(e.initQueue, e.randomConfig())
 		}
 		return e, nil
 	}
@@ -219,9 +236,9 @@ func New(space *resource.Space, opt Options) (*Engine, error) {
 		if len(e.initQueue) >= opt.InitialSamples {
 			break
 		}
-		mc := e.restrictToManaged(c)
-		if len(e.initQueue) == 0 || !containsConfig(e.initQueue, mc) {
-			e.initQueue = append(e.initQueue, mc)
+		e.pinUnmanaged(c)
+		if len(e.initQueue) == 0 || !containsConfig(e.initQueue, c) {
+			e.initQueue = append(e.initQueue, c)
 		}
 	}
 	return e, nil
@@ -267,194 +284,160 @@ func (e *Engine) Name() string {
 	}
 }
 
-// restrictToManaged pins unmanaged resource rows to the equal split.
-func (e *Engine) restrictToManaged(c resource.Config) resource.Config {
-	out := c.Clone()
+// pinUnmanaged pins the unmanaged resource rows of c to the equal split,
+// in place.
+func (e *Engine) pinUnmanaged(c resource.Config) {
 	for r, managed := range e.managedRow {
 		if !managed {
-			copy(out.Alloc[r], e.equalSplit.Alloc[r])
+			copy(c.Alloc[r], e.equalSplit.Alloc[r])
 		}
 	}
-	return out
 }
 
-// randomWalk applies up to steps random one-unit moves in managed rows.
-// Rows are sampled from the managed set only: drawing over all rows and
-// skipping unmanaged ones would consume steps without moving, so walks
-// under the Sec. V source-of-benefit ablations (Managed restricted to a
-// subset) would be systematically shorter than full SATORI's.
-func (e *Engine) randomWalk(c resource.Config, steps int) resource.Config {
-	dst := e.space.NewConfig()
-	e.randomWalkInto(dst, c, steps)
-	return dst
+// randomConfig draws a fresh uniform random managed configuration.
+func (e *Engine) randomConfig() resource.Config {
+	c := e.space.Random(e.rng)
+	e.pinUnmanaged(c)
+	return c
 }
 
-// Decide implements policy.Policy — one iteration of Algorithm 1.
+// Decide implements policy.Policy — one iteration of Algorithm 1, as the
+// list of its stages. Only the stages touch engine state, and each
+// diagnostic counter has one stage that writes it.
 func (e *Engine) Decide(obs policy.Observation, current resource.Config) resource.Config {
-	e.decideTicks++
-	// (1) Weights for this tick's objective function (Sec. III-C).
-	// SLO-aware scheduling also needs the loop's violation state: fed
-	// here, before Step fixes this tick's weights.
-	if e.sched.Mode() == WeightsSLOAware {
-		e.sched.SetSLOViolating(obs.SLOViolating)
-	}
-	w := e.sched.Step(obs.Throughput, obs.Fairness)
-	e.lastWeights = w
-	e.lastObj = w.T*obs.Throughput + w.F*obs.Fairness
-
-	// (2) Fold the observation into the per-goal records (Sec. III-B).
-	e.recs.Update(e.space, current, obs.Throughput, obs.Fairness, obs.Tick)
-
-	// (3) Seeding phase: walk the initial design first.
-	if len(e.initQueue) > 0 {
-		next := e.initQueue[0]
-		e.initQueue = e.initQueue[1:]
+	t := tick{obs: obs, current: current}
+	e.scheduleWeights(&t)
+	e.record(&t)
+	if next, seeding := e.seed(); seeding {
 		return next
 	}
+	e.rankWindow(&t)
+	if err := e.syncModel(t.window, t.w); err != nil {
+		// Degenerate window (should not happen after seeding): explore.
+		return e.randomConfig()
+	}
+	e.trackProxyChange(t.window)
+	e.buildPool(&t)
+	e.scorePool(&t)
+	idx, score, err := e.acquire(&t)
+	return e.settle(&t, idx, score, err)
+}
 
-	// (4) Software reconstruction of the objective for every recorded
-	// configuration under the fresh weights, then proxy-model update.
+// scheduleWeights fixes this tick's goal weights (Sec. III-C) and the
+// objective value the observation scores under them. SLO-aware scheduling
+// also needs the loop's violation state, fed before the scheduler steps.
+func (e *Engine) scheduleWeights(t *tick) {
+	if e.sched.Mode() == WeightsSLOAware {
+		e.sched.SetSLOViolating(t.obs.SLOViolating)
+	}
+	t.w = e.sched.Step(t.obs.Throughput, t.obs.Fairness)
+	e.lastWeights = t.w
+	e.lastObj = t.w.T*t.obs.Throughput + t.w.F*t.obs.Fairness
+}
+
+// record folds the observation into the per-goal records (Sec. III-B).
+func (e *Engine) record(t *tick) {
+	e.recs.Update(e.space, t.current, t.obs.Throughput, t.obs.Fairness, t.obs.Tick)
+}
+
+// seed hands out the next configuration of the initial design while any
+// is left; the model is not consulted until all of it has been observed.
+func (e *Engine) seed() (next resource.Config, seeding bool) {
+	if len(e.initQueue) == 0 {
+		return resource.Config{}, false
+	}
+	next, e.initQueue = e.initQueue[0], e.initQueue[1:]
+	return next, true
+}
+
+// rankWindow reconstructs, in software, the objective of every window
+// record under this tick's weights (Sec. III-B) and ranks them: the
+// incumbent best, and the top few records whose neighborhoods seed the
+// pool (fixed arrays keep them off the heap).
+func (e *Engine) rankWindow(t *tick) {
 	e.windowBuf = e.recs.WindowInto(e.windowBuf, e.opt.Window)
-	window := e.windowBuf
-	best := math.Inf(-1)
-	var bestCfg resource.Config
-	// Top few configurations (descending objective) for neighborhood
-	// seeding, kept in fixed arrays to stay off the heap.
-	topN := 0
-	var topY [3]float64
-	var topRec [3]*Record
-	for _, rec := range window {
-		y := rec.Objective(w)
-		if y > best {
-			best = y
-			bestCfg = rec.Config
+	t.window = e.windowBuf
+	t.best = math.Inf(-1)
+	var topY [len(t.top)]float64
+	for _, rec := range t.window {
+		y := rec.Objective(t.w)
+		if y > t.best {
+			t.best, t.bestCfg = y, rec.Config
 		}
-		p := topN
-		for i := 0; i < topN; i++ {
+		p := t.topN
+		for i := 0; i < t.topN; i++ {
 			if y > topY[i] {
 				p = i
 				break
 			}
 		}
-		if p < 3 && (p < topN || topN < 3) {
-			if topN < 3 {
-				topN++
-			}
-			for i := topN - 1; i > p; i-- {
-				topY[i], topRec[i] = topY[i-1], topRec[i-1]
-			}
-			topY[p], topRec[p] = y, rec
+		if p == len(t.top) {
+			continue
 		}
+		if t.topN < len(t.top) {
+			t.topN++
+		}
+		for i := t.topN - 1; i > p; i-- {
+			topY[i], t.top[i] = topY[i-1], t.top[i-1]
+		}
+		topY[p], t.top[p] = y, rec
 	}
-	var model proxyModel
-	var full *gp.GP // the FullRefit reference model; nil on the incremental path
-	if e.opt.FullRefit {
-		// Golden reference path: rebuild the kernel matrix and
-		// refactorize from scratch, exactly as before the incremental
-		// model existed.
-		e.xsBuf, e.ysBuf = e.xsBuf[:0], e.ysBuf[:0]
-		for _, rec := range window {
-			e.xsBuf = append(e.xsBuf, rec.Vector)
-			e.ysBuf = append(e.ysBuf, rec.Objective(w))
-		}
-		var err error
-		full, err = gp.Fit(e.xsBuf, e.ysBuf, gp.Options{Noise: e.opt.Noise})
-		if err != nil {
-			// Degenerate window (should not happen after seeding):
-			// fall back to exploration.
-			e.fitFailures++
-			return e.restrictToManaged(e.space.Random(e.rng))
-		}
-		model = full
-	} else {
-		if err := e.syncModel(window, w); err != nil {
-			e.fitFailures++
-			return e.restrictToManaged(e.space.Random(e.rng))
-		}
-		model = e.model
-	}
-	e.trackProxyChange(window, full)
+}
 
-	// (5) Candidate pool: uniform random managed configurations for
-	// global coverage, short random walks from the incumbent for local
-	// refinement (uniform compositions are often pathologically
-	// imbalanced, and probing them in a live system punishes the
-	// starved jobs — cf. the worst-job metric of Fig. 9), plus the
-	// exact neighborhoods of the best few recorded configurations.
-	// Configurations and vectors live in per-engine pools; the
-	// generation order (and therefore the RNG draw sequence) is
-	// identical to the allocating code it replaced.
+// buildPool fills the candidate pool: uniform random managed
+// configurations for global coverage, short random walks from the
+// incumbent for local refinement (uniform compositions are often
+// pathologically imbalanced, and probing them in a live system punishes
+// the starved jobs — cf. the worst-job metric of Fig. 9), then the exact
+// neighborhoods of the top records. Configurations live in a per-engine
+// pool; the generation order fixes the RNG draw sequence.
+func (e *Engine) buildPool(t *tick) {
 	e.candCount = 0
 	for i := 0; i < e.opt.Candidates/2; i++ {
 		c := e.nextCandidate()
 		e.space.RandomInto(e.rng, c)
-		e.clampUnmanaged(c)
+		e.pinUnmanaged(c)
 	}
 	for i := e.opt.Candidates / 2; i < e.opt.Candidates; i++ {
-		e.randomWalkInto(e.nextCandidate(), bestCfg, 3)
+		e.randomWalkInto(e.nextCandidate(), t.bestCfg, 3)
 	}
-	var topEnd [3]int // pool index one past each top configuration's neighborhood
-	for t := 0; t < topN; t++ {
-		e.appendManagedNeighbors(topRec[t].Config)
-		topEnd[t] = e.candCount
+	for i, rec := range t.top[:t.topN] {
+		e.appendManagedNeighbors(rec.Config)
+		t.topEnd[i] = e.candCount
 	}
-	cands := e.candidateCfg[:e.candCount]
+}
 
-	// (6) Acquisition maximization (Expected Improvement by default,
-	// Sec. III-A; UCB/PI/Thompson for the acquisition ablation). A
-	// degenerate posterior (bo.ErrNoFiniteScore) or any other
-	// acquisition error holds the current configuration, but is counted
-	// in diagnostics instead of silently masquerading as a hold.
-	// The steady-state path scores the pool block by block with
-	// matrix-level triangular solves (bit-identical to per-candidate
-	// scoring, so goldens are unaffected); the FullRefit ablation keeps
-	// the per-candidate bo.Suggest as the golden reference path.
-	suggest := func(acq bo.Acquisition) (int, float64, error) {
-		if e.opt.FullRefit {
-			return bo.Suggest(model, acq, best, e.vectors(0, len(cands)))
-		}
-		mu, sigma := e.scorePool(topRec[:topN], topEnd[:topN])
-		return bo.Argmax(acq, best, mu, sigma)
+// acquire maximizes the acquisition over the scored pool (Expected
+// Improvement by default, Sec. III-A; UCB/PI/Thompson for the acquisition
+// ablation), returning the winner's pool index and score. Thompson sampling
+// draws from the joint posterior over the pool and has no score.
+func (e *Engine) acquire(t *tick) (idx int, score float64, err error) {
+	if e.acq == nil {
+		idx, err = bo.ThompsonSuggest(e.model, e.rng, e.vectors(0, e.candCount))
+		return idx, 0, err
 	}
-	var idx int
-	var score float64
-	var err error
-	switch e.opt.Acquisition {
-	case "", "ei":
-		idx, score, err = suggest(bo.EI{Xi: e.opt.Xi})
-		if err != nil || idx < 0 {
-			e.acqFailures++
-			return current
-		}
-		// (7) Exploit when no candidate promises a meaningful
-		// improvement: hold (or return to) the incumbent best
-		// configuration instead of paying for another probe in the
-		// running system.
-		if score < e.opt.ExploitThreshold {
-			e.exploits++
-			return bestCfg
-		}
-	case "ucb":
-		idx, _, err = suggest(bo.UCB{Beta: 2})
-		if err != nil || idx < 0 {
-			e.acqFailures++
-			return current
-		}
-	case "pi":
-		idx, _, err = suggest(bo.PI{Xi: e.opt.Xi})
-		if err != nil || idx < 0 {
-			e.acqFailures++
-			return current
-		}
-	case "ts":
-		idx, err = bo.ThompsonSuggest(model, e.rng, e.vectors(0, len(cands)))
-		if err != nil || idx < 0 {
-			e.acqFailures++
-			return current
-		}
+	return bo.Argmax(e.acq, t.best, t.mu, t.sigma)
+}
+
+// settle turns the acquisition's result into the tick's decision and
+// counts it. A degenerate posterior (bo.ErrNoFiniteScore) or any other
+// acquisition error keeps the current configuration, counted as a failure
+// rather than passed off as a deliberate hold. A winner promising no
+// meaningful improvement is not worth another probe in the running system:
+// the engine exploits, holding (or returning to) the incumbent — the
+// paper's "avoid frequent updates after the optimal configuration
+// detection" (Sec. V). Otherwise the winner is probed.
+func (e *Engine) settle(t *tick, idx int, score float64, err error) resource.Config {
+	switch {
+	case err != nil || idx < 0:
+		e.acqFailures++
+		return t.current
+	case score < e.exploitBelow:
+		e.exploits++
+		return t.bestCfg
 	}
 	// The pool slot is reused next tick; hand out a copy.
-	return cands[idx].Clone()
+	return e.candidateCfg[idx].Clone()
 }
 
 // syncModel folds this tick's window into the incremental proxy model,
@@ -467,8 +450,9 @@ func (e *Engine) Decide(obs policy.Observation, current resource.Config) resourc
 //   - anything else (first fit after seeding, window eviction, model
 //     recovery): full refit, adopting the window's order.
 //
-// On error the model is empty and the engine's membership tracking is
-// cleared, so the next tick re-enters through the Reset path.
+// On error the model is empty, the failure is counted and the engine's
+// membership tracking is cleared, so the next tick re-enters through the
+// Reset path.
 func (e *Engine) syncModel(window []*Record, w Weights) error {
 	n := len(window)
 	var fresh *Record
@@ -522,9 +506,10 @@ func (e *Engine) syncModel(window []*Record, w Weights) error {
 	return nil
 }
 
-// dropModel clears the membership tracking after a model failure so the
-// next tick rebuilds from the window.
+// dropModel counts a model failure and clears the membership tracking so
+// the next tick rebuilds from the window.
 func (e *Engine) dropModel(err error) error {
+	e.fitFailures++
 	e.modelRecs = e.modelRecs[:0]
 	return err
 }
@@ -540,23 +525,25 @@ func (e *Engine) vectors(lo, hi int) [][]float64 {
 	return e.candidateBuf[lo:hi]
 }
 
-// scorePool returns the incremental model's posterior mean and standard
-// deviation at every pool candidate, in pool order. The random and
-// random-walk candidates are new every tick and scored from scratch. The
-// neighborhood of top[t] — pool entries up to ends[t] — depends on that
-// record alone, so its block survives in the slot that last scored the
-// record, and the model re-scores it (means only) until a refit or append
-// outdates the block.
-func (e *Engine) scorePool(top []*Record, ends []int) (mu, sigma []float64) {
+// scorePool leaves the proxy model's posterior mean and standard deviation
+// at every pool candidate, in pool order, in t.mu and t.sigma. The random
+// and random-walk candidates are new every tick and scored from scratch.
+// The neighborhood of t.top[i] — pool entries up to t.topEnd[i] — depends
+// on that record alone, so its block survives in the slot that last scored
+// the record, and the model re-scores it (means only) until a refit or
+// append outdates the block.
+func (e *Engine) scorePool(t *tick) {
 	if cap(e.muBuf) < e.candCount {
 		e.muBuf = make([]float64, e.candCount)
 		e.sigmaBuf = make([]float64, e.candCount)
 	}
-	mu, sigma = e.muBuf[:e.candCount], e.sigmaBuf[:e.candCount]
+	mu, sigma := e.muBuf[:e.candCount], e.sigmaBuf[:e.candCount]
+	t.mu, t.sigma = mu, sigma
+	top := t.top[:t.topN]
 	lo := e.opt.Candidates
 	e.model.PredictBatchInto(&e.batchScratch, mu[:lo], sigma[:lo], e.vectors(0, lo))
-	for t, rec := range top {
-		hi := ends[t]
+	for i, rec := range top {
+		hi := t.topEnd[i]
 		blk := e.blockFor(rec, top)
 		if blk.rec != rec || !e.model.RepredictBlockInto(&blk.Block, mu[lo:hi], sigma[lo:hi]) {
 			blk.rec = rec
@@ -564,7 +551,6 @@ func (e *Engine) scorePool(top []*Record, ends []int) (mu, sigma []float64) {
 		}
 		lo = hi
 	}
-	return mu, sigma
 }
 
 // blockFor returns the slot holding rec's neighborhood block, or failing
@@ -595,19 +581,12 @@ func (e *Engine) nextCandidate() resource.Config {
 	return c
 }
 
-// clampUnmanaged pins unmanaged rows of c to the equal split, in place.
-func (e *Engine) clampUnmanaged(c resource.Config) {
-	for r, managed := range e.managedRow {
-		if !managed {
-			copy(c.Alloc[r], e.equalSplit.Alloc[r])
-		}
-	}
-}
-
 // randomWalkInto copies c into dst and applies up to steps random one-unit
-// moves in managed rows — randomWalk without the per-move clones,
-// consuming the identical RNG draw sequence (illegal moves still burn
-// their draws).
+// moves in managed rows; an illegal move still burns its draws. Rows are
+// sampled from the managed set only: drawing over all rows and skipping
+// unmanaged ones would consume steps without moving, so walks under the
+// Sec. V source-of-benefit ablations (Managed restricted to a subset) would
+// be systematically shorter than full SATORI's.
 func (e *Engine) randomWalkInto(dst, c resource.Config, steps int) {
 	dst.CopyFrom(c)
 	if len(e.managedRows) == 0 {
@@ -622,8 +601,7 @@ func (e *Engine) randomWalkInto(dst, c resource.Config, steps int) {
 }
 
 // appendManagedNeighbors pushes every one-unit move of c within managed
-// rows onto the candidate pool, in the same enumeration order as
-// managedNeighbors.
+// rows onto the candidate pool, enumerated row, then donor, then receiver.
 func (e *Engine) appendManagedNeighbors(c resource.Config) {
 	for r, managed := range e.managedRow {
 		if !managed {
@@ -650,21 +628,15 @@ func (e *Engine) appendManagedNeighbors(c resource.Config) {
 // model's predictions across consecutive iterations over the recorded
 // configurations — the quantity of Fig. 17(b).
 //
-// Every window record is a row of the incremental model once syncModel has
-// succeeded, so its posterior mean is one Gram-row dot product; full, when
-// not nil, is the FullRefit reference model to predict from instead. A
-// record counts only when the previous sweep predicted it too (a tick
-// whose fit fails runs no sweep).
-func (e *Engine) trackProxyChange(window []*Record, full *gp.GP) {
+// Every window record is a row of the proxy model once syncModel has
+// succeeded, so its posterior mean is one Gram-row dot product. A record
+// counts only when the previous sweep predicted it too (a tick whose fit
+// fails runs no sweep).
+func (e *Engine) trackProxyChange(window []*Record) {
 	e.sweep++
 	sum, n := 0.0, 0
 	for _, rec := range window {
-		var p float64
-		if full != nil {
-			p = full.PredictMean(rec.Vector)
-		} else {
-			p = e.model.PredictMeanAt(rec.row)
-		}
+		p := e.model.PredictMeanAt(rec.row)
 		if rec.predFor == e.sweep {
 			denom := math.Abs(rec.pred)
 			if denom < 1e-9 {
@@ -705,12 +677,11 @@ func (e *Engine) FitFailures() int { return e.fitFailures }
 // AcquisitionFailures counts ticks on which the acquisition could not
 // produce a candidate (degenerate posteriors scoring every candidate
 // NaN/Inf — bo.ErrNoFiniteScore — or other suggest errors) and the engine
-// held the current configuration. Previously these were silent holds.
+// held the current configuration.
 func (e *Engine) AcquisitionFailures() int { return e.acqFailures }
 
-// GPStats returns the incremental proxy model's update-path counters
-// (full refits vs rank-1 extends vs α-only target re-solves) — always
-// zero when Options.FullRefit is set.
+// GPStats returns the proxy model's update-path counters (full refits vs
+// rank-1 extends vs α-only target re-solves).
 func (e *Engine) GPStats() gp.IncrementalStats { return e.model.Stats() }
 
 // Exploits counts ticks on which the engine held the incumbent best

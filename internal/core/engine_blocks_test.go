@@ -6,10 +6,9 @@ import (
 	"testing"
 
 	"satori/internal/gp"
-	"satori/internal/policy"
 )
 
-// blockProbe watches an incremental engine between Decide calls: it holds
+// blockProbe watches an engine between Decide calls: it holds
 // the block-scored pool against a stateless whole-pool scoring, and counts
 // the situations the block cache must survive.
 type blockProbe struct {
@@ -83,54 +82,24 @@ func (p *blockProbe) check(tick int) {
 	}
 }
 
-// driveProbed is driveKeys with the probe checked after every Decide.
-func driveProbed(t *testing.T, eng *Engine, env *syntheticEnv, n int, probe *blockProbe) []string {
+// probed drives an engine for 400 ticks with every Decide held against the
+// refitOracle and its pool against the blockProbe, and returns the probe.
+// recordCap > 0 shrinks the record store.
+func probed(t *testing.T, opt Options, recordCap int) *blockProbe {
 	t.Helper()
-	current := env.space.EqualSplit()
-	keys := make([]string, 0, n)
-	for tick := 1; tick <= n; tick++ {
-		tp, fair := env.eval(current)
-		next := eng.Decide(policy.Observation{
-			Tick: tick, Time: float64(tick) * 0.1,
-			Throughput: tp, Fairness: fair,
-		}, current)
-		if probe != nil {
-			probe.check(tick)
-		}
-		keys = append(keys, next.Key())
-		current = next
+	env := newSyntheticEnv(0.02)
+	eng, err := New(env.space, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return keys
-}
-
-// probedAgainstFullRefit drives two identically seeded engines for 400
-// ticks — the incremental one under a blockProbe, the FullRefit reference
-// bare — requires their decisions to match tick for tick, and returns the
-// probe. recordCap > 0 shrinks both record stores.
-func probedAgainstFullRefit(t *testing.T, opt Options, recordCap int) *blockProbe {
-	t.Helper()
-	run := func(fullRefit bool) ([]string, *blockProbe) {
-		env := newSyntheticEnv(0.02)
-		opt.FullRefit = fullRefit
-		eng, err := New(env.space, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if recordCap > 0 {
-			eng.Records().SetCap(recordCap)
-		}
-		var probe *blockProbe
-		if !fullRefit {
-			probe = newBlockProbe(t, eng)
-		}
-		return driveProbed(t, eng, env, 400, probe), probe
+	if recordCap > 0 {
+		eng.Records().SetCap(recordCap)
 	}
-	inc, probe := run(false)
-	full, _ := run(true)
-	for i := range inc {
-		if inc[i] != full[i] {
-			t.Fatalf("decision diverged at tick %d: incremental %q vs full refit %q", i+1, inc[i], full[i])
-		}
+	probe := newBlockProbe(t, eng)
+	oracle := &refitOracle{t: t, eng: eng}
+	driveChecked(t, oracle, env, 400, probe.check)
+	if oracle.scored != probe.scored {
+		t.Fatalf("oracle checked %d ticks, block probe %d", oracle.scored, probe.scored)
 	}
 	return probe
 }
@@ -139,10 +108,10 @@ func probedAgainstFullRefit(t *testing.T, opt Options, recordCap int) *blockProb
 // weight schedule, whose swings reorder the top configurations while the
 // window — and so the factor — stands still. Reordered neighborhoods are
 // re-scored from blocks filled at other pool offsets, so every tick's pool
-// must still equal a stateless scoring bit for bit, and the decisions must
-// equal the FullRefit reference's tick for tick.
+// must still equal a stateless scoring bit for bit, and the refit oracle's
+// posterior and decision tick for tick.
 func TestEngineBlockReuseUnderSwingingWeights(t *testing.T) {
-	probe := probedAgainstFullRefit(t, Options{Seed: 13, Window: 12}, 0)
+	probe := probed(t, Options{Seed: 13, Window: 12}, 0)
 	if probe.scored == 0 || probe.flips == 0 {
 		t.Fatalf("%d pools checked, %d top-order flips under a standing factor: reordered reuse not exercised", probe.scored, probe.flips)
 	}
@@ -153,10 +122,10 @@ func TestEngineBlockReuseUnderSwingingWeights(t *testing.T) {
 // configurations are evicted and later re-created as new records. A block
 // keyed by anything recyclable (a config key, a window index, a reused
 // address) would be taken for the old record's; keyed by the record it
-// must miss, keeping pools equal to the stateless scoring and decisions
-// equal to the FullRefit reference's.
+// must miss, keeping pools equal to the stateless scoring and to the refit
+// oracle's.
 func TestEngineBlockKeySurvivesEviction(t *testing.T) {
-	probe := probedAgainstFullRefit(t, Options{Seed: 17, Window: 8, ExploitThreshold: 0.002}, 5)
+	probe := probed(t, Options{Seed: 17, Window: 8, ExploitThreshold: 0.002}, 5)
 	if probe.scored == 0 || probe.recreated == 0 {
 		t.Fatalf("%d pools checked, %d re-created top configurations: eviction path not exercised", probe.scored, probe.recreated)
 	}

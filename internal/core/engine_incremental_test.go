@@ -74,28 +74,6 @@ func TestEngineLifecycleIncremental(t *testing.T) {
 	}
 }
 
-// TestEngineIncrementalMatchesFullRefit replays the same seed through the
-// incremental engine and the FullRefit golden path; the decision sequences
-// must match tick for tick. (The two paths differ only in floating-point
-// summation order, ~1e-15 on posterior values — never enough to flip a
-// candidate argmax on this landscape.)
-func TestEngineIncrementalMatchesFullRefit(t *testing.T) {
-	run := func(fullRefit bool) []string {
-		env := newSyntheticEnv(0.01)
-		eng, err := New(env.space, Options{Seed: 9, Window: 8, FullRefit: fullRefit})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return driveKeys(t, eng, env, 250)
-	}
-	inc, full := run(false), run(true)
-	for i := range inc {
-		if inc[i] != full[i] {
-			t.Fatalf("decision diverged at tick %d: incremental %q vs full refit %q", i+1, inc[i], full[i])
-		}
-	}
-}
-
 // TestEngineConcurrentEnginesDeterministic runs identically-seeded engines
 // in parallel goroutines: their decision sequences must be identical, and
 // under -race this verifies the incremental path shares no hidden mutable

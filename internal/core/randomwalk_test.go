@@ -37,7 +37,8 @@ func TestRandomWalkSamplesManagedRowsOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := eng.randomWalk(start, 1)
+		got := space.NewConfig()
+		eng.randomWalkInto(got, start, 1)
 		// Unmanaged rows must never move.
 		for _, r := range []int{0, 2} {
 			for j := range got.Alloc[r] {
@@ -71,7 +72,8 @@ func TestRandomWalkFullyManagedStillWalks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := eng.randomWalk(start, 16)
+	got := space.NewConfig()
+	eng.randomWalkInto(got, start, 16)
 	if err := space.Validate(got); err != nil {
 		t.Fatalf("walk left the space: %v", err)
 	}

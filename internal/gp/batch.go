@@ -1,17 +1,17 @@
 // Batched posterior prediction: score a whole candidate pool against the
 // shared Cholesky factor with matrix-level triangular solves.
 //
-// The per-candidate path (PredictInto) pays an O(n²) forward solve per
-// query whose subtract-accumulate chain is latency-bound; amortizing one
-// traversal of the factor over a panel of pool columns turns the same
+// Scoring one candidate at a time (GP.Predict) pays an O(n²) forward solve
+// per query whose subtract-accumulate chain is latency-bound; amortizing
+// one traversal of the factor over a panel of pool columns turns the same
 // flops into contiguous throughput-bound sweeps
-// (linalg.SolveLowerMatrixInto). Crucially the arithmetic is the
-// *identical sequence* per candidate — same kernel evaluations, same
-// k-ascending subtractions, same divisions, same accumulation order for
-// the mean and variance dots — so batched results are bit-identical to the
-// per-candidate reference and the engine can adopt them without perturbing
-// committed goldens. The property tests in batch_test.go pin that
-// equivalence with == comparisons.
+// (linalg.SolveLowerMatrixInto). The arithmetic per candidate is a fixed
+// sequence — kernel evaluations, k-ascending subtractions, divisions, and
+// row-ascending accumulation for the mean and variance dots — that depends
+// on neither the candidate's pool position nor its pool mates, so a
+// candidate scores to the same bits wherever it is pooled. The property
+// tests in batch_test.go pin that with == comparisons, and agreement with
+// GP.Predict to 1e-9.
 //
 // Of a scored point, only the mean depends on the targets. A Block keeps
 // the rest — K* columns and standard deviations — so that a group of
@@ -27,38 +27,13 @@ import (
 	"satori/internal/linalg"
 )
 
-// PredictBatch returns the posterior mean and standard deviation at every
-// query point. Allocating convenience wrapper over PredictBatchInto.
-func (g *GP) PredictBatch(points [][]float64) (mu, sigma []float64) {
-	mu = make([]float64, len(points))
-	sigma = make([]float64, len(points))
-	var s PredictScratch
-	g.PredictBatchInto(&s, mu, sigma, points)
-	return mu, sigma
-}
-
 // PredictBatchInto scores all query points into mu and sigma (each of
 // length len(points)) using one matrix-level triangular solve per panel of
 // panelWidth points. After the scratch has grown to the model×pool size it
 // performs no allocations.
-// Results are bit-identical to calling PredictInto per point.
-func (g *GP) PredictBatchInto(s *PredictScratch, mu, sigma []float64, points [][]float64) {
-	s.kmat = grow(s.kmat, len(g.xs)*len(points))
-	predictBatch(s, s.kmat, mu, sigma, points, g.xs, g.alpha, g.chol, g.kernel, g.mean)
-}
-
-// PredictBatchInto is the Incremental counterpart of GP.PredictBatchInto.
 func (m *Incremental) PredictBatchInto(s *PredictScratch, mu, sigma []float64, points [][]float64) {
 	s.kmat = grow(s.kmat, m.n*len(points))
-	predictBatch(s, s.kmat, mu, sigma, points, m.xbuf[:m.n], m.alpha, m.chol, m.kernel, m.mean)
-}
-
-// PredictBatch scores all query points into mu and sigma using the model's
-// internal scratch (zero allocations at steady state; not
-// concurrency-safe — use PredictBatchInto with caller-owned scratch to
-// score one shared model from several goroutines).
-func (m *Incremental) PredictBatch(mu, sigma []float64, points [][]float64) {
-	m.PredictBatchInto(&m.scratch, mu, sigma, points)
+	m.predictBatch(s, s.kmat, mu, sigma, points)
 }
 
 // Block is what scoring one group of query points leaves behind that the
@@ -78,7 +53,7 @@ type Block struct {
 // results in b for RepredictBlockInto.
 func (m *Incremental) PredictBlockInto(s *PredictScratch, b *Block, mu, sigma []float64, points [][]float64) {
 	b.kstar = grow(b.kstar, m.n*len(points))
-	predictBatch(s, b.kstar, mu, sigma, points, m.xbuf[:m.n], m.alpha, m.chol, m.kernel, m.mean)
+	m.predictBatch(s, b.kstar, mu, sigma, points)
 	b.sigma = append(b.sigma[:0], sigma...)
 	b.epoch = m.epoch
 }
@@ -117,21 +92,21 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// predictBatch is the shared batch-scoring kernel. The pool is cut into
-// panels of at most panelWidth points; panel p's cross-covariances are
-// kept as an n×w row-major matrix at kstar[n·p·panelWidth:], so kstar
-// (n·len(points) entries) can outlive the call. For bit-identity with the
-// per-candidate path every stage accumulates in the same order PredictInto
+// predictBatch is the batch-scoring kernel behind PredictBatchInto and
+// PredictBlockInto. The pool is cut into panels of at most panelWidth
+// points; panel p's cross-covariances are kept as an n×w row-major matrix
+// at kstar[n·p·panelWidth:], so kstar (n·len(points) entries) can outlive
+// the call. Every stage accumulates per point in the order GP.Predict
 // does: kstar entries are independent; the matrix solve's column c replays
 // SolveLowerInto exactly (columns are independent, so the panel cut does
 // not show); the mean and squared-norm accumulators run over model rows in
 // ascending order, matching linalg.Dot.
-func predictBatch(s *PredictScratch, kstar, mu, sigma []float64, points [][]float64, xs [][]float64, alpha []float64, chol *linalg.Cholesky, kernel Kernel, mean float64) {
+func (m *Incremental) predictBatch(s *PredictScratch, kstar, mu, sigma []float64, points [][]float64) {
 	q := len(points)
 	if len(mu) != q || len(sigma) != q {
 		panic(fmt.Sprintf("gp: PredictBatch got %d mu and %d sigma for %d points", len(mu), len(sigma), q))
 	}
-	n := len(xs)
+	xs, kernel, n := m.xbuf[:m.n], m.kernel, m.n
 	s.panel = grow(s.panel, n*min(q, panelWidth))
 	m52, isM52 := kernel.(Matern52)
 	for p0 := 0; p0 < q; p0 += panelWidth {
@@ -151,10 +126,10 @@ func predictBatch(s *PredictScratch, kstar, mu, sigma []float64, points [][]floa
 				}
 			}
 		}
-		panelMeans(mu[p0:p1], kmat.Data, alpha, mean)
+		panelMeans(mu[p0:p1], kmat.Data, m.alpha, m.mean)
 		// One triangular sweep for the whole panel: V = L⁻¹·K*.
 		vmat := linalg.Matrix{Rows: n, Cols: w, Data: s.panel[:n*w]}
-		chol.SolveLowerMatrixInto(&vmat, &kmat)
+		m.chol.SolveLowerMatrixInto(&vmat, &kmat)
 		// Squared norms ‖v_c‖², rows ascending; sigma doubles as accumulator.
 		for c := range psigma {
 			psigma[c] = 0
@@ -213,7 +188,7 @@ var sqrt5 = math.Sqrt(5)
 // transform is Eval's exact formula — so splitting the loops only removes
 // interface dispatch and short-loop overhead and lets independent elements
 // pipeline through the sqrt/div/exp units; results stay bit-identical to
-// the per-candidate path.
+// Eval's.
 func fillRowsMatern52(s *PredictScratch, kmat *linalg.Matrix, xs, points [][]float64, k Matern52) {
 	q := kmat.Cols
 	ls, vr := k.LengthScale, k.Variance

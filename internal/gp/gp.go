@@ -85,7 +85,6 @@ var ErrNoData = errors.New("gp: no observations to fit")
 // GP is a fitted Gaussian-process posterior.
 type GP struct {
 	kernel Kernel
-	noise  float64 // observation noise variance added to the diagonal
 
 	xs     [][]float64
 	alpha  []float64 // K⁻¹(y − mean)
@@ -172,7 +171,6 @@ func Fit(xs [][]float64, ys []float64, opt Options) (*GP, error) {
 	}
 	g := &GP{
 		kernel: kernel,
-		noise:  noise,
 		xs:     cloneInputs(xs),
 		alpha:  chol.SolveVec(centered),
 		chol:   chol,
@@ -191,61 +189,37 @@ func cloneInputs(xs [][]float64) [][]float64 {
 	return out
 }
 
-// PredictScratch is caller-owned workspace for zero-allocation posterior
-// prediction. The zero value is ready to use; buffers grow on first use
-// and are reused afterwards. A scratch must not be shared between
-// concurrent predictions.
+// PredictScratch is caller-owned workspace for zero-allocation batched
+// prediction (see predictBatch). The zero value is ready to use; buffers
+// grow on first use and are reused afterwards. A scratch must not be
+// shared between concurrent predictions.
 type PredictScratch struct {
-	kstar []float64
-	v     []float64
-	// Batch workspace (see predictBatch): kmat holds the n×m
-	// cross-covariance block of a stateless PredictBatchInto, panel the
-	// triangular solve of one panelWidth-column slice of it, and pt that
-	// slice's query points transposed dim-major for the staged fill.
+	// kmat holds the n×m cross-covariance block of a stateless
+	// PredictBatchInto, panel the triangular solve of one
+	// panelWidth-column slice of it, and pt that slice's query points
+	// transposed dim-major for the staged fill.
 	kmat  []float64
 	panel []float64
 	pt    []float64
 }
 
-// resize readies the scratch for an n-observation model.
-func (s *PredictScratch) resize(n int) {
-	s.kstar, s.v = grow(s.kstar, n), grow(s.v, n)
-}
-
-// Predict returns the posterior mean and standard deviation at x.
+// Predict returns the posterior mean and standard deviation at x — the
+// textbook per-point computation the batched and incremental routines are
+// tested against.
 func (g *GP) Predict(x []float64) (mu, sigma float64) {
-	var s PredictScratch
-	return g.PredictInto(&s, x)
-}
-
-// PredictInto is Predict with caller-owned scratch: after the scratch's
-// buffers have grown to the model size it performs no allocations, which
-// is what keeps batch candidate scoring off the allocator on the engine's
-// 100 ms tick.
-func (g *GP) PredictInto(s *PredictScratch, x []float64) (mu, sigma float64) {
-	n := len(g.xs)
-	s.resize(n)
-	for i, xi := range g.xs {
-		s.kstar[i] = g.kernel.Eval(x, xi)
-	}
-	mu = g.mean + linalg.Dot(s.kstar, g.alpha)
-	// σ² = k(x,x) − k*ᵀ K⁻¹ k*, computed via the triangular solve
-	// v = L⁻¹ k* so that k*ᵀK⁻¹k* = vᵀv.
-	g.chol.SolveLowerInto(s.v, s.kstar)
-	variance := g.kernel.Eval(x, x) - linalg.Dot(s.v, s.v)
-	if variance < 0 {
-		variance = 0
-	}
-	return mu, math.Sqrt(variance)
-}
-
-// PredictMean returns only the posterior mean at x (cheaper than Predict).
-func (g *GP) PredictMean(x []float64) float64 {
 	kstar := make([]float64, len(g.xs))
 	for i, xi := range g.xs {
 		kstar[i] = g.kernel.Eval(x, xi)
 	}
-	return g.mean + linalg.Dot(kstar, g.alpha)
+	mu = g.mean + linalg.Dot(kstar, g.alpha)
+	// σ² = k(x,x) − k*ᵀ K⁻¹ k*, computed via the triangular solve
+	// v = L⁻¹ k* so that k*ᵀK⁻¹k* = vᵀv.
+	v := g.chol.SolveLower(kstar)
+	variance := g.kernel.Eval(x, x) - linalg.Dot(v, v)
+	if variance < 0 {
+		variance = 0
+	}
+	return mu, math.Sqrt(variance)
 }
 
 // Posterior returns the joint posterior mean vector and covariance matrix

@@ -33,7 +33,6 @@ package gp
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"satori/internal/linalg"
@@ -55,7 +54,7 @@ type IncrementalStats struct {
 
 // Incremental is a GP posterior that can be updated in place. The zero
 // value is not usable; construct with NewIncremental. Methods are not safe
-// for concurrent use (Predict reuses an internal scratch).
+// for concurrent use (updates and PredictMean reuse internal buffers).
 type Incremental struct {
 	fixed  Kernel // caller-pinned kernel; nil means heuristic refresh
 	noise  float64
@@ -81,7 +80,6 @@ type Incremental struct {
 	distBuf []float64
 	rowBuf  []float64
 	ctrBuf  []float64
-	scratch PredictScratch
 }
 
 // NewIncremental returns an empty incremental model. opt is interpreted
@@ -167,7 +165,8 @@ func (m *Incremental) Append(x []float64, ys []float64) error {
 		return m.rebuild(ys)
 	}
 	// Kernel unchanged: rank-1 append of the new row/column.
-	row := m.growRow(m.n - 1)
+	m.rowBuf = grow(m.rowBuf, m.n-1)
+	row := m.rowBuf
 	xnew := m.xbuf[m.n-1]
 	for i := 0; i < m.n-1; i++ {
 		row[i] = m.kernel.Eval(xnew, m.xbuf[i])
@@ -324,47 +323,14 @@ func (m *Incremental) setX(i int, x []float64) {
 	copy(m.xbuf[i], x)
 }
 
-// growRow readies the kernel-row scratch for n entries.
-func (m *Incremental) growRow(n int) []float64 {
-	if cap(m.rowBuf) < n {
-		m.rowBuf = make([]float64, n)
-	}
-	m.rowBuf = m.rowBuf[:n]
-	return m.rowBuf
-}
-
-// Predict returns the posterior mean and standard deviation at x, reusing
-// the model's internal scratch (zero allocations at steady state; not
-// concurrency-safe).
-func (m *Incremental) Predict(x []float64) (mu, sigma float64) {
-	return m.PredictInto(&m.scratch, x)
-}
-
-// PredictInto is Predict with caller-owned scratch.
-func (m *Incremental) PredictInto(s *PredictScratch, x []float64) (mu, sigma float64) {
-	n := m.n
-	s.resize(n)
-	for i := 0; i < n; i++ {
-		s.kstar[i] = m.kernel.Eval(x, m.xbuf[i])
-	}
-	mu = m.mean + linalg.Dot(s.kstar, m.alpha)
-	m.chol.SolveLowerInto(s.v, s.kstar)
-	variance := m.kernel.Eval(x, x) - linalg.Dot(s.v, s.v)
-	if variance < 0 {
-		variance = 0
-	}
-	return mu, math.Sqrt(variance)
-}
-
 // PredictMean returns only the posterior mean at x (no triangular solve,
 // no allocations).
 func (m *Incremental) PredictMean(x []float64) float64 {
-	s := &m.scratch
-	s.resize(m.n)
-	for i := 0; i < m.n; i++ {
-		s.kstar[i] = m.kernel.Eval(x, m.xbuf[i])
+	m.rowBuf = grow(m.rowBuf, m.n)
+	for i := range m.rowBuf {
+		m.rowBuf[i] = m.kernel.Eval(x, m.xbuf[i])
 	}
-	return m.mean + linalg.Dot(s.kstar, m.alpha)
+	return m.mean + linalg.Dot(m.rowBuf, m.alpha)
 }
 
 // PredictMeanAt returns the posterior mean at the model's own input i —

@@ -17,6 +17,25 @@ func fitReference(t *testing.T, opt Options, xs [][]float64, ys []float64) *GP {
 	return g
 }
 
+// fitIncremental returns the incremental model fitted on the same data and
+// options.
+func fitIncremental(t *testing.T, opt Options, xs [][]float64, ys []float64) *Incremental {
+	t.Helper()
+	m := NewIncremental(opt)
+	if err := m.Reset(xs, ys); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	return m
+}
+
+// predictOne is the incremental model's posterior at x alone: a one-point
+// pool through the batch scorer.
+func predictOne(m *Incremental, x []float64) (mu, sigma float64) {
+	var one [2]float64
+	m.PredictBatchInto(&PredictScratch{}, one[:1], one[1:], [][]float64{x})
+	return one[0], one[1]
+}
+
 func randomInputs(rng *rand.Rand, n, dim int) [][]float64 {
 	xs := make([][]float64, n)
 	for i := range xs {
@@ -49,7 +68,7 @@ func comparePosteriors(t *testing.T, m *Incremental, g *GP, rng *rand.Rand, dim 
 		for d := range x {
 			x[d] = rng.Float64() * 1.2
 		}
-		mi, si := m.Predict(x)
+		mi, si := predictOne(m, x)
 		mg, sg := g.Predict(x)
 		if math.Abs(mi-mg) > tol || math.Abs(si-sg) > tol {
 			t.Fatalf("%s: posterior mismatch at query %d: incremental (%.12g, %.12g) vs fit (%.12g, %.12g)",
@@ -278,9 +297,9 @@ func TestIncrementalPosteriorMatchesGP(t *testing.T) {
 }
 
 // TestIncrementalSteadyStateAllocs pins the zero-allocation contract on
-// the hot paths: prediction with caller scratch, α-only target updates,
-// and fixed-kernel appends at constant window size are all alloc-free
-// once buffers have warmed up.
+// the hot paths: batch prediction with caller scratch, mean-only
+// prediction, α-only target updates, and same-size resets are all
+// alloc-free once buffers have warmed up.
 func TestIncrementalSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	opt := Options{Kernel: Matern52{LengthScale: 0.6, Variance: 1.0}, Noise: 1e-3}
@@ -292,13 +311,12 @@ func TestIncrementalSteadyStateAllocs(t *testing.T) {
 	}
 	q := []float64{0.3, 0.1, 0.9, 0.5, 0.2}
 	var scratch PredictScratch
-	m.PredictInto(&scratch, q) // warm the scratch
-	if n := testing.AllocsPerRun(50, func() { m.PredictInto(&scratch, q) }); n != 0 {
-		t.Fatalf("PredictInto allocates %v times per call", n)
+	pool, mu, sigma := [][]float64{q, xs[0]}, make([]float64, 2), make([]float64, 2)
+	m.PredictBatchInto(&scratch, mu, sigma, pool) // warm the scratch
+	if n := testing.AllocsPerRun(50, func() { m.PredictBatchInto(&scratch, mu, sigma, pool) }); n != 0 {
+		t.Fatalf("PredictBatchInto allocates %v times per call", n)
 	}
-	if n := testing.AllocsPerRun(50, func() { m.Predict(q) }); n != 0 {
-		t.Fatalf("Predict allocates %v times per call", n)
-	}
+	m.PredictMean(q) // warm the row buffer
 	if n := testing.AllocsPerRun(50, func() { m.PredictMean(q) }); n != 0 {
 		t.Fatalf("PredictMean allocates %v times per call", n)
 	}

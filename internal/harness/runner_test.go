@@ -272,43 +272,3 @@ func TestRunSurvivesHeldTicks(t *testing.T) {
 		t.Errorf("platform plan has %d control groups, want the policy's 2 clusters", got)
 	}
 }
-
-// TestRunIncrementalMatchesFullRefit is the suite-level golden check for
-// the incremental proxy path: identical specs run with the default
-// (incremental) engine and with FullRefit must produce bit-identical
-// aggregate results, because the two paths share the candidate stream and
-// differ only in floating-point summation order (~1e-15 on posteriors,
-// never enough to flip a candidate argmax).
-func TestRunIncrementalMatchesFullRefit(t *testing.T) {
-	mixes, err := workloads.PaperMixes(workloads.SuitePARSEC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for mi, mix := range mixes[:2] {
-		run := func(fullRefit bool) *Result {
-			spec := DefaultSuiteBase(23, 200)
-			spec.Profiles = mix.Profiles
-			spec.Policy = SatoriFactory(core.Options{Window: 16, FullRefit: fullRefit})
-			res, err := Run(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}
-		inc, full := run(false), run(true)
-		for name, pair := range map[string][2]float64{
-			"MeanThroughput":   {inc.MeanThroughput, full.MeanThroughput},
-			"MeanFairness":     {inc.MeanFairness, full.MeanFairness},
-			"MeanObjective":    {inc.MeanObjective, full.MeanObjective},
-			"MeanWorstSpeedup": {inc.MeanWorstSpeedup, full.MeanWorstSpeedup},
-		} {
-			if pair[0] != pair[1] {
-				t.Errorf("mix %d: %s diverged: incremental %.17g vs full refit %.17g",
-					mi, name, pair[0], pair[1])
-			}
-		}
-		if inc.Applies != full.Applies {
-			t.Errorf("mix %d: Applies diverged: %d vs %d", mi, inc.Applies, full.Applies)
-		}
-	}
-}
