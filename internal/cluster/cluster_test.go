@@ -314,3 +314,45 @@ func TestApportion(t *testing.T) {
 		t.Fatalf("degenerate apportion = %v, want [5 0]", totals)
 	}
 }
+
+// With K = 1 every job shares one cluster and the cluster space holds one
+// configuration: the inner engine sees that from the space it is built on —
+// not from a job count, of which there are six here — and runs no search,
+// and the partitioner expands the same partition every tick.
+func TestPartitionerOneClusterHasNothingToSearch(t *testing.T) {
+	space := testSpace(t, 6)
+	part, err := New(space, Options{K: 1, Inner: engineFactory(42)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := []jobKind{cacheBound, bwBound, flat, cacheBound, bwBound, flat}
+	cfg := space.EqualSplit()
+	var first resource.Config
+	for tick := 1; tick <= 100; tick++ {
+		spd := syntheticSpeedups(space, kinds, cfg)
+		iso := make([]float64, space.Jobs)
+		ips := make([]float64, space.Jobs)
+		for j := range iso {
+			iso[j] = 1e9
+			ips[j] = spd[j] * iso[j] * (1 + 0.1*float64(tick%7))
+		}
+		obs := policy.Observation{Tick: tick, Time: float64(tick) * 0.1, IPS: ips, Isolated: iso, Speedups: spd,
+			Throughput: 0.5 + 0.05*float64(tick%7), Fairness: 0.9 - 0.05*float64(tick%5)}
+		cfg = part.Decide(obs, cfg).Clone()
+		if err := space.Validate(cfg); err != nil {
+			t.Fatalf("tick %d: invalid job config after Decide: %v", tick, err)
+		}
+		if tick == 1 {
+			first = cfg
+		} else if !cfg.Equal(first) {
+			t.Fatalf("tick %d: decided %s, tick 1 decided %s", tick, space.String(cfg), space.String(first))
+		}
+	}
+	eng := part.Inner().(*core.Engine)
+	if st := eng.GPStats(); st.Refits+st.Extends+st.TargetSolves != 0 || eng.Records().Len() != 1 {
+		t.Errorf("one-cluster inner engine searched: model stats %+v, %d records", st, eng.Records().Len())
+	}
+	if part.Regroups() != 0 {
+		t.Errorf("one cluster regrouped %d times", part.Regroups())
+	}
+}

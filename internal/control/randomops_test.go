@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"satori/internal/cluster"
+	"satori/internal/core"
+	"satori/internal/gp"
 	"satori/internal/metrics"
 	"satori/internal/policy"
 	"satori/internal/rdt"
@@ -91,28 +93,65 @@ func (m *ledger) landed() { m.consec, m.open = 0, false }
 // last clusteredSeeds seeds run the same policy behind a K=2 cluster
 // partitioner, so regrouping, churn and faults meet: the simulator under
 // the injector must always run exactly the grouping the policy searches.
+// The first engineSeeds seeds run the SATORI engine itself. Halfway through,
+// every seed drains to one job — the fleet's trough — and churns on from
+// there, so the ledger is held across 1 <-> 2 job churn too: the one-job
+// engine has nothing to decide and runs no model, and the engine churn
+// builds on the two-job space starts from nothing.
 func TestRandomOpsLedgerAndInvariants(t *testing.T) {
-	const seeds, clusteredSeeds, ops = 32, 6, 400
-	ran, idleOps, heldOnMissing, regroups := 0, 0, 0, 0
+	const seeds, engineSeeds, clusteredSeeds, ops = 32, 6, 6, 400
+	var total opsTally
+	ran := 0
 	for seed := uint64(1); seed <= seeds; seed++ {
-		booted, i, h, r := runRandomOps(t, seed, ops, seed > seeds-clusteredSeeds)
-		if booted {
-			ran++
+		kind := runWander
+		switch {
+		case seed <= engineSeeds:
+			kind = runEngine
+		case seed > seeds-clusteredSeeds:
+			kind = runClustered
 		}
-		idleOps += i
-		heldOnMissing += h
-		regroups += r
+		oneJobOps := total.oneJobOps
+		if !runRandomOps(t, seed, ops, kind, &total) {
+			continue
+		}
+		ran++
+		if total.oneJobOps == oneJobOps {
+			t.Errorf("seed %d never ran a single job", seed)
+		}
 	}
-	if ran < 24 || idleOps == 0 || heldOnMissing == 0 || regroups == 0 {
-		t.Errorf("vacuous run: %d seeds booted, %d idle ops, %d ticks held on missing baselines, %d regroups",
-			ran, idleOps, heldOnMissing, regroups)
+	if ran < 24 || total.idleOps == 0 || total.heldOnMissing == 0 || total.regroups == 0 ||
+		total.grewFromOne == 0 || total.shrankToOne == 0 || total.forcedTicks == 0 || total.searchedTicks == 0 {
+		t.Errorf("vacuous run: %d seeds booted, %+v", ran, total)
 	}
-	t.Logf("%d seeds x %d ops: %d idle ops, %d ticks held on missing baselines, %d regroups", ran, ops, idleOps, heldOnMissing, regroups)
+	t.Logf("%d seeds x %d ops: %+v", ran, ops, total)
 }
 
-// runRandomOps drives one seed; booted is false when the injected faults
-// failed the construction-time baseline measurement and no loop exists.
-func runRandomOps(t *testing.T, seed uint64, ops int, clustered bool) (booted bool, idleOps, heldOnMissing, regroups int) {
+// policyKind is the policy a random-ops seed runs.
+type policyKind int
+
+const (
+	runWander    policyKind = iota
+	runClustered            // wanderPolicy behind a K=2 cluster partitioner
+	runEngine               // the SATORI engine
+)
+
+// opsTally counts what the random-ops runs actually exercised, summed over
+// seeds.
+type opsTally struct {
+	idleOps, heldOnMissing, regroups int
+	// oneJobOps counts ops that ended on a single job; grewFromOne and
+	// shrankToOne count the churn across the 1 <-> 2 job boundary.
+	oneJobOps, grewFromOne, shrankToOne int
+	// Engine seeds only: Steps decided by a one-job engine (forced), and by
+	// an engine whose proxy model had run.
+	forcedTicks, searchedTicks int
+}
+
+// runRandomOps drives one seed and adds what it exercised to tally; booted is
+// false when the injected faults failed the construction-time baseline
+// measurement and no loop exists.
+func runRandomOps(t *testing.T, seed uint64, ops int, kind policyKind, tally *opsTally) (booted bool) {
+	clustered := kind == runClustered
 	pool := workloads.PARSEC()
 	simulator, err := sim.New(sim.DefaultMachine(), pool[:3], sim.Options{Seed: seed})
 	if err != nil {
@@ -138,8 +177,11 @@ func runRandomOps(t *testing.T, seed uint64, ops int, clustered bool) (booted bo
 			wander := func(space *resource.Space) (policy.Policy, error) {
 				return &wanderPolicy{space: space, rng: rng.Split()}, nil
 			}
-			if !clustered {
+			switch kind {
+			case runWander:
 				return wander(p.Space())
+			case runEngine:
+				return core.New(p.Space(), core.Options{Seed: seed})
 			}
 			g, _ := rdt.As[rdt.Grouper](p)
 			// Churn rebuilds the policy every few ops, so the classifier
@@ -155,7 +197,7 @@ func runRandomOps(t *testing.T, seed uint64, ops int, clustered bool) (booted bo
 		if !rdt.IsTransient(err) {
 			t.Fatalf("seed %d: New: %v", seed, err)
 		}
-		return false, 0, 0, 0
+		return false
 	}
 
 	var model ledger
@@ -178,11 +220,18 @@ func runRandomOps(t *testing.T, seed uint64, ops int, clustered bool) (booted bo
 		}
 		model.fold(t, st)
 		if st.IPS != nil && st.Speedups == nil && !st.BadSample {
-			heldOnMissing++
+			tally.heldOnMissing++
 		}
 	}
+	lastEngine, _ := loop.Policy().(*core.Engine)
 	for op = 1; op <= ops; op++ {
+		jobsBefore := loop.NumJobs()
 		switch u := rng.Float64(); {
+		case op == ops/2:
+			name = "drain to one job"
+			for loop.NumJobs() > 1 {
+				transientOnly(loop.RemoveJob(rng.Intn(loop.NumJobs())))
+			}
 		case u < 0.55:
 			step()
 		case u < 0.70:
@@ -191,7 +240,7 @@ func runRandomOps(t *testing.T, seed uint64, ops int, clustered bool) (booted bo
 				step()
 				break
 			}
-			idleOps++
+			tally.idleOps++
 			n := 1 + rng.Intn(h)
 			if rng.Intn(2) == 0 {
 				name = fmt.Sprintf("AdvanceIdle(%d of %d)", n, h)
@@ -244,6 +293,35 @@ func runRandomOps(t *testing.T, seed uint64, ops int, clustered bool) (booted bo
 		if !loop.Current().Equal(platform.Current()) {
 			t.Fatalf("seed %d op %d (%s): loop configuration diverged from the platform's", seed, op, name)
 		}
+		switch jobs := loop.NumJobs(); {
+		case jobs > 1 && jobsBefore == 1:
+			tally.grewFromOne++
+		case jobs == 1 && jobsBefore > 1:
+			tally.shrankToOne++
+		}
+		if loop.NumJobs() == 1 {
+			tally.oneJobOps++
+		}
+		if kind == runEngine {
+			eng := loop.Policy().(*core.Engine)
+			modelRan := eng.GPStats() != gp.IncrementalStats{}
+			if eng != lastEngine && (eng.Records().Len() != 0 || modelRan) {
+				t.Fatalf("seed %d op %d (%s): the rebuilt engine starts with %d records, model stats %+v",
+					seed, op, name, eng.Records().Len(), eng.GPStats())
+			}
+			lastEngine = eng
+			if loop.NumJobs() == 1 && (eng.Records().Len() > 1 || modelRan) {
+				t.Fatalf("seed %d op %d (%s): a one-job engine holds %d records, model stats %+v",
+					seed, op, name, eng.Records().Len(), eng.GPStats())
+			}
+			if name == "Step" {
+				if loop.NumJobs() == 1 {
+					tally.forcedTicks++
+				} else if modelRan {
+					tally.searchedTicks++
+				}
+			}
+		}
 		if clustered {
 			g := loop.Policy().(*cluster.Partitioner).Grouping()
 			if inner.Grouping() != g || g.Jobs() != loop.NumJobs() || len(inner.Plan().Jobs) != g.Clusters {
@@ -259,5 +337,6 @@ func runRandomOps(t *testing.T, seed uint64, ops int, clustered bool) (booted bo
 			t.Fatalf("seed %d op %d (%s): Summary ledger %+v != fold over statuses %+v", seed, op, name, got, model)
 		}
 	}
-	return true, idleOps, heldOnMissing, model.regroups
+	tally.regroups += model.regroups
+	return true
 }

@@ -108,6 +108,10 @@ type Engine struct {
 	managedRow  []bool
 	managedRows []int // indices of managed rows, for uniform sampling
 	equalSplit  resource.Config
+	// single is set by New when the managed space holds exactly one
+	// configuration (the equal split): every Decide is then forced, and the
+	// engine carries no initial design, proxy model or candidate pool.
+	single bool
 
 	// Diagnostics, each written by exactly one stage of Decide.
 	lastWeights Weights // scheduleWeights
@@ -183,7 +187,6 @@ func New(space *resource.Space, opt Options) (*Engine, error) {
 		sched:        sched,
 		recs:         NewRecords(),
 		equalSplit:   space.EqualSplit(),
-		model:        gp.NewIncremental(gp.Options{Noise: opt.Noise}),
 		exploitBelow: math.Inf(-1),
 	}
 	switch opt.Acquisition {
@@ -218,11 +221,20 @@ func New(space *resource.Space, opt Options) (*Engine, error) {
 			return nil, fmt.Errorf("core: none of the managed kinds %v exist in the space", opt.Managed)
 		}
 	}
+	// A row of U units among M jobs has C(U−1, M−1) compositions: one
+	// exactly when nothing is divided (M = 1) or every job sits on its
+	// 1-unit floor (U = M). Unmanaged rows stay at the equal split either way.
+	e.single = true
 	for r, managed := range e.managedRow {
 		if managed {
 			e.managedRows = append(e.managedRows, r)
+			e.single = e.single && (space.Jobs == 1 || space.Resources[r].Units == space.Jobs)
 		}
 	}
+	if e.single {
+		return e, nil
+	}
+	e.model = gp.NewIncremental(gp.Options{Noise: opt.Noise})
 	if opt.RandomInit {
 		// Ablation mode: random initial design.
 		for i := 0; i < opt.InitialSamples; i++ {
@@ -308,6 +320,9 @@ func (e *Engine) Decide(obs policy.Observation, current resource.Config) resourc
 	t := tick{obs: obs, current: current}
 	e.scheduleWeights(&t)
 	e.record(&t)
+	if only, forced := e.forced(); forced {
+		return only
+	}
 	if next, seeding := e.seed(); seeding {
 		return next
 	}
@@ -338,6 +353,16 @@ func (e *Engine) scheduleWeights(t *tick) {
 // record folds the observation into the per-goal records (Sec. III-B).
 func (e *Engine) record(t *tick) {
 	e.recs.Update(e.space, t.current, t.obs.Throughput, t.obs.Fairness, t.obs.Tick)
+}
+
+// forced answers "is there anything to decide?" from what New observed of
+// the space: a managed space of one configuration (a node running a single
+// job, a cluster space at K = 1, every managed row on its 1-unit floor)
+// leaves nothing to seed, model or acquire, so the tick ends here with that
+// configuration. The weights and the one record above stay live for their
+// readers; nothing else is written and no random number is drawn.
+func (e *Engine) forced() (only resource.Config, forced bool) {
+	return e.equalSplit, e.single
 }
 
 // seed hands out the next configuration of the initial design while any
@@ -681,8 +706,14 @@ func (e *Engine) FitFailures() int { return e.fitFailures }
 func (e *Engine) AcquisitionFailures() int { return e.acqFailures }
 
 // GPStats returns the proxy model's update-path counters (full refits vs
-// rank-1 extends vs α-only target re-solves).
-func (e *Engine) GPStats() gp.IncrementalStats { return e.model.Stats() }
+// rank-1 extends vs α-only target re-solves): all zero for an engine whose
+// every decision is forced, which has no model.
+func (e *Engine) GPStats() gp.IncrementalStats {
+	if e.model == nil {
+		return gp.IncrementalStats{}
+	}
+	return e.model.Stats()
+}
 
 // Exploits counts ticks on which the engine held the incumbent best
 // configuration instead of probing (diagnostics). Such ticks leave the

@@ -66,20 +66,24 @@ func benchProfile(name string, instructions float64) *sim.Profile {
 	}
 }
 
-// benchFleetScale builds a large fleet, bursts one job per two capacity
-// slots into it, waits until placement settles (and, for event-driven
-// runs, until idle promises arm), then measures steady-state Step cost.
-// The active/idle pair at equal size is the tentpole's acceptance
-// metric: per-tick cost must track activity, not fleet size.
-func benchFleetScale(b *testing.B, nodes int, eventDriven bool, instructions float64) {
+// benchFleetScale builds a large fleet, bursts one job per node into it
+// (slots per node is the co-location cap), waits until placement settles
+// (and, for event-driven runs, until idle promises arm), then measures
+// steady-state Step cost. The active/idle pair at equal size is the
+// event-driven core's acceptance metric: per-tick cost must track activity,
+// not fleet size. Those rows run parties so that a tick costs sim + control
+// and no proxy model whichever node happens to hold two jobs; the OneJob
+// pair below holds the default policy to the same floor where it owes it —
+// on nodes with nothing to decide.
+func benchFleetScale(b *testing.B, nodes int, policy string, slots int, eventDriven bool, instructions float64) {
 	b.Helper()
 	profile := benchProfile("bench", instructions)
 	opt := Options{
 		Nodes:          nodes,
 		Seed:           42,
 		Workers:        0,
-		Policy:         "parties", // cheap real baseline: tick cost is sim+control, not GP
-		MaxJobsPerNode: 2,
+		Policy:         policy,
+		MaxJobsPerNode: slots,
 		Shards:         64,
 		EventDriven:    eventDriven,
 		Stream: StreamOptions{
@@ -132,11 +136,26 @@ const benchActiveInstr = 2.5e9
 // MaxRun-bounded runs on idle promises. This is the idle-heavy case.
 const benchIdleInstr = 1e14
 
-func BenchmarkFleetTick100Active(b *testing.B) { benchFleetScale(b, 100, true, benchActiveInstr) }
-func BenchmarkFleetTick100Idle(b *testing.B)   { benchFleetScale(b, 100, true, benchIdleInstr) }
+func BenchmarkFleetTick100Active(b *testing.B) {
+	benchFleetScale(b, 100, "parties", 2, true, benchActiveInstr)
+}
+func BenchmarkFleetTick100Idle(b *testing.B) {
+	benchFleetScale(b, 100, "parties", 2, true, benchIdleInstr)
+}
 func BenchmarkFleetTick10kActive(b *testing.B) {
-	benchFleetScale(b, 10000, true, benchActiveInstr)
+	benchFleetScale(b, 10000, "parties", 2, true, benchActiveInstr)
 }
 func BenchmarkFleetTick10kIdle(b *testing.B) {
-	benchFleetScale(b, 10000, true, benchIdleInstr)
+	benchFleetScale(b, 10000, "parties", 2, true, benchIdleInstr)
+}
+
+// The sparse fleet's floor: one slot per node, so every node runs at most
+// one job and its search space is a single configuration, and short phases,
+// so every node-tick is a detailed one that reaches the policy. The CI gate
+// on this pair keeps a satori node-tick within 2x of a parties one.
+func BenchmarkFleetTick1kOneJobParties(b *testing.B) {
+	benchFleetScale(b, 1000, "parties", 1, false, benchActiveInstr)
+}
+func BenchmarkFleetTick1kOneJobSatori(b *testing.B) {
+	benchFleetScale(b, 1000, "satori", 1, false, benchActiveInstr)
 }

@@ -142,6 +142,15 @@ func TestEventDrivenDeterminism(t *testing.T) {
 func TestEventDrivenSkipsAndConserves(t *testing.T) {
 	opt := testOptions(1)
 	opt.Policy = "static" // holds the partition: nodes go phase-stable
+	eventDrivenSkipsAndConserves(t, opt)
+}
+
+// eventDrivenSkipsAndConserves holds opt's fleet, stepped event-driven, to
+// the equivalence with lockstep stepping: it must skip node ticks where
+// lockstep skips none, and conserve jobs and placements exactly.
+func eventDrivenSkipsAndConserves(t *testing.T, opt Options) {
+	t.Helper()
+	lockstep := opt
 	opt.EventDriven = true
 	c, err := New(opt)
 	if err != nil {
@@ -163,8 +172,6 @@ func TestEventDrivenSkipsAndConserves(t *testing.T) {
 	if s.Placed != s.Departed+s.Running {
 		t.Fatalf("placement conservation violated: %+v", s)
 	}
-	lockstep := testOptions(1)
-	lockstep.Policy = "static"
 	lc, err := New(lockstep)
 	if err != nil {
 		t.Fatal(err)
@@ -176,6 +183,42 @@ func TestEventDrivenSkipsAndConserves(t *testing.T) {
 		t.Fatalf("lockstep fleet reported skipped ticks: %+v", ls)
 	}
 	t.Logf("event-driven: %d node-ticks skipped over %d ticks", s.SkippedNodeTicks, s.Ticks)
+}
+
+// sparseOptions is the trough-hours fleet: least-loaded placement onto one
+// slot per node, so no node ever runs a second job and every node's engine
+// (the default satori policy) searches a space of one configuration.
+func sparseOptions(workers int) Options {
+	opt := testOptions(workers)
+	opt.Nodes = 12
+	opt.Placer = "least-loaded"
+	opt.MaxJobsPerNode = 1
+	opt.Stream.ArrivalRate = 1
+	return opt
+}
+
+// TestSparseFleetDeterminism puts the one-job-per-node fleet through the
+// determinism contract of the busy one: byte-identical output for any worker
+// count at every shard count in both stepping modes, same-seed replay, and
+// the event-driven vs lockstep equivalence — with nothing to decide, a node
+// holds its partition and earns idle promises under the searching policy.
+func TestSparseFleetDeterminism(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		for _, eventDriven := range []bool{false, true} {
+			opt := sparseOptions(1)
+			opt.Shards = shards
+			opt.EventDriven = eventDriven
+			serial := runCSV(t, opt, 200)
+			for _, workers := range []int{4, 0} {
+				o := opt
+				o.Workers = workers
+				if got := runCSV(t, o, 200); got != serial {
+					t.Fatalf("shards=%d event-driven=%v workers=%d output differs from serial", shards, eventDriven, workers)
+				}
+			}
+		}
+	}
+	eventDrivenSkipsAndConserves(t, sparseOptions(1))
 }
 
 // TestStepErrorTerminalAndAccounted is the partial-tick bugfix

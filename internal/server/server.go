@@ -7,8 +7,11 @@
 // tests drive the identical stack hermetically over net/http/httptest.
 //
 // Concurrency model: one goroutine (Run) owns the tick cadence; every
-// HTTP mutation takes the same mutex as the tick, so churn serializes
+// HTTP handler takes the same lock as the tick, so churn serializes
 // between intervals exactly like the batch drivers' between-tick churn.
+// The lock is granted in arrival order (turnLock): a free-running driver
+// re-takes it the moment it lets go, and a request must wait one tick for
+// it, not for the runtime to notice a starved waiter.
 // Metrics fan out over bounded per-subscriber buffers — a stalled client
 // drops its own events, never blocks the loop, and never grows memory.
 package server
@@ -55,7 +58,7 @@ type Options struct {
 
 // Server owns a control loop and serves the daemon API.
 type Server struct {
-	mu        sync.Mutex // guards loop, lastStatus, runErr
+	mu        turnLock // guards loop, last, haveLast, runErr, stopped
 	loop      *control.Loop
 	last      control.Status
 	haveLast  bool
@@ -72,6 +75,16 @@ type Server struct {
 	nextSub int
 }
 
+// turnLock is a mutex that changes hands in arrival order: a one-slot
+// channel whose slot is the lock. Unlock wakes the longest-blocked Lock
+// with the slot already its own, so whoever unlocks and locks again right
+// away queues behind every waiter. sync.Mutex lets that caller barge until
+// a waiter has starved for 1 ms — ten ticks of a free-running driver.
+type turnLock chan struct{}
+
+func (l turnLock) Lock()   { l <- struct{}{} }
+func (l turnLock) Unlock() { <-l }
+
 // New builds a server around opt.Loop.
 func New(opt Options) (*Server, error) {
 	if opt.Loop == nil {
@@ -87,6 +100,7 @@ func New(opt Options) (*Server, error) {
 	}
 	injector, _ := rdt.As[*rdt.FaultInjector](opt.Loop.Platform())
 	return &Server{
+		mu:        make(turnLock, 1),
 		loop:      opt.Loop,
 		tickEvery: tickEvery,
 		maxTicks:  opt.MaxTicks,
@@ -479,24 +493,34 @@ func (s *Server) handleGoal(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	s.mu.Lock()
-	tm, fm := s.loop.Objectives()
-	s.mu.Unlock()
+	// Parse outside the lock, then read, override and set in one critical
+	// section: a partial update keeps the formula it did not name as that
+	// formula stands now, not as it stood before a concurrent request's.
+	var (
+		newTM metrics.ThroughputMetric
+		newFM metrics.FairnessMetric
+		err   error
+	)
 	if req.Throughput != "" {
-		var err error
-		if tm, err = parseThroughput(req.Throughput); err != nil {
+		if newTM, err = parseThroughput(req.Throughput); err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
 	if req.Fairness != "" {
-		var err error
-		if fm, err = parseFairness(req.Fairness); err != nil {
+		if newFM, err = parseFairness(req.Fairness); err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
 	s.mu.Lock()
+	tm, fm := s.loop.Objectives()
+	if req.Throughput != "" {
+		tm = newTM
+	}
+	if req.Fairness != "" {
+		fm = newFM
+	}
 	s.loop.SetObjectives(tm, fm)
 	tm, fm = s.loop.Objectives()
 	s.mu.Unlock()

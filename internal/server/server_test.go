@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -279,5 +280,56 @@ func TestServerFaultRunDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Errorf("fault runs diverged:\n  a: %s\n  b: %s", a, b)
+	}
+}
+
+// Two concurrent partial goal updates — one names only the throughput
+// formula, the other only the fairness formula — must both land, however
+// they interleave with each other and with a free-running tick loop:
+// POST /goal reads, overrides and sets the pair in one critical section.
+func TestConcurrentPartialGoalPosts(t *testing.T) {
+	srv := newTestServer(t, nil, 0)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- srv.Run(ctx) }()
+
+	// Each round moves both formulas to a pair the previous round did not
+	// leave behind, so a dropped update shows in that round's status.
+	pairs := [2]GoalRequest{
+		{Throughput: "geomean-speedup", Fairness: "one-minus-cov"},
+		{Throughput: "sum-ips", Fairness: "jain"},
+	}
+	for round := 0; round < 60; round++ {
+		want := pairs[round%2]
+		var wg sync.WaitGroup
+		for _, req := range []GoalRequest{{Throughput: want.Throughput}, {Fairness: want.Fairness}} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				body, _ := json.Marshal(req)
+				resp, err := ts.Client().Post(ts.URL+"/goal", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("POST /goal %s: %v", body, err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("POST /goal %s: status = %d, want 200", body, resp.StatusCode)
+				}
+			}()
+		}
+		wg.Wait()
+		var status StatusResponse
+		getJSON(t, ts, "/status", http.StatusOK, &status)
+		if status.Throughput != want.Throughput || status.Fairness != want.Fairness {
+			t.Fatalf("round %d: goal = %s + %s, want %s + %s: a concurrent partial update was lost",
+				round, status.Throughput, status.Fairness, want.Throughput, want.Fairness)
+		}
+	}
+	cancel()
+	if err := <-runDone; err != nil {
+		t.Fatalf("Run: %v", err)
 	}
 }
