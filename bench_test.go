@@ -1,11 +1,14 @@
-// Benchmarks: one per reproduced paper figure/table (running the figure's
-// driver at reduced scale — the full-scale numbers are produced by
-// cmd/experiments and recorded in EXPERIMENTS.md), plus microbenchmarks of
-// the engine's hot paths (GP refit, acquisition maximization, one full
-// Decide, oracle search, simulator step).
+// Benchmarks: one sub-benchmark per row of the experiment table (at
+// reduced scale — the full-scale numbers are produced by cmd/experiments
+// and recorded in EXPERIMENTS.md), plus microbenchmarks of the engine's
+// hot paths (GP refit, acquisition maximization, one full Decide, oracle
+// search, simulator step). The allocation ceilings of the three loops CI
+// used to gate through benchjson are tests here, next to the benchmarks
+// that define those loops.
 package satori_test
 
 import (
+	"runtime"
 	"testing"
 
 	"satori"
@@ -16,53 +19,27 @@ import (
 	"satori/internal/policies/oracle"
 	"satori/internal/policy"
 	"satori/internal/rdt"
+	"satori/internal/resource"
 	"satori/internal/sim"
 	"satori/internal/stats"
 	"satori/internal/workloads"
 )
 
-// benchExperiment runs one figure driver per iteration at smoke scale.
-func benchExperiment(b *testing.B, id string, opt harness.ExpOptions) {
-	b.Helper()
-	e, ok := harness.FindExperiment(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(opt); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiment runs every row of the experiment table at smoke
+// scale, one sub-benchmark per row (-bench 'Experiment/fig7$').
+func BenchmarkExperiment(b *testing.B) {
+	smoke := harness.ExpOptions{Ticks: 60, Seed: 9, MixLimit: 1}
+	for _, e := range harness.Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(smoke); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-// smoke is the per-iteration scale for figure benchmarks.
-var smoke = harness.ExpOptions{Ticks: 60, Seed: 9, MixLimit: 1}
-
-func BenchmarkFig01(b *testing.B) { benchExperiment(b, "fig1", smoke) }
-func BenchmarkFig02(b *testing.B) { benchExperiment(b, "fig2", smoke) }
-func BenchmarkFig03(b *testing.B) { benchExperiment(b, "fig3", smoke) }
-func BenchmarkFig07(b *testing.B) { benchExperiment(b, "fig7", smoke) }
-func BenchmarkFig08(b *testing.B) { benchExperiment(b, "fig8", smoke) }
-func BenchmarkFig09(b *testing.B) { benchExperiment(b, "fig9", smoke) }
-func BenchmarkFig10(b *testing.B) { benchExperiment(b, "fig10", smoke) }
-func BenchmarkFig11(b *testing.B) { benchExperiment(b, "fig11", smoke) }
-func BenchmarkFig12(b *testing.B) { benchExperiment(b, "fig12", smoke) }
-func BenchmarkFig13(b *testing.B) { benchExperiment(b, "fig13", smoke) }
-func BenchmarkFig14(b *testing.B) { benchExperiment(b, "fig14", smoke) }
-func BenchmarkFig15(b *testing.B) { benchExperiment(b, "fig15", smoke) }
-func BenchmarkFig16(b *testing.B) { benchExperiment(b, "fig16", smoke) }
-func BenchmarkFig17(b *testing.B) { benchExperiment(b, "fig17", smoke) }
-func BenchmarkFig18(b *testing.B) { benchExperiment(b, "fig18", smoke) }
-func BenchmarkFig19(b *testing.B) { benchExperiment(b, "fig19", smoke) }
-func BenchmarkScalability(b *testing.B) {
-	benchExperiment(b, "scalability", harness.ExpOptions{Ticks: 60, Seed: 9, MixLimit: 1})
-}
-func BenchmarkAblationResources(b *testing.B) { benchExperiment(b, "ablation-resources", smoke) }
-func BenchmarkAblationInit(b *testing.B)      { benchExperiment(b, "ablation-init", smoke) }
-func BenchmarkAblationWindow(b *testing.B)    { benchExperiment(b, "ablation-window", smoke) }
-func BenchmarkAblationBounds(b *testing.B)    { benchExperiment(b, "ablation-bounds", smoke) }
-func BenchmarkSpaceSize(b *testing.B)         { benchExperiment(b, "space", smoke) }
 
 // benchSuite runs the Fig. 7-style suite (4 mixes × 2 policies + oracle
 // references) under the given worker count; the serial/parallel pair
@@ -102,69 +79,119 @@ func benchSuite(b *testing.B, workers int) {
 func BenchmarkSuiteSerial(b *testing.B)    { benchSuite(b, 1) }
 func BenchmarkSuiteParallel4(b *testing.B) { benchSuite(b, 4) }
 
-// benchEngineOverhead measures one full SATORI BO iteration — the
-// quantity the paper reports as 1.2 ms within the 100 ms interval
-// (Sec. V overhead analysis; the "overhead" experiment prints the same
-// measurement with more context). Run time-based (-benchtime 2s, not Nx):
-// the first few hundred iterations are seeding/warm-up ticks that are far
-// cheaper than steady-state Decide calls.
-func benchEngineOverhead(b *testing.B, opt core.Options) {
-	b.Helper()
-	mixes, err := workloads.PaperMixes(workloads.SuitePARSEC)
+// decideLoop drives one policy against a simulated platform the way the
+// Decide benchmarks need it: observe builds the next tick's observation
+// and apply commits the decision, so a caller can time — or count the
+// allocations of — the Decide call between them and nothing else.
+type decideLoop struct {
+	platform *rdt.SimPlatform
+	policy   policy.Policy
+	iso      []float64
+	current  resource.Config
+}
+
+func newDecideLoop(tb testing.TB, machine sim.MachineSpec, profiles []*sim.Profile, factory harness.PolicyFactory) *decideLoop {
+	tb.Helper()
+	s, err := sim.New(machine, profiles, sim.Options{Seed: 9})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	s, err := sim.New(sim.DefaultMachine(), mixes[0].Profiles, sim.Options{Seed: 9})
+	l := &decideLoop{}
+	if l.platform, err = rdt.NewSimPlatform(s); err != nil {
+		tb.Fatal(err)
+	}
+	if l.policy, err = factory(l.platform, 9); err != nil {
+		tb.Fatal(err)
+	}
+	if l.iso, err = l.platform.MeasureIsolated(); err != nil {
+		tb.Fatal(err)
+	}
+	l.current = l.platform.Current()
+	return l
+}
+
+func (l *decideLoop) observe(tb testing.TB, tick int) policy.Observation {
+	ips, err := l.platform.Sample()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	platform, err := rdt.NewSimPlatform(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt.Seed = 9
-	eng, err := core.New(platform.Space(), opt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	iso, err := platform.MeasureIsolated()
-	if err != nil {
-		b.Fatal(err)
-	}
-	current := platform.Current()
 	met := harness.DefaultMetrics()
+	return policy.Observation{
+		Tick: tick, IPS: ips, Isolated: l.iso,
+		Speedups:   metrics.Speedups(ips, l.iso),
+		Throughput: metrics.NormalizedThroughput(met.Throughput, ips, l.iso),
+		Fairness:   metrics.NormalizedFairness(met.Fairness, ips, l.iso),
+	}
+}
+
+func (l *decideLoop) apply(next resource.Config) {
+	if err := l.platform.Apply(next); err == nil {
+		l.current = l.platform.Current()
+	}
+}
+
+// bench times Decide alone, from tick first on.
+func (l *decideLoop) bench(b *testing.B, first int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		ips, err := platform.Sample()
-		if err != nil {
-			b.Fatal(err)
-		}
-		obs := policy.Observation{
-			Tick: i + 1, IPS: ips, Isolated: iso,
-			Speedups:   metrics.Speedups(ips, iso),
-			Throughput: metrics.NormalizedThroughput(met.Throughput, ips, iso),
-			Fairness:   metrics.NormalizedFairness(met.Fairness, ips, iso),
-		}
+		obs := l.observe(b, first+i)
 		b.StartTimer()
-		next := eng.Decide(obs, current)
+		next := l.policy.Decide(obs, l.current)
 		b.StopTimer()
-		if err := platform.Apply(next); err == nil {
-			current = platform.Current()
-		}
+		l.apply(next)
 		b.StartTimer()
 	}
 }
 
+// engineLoop is one full SATORI BO iteration per tick on PARSEC mix 0 —
+// the quantity the paper reports as 1.2 ms within the 100 ms interval
+// (Sec. V overhead analysis; the "overhead" experiment prints the same
+// measurement with more context). Benchmark it time-based (-benchtime 2s,
+// not Nx): the first few hundred iterations are seeding/warm-up ticks
+// that are far cheaper than steady-state Decide calls.
+func engineLoop(tb testing.TB, opt core.Options) *decideLoop {
+	tb.Helper()
+	mixes, err := workloads.PaperMixes(workloads.SuitePARSEC)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return newDecideLoop(tb, sim.DefaultMachine(), mixes[0].Profiles, harness.SatoriFactory(opt))
+}
+
 // BenchmarkEngineOverhead is the headline per-tick cost under default
 // options.
-func BenchmarkEngineOverhead(b *testing.B) { benchEngineOverhead(b, core.Options{}) }
+func BenchmarkEngineOverhead(b *testing.B) { engineLoop(b, core.Options{}).bench(b, 1) }
 
-// BenchmarkEngineOverheadIncremental pins the paper's Window=64; its
-// allocs/op is a CI gate, and EXPERIMENTS.md records the numbers.
+// BenchmarkEngineOverheadIncremental pins the paper's Window=64;
+// EXPERIMENTS.md records the numbers.
 func BenchmarkEngineOverheadIncremental(b *testing.B) {
-	benchEngineOverhead(b, core.Options{Window: 64})
+	engineLoop(b, core.Options{Window: 64}).bench(b, 1)
+}
+
+// TestEngineDecideAllocationCeiling holds the Window=64 loop's Decide to
+// 8 allocations per call, averaged from the first tick on as the
+// benchmark averages them. The count brackets Decide alone, like the
+// benchmark's timer, which testing.AllocsPerRun cannot do inside a loop
+// whose other half allocates; it reads the same counter the same way.
+func TestEngineDecideAllocationCeiling(t *testing.T) {
+	l := engineLoop(t, core.Options{Window: 64})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const ticks = 1500
+	var before, after runtime.MemStats
+	var mallocs uint64
+	for tick := 1; tick <= ticks; tick++ {
+		obs := l.observe(t, tick)
+		runtime.ReadMemStats(&before)
+		next := l.policy.Decide(obs, l.current)
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		l.apply(next)
+	}
+	if per := mallocs / ticks; per > 8 {
+		t.Errorf("Decide allocates %d/op over %d ticks, ceiling 8", per, ticks)
+	}
 }
 
 // benchIncrementalModel builds a warm n-observation incremental GP. The
@@ -291,28 +318,42 @@ func BenchmarkOracleSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionStep isolates the control loop's own steady-state
-// cost: a warmed session past the first equalization boundary, under the
-// hold-current Static policy so no engine work is measured — just
-// sample → score → decide → apply through internal/control. This guards
-// the loop's per-tick allocation budget (a handful of slices per step:
-// the IPS sample, the speedup vector, and the status copies).
-func BenchmarkSessionStep(b *testing.B) {
+// staticSession is the loop BenchmarkSessionStep* run: a session warmed
+// past the first equalization boundary under the hold-current Static
+// policy, so no engine work is measured — just sample → score → decide →
+// apply through internal/control. With lc, two latency-critical jobs
+// join the mix and goal switching is armed.
+func staticSession(tb testing.TB, lc bool) *satori.Session {
+	tb.Helper()
 	jobs, err := satori.Suite(satori.SuitePARSEC)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
+	}
+	jobs = jobs[:5]
+	if lc {
+		services, err := satori.Suite(satori.SuiteLC)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		jobs = append(services[:2], jobs[:3]...)
 	}
 	sess, err := satori.NewSession(satori.SessionConfig{
-		Workloads: jobs[:5],
-		Seed:      9,
-		Policy:    satori.NewStaticPolicy(),
+		Workloads:     jobs,
+		Seed:          9,
+		Policy:        satori.NewStaticPolicy(),
+		SLOGoalSwitch: lc,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if _, err := sess.Run(150); err != nil { // warm past tick 101's refresh
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return sess
+}
+
+func benchSessionStep(b *testing.B, lc bool) {
+	sess := staticSession(b, lc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -322,38 +363,34 @@ func BenchmarkSessionStep(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionStepLC is BenchmarkSessionStep with latency-critical
-// jobs in the mix and goal switching armed: the extra steady-state cost
-// is the SLO tracker's per-tick pass (latency quantiles, attainment,
-// detector update) plus the per-job quantile slices in the status. The
-// delta against SessionStep is the whole subsystem's scoring overhead —
-// the batch-only path must stay at its prior allocation budget.
-func BenchmarkSessionStepLC(b *testing.B) {
-	batch, err := satori.Suite(satori.SuitePARSEC)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lc, err := satori.Suite(satori.SuiteLC)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sess, err := satori.NewSession(satori.SessionConfig{
-		Workloads:     append(lc[:2], batch[:3]...),
-		Seed:          9,
-		Policy:        satori.NewStaticPolicy(),
-		SLOGoalSwitch: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sess.Run(150); err != nil { // warm past tick 101's refresh
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sess.Step(); err != nil {
-			b.Fatal(err)
+// BenchmarkSessionStep isolates the control loop's own steady-state
+// cost and guards its per-tick allocation budget (a handful of slices
+// per step: the IPS sample, the speedup vector, and the status copies).
+func BenchmarkSessionStep(b *testing.B) { benchSessionStep(b, false) }
+
+// BenchmarkSessionStepLC adds the SLO tracker's per-tick pass (latency
+// quantiles, attainment, detector update) plus the per-job quantile
+// slices in the status. The delta against SessionStep is the whole
+// subsystem's scoring overhead — the batch-only path must stay at its
+// prior allocation budget.
+func BenchmarkSessionStepLC(b *testing.B) { benchSessionStep(b, true) }
+
+// TestSessionStepAllocationCeilings: one steady-state loop step makes at
+// most 5 allocations, 8 with latency-critical jobs in the mix.
+func TestSessionStepAllocationCeilings(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		lc      bool
+		ceiling float64
+	}{{"SessionStep", false, 5}, {"SessionStepLC", true, 8}} {
+		sess := staticSession(t, c.lc)
+		got := testing.AllocsPerRun(200, func() {
+			if _, err := sess.Step(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.ceiling {
+			t.Errorf("%s allocates %.0f/op, ceiling %.0f", c.name, got, c.ceiling)
 		}
 	}
 }
@@ -374,61 +411,16 @@ func benchClusterDecide(b *testing.B, factory harness.PolicyFactory) {
 	for i := range profiles {
 		profiles[i] = base[i%len(base)]
 	}
-	machine := sim.MachineSpec{
+	l := newDecideLoop(b, sim.MachineSpec{
 		Cores: 48, LLCWays: 32, MemBWUnits: 24,
 		MemBWBytesPerUnit: 7.68e9, LineBytes: 64, MinPowerScale: 0.55,
-	}
-	s, err := sim.New(machine, profiles, sim.Options{Seed: 9})
-	if err != nil {
-		b.Fatal(err)
-	}
-	platform, err := rdt.NewSimPlatform(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pol, err := factory(platform, 9)
-	if err != nil {
-		b.Fatal(err)
-	}
-	iso, err := platform.MeasureIsolated()
-	if err != nil {
-		b.Fatal(err)
-	}
-	current := platform.Current()
-	met := harness.DefaultMetrics()
-	observe := func(tick int) policy.Observation {
-		ips, err := platform.Sample()
-		if err != nil {
-			b.Fatal(err)
-		}
-		return policy.Observation{
-			Tick: tick, IPS: ips, Isolated: iso,
-			Speedups:   metrics.Speedups(ips, iso),
-			Throughput: metrics.NormalizedThroughput(met.Throughput, ips, iso),
-			Fairness:   metrics.NormalizedFairness(met.Fairness, ips, iso),
-		}
-	}
+	}, profiles, factory)
 	// Warm past engine seeding and classifier convergence.
-	tick := 0
-	for ; tick < 200; tick++ {
-		next := pol.Decide(observe(tick+1), current)
-		if err := platform.Apply(next); err == nil {
-			current = platform.Current()
-		}
+	const warm = 200
+	for tick := 1; tick <= warm; tick++ {
+		l.apply(l.policy.Decide(l.observe(b, tick), l.current))
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		obs := observe(tick + i + 1)
-		b.StartTimer()
-		next := pol.Decide(obs, current)
-		b.StopTimer()
-		if err := platform.Apply(next); err == nil {
-			current = platform.Current()
-		}
-		b.StartTimer()
-	}
+	l.bench(b, warm+1)
 }
 
 func BenchmarkClusterDecidePerJob24(b *testing.B) {

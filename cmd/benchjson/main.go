@@ -1,31 +1,20 @@
-// Command benchjson converts `go test -bench` output into a committed
-// JSON snapshot and enforces performance gates, so perf claims live in
-// version control next to the code that earns them and CI fails loudly
-// when the hot path regresses.
+// Command benchjson reads `go test -bench` output on stdin and enforces
+// ratio gates between benchmarks, so CI fails loudly when a speedup the
+// code claims is lost. (It is named for the JSON snapshots it once wrote;
+// allocation ceilings are `go test` assertions beside their benchmarks.)
 //
 // Usage:
 //
-//	go test -run '^$' -bench Overhead -benchmem ./... | benchjson -out BENCH.json -label after
-//	... | benchjson -max-allocs EngineOverheadIncremental=8
-//	... | benchjson -min-ratio 'SolveLowerVec/SolveLowerMatrix32:ns/cand=2.0'
+//	go test -run '^$' -bench SolveLower ./internal/gp | benchjson \
+//	    -min-ratio 'SolveLowerVec/SolveLowerMatrix32:ns/cand=2.0'
 //
-// Schema: {"<label>": {"<benchmark>": {"ns_per_op": N, "allocs_per_op": N,
-// "metrics": {"<unit>": N}}}}. With -label and an existing -out file the
-// new section is merged in, so a before/after trajectory accumulates in
-// one file. Repeated -count runs collapse to the fastest time and the
-// largest allocation count (best-of timing, conservative gating).
-//
-// Gates (repeatable):
-//
-//	-max-allocs NAME=N          fail when NAME allocates more than N/op
-//	-min-ratio A[:unit]/B[:unit]=R
-//	                            fail when A's metric over B's metric is
-//	                            below R (default unit ns/op)
+// -min-ratio A[:unit]/B[:unit]=R (repeatable) fails when A's metric over
+// B's is below R; the default unit is ns/op, others are the benchmark's
+// ReportMetric units. Repeated -count runs collapse to the fastest value.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -33,162 +22,75 @@ import (
 	"strings"
 )
 
-// Entry is one benchmark's collapsed measurements.
-type Entry struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	// Metrics carries ReportMetric units (ns/cand, ns/eval, ...).
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-type listFlag []string
-
-func (l *listFlag) String() string     { return strings.Join(*l, ",") }
-func (l *listFlag) Set(v string) error { *l = append(*l, v); return nil }
-
 func main() {
-	out := flag.String("out", "", "write the JSON snapshot here (default stdout)")
-	label := flag.String("label", "run", "section name for this run inside the snapshot")
-	var maxAllocs, minRatios listFlag
-	flag.Var(&maxAllocs, "max-allocs", "NAME=N gate: fail when NAME allocates more than N per op (repeatable)")
-	flag.Var(&minRatios, "min-ratio", "A[:unit]/B[:unit]=R gate: fail when the ratio is below R (repeatable)")
+	var minRatios []string
+	flag.Func("min-ratio", "A[:unit]/B[:unit]=R gate: fail when the ratio is below R (repeatable)",
+		func(v string) error { minRatios = append(minRatios, v); return nil })
 	flag.Parse()
 
-	entries, err := parse(bufio.NewScanner(os.Stdin))
-	if err != nil {
-		fatal(err)
+	metrics, err := parse(bufio.NewScanner(os.Stdin))
+	if err == nil && len(metrics) == 0 {
+		err = fmt.Errorf("benchjson: no benchmark lines on stdin")
 	}
-	if len(entries) == 0 {
-		fatal(fmt.Errorf("benchjson: no benchmark lines on stdin"))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	failed := false
-	for _, g := range maxAllocs {
-		if err := gateAllocs(entries, g); err != nil {
-			fmt.Fprintln(os.Stderr, "GATE FAILED:", err)
-			failed = true
-		}
-	}
 	for _, g := range minRatios {
-		if err := gateRatio(entries, g); err != nil {
+		if err := gateRatio(metrics, g); err != nil {
 			fmt.Fprintln(os.Stderr, "GATE FAILED:", err)
 			failed = true
 		}
-	}
-
-	snapshot := map[string]map[string]*Entry{}
-	if *out != "" {
-		if blob, err := os.ReadFile(*out); err == nil {
-			if err := json.Unmarshal(blob, &snapshot); err != nil {
-				fatal(fmt.Errorf("benchjson: existing %s is not a snapshot: %w", *out, err))
-			}
-		}
-	}
-	snapshot[*label] = entries
-	blob, err := json.MarshalIndent(snapshot, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	blob = append(blob, '\n')
-	if *out == "" {
-		os.Stdout.Write(blob)
-	} else if err := os.WriteFile(*out, blob, 0o644); err != nil {
-		fatal(err)
 	}
 	if failed {
 		os.Exit(1)
 	}
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(2)
-}
-
-// parse collects Benchmark lines, collapsing repeated -count runs.
-func parse(sc *bufio.Scanner) (map[string]*Entry, error) {
-	entries := map[string]*Entry{}
+// parse collects each benchmark's metrics by unit, keeping the smallest
+// value of repeated runs.
+func parse(sc *bufio.Scanner) (map[string]map[string]float64, error) {
+	metrics := map[string]map[string]float64{}
 	for sc.Scan() {
 		line := sc.Text()
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue
-		}
 		fields := strings.Fields(line)
 		// BenchmarkName-P  N  V unit  [V unit]...
-		if len(fields) < 4 {
+		if !strings.HasPrefix(line, "Benchmark") || len(fields) < 4 {
 			continue
 		}
 		name := strings.TrimPrefix(fields[0], "Benchmark")
 		if i := strings.LastIndexByte(name, '-'); i > 0 {
 			name = name[:i]
 		}
-		e := entries[name]
-		if e == nil {
-			e = &Entry{}
-			entries[name] = e
+		if metrics[name] == nil {
+			metrics[name] = map[string]float64{}
 		}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				return nil, fmt.Errorf("benchjson: bad value %q in %q", fields[i], line)
 			}
-			switch unit := fields[i+1]; unit {
-			case "ns/op":
-				if e.NsPerOp == 0 || v < e.NsPerOp {
-					e.NsPerOp = v
-				}
-			case "allocs/op":
-				if v > e.AllocsPerOp {
-					e.AllocsPerOp = v
-				}
-			case "B/op":
-				if v > e.BytesPerOp {
-					e.BytesPerOp = v
-				}
-			default:
-				if e.Metrics == nil {
-					e.Metrics = map[string]float64{}
-				}
-				if cur, ok := e.Metrics[unit]; !ok || v < cur {
-					e.Metrics[unit] = v
-				}
+			unit := fields[i+1]
+			if cur, ok := metrics[name][unit]; !ok || v < cur {
+				metrics[name][unit] = v
 			}
 		}
 	}
-	return entries, sc.Err()
+	return metrics, sc.Err()
 }
 
-// gateAllocs enforces NAME=N.
-func gateAllocs(entries map[string]*Entry, gate string) error {
-	name, limitStr, ok := strings.Cut(gate, "=")
-	if !ok {
-		return fmt.Errorf("malformed -max-allocs %q (want NAME=N)", gate)
-	}
-	limit, err := strconv.ParseFloat(limitStr, 64)
-	if err != nil {
-		return fmt.Errorf("malformed -max-allocs %q: %w", gate, err)
-	}
-	e, ok := entries[name]
-	if !ok {
-		return fmt.Errorf("-max-allocs: benchmark %q not in input", name)
-	}
-	if e.AllocsPerOp > limit {
-		return fmt.Errorf("%s allocates %.0f/op, limit %.0f", name, e.AllocsPerOp, limit)
-	}
-	return nil
-}
-
-// metric resolves NAME[:unit] against the parsed entries.
-func metric(entries map[string]*Entry, ref string) (float64, error) {
+// metric resolves NAME[:unit] against the parsed benchmarks.
+func metric(metrics map[string]map[string]float64, ref string) (float64, error) {
 	name, unit, hasUnit := strings.Cut(ref, ":")
-	e, ok := entries[name]
+	if !hasUnit {
+		unit = "ns/op"
+	}
+	byUnit, ok := metrics[name]
 	if !ok {
 		return 0, fmt.Errorf("benchmark %q not in input", name)
 	}
-	if !hasUnit || unit == "ns/op" {
-		return e.NsPerOp, nil
-	}
-	v, ok := e.Metrics[unit]
+	v, ok := byUnit[unit]
 	if !ok {
 		return 0, fmt.Errorf("benchmark %q has no %q metric", name, unit)
 	}
@@ -196,24 +98,21 @@ func metric(entries map[string]*Entry, ref string) (float64, error) {
 }
 
 // gateRatio enforces A[:unit]/B[:unit]=R.
-func gateRatio(entries map[string]*Entry, gate string) error {
+func gateRatio(metrics map[string]map[string]float64, gate string) error {
 	spec, minStr, ok := strings.Cut(gate, "=")
-	if !ok {
+	numRef, denRef, ok2 := strings.Cut(spec, "/")
+	if !ok || !ok2 {
 		return fmt.Errorf("malformed -min-ratio %q (want A/B=R)", gate)
 	}
 	min, err := strconv.ParseFloat(minStr, 64)
 	if err != nil {
 		return fmt.Errorf("malformed -min-ratio %q: %w", gate, err)
 	}
-	numRef, denRef, ok := strings.Cut(spec, "/")
-	if !ok {
-		return fmt.Errorf("malformed -min-ratio %q (want A/B=R)", gate)
-	}
-	num, err := metric(entries, numRef)
+	num, err := metric(metrics, numRef)
 	if err != nil {
 		return fmt.Errorf("-min-ratio %s: %w", gate, err)
 	}
-	den, err := metric(entries, denRef)
+	den, err := metric(metrics, denRef)
 	if err != nil {
 		return fmt.Errorf("-min-ratio %s: %w", gate, err)
 	}

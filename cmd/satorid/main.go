@@ -156,6 +156,12 @@ func buildServer(addr, workloadList, suite string, mixIdx int, policyName string
 		return nil, err
 	}
 
+	// server.Options reads a zero TickEvery as "default cadence"; the
+	// flag's 0 means free-run, which the server takes as any negative
+	// interval.
+	if tick == 0 {
+		tick = -1
+	}
 	return server.New(server.Options{
 		Loop:              loop,
 		TickEvery:         tick,

@@ -68,6 +68,61 @@ func TestCellCacheHitsAreByteIdentical(t *testing.T) {
 	}
 }
 
+// suiteShaped reports whether a shape runs suites, i.e. whether the
+// cell cache applies to it.
+func suiteShaped(s shape) bool {
+	switch s := s.(type) {
+	case suiteRow, sweepRow:
+		return true
+	case seq:
+		for _, part := range s {
+			if suiteShaped(part) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestEverySuiteRowUsesTheCellCache extends the contract above to the
+// experiment table: every row that runs suites — suite rows, sweeps and
+// the replication — must fill the cache on a cold run, be served
+// entirely from it on a warm one, and render the same bytes as without
+// it. (Sweep points that shared a policy name used to alias here, and 13
+// rows used to drop the cache.)
+func TestEverySuiteRowUsesTheCellCache(t *testing.T) {
+	for _, r := range experimentTable() {
+		if !suiteShaped(r.shape) && r.id != "replication" {
+			continue
+		}
+		t.Run(r.id, func(t *testing.T) {
+			cache, err := NewCellCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			render := func(c *CellCache) string {
+				rep, err := r.run(ExpOptions{Ticks: 30, Seed: 7, MixLimit: 1, Cache: c})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep.String()
+			}
+			uncached, cold := render(nil), render(cache)
+			_, stored, _ := cache.Stats()
+			if stored == 0 {
+				t.Fatal("cold run stored no cells: the row does not pass the cache on")
+			}
+			warm := render(cache)
+			if _, misses, _ := cache.Stats(); misses != stored {
+				t.Errorf("warm run re-simulated %d cells", misses-stored)
+			}
+			if cold != uncached || warm != uncached {
+				t.Errorf("cached report diverged:\nuncached:\n%s\ncold:\n%s\nwarm:\n%s", uncached, cold, warm)
+			}
+		})
+	}
+}
+
 // TestCellCacheKeyDiscriminates: any field that changes a run's outcome
 // must change its key.
 func TestCellCacheKeyDiscriminates(t *testing.T) {

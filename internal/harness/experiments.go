@@ -82,39 +82,12 @@ type Experiment struct {
 
 // Experiments returns the full registry, ordered as in the paper.
 func Experiments() []Experiment {
-	return []Experiment{
-		{"fig1", "Optimal-throughput configuration drifts over time", RunFig1},
-		{"fig2", "Throughput-optimal vs fairness-optimal configurations differ", RunFig2},
-		{"fig3", "Opportunity to re-balance conflicting goals over time", RunFig3},
-		{"fig7", "Average throughput and fairness vs Balanced Oracle (PARSEC)", RunFig7},
-		{"fig8", "Per-mix throughput and fairness (21 PARSEC mixes)", RunFig8},
-		{"fig9", "Worst-performing job per mix (PARSEC)", RunFig9},
-		{"fig10", "Per-mix results (CloudSuite)", RunFig10},
-		{"fig11", "Per-mix results (ECP)", RunFig11},
-		{"fig12", "Suite averages (CloudSuite)", RunFig12},
-		{"fig13", "Suite averages (ECP)", RunFig13},
-		{"fig14", "Dynamic weight re-balancing and its benefit", RunFig14},
-		{"fig15", "Configuration distance to the Balanced Oracle", RunFig15},
-		{"fig16", "Sensitivity to prioritization and equalization periods", RunFig16},
-		{"fig17", "Objective value and proxy-model stability over time", RunFig17},
-		{"fig18", "Observed-performance variation with and without prioritization", RunFig18},
-		{"fig19", "Prioritizing the weaker goal outperforms the stronger", RunFig19},
-		{"mix-change", "Workload-mix change absorbed without re-initialization", RunMixChange},
-		{"slo", "Violation-driven goal switching on a mixed batch+LC co-location", RunSLO},
-		{"scalability", "SATORI-PARTIES gap grows with co-location degree", RunScalability},
-		{"cluster", "Jobs ≫ classes: clustered partition search vs per-job and LFOC", RunCluster},
-		{"clite", "CLITE (BO, static objective) vs PARTIES and SATORI", RunCLITE},
-		{"ablation-resources", "SATORI restricted to dCAT's and CoPart's resources", RunAblationResources},
-		{"ablation-init", "Good vs random initial configuration set", RunAblationInit},
-		{"ablation-window", "Proxy-model window size", RunAblationWindow},
-		{"ablation-bounds", "Weight bounds 0.25/0.75 vs unbounded", RunAblationBounds},
-		{"ablation-noise", "SATORI vs IPS measurement-noise level", RunAblationNoise},
-		{"ablation-machine", "Portability across machine shapes", RunAblationMachine},
-		{"ablation-acquisition", "EI vs UCB, PI, Thompson sampling", RunAblationAcquisition},
-		{"replication", "Fig. 7 comparison across seeds with 95% CIs", RunReplication},
-		{"overhead", "BO engine cost per 100 ms interval", RunOverhead},
-		{"space", "Configuration-space sizes (Sec. II)", RunSpaceSize},
+	rows := experimentTable()
+	out := make([]Experiment, len(rows))
+	for i, r := range rows {
+		out[i] = Experiment{ID: r.id, Title: r.title, Run: r.run}
 	}
+	return out
 }
 
 // FindExperiment looks an experiment up by ID.
@@ -127,39 +100,117 @@ func FindExperiment(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
+// row is one line of the experiment table: what a figure is called, the
+// shape that measures and renders it, and the notes its report closes
+// with (what the paper shows, how to read the tables).
+type row struct {
+	id, title string
+	shape     shape
+	notes     []string
+}
+
+// shape is how a row produces its report: measure a typed numeric
+// outcome, then render it into rep. The four shared shapes
+// (experiments_shapes.go) and oneOff each have a typed measure beside
+// this, which is what the claims tier reads.
+type shape interface {
+	report(opt ExpOptions, rep *Report) error
+}
+
+// run is the one runner: it alone resolves the option defaults and
+// stamps the report with the row's ID, title and closing notes.
+func (r row) run(opt ExpOptions) (*Report, error) {
+	rep := &Report{ID: r.id, Title: r.title}
+	if err := r.shape.report(opt.fill(), rep); err != nil {
+		return nil, err
+	}
+	rep.Notes = append(rep.Notes, r.notes...)
+	return rep, nil
+}
+
+// oracleNote summarizes the oracle reference levels.
+func oracleNote(res *SuiteResult) []string {
+	var t, f float64
+	for _, r := range res.OracleRaw {
+		t += r.MeanThroughput
+		f += r.MeanFairness
+	}
+	n := float64(len(res.OracleRaw))
+	return []string{fmt.Sprintf("Balanced Oracle reference (absolute, run-mean): throughput %.3f, fairness %.3f", t/n, f/n)}
+}
+
+// lead is policy a's advantage over policy b in %-points of throughput
+// and fairness.
+func lead(res *SuiteResult, a, b string) (dT, dF float64) {
+	m := res.Means()
+	return (m[a].PctThroughput - m[b].PctThroughput) * 100, (m[a].PctFairness - m[b].PctFairness) * 100
+}
+
+// resourcesBenefit is each restricted SATORI's lead over the baseline
+// that manages the same resources.
+func resourcesBenefit(res *SuiteResult) []string {
+	llcT, llcF := lead(res, "satori-llc", "dcat")
+	bwT, bwF := lead(res, "satori-llc+bw", "copart")
+	return []string{
+		fmt.Sprintf("satori-llc vs dcat: %+.1f T pts, %+.1f F pts (paper: +4/+5)", llcT, llcF),
+		fmt.Sprintf("satori-llc+bw vs copart: %+.1f T pts, %+.1f F pts (paper: +7/+4)", bwT, bwF)}
+}
+
+func initAdvantage(res *SuiteResult) []string {
+	dT, dF := lead(res, "good-init", "random-init")
+	return []string{fmt.Sprintf("good-init advantage: %+.1f T pts, %+.1f F pts (paper: 1-3%% outcome variation)", dT, dF)}
+}
+
+func fig19Advantage(res *SuiteResult) []string {
+	m := res.Means()
+	dw, ds := m["satori (prioritize weaker)"], m["prioritize stronger"]
+	return []string{fmt.Sprintf("combined-score advantage of prioritizing the weaker goal: %+.1f%% points (paper: ~5%%)",
+		((dw.PctThroughput+dw.PctFairness)-(ds.PctThroughput+ds.PctFairness))/2*100)}
+}
+
 // meansTable renders a SuiteResult's across-mix means in policy order.
 func meansTable(res *SuiteResult) *trace.Table {
 	tbl := trace.NewTable("policy", "throughput %oracle", "fairness %oracle", "worst-job %oracle")
+	means := res.Means()
 	for _, name := range res.Policies {
-		m := res.Means()[name]
+		m := means[name]
 		tbl.AddRow(name, trace.Pct(m.PctThroughput), trace.Pct(m.PctFairness), trace.Pct(m.PctWorst))
 	}
 	return tbl
 }
 
-// perMixTable renders per-mix scores for every policy, mixes sorted by
-// the anchor policy's throughput (the paper sorts by SATORI's score).
-func perMixTable(res *SuiteResult, anchor string, value func(MixScore) float64) *trace.Table {
-	header := []string{"mix", "workloads"}
-	header = append(header, res.Policies...)
-	tbl := trace.NewTable(header...)
-	order := res.MixOrder(anchor)
-	for _, mixIdx := range order {
-		row := []string{fmt.Sprintf("%d", mixIdx), ""}
-		for _, name := range res.Policies {
-			sc, ok := res.ScoreFor(name, mixIdx)
-			if !ok {
-				row = append(row, "-")
-				continue
-			}
-			if row[1] == "" {
-				row[1] = strings.Join(shortNames(sc.MixNames), "+")
-			}
-			row = append(row, trace.Pct(value(sc)))
-		}
-		tbl.AddRow(row...)
+// worstMeansTable is Fig. 9's across-mix average of the worst job.
+func worstMeansTable(res *SuiteResult) *trace.Table {
+	means := res.Means()
+	tbl := trace.NewTable("policy", "mean worst-job %oracle")
+	for _, name := range res.Policies {
+		tbl.AddRow(name, trace.Pct(means[name].PctWorst))
 	}
 	return tbl
+}
+
+func pctThroughput(s MixScore) float64 { return s.PctThroughput }
+func pctFairness(s MixScore) float64   { return s.PctFairness }
+func pctWorst(s MixScore) float64      { return s.PctWorst }
+
+// perMix renders one score of every policy per mix, mixes sorted by
+// SATORI's throughput as the paper sorts them.
+func perMix(value func(MixScore) float64) func(*SuiteResult) *trace.Table {
+	return func(res *SuiteResult) *trace.Table {
+		tbl := trace.NewTable(append([]string{"mix", "workloads"}, res.Policies...)...)
+		for _, mixIdx := range res.MixOrder("satori") {
+			var row []string
+			for _, name := range res.Policies {
+				sc, _ := res.ScoreFor(name, mixIdx) // every policy ran every mix
+				if row == nil {
+					row = []string{fmt.Sprintf("%d", mixIdx), strings.Join(shortNames(sc.MixNames), "+")}
+				}
+				row = append(row, trace.Pct(value(sc)))
+			}
+			tbl.AddRow(row...)
+		}
+		return tbl
+	}
 }
 
 // shortNames abbreviates benchmark names for mix labels.
@@ -172,4 +223,28 @@ func shortNames(names []string) []string {
 		out[i] = n
 	}
 	return out
+}
+
+// pctCells renders a single-policy sweep point; pairCells one whose
+// line-up is (satori, parties).
+func pctCells(m []Mean) []string {
+	return []string{trace.Pct(m[0].PctThroughput), trace.Pct(m[0].PctFairness)}
+}
+
+func pairCells(m []Mean) []string {
+	return []string{trace.Pct(m[0].PctThroughput), trace.Pct(m[1].PctThroughput), trace.Pct(m[0].PctFairness), trace.Pct(m[1].PctFairness)}
+}
+
+// timeline renders about 15 evenly spaced rows of per-tick series: the
+// time, then one cell per column.
+func timeline(header []string, time []float64, cols ...[]float64) *trace.Table {
+	tbl := trace.NewTable(header...)
+	for i := 0; i < len(time); i += max(len(time)/15, 1) {
+		row := []string{fmt.Sprintf("%.1fs", time[i])}
+		for _, col := range cols {
+			row = append(row, trace.F(col[i]))
+		}
+		tbl.AddRow(row...)
+	}
+	return tbl
 }

@@ -14,425 +14,118 @@ import (
 	"satori/internal/workloads"
 )
 
-// RunScalability reproduces the Sec. V scalability result: the %-point
-// gap between SATORI and PARTIES grows monotonically as the co-location
-// degree rises from 3 to 7 (paper: 8/11/13/13/15 %-points).
-func RunScalability(opt ExpOptions) (*Report, error) {
-	opt = opt.fill()
-	profiles := workloads.PARSEC()
-	tbl := trace.NewTable("co-located jobs", "satori T", "parties T", "ΔT pts", "satori F", "parties F", "ΔF pts")
-	var gaps []float64
+// scalabilityPoints is one point per co-location degree 3..7, each over
+// a handful of that degree's PARSEC mixes — enough to average out mix
+// idiosyncrasies while keeping the sweep tractable.
+func scalabilityPoints(opt ExpOptions) ([]sweepPoint, error) {
 	maxDegree := 7
 	if opt.MixLimit > 0 && opt.MixLimit < 3 {
 		maxDegree = 5 // smoke-test scale
 	}
-	var degrees []int
+	var pts []sweepPoint
 	for degree := 3; degree <= maxDegree; degree++ {
-		degrees = append(degrees, degree)
-	}
-	chosenPerDegree := make([][]workloads.Mix, len(degrees))
-	for i, degree := range degrees {
-		mixes, err := workloads.Mixes(profiles, degree)
+		mixes, err := workloads.Mixes(workloads.PARSEC(), degree)
 		if err != nil {
 			return nil, err
 		}
-		// A handful of mixes per degree keeps the sweep tractable
-		// while averaging out mix idiosyncrasies.
-		limit := 3
-		if len(mixes) < limit {
-			limit = len(mixes)
-		}
+		limit := min(3, len(mixes))
 		stride := len(mixes) / limit
 		var chosen []workloads.Mix
 		for k := 0; k < limit; k++ {
 			chosen = append(chosen, mixes[k*stride])
 		}
-		chosenPerDegree[i] = chosen
+		pts = append(pts, sweepPoint{fmt.Sprintf("%d", degree), func(spec *SuiteSpec) { spec.Mixes = chosen }})
 	}
-	// Each degree's suite is independent; fan the sweep out and render
-	// the rows in degree order afterwards.
-	means := make([]map[string]Mean, len(degrees))
-	outer, inner := splitWorkers(opt.Workers, len(degrees))
-	err := forEach(outer, len(degrees), func(i int) error {
-		suite, err := RunSuite(SuiteSpec{
-			Mixes:    chosenPerDegree[i],
-			Policies: lineup("satori", "parties"),
-			Base:     DefaultSuiteBase(opt.Seed, opt.Ticks),
-			Workers:  inner,
-		})
-		if err != nil {
-			return err
-		}
-		means[i] = suite.Means()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, degree := range degrees {
-		m := means[i]
-		dT := (m["satori"].PctThroughput - m["parties"].PctThroughput) * 100
-		dF := (m["satori"].PctFairness - m["parties"].PctFairness) * 100
-		gaps = append(gaps, (dT+dF)/2)
-		tbl.AddRow(fmt.Sprintf("%d", degree),
-			trace.Pct(m["satori"].PctThroughput), trace.Pct(m["parties"].PctThroughput), fmt.Sprintf("%+.1f", dT),
-			trace.Pct(m["satori"].PctFairness), trace.Pct(m["parties"].PctFairness), fmt.Sprintf("%+.1f", dF))
-	}
-	rep := &Report{ID: "scalability", Title: "SATORI vs PARTIES as co-location degree grows (PARSEC)"}
-	rep.Tables = append(rep.Tables, tbl)
-	grew := len(gaps) > 1 && gaps[len(gaps)-1] > gaps[0]
-	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("combined gap trend (first %.1f -> last %.1f %%-points); paper: 8/11/13/13/15 for degrees 3-7, monotonically increasing: %v",
-			firstOf(gaps), lastOf(gaps), grew),
-		"larger spaces have more local maxima; gradient descent (PARTIES) gets stuck more often than SATORI's joint BO search")
-	return rep, nil
+	return pts, nil
 }
 
-func firstOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return xs[0]
+// scalabilityGap is SATORI's lead over PARTIES at one degree, in
+// %-points: on throughput, on fairness, and their average; m is
+// (satori, parties).
+func scalabilityGap(m []Mean) (dT, dF, combined float64) {
+	dT = (m[0].PctThroughput - m[1].PctThroughput) * 100
+	dF = (m[0].PctFairness - m[1].PctFairness) * 100
+	return dT, dF, (dT + dF) / 2
 }
 
-func lastOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return xs[len(xs)-1]
+func scalabilityCells(m []Mean) []string {
+	dT, dF, _ := scalabilityGap(m)
+	return []string{
+		trace.Pct(m[0].PctThroughput), trace.Pct(m[1].PctThroughput), fmt.Sprintf("%+.1f", dT),
+		trace.Pct(m[0].PctFairness), trace.Pct(m[1].PctFairness), fmt.Sprintf("%+.1f", dF)}
 }
 
-// RunAblationResources reproduces the Sec. V source-of-benefit study:
-// SATORI restricted to dCAT's single resource (LLC ways) still beats
-// dCAT, and restricted to CoPart's two resources (LLC + memory
-// bandwidth) still beats CoPart.
-func RunAblationResources(opt ExpOptions) (*Report, error) {
-	opt = opt.fill()
-	mixes, err := workloads.PaperMixes(workloads.SuitePARSEC)
-	if err != nil {
-		return nil, err
-	}
-	mixes = mixes[:opt.limitMixes(5)]
-	suite, err := RunSuite(SuiteSpec{
-		Mixes: mixes,
-		Policies: []NamedFactory{
-			{Name: "dcat", Factory: onSim(DCAT)},
-			{Name: "satori-llc", Factory: SatoriFactory(core.Options{
-				Managed: []resource.Kind{resource.LLCWays}, Name: "satori-llc"})},
-			{Name: "copart", Factory: onSim(CoPart)},
-			{Name: "satori-llc+bw", Factory: SatoriFactory(core.Options{
-				Managed: []resource.Kind{resource.LLCWays, resource.MemBW}, Name: "satori-llc+bw"})},
-			{Name: "satori", Factory: SatoriFactory(core.Options{})},
-		},
-		Base:    DefaultSuiteBase(opt.Seed, opt.Ticks),
-		Workers: opt.Workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{ID: "ablation-resources", Title: "SATORI on restricted resource sets vs the baselines that manage them"}
-	rep.Tables = append(rep.Tables, meansTable(suite))
-	m := suite.Means()
-	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("satori-llc vs dcat: %+.1f T pts, %+.1f F pts (paper: +4/+5)",
-			(m["satori-llc"].PctThroughput-m["dcat"].PctThroughput)*100,
-			(m["satori-llc"].PctFairness-m["dcat"].PctFairness)*100),
-		fmt.Sprintf("satori-llc+bw vs copart: %+.1f T pts, %+.1f F pts (paper: +7/+4)",
-			(m["satori-llc+bw"].PctThroughput-m["copart"].PctThroughput)*100,
-			(m["satori-llc+bw"].PctFairness-m["copart"].PctFairness)*100),
-		"SATORI's benefits are not merely from operating on more resources")
-	return rep, nil
+func scalabilityTrend(means [][]Mean) []string {
+	_, _, first := scalabilityGap(means[0])
+	_, _, last := scalabilityGap(means[len(means)-1])
+	return []string{fmt.Sprintf("combined gap trend (first %.1f -> last %.1f %%-points); paper: 8/11/13/13/15 for degrees 3-7, monotonically increasing: %v",
+		first, last, len(means) > 1 && last > first)}
 }
 
-// RunCLITE reproduces the Sec. VI related-work comparison: CLITE — the
-// authors' earlier BO partitioner, which lacks dynamic goal
-// prioritization — lands in PARTIES territory and below SATORI when
-// co-optimizing throughput and fairness for throughput-oriented jobs.
-func RunCLITE(opt ExpOptions) (*Report, error) {
-	opt = opt.fill()
-	mixes, err := workloads.PaperMixes(workloads.SuitePARSEC)
-	if err != nil {
-		return nil, err
-	}
-	mixes = mixes[:opt.limitMixes(8)]
-	suite, err := RunSuite(SuiteSpec{
-		Mixes:    mixes,
-		Policies: lineup("parties", "clite", "satori"),
-		Base:     DefaultSuiteBase(opt.Seed, opt.Ticks),
-		Workers:  opt.Workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{ID: "clite", Title: "CLITE (BO without dynamic prioritization) vs PARTIES and SATORI"}
-	rep.Tables = append(rep.Tables, meansTable(suite))
-	rep.Notes = append(rep.Notes,
-		"paper (Sec. VI): applied to SATORI's problem, CLITE performs similar to PARTIES and underperforms SATORI by a similar margin — neither actively controls the two competing objectives")
-	return rep, nil
-}
-
-// RunAblationInit reproduces the Sec. V initial-design note: seeding with
-// "good" (equal-split, low-imbalance) configurations vs random starts
-// changes final quality by a small margin (paper: 1-3%).
-func RunAblationInit(opt ExpOptions) (*Report, error) {
-	opt = opt.fill()
-	mixes, err := workloads.PaperMixes(workloads.SuitePARSEC)
-	if err != nil {
-		return nil, err
-	}
-	mixes = mixes[:opt.limitMixes(5)]
-	suite, err := RunSuite(SuiteSpec{
-		Mixes: mixes,
-		Policies: []NamedFactory{
-			{Name: "good-init", Factory: SatoriFactory(core.Options{Name: "good-init"})},
-			{Name: "random-init", Factory: SatoriFactory(core.Options{RandomInit: true, Name: "random-init"})},
-		},
-		Base:    DefaultSuiteBase(opt.Seed, opt.Ticks),
-		Workers: opt.Workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{ID: "ablation-init", Title: "Good (S_init) vs random initial configuration sets"}
-	rep.Tables = append(rep.Tables, meansTable(suite))
-	m := suite.Means()
-	rep.Notes = append(rep.Notes, fmt.Sprintf("good-init advantage: %+.1f T pts, %+.1f F pts (paper: 1-3%% outcome variation)",
-		(m["good-init"].PctThroughput-m["random-init"].PctThroughput)*100,
-		(m["good-init"].PctFairness-m["random-init"].PctFairness)*100))
-	return rep, nil
-}
-
-// RunAblationWindow studies the GP observation-window size — a design
-// choice DESIGN.md calls out: small windows adapt faster to phase changes
-// but model less of the space; large windows model stale phases.
-func RunAblationWindow(opt ExpOptions) (*Report, error) {
-	opt = opt.fill()
-	mixes, err := workloads.PaperMixes(workloads.SuitePARSEC)
-	if err != nil {
-		return nil, err
-	}
-	mixes = mixes[:opt.limitMixes(3)]
-	var policies []NamedFactory
-	for _, w := range []int{16, 64, 256} {
-		w := w
-		policies = append(policies, NamedFactory{
-			Name:    fmt.Sprintf("window-%d", w),
-			Factory: SatoriFactory(core.Options{Window: w, Name: fmt.Sprintf("window-%d", w)}),
-		})
-	}
-	suite, err := RunSuite(SuiteSpec{Mixes: mixes, Policies: policies, Base: DefaultSuiteBase(opt.Seed, opt.Ticks), Workers: opt.Workers})
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{ID: "ablation-window", Title: "Proxy-model sliding-window size"}
-	rep.Tables = append(rep.Tables, meansTable(suite))
-	return rep, nil
-}
-
-// RunAblationBounds studies the Sec. III-C weight bounds: removing the
-// [0.25, 0.75] clamp lets prioritization swing to extremes, which the
-// paper argues destabilizes the moving-goal-post BO process. The
-// unbounded arm uses the true [0, 1] range — possible since
-// SchedulerOptions grew the WeightFloorSet sentinel; before that,
-// NewScheduler silently rewrote an explicit 0 floor back to 0.25 and the
-// ablation could only approximate it with [0.01, 0.99].
-func RunAblationBounds(opt ExpOptions) (*Report, error) {
-	opt = opt.fill()
-	mixes, err := workloads.PaperMixes(workloads.SuitePARSEC)
-	if err != nil {
-		return nil, err
-	}
-	mixes = mixes[:opt.limitMixes(5)]
-	suite, err := RunSuite(SuiteSpec{
-		Mixes: mixes,
-		Policies: []NamedFactory{
-			{Name: "bounded [0.25,0.75]", Factory: SatoriFactory(core.Options{Name: "bounded"})},
-			{Name: "unbounded [0,1]", Factory: SatoriFactory(core.Options{
-				Name: "unbounded",
-				Scheduler: core.SchedulerOptions{
-					WeightFloor: 0, WeightFloorSet: true,
-					WeightCeil: 1,
-				}})},
-		},
-		Base:    DefaultSuiteBase(opt.Seed, opt.Ticks),
-		Workers: opt.Workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{ID: "ablation-bounds", Title: "Dynamic-weight bounds vs near-unbounded prioritization"}
-	rep.Tables = append(rep.Tables, meansTable(suite))
-	return rep, nil
-}
-
-// RunAblationNoise sweeps the IPS measurement-noise level. The paper's
-// premise (Sec. I, III-A) is that BO's "just-accurate-enough" proxy model
-// tolerates observation inaccuracy; the sweep quantifies how much counter
-// noise SATORI absorbs before its scores degrade.
-func RunAblationNoise(opt ExpOptions) (*Report, error) {
-	opt = opt.fill()
-	mixes, err := workloads.PaperMixes(workloads.SuitePARSEC)
-	if err != nil {
-		return nil, err
-	}
-	mixes = mixes[:opt.limitMixes(3)]
-	tbl := trace.NewTable("noise sigma", "throughput %oracle", "fairness %oracle")
-	sigmas := []float64{-1, 0.01, 0.02, 0.05, 0.10}
-	rows := make([]Mean, len(sigmas))
-	outer, inner := splitWorkers(opt.Workers, len(sigmas))
-	err = forEach(outer, len(sigmas), func(i int) error {
-		base := DefaultSuiteBase(opt.Seed, opt.Ticks)
-		base.NoiseSigma = sigmas[i]
-		suite, err := RunSuite(SuiteSpec{
-			Mixes:    mixes,
-			Policies: lineup("satori"),
-			Base:     base,
-			Workers:  inner,
-		})
-		if err != nil {
-			return err
-		}
-		rows[i] = suite.Means()["satori"]
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, sigma := range sigmas {
+func noisePoints(ExpOptions) ([]sweepPoint, error) {
+	var pts []sweepPoint
+	for _, sigma := range []float64{-1, 0.01, 0.02, 0.05, 0.10} {
 		label := fmt.Sprintf("%.0f%%", sigma*100)
 		if sigma < 0 {
 			label = "noise-free"
 		}
-		tbl.AddRow(label, trace.Pct(rows[i].PctThroughput), trace.Pct(rows[i].PctFairness))
+		pts = append(pts, sweepPoint{label, func(spec *SuiteSpec) { spec.Base.NoiseSigma = sigma }})
 	}
-	rep := &Report{ID: "ablation-noise", Title: "SATORI vs IPS measurement-noise level"}
-	rep.Tables = append(rep.Tables, tbl)
-	rep.Notes = append(rep.Notes,
-		"paper premise: tolerating slight model inaccuracy still reaches near-optimal configurations online; the GP noise term absorbs counter noise up to several percent")
-	return rep, nil
+	return pts, nil
 }
 
-// RunAblationAcquisition compares acquisition functions: the paper picks
-// Expected Improvement for its exploration/exploitation balance at low
-// evaluation cost (Sec. III-A); UCB, Probability of Improvement and
-// Thompson sampling are run on identical workloads. EI also enables the
-// skip-probe exploitation optimization (its score is an expected gain);
-// the alternatives probe every interval.
-func RunAblationAcquisition(opt ExpOptions) (*Report, error) {
-	opt = opt.fill()
-	mixes, err := workloads.PaperMixes(workloads.SuitePARSEC)
-	if err != nil {
-		return nil, err
-	}
-	mixes = mixes[:opt.limitMixes(3)]
-	var policies []NamedFactory
-	for _, acq := range []string{"ei", "ucb", "pi", "ts"} {
-		acq := acq
-		policies = append(policies, NamedFactory{
-			Name:    acq,
-			Factory: SatoriFactory(core.Options{Acquisition: acq, Name: acq}),
-		})
-	}
-	suite, err := RunSuite(SuiteSpec{Mixes: mixes, Policies: policies, Base: DefaultSuiteBase(opt.Seed, opt.Ticks), Workers: opt.Workers})
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{ID: "ablation-acquisition", Title: "Acquisition functions: EI (paper's choice) vs UCB, PI, Thompson sampling"}
-	rep.Tables = append(rep.Tables, meansTable(suite))
-	rep.Notes = append(rep.Notes,
-		"paper (Sec. III-A): EI provides a reasonable exploration/exploitation balance at low evaluation cost; it is also the only acquisition whose score directly supports the skip-probe optimization")
-	return rep, nil
-}
-
-// RunAblationMachine checks portability across machine shapes: SATORI is
-// deployed with zero retuning on a smaller desktop-class part, the
-// paper's Skylake testbed, and a larger socket, and must stay ahead of
-// PARTIES on throughput everywhere ("deployable readily on platforms
-// where hardware partitioning support is available", Sec. III).
-func RunAblationMachine(opt ExpOptions) (*Report, error) {
-	opt = opt.fill()
-	mixes, err := workloads.PaperMixes(workloads.SuitePARSEC)
-	if err != nil {
-		return nil, err
-	}
-	mixes = mixes[:opt.limitMixes(3)]
-	shapes := []struct {
+func machinePoints(ExpOptions) ([]sweepPoint, error) {
+	var pts []sweepPoint
+	for _, shape := range []struct {
 		name    string
 		machine sim.MachineSpec
 	}{
 		{"8c/8w/8bw (desktop)", sim.MachineSpec{Cores: 8, LLCWays: 8, MemBWUnits: 8, MemBWBytesPerUnit: 6e9, LineBytes: 64}},
 		{"10c/11w/10bw (paper)", sim.DefaultMachine()},
 		{"16c/20w/16bw (large)", sim.MachineSpec{Cores: 16, LLCWays: 20, MemBWUnits: 16, MemBWBytesPerUnit: 8e9, LineBytes: 64}},
+	} {
+		pts = append(pts, sweepPoint{shape.name, func(spec *SuiteSpec) { spec.Base.Machine = &shape.machine }})
 	}
-	tbl := trace.NewTable("machine", "satori T", "parties T", "satori F", "parties F")
-	means := make([]map[string]Mean, len(shapes))
-	outer, inner := splitWorkers(opt.Workers, len(shapes))
-	err = forEach(outer, len(shapes), func(i int) error {
-		machine := shapes[i].machine
-		base := DefaultSuiteBase(opt.Seed, opt.Ticks)
-		base.Machine = &machine
-		suite, err := RunSuite(SuiteSpec{
-			Mixes:    mixes,
-			Policies: lineup("satori", "parties"),
-			Base:     base,
-			Workers:  inner,
-		})
-		if err != nil {
-			return err
-		}
-		means[i] = suite.Means()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, shape := range shapes {
-		m := means[i]
-		tbl.AddRow(shape.name,
-			trace.Pct(m["satori"].PctThroughput), trace.Pct(m["parties"].PctThroughput),
-			trace.Pct(m["satori"].PctFairness), trace.Pct(m["parties"].PctFairness))
-	}
-	rep := &Report{ID: "ablation-machine", Title: "Portability across machine shapes (no retuning)"}
-	rep.Tables = append(rep.Tables, tbl)
-	rep.Notes = append(rep.Notes,
-		"the engine's no-tuning heuristics (median-distance length scale, data-scaled kernel variance) adapt to each machine's configuration-space size automatically")
-	return rep, nil
+	return pts, nil
 }
 
-// RunOverhead reproduces the Sec. V overhead measurement: wall-clock cost
-// of one full SATORI BO iteration (objective reconstruction + GP refit +
-// acquisition maximization) within the 100 ms decision interval. The
-// paper measures 1.2 ms on average.
-func RunOverhead(opt ExpOptions) (*Report, error) {
-	opt = opt.fill()
-	mix, err := fig17Mix()
+// overheadOutcome is the measured cost of the engine's Decide calls over
+// one run, and how the proxy-update work split by path.
+type overheadOutcome struct {
+	ticks, exploits               int
+	mean, max                     time.Duration
+	refits, extends, targetSolves int
+}
+
+func measureOverhead(opt ExpOptions) (overheadOutcome, error) {
+	out := overheadOutcome{ticks: opt.Ticks}
+	jobs, err := mixZeroJobs()
 	if err != nil {
-		return nil, err
+		return out, err
 	}
-	s, err := sim.New(sim.DefaultMachine(), mix.Profiles, sim.Options{Seed: opt.Seed})
+	s, err := sim.New(sim.DefaultMachine(), jobs, sim.Options{Seed: opt.Seed})
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	platform, err := rdt.NewSimPlatform(s)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	eng, err := core.New(platform.Space(), core.Options{Seed: opt.Seed})
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	iso, err := platform.MeasureIsolated()
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	met := DefaultMetrics()
 	current := platform.Current()
 	var total time.Duration
-	var maxDur time.Duration
 	for tick := 1; tick <= opt.Ticks; tick++ {
 		ips, err := platform.Sample()
 		if err != nil {
-			return nil, err
+			return out, err
 		}
 		obs := policy.Observation{
 			Tick: tick, Time: s.Now(), IPS: ips, Isolated: iso,
@@ -444,9 +137,7 @@ func RunOverhead(opt ExpOptions) (*Report, error) {
 		next := eng.Decide(obs, current)
 		dur := time.Since(start)
 		total += dur
-		if dur > maxDur {
-			maxDur = dur
-		}
+		out.max = max(out.max, dur)
 		if err := platform.Apply(next); err == nil {
 			current = platform.Current()
 		}
@@ -454,32 +145,37 @@ func RunOverhead(opt ExpOptions) (*Report, error) {
 			iso, _ = platform.MeasureIsolated()
 		}
 	}
-	mean := total / time.Duration(opt.Ticks)
-	tbl := trace.NewTable("quantity", "value")
-	tbl.AddRow("mean BO iteration time", mean.String())
-	tbl.AddRow("max BO iteration time", maxDur.String())
-	tbl.AddRow("decision interval", "100ms")
-	tbl.AddRow("mean fraction of interval", fmt.Sprintf("%.2f%%", float64(mean)/float64(100*time.Millisecond)*100))
-	tbl.AddRow("exploit (skip-probe) ticks", fmt.Sprintf("%d of %d", eng.Exploits(), opt.Ticks))
+	out.mean = total / time.Duration(opt.Ticks)
+	out.exploits = eng.Exploits()
 	st := eng.GPStats()
-	tbl.AddRow("GP full refits", fmt.Sprintf("%d", st.Refits))
-	tbl.AddRow("GP rank-1 extends", fmt.Sprintf("%d", st.Extends))
-	tbl.AddRow("GP α-only target re-solves", fmt.Sprintf("%d", st.TargetSolves))
-	rep := &Report{ID: "overhead", Title: "SATORI engine cost per 100 ms interval"}
-	rep.Tables = append(rep.Tables, tbl)
-	rep.Notes = append(rep.Notes,
-		"paper: all BO-related tasks take 1.2 ms on average within the 100 ms interval; decisions are off the critical path (jobs keep running under the previous configuration)",
-		"the GP rows split the proxy-update work by path: most ticks re-weight an unchanged window, which needs only the O(n²) α re-solve, not the O(n³) refit (see DESIGN.md §4)")
-	return rep, nil
+	out.refits, out.extends, out.targetSolves = st.Refits, st.Extends, st.TargetSolves
+	return out, nil
 }
 
-// RunSpaceSize reproduces the Sec. II configuration-space arithmetic.
-func RunSpaceSize(opt ExpOptions) (*Report, error) {
-	tbl := trace.NewTable("jobs", "resources", "units each", "configurations")
-	cases := []struct{ jobs, res, units int }{
-		{3, 2, 10}, {4, 2, 10}, {4, 3, 10}, {5, 3, 10},
-	}
-	for _, c := range cases {
+func renderOverhead(rep *Report, out overheadOutcome) {
+	tbl := trace.NewTable("quantity", "value")
+	tbl.AddRow("mean BO iteration time", out.mean.String())
+	tbl.AddRow("max BO iteration time", out.max.String())
+	tbl.AddRow("decision interval", "100ms")
+	tbl.AddRow("mean fraction of interval", fmt.Sprintf("%.2f%%", float64(out.mean)/float64(100*time.Millisecond)*100))
+	tbl.AddRow("exploit (skip-probe) ticks", fmt.Sprintf("%d of %d", out.exploits, out.ticks))
+	tbl.AddRow("GP full refits", fmt.Sprintf("%d", out.refits))
+	tbl.AddRow("GP rank-1 extends", fmt.Sprintf("%d", out.extends))
+	tbl.AddRow("GP α-only target re-solves", fmt.Sprintf("%d", out.targetSolves))
+	rep.Tables = append(rep.Tables, tbl)
+}
+
+// spaceSize is one line of the Sec. II arithmetic: a partitioning
+// problem and its configuration count.
+type spaceSize struct {
+	jobs, resources int
+	units           string
+	configurations  float64
+}
+
+func measureSpace(ExpOptions) ([]spaceSize, error) {
+	var out []spaceSize
+	for _, c := range []struct{ jobs, res, units int }{{3, 2, 10}, {4, 2, 10}, {4, 3, 10}, {5, 3, 10}} {
 		rs := make([]resource.Resource, c.res)
 		for i := range rs {
 			rs[i] = resource.Resource{Kind: resource.Kind(i), Units: c.units}
@@ -488,18 +184,20 @@ func RunSpaceSize(opt ExpOptions) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		tbl.AddRow(fmt.Sprintf("%d", c.jobs), fmt.Sprintf("%d", c.res),
-			fmt.Sprintf("%d", c.units), fmt.Sprintf("%.0f", space.Size()))
+		out = append(out, spaceSize{c.jobs, c.res, fmt.Sprintf("%d", c.units), space.Size()})
 	}
 	// The paper-testbed space for a 5-job PARSEC mix.
-	m := sim.DefaultMachine()
-	space, err := m.Space(5)
+	space, err := sim.DefaultMachine().Space(5)
 	if err != nil {
 		return nil, err
 	}
-	tbl.AddRow("5", "3", "10/11/10", fmt.Sprintf("%.0f", space.Size()))
-	rep := &Report{ID: "space", Title: "Configuration-space sizes (Sec. II: 1,296 / 7,056 / 592,704)"}
+	return append(out, spaceSize{5, 3, "10/11/10", space.Size()}), nil
+}
+
+func renderSpace(rep *Report, sizes []spaceSize) {
+	tbl := trace.NewTable("jobs", "resources", "units each", "configurations")
+	for _, s := range sizes {
+		tbl.AddRow(fmt.Sprintf("%d", s.jobs), fmt.Sprintf("%d", s.resources), s.units, fmt.Sprintf("%.0f", s.configurations))
+	}
 	rep.Tables = append(rep.Tables, tbl)
-	rep.Notes = append(rep.Notes, "exhaustive online search is infeasible; SATORI's BO samples a few dozen configurations instead")
-	return rep, nil
 }

@@ -82,19 +82,6 @@ func TestExpOptionsFill(t *testing.T) {
 	}
 }
 
-func TestSpaceSizeMatchesPaper(t *testing.T) {
-	rep, err := RunSpaceSize(ExpOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := rep.String()
-	for _, want := range []string{"1296", "7056", "592704"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("space-size table missing %s:\n%s", want, out)
-		}
-	}
-}
-
 func TestShortNames(t *testing.T) {
 	got := shortNames([]string{"blackscholes", "vips"})
 	if got[0] != "black" || got[1] != "vips" {

@@ -67,41 +67,32 @@ func ReplicateSuite(spec SuiteSpec, seeds []uint64) (map[string]ReplicatedMean, 
 	return out, nil
 }
 
-// RunReplication re-runs the Fig. 7 comparison across several seeds and
-// reports each policy's scores as mean ± 95% CI — the statistical
-// backing for the single-seed tables (our addition; the paper reports
-// single measurements).
-func RunReplication(opt ExpOptions) (*Report, error) {
-	opt = opt.fill()
-	mixes, err := workloads.PaperMixes(workloads.SuitePARSEC)
+// replicationSeeds derives the five seeds a replicated measurement runs
+// under from the experiment's base seed.
+func replicationSeeds(seed uint64) []uint64 {
+	return []uint64{seed, seed ^ 0xA5A5, seed ^ 0x0F0F7733, seed * 31, seed*7 + 13}
+}
+
+func measureReplication(opt ExpOptions) (map[string]ReplicatedMean, error) {
+	spec, err := suiteSpec(opt, workloads.SuitePARSEC, 8, CompetingPolicies())
 	if err != nil {
 		return nil, err
 	}
-	mixes = mixes[:opt.limitMixes(8)]
-	seeds := []uint64{opt.Seed, opt.Seed ^ 0xA5A5, opt.Seed ^ 0x0F0F7733, opt.Seed * 31, opt.Seed*7 + 13}
-	policies := CompetingPolicies()
-	rep, err := ReplicateSuite(SuiteSpec{
-		Mixes:    mixes,
-		Policies: policies,
-		Base:     DefaultSuiteBase(opt.Seed, opt.Ticks),
-		Workers:  opt.Workers,
-	}, seeds)
-	if err != nil {
-		return nil, err
-	}
+	return ReplicateSuite(spec, replicationSeeds(opt.Seed))
+}
+
+func renderReplication(rep *Report, means map[string]ReplicatedMean) {
 	tbl := trace.NewTable("policy", "throughput %oracle (±95% CI)", "fairness %oracle (±95% CI)")
-	for _, nf := range policies {
-		m := rep[nf.Name]
+	for _, nf := range CompetingPolicies() {
+		m := means[nf.Name]
 		tbl.AddRow(nf.Name,
 			fmt.Sprintf("%.1f%% ± %.1f", m.PctThroughput*100, m.ThroughputCI*100),
 			fmt.Sprintf("%.1f%% ± %.1f", m.PctFairness*100, m.FairnessCI*100))
 	}
-	out := &Report{ID: "replication", Title: fmt.Sprintf("Fig. 7 comparison replicated over %d seeds (mean ± 95%% CI)", len(seeds))}
-	out.Tables = append(out.Tables, tbl)
-	sat, par := rep["satori"], rep["parties"]
+	rep.Tables = append(rep.Tables, tbl)
+	sat, par := means["satori"], means["parties"]
 	sep := sat.PctThroughput - sat.ThroughputCI - (par.PctThroughput + par.ThroughputCI)
-	out.Notes = append(out.Notes,
+	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("SATORI−PARTIES throughput gap is %sseparated at 95%% confidence (interval gap %+.1f pts)",
 			map[bool]string{true: "", false: "NOT "}[sep > 0], sep*100))
-	return out, nil
 }

@@ -1,7 +1,7 @@
 // Package harness runs resource-partitioning policies on the simulated
 // testbed and reproduces every figure of the SATORI paper's evaluation
-// (the per-figure drivers live in the experiments*.go files; DESIGN.md §5
-// is the index).
+// (each is a row of the table in experiments_table.go; DESIGN.md §5 is
+// the index).
 //
 // A Run co-locates one job mix on one machine under one policy for a
 // fixed duration, sampling at 10 Hz, refreshing isolated baselines on the

@@ -39,9 +39,9 @@ type Options struct {
 	// is its only driver: all stepping and churn go through the server's
 	// lock.
 	Loop *control.Loop
-	// TickEvery is the wall-clock interval between loop ticks (default
-	// 100 ms, the paper's cadence). Zero or negative free-runs the loop
-	// — the soak/CI mode, where simulated time needs no wall anchoring.
+	// TickEvery is the wall-clock interval between loop ticks: zero is
+	// the default 100 ms (the paper's cadence), negative free-runs the
+	// loop — the soak/CI mode, where simulated time needs no wall anchor.
 	TickEvery time.Duration
 	// MaxTicks stops the driver cleanly after this many intervals
 	// (0 = run until the context is canceled).
