@@ -4,7 +4,9 @@
 // reconfigure the optimization goal, watch health, and stream per-tick
 // metrics — plus graceful shutdown on SIGINT/SIGTERM.
 //
-// Quickstart (simulated backend):
+// The stack flags (jobs, policy, backend, faults — internal/stack) are
+// cmd/satori's too; over -backend resctrl the job set is fixed and churn
+// answers 501. Quickstart (simulated backend):
 //
 //	satorid -suite parsec -mix 0 -policy satori &
 //	curl localhost:8080/status
@@ -32,33 +34,22 @@ import (
 	"syscall"
 	"time"
 
-	"satori/internal/control"
-	"satori/internal/harness"
 	"satori/internal/rdt"
 	"satori/internal/server"
-	"satori/internal/sim"
-	"satori/internal/workloads"
+	"satori/internal/stack"
 )
 
 func main() {
+	var spec stack.Spec
+	spec.Register(flag.CommandLine)
 	addr := flag.String("addr", "localhost:8080", "HTTP listen address")
-	workloadList := flag.String("workloads", "", "comma-separated benchmark names to start with")
-	suite := flag.String("suite", "", "start from a paper mix of this suite instead (parsec|cloudsuite|ecp)")
-	mixIdx := flag.Int("mix", 0, "mix index within -suite")
-	policyName := flag.String("policy", "satori", "partitioning policy")
-	clusterK := flag.Int("cluster-k", 0, "cluster jobs onto at most K control groups (satori-clustered/lfoc; with -policy satori this switches to satori-clustered)")
-	seed := flag.Uint64("seed", 1, "random seed")
 	tick := flag.Duration("tick", 100*time.Millisecond, "wall-clock interval between loop ticks (0 = free-run)")
 	maxTicks := flag.Int("max-ticks", 0, "stop after this many ticks (0 = run until signaled)")
-	faultSpec := flag.String("fault", "", "deterministic fault script, e.g. 'sample:nan@50,apply:error@100x3'")
-	sampled := flag.Bool("sampled", false, "extrapolate phase-stable intervals (sampled simulation)")
-	sloGoalSwitch := flag.Bool("slo-goal-switch", false, "switch the fairness goal to SLO recovery while a violation persists")
 	sloUnhealthy := flag.Int("slo-unhealthy-after", 0, "report 503 on /healthz after a sustained SLO violation of this many ticks (0 = off)")
 	flag.Parse()
 	log.SetFlags(0)
 
-	srv, err := buildServer(*addr, *workloadList, *suite, *mixIdx, *policyName, *clusterK,
-		*seed, *tick, *maxTicks, *faultSpec, *sampled, *sloGoalSwitch, *sloUnhealthy)
+	srv, err := buildServer(spec, *tick, *maxTicks, *sloUnhealthy)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -107,55 +98,13 @@ func main() {
 	}
 }
 
-// buildServer assembles the simulated-backend daemon stack: profiles →
-// simulator → platform (optionally fault-wrapped) → control loop →
-// server.
-func buildServer(addr, workloadList, suite string, mixIdx int, policyName string, clusterK int,
-	seed uint64, tick time.Duration, maxTicks int, faultSpec string, sampled bool,
-	sloGoalSwitch bool, sloUnhealthy int) (*server.Server, error) {
-	profiles, err := workloads.Select(workloadList, suite, mixIdx)
+// buildServer puts the daemon's own flags around the stack: the loop
+// runs at most maxTicks intervals (0: until signaled), one every tick.
+func buildServer(spec stack.Spec, tick time.Duration, maxTicks, sloUnhealthy int) (*server.Server, error) {
+	loop, err := spec.Build(maxTicks)
 	if err != nil {
 		return nil, err
 	}
-	policy, _, err := harness.ResolvePolicy(policyName, seed, clusterK)
-	if err != nil {
-		return nil, err
-	}
-
-	simulator, err := sim.New(sim.DefaultMachine(), profiles, sim.Options{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	var platform rdt.Platform
-	platform, err = rdt.NewSimPlatform(simulator)
-	if err != nil {
-		return nil, err
-	}
-	if faultSpec != "" {
-		script, err := rdt.ParseFaultScript(faultSpec)
-		if err != nil {
-			return nil, err
-		}
-		script.Seed = seed
-		platform, err = rdt.NewFaultInjector(platform, script)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	loop, err := control.New(control.Options{
-		Platform: platform,
-		Policy:   policy,
-		Sampling: control.SamplingOptions{Enabled: sampled},
-		SLO:      control.SLOOptions{GoalSwitch: sloGoalSwitch},
-		Resilience: control.ResilienceOptions{
-			Sleep: time.Sleep, // real deployment: backoff waits on the wall clock
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-
 	// server.Options reads a zero TickEvery as "default cadence"; the
 	// flag's 0 means free-run, which the server takes as any negative
 	// interval.

@@ -2,18 +2,41 @@ package main
 
 import (
 	"context"
+	"flag"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"satori/internal/server"
+	"satori/internal/stack"
 )
+
+// daemon builds the server the way main does: the stack flags parsed
+// from a command line, then the daemon's own three values.
+func daemon(t *testing.T, maxTicks int, args ...string) *server.Server {
+	t.Helper()
+	var spec stack.Spec
+	fs := flag.NewFlagSet("satorid", flag.ContinueOnError)
+	spec.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := buildServer(spec, 0, maxTicks, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
 
 // TestTickZeroFreeRuns: -tick 0 is documented as free-run. It used to
 // reach server.Options as a zero TickEvery, which selects the 100 ms
 // default, so 50 ticks took 5 s of wall clock.
 func TestTickZeroFreeRuns(t *testing.T) {
-	srv, err := buildServer("localhost:0", "", "parsec", 0, "satori", 0, 1, 0, 50, "", false, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := daemon(t, 50, "-suite", "parsec")
 	start := time.Now()
 	if err := srv.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -23,5 +46,43 @@ func TestTickZeroFreeRuns(t *testing.T) {
 	}
 	if took := time.Since(start); took > time.Second {
 		t.Errorf("50 free-run ticks took %v; at the 100 ms cadence they take 5 s", took)
+	}
+}
+
+// TestDaemonOverResctrl: the daemon on the deployment backend — the
+// combination no binary could build while each main had its own assembly.
+// It ticks, the control groups are on disk, reads are served, and churn is
+// answered 501: a resctrl job set is fixed, and that is "not implemented
+// here", not a conflict (server.churnErrCode's first branch).
+func TestDaemonOverResctrl(t *testing.T) {
+	root := t.TempDir()
+	srv := daemon(t, 100, "-backend", "resctrl", "-resctrl-root", root, "-suite", "parsec")
+	if err := srv.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if ticks := srv.Loop().Summary().Ticks; ticks != 100 {
+		t.Fatalf("ran %d ticks, want 100", ticks)
+	}
+	for _, file := range []string{"satori-job0/schemata", "satori-job4/cpus_list"} {
+		if blob, err := os.ReadFile(filepath.Join(root, file)); err != nil || len(blob) == 0 {
+			t.Errorf("%s: %d bytes, %v", file, len(blob), err)
+		}
+	}
+	for _, c := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{"GET", "/status", "", http.StatusOK},
+		{"POST", "/jobs", `{"workload":"swaptions"}`, http.StatusNotImplemented},
+		{"DELETE", "/jobs/0", "", http.StatusNotImplemented},
+	} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+		if rec.Code != c.want {
+			t.Errorf("%s %s = %d, want %d (%s)", c.method, c.path, rec.Code, c.want, strings.TrimSpace(rec.Body.String()))
+		}
+	}
+	if jobs := srv.Loop().NumJobs(); jobs != 5 {
+		t.Errorf("refused churn left %d jobs, want 5", jobs)
 	}
 }

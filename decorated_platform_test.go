@@ -7,26 +7,37 @@ import (
 
 	"satori"
 	"satori/internal/rdt"
-	"satori/internal/sim"
+	"satori/internal/stack"
 )
 
-// injectedSim builds a 5-job simulator platform behind a (silent) fault
-// injector — the stack satorid -fault and harness.RunSpec.Faults drive.
-func injectedSim(t *testing.T) (*rdt.FaultInjector, *rdt.SimPlatform) {
+// platformOf assembles spec the way cmd/satori and cmd/satorid do and
+// returns the platform under the loop. The tests here pair that platform
+// with policies built through the public facade, so Build's own loop
+// (spec's policy is the inert "static") is discarded.
+func platformOf(t *testing.T, spec stack.Spec) satori.Platform {
 	t.Helper()
-	simulator, err := sim.New(satori.DefaultMachine(), parsecJobs(t, 5), sim.Options{Seed: 3})
+	loop, err := spec.Build(60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := rdt.NewSimPlatform(simulator)
-	if err != nil {
-		t.Fatal(err)
+	return loop.Platform()
+}
+
+// injectedSim is PARSEC mix 0 on the simulator behind a fault injector
+// whose one scripted fault lies beyond every run here — the stack -fault
+// drives, silent.
+func injectedSim(t *testing.T) (satori.Platform, *rdt.SimPlatform) {
+	t.Helper()
+	platform := platformOf(t, stack.Spec{Suite: "parsec", Policy: "static", Seed: 3,
+		Backend: "sim", Fault: "apply:error@100000"})
+	if _, ok := platform.(*rdt.FaultInjector); !ok {
+		t.Fatalf("-fault built a %T, want the injector outermost", platform)
 	}
-	fi, err := rdt.NewFaultInjector(sp, rdt.FaultScript{})
-	if err != nil {
-		t.Fatal(err)
+	sp, ok := rdt.As[*rdt.SimPlatform](platform)
+	if !ok {
+		t.Fatal("no simulator platform under the injector")
 	}
-	return fi, sp
+	return platform, sp
 }
 
 // A clustered policy built on a decorated platform must still install its
@@ -52,35 +63,13 @@ func TestClusteredPolicyGroupsThroughInjector(t *testing.T) {
 	}
 }
 
-// traceDrivenResctrl builds a 3-job resctrl platform on a scratch root
-// replaying a 60-tick IPS trace recorded from the simulator — the stack
-// cmd/satori -backend resctrl drives, with no simulator underneath.
-func traceDrivenResctrl(t *testing.T) *rdt.ResctrlPlatform {
+// traceDrivenResctrl is a 3-job resctrl platform on a scratch root
+// replaying the 60-tick IPS trace -backend resctrl synthesizes from the
+// simulator — no simulator underneath.
+func traceDrivenResctrl(t *testing.T) satori.Platform {
 	t.Helper()
-	jobs := parsecJobs(t, 3)
-	simulator, err := sim.New(satori.DefaultMachine(), jobs, sim.Options{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	isolated := simulator.MeasureIsolated()
-	rows := make([][]float64, 60)
-	for i := range rows {
-		rows[i] = simulator.Step().IPS
-	}
-	sampler, err := rdt.NewTraceSampler(isolated, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := make([]string, len(jobs))
-	for i, j := range jobs {
-		names[i] = j.Name
-	}
-	platform, err := rdt.NewResctrlPlatform(satori.DefaultMachine(), names,
-		rdt.ResctrlWriter{Root: t.TempDir()}, sampler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return platform
+	return platformOf(t, stack.Spec{Workloads: "blackscholes,canneal,fluidanimate", Policy: "static", Seed: 3,
+		Backend: "resctrl", ResctrlRoot: t.TempDir()})
 }
 
 // Every registry name builds on a decorated simulator platform, and every

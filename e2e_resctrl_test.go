@@ -9,9 +9,27 @@ import (
 	"testing"
 
 	"satori"
+	"satori/internal/control"
 	"satori/internal/rdt"
-	"satori/internal/resource"
+	"satori/internal/stack"
 )
+
+// writeTrace records an IPS trace file for -trace and returns its path.
+func writeTrace(t *testing.T, isolated []float64, rows [][]float64) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "capture.ips")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rdt.WriteIPSTrace(f, isolated, rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
 // TestResctrlSessionEndToEnd drives a full SATORI session over the
 // resctrl backend against a scratch root: the complete Algorithm-1 loop
@@ -33,21 +51,16 @@ func TestResctrlSessionEndToEnd(t *testing.T) {
 		{1.2e9, 0.9e9, 1.1e9},
 		{1.3e9, 1.0e9, 1.0e9},
 	}
-	sampler, err := rdt.NewTraceSampler(isolated, rows)
+	loop, err := stack.Spec{Workloads: strings.Join(names, ","), Policy: "satori", Seed: 11,
+		Backend: "resctrl", ResctrlRoot: t.TempDir(), Trace: writeTrace(t, isolated, rows)}.Build(120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	machine := satori.DefaultMachine()
-	writer := rdt.ResctrlWriter{Root: t.TempDir()}
-	platform, err := rdt.NewResctrlPlatform(machine, names, writer, sampler)
-	if err != nil {
-		t.Fatal(err)
+	platform, ok := rdt.As[*rdt.ResctrlPlatform](loop.Platform())
+	if !ok {
+		t.Fatalf("-backend resctrl built a %T", loop.Platform())
 	}
-	sess, err := satori.NewSessionOn(platform, satori.SessionConfig{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sess.JobNames(); len(got) != 3 || got[1] != "canneal" {
+	if got := platform.JobNames(); len(got) != 3 || got[1] != "canneal" {
 		t.Fatalf("JobNames = %v", got)
 	}
 
@@ -55,7 +68,7 @@ func TestResctrlSessionEndToEnd(t *testing.T) {
 	var prev satori.Config
 	var sawReset bool
 	for tick := 1; tick <= 120; tick++ {
-		st, err := sess.Step()
+		st, err := loop.Step()
 		if err != nil {
 			t.Fatalf("tick %d: %v", tick, err)
 		}
@@ -73,7 +86,7 @@ func TestResctrlSessionEndToEnd(t *testing.T) {
 			t.Fatalf("tick %d: status config does not compile: %v", tick, err)
 		}
 		for j := range names {
-			got, err := writer.ReadGroup(j)
+			got, err := platform.ReadGroup(j)
 			if err != nil {
 				t.Fatalf("tick %d job %d: %v", tick, j, err)
 			}
@@ -98,22 +111,22 @@ func TestResctrlSessionEndToEnd(t *testing.T) {
 	if !sawReset {
 		t.Error("no baseline refresh observed at the 100-tick equalization boundary")
 	}
-	sum := sess.Summary()
+	sum := loop.Summary()
 	if sum.Ticks != 120 || sum.RejectedApplies != 0 {
 		t.Errorf("summary = %+v, want 120 ticks and no rejections", sum)
 	}
 
 	// The backend's job set is fixed: churn must be refused with the
-	// typed capability error, and the session must keep running.
+	// typed capability error, and the loop must keep running.
 	w, err := satori.WorkloadByName("swaptions")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.AddWorkload(w); err == nil {
-		t.Error("AddWorkload succeeded on a churn-incapable backend")
+	if err := loop.AddJob(w); !errors.Is(err, control.ErrChurnUnsupported) {
+		t.Errorf("AddJob on a churn-incapable backend = %v, want ErrChurnUnsupported", err)
 	}
-	if _, err := sess.Step(); err != nil {
-		t.Errorf("session unusable after refused churn: %v", err)
+	if _, err := loop.Step(); err != nil {
+		t.Errorf("loop unusable after refused churn: %v", err)
 	}
 }
 
@@ -124,7 +137,7 @@ func TestResctrlSessionEndToEnd(t *testing.T) {
 // clustered SATORI at K=3 must run the full loop using at most three
 // control-group directories, tick for tick.
 func TestResctrlClusteredEndToEnd(t *testing.T) {
-	names := []string{"blackscholes", "canneal", "streamcluster", "swaptions", "dedup", "ferret"}
+	names := []string{"blackscholes", "canneal", "streamcluster", "swaptions", "freqmine", "vips"}
 	isolated := []float64{2.5e9, 1.8e9, 2.1e9, 2.4e9, 1.9e9, 2.0e9}
 	rows := [][]float64{
 		{1.2e9, 0.9e9, 1.0e9, 1.3e9, 0.8e9, 1.1e9},
@@ -133,13 +146,6 @@ func TestResctrlClusteredEndToEnd(t *testing.T) {
 		{1.4e9, 0.7e9, 1.2e9, 1.1e9, 1.0e9, 0.9e9},
 		{1.0e9, 1.1e9, 0.8e9, 1.2e9, 0.9e9, 1.1e9},
 	}
-	newSampler := func() rdt.Sampler {
-		s, err := rdt.NewTraceSampler(isolated, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
 	root := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(root, "info", "L3"), 0o755); err != nil {
 		t.Fatal(err)
@@ -147,11 +153,11 @@ func TestResctrlClusteredEndToEnd(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(root, "info", "L3", "num_closids"), []byte("4\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	machine := satori.DefaultMachine()
-	writer := rdt.ResctrlWriter{Root: root}
+	spec := stack.Spec{Workloads: strings.Join(names, ","), Policy: "satori", Seed: 11,
+		Backend: "resctrl", ResctrlRoot: root, Trace: writeTrace(t, isolated, rows)}
 
 	// Per-job operation: 6 jobs > 3 usable CLOS — loud typed preflight.
-	_, err := rdt.NewResctrlPlatform(machine, names, writer, newSampler())
+	_, err := spec.Build(120)
 	var lim *rdt.CLOSLimitError
 	if !errors.As(err, &lim) {
 		t.Fatalf("ungrouped construction = %v, want *rdt.CLOSLimitError", err)
@@ -160,21 +166,15 @@ func TestResctrlClusteredEndToEnd(t *testing.T) {
 		t.Fatalf("CLOSLimitError = %+v, want Need=6 Have=3", lim)
 	}
 
-	// Clustered: bootstrap the platform on the same grouping the
-	// classifier starts from, then run clustered SATORI at K=3.
+	// Clustered: -cluster-k 3 turns satori into satori-clustered and boots
+	// the platform on the grouping the classifier starts from.
 	const k = 3
-	platform, err := rdt.NewResctrlPlatformGrouped(machine, names, writer, newSampler(),
-		resource.RoundRobinGrouping(len(names), k))
+	spec.ClusterK = k
+	loop, err := spec.Build(120)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := satori.NewSessionOn(platform, satori.SessionConfig{
-		Policy: satori.NewClusteredSatoriPolicy(k, satori.EngineOptions{Seed: 11}),
-		Seed:   11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	platform, _ := rdt.As[*rdt.ResctrlPlatform](loop.Platform())
 	countGroups := func() int {
 		t.Helper()
 		entries, err := os.ReadDir(root)
@@ -193,7 +193,7 @@ func TestResctrlClusteredEndToEnd(t *testing.T) {
 		return n
 	}
 	for tick := 1; tick <= 120; tick++ {
-		st, err := sess.Step()
+		st, err := loop.Step()
 		if err != nil {
 			t.Fatalf("tick %d: %v", tick, err)
 		}
@@ -215,7 +215,7 @@ func TestResctrlClusteredEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for c := range plan.Jobs {
-		got, err := writer.ReadGroup(c)
+		got, err := platform.ReadGroup(c)
 		if err != nil {
 			t.Fatalf("cluster %d: %v", c, err)
 		}

@@ -220,7 +220,7 @@ func TestLoopChurnUnsupported(t *testing.T) {
 		t.Fatal(err)
 	}
 	platform, err := rdt.NewResctrlPlatform(sim.DefaultMachine(), []string{"a", "b"},
-		rdt.ResctrlWriter{Root: t.TempDir()}, sampler)
+		rdt.ResctrlWriter{Root: t.TempDir()}, sampler, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

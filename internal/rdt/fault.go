@@ -373,7 +373,7 @@ func (f *FaultInjector) Resync() error {
 }
 
 // ParseFaultScript parses the compact fault-script DSL used by command
-// lines (cmd/satorid -fault, the CI soak smoke):
+// lines (the -fault flag of cmd/satori and cmd/satorid):
 //
 //	spec     := entry ("," entry)*
 //	entry    := op ":" kind "@" call ["x" repeat]
@@ -382,12 +382,18 @@ func (f *FaultInjector) Resync() error {
 //
 // e.g. "sample:nan@50,apply:error@100x3,resync:error@200" injects a NaN
 // reading on the 50th sample, rejects the 100th–102nd applies, and fails
-// the 200th resync. Call indices are 1-based and per-op.
+// the 200th resync. Call indices are 1-based and per-op; a script faults
+// at most 100 000 calls in all.
 func ParseFaultScript(spec string) (FaultScript, error) {
 	var script FaultScript
 	if strings.TrimSpace(spec) == "" {
 		return script, nil
 	}
+	// NewFaultInjector holds one map entry per faulted call, so how many a
+	// script faults in all is bounded here, where it enters: 100 000 calls
+	// is close to three hours of consecutive failures at 10 Hz.
+	const maxFaulted = 100000
+	faulted := 0
 	ops := map[string]FaultOp{"apply": OpApply, "sample": OpSample, "measure": OpMeasureIsolated, "resync": OpResync}
 	kinds := map[string]FaultKind{"error": FaultError, "nan": FaultNaN, "negative": FaultNegative, "latency": FaultLatency, "fatal": FaultFatal}
 	for _, entry := range strings.Split(spec, ",") {
@@ -413,8 +419,8 @@ func ParseFaultScript(spec string) (FaultScript, error) {
 		}
 		callStr, repeatStr, hasRepeat := strings.Cut(at, "x")
 		call, err := strconv.Atoi(callStr)
-		if err != nil || call < 1 {
-			return script, fmt.Errorf("rdt: fault spec %q: bad call index %q", entry, callStr)
+		if err != nil || call < 1 || call > math.MaxInt-maxFaulted {
+			return script, fmt.Errorf("rdt: fault spec %q: bad call index %q (valid: 1 to %d)", entry, callStr, math.MaxInt-maxFaulted)
 		}
 		repeat := 1
 		if hasRepeat {
@@ -423,6 +429,10 @@ func ParseFaultScript(spec string) (FaultScript, error) {
 				return script, fmt.Errorf("rdt: fault spec %q: bad repeat %q", entry, repeatStr)
 			}
 		}
+		if repeat > maxFaulted-faulted {
+			return script, fmt.Errorf("rdt: fault spec %q: repeat %d takes the script past %d faulted calls, the most it may hold", entry, repeat, maxFaulted)
+		}
+		faulted += repeat
 		script.Faults = append(script.Faults, Fault{Op: op, Kind: kind, Call: call, Repeat: repeat})
 	}
 	return script, nil

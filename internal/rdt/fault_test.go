@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -73,7 +75,7 @@ func TestFaultInjectorPreservesCapabilities(t *testing.T) {
 			t.Fatal(err)
 		}
 		p, err := NewResctrlPlatform(sim.DefaultMachine(), []string{"a"},
-			ResctrlWriter{Root: t.TempDir()}, sampler)
+			ResctrlWriter{Root: t.TempDir()}, sampler, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,6 +383,35 @@ func TestParseFaultScript(t *testing.T) {
 		if _, err := ParseFaultScript(bad); err == nil {
 			t.Errorf("spec %q: want error", bad)
 		}
+	}
+}
+
+// NewFaultInjector holds one map entry per faulted call, so the parser
+// bounds what a script may fault — "apply:error@1x300000000" used to parse
+// and then spend 20 s and gigabytes in the injector before tick 1 — and
+// keeps call + repeat from overflowing. Only the parser runs here, so a
+// regression fails; it does not hang.
+func TestParseFaultScriptBoundsWhatTheInjectorHolds(t *testing.T) {
+	maxCall := strconv.Itoa(math.MaxInt - 100000)
+	for bad, bound := range map[string]string{
+		"apply:error@1x300000000":                  "100000",
+		"apply:error@1x100001":                     "100000",
+		"apply:error@1x60000,sample:error@1x40001": "100000",
+		"apply:error@9223372036854775807":          maxCall,
+		"apply:error@9223372036854775000x2":        maxCall,
+	} {
+		if _, err := ParseFaultScript(bad); err == nil {
+			t.Errorf("spec %q accepted", bad)
+		} else if !strings.Contains(err.Error(), bound) {
+			t.Errorf("spec %q: the error does not state the bound %s: %v", bad, bound, err)
+		}
+	}
+	script, err := ParseFaultScript("apply:error@1x60000,sample:error@1x40000")
+	if err != nil {
+		t.Fatalf("a script at the bound is refused: %v", err)
+	}
+	if _, err := NewFaultInjector(nil, script); err != nil {
+		t.Fatal(err)
 	}
 }
 

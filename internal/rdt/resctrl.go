@@ -31,15 +31,13 @@ type ResctrlWriter struct {
 	// CacheID is the L3 cache domain ID for the schemata lines
 	// (socket 0 by default).
 	CacheID int
-	// GroupPrefix names the control groups (default "satori-job").
-	GroupPrefix string
 }
 
-func (w ResctrlWriter) prefix() string {
-	if w.GroupPrefix == "" {
-		return "satori-job"
-	}
-	return w.GroupPrefix
+// groupPrefix names the control groups: <root>/satori-job<N>.
+const groupPrefix = "satori-job"
+
+func (w ResctrlWriter) groupDir(group int) string {
+	return filepath.Join(w.Root, groupPrefix+strconv.Itoa(group))
 }
 
 // MaxCLOS detects the platform's class-of-service budget by reading
@@ -90,7 +88,7 @@ func (w ResctrlWriter) Apply(plan Plan) error {
 		return err
 	}
 	for _, ja := range plan.Jobs {
-		dir := filepath.Join(w.Root, fmt.Sprintf("%s%d", w.prefix(), ja.Job))
+		dir := w.groupDir(ja.Job)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("rdt: creating control group: %w", err)
 		}
@@ -108,7 +106,7 @@ func (w ResctrlWriter) Apply(plan Plan) error {
 
 // prune removes control-group directories whose index is beyond the live
 // plan — the groups a removed job (or a coarser clustering) left behind.
-// Only directories named exactly <prefix><N> are candidates; everything
+// Only directories named exactly satori-job<N> are candidates; everything
 // else under the root (info, mon_groups, foreign groups) is untouched.
 // On a real resctrl mount a group is deleted with a bare rmdir (its
 // virtual files vanish with it), so plain Remove is tried first and
@@ -118,12 +116,11 @@ func (w ResctrlWriter) prune(live int) error {
 	if err != nil {
 		return fmt.Errorf("rdt: scanning control groups: %w", err)
 	}
-	prefix := w.prefix()
 	for _, e := range entries {
-		if !e.IsDir() || !strings.HasPrefix(e.Name(), prefix) {
+		if !e.IsDir() || !strings.HasPrefix(e.Name(), groupPrefix) {
 			continue
 		}
-		idx, err := strconv.Atoi(e.Name()[len(prefix):])
+		idx, err := strconv.Atoi(e.Name()[len(groupPrefix):])
 		if err != nil || idx < live {
 			continue
 		}
@@ -140,7 +137,7 @@ func (w ResctrlWriter) prune(live int) error {
 // ReadGroup reads back one job's schemata and cpu list — used to verify a
 // running deployment (and by the round-trip tests).
 func (w ResctrlWriter) ReadGroup(job int) (JobAllocation, error) {
-	dir := filepath.Join(w.Root, fmt.Sprintf("%s%d", w.prefix(), job))
+	dir := w.groupDir(job)
 	schemata, err := os.ReadFile(filepath.Join(dir, "schemata"))
 	if err != nil {
 		return JobAllocation{}, err

@@ -40,22 +40,15 @@ type ResctrlPlatform struct {
 // NewResctrlPlatform builds the platform for len(jobNames) jobs on the
 // given machine shape, writes the initial equal-split partition to the
 // resctrl tree, and wires the sampler. The writer's Root must be set.
-// Construction fails with a typed *CLOSLimitError when the job count
-// exceeds the tree's class-of-service budget (info/L3/num_closids) —
-// use NewResctrlPlatformGrouped to fit more jobs through clustering.
-func NewResctrlPlatform(spec sim.MachineSpec, jobNames []string, w ResctrlWriter, s Sampler) (*ResctrlPlatform, error) {
-	return NewResctrlPlatformGrouped(spec, jobNames, w, s, nil)
-}
-
-// NewResctrlPlatformGrouped is NewResctrlPlatform with an initial
-// job→cluster grouping installed before the first write, so a job set
-// larger than the CLOS budget passes preflight as long as the grouping's
-// cluster count fits. Policies that migrate memberships online
-// (satori-clustered, lfoc) update the grouping through the Grouper
-// capability; the deterministic bootstrap to pass here is
-// resource.RoundRobinGrouping(len(jobNames), k). A nil grouping is
-// plain per-job operation.
-func NewResctrlPlatformGrouped(spec sim.MachineSpec, jobNames []string, w ResctrlWriter, s Sampler, g *resource.Grouping) (*ResctrlPlatform, error) {
+//
+// A nil grouping is plain per-job operation: construction fails with a
+// typed *CLOSLimitError when the job count exceeds the tree's
+// class-of-service budget (info/L3/num_closids). A grouping is installed
+// before the first write, so a larger job set passes preflight when its
+// cluster count fits; clustered policies then migrate memberships through
+// the Grouper capability, and the deterministic bootstrap to pass here is
+// resource.RoundRobinGrouping(len(jobNames), k).
+func NewResctrlPlatform(spec sim.MachineSpec, jobNames []string, w ResctrlWriter, s Sampler, g *resource.Grouping) (*ResctrlPlatform, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -97,10 +90,10 @@ func NewResctrlPlatformGrouped(spec sim.MachineSpec, jobNames []string, w Resctr
 // Space implements Platform.
 func (p *ResctrlPlatform) Space() *resource.Space { return p.space }
 
-// Apply implements Platform: shape-check, compile, validate, then write
-// one control group per job into the resctrl tree. A configuration
-// shaped for a different job set is rejected with the typed
-// *ConfigShapeError; rewrites are skipped when the configuration is
+// Apply implements Platform: shape-check, then compile and write one
+// control group per job (or cluster) into the resctrl tree. A
+// configuration shaped for a different job set is rejected with the
+// typed *ConfigShapeError; rewrites are skipped when the configuration is
 // unchanged, matching how identical MSR writes are elided on hardware.
 func (p *ResctrlPlatform) Apply(c resource.Config) error {
 	if err := resource.CheckShape(p.space, c); err != nil {
@@ -109,17 +102,23 @@ func (p *ResctrlPlatform) Apply(c resource.Config) error {
 	if p.current.Equal(c) {
 		return nil
 	}
-	plan, err := CompileGrouped(p.space, c, p.grouping)
-	if err != nil {
+	if err := p.write(c); err != nil {
 		return err
 	}
-	if err := plan.Validate(); err != nil {
+	p.current = c.Clone()
+	return nil
+}
+
+// write compiles c under the live grouping and materializes the plan
+// (ResctrlWriter.Apply validates it first); on failure p.plan stands.
+func (p *ResctrlPlatform) write(c resource.Config) error {
+	plan, err := CompileGrouped(p.space, c, p.grouping)
+	if err != nil {
 		return err
 	}
 	if err := p.writer.Apply(plan); err != nil {
 		return err
 	}
-	p.current = c.Clone()
 	p.plan = plan
 	return nil
 }
@@ -127,12 +126,9 @@ func (p *ResctrlPlatform) Apply(c resource.Config) error {
 // Current implements Platform.
 func (p *ResctrlPlatform) Current() resource.Config { return p.current.Clone() }
 
-// Plan returns the most recently compiled hardware plan.
-func (p *ResctrlPlatform) Plan() Plan { return p.plan }
-
-// Writer returns the underlying resctrl writer (e.g. for ReadGroup
-// round-trip verification of a running deployment).
-func (p *ResctrlPlatform) Writer() ResctrlWriter { return p.writer }
+// ReadGroup reads control group g back from the resctrl tree — the
+// round-trip spot check of a running deployment.
+func (p *ResctrlPlatform) ReadGroup(g int) (JobAllocation, error) { return p.writer.ReadGroup(g) }
 
 // Sample implements Platform: one 100 ms interval of per-job IPS from
 // the sampler, validated against the job count.
@@ -187,17 +183,4 @@ func (p *ResctrlPlatform) MaxCLOS() int { return p.maxCLOS }
 
 // Resync implements Platform: recompile the plan from the live space and
 // current configuration and rewrite every control group.
-func (p *ResctrlPlatform) Resync() error {
-	plan, err := CompileGrouped(p.space, p.current, p.grouping)
-	if err != nil {
-		return err
-	}
-	if err := plan.Validate(); err != nil {
-		return err
-	}
-	if err := p.writer.Apply(plan); err != nil {
-		return err
-	}
-	p.plan = plan
-	return nil
-}
+func (p *ResctrlPlatform) Resync() error { return p.write(p.current) }

@@ -182,21 +182,3 @@ func TestResctrlWriterValidation(t *testing.T) {
 		t.Error("invalid plan accepted")
 	}
 }
-
-func TestResctrlWriterCustomPrefix(t *testing.T) {
-	space, err := sim.DefaultMachine().Space(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := Compile(space, space.EqualSplit())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := ResctrlWriter{Root: t.TempDir(), GroupPrefix: "cos-"}
-	if err := w.Apply(plan); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(w.Root, "cos-1", "schemata")); err != nil {
-		t.Errorf("custom prefix not honored: %v", err)
-	}
-}

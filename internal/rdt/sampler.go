@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -54,9 +55,6 @@ func NewTraceSampler(isolated []float64, rows [][]float64) (*TraceSampler, error
 // Jobs returns the trace's job count.
 func (t *TraceSampler) Jobs() int { return len(t.isolated) }
 
-// Ticks returns the number of recorded rows (the replay period).
-func (t *TraceSampler) Ticks() int { return len(t.rows) }
-
 // Sample implements Sampler: it returns a copy of the next recorded row,
 // wrapping around at the end of the trace.
 func (t *TraceSampler) Sample(Plan) ([]float64, error) {
@@ -74,7 +72,10 @@ func (t *TraceSampler) SampleIsolated() ([]float64, error) {
 // comments, the first data line holds the isolated baselines, and every
 // following line is one 100 ms tick's per-job IPS, comma-separated.
 
-// ReadIPSTrace parses the trace file format into baselines + rows.
+// ReadIPSTrace parses the trace file format into baselines + rows. This
+// is where a recording enters from outside the program, so a line is
+// rejected here, by number, unless every value is a finite IPS (positive
+// on the baseline line, non-negative after) and the row baseline-wide.
 func ReadIPSTrace(r io.Reader) (isolated []float64, rows [][]float64, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -88,14 +89,17 @@ func ReadIPSTrace(r io.Reader) (isolated []float64, rows [][]float64, err error)
 		var vals []float64
 		for _, field := range strings.Split(line, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("rdt: trace line %d: bad value %q: %w", lineNo, field, err)
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 || isolated == nil && v == 0 {
+				return nil, nil, fmt.Errorf("rdt: trace line %d: bad value %q (want a finite IPS, positive on the baseline line and non-negative after)", lineNo, field)
 			}
 			vals = append(vals, v)
 		}
 		if isolated == nil {
 			isolated = vals
 			continue
+		}
+		if len(vals) != len(isolated) {
+			return nil, nil, fmt.Errorf("rdt: trace line %d has %d values, the baseline line has %d", lineNo, len(vals), len(isolated))
 		}
 		rows = append(rows, vals)
 	}

@@ -18,8 +18,8 @@ func TestTraceSamplerReplayLoops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Jobs() != 2 || s.Ticks() != 3 {
-		t.Fatalf("Jobs/Ticks = %d/%d, want 2/3", s.Jobs(), s.Ticks())
+	if s.Jobs() != 2 {
+		t.Fatalf("Jobs = %d, want 2", s.Jobs())
 	}
 	want := [][]float64{{1, 2}, {3, 4}, {5, 6}, {1, 2}} // wraps around
 	for i, w := range want {
@@ -93,6 +93,29 @@ func TestReadIPSTraceErrors(t *testing.T) {
 	if _, _, err := ReadIPSTrace(strings.NewReader("1,2\nnot-a-number,3\n")); err == nil {
 		t.Error("bad value accepted")
 	}
+	// A trace is outside input: what the loop would only count as bad
+	// samples tick after tick (a NaN baseline zeroed every score, exit 0)
+	// is refused here, naming the line.
+	for name, c := range map[string]struct{ text, line string }{
+		"NaN baseline":      {"NaN,2e9,2e9\n1e9,1e9,1e9\n", "line 1"},
+		"zero baseline":     {"# capture\n0,2e9\n1e9,1e9\n", "line 2"},
+		"negative baseline": {"-2e9,2e9\n1e9,1e9\n", "line 1"},
+		"infinite sample":   {"2e9,2e9\n1e9,+Inf\n", "line 2"},
+		"NaN sample":        {"2e9,2e9\n1e9,1e9\nnan,1e9\n", "line 3"},
+		"negative sample":   {"2e9,2e9\n\n1e9,-1\n", "line 3"},
+		"narrow row":        {"2e9,2e9\n1e9,1e9\n1e9\n", "line 3"},
+		"wide row":          {"2e9,2e9\n1e9,1e9,1e9\n", "line 2"},
+	} {
+		if _, _, err := ReadIPSTrace(strings.NewReader(c.text)); err == nil {
+			t.Errorf("%s accepted", name)
+		} else if !strings.Contains(err.Error(), c.line) {
+			t.Errorf("%s: error does not name %s: %v", name, c.line, err)
+		}
+	}
+	// An idle job's zero sample is a reading, not corruption.
+	if _, rows, err := ReadIPSTrace(strings.NewReader("2e9,2e9\n0,1e9\n")); err != nil || len(rows) != 1 {
+		t.Errorf("zero sample refused: %v", err)
+	}
 }
 
 func newTracePlatform(t *testing.T) *ResctrlPlatform {
@@ -105,7 +128,7 @@ func newTracePlatform(t *testing.T) *ResctrlPlatform {
 		t.Fatal(err)
 	}
 	p, err := NewResctrlPlatform(sim.DefaultMachine(), []string{"a", "b", "c"},
-		ResctrlWriter{Root: t.TempDir()}, sampler)
+		ResctrlWriter{Root: t.TempDir()}, sampler, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +144,7 @@ func TestResctrlPlatformInitialSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < 3; j++ {
-		got, err := p.Writer().ReadGroup(j)
+		got, err := p.ReadGroup(j)
 		if err != nil {
 			t.Fatalf("job %d group missing after construction: %v", j, err)
 		}
@@ -156,7 +179,7 @@ func TestResctrlPlatformSampleValidatesWidth(t *testing.T) {
 	// 3 job names over a 2-job trace: the width mismatch must surface
 	// the moment the sampler is read, not as silent misattribution.
 	p, err := NewResctrlPlatform(sim.DefaultMachine(), []string{"a", "b", "c"},
-		ResctrlWriter{Root: t.TempDir()}, sampler)
+		ResctrlWriter{Root: t.TempDir()}, sampler, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +198,7 @@ func TestResctrlPlatformSampleValidatesWidth(t *testing.T) {
 // Apply of a genuinely new decision must land normally afterwards.
 func TestResctrlPlatformResyncRestoresExternalDrift(t *testing.T) {
 	p := newTracePlatform(t)
-	w := p.Writer()
-	dir := filepath.Join(w.Root, "satori-job1")
+	dir := filepath.Join(p.writer.Root, "satori-job1")
 
 	wantSchemata, err := os.ReadFile(filepath.Join(dir, "schemata"))
 	if err != nil {
@@ -195,7 +217,7 @@ func TestResctrlPlatformResyncRestoresExternalDrift(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "cpus_list"), []byte("0-63\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	drifted, err := w.ReadGroup(1)
+	drifted, err := p.ReadGroup(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +255,7 @@ func TestResctrlPlatformResyncRestoresExternalDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := w.ReadGroup(0)
+	got, err := p.ReadGroup(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,6 +75,10 @@ func ReadProfiles(r io.Reader) ([]*sim.Profile, error) {
 	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("workloads: parsing profiles: %w", err)
 	}
+	// Decode stops after one value; a file is the array and nothing else.
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("workloads: parsing profiles: unexpected data after the profile array")
+	}
 	if len(in) == 0 {
 		return nil, fmt.Errorf("workloads: profile file contains no profiles")
 	}

@@ -48,6 +48,10 @@ func TestReadProfilesValidates(t *testing.T) {
 		"negative slo p99":  `[{"name":"x","slo":{"target_p99":-0.01,"service_instructions":1e6,"arrival_rate":100},"phases":[` + okPhase + `]}]`,
 		"zero arrival rate": `[{"name":"x","slo":{"target_p99":0.01,"service_instructions":1e6,"arrival_rate":0},"phases":[` + okPhase + `]}]`,
 		"empty slo section": `[{"name":"x","slo":{},"phases":[` + okPhase + `]}]`,
+		// Decode reads one value and stops; the file must end with it.
+		"trailing garbage": `[{"name":"x","phases":[` + okPhase + `]}]` + "\nTHIS IS NOT JSON {{{\n",
+		"second array":     `[{"name":"x","phases":[` + okPhase + `]}] [{"name":"y","phases":[` + okPhase + `]}]`,
+		"stray bracket":    `[{"name":"x","phases":[` + okPhase + `]}]]`,
 	}
 	for name, body := range cases {
 		if _, err := ReadProfiles(strings.NewReader(body)); err == nil {
