@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"path/filepath"
 
 	"satori"
 	"satori/internal/rdt"
@@ -105,7 +104,6 @@ func reportResctrl(p *rdt.ResctrlPlatform, root string) {
 		fmt.Println("resctrl: read-back failed:", err)
 		return
 	}
-	fmt.Printf("resctrl: job 0 schemata round-trip: L3 mask %#x, MB %d%%, cpus %s (%s)\n",
-		ja.CATMask, ja.MBAPercent, rdt.FormatCPUList(ja.CPUSet),
-		filepath.Join(root, "satori-job0"))
+	fmt.Printf("resctrl: job 0 schemata round-trip: L3 mask %#x, MB %d%%, cpus %s\n",
+		ja.CATMask, ja.MBAPercent, rdt.FormatCPUList(ja.CPUSet))
 }

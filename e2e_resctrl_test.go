@@ -72,8 +72,8 @@ func TestResctrlSessionEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tick %d: %v", tick, err)
 		}
-		if st.RejectedApply != nil {
-			t.Fatalf("tick %d: rejected apply: %v", tick, st.RejectedApply)
+		if st.Held != 0 {
+			t.Fatalf("tick %d: held (%s): %v", tick, st.Held, st.Err)
 		}
 		if st.ResetErr != nil {
 			t.Fatalf("tick %d: baseline refresh failed: %v", tick, st.ResetErr)
@@ -197,8 +197,8 @@ func TestResctrlClusteredEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tick %d: %v", tick, err)
 		}
-		if st.RejectedApply != nil {
-			t.Fatalf("tick %d: rejected apply: %v", tick, st.RejectedApply)
+		if st.Held != 0 {
+			t.Fatalf("tick %d: held (%s): %v", tick, st.Held, st.Err)
 		}
 		if n := countGroups(); n > k {
 			t.Fatalf("tick %d: %d control groups on disk, CLOS budget is %d", tick, n, k)

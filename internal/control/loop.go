@@ -94,78 +94,70 @@ func (o SamplingOptions) fill() SamplingOptions {
 	return o
 }
 
-// Status is one interval's outcome.
+// Status is one interval's outcome: the Observation the policy was shown
+// (Tick and Time are stamped on every tick, IPS whenever a reading
+// arrived, the scores only when it was scored) plus what only the loop
+// knows.
 type Status struct {
-	// Tick counts completed 100 ms intervals.
-	Tick int
-	// Time is elapsed seconds.
-	Time float64
-	// IPS is the observed per-job instructions/second.
-	IPS []float64
-	// Isolated is the per-job isolated baseline in force this interval.
-	Isolated []float64
-	// Speedups is IPS over the isolated baselines.
-	Speedups []float64
-	// Throughput is the normalized system-throughput score in [0, 1].
-	Throughput float64
-	// Fairness is the normalized fairness score in [0, 1].
-	Fairness float64
+	policy.Observation
 	// Config is the partition that will run during the next interval.
 	Config resource.Config
-	// BaselineReset reports whether isolated baselines were re-measured
-	// just before this interval's observation.
-	BaselineReset bool
-	// RejectedApply is the platform's rejection of this tick's decision
-	// (nil when the decision was accepted). The loop keeps running on
-	// the live configuration; Summary counts the rejections.
-	RejectedApply error
+	// SampledTick reports that this interval's observation was
+	// extrapolated from phase-stable state (sampled simulation) instead
+	// of evaluated in detail.
+	SampledTick bool
+	// Regrouped reports the policy committed a cluster-membership
+	// migration during this tick's decision (clustered policies only).
+	Regrouped bool
+	// Held is why this tick landed no decision (zero: one landed). A held
+	// tick accumulates no metrics unless it got as far as the policy
+	// (HeldApplyRejected), keeps the installed partition in force, and
+	// counts toward the circuit breaker; Summary counts each reason.
+	Held HeldReason
+	// Err is the transient failure behind Held: the lost reading
+	// (HeldSampleLost) or the platform's rejection (HeldApplyRejected);
+	// nil for every other reason. Non-transient failures abort Step.
+	Err error
 	// ResetErr is a transiently failed baseline re-measurement (nil when
 	// none was due or it succeeded); a non-transient failure aborts Step
 	// instead. After a failed periodic refresh the previous baselines stay
 	// in force until the next boundary. After a membership change whose
 	// re-measurement failed there are no baselines to fall back on: the
-	// refresh is retried every tick and each tick is held until it lands.
+	// refresh is retried every tick and each tick is held
+	// (HeldNoBaselines) until it lands.
 	ResetErr error
-	// SampledTick reports that this interval's observation was
-	// extrapolated from phase-stable state (sampled simulation) instead
-	// of evaluated in detail.
-	SampledTick bool
-	// BadSample reports that the platform returned a non-finite or
-	// negative IPS this interval. The observation is rejected: no
-	// metrics are accumulated, the policy is not consulted, and the
-	// current configuration stays in force. Summary counts these.
-	BadSample bool
-	// SampleErr is a transient sampling failure this interval (a dropped
-	// reading; the 100 ms still elapsed). The loop degrades gracefully:
-	// no metrics are accumulated, the policy is not consulted, and the
-	// last good configuration stays in force. Non-transient sampling
-	// failures still abort Step.
-	SampleErr error
-	// Degraded reports this interval's observation was lost (SampleErr)
-	// and the loop held the installed partition instead of deciding.
-	Degraded bool
 	// SafeFallback reports the consecutive-failure circuit breaker
 	// tripped on this interval and installed the equal-split safe
 	// configuration (see ResilienceOptions).
 	SafeFallback bool
-	// P50, P95 and P99 are the per-job request-latency quantiles in
-	// seconds derived from this interval's observation (zero for batch
-	// slots, +Inf for a saturated LC job). All SLO fields are nil/zero
-	// when the co-location has no latency-critical jobs.
-	P50, P95, P99 []float64
-	// SLOAttainment is the mean fraction of LC requests served within
-	// their p99 targets this interval.
-	SLOAttainment float64
-	// SLOViolating is the hysteretic violation state after this
-	// interval's observation.
-	SLOViolating bool
-	// GoalSwitched reports the fairness channel is currently scoring
-	// SLO attainment instead of the configured fairness metric
-	// (SLOOptions.GoalSwitch).
-	GoalSwitched bool
-	// Regrouped reports the policy committed a cluster-membership
-	// migration during this tick's decision (clustered policies only).
-	Regrouped bool
+	// SLO is the latency view of a scored observation; nil when the
+	// co-location has no latency-critical jobs or nothing was scored.
+	SLO *SLOStatus
+}
+
+// HeldReason says why a tick landed no decision.
+type HeldReason uint8
+
+const (
+	// HeldSampleLost: a transient sampling failure — the 100 ms elapsed
+	// but the reading was dropped (Status.Err). The policy is not
+	// consulted.
+	HeldSampleLost HeldReason = iota + 1
+	// HeldSampleCorrupt: the platform returned a non-finite or negative
+	// IPS; the observation is rejected before it reaches the metrics or
+	// the policy.
+	HeldSampleCorrupt
+	// HeldNoBaselines: the reading is sound but a failed churn
+	// re-measurement left nothing to score it against (Status.ResetErr).
+	HeldNoBaselines
+	// HeldApplyRejected: the platform refused the policy's decision
+	// (Status.Err) and the live configuration stays.
+	HeldApplyRejected
+)
+
+// String names the reason; the zero value — a decision landed — is "".
+func (h HeldReason) String() string {
+	return [...]string{"", "sample-lost", "bad-sample", "no-baselines", "apply-rejected"}[h]
 }
 
 // StaleDecisionError is Step's typed failure when the policy emits a
@@ -173,7 +165,7 @@ type Status struct {
 // and platform have desynced, which after churn means the rebuild
 // contract was broken. It wraps the platform's *rdt.ConfigShapeError so
 // callers (the fleet layer) can distinguish this fatal desync from the
-// recoverable rejections counted in Status.RejectedApply. Only a
+// recoverable rejections reported as HeldApplyRejected. Only a
 // shape rejection with the machine's resource-row count and a
 // mismatched job dimension qualifies; a malformed configuration (wrong
 // resource count, no allocation matrix) is an ordinary rejection.
@@ -215,7 +207,9 @@ type Loop struct {
 
 	// The platform's optional capabilities, resolved once by New through
 	// rdt.As (so they are found behind any decorator); nil when absent.
-	// fast and batch are additionally nil unless sampling is enabled.
+	// fast and batch are additionally nil unless sampling is enabled: fast
+	// extrapolates single ticks inside Step, batch jumps whole promises in
+	// SkipIdle, and IdleHorizon promises only what batch can honour.
 	churn rdt.Churner
 	fast  rdt.FastSampler
 	batch rdt.BatchSampler
@@ -308,7 +302,7 @@ func New(opt Options) (*Loop, error) {
 	l.lc, _ = rdt.As[rdt.SLOProvider](opt.Platform)
 	if opt.Sampling.Enabled {
 		l.fast, _ = rdt.As[rdt.FastSampler](opt.Platform)
-		l.batch, _ = l.fast.(rdt.BatchSampler)
+		l.batch, _ = rdt.As[rdt.BatchSampler](opt.Platform)
 	}
 	l.slo = newSLOTracker(l.lc, l.sloOpt)
 	l.captureRegrouper()
@@ -357,16 +351,16 @@ func (l *Loop) SetObjectives(tm metrics.ThroughputMetric, fm metrics.FairnessMet
 //	account       close the tick as landed (noteGoodTick) or held
 //
 // The loop owns the failure taxonomy: every transient fault is absorbed
-// and surfaced in the status (SampleErr, BadSample, ResetErr,
-// RejectedApply), every non-transient Sample or MeasureIsolated failure
-// aborts Step with the error, and a stale-shaped decision aborts it with
-// a *StaleDecisionError. Callers never classify a Status field.
+// and surfaced in the status (Held with its Err, ResetErr), every
+// non-transient Sample or MeasureIsolated failure aborts Step with the
+// error, and a stale-shaped decision aborts it with a
+// *StaleDecisionError. Callers never classify a Status field.
 func (l *Loop) Step() (st Status, err error) {
 	resetErr := l.refreshIfDue()
 	if resetErr != nil && !rdt.IsTransient(resetErr) {
 		return st, resetErr
 	}
-	ok, err := l.observe(true, &st)
+	ok, err := l.observe(&st)
 	st.ResetErr = resetErr
 	if err != nil || !ok {
 		return st, err
@@ -418,23 +412,21 @@ func (l *Loop) commitBaselines(iso []float64, err error) error {
 
 // observe is the only code that advances the clock by an observed
 // interval: sample per-job IPS, validate it, score both goals and fold
-// them into the running aggregates, writing the tick's status to st. ok
-// reports a usable observation; otherwise st is already closed as a held
-// tick. A non-transient sampling failure returns the error with the
-// clock and st untouched.
+// them into the running aggregates, writing the tick's status to the
+// zero-valued st. ok reports a usable observation; otherwise st is
+// already closed as a held tick. A non-transient sampling failure
+// returns the error with the clock and st untouched.
 //
-// Sampled simulation: the backend is asked to extrapolate the interval
-// instead of evaluating it in detail. The backend refuses (with no side
-// effects) whenever extrapolation could diverge — imminent phase
-// boundary, configuration change, churn — and the detailed sample runs.
-// A gated tick (Step) asks only once the phase-stability window is armed,
-// and MaxRun bounds how long extrapolation may run before a detailed
-// re-validation; an ungated one (idle replay inside an IdleHorizon
-// promise, which already accounts for both) always asks.
-func (l *Loop) observe(gated bool, st *Status) (ok bool, err error) {
+// Sampled simulation: once the phase-stability window is armed the
+// backend is asked to extrapolate the interval instead of evaluating it
+// in detail, and MaxRun bounds how long extrapolation may run before a
+// detailed re-validation. The backend refuses (with no side effects)
+// whenever extrapolation could diverge — imminent phase boundary,
+// configuration change, churn — and the detailed sample runs.
+func (l *Loop) observe(st *Status) (ok bool, err error) {
 	var ips []float64
 	sampled := false
-	if l.fast != nil && (!gated || l.stable >= l.sampling.StableTicks && l.sampledRun < l.sampling.MaxRun) {
+	if l.fast != nil && l.stable >= l.sampling.StableTicks && l.sampledRun < l.sampling.MaxRun {
 		if ips, sampled = l.fast.SampleFast(); sampled {
 			l.sampledRun++
 			l.sampledTicks++
@@ -455,8 +447,7 @@ func (l *Loop) observe(gated bool, st *Status) (ok bool, err error) {
 		// skip the policy, count the miss.
 		l.sampleErrs++
 		l.resetStability()
-		*st = Status{SampleErr: err, Degraded: true}
-		l.held(st)
+		l.held(st, HeldSampleLost, err)
 		return false, nil
 	}
 	// Reject corrupt observations before they reach the metrics or the
@@ -464,20 +455,19 @@ func (l *Loop) observe(gated bool, st *Status) (ok bool, err error) {
 	// torn resctrl read) would silently poison the Welford aggregates and
 	// the proxy model. l.pendReset is left pending so the policy still
 	// sees the BaselineReset flag on the next accepted observation.
+	st.IPS, st.SampledTick = ips, sampled
 	for _, v := range ips {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 			l.badSamples++
 			l.resetStability()
-			*st = Status{IPS: ips, SampledTick: sampled, BadSample: true}
-			l.held(st)
+			l.held(st, HeldSampleCorrupt, nil)
 			return false, nil
 		}
 	}
 	if l.needIso {
 		// No baselines for the live job set (see commitBaselines): the
 		// reading is sound but there is nothing to score it against.
-		*st = Status{IPS: ips, SampledTick: sampled}
-		l.held(st)
+		l.held(st, HeldNoBaselines, nil)
 		return false, nil
 	}
 	l.lastGoodSample = l.tick
@@ -485,13 +475,12 @@ func (l *Loop) observe(gated bool, st *Status) (ok bool, err error) {
 	if l.slo != nil {
 		l.slo.observe(ips)
 	}
-	*st = Status{
+	st.Observation = policy.Observation{
 		Tick: l.tick, Time: float64(l.tick) * TickSeconds,
 		IPS: ips, Isolated: l.isolated, Speedups: metrics.Speedups(ips, l.isolated),
 		Throughput: l.scoreThroughput(ips), Fairness: l.scoreFairness(ips),
-		SampledTick: sampled,
-		Config:      l.current,
 	}
+	st.Config = l.current
 	if l.slo != nil {
 		l.slo.fill(st)
 	}
@@ -502,11 +491,12 @@ func (l *Loop) observe(gated bool, st *Status) (ok bool, err error) {
 	return true, nil
 }
 
-// held closes a tick that landed no fresh decision — a lost or rejected
-// observation, missing baselines, a rejected apply: stamp the clock, the
-// baselines in force and the partition held, and count the tick toward
-// the circuit breaker.
-func (l *Loop) held(st *Status) {
+// held closes a tick that landed no fresh decision: name the reason and
+// the transient failure behind it, stamp the clock, the baselines in
+// force and the partition held, and count the tick toward the circuit
+// breaker.
+func (l *Loop) held(st *Status, why HeldReason, err error) {
+	st.Held, st.Err = why, err
 	st.Tick, st.Time = l.tick, float64(l.tick)*TickSeconds
 	st.Isolated = l.isolated
 	st.SafeFallback = l.noteFailedTick()
@@ -517,13 +507,7 @@ func (l *Loop) held(st *Status) {
 // decision, closing the tick as landed or held.
 func (l *Loop) decide(st *Status) error {
 	st.BaselineReset, l.pendReset = l.pendReset, false
-	next := l.pol.Decide(policy.Observation{
-		Tick: st.Tick, Time: st.Time,
-		IPS: st.IPS, Isolated: st.Isolated, Speedups: st.Speedups,
-		Throughput: st.Throughput, Fairness: st.Fairness,
-		BaselineReset: st.BaselineReset,
-		SLOViolating:  st.SLOViolating, SLOAttainment: st.SLOAttainment,
-	}, l.current)
+	next := l.pol.Decide(st.Observation, l.current)
 	if l.regroup != nil {
 		if n := l.regroup.Regroups(); n > l.lastRegroups {
 			// The policy committed a cluster-membership migration inside
@@ -548,9 +532,8 @@ func (l *Loop) decide(st *Status) error {
 		if errors.As(err, &shape) && shape.ConfigResources == shape.SpaceResources {
 			return &StaleDecisionError{Tick: l.tick, Shape: shape}
 		}
-		st.RejectedApply = err
 		l.rejected++
-		l.held(st)
+		l.held(st, HeldApplyRejected, err)
 		return nil
 	}
 	if !l.current.Equal(next) {
@@ -634,16 +617,16 @@ func (l *Loop) resetStability() {
 // IdleHorizon returns how many upcoming intervals this loop could advance
 // without consulting the policy and without a detailed evaluation — the
 // event-driven fleet's skip budget for a node with nothing going on. It
-// is 0 unless the backend can extrapolate (rdt.FastSampler), the
-// phase-stability window is armed, no baseline refresh is due or pending
-// delivery to the policy, and the circuit breaker is closed. The promise
-// is bounded by the backend's own phase-boundary lookahead
+// is 0 unless the backend can jump a run of intervals (rdt.BatchSampler),
+// the phase-stability window is armed, no baseline refresh is due or
+// pending delivery to the policy, and the circuit breaker is closed. The
+// promise is bounded by the backend's own phase-boundary lookahead
 // (FastSampler.FastHorizon), by the remaining MaxRun extrapolation
 // budget, and by the distance to the next equalization boundary — so a
-// caller advancing exactly IdleHorizon ticks via AdvanceIdle never skips
+// caller advancing at most IdleHorizon ticks via SkipIdle never skips
 // past a baseline refresh or a needed detailed re-validation.
 func (l *Loop) IdleHorizon() int {
-	if l.fast == nil || l.breakerOpen || l.pendReset {
+	if l.batch == nil || l.breakerOpen || l.pendReset {
 		return 0
 	}
 	if l.stable < l.sampling.StableTicks {
@@ -661,7 +644,7 @@ func (l *Loop) IdleHorizon() int {
 	if l.tick > 0 && l.tick%l.resetEvery == 0 {
 		return 0
 	}
-	h := l.fast.FastHorizon()
+	h := l.batch.FastHorizon()
 	if m := l.sampling.MaxRun - l.sampledRun; m < h {
 		h = m
 	}
@@ -674,69 +657,48 @@ func (l *Loop) IdleHorizon() int {
 	return h
 }
 
-// AdvanceIdle advances n intervals in one batched, policy-free replay —
-// the event-driven fleet's catch-up path for a node whose skipped ticks
-// have come due. Each tick is observed through the extrapolation cache
-// (bit-identical to a detailed evaluation on the simulator backend,
-// including the noise draws), scored, and accumulated into the running
-// aggregates exactly as Step would; the installed configuration is held
-// throughout and the policy is never consulted — which is the point: an
-// idle node pays for observation arithmetic only, not for a decision.
-// Callers must stay within a promise returned by IdleHorizon; if the
-// backend still refuses a tick (conservative horizons may under-promise
-// after rounding), that tick falls back to a detailed platform sample,
-// preserving the observation stream. The returned status is the last
-// advanced tick's. n <= 0 is a no-op.
-func (l *Loop) AdvanceIdle(n int) (Status, error) {
-	var st Status
-	for i := 0; i < n; i++ {
-		ok, err := l.observe(false, &st)
-		if err != nil {
-			return st, err
-		}
-		l.idleTicks++
-		if ok {
-			l.noteGoodTick()
-		}
-	}
-	return st, nil
-}
+// ErrSkipRefused is SkipIdle's typed refusal: the backend has no batch
+// capability (IdleHorizon is then always 0) or declined the jump, so
+// nothing was advanced. A caller inside an IdleHorizon promise never sees
+// it; one that does has lost count of the loop's clock, which the fleet
+// treats like any other fatal node error.
+var ErrSkipRefused = errors.New("control: idle skip refused by the platform")
 
 // SkipIdle advances the loop clock n ticks in one coarse batched jump —
-// the cheap half of the event-driven fleet contract. The platform
-// extrapolates all n intervals in a single O(jobs) operation (no
-// per-interval samples), and the loop holds the last good tick's
-// normalized scores as the metric value of every skipped interval, so run
-// aggregates keep tick-weighted semantics. The jump is deterministic but
-// NOT bit-identical to n lockstep Steps (the per-interval noise terms are
-// not realized); callers that need the exact trajectory use AdvanceIdle.
-// When the platform has no batch capability — or refuses the jump — the
-// call falls back to exact interval-by-interval replay. Callers must
-// respect IdleHorizon, exactly as for AdvanceIdle.
+// the event-driven fleet's settlement of a node's deferred ticks, and
+// with Step one of the two ways time passes. The platform extrapolates
+// all n intervals in a single O(jobs) operation (no per-interval
+// samples), and the loop holds the last good tick's normalized scores as
+// the metric value of every skipped interval, so run aggregates keep
+// tick-weighted semantics; the installed configuration is held and the
+// policy is never consulted. The jump is deterministic but NOT
+// bit-identical to n lockstep Steps (the per-interval noise terms are not
+// realized). Callers must stay within a promise returned by IdleHorizon;
+// a jump the platform cannot make is refused with ErrSkipRefused and
+// leaves the loop untouched. n <= 0 is a no-op.
 func (l *Loop) SkipIdle(n int) error {
 	if n <= 0 {
 		return nil
 	}
-	if l.batch != nil && l.batch.SkipFast(n) {
-		l.tick += n
-		l.idleTicks += n
-		l.sampledTicks += n
-		l.sampledRun += n
-		l.lastGoodSample = l.tick
-		if l.slo != nil {
-			l.slo.hold(n)
-		}
-		obj := 0.5*l.lastT + 0.5*l.lastF
-		for i := 0; i < n; i++ {
-			l.accT.Add(l.lastT)
-			l.accF.Add(l.lastF)
-			l.accObj.Add(obj)
-		}
-		l.noteGoodTick()
-		return nil
+	if l.batch == nil || !l.batch.SkipFast(n) {
+		return fmt.Errorf("tick %d: skip of %d ticks: %w", l.tick, n, ErrSkipRefused)
 	}
-	_, err := l.AdvanceIdle(n)
-	return err
+	l.tick += n
+	l.idleTicks += n
+	l.sampledTicks += n
+	l.sampledRun += n
+	l.lastGoodSample = l.tick
+	if l.slo != nil {
+		l.slo.hold(n)
+	}
+	obj := 0.5*l.lastT + 0.5*l.lastF
+	for i := 0; i < n; i++ {
+		l.accT.Add(l.lastT)
+		l.accF.Add(l.lastF)
+		l.accObj.Add(obj)
+	}
+	l.noteGoodTick()
+	return nil
 }
 
 // Run advances n intervals and returns the last status.
@@ -750,19 +712,6 @@ func (l *Loop) Run(n int) (Status, error) {
 		}
 	}
 	return last, nil
-}
-
-// Reinit is the membership-change tail for externally mutated platforms:
-// resync the backend's compiled state, rebuild the policy on the live
-// space, and re-measure baselines (Algorithm 1 line 13, extended to
-// job-count changes). The loop's tick counter and running aggregates
-// carry on. The churn methods below call the same tail (minus the
-// resync, which rdt.Churner implementations already performed).
-func (l *Loop) Reinit() error {
-	if err := l.retryTransient(l.platform.Resync); err != nil {
-		return err
-	}
-	return l.rebuildAfterChurn()
 }
 
 // rebuildAfterChurn is the loop-side commit of a membership change the
@@ -875,22 +824,21 @@ type Summary struct {
 	// SampledTicks counts intervals observed by extrapolation instead of
 	// detailed evaluation (sampled simulation).
 	SampledTicks int
-	// IdleTicks counts intervals advanced through AdvanceIdle or
-	// SkipIdle — batched, policy-free catch-up ticks from the
-	// event-driven fleet path.
+	// IdleTicks counts intervals advanced through SkipIdle — batched,
+	// policy-free catch-up ticks from the event-driven fleet path.
 	IdleTicks int
 	// BadSamples counts observations rejected for non-finite or negative
-	// IPS (Status.BadSample ticks).
+	// IPS (HeldSampleCorrupt ticks).
 	BadSamples int
 	// SampleErrors counts intervals whose observation was lost to a
-	// transient sampling failure (Status.Degraded ticks).
+	// transient sampling failure (HeldSampleLost ticks).
 	SampleErrors int
 	// ResetErrs counts periodic baseline refreshes that failed after
 	// retries (Status.ResetErr ticks); the stale baselines stayed in
 	// force until the next boundary.
 	ResetErrs int
 	// Retries counts in-tick retry attempts of transient
-	// Apply/MeasureIsolated/Resync failures.
+	// Apply/MeasureIsolated failures.
 	Retries int
 	// BreakerTrips counts circuit-breaker openings — equal-split safe
 	// fallbacks after a run of consecutive failed ticks.

@@ -175,8 +175,8 @@ func (malformedPolicy) Decide(policy.Observation, resource.Config) resource.Conf
 	return resource.Config{}
 }
 
-// A malformed decision must stay a recoverable rejection — surfaced in
-// Status.RejectedApply and counted in the summary, never escalated to
+// A malformed decision must stay a recoverable rejection — surfaced as a
+// HeldApplyRejected tick and counted in the summary, never escalated to
 // the fatal stale-shape error (churn cannot change the resource rows).
 func TestLoopMalformedDecisionIsRecoverable(t *testing.T) {
 	profiles := workloads.PARSEC()[:3]
@@ -200,8 +200,8 @@ func TestLoopMalformedDecisionIsRecoverable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tick %d: Step error %v (want recoverable rejection)", tick, err)
 		}
-		if st.RejectedApply == nil {
-			t.Fatalf("tick %d: RejectedApply is nil", tick)
+		if st.Held != HeldApplyRejected || st.Err == nil {
+			t.Fatalf("tick %d: held %q with error %v, want a rejected apply", tick, st.Held, st.Err)
 		}
 	}
 	if s := loop.Summary(); s.RejectedApplies != 10 {

@@ -13,6 +13,7 @@ import (
 	"satori/internal/rdt"
 	"satori/internal/resource"
 	"satori/internal/sim"
+	"satori/internal/slo"
 	"satori/internal/stats"
 	"satori/internal/workloads"
 )
@@ -21,13 +22,15 @@ import (
 // and idle promises open), sometimes moves one unit between two jobs,
 // and occasionally emits a malformed decision the platform must reject.
 type wanderPolicy struct {
-	space *resource.Space
-	rng   *stats.RNG
+	space   *resource.Space
+	rng     *stats.RNG
+	decides *int // shared per seed: every Decide of every rebuilt policy
 }
 
 func (*wanderPolicy) Name() string { return "wander" }
 
 func (p *wanderPolicy) Decide(_ policy.Observation, current resource.Config) resource.Config {
+	*p.decides++
 	switch u := p.rng.Float64(); {
 	case u < 0.03:
 		return resource.Config{}
@@ -39,6 +42,18 @@ func (p *wanderPolicy) Decide(_ policy.Observation, current resource.Config) res
 		}
 	}
 	return current
+}
+
+// countedEngine is the SATORI engine counting its Decide calls into the
+// seed's shared counter, as wanderPolicy does.
+type countedEngine struct {
+	*core.Engine
+	decides *int
+}
+
+func (e countedEngine) Decide(obs policy.Observation, current resource.Config) resource.Config {
+	*e.decides++
+	return e.Engine.Decide(obs, current)
 }
 
 // ledger is the model side of the test: Summary's counters and the
@@ -63,13 +78,13 @@ func (m *ledger) fold(t *testing.T, st Status) {
 		}
 	}
 	m.ticks++
-	count(&m.bad, st.BadSample)
-	count(&m.sampleErrs, st.SampleErr != nil)
-	count(&m.rejected, st.RejectedApply != nil)
+	count(&m.bad, st.Held == HeldSampleCorrupt)
+	count(&m.sampleErrs, st.Held == HeldSampleLost)
+	count(&m.rejected, st.Held == HeldApplyRejected)
 	count(&m.resetErrs, st.ResetErr != nil)
 	count(&m.sampled, st.SampledTick)
 	count(&m.regroups, st.Regrouped)
-	if st.Speedups != nil && st.RejectedApply == nil {
+	if st.Held == 0 {
 		m.landed()
 	} else if m.consec++; m.consec >= modelBreakerThreshold && !m.open {
 		m.open = true
@@ -80,16 +95,22 @@ func (m *ledger) fold(t *testing.T, st Status) {
 	}
 }
 
-// landed accounts ticks that landed a decision or an idle replay: the
+// landed accounts ticks that landed a decision or an idle skip: the
 // failure run ends and the breaker closes.
 func (m *ledger) landed() { m.consec, m.open = 0, false }
 
 // Seeded random operation sequences over a fault-injected simulator: no
 // operation may panic or abort, the loop must keep describing the job set
 // the platform runs (baselines, partition), and Summary must equal the
-// fold over the returned Status stream. Idle operations stay inside an
-// IdleHorizon promise, where every tick is a clean extrapolated one by
-// contract, so the model predicts their n ticks without seeing them. The
+// fold over the returned Status stream. Every Step also states what a
+// Status means: Held is zero exactly when the decision landed (the loop's
+// own last-good-apply clock agrees), the policy was consulted exactly on
+// landed and apply-rejected ticks, Err accompanies exactly the two
+// reasons that have one, and the SLO block is there exactly when a scored
+// observation met a job set with a latency-critical job in it. Idle
+// operations stay inside an IdleHorizon promise, where every tick is a
+// clean extrapolated one by contract, so the model predicts their n ticks
+// without seeing them. The
 // last clusteredSeeds seeds run the same policy behind a K=2 cluster
 // partitioner, so regrouping, churn and faults meet: the simulator under
 // the injector must always run exactly the grouping the policy searches.
@@ -119,9 +140,14 @@ func TestRandomOpsLedgerAndInvariants(t *testing.T) {
 			t.Errorf("seed %d never ran a single job", seed)
 		}
 	}
-	if ran < 24 || total.idleOps == 0 || total.heldOnMissing == 0 || total.regroups == 0 ||
+	if ran < 24 || total.idleOps == 0 || total.regroups == 0 || total.lcTicks == 0 ||
 		total.grewFromOne == 0 || total.shrankToOne == 0 || total.forcedTicks == 0 || total.searchedTicks == 0 {
 		t.Errorf("vacuous run: %d seeds booted, %+v", ran, total)
+	}
+	for why, n := range total.held {
+		if n == 0 {
+			t.Errorf("no tick of any seed was held for %q (0 = landed): %+v", HeldReason(why), total.held)
+		}
 	}
 	t.Logf("%d seeds x %d ops: %+v", ran, ops, total)
 }
@@ -138,7 +164,11 @@ const (
 // opsTally counts what the random-ops runs actually exercised, summed over
 // seeds.
 type opsTally struct {
-	idleOps, heldOnMissing, regroups int
+	idleOps, regroups int
+	// held counts Steps by Status.Held (index 0: a decision landed);
+	// lcTicks counts Steps that carried an SLO block.
+	held    [HeldApplyRejected + 1]int
+	lcTicks int
 	// oneJobOps counts ops that ended on a single job; grewFromOne and
 	// shrankToOne count the churn across the 1 <-> 2 job boundary.
 	oneJobOps, grewFromOne, shrankToOne int
@@ -152,7 +182,7 @@ type opsTally struct {
 // measurement and no loop exists.
 func runRandomOps(t *testing.T, seed uint64, ops int, kind policyKind, tally *opsTally) (booted bool) {
 	clustered := kind == runClustered
-	pool := workloads.PARSEC()
+	pool := append(workloads.PARSEC(), workloads.LC()...)
 	simulator, err := sim.New(sim.DefaultMachine(), pool[:3], sim.Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
@@ -164,24 +194,26 @@ func runRandomOps(t *testing.T, seed uint64, ops int, kind policyKind, tally *op
 	platform, err := rdt.NewFaultInjector(inner, rdt.FaultScript{
 		Seed:           seed,
 		ApplyErrorRate: 0.05, SampleErrorRate: 0.05, SampleCorruptRate: 0.05,
-		MeasureErrorRate: 0.3, ResyncErrorRate: 0.3,
-		Sleep: func(time.Duration) {},
+		MeasureErrorRate: 0.3,
+		Sleep:            func(time.Duration) {},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := stats.NewRNG(seed ^ 0x5A7031)
+	decides := 0
 	loop, err := New(Options{
 		Platform: platform,
 		Policy: func(p rdt.Platform) (policy.Policy, error) {
 			wander := func(space *resource.Space) (policy.Policy, error) {
-				return &wanderPolicy{space: space, rng: rng.Split()}, nil
+				return &wanderPolicy{space: space, rng: rng.Split(), decides: &decides}, nil
 			}
 			switch kind {
 			case runWander:
 				return wander(p.Space())
 			case runEngine:
-				return core.New(p.Space(), core.Options{Seed: seed})
+				eng, err := core.New(p.Space(), core.Options{Seed: seed})
+				return countedEngine{eng, &decides}, err
 			}
 			g, _ := rdt.As[rdt.Grouper](p)
 			// Churn rebuilds the policy every few ops, so the classifier
@@ -214,16 +246,32 @@ func runRandomOps(t *testing.T, seed uint64, ops int, kind policyKind, tally *op
 	}
 	step := func() {
 		name = "Step"
+		asked := decides
 		st, err := loop.Step()
 		if err != nil {
 			t.Fatalf("seed %d op %d: Step aborted: %v", seed, op, err)
 		}
 		model.fold(t, st)
-		if st.IPS != nil && st.Speedups == nil && !st.BadSample {
-			tally.heldOnMissing++
+		tally.held[st.Held]++
+		scored := st.Held == 0 || st.Held == HeldApplyRejected
+		if landed := loop.Health().TicksSinceGoodApply == 0; landed != (st.Held == 0) {
+			t.Fatalf("seed %d op %d: held %q on a tick whose decision landed = %v", seed, op, st.Held, landed)
+		}
+		if consulted := decides == asked+1; consulted != scored || decides > asked+1 {
+			t.Fatalf("seed %d op %d: held %q, policy consulted %d times", seed, op, st.Held, decides-asked)
+		}
+		if hasErr := st.Held == HeldSampleLost || st.Held == HeldApplyRejected; (st.Err != nil) != hasErr {
+			t.Fatalf("seed %d op %d: held %q with Err %v", seed, op, st.Held, st.Err)
+		}
+		lc, _ := rdt.As[rdt.SLOProvider](platform)
+		if want := scored && slo.HasLC(lc.SLOSpecs()); (st.SLO != nil) != want {
+			t.Fatalf("seed %d op %d: held %q, SLO block present = %v, want %v", seed, op, st.Held, st.SLO != nil, want)
+		}
+		if st.SLO != nil {
+			tally.lcTicks++
 		}
 	}
-	lastEngine, _ := loop.Policy().(*core.Engine)
+	lastEngine := loop.Policy()
 	for op = 1; op <= ops; op++ {
 		jobsBefore := loop.NumJobs()
 		switch u := rng.Float64(); {
@@ -242,17 +290,9 @@ func runRandomOps(t *testing.T, seed uint64, ops int, kind policyKind, tally *op
 			}
 			tally.idleOps++
 			n := 1 + rng.Intn(h)
-			if rng.Intn(2) == 0 {
-				name = fmt.Sprintf("AdvanceIdle(%d of %d)", n, h)
-				st, err := loop.AdvanceIdle(n)
-				if err != nil || st.Tick != loop.Ticks() || !st.SampledTick {
-					t.Fatalf("seed %d op %d (%s): status %+v, err %v", seed, op, name, st, err)
-				}
-			} else {
-				name = fmt.Sprintf("SkipIdle(%d of %d)", n, h)
-				if err := loop.SkipIdle(n); err != nil {
-					t.Fatalf("seed %d op %d (%s): %v", seed, op, name, err)
-				}
+			name = fmt.Sprintf("SkipIdle(%d of %d)", n, h)
+			if err := loop.SkipIdle(n); err != nil {
+				t.Fatalf("seed %d op %d (%s): %v", seed, op, name, err)
 			}
 			model.ticks += n
 			model.sampled += n
@@ -274,14 +314,11 @@ func runRandomOps(t *testing.T, seed uint64, ops int, kind policyKind, tally *op
 		case u < 0.92:
 			name = "ReplaceJob"
 			transientOnly(loop.ReplaceJob(rng.Intn(loop.NumJobs()), pool[rng.Intn(len(pool))]))
-		case u < 0.96:
+		default:
 			name = "SetObjectives"
 			loop.SetObjectives(
 				[]metrics.ThroughputMetric{metrics.SumIPS, metrics.GeoMeanSpeedup, metrics.HarmonicMeanSpeedup}[rng.Intn(3)],
 				[]metrics.FairnessMetric{metrics.JainIndex, metrics.OneMinusCoV}[rng.Intn(2)])
-		default:
-			name = "Reinit"
-			transientOnly(loop.Reinit())
 		}
 
 		if len(loop.Isolated()) != loop.NumJobs() {
@@ -303,7 +340,7 @@ func runRandomOps(t *testing.T, seed uint64, ops int, kind policyKind, tally *op
 			tally.oneJobOps++
 		}
 		if kind == runEngine {
-			eng := loop.Policy().(*core.Engine)
+			eng := loop.Policy().(countedEngine)
 			modelRan := eng.GPStats() != gp.IncrementalStats{}
 			if eng != lastEngine && (eng.Records().Len() != 0 || modelRan) {
 				t.Fatalf("seed %d op %d (%s): the rebuilt engine starts with %d records, model stats %+v",

@@ -15,12 +15,13 @@ import (
 // Three layers, cheapest first:
 //
 //  1. Bounded retry with exponential backoff for transient failures of
-//     the idempotent control operations — Apply, MeasureIsolated, Resync.
+//     the idempotent control operations — Apply and MeasureIsolated.
 //     Sampling is never retried: the 100 ms interval is gone either way.
 //  2. Hold-last-good-config graceful degradation: a lost or corrupt
-//     observation (Status.Degraded / Status.BadSample) skips the policy
+//     observation (HeldSampleLost / HeldSampleCorrupt) skips the policy
 //     and keeps the installed partition; a decision the platform still
-//     rejects after retries is counted and the partition likewise held.
+//     rejects after retries (HeldApplyRejected) is counted and the
+//     partition likewise held.
 //     The loop never crashes on a transient fault — the decision is
 //     deferred, not abandoned.
 //  3. A consecutive-failure circuit breaker: when BreakerThreshold ticks
@@ -29,16 +30,15 @@ import (
 //     equalization starting point — and reports BreakerOpen until a
 //     clean tick closes the circuit.
 type ResilienceOptions struct {
-	// MaxRetries bounds in-tick retries of a transient Apply,
-	// MeasureIsolated, or Resync failure (default 2; negative disables
-	// retrying).
+	// MaxRetries bounds in-tick retries of a transient Apply or
+	// MeasureIsolated failure (default 2; negative disables retrying).
 	MaxRetries int
 	// BackoffBase is the pre-retry delay, doubling per attempt (default
 	// 1 ms). Delays are issued through Sleep.
 	BackoffBase time.Duration
 	// Sleep performs backoff delays. Default nil — no waiting — keeps
-	// simulated time deterministic and wall-clock free; the daemon
-	// installs time.Sleep for real deployments.
+	// simulated time deterministic and wall-clock free; both binaries
+	// install time.Sleep (internal/stack).
 	Sleep func(time.Duration)
 	// BreakerThreshold is how many consecutive failed ticks trip the
 	// breaker to the equal-split safe configuration (default 10;
@@ -85,7 +85,7 @@ type Health struct {
 	// decision the platform accepted.
 	TicksSinceGoodApply int
 	// Retries counts in-tick retry attempts of transient control-path
-	// failures (Apply/MeasureIsolated/Resync).
+	// failures (Apply/MeasureIsolated).
 	Retries int
 	// BadSamples, SampleErrors, RejectedApplies and ResetErrs mirror the
 	// Summary counters of the same names.

@@ -64,16 +64,15 @@ func TestLoopFaultCountersMatchScriptExactly(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tick %d: loop crashed: %v", tick, err)
 		}
-		if st.Degraded {
+		switch st.Held {
+		case HeldSampleLost:
 			degraded++
-			if st.SampleErr == nil || len(st.IPS) != 0 {
+			if st.Err == nil || len(st.IPS) != 0 {
 				t.Errorf("tick %d: degraded status inconsistent: %+v", tick, st)
 			}
-		}
-		if st.BadSample {
+		case HeldSampleCorrupt:
 			bad++
-		}
-		if st.RejectedApply != nil {
+		case HeldApplyRejected:
 			rejected++
 		}
 		if st.ResetErr != nil {
@@ -138,7 +137,7 @@ func TestLoopRetryAbsorbsTransientBursts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tick %d: %v", tick, err)
 		}
-		if st.RejectedApply != nil || st.ResetErr != nil || st.Degraded {
+		if st.Held != 0 || st.ResetErr != nil {
 			t.Errorf("tick %d: burst leaked through retries: %+v", tick, st)
 		}
 	}
@@ -392,7 +391,7 @@ func TestLoopChurnSurvivesFailedRemeasure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("held tick aborted: %v", err)
 	}
-	if !rdt.IsTransient(st.ResetErr) || st.Speedups != nil || st.BaselineReset || st.Tick != 6 {
+	if !rdt.IsTransient(st.ResetErr) || st.Held != HeldNoBaselines || st.BaselineReset || st.Tick != 6 {
 		t.Errorf("tick 6 should be held on missing baselines with ResetErr set: %+v", st)
 	}
 	if h := loop.Health(); h.ConsecutiveFailures != 1 {

@@ -197,7 +197,7 @@ func TestBadSampleRejected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.BadSample {
+			if st.Held == HeldSampleCorrupt {
 				badTicks++
 				if !st.Config.Equal(loop.Current()) {
 					t.Fatal("bad sample changed the configuration")

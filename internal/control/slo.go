@@ -22,6 +22,19 @@ type SLOOptions struct {
 	GoalSwitch bool
 }
 
+// SLOStatus is the latency view of one scored observation
+// (Status.SLO): P50, P95 and P99 are the per-job request-latency
+// quantiles in seconds (zero for batch slots, +Inf for a saturated LC
+// job). The mean attainment and the hysteretic violation state the
+// policy is shown too are Observation.SLOAttainment and SLOViolating.
+type SLOStatus struct {
+	P50, P95, P99 []float64
+	// GoalSwitched reports the fairness channel is currently scoring
+	// SLO attainment instead of the configured fairness metric
+	// (SLOOptions.GoalSwitch).
+	GoalSwitched bool
+}
+
 // sloTracker carries the loop's per-tick latency state: the live SLO
 // specs, the hysteretic violation detector, and the most recent good
 // tick's derived quantiles and attainment. It is rebuilt on membership
@@ -32,12 +45,12 @@ type sloTracker struct {
 	det        *slo.Detector
 	goalSwitch bool
 
-	// Last good tick's derived state; the quantile slices are freshly
-	// allocated per observation because Status hands them to callers.
-	p50, p95, p99 []float64
-	attainment    float64 // mean AttainFrac over LC jobs (reported)
-	recovery      float64 // min AttainFrac over LC jobs (scored while switched)
-	switched      bool    // fairness channel currently scoring SLO recovery
+	// Last good tick's derived state; the latency block is freshly
+	// allocated per observation because Status hands it to callers.
+	last       *SLOStatus
+	attainment float64 // mean AttainFrac over LC jobs (reported)
+	recovery   float64 // min AttainFrac over LC jobs (scored while switched)
+	switched   bool    // fairness channel currently scoring SLO recovery
 
 	violTicks int // ticks spent in the hysteretic violating state
 	violRun   int // current consecutive run of violating ticks
@@ -68,14 +81,15 @@ func newSLOTracker(p rdt.SLOProvider, opt SLOOptions) *sloTracker {
 // detector, and track the goal-switch state.
 func (t *sloTracker) observe(ips []float64) {
 	n := len(ips)
-	t.p50, t.p95, t.p99 = make([]float64, n), make([]float64, n), make([]float64, n)
+	q := make([]float64, 3*n)
+	t.last = &SLOStatus{P50: q[:n:n], P95: q[n : 2*n : 2*n], P99: q[2*n:]}
 	for j, s := range t.specs {
 		if s == nil {
 			continue
 		}
-		t.p50[j] = s.P50(ips[j])
-		t.p95[j] = s.P95(ips[j])
-		t.p99[j] = s.P99(ips[j])
+		t.last.P50[j] = s.P50(ips[j])
+		t.last.P95[j] = s.P95(ips[j])
+		t.last.P99[j] = s.P99(ips[j])
 	}
 	t.attainment = slo.AttainmentScore(t.specs, ips)
 	t.recovery = slo.RecoveryScore(t.specs, ips)
@@ -91,6 +105,7 @@ func (t *sloTracker) observe(ips []float64) {
 		t.switches++
 	}
 	t.switched = switched
+	t.last.GoalSwitched = switched
 }
 
 // hold accounts n coarsely skipped intervals (SkipIdle): the hysteretic
@@ -107,10 +122,9 @@ func (t *sloTracker) hold(n int) {
 
 // fill copies the tracker's last-observation state into a Status.
 func (t *sloTracker) fill(st *Status) {
-	st.P50, st.P95, st.P99 = t.p50, t.p95, t.p99
+	st.SLO = t.last
 	st.SLOAttainment = t.attainment
 	st.SLOViolating = t.det.Violating()
-	st.GoalSwitched = t.switched
 }
 
 // SLOViolating reports the hysteretic violation state; always false for

@@ -104,12 +104,11 @@ func newLCLoop(t *testing.T, mix []*sim.Profile, sampling SamplingOptions, sloOp
 }
 
 // TestViolationOnsetNeverSkipped is the SLO analog of the phase-edge
-// extrapolation rule, and the regression test the fast paths must keep
-// honest: an event-driven driver that advances through IdleHorizon/
-// AdvanceIdle promises, and a coarse driver that jumps with SkipIdle,
-// must both observe the exact violation onset a lockstep loop observes
-// — same onset count, same violated-tick count, same first violating
-// tick. If any fast path extrapolates across the onset, the counts (or
+// extrapolation rule, and the regression test the fast path must keep
+// honest: an event-driven driver that jumps with SkipIdle through every
+// IdleHorizon promise must observe the exact violation onset a lockstep
+// loop observes — same onset count, same violated-tick count, same first
+// violating tick. If a jump extrapolates across the onset, the counts (or
 // the onset tick itself) shift and this test fails.
 func TestViolationOnsetNeverSkipped(t *testing.T) {
 	mix := newLCOnsetMix(t)
@@ -136,76 +135,43 @@ func TestViolationOnsetNeverSkipped(t *testing.T) {
 		t.Fatal("lockstep run accumulated no violated ticks")
 	}
 
-	// Event-driven driver: honor every promise with AdvanceIdle. While
-	// the detector is mid-streak the horizon must be zero — a promise
-	// there could jump the flip.
-	idle := newLCLoop(t, mix, sampling, SLOOptions{})
-	idleFirst, batches := -1, 0
-	for idle.Ticks() < ticks {
-		if idle.slo != nil && idle.slo.det.MidStreak() {
-			if h := idle.IdleHorizon(); h != 0 {
-				t.Fatalf("tick %d: IdleHorizon = %d while the detector is mid-streak, want 0", idle.Ticks(), h)
-			}
-		}
-		var st Status
-		var err error
-		if h := idle.IdleHorizon(); h > 0 {
-			if left := ticks - idle.Ticks(); h > left {
-				h = left
-			}
-			st, err = idle.AdvanceIdle(h)
-			batches++
-		} else {
-			st, err = idle.Step()
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.SLOViolating && idleFirst < 0 {
-			idleFirst = st.Tick
-		}
-	}
-	is := idle.Summary()
-	if batches == 0 {
-		t.Fatal("event-driven driver never got an idle promise — the fast path is not exercised")
-	}
-	if is.SLOOnsets != ls.SLOOnsets || is.SLOViolatedTicks != ls.SLOViolatedTicks {
-		t.Fatalf("event-driven onset accounting diverged: onsets %d violated %d, lockstep %d/%d",
-			is.SLOOnsets, is.SLOViolatedTicks, ls.SLOOnsets, ls.SLOViolatedTicks)
-	}
-	if idleFirst != lockFirst {
-		t.Fatalf("event-driven driver first saw the violation at tick %d, lockstep at %d", idleFirst, lockFirst)
-	}
-	if is.MeanObjective != ls.MeanObjective || is.MeanFairness != ls.MeanFairness {
-		t.Fatalf("event-driven aggregates diverged from lockstep: %+v vs %+v", is, ls)
-	}
-
-	// Coarse driver: SkipIdle jumps are only granted in steady states,
-	// so the violated-tick ledger still matches lockstep exactly.
+	// Event-driven driver: honor every promise with SkipIdle. While the
+	// detector is mid-streak the horizon must be zero — a promise there
+	// could jump the flip — so jumps are only granted in steady states,
+	// the onset itself is always seen by a Step, and the violated-tick
+	// ledger still matches lockstep exactly.
 	skip := newLCLoop(t, mix, sampling, SLOOptions{})
-	skips := 0
+	skipFirst, skips := -1, 0
 	for skip.Ticks() < ticks {
-		if h := skip.IdleHorizon(); h > 0 {
-			if left := ticks - skip.Ticks(); h > left {
-				h = left
-			}
+		h := min(skip.IdleHorizon(), ticks-skip.Ticks())
+		if skip.slo.det.MidStreak() && h != 0 {
+			t.Fatalf("tick %d: IdleHorizon = %d while the detector is mid-streak, want 0", skip.Ticks(), h)
+		}
+		if h > 0 {
 			if err := skip.SkipIdle(h); err != nil {
 				t.Fatal(err)
 			}
 			skips++
 			continue
 		}
-		if _, err := skip.Step(); err != nil {
+		st, err := skip.Step()
+		if err != nil {
 			t.Fatal(err)
+		}
+		if st.SLOViolating && skipFirst < 0 {
+			skipFirst = st.Tick
 		}
 	}
 	ss := skip.Summary()
 	if skips == 0 {
-		t.Fatal("coarse driver never skipped")
+		t.Fatal("event-driven driver never got an idle promise — the fast path is not exercised")
 	}
 	if ss.SLOOnsets != ls.SLOOnsets || ss.SLOViolatedTicks != ls.SLOViolatedTicks {
 		t.Fatalf("coarse-skip onset accounting diverged: onsets %d violated %d, lockstep %d/%d",
 			ss.SLOOnsets, ss.SLOViolatedTicks, ls.SLOOnsets, ls.SLOViolatedTicks)
+	}
+	if skipFirst != lockFirst {
+		t.Fatalf("event-driven driver first saw the violation at tick %d, lockstep at %d", skipFirst, lockFirst)
 	}
 }
 

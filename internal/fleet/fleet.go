@@ -23,8 +23,8 @@
 // -workers value and any shard-completion interleaving produce
 // byte-identical output; workers only change wall-clock time. With
 // Options.EventDriven, idle nodes defer ticks on promises from their
-// control loop and replay them lazily in batches, so per-tick cost
-// tracks fleet activity instead of fleet size.
+// control loop and settle them lazily in one coarse jump, so per-tick
+// cost tracks fleet activity instead of fleet size.
 package fleet
 
 import (
@@ -74,7 +74,7 @@ type Options struct {
 	// EventDriven makes nodes with nothing going on — no churn, no phase
 	// change, no pending baseline refresh — skip their detailed tick on
 	// an idle promise from the control loop (control.Loop.IdleHorizon)
-	// and catch up lazily in one batched AdvanceIdle before their next
+	// and catch up lazily in one batched SkipIdle before their next
 	// detailed step or churn event. Per-tick fleet cost then tracks
 	// *activity*, not fleet size. Trace rows hold a skipped node's last
 	// reported metrics, so event-driven traces are an approximation of
@@ -415,7 +415,7 @@ func (c *Cluster) Step() (TickStats, error) {
 	st.SLOAttainment = 1
 	attainSum := 0.0
 	for _, n := range c.nodes {
-		if !n.hasLast || len(n.last.P99) == 0 {
+		if !n.hasLast || n.last.SLO == nil {
 			continue
 		}
 		st.LCNodes++
@@ -566,7 +566,7 @@ func (n *node) admit(job *Job, now float64, opt Options) error {
 		}
 		n.loop = loop
 	} else {
-		// An idle promise never spans churn: replay any deferred ticks so
+		// An idle promise never spans churn: settle any deferred ticks so
 		// the loop's clock is current before the membership change.
 		if err := n.flush(); err != nil {
 			return err
@@ -590,7 +590,7 @@ func (n *node) evict(slot int) error {
 		n.loop = nil
 		n.skip, n.owed = 0, 0
 	} else {
-		// As in admit: deferred ticks are replayed before churn.
+		// As in admit: deferred ticks are settled before churn.
 		if err := n.flush(); err != nil {
 			return err
 		}
@@ -623,7 +623,7 @@ func (n *node) flush() error {
 // desynced after churn — a fleet-layer invariant violation, flagged as
 // such rather than surfaced as a bare apply failure. In event-driven
 // mode a node holding an idle promise defers the tick in O(1) — the
-// deferred ticks are replayed lazily by flush — and each detailed step
+// deferred ticks are settled lazily by flush — and each detailed step
 // asks the loop for a fresh promise (control.Loop.IdleHorizon).
 func (n *node) step(event bool) error {
 	if n.loop == nil {

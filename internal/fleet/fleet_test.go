@@ -32,6 +32,12 @@ func runCSV(t *testing.T, opt Options, ticks int) string {
 	if _, err := c.Run(ticks); err != nil {
 		t.Fatal(err)
 	}
+	return seriesCSV(t, c)
+}
+
+// seriesCSV renders the cluster's per-tick trace.
+func seriesCSV(t *testing.T, c *Cluster) string {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := c.Series().WriteCSV(&buf); err != nil {
 		t.Fatal(err)

@@ -241,7 +241,7 @@ func Run(spec RunSpec) (*Result, error) {
 		// A tick held without a scored observation (a lost or corrupt
 		// sample) has no speedups and stays out of the worst-job mean.
 		worst := metrics.WorstSpeedup(st.Speedups)
-		if st.Speedups != nil {
+		if st.Held == 0 || st.Held == control.HeldApplyRejected {
 			accWorst.Add(worst)
 		}
 

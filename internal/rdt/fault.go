@@ -94,7 +94,7 @@ const (
 	// is lost, not the time — so replay determinism is preserved.
 	FaultError FaultKind = iota
 	// FaultNaN corrupts one job's IPS to NaN (OpSample only): the torn
-	//-read/wedged-counter case Status.BadSample exists for.
+	//-read/wedged-counter case control.HeldSampleCorrupt exists for.
 	FaultNaN
 	// FaultNegative corrupts one job's IPS to a negative value
 	// (OpSample only).

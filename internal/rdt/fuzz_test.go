@@ -6,22 +6,41 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
-// FuzzParseCPUList ensures the kernel CPU-list parser never panics and
-// that accepted inputs round-trip through FormatCPUList semantically.
+// FuzzParseCPUList ensures the kernel CPU-list parser never panics, never
+// expands past maxCPUs, and that accepted inputs round-trip through
+// FormatCPUList semantically.
 func FuzzParseCPUList(f *testing.F) {
-	for _, seed := range []string{"", "0", "0-2", "0,2-3,5", "7-9,11", "1,1,2", "x", "3-1", "-"} {
+	for _, seed := range []string{"", "0", "0-2", "0,2-3,5", "7-9,11", "1,1,2", "x", "3-1", "-", "0-2000000000"} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		cpus, err := ParseCPUList(s)
+		// The list is expanded id by id, so what it may name is bounded;
+		// a parser that is not done in a second is expanding a range no
+		// machine has, and is failed here before it fills memory.
+		var cpus []int
+		var err error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			cpus, err = ParseCPUList(s)
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("ParseCPUList(%q) is still expanding after 1 s", s)
+		}
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
+		if len(cpus) > maxCPUs {
+			t.Fatalf("ParseCPUList(%q) names %d cpus, bound %d", s, len(cpus), maxCPUs)
+		}
 		for _, c := range cpus {
-			if c < 0 {
-				t.Fatalf("ParseCPUList(%q) produced negative cpu %d", s, c)
+			if c < 0 || c >= maxCPUs {
+				t.Fatalf("ParseCPUList(%q) produced cpu %d outside 0..%d", s, c, maxCPUs-1)
 			}
 		}
 		// Accepted inputs must survive a format/parse round trip as a
@@ -46,8 +65,10 @@ func FuzzParseCPUList(f *testing.F) {
 	})
 }
 
-// FuzzParseSchemata ensures the schemata parser never panics and that
-// accepted inputs contain both an L3 and an MB line.
+// FuzzParseSchemata: the schemata parser never panics, accepts only input
+// with both an L3 and an MB line, and what it accepts is a value
+// FormatSchemata renders back to text it reads unchanged — mask and MB
+// percent (negative percents parse; Plan.Validate is what rejects them).
 func FuzzParseSchemata(f *testing.F) {
 	for _, seed := range []string{
 		"L3:0=7\nMB:0=20\n", "L3:0=ff\nMB:0=100", "", "L3:0", "L2:0=1\nMB:0=10",
@@ -63,11 +84,10 @@ func FuzzParseSchemata(f *testing.F) {
 		if !strings.Contains(s, "L3") || !strings.Contains(s, "MB") {
 			t.Fatalf("ParseSchemata(%q) accepted input without both lines", s)
 		}
-		if ja.MBAPercent < 0 {
-			// Negative percents parse via Atoi; they are rejected at
-			// Plan.Validate time, which is the contract — but the
-			// parser must at least return what the text said.
-			_ = ja
+		back, err := ParseSchemata(FormatSchemata(ja, 0))
+		if err != nil || back.CATMask != ja.CATMask || back.MBAPercent != ja.MBAPercent {
+			t.Fatalf("ParseSchemata(%q) = mask %x, MB %d; after a format/parse round trip mask %x, MB %d, err %v",
+				s, ja.CATMask, ja.MBAPercent, back.CATMask, back.MBAPercent, err)
 		}
 	})
 }

@@ -237,7 +237,14 @@ func FormatCPUList(cpus []int) string {
 	return strings.Join(parts, ",")
 }
 
-// ParseCPUList parses the kernel CPU list format.
+// maxCPUs bounds what ParseCPUList will expand: ids run 0..maxCPUs-1 and a
+// list names at most maxCPUs of them — the kernel's own NR_CPUS ceiling.
+// The text is outside input (a cpus_list file), and "0-2000000000" must
+// be an error, not sixteen gigabytes.
+const maxCPUs = 8192
+
+// ParseCPUList parses the kernel CPU list format. Duplicates are
+// tolerated (FormatCPUList collapses them).
 func ParseCPUList(s string) ([]int, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -245,25 +252,21 @@ func ParseCPUList(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
-		if lo, hi, ok := strings.Cut(part, "-"); ok {
-			a, err := strconv.Atoi(lo)
-			if err != nil {
-				return nil, fmt.Errorf("rdt: bad cpu range %q", part)
-			}
-			b, err := strconv.Atoi(hi)
-			if err != nil || b < a {
-				return nil, fmt.Errorf("rdt: bad cpu range %q", part)
-			}
-			for c := a; c <= b; c++ {
-				out = append(out, c)
-			}
-			continue
+		first, last, isRange := strings.Cut(part, "-")
+		if !isRange {
+			last = first
 		}
-		c, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("rdt: bad cpu id %q", part)
+		lo, errLo := strconv.Atoi(first)
+		hi, errHi := strconv.Atoi(last)
+		if errLo != nil || errHi != nil || hi < lo {
+			return nil, fmt.Errorf("rdt: bad cpu id or range %q", part)
 		}
-		out = append(out, c)
+		if hi >= maxCPUs || len(out)+hi-lo >= maxCPUs {
+			return nil, fmt.Errorf("rdt: cpu list %q is beyond %d cpus (ids 0-%d)", part, maxCPUs, maxCPUs-1)
+		}
+		for c := lo; c <= hi; c++ {
+			out = append(out, c)
+		}
 	}
 	return out, nil
 }

@@ -60,6 +60,19 @@ func TestParseCPUList(t *testing.T) {
 			t.Errorf("ParseCPUList(%q) accepted", bad)
 		}
 	}
+	// The expansion is bounded by the kernel's CPU ceiling, ids and count
+	// alike, and the refusal says so; duplicates inside it are tolerated.
+	if got, err := ParseCPUList("0-8191"); err != nil || len(got) != maxCPUs {
+		t.Errorf("ParseCPUList(0-8191) = %d cpus, %v; want all %d", len(got), err, maxCPUs)
+	}
+	if got, err := ParseCPUList("1,1,2"); err != nil || len(got) != 3 {
+		t.Errorf("ParseCPUList(1,1,2) = %v, %v; duplicates must be tolerated", got, err)
+	}
+	for _, bad := range []string{"0-2000000000", "8192", "0-8191,0"} {
+		if _, err := ParseCPUList(bad); err == nil || !strings.Contains(err.Error(), "8192") {
+			t.Errorf("ParseCPUList(%q): %v, want a refusal naming the 8192-cpu bound", bad, err)
+		}
+	}
 }
 
 func TestCPUListRoundTripProperty(t *testing.T) {

@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -215,16 +216,16 @@ func tickMetrics(st control.Status, jobs int) TickMetrics {
 		Tick: st.Tick, Time: st.Time, Jobs: jobs,
 		Throughput: st.Throughput, Fairness: st.Fairness,
 		BaselineRst: st.BaselineReset, Sampled: st.SampledTick,
-		BadSample: st.BadSample, Degraded: st.Degraded,
-		SafeFallback: st.SafeFallback, Rejected: st.RejectedApply != nil,
+		BadSample: st.Held == control.HeldSampleCorrupt, Degraded: st.Held == control.HeldSampleLost,
+		SafeFallback: st.SafeFallback, Rejected: st.Held == control.HeldApplyRejected,
 	}
-	if len(st.P99) > 0 {
+	if st.SLO != nil {
 		m.SLO = &TickSLO{
-			P95:          finiteLatencies(st.P95),
-			P99:          finiteLatencies(st.P99),
+			P95:          finiteLatencies(st.SLO.P95),
+			P99:          finiteLatencies(st.SLO.P99),
 			Attainment:   st.SLOAttainment,
 			Violating:    st.SLOViolating,
-			GoalSwitched: st.GoalSwitched,
+			GoalSwitched: st.SLO.GoalSwitched,
 		}
 	}
 	return m
@@ -426,10 +427,29 @@ type AddJobRequest struct {
 	Workload string `json:"workload"`
 }
 
+// maxBodyBytes bounds a POST body; both schemas are two short strings.
+const maxBodyBytes = 64 << 10
+
+// decodeBody reads a POST body into req: at most maxBodyBytes holding
+// exactly one JSON value. Anything else is answered 400 here and reported
+// as false.
+func decodeBody(w http.ResponseWriter, r *http.Request, req any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	err := dec.Decode(req)
+	if err == nil {
+		if _, more := dec.Token(); more != io.EOF {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return err == nil
+}
+
 func (s *Server) handleAddJob(w http.ResponseWriter, r *http.Request) {
 	var req AddJobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	profile, err := workloads.ByName(req.Workload)
@@ -489,8 +509,7 @@ type GoalRequest struct {
 
 func (s *Server) handleGoal(w http.ResponseWriter, r *http.Request) {
 	var req GoalRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	// Parse outside the lock, then read, override and set in one critical

@@ -220,10 +220,10 @@ func (s *Session) JobNames() []string { return s.platform.JobNames() }
 
 // Step advances one 100 ms interval: sample IPS, score both goals, let
 // the policy decide, and apply the next partition. Transient trouble — a
-// rejected apply, a failed baseline refresh — is surfaced in the status
-// (Status.RejectedApply / Status.ResetErr), not silently dropped; a
-// non-transient platform failure is returned as the error, so callers
-// never need to classify a status field.
+// lost reading, a rejected apply, a failed baseline refresh — is surfaced
+// in the status (Status.Held with Status.Err, Status.ResetErr), not
+// silently dropped; a non-transient platform failure is returned as the
+// error, so callers never need to classify a status field.
 func (s *Session) Step() (Status, error) { return s.loop.Step() }
 
 // ReplaceWorkload swaps the workload running in slot j for a new one —
