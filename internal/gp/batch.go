@@ -84,10 +84,13 @@ func (m *Incremental) RepredictBlockInto(b *Block, mu, sigma []float64) bool {
 const panelWidth = 32
 
 // grow returns buf resized to n entries, reallocating only when it is too
-// small (contents are not preserved).
+// small (contents are not preserved). A new buffer keeps the whole size
+// class the allocator rounds n up to, as append does: the runtime charges
+// the heap for the class either way, so the slack is free, and a window
+// that gains a row per tick reallocates once per class, not once per row.
 func grow(buf []float64, n int) []float64 {
 	if cap(buf) < n {
-		return make([]float64, n)
+		buf = append([]float64(nil), make([]float64, n)...)
 	}
 	return buf[:n]
 }
@@ -135,10 +138,7 @@ func (m *Incremental) predictBatch(s *PredictScratch, kstar, mu, sigma []float64
 			psigma[c] = 0
 		}
 		for i := 0; i < n; i++ {
-			row := vmat.Data[i*w : i*w+w : i*w+w]
-			for c, v := range row {
-				psigma[c] += v * v
-			}
+			linalg.AddSquares(psigma, vmat.Data[i*w:i*w+w])
 		}
 		for c, x := range pts {
 			// k(x, x): every shipped kernel evaluates to exactly Variance at
@@ -167,10 +167,7 @@ func panelMeans(mu, kpanel, alpha []float64, mean float64) {
 		mu[c] = 0
 	}
 	for i, ai := range alpha {
-		row := kpanel[i*w : i*w+w : i*w+w]
-		for c, v := range row {
-			mu[c] += v * ai
-		}
+		linalg.AddScaled(mu, kpanel[i*w:i*w+w], ai)
 	}
 	for c := range mu {
 		mu[c] = mean + mu[c]
@@ -207,16 +204,7 @@ func fillRowsMatern52(s *PredictScratch, kmat *linalg.Matrix, xs, points [][]flo
 	}
 	for i, xi := range xs {
 		row := kmat.Data[i*q : i*q+q : i*q+q]
-		for c := range row {
-			row[c] = 0
-		}
-		for d, w := range xi {
-			col := pt[d*q : d*q+q : d*q+q]
-			for c, v := range col {
-				dd := v - w
-				row[c] += dd * dd
-			}
-		}
+		linalg.SquaredDistancesInto(row, pt, xi)
 		for c, d2 := range row {
 			r := math.Sqrt(d2) / ls
 			s5r := sqrt5 * r
@@ -242,16 +230,7 @@ func posteriorBatch(points [][]float64, xs [][]float64, alpha []float64, chol *l
 			row[c] = kernel.Eval(x, xi)
 		}
 	}
-	for i := 0; i < n; i++ {
-		ai := alpha[i]
-		row := kmat.Data[i*q : i*q+q : i*q+q]
-		for c, v := range row {
-			mu[c] += v * ai
-		}
-	}
-	for c := range mu {
-		mu[c] = mean + mu[c]
-	}
+	panelMeans(mu, kmat.Data, alpha, mean)
 	vmat := chol.SolveLowerMatrixInto(linalg.NewMatrix(n, q), kmat)
 	cov := linalg.NewMatrix(q, q)
 	for r := 0; r < n; r++ {

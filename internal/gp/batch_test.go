@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -138,6 +139,58 @@ func TestPredictBatchValidation(t *testing.T) {
 		}
 	}()
 	m.PredictBatchInto(&s, make([]float64, 1), make([]float64, 2), randomInputs(rng, 2, 2))
+}
+
+// growSink keeps the buffers of TestGrowSlackIsFree on the heap.
+var growSink []float64
+
+// TestGrowSlackIsFree pins the two halves of grow's bargain: the capacity
+// beyond n costs no heap (the runtime charges grow's buffer exactly what it
+// charges make([]float64, n), small size classes and page-rounded large
+// objects alike), and a block that gains one 40-point row per tick up to
+// the engine's window reallocates far less often than once per row.
+func TestGrowSlackIsFree(t *testing.T) {
+	// The least of five readings: a stray allocation elsewhere in the
+	// process can only add to one.
+	charged := func(alloc func()) uint64 {
+		least := ^uint64(0)
+		for try := 0; try < 5; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			alloc()
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	for _, n := range []int{1, 33, 40, 700, 2560, 4097, 5000, 10240} {
+		exact := charged(func() { growSink = make([]float64, n) })
+		got := charged(func() { growSink = grow(nil, n) })
+		// An instrumented build materialises the make before appending it,
+		// so there the buffer is charged beside a temporary of the same size.
+		if got != exact && !(raceBuild && got == 2*exact) {
+			t.Errorf("n = %d: grow charged %d bytes, make charges %d", n, got, exact)
+		}
+		if len(growSink) != n || cap(growSink)*8 > int(exact) {
+			t.Errorf("n = %d: len %d cap %d within %d bytes", n, len(growSink), cap(growSink), exact)
+		}
+	}
+	const q, window = 40, 64
+	var buf []float64
+	reallocs := 0
+	for rows := 1; rows <= window; rows++ {
+		if cap(buf) < rows*q {
+			reallocs++
+		}
+		buf = grow(buf, rows*q)
+		if len(buf) != rows*q {
+			t.Fatalf("rows = %d: len %d", rows, len(buf))
+		}
+	}
+	if reallocs > window/2 {
+		t.Errorf("%d reallocations over %d one-row growths", reallocs, window)
+	}
+	t.Logf("%d reallocations over %d one-row growths", reallocs, window)
 }
 
 // TestIncrementalNearDuplicateAppendIndefinite is the regression test for

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"satori/internal/linalg"
 )
@@ -266,8 +265,54 @@ func medianLengthScaleInto(dists []float64, xs [][]float64) (float64, []float64)
 	if len(dists) == 0 {
 		return 1, dists
 	}
-	sort.Float64s(dists)
-	return dists[len(dists)/2], dists
+	return selectKth(dists, len(dists)/2), dists
+}
+
+// selectKth returns the element that sorting a ascending would leave at
+// index k, reordering a in place (quickselect, median-of-three pivots):
+// the median needs one order statistic, not the whole order.
+func selectKth(a []float64, k int) float64 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		// Order a[lo] <= a[mid] <= a[hi]; a[mid] is the pivot and the ends
+		// are sentinels for the scans below.
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[lo] {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		pivot := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for pivot < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[lo..j] <= pivot <= a[i..hi], and anything between j and i
+		// equals the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
 }
 
 // sampleMean returns the average of ys (the GP's constant prior mean).

@@ -1,7 +1,11 @@
 package gp
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"satori/internal/stats"
@@ -257,5 +261,42 @@ func TestPosteriorConsistentWithPredict(t *testing.T) {
 				t.Fatal("posterior covariance not symmetric")
 			}
 		}
+	}
+}
+
+// TestSelectKthMatchesSort: the median's quickselect returns the order
+// statistic a full sort would, on multisets with the heavy duplication
+// lattice distances have.
+func TestSelectKthMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	check := func(a []float64, ctx string) {
+		t.Helper()
+		sorted := append([]float64(nil), a...)
+		sort.Float64s(sorted)
+		for _, k := range []int{0, len(a) / 2, len(a) - 1, rng.Intn(len(a))} {
+			work := append([]float64(nil), a...)
+			if got := selectKth(work, k); got != sorted[k] {
+				t.Fatalf("%s: selectKth(len %d, k=%d) = %v, sorted[k] = %v", ctx, len(a), k, got, sorted[k])
+			}
+			sort.Float64s(work)
+			if !slices.Equal(work, sorted) {
+				t.Fatalf("%s: selectKth(len %d, k=%d) changed the multiset", ctx, len(a), k)
+			}
+		}
+	}
+	for n := 1; n <= 2000; n += 1 + n/40 {
+		a := make([]float64, n)
+		for _, distinct := range []int{1, 2, 5, n/3 + 1, 4 * n} {
+			for i := range a {
+				a[i] = math.Sqrt(float64(1 + rng.Intn(distinct)))
+			}
+			check(a, fmt.Sprintf("%d distinct values", distinct))
+		}
+		for i := range a {
+			a[i] = float64(i)
+		}
+		check(a, "ascending")
+		slices.Reverse(a)
+		check(a, "descending")
 	}
 }

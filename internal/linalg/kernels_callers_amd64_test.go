@@ -1,0 +1,111 @@
+//go:build amd64 && !amd64.v3
+
+package linalg_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"satori/internal/gp"
+	"satori/internal/linalg"
+)
+
+// Package gp's routines built on the column kernels, each run twice — under
+// the AVX kernels init chose and under the portable loops — and compared
+// with ==: the sizes put the window on both sides of the solve's eight-row
+// sweep and the pool on both sides of the 16- and 4-column blocks and of
+// gp's 32-point panel. They live here because only a test of package linalg
+// can reach the unexported switch.
+
+var (
+	callerWindows = []int{1, 7, 8, 9, 17, 64}
+	callerPools   = []int{1, 3, 4, 5, 31, 32, 33, 140}
+)
+
+// underBoth returns what compute yields under init's kernels and under the
+// portable ones.
+func underBoth(compute func() []float64) (avx, portable []float64) {
+	avx = compute()
+	linalg.WithPortableKernels(func() { portable = compute() })
+	return avx, portable
+}
+
+func requireSame(t *testing.T, what string, avx, portable []float64) {
+	t.Helper()
+	if len(avx) != len(portable) {
+		t.Fatalf("%s: %d values under AVX, %d portable", what, len(avx), len(portable))
+	}
+	for i := range avx {
+		if avx[i] != portable[i] {
+			t.Fatalf("%s: value %d is %v under AVX, %v portable", what, i, avx[i], portable[i])
+		}
+	}
+}
+
+func TestGPScoringSameUnderBothKernels(t *testing.T) {
+	linalg.RequireAVX(t)
+	const dim = 15
+	rng := rand.New(rand.NewSource(4))
+	inputs := func(n int) [][]float64 {
+		xs := make([][]float64, n)
+		for i := range xs {
+			xs[i] = make([]float64, dim)
+			for d := range xs[i] {
+				xs[i][d] = rng.Float64()
+			}
+		}
+		return xs
+	}
+	targets := func(n int) []float64 {
+		ys := make([]float64, n)
+		for i := range ys {
+			ys[i] = rng.Float64()
+		}
+		return ys
+	}
+	for _, n := range callerWindows {
+		xs, ys, ys2 := inputs(n), targets(n), targets(n)
+		for _, q := range callerPools {
+			pool := inputs(q)
+			// A pinned Matérn 5/2 kernel takes the staged fill and keeps the
+			// kernel epoch — hence the block — across UpdateTargets.
+			m := gp.NewIncremental(gp.Options{Kernel: gp.Matern52{LengthScale: 0.9, Variance: 0.5}})
+			if err := m.Reset(xs, ys); err != nil {
+				t.Fatal(err)
+			}
+			ctx := fmt.Sprintf("n=%d q=%d", n, q)
+
+			var s gp.PredictScratch
+			mu, sigma := make([]float64, q), make([]float64, q)
+			avx, portable := underBoth(func() []float64 {
+				m.PredictBatchInto(&s, mu, sigma, pool)
+				return append(append([]float64(nil), mu...), sigma...)
+			})
+			requireSame(t, "PredictBatchInto "+ctx, avx, portable)
+
+			avx, portable = underBoth(func() []float64 {
+				if err := m.UpdateTargets(ys); err != nil {
+					t.Fatal(err)
+				}
+				var blk gp.Block
+				m.PredictBlockInto(&s, &blk, mu, sigma, pool)
+				out := append(append([]float64(nil), mu...), sigma...)
+				if err := m.UpdateTargets(ys2); err != nil {
+					t.Fatal(err)
+				}
+				if !m.RepredictBlockInto(&blk, mu, sigma) {
+					t.Fatalf("%s: block went stale across a target-only update", ctx)
+				}
+				return append(append(out, mu...), sigma...)
+			})
+			requireSame(t, "PredictBlockInto/RepredictBlockInto "+ctx, avx, portable)
+
+			avx, portable = underBoth(func() []float64 {
+				pmu, cov := m.Posterior(pool)
+				return append(pmu, cov.Data...)
+			})
+			requireSame(t, "Posterior "+ctx, avx, portable)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // ErrNotSPD is returned when Cholesky factorization encounters a
@@ -237,11 +238,13 @@ func (c *Cholesky) SolveLowerInto(dst, b []float64) []float64 {
 
 // SolveLowerMatrixInto solves L·Y = B for an n×m right-hand-side matrix B
 // by forward substitution, amortizing one traversal of the factor over all
-// m columns (the BLAS-3 trsm shape). dst must be n×m and may not alias b.
+// m columns (the BLAS-3 trsm shape). dst must be n×m and must not share
+// storage with b: the sweep reads solved rows of dst while b's rows are
+// still to come, so an aliased call is a bug and panics.
 //
 // Column c of the result is bit-identical to SolveLowerInto(dst, B[:,c]):
-// the inner loops subtract l[i,k]·y[k,c] for k ascending and divide by the
-// pivot, the exact operation sequence of the vector solve, so batched
+// the column kernels subtract l[i,k]·y[k,c] for k ascending and divide by
+// the pivot, the exact operation sequence of the vector solve, so batched
 // callers can replace per-candidate solves without perturbing goldens.
 func (c *Cholesky) SolveLowerMatrixInto(dst, b *Matrix) *Matrix {
 	if b.Rows != c.n {
@@ -249,6 +252,9 @@ func (c *Cholesky) SolveLowerMatrixInto(dst, b *Matrix) *Matrix {
 	}
 	if dst.Rows != b.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("linalg: SolveLowerMatrix dst is %dx%d, want %dx%d", dst.Rows, dst.Cols, b.Rows, b.Cols))
+	}
+	if overlaps(dst.Data, b.Data) {
+		panic("linalg: SolveLowerMatrix dst shares storage with b")
 	}
 	n, l, s, m := c.n, c.l, c.stride, b.Cols
 	for i := 0; i < n; i++ {
@@ -260,34 +266,24 @@ func (c *Cholesky) SolveLowerMatrixInto(dst, b *Matrix) *Matrix {
 		// cuts the loads/stores of yi per subtraction.
 		k := 0
 		for ; k+8 <= i; k += 8 {
-			l0, l1, l2, l3 := l[i*s+k], l[i*s+k+1], l[i*s+k+2], l[i*s+k+3]
-			l4, l5, l6, l7 := l[i*s+k+4], l[i*s+k+5], l[i*s+k+6], l[i*s+k+7]
-			y0 := dst.Data[(k+0)*m : (k+1)*m : (k+1)*m]
-			y1 := dst.Data[(k+1)*m : (k+2)*m : (k+2)*m]
-			y2 := dst.Data[(k+2)*m : (k+3)*m : (k+3)*m]
-			y3 := dst.Data[(k+3)*m : (k+4)*m : (k+4)*m]
-			y4 := dst.Data[(k+4)*m : (k+5)*m : (k+5)*m]
-			y5 := dst.Data[(k+5)*m : (k+6)*m : (k+6)*m]
-			y6 := dst.Data[(k+6)*m : (k+7)*m : (k+7)*m]
-			y7 := dst.Data[(k+7)*m : (k+8)*m : (k+8)*m]
-			for j, v := range yi {
-				v = v - l0*y0[j] - l1*y1[j] - l2*y2[j] - l3*y3[j]
-				yi[j] = v - l4*y4[j] - l5*y5[j] - l6*y6[j] - l7*y7[j]
-			}
+			kern.subMul8(yi, (*[8]float64)(l[i*s+k:]), dst.Data[k*m:], m)
 		}
 		for ; k < i; k++ {
-			lik := l[i*s+k]
-			yk := dst.Data[k*m : k*m+m : k*m+m]
-			for j, v := range yk {
-				yi[j] -= lik * v
-			}
+			kern.subMul(yi, dst.Data[k*m:k*m+m], l[i*s+k])
 		}
-		pivot := l[i*s+i]
-		for j := range yi {
-			yi[j] /= pivot
-		}
+		kern.div(yi, l[i*s+i])
 	}
 	return dst
+}
+
+// overlaps reports whether two slices share any element.
+func overlaps(a, b []float64) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	a0, a1 := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&a[len(a)-1]))
+	b0, b1 := uintptr(unsafe.Pointer(&b[0])), uintptr(unsafe.Pointer(&b[len(b)-1]))
+	return a0 <= b1 && b0 <= a1
 }
 
 // Dot returns the inner product of two equal-length vectors.

@@ -409,6 +409,71 @@ func TestSolveLowerMatrixDimMismatchPanics(t *testing.T) {
 	}
 }
 
+// TestSolveLowerMatrixAliasedPanics: the sweep reads solved rows of dst
+// while rows of b are still to be copied in, so a dst sharing storage with
+// b — the same matrix or an overlapping view — is refused outright.
+func TestSolveLowerMatrixAliasedPanics(t *testing.T) {
+	c, err := NewCholesky(randomSPD(stats.NewRNG(7), 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]float64, 3*4+4)
+	b := &Matrix{Rows: 3, Cols: 4, Data: buf[:12]}
+	for name, dst := range map[string]*Matrix{
+		"same matrix":      b,
+		"same storage":     {Rows: 3, Cols: 4, Data: buf[:12]},
+		"overlapping view": {Rows: 3, Cols: 4, Data: buf[4:16]},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: aliased dst did not panic", name)
+				}
+			}()
+			c.SolveLowerMatrixInto(dst, b)
+		}()
+	}
+	// Adjacent views of one buffer share nothing and solve normally.
+	two := make([]float64, 24)
+	c.SolveLowerMatrixInto(&Matrix{Rows: 3, Cols: 4, Data: two[:12]}, &Matrix{Rows: 3, Cols: 4, Data: two[12:]})
+}
+
+// TestSolveLowerMatrixZeroColumns: a panel of no columns is a no-op under
+// whichever kernels are in use — nothing takes the address of a first
+// column that is not there.
+func TestSolveLowerMatrixZeroColumns(t *testing.T) {
+	c, err := NewCholesky(randomSPD(stats.NewRNG(8), 17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := c.SolveLowerMatrixInto(NewMatrix(17, 0), NewMatrix(17, 0))
+	if dst.Rows != 17 || dst.Cols != 0 || len(dst.Data) != 0 {
+		t.Errorf("zero-column solve returned %dx%d with %d entries", dst.Rows, dst.Cols, len(dst.Data))
+	}
+	SquaredDistancesInto(nil, nil, []float64{1, 2})
+	AddScaled(nil, nil, 3)
+	AddSquares(nil, nil)
+}
+
+// TestColumnKernelWrappersCheckLengths: the exported kernels refuse
+// operands of mismatched length instead of reading past the shorter one.
+func TestColumnKernelWrappersCheckLengths(t *testing.T) {
+	for name, fn := range map[string]func(){
+		"SquaredDistancesInto": func() { SquaredDistancesInto(make([]float64, 2), make([]float64, 5), make([]float64, 3)) },
+		"AddScaled":            func() { AddScaled(make([]float64, 2), make([]float64, 3), 1) },
+		"AddSquares":           func() { AddSquares(make([]float64, 3), make([]float64, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: length mismatch did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
 func equalVecs(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
