@@ -174,21 +174,17 @@ func panelMeans(mu, kpanel, alpha []float64, mean float64) {
 	}
 }
 
-// sqrt5 matches the math.Sqrt(5) constant inside Matern52.Eval.
-var sqrt5 = math.Sqrt(5)
-
 // fillRowsMatern52 is the staged cross-covariance fill for the default
-// kernel: a dim-outer squared-distance sweep over the dim-major transposed
-// panel and one sqrt/exp transform sweep per model row. Each element's
-// value is computed by the verbatim Matern52.Eval expression sequence —
-// the squared distance still sums dimension-ascending per element, the
-// transform is Eval's exact formula — so splitting the loops only removes
-// interface dispatch and short-loop overhead and lets independent elements
-// pipeline through the sqrt/div/exp units; results stay bit-identical to
+// kernel: per model row, a squared-distance sweep over the dim-major
+// transposed panel and the Matérn transform of that row, both linalg
+// column kernels. Each element's value is Matern52.Eval's expression
+// sequence — the squared distance still sums dimension-ascending per
+// element, the transform is Eval's formula with math.Exp's own rounding —
+// so splitting the loops only removes interface dispatch and lets
+// independent elements share vector lanes; results stay bit-identical to
 // Eval's.
 func fillRowsMatern52(s *PredictScratch, kmat *linalg.Matrix, xs, points [][]float64, k Matern52) {
 	q := kmat.Cols
-	ls, vr := k.LengthScale, k.Variance
 	dim := 0
 	if len(xs) > 0 {
 		dim = len(xs[0])
@@ -205,11 +201,7 @@ func fillRowsMatern52(s *PredictScratch, kmat *linalg.Matrix, xs, points [][]flo
 	for i, xi := range xs {
 		row := kmat.Data[i*q : i*q+q : i*q+q]
 		linalg.SquaredDistancesInto(row, pt, xi)
-		for c, d2 := range row {
-			r := math.Sqrt(d2) / ls
-			s5r := sqrt5 * r
-			row[c] = vr * (1 + s5r + 5*r*r/3) * math.Exp(-s5r)
-		}
+		linalg.Matern52Row(row, k.LengthScale, k.Variance)
 	}
 }
 

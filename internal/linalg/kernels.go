@@ -1,18 +1,23 @@
-// Column kernels: the six inner loops under the GP scoring path. Each runs
-// over independent columns — pool candidates — and does, per column, a
-// fixed sequence of IEEE operations rounded after every step. The loops
+// Column kernels: the seven inner loops under the GP scoring path. Each
+// runs over independent columns — pool candidates — and does, per column,
+// a fixed sequence of IEEE operations rounded after every step. The loops
 // below are that sequence in portable Go; on an amd64 CPU with AVX,
 // kernels_amd64.go swaps in 256-bit versions that put four columns in one
 // register and issue the same multiply, subtract, add and divide per lane,
 // never fused, so a column's value is the same bits either way (DESIGN.md
-// §4, "Column kernels"). The Go loops are what every other architecture
-// runs and what the tests hold the assembly to.
+// §4, "Column kernels"). The seventh, the Matérn transform, ends in
+// math.Exp: its amd64 copy fuses exactly where math.Exp's own assembly
+// does, on exactly the CPUs where it does. The Go loops are what every
+// other architecture runs and what the tests hold the assembly to.
 
 package linalg
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// columnKernels is one implementation of the six loops.
+// columnKernels is one implementation of the seven loops.
 type columnKernels struct {
 	// subMul8: y[j] = ((y[j] − l[0]·rows[j]) − … − l[7]·rows[7·stride+j]),
 	// the chained subtraction of eight solved rows, left to right.
@@ -27,6 +32,8 @@ type columnKernels struct {
 	addMul func(acc, v []float64, a float64)
 	// addSq: acc[c] += v[c]².
 	addSq func(acc, v []float64)
+	// matern52: row[c] = vr·(1 + √5r + 5r²/3)·exp(−√5r), r = √row[c]/ls.
+	matern52 func(row []float64, ls, vr float64)
 }
 
 // kern is the implementation in use. It is written by the amd64 init and
@@ -34,12 +41,13 @@ type columnKernels struct {
 var kern = &portableKernels
 
 var portableKernels = columnKernels{
-	subMul8: subMul8Go,
-	subMul:  subMulGo,
-	div:     divGo,
-	sqDists: sqDistsGo,
-	addMul:  addMulGo,
-	addSq:   addSqGo,
+	subMul8:  subMul8Go,
+	subMul:   subMulGo,
+	div:      divGo,
+	sqDists:  sqDistsGo,
+	addMul:   addMulGo,
+	addSq:    addSqGo,
+	matern52: matern52Go,
 }
 
 func subMul8Go(y []float64, l *[8]float64, rows []float64, stride int) {
@@ -100,6 +108,17 @@ func addSqGo(acc, v []float64) {
 	}
 }
 
+// sqrt5 is the math.Sqrt(5) constant inside gp.Matern52.Eval.
+var sqrt5 = math.Sqrt(5)
+
+func matern52Go(row []float64, ls, vr float64) {
+	for c, d2 := range row {
+		r := math.Sqrt(d2) / ls
+		s5r := sqrt5 * r
+		row[c] = vr * (1 + s5r + 5*r*r/3) * math.Exp(-s5r)
+	}
+}
+
 // SquaredDistancesInto writes, for every column c of the dim-major panel
 // pt (pt[d·len(dst)+c] is coordinate d of point c), the squared distance
 // ‖pt_c − x‖² into dst[c] — per column the sum SquaredDistance computes,
@@ -125,4 +144,11 @@ func AddSquares(acc, v []float64) {
 		panic(fmt.Sprintf("linalg: AddSquares dimension mismatch: %d vs %d", len(acc), len(v)))
 	}
 	kern.addSq(acc, v)
+}
+
+// Matern52Row turns a row of squared distances d² into Matérn 5/2
+// covariances in place: row[c] = vr·(1 + √5r + 5r²/3)·exp(−√5r) with
+// r = √row[c]/ls — per column gp.Matern52.Eval's expression, to the bit.
+func Matern52Row(row []float64, ls, vr float64) {
+	kern.matern52(row, ls, vr)
 }

@@ -4,6 +4,9 @@ package linalg
 
 import (
 	"math"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"satori/internal/stats"
@@ -14,8 +17,17 @@ import (
 // prove nothing. CI greps that these tests ran.
 func requireAVX(tb testing.TB) {
 	tb.Helper()
-	if !hasAVX() {
+	if avx, _ := cpuFeatures(); !avx {
 		tb.Skip("SKIPPED-NO-AVX: this CPU or OS does not offer AVX, the column kernels run as portable Go only")
+	}
+}
+
+// requireFMA is requireAVX for the Matérn transform, whose assembly replays
+// math.Exp's fused branch and runs only where math.Exp takes it.
+func requireFMA(tb testing.TB) {
+	tb.Helper()
+	if avx, fma := cpuFeatures(); !avx || !fma {
+		tb.Skip("SKIPPED-NO-FMA: this CPU or OS does not offer AVX and FMA, the Matérn transform runs as portable Go only")
 	}
 }
 
@@ -121,6 +133,137 @@ func TestColumnKernelsMatchPortable(t *testing.T) {
 	}
 }
 
+// maternInput draws a squared distance: awkward one time in eight (the
+// negative ones and NaN make √ NaN, the huge ones and +Inf push the
+// exponent argument past −700), a lattice distance (a configuration space
+// is a grid, so k/121 and k/100 repeat) one time in two, else a positive
+// value of mixed magnitude.
+func maternInput(rng *stats.RNG) float64 {
+	switch rng.Uint64n(8) {
+	case 0:
+		return awkward[rng.Uint64n(uint64(len(awkward)))]
+	case 1, 2:
+		return float64(rng.Uint64n(500)) / 121
+	case 3, 4:
+		return float64(rng.Uint64n(500)) / 100
+	default:
+		return rng.Float64() * math.Pow(10, float64(rng.Uint64n(9))-4)
+	}
+}
+
+// requireMaternSame runs both transforms over whole[off:off+n] of copies of
+// whole and requires every entry, guards included, to the bit.
+func requireMaternSame(t *testing.T, what string, whole []float64, off, n int, ls, vr float64) {
+	t.Helper()
+	want := append([]float64(nil), whole...)
+	got := append([]float64(nil), whole...)
+	matern52Go(want[off:off+n], ls, vr)
+	matern52AVX(got[off:off+n], ls, vr)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s n=%d offset=%d ls=%g vr=%g: entry %d (column %d, d²=%v) is %v (%#x) under AVX+FMA, %v (%#x) portable",
+				what, n, off, ls, vr, i, i-off, whole[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestMaternTransformMatchesPortable holds the assembly transform to the Go
+// loop — whose exponential is the live math.Exp, so a toolchain whose Exp
+// changes fails here instead of drifting — over lengths on both sides of
+// every 4-column block, length scales from 1e-3 to 1e3 (the small ones push
+// most lanes past −700), and a row with one out-of-range lane planted at
+// every column, so the stop-and-finish path starts from each block.
+func TestMaternTransformMatchesPortable(t *testing.T) {
+	requireFMA(t)
+	rng := stats.NewRNG(25)
+	for n := 0; n <= 67; n++ {
+		for off := 0; off <= 3; off++ {
+			for _, ls := range []float64{1e-3, 0.02, 0.3, 1, 3.7, 60, 1e3} {
+				whole := make([]float64, off+n+1)
+				for i := range whole {
+					whole[i] = maternInput(rng)
+				}
+				requireMaternSame(t, "mixed", whole, off, n, ls, 0.1+2*rng.Float64())
+			}
+		}
+	}
+	// Squared distances (ls = vr = 1) at which one of the exponential's
+	// fused steps, rounded twice instead, changes the result — two each for
+	// the Horner steps adding 1/2 and 1 and for the last squaring; found by
+	// emulating exp_amd64.s with each FMA split, random inputs rarely hit
+	// one. (The other seven FMAs are unobservable: DESIGN.md §4.)
+	for _, d2 := range []float64{
+		12916.926809762423, 18720.294847427132,
+		26024.316286849204, 12570.014980603453,
+		48662.79298032308, 59174.00652082493,
+	} {
+		requireMaternSame(t, "fused-step sentinel", []float64{d2, d2, d2, d2}, 0, 4, 1, 1)
+	}
+	// At ls = 1, d² = 98 000 puts −√5r on −700: lattice values and 97 999
+	// are in range, 98 001, 1e6, NaN, +Inf and a negative d² are not.
+	outside := []float64{98001, 1e6, math.NaN(), math.Inf(1), -1}
+	for n := 1; n <= 67; n++ {
+		clean := make([]float64, n)
+		for c := range clean {
+			clean[c] = float64(rng.Uint64n(500)) / 121
+		}
+		clean[rng.Uint64n(uint64(n))] = 97999
+		if done := matern52Blocks(append([]float64(nil), clean...), 1, 0.8); done != n/4*4 {
+			t.Fatalf("n=%d: the assembly finished %d columns of an in-range row, want %d", n, done, n/4*4)
+		}
+		for p := 0; p < n; p++ {
+			row := append([]float64(nil), clean...)
+			row[p] = outside[p%len(outside)]
+			blocks := append([]float64(nil), row...)
+			done := matern52Blocks(blocks, 1, 0.8)
+			if done != p/4*4 {
+				t.Fatalf("n=%d, lane %d out of range: the assembly finished %d columns, want %d", n, p, done, p/4*4)
+			}
+			for c := done; c < n; c++ {
+				if math.Float64bits(blocks[c]) != math.Float64bits(row[c]) {
+					t.Fatalf("n=%d, lane %d out of range: column %d was written past the stop", n, p, c)
+				}
+			}
+			requireMaternSame(t, "out-of-range lane", row, 0, n, 1, 0.8)
+		}
+	}
+}
+
+// TestMaternTransformSelection: the assembly transform is in use exactly
+// when math.Exp takes its fused branch — CPUID leaf 1 ECX bits 12 (FMA), 27
+// (OSXSAVE) and 28 (AVX) and XCR0 bits 1–2 all set, internal/cpu's useFMA.
+func TestMaternTransformSelection(t *testing.T) {
+	if strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
+		t.Skip("GODEBUG turns CPU features off for package math; init follows math, not CPUID")
+	}
+	const bits = 1<<12 | 1<<27 | 1<<28
+	want := false
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf >= 1 {
+		if _, _, ecx, _ := cpuid(1, 0); ecx&bits == bits {
+			xcr0, _ := xgetbv()
+			want = xcr0&6 == 6
+		}
+	}
+	got := reflect.ValueOf(kern.matern52).Pointer() == reflect.ValueOf(matern52AVX).Pointer()
+	if got != want {
+		t.Fatalf("assembly Matérn transform in use: %v; AVX+FMA by CPUID/XCR0: %v", got, want)
+	}
+}
+
+// FuzzMatern52Row: one block and a one-column tail under any length scale
+// and variance; the two copies agree to the bit.
+func FuzzMatern52Row(f *testing.F) {
+	requireFMA(f)
+	f.Add(0.0, 1.0, 2.0, 0.5, 3.0, 1.0, 1.0)
+	f.Add(4.0/121, math.Copysign(0, -1), 97999.0, 98001.0, 7.0/100, 1.0, 0.7)
+	f.Add(1.0, 2.0, 3.0, 4.0, 5.0, 1e-3, 1.0)
+	f.Add(math.NaN(), 1e-310, -1.0, 0.37, 16.0/100, 0.3, 2.5)
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, -1.0, math.Inf(1))
+	f.Fuzz(func(t *testing.T, d0, d1, d2, d3, d4, ls, vr float64) {
+		requireMaternSame(t, "fuzz", []float64{d0, d1, d2, d3, d4}, 0, 5, ls, vr)
+	})
+}
+
 // TestSolveLowerMatrixSameUnderBothKernels: the solve built on kernels 1-3
 // returns the same bits under either set, with the factor on both sides of
 // the eight-row sweep and the panel on both sides of the 16- and 4-column
@@ -199,4 +342,26 @@ func BenchmarkColumnKernelsPortable(b *testing.B) { benchColumnKernels(b, &porta
 func BenchmarkColumnKernelsAVX(b *testing.B) {
 	requireAVX(b)
 	benchColumnKernels(b, &avxKernels)
+}
+
+// benchMatern52Row times the transform of one 32-column panel row at the
+// engine's steady state: lattice squared distances in a 15-dimensional
+// space, a length scale near their median.
+func benchMatern52Row(b *testing.B, transform func(row []float64, ls, vr float64)) {
+	d2 := make([]float64, 32)
+	for c := range d2 {
+		d2[c] = float64(c*37%64) * 15 / 121
+	}
+	row := make([]float64, len(d2))
+	for i := 0; i < b.N; i++ {
+		copy(row, d2)
+		transform(row, 2.5, 0.8)
+	}
+}
+
+func BenchmarkMatern52RowPortable(b *testing.B) { benchMatern52Row(b, matern52Go) }
+
+func BenchmarkMatern52RowAVX(b *testing.B) {
+	requireFMA(b)
+	benchMatern52Row(b, matern52AVX)
 }
