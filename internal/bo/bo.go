@@ -34,13 +34,28 @@ type EI struct {
 
 // Score implements Acquisition.
 func (a EI) Score(mu, sigma, best float64) float64 {
+	s, _ := a.scoreAbove(mu, sigma, best, math.Inf(-1))
+	return s
+}
+
+// scoreAbove is Score for a caller that only wants a score above floor:
+// it reports ok = false, without evaluating Φ, when the score is proven
+// not to exceed floor. With improve <= 0 the first term improve·Φ(z) is
+// <= 0 (its sign is exact in floating point) and rounding is monotone,
+// so the sum is <= spread, fused or not; spread <= floor then bounds it.
+// A NaN fails the test and takes the full expression.
+func (a EI) scoreAbove(mu, sigma, best, floor float64) (float64, bool) {
 	improve := mu - best - a.Xi
 	if sigma <= 0 {
 		// Deterministic prediction: improvement is certain or impossible.
-		return math.Max(improve, 0)
+		return math.Max(improve, 0), true
 	}
 	z := improve / sigma
-	return improve*stdNormCDF(z) + sigma*stdNormPDF(z)
+	spread := sigma * stdNormPDF(z)
+	if improve <= 0 && spread <= floor {
+		return 0, false
+	}
+	return improve*stdNormCDF(z) + spread, true
 }
 
 // Name implements Acquisition.
@@ -132,9 +147,21 @@ func Argmax(acq Acquisition, best float64, mu, sigma []float64) (int, float64, e
 	if len(mu) == 0 {
 		return -1, 0, errors.New("bo: no candidates to score")
 	}
+	// EI skips Φ for a candidate that provably cannot beat the running
+	// maximum (EI.scoreAbove); every other acquisition scores in full.
+	ei, isEI := acq.(EI)
 	bestIdx, bestScore := -1, math.Inf(-1)
 	for i := range mu {
-		s := acq.Score(mu[i], sigma[i], best)
+		var s float64
+		ok := true
+		if isEI {
+			s, ok = ei.scoreAbove(mu[i], sigma[i], best, bestScore)
+		} else {
+			s = acq.Score(mu[i], sigma[i], best)
+		}
+		if !ok {
+			continue
+		}
 		if math.IsNaN(s) || math.IsInf(s, 0) {
 			continue
 		}

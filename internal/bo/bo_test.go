@@ -1,6 +1,7 @@
 package bo
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -448,4 +449,170 @@ func TestSuggestBatchEmptyAndNilScratch(t *testing.T) {
 	if err != nil || idx < 0 || idx >= len(pool) {
 		t.Fatalf("nil scratch: idx=%d err=%v", idx, err)
 	}
+}
+
+// scoreArgmax is Argmax as it was before EI pruned: every candidate scored
+// in full through acq.Score. It is the reference the pruning loop is held
+// to.
+func scoreArgmax(acq Acquisition, best float64, mu, sigma []float64) (int, float64, error) {
+	if len(mu) == 0 {
+		return -1, 0, errors.New("bo: no candidates to score")
+	}
+	bestIdx, bestScore := -1, math.Inf(-1)
+	for i := range mu {
+		s := acq.Score(mu[i], sigma[i], best)
+		if math.IsNaN(s) || math.IsInf(s, 0) {
+			continue
+		}
+		if s > bestScore {
+			bestIdx, bestScore = i, s
+		}
+	}
+	if bestIdx < 0 {
+		return -1, 0, ErrNoFiniteScore
+	}
+	return bestIdx, bestScore, nil
+}
+
+// oldEIScore is EI.Score's expression before it was written once, inside
+// scoreAbove.
+func oldEIScore(a EI, mu, sigma, best float64) float64 {
+	improve := mu - best - a.Xi
+	if sigma <= 0 {
+		return math.Max(improve, 0)
+	}
+	z := improve / sigma
+	return improve*stdNormCDF(z) + sigma*stdNormPDF(z)
+}
+
+// sameBits reports whether two scores are the same float64, any two NaNs
+// counting as one.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// checkArgmaxEI asserts that Argmax under acq returns what scoreArgmax
+// does: the same index, the same score bits and the same error. It
+// returns how many candidates scoreAbove pruned along the reference's
+// running maximum.
+func checkArgmaxEI(t *testing.T, acq EI, best float64, mu, sigma []float64) (pruned int) {
+	t.Helper()
+	wantIdx, wantScore, wantErr := scoreArgmax(acq, best, mu, sigma)
+	gotIdx, gotScore, gotErr := Argmax(acq, best, mu, sigma)
+	if gotIdx != wantIdx || math.Float64bits(gotScore) != math.Float64bits(wantScore) ||
+		(gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("Xi %v best %v mu %v sigma %v: Argmax (%d, %v, %v), scoring every candidate (%d, %v, %v)",
+			acq.Xi, best, mu, sigma, gotIdx, gotScore, gotErr, wantIdx, wantScore, wantErr)
+	}
+	floor := math.Inf(-1)
+	for i := range mu {
+		s := acq.Score(mu[i], sigma[i], best)
+		if _, ok := acq.scoreAbove(mu[i], sigma[i], best, floor); !ok {
+			pruned++
+			if s > floor {
+				t.Fatalf("Xi %v best %v: pruned mu %v sigma %v below floor %v, but it scores %v", acq.Xi, best, mu[i], sigma[i], floor, s)
+			}
+			continue
+		}
+		if !math.IsNaN(s) && !math.IsInf(s, 0) && s > floor {
+			floor = s
+		}
+	}
+	return pruned
+}
+
+// edgeFloats are the values a pool entry draws from besides ordinary ones.
+var edgeFloats = []float64{0, math.Copysign(0, -1), -1, math.SmallestNonzeroFloat64, 1e-310, -1e-310, 1e-300,
+	math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+
+// TestArgmaxEIPruneMatchesScore: skipping Φ for candidates whose score is
+// bounded by the running maximum changes no choice and no score, on pools
+// of ordinary posteriors near the incumbent (where most pruning happens,
+// ties included) laced with NaN, ±Inf and σ of 0, −0, negative,
+// subnormal and +Inf.
+func TestArgmaxEIPruneMatchesScore(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	bests := []float64{0.5, 0, -3, 1e-300, math.Inf(1), math.Inf(-1)}
+	pruned, scored := 0, 0
+	for trial := 0; trial < 20000; trial++ {
+		acq := EI{Xi: []float64{0, 0.01}[trial%2]}
+		best := bests[trial%len(bests)]
+		if trial%7 == 0 {
+			best = rng.NormFloat64()
+		}
+		q := 1 + rng.Intn(48)
+		mu, sigma := make([]float64, q), make([]float64, q)
+		for i := range mu {
+			switch k := rng.Intn(10); {
+			case k == 0:
+				mu[i], sigma[i] = edgeFloats[rng.Intn(len(edgeFloats))], edgeFloats[rng.Intn(len(edgeFloats))]
+			case k == 1:
+				mu[i], sigma[i] = 0.5+0.1*rng.NormFloat64(), edgeFloats[rng.Intn(len(edgeFloats))]
+			case k == 2 && i > 0: // an exact tie with an earlier candidate
+				j := rng.Intn(i)
+				mu[i], sigma[i] = mu[j], sigma[j]
+			default: // the engine's shape: means near the incumbent, small σ
+				mu[i], sigma[i] = 0.5+0.05*rng.NormFloat64(), 0.02*rng.Float64()
+			}
+		}
+		pruned += checkArgmaxEI(t, acq, best, mu, sigma)
+		scored += q
+	}
+	if pruned == 0 {
+		t.Fatal("no candidate was pruned: the bound was never exercised")
+	}
+	t.Logf("%d of %d candidates pruned", pruned, scored)
+}
+
+// TestEIScoreUnchanged pins EI.Score to the expression it replaced, bit
+// for bit, over ordinary and edge inputs.
+func TestEIScoreUnchanged(t *testing.T) {
+	vals := append([]float64{0.5, -0.25, 1, 3, 1e-8, -7.5}, edgeFloats...)
+	rng := rand.New(rand.NewSource(27))
+	for i := 0; i < 64; i++ {
+		vals = append(vals, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(9)-4)))
+	}
+	for _, xi := range []float64{0, 0.01} {
+		a := EI{Xi: xi}
+		for _, mu := range vals {
+			for _, sigma := range vals {
+				for _, best := range vals {
+					if got, want := a.Score(mu, sigma, best), oldEIScore(a, mu, sigma, best); !sameBits(got, want) {
+						t.Fatalf("EI{Xi: %v}.Score(%v, %v, %v) = %v, the old expression %v", xi, mu, sigma, best, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzArgmaxEI runs TestArgmaxEIPruneMatchesScore's property over any
+// pool: the bytes are read as (μ, σ) pairs of raw float64 bits.
+func FuzzArgmaxEI(f *testing.F) {
+	pool := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	f.Add(0.5, 0.0, pool(0.5, 0.01, 0.4, 0.01, 0.6, 0.02, 0.4, 0.01))
+	f.Add(0.5, 0.01, pool(0.49, 0.001, 0.49, 0.001, 0.5, 0, 0.3, 1e-310))
+	f.Add(inf, 0.0, pool(0.2, 0.1, 0.8, 0.3))
+	f.Add(math.Inf(-1), 0.0, pool(0.2, 0.1, nan, 0.3, 0.1, inf))
+	f.Add(0.0, 0.0, pool(-inf, 1, -inf, 5e-324, 0, math.Copysign(0, -1), -1, -0.5, nan, nan))
+	f.Add(1.0, 0.01, pool(0.3, inf, 0.2, 0.2, 0.9, 0.05))
+	f.Fuzz(func(t *testing.T, best, xi float64, raw []byte) {
+		n := len(raw) / 16
+		if n == 0 || n > 256 {
+			return
+		}
+		mu, sigma := make([]float64, n), make([]float64, n)
+		for i := range mu {
+			mu[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i:]))
+			sigma[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i+8:]))
+		}
+		checkArgmaxEI(t, EI{Xi: xi}, best, mu, sigma)
+	})
 }

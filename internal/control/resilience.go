@@ -121,27 +121,16 @@ func (l *Loop) backoff(attempt int) {
 	}
 }
 
-// retryTransient re-attempts op while it fails transiently, with
-// exponential backoff, up to MaxRetries extra attempts. Off the sampling
-// hot path — used for the idempotent control operations only.
-func (l *Loop) retryTransient(op func() error) error {
-	err := op()
+// measureIsolatedRetry measures isolated baselines, re-attempting a
+// transient failure with exponential backoff up to MaxRetries extra
+// attempts.
+func (l *Loop) measureIsolatedRetry() ([]float64, error) {
+	iso, err := l.platform.MeasureIsolated()
 	for attempt := 1; attempt <= l.resil.MaxRetries && rdt.IsTransient(err); attempt++ {
 		l.backoff(attempt)
 		l.retries++
-		err = op()
-	}
-	return err
-}
-
-// measureIsolatedRetry measures isolated baselines with transient-retry.
-func (l *Loop) measureIsolatedRetry() ([]float64, error) {
-	var iso []float64
-	err := l.retryTransient(func() error {
-		var err error
 		iso, err = l.platform.MeasureIsolated()
-		return err
-	})
+	}
 	return iso, err
 }
 

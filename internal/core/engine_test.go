@@ -355,4 +355,38 @@ func TestRecordsEviction(t *testing.T) {
 	if recs.Len() > 2 {
 		t.Errorf("cap clamp failed: %d", recs.Len())
 	}
+
+	// Ties at the oldest tick: the victim is the smallest key among them,
+	// which in window order is the first of the oldest tick's records, not
+	// the last record of the window.
+	tied := NewRecords()
+	tied.SetCap(4)
+	var cfgs []resource.Config
+	for c0 := 1; c0 <= 5; c0++ {
+		c := space.EqualSplit()
+		c.Alloc[0][0], c.Alloc[0][1] = c0, 8-c0
+		cfgs = append(cfgs, c)
+	}
+	for _, c := range cfgs[:3] {
+		tied.Update(space, c, 0.5, 0.5, 7)
+	}
+	tied.Update(space, cfgs[3], 0.5, 0.5, 8)
+	w = tied.Window(0)
+	smallest := cfgs[0].Key()
+	if w[0].LastTick != 8 || w[1].Key != smallest || w[3].LastTick != 7 || w[1].Key >= w[2].Key || w[2].Key >= w[3].Key {
+		t.Fatalf("window before eviction not in (tick desc, key asc) order: %v", windowKeys(w))
+	}
+	tied.Update(space, cfgs[4], 0.5, 0.5, 9)
+	w = tied.Window(0)
+	if tied.Len() != 4 {
+		t.Fatalf("Len = %d after one eviction at cap 4", tied.Len())
+	}
+	for _, rec := range w {
+		if rec.Key == smallest {
+			t.Fatalf("kept %s, the smallest key at the oldest tick: window %v", smallest, windowKeys(w))
+		}
+	}
+	if w[2].LastTick != 7 || w[3].LastTick != 7 {
+		t.Fatalf("the other two tick-7 records must survive: window %v", windowKeys(w))
+	}
 }

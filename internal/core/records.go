@@ -1,9 +1,6 @@
 package core
 
 import (
-	"cmp"
-	"slices"
-
 	"satori/internal/resource"
 )
 
@@ -16,7 +13,7 @@ type Record struct {
 	// Config is the configuration this record describes.
 	Config resource.Config
 	// Key is Config.Key(), memoized so per-tick consumers (window
-	// sorting, proxy-change tracking) never rebuild the string.
+	// ordering, proxy-change tracking) never rebuild the string.
 	Key string
 	// Vector is the GP input encoding of Config.
 	Vector []float64
@@ -35,6 +32,9 @@ type Record struct {
 	row     int
 	pred    float64
 	predFor int
+
+	// newer and older link the store's recency list (see Records).
+	newer, older *Record
 }
 
 // Records stores one Record per distinct configuration. To bound memory
@@ -42,9 +42,15 @@ type Record struct {
 // evaluated configurations once it exceeds its capacity; the proxy-model
 // window only ever reads the most recent entries, so eviction does not
 // change engine behavior.
+//
+// Besides the key index, every record sits on one doubly linked list, head
+// to tail in Window's order: LastTick descending, then Key ascending among
+// equal ticks. Update re-inserts the record it touches, so a window is a
+// prefix of the list and nothing is ever sorted or scanned.
 type Records struct {
-	bySig map[string]*Record
-	cap   int
+	bySig      map[string]*Record
+	head, tail *Record
+	cap        int
 }
 
 // DefaultRecordCap bounds the store; it is comfortably larger than any
@@ -56,7 +62,8 @@ func NewRecords() *Records {
 	return &Records{bySig: make(map[string]*Record), cap: DefaultRecordCap}
 }
 
-// SetCap overrides the eviction capacity (minimum 1).
+// SetCap overrides the eviction capacity (minimum 1). A lower cap evicts
+// at the next Update.
 func (r *Records) SetCap(n int) {
 	if n < 1 {
 		n = 1
@@ -71,7 +78,9 @@ func (r *Records) SetCap(n int) {
 func (r *Records) Update(space *resource.Space, cfg resource.Config, throughput, fairness float64, tick int) *Record {
 	key := cfg.Key()
 	rec, ok := r.bySig[key]
-	if !ok {
+	if ok {
+		r.unlink(rec)
+	} else {
 		rec = &Record{Config: cfg.Clone(), Key: key, Vector: space.Vector(cfg)}
 		r.bySig[key] = rec
 	}
@@ -79,25 +88,68 @@ func (r *Records) Update(space *resource.Space, cfg resource.Config, throughput,
 	rec.Fairness = fairness
 	rec.LastTick = tick
 	rec.Visits++
+	r.insert(rec)
 	for len(r.bySig) > r.cap {
 		r.evictOldest()
 	}
 	return rec
 }
 
-// evictOldest removes the least recently evaluated record.
+// precedes reports whether a comes before b in Window's order.
+func precedes(a, b *Record) bool {
+	if a.LastTick != b.LastTick {
+		return a.LastTick > b.LastTick
+	}
+	return a.Key < b.Key
+}
+
+// insert links an unlinked rec in after every record that precedes it.
+// Callers' ticks only rise, so the walk stops at the head; it exists for
+// ties and for a tick that steps back.
+func (r *Records) insert(rec *Record) {
+	var newer *Record
+	older := r.head
+	for older != nil && precedes(older, rec) {
+		newer, older = older, older.older
+	}
+	rec.newer, rec.older = newer, older
+	if newer == nil {
+		r.head = rec
+	} else {
+		newer.older = rec
+	}
+	if older == nil {
+		r.tail = rec
+	} else {
+		older.newer = rec
+	}
+}
+
+// unlink takes rec off the list.
+func (r *Records) unlink(rec *Record) {
+	if rec.newer == nil {
+		r.head = rec.older
+	} else {
+		rec.newer.older = rec.older
+	}
+	if rec.older == nil {
+		r.tail = rec.newer
+	} else {
+		rec.older.newer = rec.newer
+	}
+	rec.newer, rec.older = nil, nil
+}
+
+// evictOldest removes the least recently evaluated record, the smallest
+// key among those at the oldest tick: in list order, the newest member of
+// the tail's tie group.
 func (r *Records) evictOldest() {
-	oldestKey := ""
-	oldestTick := int(^uint(0) >> 1)
-	for key, rec := range r.bySig {
-		if rec.LastTick < oldestTick || (rec.LastTick == oldestTick && key < oldestKey) {
-			oldestKey = key
-			oldestTick = rec.LastTick
-		}
+	victim := r.tail
+	for victim.newer != nil && victim.newer.LastTick == victim.LastTick {
+		victim = victim.newer
 	}
-	if oldestKey != "" {
-		delete(r.bySig, oldestKey)
-	}
+	r.unlink(victim)
+	delete(r.bySig, victim.Key)
 }
 
 // Len returns the number of distinct configurations recorded.
@@ -109,8 +161,9 @@ func (r *Records) Has(cfg resource.Config) bool {
 	return ok
 }
 
-// Window returns up to n records, most recently evaluated first. The
-// returned slice is freshly allocated but shares Record pointers.
+// Window returns up to n records, most recently evaluated first (all of
+// them when n <= 0). The returned slice is freshly allocated but shares
+// Record pointers.
 func (r *Records) Window(n int) []*Record {
 	return r.WindowInto(nil, n)
 }
@@ -119,20 +172,8 @@ func (r *Records) Window(n int) []*Record {
 // reuse the slice.
 func (r *Records) WindowInto(dst []*Record, n int) []*Record {
 	all := dst[:0]
-	for _, rec := range r.bySig {
+	for rec := r.head; rec != nil && (n <= 0 || len(all) < n); rec = rec.older {
 		all = append(all, rec)
-	}
-	// A strict total order (keys are unique), so the unstable sort has
-	// exactly one result.
-	slices.SortFunc(all, func(a, b *Record) int {
-		if a.LastTick != b.LastTick {
-			return cmp.Compare(b.LastTick, a.LastTick)
-		}
-		// Deterministic tie-break for replayability.
-		return cmp.Compare(a.Key, b.Key)
-	})
-	if n > 0 && len(all) > n {
-		all = all[:n]
 	}
 	return all
 }

@@ -123,10 +123,9 @@ func (c *CellCache) Run(spec RunSpec, policyID string) (*Result, error) {
 	}
 	path := filepath.Join(c.dir, key+".json")
 	if blob, err := os.ReadFile(path); err == nil {
-		var res Result
-		if err := json.Unmarshal(blob, &res); err == nil {
+		if res, ok := readCell(blob); ok {
 			c.hits.Add(1)
-			return &res, nil
+			return res, nil
 		}
 		// A torn or stale-schema file: fall through and overwrite.
 	}
@@ -157,4 +156,14 @@ func (c *CellCache) Run(spec RunSpec, policyID string) (*Result, error) {
 		os.Remove(tmp.Name())
 	}
 	return res, nil
+}
+
+// readCell decodes a cell file's contents; ok is false when they cannot
+// serve as a hit, and the cell is then run afresh.
+func readCell(blob []byte) (res *Result, ok bool) {
+	res = new(Result)
+	if err := json.Unmarshal(blob, res); err != nil {
+		return nil, false
+	}
+	return res, true
 }

@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -193,4 +196,83 @@ func TestCellCacheSkipsTraceCells(t *testing.T) {
 	if hits != 0 || misses != 0 || skips != 2 {
 		t.Fatalf("stats %d/%d/%d, want 0 hits, 0 misses, 2 skips", hits, misses, skips)
 	}
+}
+
+// TestCellCacheRerunsTornFile: a cell file that does not decode is a miss
+// — the cell runs afresh and its file is rewritten — never an error.
+func TestCellCacheRerunsTornFile(t *testing.T) {
+	cache, err := NewCellCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixes, err := workloads.PaperMixes(workloads.SuitePARSEC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := DefaultSuiteBase(3, 40)
+	spec.Profiles = mixes[0].Profiles
+	spec.Policy = onSim(random)
+	want, err := cache.Run(spec, "policy:random")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := cache.key(spec, "policy:random")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(cache.Dir(), key+".json")
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, blob[:len(blob)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		got, err := cache.Run(spec, "policy:random")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pass %d: %+v, want %+v", i, got, want)
+		}
+	}
+	if hits, misses, _ := cache.Stats(); hits != 1 || misses != 2 {
+		t.Fatalf("stats %d hits, %d misses: want the torn file re-run once, then served", hits, misses)
+	}
+}
+
+// FuzzCellCacheFile: a cell file holds whatever a torn write, an older
+// schema or a stray edit left there. Any bytes either miss (readCell
+// refuses them and Run falls through to a fresh run) or decode to a Result
+// that re-marshals and re-reads to the same value; nothing panics.
+func FuzzCellCacheFile(f *testing.F) {
+	valid, err := json.Marshal(&Result{PolicyName: "satori", Ticks: 80, MeanThroughput: 0.4375, MeanFairness: 0.9, StdFairness: 1e-300, Applies: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		string(valid), string(valid[:len(valid)/2]), "", "{", "null", "{}", "[]", "0",
+		`{"Ticks":1.5}`, `{"Ticks":"80"}`, `{"MeanFairness":1e400}`, `{"MeanFairness":-0}`,
+		`{"Trace":{}}`, `{"Trace":null}`, `{"ticks":2,"Ticks":3}`, "{\"PolicyName\":\"\xff\"}",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		res, ok := readCell(blob)
+		if !ok {
+			if res != nil {
+				t.Fatalf("%q: a miss returned a result", blob)
+			}
+			return
+		}
+		again, err := json.Marshal(res)
+		if err != nil {
+			t.Fatalf("%q: accepted, but the result does not re-marshal: %v", blob, err)
+		}
+		back, ok := readCell(again)
+		if !ok || !reflect.DeepEqual(back, res) {
+			t.Fatalf("%q: read %+v, re-marshalled %s, re-read %+v (ok %v)", blob, res, again, back, ok)
+		}
+	})
 }
