@@ -27,9 +27,9 @@ type Options struct {
 	// the 100 ms iteration cheap and lets the model track phase
 	// changes.
 	Window int
-	// Candidates is the number of random configurations scored by the
-	// acquisition function each tick (default 32), in addition to the
-	// incumbent's one-unit neighborhood.
+	// Candidates is the number of random and random-walk configurations
+	// scored by the acquisition function each tick (default 32), in
+	// addition to the one-unit neighborhoods of the top-3 records.
 	Candidates int
 	// InitialSamples is the size of the S_init seeding set: the equal
 	// split plus low-imbalance perturbations (default 8, Sec. V notes
@@ -128,13 +128,23 @@ type Engine struct {
 	model     *gp.Incremental
 	modelRecs []*Record
 
+	// The candidate pool (buildPool): candidateCfg holds the Candidates
+	// random and random-walk configurations, and after them come the
+	// one-unit neighborhoods of poolTop[:poolTopN], described, not built —
+	// poolEnd[i] is the pool index one past poolTop[i]'s neighborhood, and
+	// vectors and candidate decode an index into its move. candCount is
+	// the pool's size.
+	candidateCfg []resource.Config
+	poolTop      [3]*Record
+	poolEnd      [3]int
+	poolTopN     int
+	candCount    int
+
 	// Per-tick scratch, reused across Decide calls.
 	windowBuf    []*Record
 	xsBuf        [][]float64
 	ysBuf        []float64
 	candidateBuf [][]float64
-	candidateCfg []resource.Config
-	candCount    int
 	muBuf        []float64
 	sigmaBuf     []float64
 	batchScratch gp.PredictScratch
@@ -164,7 +174,6 @@ type tick struct {
 	bestCfg resource.Config // the incumbent: the configuration that reached it
 	top     [3]*Record      // best topN window records, descending objective
 	topN    int
-	topEnd  [3]int // pool index one past each top record's neighborhood
 
 	mu, sigma []float64 // the proxy model's posterior over the pool
 }
@@ -414,8 +423,10 @@ func (e *Engine) rankWindow(t *tick) {
 // incumbent for local refinement (uniform compositions are often
 // pathologically imbalanced, and probing them in a live system punishes
 // the starved jobs — cf. the worst-job metric of Fig. 9), then the exact
-// neighborhoods of the top records. Configurations live in a per-engine
-// pool; the generation order fixes the RNG draw sequence.
+// neighborhoods of the top records. The random configurations live in a
+// per-engine pool; the generation order fixes the RNG draw sequence. A
+// neighborhood is only counted: nothing reads a neighbor as a
+// configuration but settle, and settle reads only the winner.
 func (e *Engine) buildPool(t *tick) {
 	e.candCount = 0
 	for i := 0; i < e.opt.Candidates/2; i++ {
@@ -426,9 +437,10 @@ func (e *Engine) buildPool(t *tick) {
 	for i := e.opt.Candidates / 2; i < e.opt.Candidates; i++ {
 		e.randomWalkInto(e.nextCandidate(), t.bestCfg, 3)
 	}
+	e.poolTop, e.poolTopN = t.top, t.topN
 	for i, rec := range t.top[:t.topN] {
-		e.appendManagedNeighbors(rec.Config)
-		t.topEnd[i] = e.candCount
+		e.candCount += e.neighborhoodSize(rec.Config)
+		e.poolEnd[i] = e.candCount
 	}
 }
 
@@ -461,8 +473,7 @@ func (e *Engine) settle(t *tick, idx int, score float64, err error) resource.Con
 		e.exploits++
 		return t.bestCfg
 	}
-	// The pool slot is reused next tick; hand out a copy.
-	return e.candidateCfg[idx].Clone()
+	return e.candidate(idx)
 }
 
 // syncModel folds this tick's window into the incremental proxy model,
@@ -544,19 +555,57 @@ func (e *Engine) vectors(lo, hi int) [][]float64 {
 	for len(e.candidateBuf) < hi {
 		e.candidateBuf = append(e.candidateBuf, nil)
 	}
-	for i := lo; i < hi; i++ {
+	for i := lo; i < min(hi, e.opt.Candidates); i++ {
 		e.candidateBuf[i] = e.space.VectorInto(e.candidateBuf[i], e.candidateCfg[i])
 	}
+	start := e.opt.Candidates
+	for s, rec := range e.poolTop[:e.poolTopN] {
+		if start < hi && lo < e.poolEnd[s] {
+			e.neighborVectors(rec, start, lo, hi)
+		}
+		start = e.poolEnd[s]
+	}
 	return e.candidateBuf[lo:hi]
+}
+
+// neighborVectors encodes the members of rec's neighborhood, which starts
+// at pool index i, that fall in [lo, hi). A neighbor's encoding is
+// rec.Vector with the donor's and the receiver's coordinates rewritten by
+// VectorInto's own expression, so it has the bits of encoding the moved
+// configuration.
+func (e *Engine) neighborVectors(rec *Record, i, lo, hi int) {
+	jobs := e.space.Jobs
+	for _, r := range e.managedRows {
+		row := rec.Config.Alloc[r]
+		units := float64(e.space.Resources[r].Units)
+		at := r * jobs
+		for from, u := range row {
+			if u <= 1 {
+				continue
+			}
+			give := float64(u-1) / units
+			for to, v := range row {
+				if to == from {
+					continue
+				}
+				if lo <= i && i < hi {
+					x := append(e.candidateBuf[i][:0], rec.Vector...)
+					x[at+from], x[at+to] = give, float64(v+1)/units
+					e.candidateBuf[i] = x
+				}
+				i++
+			}
+		}
+	}
 }
 
 // scorePool leaves the proxy model's posterior mean and standard deviation
 // at every pool candidate, in pool order, in t.mu and t.sigma. The random
 // and random-walk candidates are new every tick and scored from scratch.
-// The neighborhood of t.top[i] — pool entries up to t.topEnd[i] — depends
+// The neighborhood of poolTop[i] — pool entries up to poolEnd[i] — depends
 // on that record alone, so its block survives in the slot that last scored
 // the record, and the model re-scores it (means only) until a refit or
-// append outdates the block.
+// append outdates the block; only a block that misses encodes its vectors.
 func (e *Engine) scorePool(t *tick) {
 	if cap(e.muBuf) < e.candCount {
 		e.muBuf = make([]float64, e.candCount)
@@ -564,11 +613,11 @@ func (e *Engine) scorePool(t *tick) {
 	}
 	mu, sigma := e.muBuf[:e.candCount], e.sigmaBuf[:e.candCount]
 	t.mu, t.sigma = mu, sigma
-	top := t.top[:t.topN]
+	top := e.poolTop[:e.poolTopN]
 	lo := e.opt.Candidates
 	e.model.PredictBatchInto(&e.batchScratch, mu[:lo], sigma[:lo], e.vectors(0, lo))
 	for i, rec := range top {
-		hi := t.topEnd[i]
+		hi := e.poolEnd[i]
 		blk := e.blockFor(rec, top)
 		if blk.rec != rec || !e.model.RepredictBlockInto(&blk.Block, mu[lo:hi], sigma[lo:hi]) {
 			blk.rec = rec
@@ -625,28 +674,54 @@ func (e *Engine) randomWalkInto(dst, c resource.Config, steps int) {
 	}
 }
 
-// appendManagedNeighbors pushes every one-unit move of c within managed
-// rows onto the candidate pool, enumerated row, then donor, then receiver.
-func (e *Engine) appendManagedNeighbors(c resource.Config) {
-	for r, managed := range e.managedRow {
-		if !managed {
-			continue
-		}
-		for from := 0; from < e.space.Jobs; from++ {
-			if c.Alloc[r][from] <= 1 {
-				continue
-			}
-			for to := 0; to < e.space.Jobs; to++ {
-				if to == from {
-					continue
-				}
-				n := e.nextCandidate()
-				n.CopyFrom(c)
-				n.Alloc[r][from]--
-				n.Alloc[r][to]++
+// neighborhoodSize counts c's one-unit moves within managed rows: every job
+// holding more than one unit of a row can give one to each of the others.
+func (e *Engine) neighborhoodSize(c resource.Config) int {
+	donors := 0
+	for _, r := range e.managedRows {
+		for _, u := range c.Alloc[r] {
+			if u > 1 {
+				donors++
 			}
 		}
 	}
+	return donors * (e.space.Jobs - 1)
+}
+
+// candidate returns pool candidate idx as a configuration of its own: a
+// copy of a random slot, or the neighbor at its offset in the enumeration
+// order — managed row, then donor, then receiver — applied to a copy of its
+// record's configuration.
+func (e *Engine) candidate(idx int) resource.Config {
+	if idx < e.opt.Candidates {
+		return e.candidateCfg[idx].Clone()
+	}
+	s, off := 0, idx-e.opt.Candidates
+	for s < e.poolTopN-1 && idx >= e.poolEnd[s] {
+		off = idx - e.poolEnd[s]
+		s++
+	}
+	c, moves := e.poolTop[s].Config, e.space.Jobs-1
+	for _, r := range e.managedRows {
+		for from, u := range c.Alloc[r] {
+			if u <= 1 {
+				continue
+			}
+			if off >= moves {
+				off -= moves
+				continue
+			}
+			to := off
+			if to >= from {
+				to++
+			}
+			n := c.Clone()
+			n.Alloc[r][from]--
+			n.Alloc[r][to]++
+			return n
+		}
+	}
+	panic(fmt.Sprint("core: pool index past the pool: ", idx))
 }
 
 // trackProxyChange records the mean absolute relative change of the proxy

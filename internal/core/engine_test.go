@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -389,4 +390,175 @@ func TestRecordsEviction(t *testing.T) {
 	if w[2].LastTick != 7 || w[3].LastTick != 7 {
 		t.Fatalf("the other two tick-7 records must survive: window %v", windowKeys(w))
 	}
+}
+
+// appendManagedNeighbors is the pool's neighborhood stage as it was before
+// neighborhoods were described instead of built, kept as the oracle: every
+// one-unit move of c within managed rows, copied onto the pool, enumerated
+// row, then donor, then receiver.
+func appendManagedNeighbors(e *Engine, pool []resource.Config, c resource.Config) []resource.Config {
+	for r, managed := range e.managedRow {
+		if !managed {
+			continue
+		}
+		for from := 0; from < e.space.Jobs; from++ {
+			if c.Alloc[r][from] <= 1 {
+				continue
+			}
+			for to := 0; to < e.space.Jobs; to++ {
+				if to == from {
+					continue
+				}
+				n := e.space.NewConfig()
+				n.CopyFrom(c)
+				n.Alloc[r][from]--
+				n.Alloc[r][to]++
+				pool = append(pool, n)
+			}
+		}
+	}
+	return pool
+}
+
+// sameBits reports whether two encodings are equal bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPoolMatchesEagerNeighbours holds the described pool to the built one
+// over random spaces (1–24 jobs, 1–3 rows of J to 3J+5 units, random
+// Managed masks) and top records whose rows often sit on the 1-unit floor:
+// the pool size and each neighborhood's end, every candidate decoded by
+// candidate, and every encoding vectors writes — whole pool and random
+// sub-ranges — to VectorInto of the eager configuration, bit for bit. A
+// winner settle hands out is a configuration of its own: mutating it
+// leaves its record, and the pool, untouched.
+func TestPoolMatchesEagerNeighbours(t *testing.T) {
+	kinds := []resource.Kind{resource.Cores, resource.LLCWays, resource.MemBW}
+	const trials = 200
+	neighbors, floorRows := 0, 0
+	for trial := uint64(1); trial <= trials; trial++ {
+		rng := stats.NewRNG(trial)
+		jobs := 1 + rng.Intn(24)
+		var rs []resource.Resource
+		for _, k := range kinds[:1+rng.Intn(len(kinds))] {
+			rs = append(rs, resource.Resource{Kind: k, Units: jobs + rng.Intn(2*jobs+6)})
+		}
+		space := resource.MustNewSpace(jobs, rs...)
+		var managed []resource.Kind
+		if rng.Intn(3) > 0 {
+			for _, r := range rs {
+				if rng.Intn(2) == 0 {
+					managed = append(managed, r.Kind)
+				}
+			}
+			if len(managed) == 0 {
+				managed = append(managed, rs[rng.Intn(len(rs))].Kind)
+			}
+		}
+		e, err := New(space, Options{Seed: trial, Managed: managed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		where := func() string {
+			return fmt.Sprintf("trial %d (%d jobs, %v, managed %v)", trial, jobs, rs, managed)
+		}
+
+		// One to three distinct top records; a third of their rows put
+		// every job but one on its floor.
+		recs := NewRecords()
+		var tk tick
+		for tk.topN < 1+rng.Intn(3) {
+			c := space.Random(rng)
+			for r := range c.Alloc {
+				if rng.Intn(3) == 0 {
+					rich := rng.Intn(jobs)
+					for j := range c.Alloc[r] {
+						c.Alloc[r][j] = 1
+					}
+					c.Alloc[r][rich] = rs[r].Units - (jobs - 1)
+					floorRows++
+				}
+			}
+			if recs.Has(c) {
+				continue
+			}
+			tk.top[tk.topN] = recs.Update(space, c, rng.Float64(), rng.Float64(), 1)
+			tk.topN++
+		}
+		tk.bestCfg = tk.top[0].Config
+		e.buildPool(&tk)
+
+		var want []resource.Config
+		for _, c := range e.candidateCfg[:e.opt.Candidates] {
+			want = append(want, c.Clone())
+		}
+		for i, rec := range tk.top[:tk.topN] {
+			want = appendManagedNeighbors(e, want, rec.Config)
+			if e.poolEnd[i] != len(want) {
+				t.Fatalf("%s: neighborhood %d ends at %d, eager pool at %d", where(), i, e.poolEnd[i], len(want))
+			}
+		}
+		if e.candCount != len(want) {
+			t.Fatalf("%s: pool of %d candidates, eager pool %d", where(), e.candCount, len(want))
+		}
+		neighbors += len(want) - e.opt.Candidates
+
+		check := func(lo, hi int) {
+			t.Helper()
+			for i, x := range e.vectors(lo, hi) {
+				if w := space.VectorInto(nil, want[lo+i]); !sameBits(x, w) {
+					t.Fatalf("%s: vectors(%d, %d)[%d] = %v, eager %v", where(), lo, hi, lo+i, x, w)
+				}
+			}
+		}
+		check(0, len(want))
+		for i, w := range want {
+			if got := e.candidate(i); !got.Equal(w) {
+				t.Fatalf("%s: candidate(%d) = %s, eager %s", where(), i, got.Key(), w.Key())
+			}
+		}
+		for k := 0; k < 4; k++ {
+			lo := rng.Intn(len(want))
+			hi := lo + 1 + rng.Intn(len(want)-lo)
+			for i := lo; i < hi; i++ {
+				for d := range e.candidateBuf[i] {
+					e.candidateBuf[i][d] = math.NaN()
+				}
+			}
+			check(lo, hi)
+		}
+
+		// Probe a random winner and scribble over it.
+		idx := rng.Intn(len(want))
+		next := e.settle(&tk, idx, math.Inf(1), nil)
+		if !next.Equal(want[idx]) {
+			t.Fatalf("%s: settle(%d) = %s, eager %s", where(), idx, next.Key(), want[idx].Key())
+		}
+		for _, row := range next.Alloc {
+			for j := range row {
+				row[j] = 99
+			}
+		}
+		for _, rec := range tk.top[:tk.topN] {
+			if rec.Config.Key() != rec.Key || !sameBits(rec.Vector, space.Vector(rec.Config)) {
+				t.Fatalf("%s: mutating winner %d changed record %s", where(), idx, rec.Key)
+			}
+		}
+		if got := e.candidate(idx); !got.Equal(want[idx]) {
+			t.Fatalf("%s: after mutating the winner, candidate(%d) = %s, eager %s", where(), idx, got.Key(), want[idx].Key())
+		}
+	}
+	if neighbors == 0 || floorRows == 0 {
+		t.Fatalf("%d neighbors compared, %d floor rows: nothing exercised", neighbors, floorRows)
+	}
+	t.Logf("%d trials, %d neighbors compared, %d rows on the floor", trials, neighbors, floorRows)
 }

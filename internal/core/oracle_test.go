@@ -63,9 +63,11 @@ func (o *refitOracle) check(tick int, current, next resource.Config) {
 		o.t.Fatalf("tick %d: reference fit on the engine's %d-record window: %v", tick, len(xs), err)
 	}
 
-	pool := e.candidateCfg[:e.candCount]
+	pool := make([]resource.Config, e.candCount)
 	mu, sigma := make([]float64, len(pool)), make([]float64, len(pool))
-	for i, c := range pool {
+	for i := range pool {
+		c := e.candidate(i)
+		pool[i] = c
 		mu[i], sigma[i] = ref.Predict(e.space.Vector(c))
 		if math.Abs(e.muBuf[i]-mu[i]) > 1e-9 || math.Abs(e.sigmaBuf[i]-sigma[i]) > 1e-9 {
 			o.t.Fatalf("tick %d: candidate %d of %d (%s): engine posterior (%v, %v), refit (%v, %v)",

@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"satori/internal/rdt"
@@ -11,8 +10,8 @@ import (
 	"satori/internal/workloads"
 )
 
-// fleetRun is what one seeded fleet run leaves behind: the TickStats of
-// every accounted tick, the CSV trace of the ticks that completed, the
+// fleetRun is what one seeded fleet run leaves behind: the TickStats and
+// the CSV trace of every accounted tick, the halting one included, the
 // final Summary, and whether the injected fatal fault halted it.
 type fleetRun struct {
 	ticks  []TickStats
@@ -64,12 +63,6 @@ func runFleetOps(t *testing.T, name string, opt Options, horizon int) fleetRun {
 		break
 	}
 	run.csv = seriesCSV(t, c)
-	if run.halted {
-		// The failed tick's own row is not part of the cross-worker
-		// contract: the serial pool stops at the failing node, a parallel
-		// one has already stepped the nodes after it (ROADMAP item 6f).
-		run.csv = run.csv[:strings.LastIndex(strings.TrimSuffix(run.csv, "\n"), "\n")+1]
-	}
 	run.sum = c.Summary()
 
 	// The fold: everything Summary reports about the run so far, from the

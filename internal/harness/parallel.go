@@ -73,12 +73,12 @@ func ForEach(workers, n int, fn func(i int) error) error {
 }
 
 // forEach runs fn(i) for every i in [0, n) on a bounded pool of workers
-// and returns the lowest-index error (matching the serial path, which
-// stops at the first failing index). Each fn must write its output into
-// caller-owned, index-addressed storage; forEach imposes no result
-// ordering of its own, so aggregation order never depends on goroutine
-// scheduling. workers follows the package convention (0 = all CPUs,
-// 1 = serial).
+// and returns the lowest-index error. Every index runs on both paths, so
+// the state fn leaves behind does not depend on the worker count. Each fn
+// must write its output into caller-owned, index-addressed storage;
+// forEach imposes no result ordering of its own, so aggregation order never
+// depends on goroutine scheduling. workers follows the package convention
+// (0 = all CPUs, 1 = serial).
 func forEach(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -88,16 +88,23 @@ func forEach(workers, n int, fn func(i int) error) error {
 		workers = n
 	}
 	if workers <= 1 {
+		var first error
 		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
+			if err := fn(i); err != nil && first == nil {
+				first = err
 			}
 		}
-		return nil
+		return first
 	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	// The lowest failing index is taken under the lock, which only a
+	// failure touches.
+	var (
+		next    atomic.Int64
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		firstAt = n
+		first   error
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -107,15 +114,16 @@ func forEach(workers, n int, fn func(i int) error) error {
 				if i >= n {
 					return
 				}
-				errs[i] = fn(i)
+				if err := fn(i); err != nil {
+					mu.Lock()
+					if i < firstAt {
+						firstAt, first = i, err
+					}
+					mu.Unlock()
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return first
 }

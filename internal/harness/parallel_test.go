@@ -129,17 +129,28 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
-func TestForEachSerialStopsAtFirstError(t *testing.T) {
-	calls := 0
-	err := forEach(1, 10, func(i int) error {
-		calls++
-		if i == 2 {
-			return fmt.Errorf("boom")
+// A failing index stops nothing on either path: every index still runs, so
+// what fn leaves behind is the same for any worker count, and the error
+// returned is the lowest index's.
+func TestForEachRunsEveryIndexPastAnError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		const n = 10
+		var visits [n]atomic.Int32
+		err := forEach(workers, n, func(i int) error {
+			visits[i].Add(1)
+			if i == 2 || i == 7 {
+				return fmt.Errorf("boom at %d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "boom at 2" {
+			t.Errorf("workers=%d: got %v, want the error of index 2", workers, err)
 		}
-		return nil
-	})
-	if err == nil || calls != 3 {
-		t.Errorf("serial path made %d calls (err %v), want 3", calls, err)
+		for i := range visits {
+			if got := visits[i].Load(); got != 1 {
+				t.Errorf("workers=%d: index %d visited %d times, want 1", workers, i, got)
+			}
+		}
 	}
 	if err := forEach(4, 0, func(int) error { return fmt.Errorf("never") }); err != nil {
 		t.Errorf("n=0 returned %v", err)

@@ -14,6 +14,7 @@ package resource
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -281,16 +282,19 @@ func randomComposition(rng *stats.RNG, units, parts int, out []int) {
 		return
 	}
 	// Sample parts-1 distinct cut points from {1, ..., units-1} with a
-	// partial Fisher-Yates over the candidate positions. The position
-	// scratch lives on the stack for every realistic unit count.
+	// partial Fisher-Yates over the candidate positions, mark cut p as bit
+	// p-1 of a bitset and read the bits back in ascending order. Both
+	// work arrays live on the stack for every unit count up to 65.
 	n := units - 1
 	k := parts - 1
 	var posArr [64]int
+	var setArr [1]uint64
 	var pos []int
+	var set []uint64
 	if n <= len(posArr) {
-		pos = posArr[:n]
+		pos, set = posArr[:n], setArr[:]
 	} else {
-		pos = make([]int, n)
+		pos, set = make([]int, n), make([]uint64, (n+63)/64)
 	}
 	for i := range pos {
 		pos[i] = i + 1
@@ -299,23 +303,20 @@ func randomComposition(rng *stats.RNG, units, parts int, out []int) {
 		j := i + rng.Intn(n-i)
 		pos[i], pos[j] = pos[j], pos[i]
 	}
-	cuts := pos[:k]
-	sortInts(cuts)
-	prev := 0
-	for i, cut := range cuts {
-		out[i] = cut - prev
-		prev = cut
+	for _, cut := range pos[:k] {
+		b := uint(cut - 1)
+		set[b/64] |= 1 << (b % 64)
 	}
-	out[parts-1] = units - prev
-}
-
-func sortInts(xs []int) {
-	// Insertion sort: cut-point slices are tiny (jobs−1 elements).
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
+	prev, i := 0, 0
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			cut := w*64 + bits.TrailingZeros64(word) + 1
+			out[i] = cut - prev
+			prev = cut
+			i++
 		}
 	}
+	out[parts-1] = units - prev
 }
 
 // Enumerate calls fn for every valid configuration in the space, in a

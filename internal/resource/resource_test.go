@@ -173,6 +173,74 @@ func TestRandomCompositionUniformity(t *testing.T) {
 	}
 }
 
+// sortedComposition is randomComposition as it was before the bitset: the
+// same partial Fisher-Yates, its cut points put in order by insertion sort.
+func sortedComposition(rng *stats.RNG, units, parts int, out []int) {
+	if parts == 1 {
+		out[0] = units
+		return
+	}
+	n := units - 1
+	k := parts - 1
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = i + 1
+	}
+	for i := 0; i < k; i++ {
+		j := i + rng.Intn(n-i)
+		pos[i], pos[j] = pos[j], pos[i]
+	}
+	cuts := pos[:k]
+	for i := 1; i < len(cuts); i++ {
+		for j := i; j > 0 && cuts[j] < cuts[j-1]; j-- {
+			cuts[j], cuts[j-1] = cuts[j-1], cuts[j]
+		}
+	}
+	prev := 0
+	for i, cut := range cuts {
+		out[i] = cut - prev
+		prev = cut
+	}
+	out[parts-1] = units - prev
+}
+
+// TestRandomCompositionMatchesSortOracle holds the bitset walk to the sort
+// it replaced for every (units, parts) with units up to 140: the same
+// composition, and the same draws consumed, so the generator's next output
+// agrees. Past 65 units the bitset has several words and lives on the heap;
+// parts == units sets every bit.
+func TestRandomCompositionMatchesSortOracle(t *testing.T) {
+	const draws = 4
+	compared, multiWord := 0, 0
+	for units := 1; units <= 140; units++ {
+		for parts := 1; parts <= units; parts++ {
+			got, want := make([]int, parts), make([]int, parts)
+			for d := uint64(0); d < draws; d++ {
+				seed := uint64(units)<<20 | uint64(parts)<<4 | d
+				rng, oracle := stats.NewRNG(seed), stats.NewRNG(seed)
+				randomComposition(rng, units, parts, got)
+				sortedComposition(oracle, units, parts, want)
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("units %d parts %d seed %d: composition %v, oracle %v", units, parts, seed, got, want)
+					}
+				}
+				if g, w := rng.Uint64(), oracle.Uint64(); g != w {
+					t.Fatalf("units %d parts %d seed %d: next draw %#x, oracle %#x: a different number of draws was consumed", units, parts, seed, g, w)
+				}
+				compared++
+				if units-1 > 64 {
+					multiWord++
+				}
+			}
+		}
+	}
+	if multiWord == 0 {
+		t.Fatal("no multi-word bitset was compared")
+	}
+	t.Logf("%d compositions compared, %d over a multi-word bitset", compared, multiWord)
+}
+
 func TestCloneIndependence(t *testing.T) {
 	s := testSpace(t)
 	a := s.EqualSplit()
