@@ -111,6 +111,7 @@ func (m *Incremental) predictBatch(s *PredictScratch, kstar, mu, sigma []float64
 	}
 	xs, kernel, n := m.xbuf[:m.n], m.kernel, m.n
 	s.panel = grow(s.panel, n*min(q, panelWidth))
+	s.zeros = grow(s.zeros, n) // nothing writes it: fresh or reused, all zero
 	m52, isM52 := kernel.(Matern52)
 	for p0 := 0; p0 < q; p0 += panelWidth {
 		p1 := min(p0+panelWidth, q)
@@ -133,13 +134,9 @@ func (m *Incremental) predictBatch(s *PredictScratch, kstar, mu, sigma []float64
 		// One triangular sweep for the whole panel: V = L⁻¹·K*.
 		vmat := linalg.Matrix{Rows: n, Cols: w, Data: s.panel[:n*w]}
 		m.chol.SolveLowerMatrixInto(&vmat, &kmat)
-		// Squared norms ‖v_c‖², rows ascending; sigma doubles as accumulator.
-		for c := range psigma {
-			psigma[c] = 0
-		}
-		for i := 0; i < n; i++ {
-			linalg.AddSquares(psigma, vmat.Data[i*w:i*w+w])
-		}
+		// Squared norms ‖v_c‖², rows ascending, into sigma: the squared
+		// distance of v_c from the origin, since v − 0 is exactly v.
+		linalg.SquaredDistancesInto(psigma, vmat.Data, s.zeros)
 		for c, x := range pts {
 			// k(x, x): every shipped kernel evaluates to exactly Variance at
 			// zero distance (r = 0, exp(-0) = 1), so the concrete fast path
@@ -162,13 +159,7 @@ func (m *Incremental) predictBatch(s *PredictScratch, kstar, mu, sigma []float64
 // panelMeans writes the posterior means mu_c = mean + Σ_i k*_ic·α_i of one
 // n×len(mu) cross-covariance panel, rows ascending (linalg.Dot's order).
 func panelMeans(mu, kpanel, alpha []float64, mean float64) {
-	w := len(mu)
-	for c := range mu {
-		mu[c] = 0
-	}
-	for i, ai := range alpha {
-		linalg.AddScaled(mu, kpanel[i*w:i*w+w], ai)
-	}
+	linalg.DotsInto(mu, kpanel, alpha)
 	for c := range mu {
 		mu[c] = mean + mu[c]
 	}

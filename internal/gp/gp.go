@@ -196,10 +196,12 @@ type PredictScratch struct {
 	// kmat holds the n×m cross-covariance block of a stateless
 	// PredictBatchInto, panel the triangular solve of one
 	// panelWidth-column slice of it, and pt that slice's query points
-	// transposed dim-major for the staged fill.
+	// transposed dim-major for the staged fill. zeros stays all zero: the
+	// origin the squared norms of the solved panel are distances from.
 	kmat  []float64
 	panel []float64
 	pt    []float64
+	zeros []float64
 }
 
 // Predict returns the posterior mean and standard deviation at x — the

@@ -1,14 +1,16 @@
-// Column kernels: the seven inner loops under the GP scoring path. Each
+// Column kernels: the four inner loops under the GP scoring path. Each
 // runs over independent columns — pool candidates — and does, per column,
 // a fixed sequence of IEEE operations rounded after every step. The loops
 // below are that sequence in portable Go; on an amd64 CPU with AVX,
 // kernels_amd64.go swaps in 256-bit versions that put four columns in one
 // register and issue the same multiply, subtract, add and divide per lane,
 // never fused, so a column's value is the same bits either way (DESIGN.md
-// §4, "Column kernels"). The seventh, the Matérn transform, ends in
-// math.Exp: its amd64 copy fuses exactly where math.Exp's own assembly
-// does, on exactly the CPUs where it does. The Go loops are what every
-// other architecture runs and what the tests hold the assembly to.
+// §4, "Column kernels"). The three linear ones take a whole panel per call
+// and produce one output row, the running value of every column held in a
+// register across all the rows it reads. The fourth, the Matérn transform,
+// ends in math.Exp: its amd64 copy fuses exactly where math.Exp's own
+// assembly does, on exactly the CPUs where it does. The Go loops are what
+// every other architecture runs and what the tests hold the assembly to.
 
 package linalg
 
@@ -17,21 +19,16 @@ import (
 	"math"
 )
 
-// columnKernels is one implementation of the seven loops.
+// columnKernels is one implementation of the four loops. In each linear
+// one pt is a row-major panel of len(x) rows, len(dst) columns wide.
 type columnKernels struct {
-	// subMul8: y[j] = ((y[j] − l[0]·rows[j]) − … − l[7]·rows[7·stride+j]),
-	// the chained subtraction of eight solved rows, left to right.
-	subMul8 func(y []float64, l *[8]float64, rows []float64, stride int)
-	// subMul: y[j] −= l·x[j].
-	subMul func(y, x []float64, l float64)
-	// div: y[j] /= pivot (a division, not a multiplication by 1/pivot).
-	div func(y []float64, pivot float64)
 	// sqDists: dst[c] = Σ_d (pt[d·len(dst)+c] − x[d])², d ascending from 0.
 	sqDists func(dst, pt, x []float64)
-	// addMul: acc[c] += a·v[c].
-	addMul func(acc, v []float64, a float64)
-	// addSq: acc[c] += v[c]².
-	addSq func(acc, v []float64)
+	// dots: dst[c] = Σ_i pt[i·len(dst)+c]·x[i], i ascending from 0.
+	dots func(dst, pt, x []float64)
+	// solveRow: dst[c] = (((b[c] − x[0]·pt[c]) − x[1]·pt[len(dst)+c]) − …)
+	// / pivot, the chained subtraction k-ascending, then one division.
+	solveRow func(dst, b, pt, x []float64, pivot float64)
 	// matern52: row[c] = vr·(1 + √5r + 5r²/3)·exp(−√5r), r = √row[c]/ls.
 	matern52 func(row []float64, ls, vr float64)
 }
@@ -41,43 +38,10 @@ type columnKernels struct {
 var kern = &portableKernels
 
 var portableKernels = columnKernels{
-	subMul8:  subMul8Go,
-	subMul:   subMulGo,
-	div:      divGo,
 	sqDists:  sqDistsGo,
-	addMul:   addMulGo,
-	addSq:    addSqGo,
+	dots:     dotsGo,
+	solveRow: solveRowGo,
 	matern52: matern52Go,
-}
-
-func subMul8Go(y []float64, l *[8]float64, rows []float64, stride int) {
-	m := len(y)
-	y0 := rows[0*stride : 0*stride+m : 0*stride+m]
-	y1 := rows[1*stride : 1*stride+m : 1*stride+m]
-	y2 := rows[2*stride : 2*stride+m : 2*stride+m]
-	y3 := rows[3*stride : 3*stride+m : 3*stride+m]
-	y4 := rows[4*stride : 4*stride+m : 4*stride+m]
-	y5 := rows[5*stride : 5*stride+m : 5*stride+m]
-	y6 := rows[6*stride : 6*stride+m : 6*stride+m]
-	y7 := rows[7*stride : 7*stride+m : 7*stride+m]
-	l0, l1, l2, l3, l4, l5, l6, l7 := l[0], l[1], l[2], l[3], l[4], l[5], l[6], l[7]
-	for j, v := range y {
-		v = v - l0*y0[j] - l1*y1[j] - l2*y2[j] - l3*y3[j]
-		y[j] = v - l4*y4[j] - l5*y5[j] - l6*y6[j] - l7*y7[j]
-	}
-}
-
-func subMulGo(y, x []float64, l float64) {
-	x = x[:len(y)]
-	for j, v := range x {
-		y[j] -= l * v
-	}
-}
-
-func divGo(y []float64, pivot float64) {
-	for j := range y {
-		y[j] /= pivot
-	}
 }
 
 func sqDistsGo(dst, pt, x []float64) {
@@ -94,17 +58,30 @@ func sqDistsGo(dst, pt, x []float64) {
 	}
 }
 
-func addMulGo(acc, v []float64, a float64) {
-	v = v[:len(acc)]
-	for c, x := range v {
-		acc[c] += x * a
+func dotsGo(dst, pt, x []float64) {
+	q := len(dst)
+	for c := range dst {
+		dst[c] = 0
+	}
+	for i, a := range x {
+		row := pt[i*q : i*q+q : i*q+q]
+		for c, v := range row {
+			dst[c] += v * a
+		}
 	}
 }
 
-func addSqGo(acc, v []float64) {
-	v = v[:len(acc)]
-	for c, x := range v {
-		acc[c] += x * x
+func solveRowGo(dst, b, pt, x []float64, pivot float64) {
+	q := len(dst)
+	copy(dst, b[:q])
+	for k, l := range x {
+		row := pt[k*q : k*q+q : k*q+q]
+		for c, v := range row {
+			dst[c] -= l * v
+		}
+	}
+	for c := range dst {
+		dst[c] /= pivot
 	}
 }
 
@@ -130,20 +107,15 @@ func SquaredDistancesInto(dst, pt, x []float64) {
 	kern.sqDists(dst, pt, x)
 }
 
-// AddScaled accumulates acc[c] += a·v[c] over equal-length vectors.
-func AddScaled(acc, v []float64, a float64) {
-	if len(acc) != len(v) {
-		panic(fmt.Sprintf("linalg: AddScaled dimension mismatch: %d vs %d", len(acc), len(v)))
+// DotsInto writes, for every column c of the row-major panel pt
+// (pt[i·len(dst)+c] is row i of column c), the inner product Σ_i
+// pt_c[i]·x[i] into dst[c] — per column the sum Dot computes, rows
+// ascending.
+func DotsInto(dst, pt, x []float64) {
+	if len(pt) != len(x)*len(dst) {
+		panic(fmt.Sprintf("linalg: DotsInto got a panel of %d for %d columns of %d rows", len(pt), len(dst), len(x)))
 	}
-	kern.addMul(acc, v, a)
-}
-
-// AddSquares accumulates acc[c] += v[c]² over equal-length vectors.
-func AddSquares(acc, v []float64) {
-	if len(acc) != len(v) {
-		panic(fmt.Sprintf("linalg: AddSquares dimension mismatch: %d vs %d", len(acc), len(v)))
-	}
-	kern.addSq(acc, v)
+	kern.dots(dst, pt, x)
 }
 
 // Matern52Row turns a row of squared distances d² into Matérn 5/2

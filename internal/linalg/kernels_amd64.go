@@ -13,12 +13,9 @@ package linalg
 // and stays consistent with itself, as every other architecture does.
 
 var avxKernels = columnKernels{
-	subMul8:  subMul8AVX,
-	subMul:   subMulAVX,
-	div:      divAVX,
 	sqDists:  sqDistsAVX,
-	addMul:   addMulAVX,
-	addSq:    addSqAVX,
+	dots:     dotsAVX,
+	solveRow: solveRowAVX,
 	matern52: matern52AVX,
 }
 
@@ -81,22 +78,13 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func subMul8AVX(y []float64, l *[8]float64, rows []float64, stride int)
-
-//go:noescape
-func subMulAVX(y, x []float64, l float64)
-
-//go:noescape
-func divAVX(y []float64, pivot float64)
-
-//go:noescape
 func sqDistsAVX(dst, pt, x []float64)
 
 //go:noescape
-func addMulAVX(acc, v []float64, a float64)
+func dotsAVX(dst, pt, x []float64)
 
 //go:noescape
-func addSqAVX(acc, v []float64)
+func solveRowAVX(dst, b, pt, x []float64, pivot float64)
 
 // matern52Blocks transforms row four columns at a time and returns how many
 // columns it transformed: a multiple of four, short of len(row) when the

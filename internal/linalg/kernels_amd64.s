@@ -3,11 +3,11 @@
 // AVX column kernels (see kernels.go for what each computes). Four doubles
 // per instruction, unaligned loads, a multiply and then a separate
 // subtract, add or divide — never a fused multiply-add, which rounds once
-// where the Go loops round twice. Every function walks its columns four at
-// a time and then one at a time with the scalar forms of the same
-// instructions; the two that chain many operations per column (subMul8,
-// sqDists) first take blocks of 16, four independent chains to a block.
-// Each clears the upper register halves before it returns.
+// where the Go loops round twice. Each call produces one output row: it
+// walks the columns in blocks of 16 (four independent chains), then 4,
+// then 1, and holds a block's running values in registers while it walks
+// down the block's column of the panel, R9 stepping R8 = 8·len(dst) bytes
+// a row. Each clears the upper register halves before it returns.
 
 #include "textflag.h"
 
@@ -30,181 +30,7 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// One solved row P with its factor entry broadcast in L, subtracted from
-// the running values: 16 columns in Y0-Y3, 4 in Y0, 1 in X0.
-#define SUBROW16(P, L) \
-	VMULPD (P)(CX*8), L, Y4; \
-	VMULPD 32(P)(CX*8), L, Y5; \
-	VMULPD 64(P)(CX*8), L, Y6; \
-	VMULPD 96(P)(CX*8), L, Y7; \
-	VSUBPD Y4, Y0, Y0; \
-	VSUBPD Y5, Y1, Y1; \
-	VSUBPD Y6, Y2, Y2; \
-	VSUBPD Y7, Y3, Y3
-
-#define SUBROW4(P, L) \
-	VMULPD (P)(CX*8), L, Y4; \
-	VSUBPD Y4, Y0, Y0
-
-#define SUBROW1(P, L) \
-	VMULSD (P)(CX*8), L, X4; \
-	VSUBSD X4, X0, X0
-
-// func subMul8AVX(y []float64, l *[8]float64, rows []float64, stride int)
-TEXT ·subMul8AVX(SB), NOSPLIT, $0-64
-	MOVQ y_base+0(FP), DI
-	MOVQ y_len+8(FP), AX
-	MOVQ l+24(FP), DX
-	MOVQ rows_base+32(FP), SI
-	MOVQ stride+56(FP), BX
-	TESTQ AX, AX
-	JE   sm8done
-	SHLQ $3, BX
-	LEAQ (SI)(BX*1), R8
-	LEAQ (R8)(BX*1), R9
-	LEAQ (R9)(BX*1), R10
-	LEAQ (R10)(BX*1), R11
-	LEAQ (R11)(BX*1), R12
-	LEAQ (R12)(BX*1), R13
-	LEAQ (R13)(BX*1), BX
-	VBROADCASTSD 0(DX), Y8
-	VBROADCASTSD 8(DX), Y9
-	VBROADCASTSD 16(DX), Y10
-	VBROADCASTSD 24(DX), Y11
-	VBROADCASTSD 32(DX), Y12
-	VBROADCASTSD 40(DX), Y13
-	VBROADCASTSD 48(DX), Y14
-	VBROADCASTSD 56(DX), Y15
-	XORQ CX, CX
-
-sm8loop16:
-	CMPQ AX, $16
-	JL   sm8loop4
-	VMOVUPD (DI)(CX*8), Y0
-	VMOVUPD 32(DI)(CX*8), Y1
-	VMOVUPD 64(DI)(CX*8), Y2
-	VMOVUPD 96(DI)(CX*8), Y3
-	SUBROW16(SI, Y8)
-	SUBROW16(R8, Y9)
-	SUBROW16(R9, Y10)
-	SUBROW16(R10, Y11)
-	SUBROW16(R11, Y12)
-	SUBROW16(R12, Y13)
-	SUBROW16(R13, Y14)
-	SUBROW16(BX, Y15)
-	VMOVUPD Y0, (DI)(CX*8)
-	VMOVUPD Y1, 32(DI)(CX*8)
-	VMOVUPD Y2, 64(DI)(CX*8)
-	VMOVUPD Y3, 96(DI)(CX*8)
-	ADDQ $16, CX
-	SUBQ $16, AX
-	JMP  sm8loop16
-
-sm8loop4:
-	CMPQ AX, $4
-	JL   sm8loop1
-	VMOVUPD (DI)(CX*8), Y0
-	SUBROW4(SI, Y8)
-	SUBROW4(R8, Y9)
-	SUBROW4(R9, Y10)
-	SUBROW4(R10, Y11)
-	SUBROW4(R11, Y12)
-	SUBROW4(R12, Y13)
-	SUBROW4(R13, Y14)
-	SUBROW4(BX, Y15)
-	VMOVUPD Y0, (DI)(CX*8)
-	ADDQ $4, CX
-	SUBQ $4, AX
-	JMP  sm8loop4
-
-sm8loop1:
-	TESTQ AX, AX
-	JE   sm8done
-	VMOVSD (DI)(CX*8), X0
-	SUBROW1(SI, X8)
-	SUBROW1(R8, X9)
-	SUBROW1(R9, X10)
-	SUBROW1(R10, X11)
-	SUBROW1(R11, X12)
-	SUBROW1(R12, X13)
-	SUBROW1(R13, X14)
-	SUBROW1(BX, X15)
-	VMOVSD X0, (DI)(CX*8)
-	INCQ CX
-	DECQ AX
-	JMP  sm8loop1
-
-sm8done:
-	VZEROUPPER
-	RET
-
-// func subMulAVX(y, x []float64, l float64)
-TEXT ·subMulAVX(SB), NOSPLIT, $0-56
-	MOVQ y_base+0(FP), DI
-	MOVQ y_len+8(FP), AX
-	MOVQ x_base+24(FP), SI
-	VBROADCASTSD l+48(FP), Y8
-	XORQ CX, CX
-
-smloop4:
-	CMPQ AX, $4
-	JL   smloop1
-	VMOVUPD (DI)(CX*8), Y0
-	SUBROW4(SI, Y8)
-	VMOVUPD Y0, (DI)(CX*8)
-	ADDQ $4, CX
-	SUBQ $4, AX
-	JMP  smloop4
-
-smloop1:
-	TESTQ AX, AX
-	JE   smdone
-	VMOVSD (DI)(CX*8), X0
-	SUBROW1(SI, X8)
-	VMOVSD X0, (DI)(CX*8)
-	INCQ CX
-	DECQ AX
-	JMP  smloop1
-
-smdone:
-	VZEROUPPER
-	RET
-
-// func divAVX(y []float64, pivot float64)
-TEXT ·divAVX(SB), NOSPLIT, $0-32
-	MOVQ y_base+0(FP), DI
-	MOVQ y_len+8(FP), AX
-	VBROADCASTSD pivot+24(FP), Y8
-	XORQ CX, CX
-
-divloop4:
-	CMPQ AX, $4
-	JL   divloop1
-	VMOVUPD (DI)(CX*8), Y0
-	VDIVPD Y8, Y0, Y0
-	VMOVUPD Y0, (DI)(CX*8)
-	ADDQ $4, CX
-	SUBQ $4, AX
-	JMP  divloop4
-
-divloop1:
-	TESTQ AX, AX
-	JE   divdone
-	VMOVSD (DI)(CX*8), X0
-	VDIVSD X8, X0, X0
-	VMOVSD X0, (DI)(CX*8)
-	INCQ CX
-	DECQ AX
-	JMP  divloop1
-
-divdone:
-	VZEROUPPER
-	RET
-
 // func sqDistsAVX(dst, pt, x []float64)
-//
-// The running sums of a column block stay in registers across all
-// dimensions; R9 walks down the block's rows of the panel, R8 bytes apart.
 TEXT ·sqDistsAVX(SB), NOSPLIT, $0-72
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), AX
@@ -222,7 +48,7 @@ sqblock16:
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
 	MOVQ SI, R9
-	XORQ CX, CX
+	XORL CX, CX
 
 sqdim16:
 	CMPQ CX, BX
@@ -263,7 +89,7 @@ sqblock4:
 	JL   sqblock1
 	VXORPD Y0, Y0, Y0
 	MOVQ SI, R9
-	XORQ CX, CX
+	XORL CX, CX
 
 sqdim4:
 	CMPQ CX, BX
@@ -289,7 +115,7 @@ sqblock1:
 	JE   sqdone
 	VXORPD X0, X0, X0
 	MOVQ SI, R9
-	XORQ CX, CX
+	XORL CX, CX
 
 sqdim1:
 	CMPQ CX, BX
@@ -313,71 +139,212 @@ sqdone:
 	VZEROUPPER
 	RET
 
-// func addMulAVX(acc, v []float64, a float64)
-TEXT ·addMulAVX(SB), NOSPLIT, $0-56
-	MOVQ acc_base+0(FP), DI
-	MOVQ acc_len+8(FP), AX
-	MOVQ v_base+24(FP), SI
-	VBROADCASTSD a+48(FP), Y8
-	XORQ CX, CX
+// func dotsAVX(dst, pt, x []float64)
+TEXT ·dotsAVX(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), AX
+	MOVQ pt_base+24(FP), SI
+	MOVQ x_base+48(FP), DX
+	MOVQ x_len+56(FP), BX
+	MOVQ AX, R8
+	SHLQ $3, R8
 
-amloop4:
-	CMPQ AX, $4
-	JL   amloop1
-	VMULPD (SI)(CX*8), Y8, Y4
-	VMOVUPD (DI)(CX*8), Y0
+dotblock16:
+	CMPQ AX, $16
+	JL   dotblock4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ SI, R9
+	XORL CX, CX
+
+dotrow16:
+	CMPQ CX, BX
+	JGE  dotstore16
+	VBROADCASTSD (DX)(CX*8), Y8
+	VMULPD (R9), Y8, Y4
+	VMULPD 32(R9), Y8, Y5
+	VMULPD 64(R9), Y8, Y6
+	VMULPD 96(R9), Y8, Y7
 	VADDPD Y4, Y0, Y0
-	VMOVUPD Y0, (DI)(CX*8)
-	ADDQ $4, CX
-	SUBQ $4, AX
-	JMP  amloop4
-
-amloop1:
-	TESTQ AX, AX
-	JE   amdone
-	VMULSD (SI)(CX*8), X8, X4
-	VMOVSD (DI)(CX*8), X0
-	VADDSD X4, X0, X0
-	VMOVSD X0, (DI)(CX*8)
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+	ADDQ R8, R9
 	INCQ CX
-	DECQ AX
-	JMP  amloop1
+	JMP  dotrow16
 
-amdone:
+dotstore16:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, SI
+	SUBQ $16, AX
+	JMP  dotblock16
+
+dotblock4:
+	CMPQ AX, $4
+	JL   dotblock1
+	VXORPD Y0, Y0, Y0
+	MOVQ SI, R9
+	XORL CX, CX
+
+dotrow4:
+	CMPQ CX, BX
+	JGE  dotstore4
+	VBROADCASTSD (DX)(CX*8), Y8
+	VMULPD (R9), Y8, Y4
+	VADDPD Y4, Y0, Y0
+	ADDQ R8, R9
+	INCQ CX
+	JMP  dotrow4
+
+dotstore4:
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	SUBQ $4, AX
+	JMP  dotblock4
+
+dotblock1:
+	TESTQ AX, AX
+	JE   dotdone
+	VXORPD X0, X0, X0
+	MOVQ SI, R9
+	XORL CX, CX
+
+dotrow1:
+	CMPQ CX, BX
+	JGE  dotstore1
+	VMOVSD (DX)(CX*8), X8
+	VMULSD (R9), X8, X4
+	VADDSD X4, X0, X0
+	ADDQ R8, R9
+	INCQ CX
+	JMP  dotrow1
+
+dotstore1:
+	VMOVSD X0, (DI)
+	ADDQ $8, DI
+	ADDQ $8, SI
+	DECQ AX
+	JMP  dotblock1
+
+dotdone:
 	VZEROUPPER
 	RET
 
-// func addSqAVX(acc, v []float64)
-TEXT ·addSqAVX(SB), NOSPLIT, $0-48
-	MOVQ acc_base+0(FP), DI
-	MOVQ acc_len+8(FP), AX
-	MOVQ v_base+24(FP), SI
-	XORQ CX, CX
+// func solveRowAVX(dst, b, pt, x []float64, pivot float64)
+//
+// A block starts from b's values, subtracts one solved row of pt per factor
+// entry in x, and is divided by the pivot in Y15 once, on its way out.
+TEXT ·solveRowAVX(SB), NOSPLIT, $0-104
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), AX
+	MOVQ b_base+24(FP), R10
+	MOVQ pt_base+48(FP), SI
+	MOVQ x_base+72(FP), DX
+	MOVQ x_len+80(FP), BX
+	VBROADCASTSD pivot+96(FP), Y15
+	MOVQ AX, R8
+	SHLQ $3, R8
 
-asloop4:
-	CMPQ AX, $4
-	JL   asloop1
-	VMOVUPD (SI)(CX*8), Y4
-	VMULPD Y4, Y4, Y4
-	VMOVUPD (DI)(CX*8), Y0
-	VADDPD Y4, Y0, Y0
-	VMOVUPD Y0, (DI)(CX*8)
-	ADDQ $4, CX
-	SUBQ $4, AX
-	JMP  asloop4
+srblock16:
+	CMPQ AX, $16
+	JL   srblock4
+	VMOVUPD (R10), Y0
+	VMOVUPD 32(R10), Y1
+	VMOVUPD 64(R10), Y2
+	VMOVUPD 96(R10), Y3
+	MOVQ SI, R9
+	XORL CX, CX
 
-asloop1:
-	TESTQ AX, AX
-	JE   asdone
-	VMOVSD (SI)(CX*8), X4
-	VMULSD X4, X4, X4
-	VMOVSD (DI)(CX*8), X0
-	VADDSD X4, X0, X0
-	VMOVSD X0, (DI)(CX*8)
+srrow16:
+	CMPQ CX, BX
+	JGE  srstore16
+	VBROADCASTSD (DX)(CX*8), Y8
+	VMULPD (R9), Y8, Y4
+	VMULPD 32(R9), Y8, Y5
+	VMULPD 64(R9), Y8, Y6
+	VMULPD 96(R9), Y8, Y7
+	VSUBPD Y4, Y0, Y0
+	VSUBPD Y5, Y1, Y1
+	VSUBPD Y6, Y2, Y2
+	VSUBPD Y7, Y3, Y3
+	ADDQ R8, R9
 	INCQ CX
-	DECQ AX
-	JMP  asloop1
+	JMP  srrow16
 
-asdone:
+srstore16:
+	VDIVPD Y15, Y0, Y0
+	VDIVPD Y15, Y1, Y1
+	VDIVPD Y15, Y2, Y2
+	VDIVPD Y15, Y3, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, R10
+	ADDQ $128, SI
+	SUBQ $16, AX
+	JMP  srblock16
+
+srblock4:
+	CMPQ AX, $4
+	JL   srblock1
+	VMOVUPD (R10), Y0
+	MOVQ SI, R9
+	XORL CX, CX
+
+srrow4:
+	CMPQ CX, BX
+	JGE  srstore4
+	VBROADCASTSD (DX)(CX*8), Y8
+	VMULPD (R9), Y8, Y4
+	VSUBPD Y4, Y0, Y0
+	ADDQ R8, R9
+	INCQ CX
+	JMP  srrow4
+
+srstore4:
+	VDIVPD Y15, Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, R10
+	ADDQ $32, SI
+	SUBQ $4, AX
+	JMP  srblock4
+
+srblock1:
+	TESTQ AX, AX
+	JE   srdone
+	VMOVSD (R10), X0
+	MOVQ SI, R9
+	XORL CX, CX
+
+srrow1:
+	CMPQ CX, BX
+	JGE  srstore1
+	VMOVSD (DX)(CX*8), X8
+	VMULSD (R9), X8, X4
+	VSUBSD X4, X0, X0
+	ADDQ R8, R9
+	INCQ CX
+	JMP  srrow1
+
+srstore1:
+	VDIVSD X15, X0, X0
+	VMOVSD X0, (DI)
+	ADDQ $8, DI
+	ADDQ $8, R10
+	ADDQ $8, SI
+	DECQ AX
+	JMP  srblock1
+
+srdone:
 	VZEROUPPER
 	RET

@@ -80,15 +80,16 @@ func (k kernelCase) window(n int) (win, whole []float64) {
 }
 
 // TestColumnKernelsMatchPortable holds each AVX kernel to its Go twin, to
-// the bit, over lengths that exercise the 16-, 4- and 1-column blocks and
-// every way of ending between them.
+// the bit, over widths that exercise every mix of the 16-, 4- and 1-column
+// blocks, panels of the row counts the callers see on both sides of 8, and
+// pivots of either sign.
 func TestColumnKernelsMatchPortable(t *testing.T) {
 	requireAVX(t)
 	rng := stats.NewRNG(24)
 	// run calls one kernel under both implementations on identical inputs
 	// (call receives fresh copies of out's buffer) and compares the whole
 	// output buffer, guard entries included.
-	run := func(name string, k kernelCase, whole []float64, call func(impl *columnKernels, whole []float64)) {
+	run := func(name string, k kernelCase, rows int, whole []float64, call func(impl *columnKernels, whole []float64)) {
 		t.Helper()
 		want := append([]float64(nil), whole...)
 		got := append([]float64(nil), whole...)
@@ -96,8 +97,8 @@ func TestColumnKernelsMatchPortable(t *testing.T) {
 		call(&avxKernels, got)
 		for i := range want {
 			if !sameBits(got[i], want[i]) {
-				t.Fatalf("%s n=%d offset=%d awkward=%v: entry %d (column %d) is %v (%#x) under AVX, %v (%#x) portable",
-					name, k.n, k.off, k.awkwardToo, i, i-k.off, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				t.Fatalf("%s n=%d rows=%d offset=%d awkward=%v: entry %d (column %d) is %v (%#x) under AVX, %v (%#x) portable",
+					name, k.n, rows, k.off, k.awkwardToo, i, i-k.off, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 			}
 		}
 	}
@@ -108,28 +109,34 @@ func TestColumnKernelsMatchPortable(t *testing.T) {
 				_, y := k.window(n)
 				out := func(whole []float64) []float64 { return whole[off : off+n : off+n] }
 
-				for _, stride := range []int{n, n + 1 + int(rng.Uint64n(9))} {
-					l := (*[8]float64)(k.values(8))
-					rows, _ := k.window(7*stride + n)
-					run("subMul8", k, y, func(impl *columnKernels, whole []float64) {
-						impl.subMul8(out(whole), l, rows, stride)
-					})
-				}
-
-				x, _ := k.window(n)
-				a := k.values(1)[0]
-				run("subMul", k, y, func(impl *columnKernels, whole []float64) { impl.subMul(out(whole), x, a) })
-				run("div", k, y, func(impl *columnKernels, whole []float64) { impl.div(out(whole), a) })
-				run("addMul", k, y, func(impl *columnKernels, whole []float64) { impl.addMul(out(whole), x, a) })
-				run("addSq", k, y, func(impl *columnKernels, whole []float64) { impl.addSq(out(whole), x) })
-
 				for _, dim := range []int{0, 1, 2, 15} {
 					pt, _ := k.window(dim * n)
 					pos, _ := k.window(dim)
-					run("sqDists", k, y, func(impl *columnKernels, whole []float64) { impl.sqDists(out(whole), pt, pos) })
+					run("sqDists", k, dim, y, func(impl *columnKernels, whole []float64) { impl.sqDists(out(whole), pt, pos) })
+				}
+				for _, rows := range []int{0, 1, 7, 8, 9, 64} {
+					pt, _ := k.window(rows * n)
+					x, _ := k.window(rows)
+					b, _ := k.window(n)
+					run("dots", k, rows, y, func(impl *columnKernels, whole []float64) { impl.dots(out(whole), pt, x) })
+					for _, pivot := range []float64{k.values(1)[0], -1.75, -3e-309} {
+						run("solveRow", k, rows, y, func(impl *columnKernels, whole []float64) { impl.solveRow(out(whole), b, pt, x, pivot) })
+					}
 				}
 			}
 		}
+	}
+	// A panel that is not len(x) rows of len(dst) columns is refused before
+	// either implementation reads it.
+	for _, impl := range []*columnKernels{&portableKernels, &avxKernels} {
+		withKernels(impl, func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("DotsInto read a misshapen panel")
+				}
+			}()
+			DotsInto(make([]float64, 5), make([]float64, 4*5-1), make([]float64, 4))
+		})
 	}
 }
 
@@ -264,11 +271,10 @@ func FuzzMatern52Row(f *testing.F) {
 	})
 }
 
-// TestSolveLowerMatrixSameUnderBothKernels: the solve built on kernels 1-3
-// returns the same bits under either set, with the factor on both sides of
-// the eight-row sweep and the panel on both sides of the 16- and 4-column
-// blocks. (Package gp's callers are driven the same way from the external
-// test file.)
+// TestSolveLowerMatrixSameUnderBothKernels: the solve returns the same
+// bits under either kernel set, with the factor on both sides of 8 rows and
+// the panel on both sides of the 16- and 4-column blocks. (Package gp's
+// callers are driven the same way from the external test file.)
 func TestSolveLowerMatrixSameUnderBothKernels(t *testing.T) {
 	requireAVX(t)
 	rng := stats.NewRNG(3)
@@ -292,6 +298,43 @@ func TestSolveLowerMatrixSameUnderBothKernels(t *testing.T) {
 	}
 }
 
+// TestSolveLowerMatrixColumnsMatchVectorSolveUnderBothKernels: under
+// either kernel set, column c of the matrix solve is SolveLowerInto of
+// column c of B, bit for bit, for factors up to 70 rows and every panel
+// width up to 40.
+func TestSolveLowerMatrixColumnsMatchVectorSolveUnderBothKernels(t *testing.T) {
+	requireAVX(t)
+	rng := stats.NewRNG(28)
+	for _, n := range []int{1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 70} {
+		c, err := NewCholesky(randomSPD(rng, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		col, want := make([]float64, n), make([]float64, n)
+		for q := 1; q <= 40; q++ {
+			rhs := NewMatrix(n, q)
+			for i := range rhs.Data {
+				rhs.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Uint64n(5))-2)
+			}
+			for name, impl := range map[string]*columnKernels{"AVX": &avxKernels, "portable": &portableKernels} {
+				var got *Matrix
+				withKernels(impl, func() { got = c.SolveLowerMatrixInto(NewMatrix(n, q), rhs) })
+				for j := 0; j < q; j++ {
+					for i := range col {
+						col[i] = rhs.At(i, j)
+					}
+					c.SolveLowerInto(want, col)
+					for i, w := range want {
+						if math.Float64bits(got.At(i, j)) != math.Float64bits(w) {
+							t.Fatalf("%s n=%d q=%d: column %d row %d is %v, the vector solve %v", name, n, q, j, i, got.At(i, j), w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // withKernels runs f under the given implementation and puts back init's
 // choice afterwards.
 func withKernels(impl *columnKernels, f func()) {
@@ -308,9 +351,11 @@ func WithPortableKernels(f func()) { withKernels(&portableKernels, f) }
 // RequireAVX is requireAVX for the external tests.
 func RequireAVX(tb testing.TB) { requireAVX(tb) }
 
-// benchColumnKernels times what one scoring panel asks of the kernels at
-// the engine's steady state: a 64-row × 32-column triangular solve and the
-// squared-distance sweep of the same panel in 15 dimensions.
+// benchColumnKernels times what one scoring panel asks of the linear
+// kernels at the engine's steady state, 64 window rows by 32 candidates in
+// 15 dimensions: the squared-distance sweep of every row, the posterior
+// means (dots), the triangular solve (one solveRow per factor row) and the
+// squared norms of the solved panel.
 func benchColumnKernels(b *testing.B, impl *columnKernels) {
 	const n, q, dim = 64, 32, 15
 	rng := stats.NewRNG(5)
@@ -318,10 +363,12 @@ func benchColumnKernels(b *testing.B, impl *columnKernels) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rhs, dst := NewMatrix(n, q), NewMatrix(n, q)
+	kmat, vmat := NewMatrix(n, q), NewMatrix(n, q)
 	pt := make([]float64, dim*q)
 	xs := make([]float64, n*dim)
-	for _, buf := range [][]float64{rhs.Data, pt, xs} {
+	alpha, zeros := make([]float64, n), make([]float64, n)
+	mu, norms := make([]float64, q), make([]float64, q)
+	for _, buf := range [][]float64{pt, xs, alpha} {
 		for i := range buf {
 			buf[i] = rng.NormFloat64()
 		}
@@ -330,9 +377,11 @@ func benchColumnKernels(b *testing.B, impl *columnKernels) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for r := 0; r < n; r++ {
-				SquaredDistancesInto(dst.Data[r*q:r*q+q], pt, xs[r*dim:r*dim+dim])
+				SquaredDistancesInto(kmat.Data[r*q:r*q+q], pt, xs[r*dim:r*dim+dim])
 			}
-			c.SolveLowerMatrixInto(dst, rhs)
+			DotsInto(mu, kmat.Data, alpha)
+			c.SolveLowerMatrixInto(vmat, kmat)
+			SquaredDistancesInto(norms, vmat.Data, zeros)
 		}
 	})
 }

@@ -13,8 +13,8 @@ import (
 
 // Package gp's routines built on the column kernels, each run twice — under
 // the AVX kernels init chose and under the portable loops — and compared
-// with ==: the sizes put the window on both sides of the solve's eight-row
-// sweep and the pool on both sides of the 16- and 4-column blocks and of
+// with ==: the sizes put the window on both sides of 8 rows and the pool
+// on both sides of the 16- and 4-column blocks and of
 // gp's 32-point panel. They live here because only a test of package linalg
 // can reach the unexported switch.
 

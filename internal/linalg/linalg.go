@@ -243,9 +243,10 @@ func (c *Cholesky) SolveLowerInto(dst, b []float64) []float64 {
 // still to come, so an aliased call is a bug and panics.
 //
 // Column c of the result is bit-identical to SolveLowerInto(dst, B[:,c]):
-// the column kernels subtract l[i,k]·y[k,c] for k ascending and divide by
-// the pivot, the exact operation sequence of the vector solve, so batched
-// callers can replace per-candidate solves without perturbing goldens.
+// per column, row i is b[i,c] minus l[i,k]·y[k,c] for k ascending, then
+// divided by the pivot — the exact operation sequence of the vector solve —
+// so batched callers can replace per-candidate solves without perturbing
+// goldens. Each row is one solveRow call over the rows solved before it.
 func (c *Cholesky) SolveLowerMatrixInto(dst, b *Matrix) *Matrix {
 	if b.Rows != c.n {
 		panic(fmt.Sprintf("linalg: SolveLowerMatrix dimension mismatch: %d rows vs factor size %d", b.Rows, c.n))
@@ -258,20 +259,7 @@ func (c *Cholesky) SolveLowerMatrixInto(dst, b *Matrix) *Matrix {
 	}
 	n, l, s, m := c.n, c.l, c.stride, b.Cols
 	for i := 0; i < n; i++ {
-		yi := dst.Data[i*m : i*m+m : i*m+m]
-		copy(yi, b.Data[i*m:i*m+m])
-		// Eight factor columns per sweep: the chained subtractions stay in
-		// k-ascending order (left-associative, rounded after each step),
-		// so each column's value sequence is unchanged — the unroll only
-		// cuts the loads/stores of yi per subtraction.
-		k := 0
-		for ; k+8 <= i; k += 8 {
-			kern.subMul8(yi, (*[8]float64)(l[i*s+k:]), dst.Data[k*m:], m)
-		}
-		for ; k < i; k++ {
-			kern.subMul(yi, dst.Data[k*m:k*m+m], l[i*s+k])
-		}
-		kern.div(yi, l[i*s+i])
+		kern.solveRow(dst.Data[i*m:i*m+m], b.Data[i*m:i*m+m], dst.Data[:i*m], l[i*s:i*s+i], l[i*s+i])
 	}
 	return dst
 }

@@ -451,8 +451,7 @@ func TestSolveLowerMatrixZeroColumns(t *testing.T) {
 		t.Errorf("zero-column solve returned %dx%d with %d entries", dst.Rows, dst.Cols, len(dst.Data))
 	}
 	SquaredDistancesInto(nil, nil, []float64{1, 2})
-	AddScaled(nil, nil, 3)
-	AddSquares(nil, nil)
+	DotsInto(nil, nil, []float64{1, 2})
 }
 
 // TestColumnKernelWrappersCheckLengths: the exported kernels refuse
@@ -460,8 +459,7 @@ func TestSolveLowerMatrixZeroColumns(t *testing.T) {
 func TestColumnKernelWrappersCheckLengths(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"SquaredDistancesInto": func() { SquaredDistancesInto(make([]float64, 2), make([]float64, 5), make([]float64, 3)) },
-		"AddScaled":            func() { AddScaled(make([]float64, 2), make([]float64, 3), 1) },
-		"AddSquares":           func() { AddSquares(make([]float64, 3), make([]float64, 2)) },
+		"DotsInto":             func() { DotsInto(make([]float64, 2), make([]float64, 5), make([]float64, 3)) },
 	} {
 		func() {
 			defer func() {
