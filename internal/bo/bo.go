@@ -39,11 +39,9 @@ func (a EI) Score(mu, sigma, best float64) float64 {
 }
 
 // scoreAbove is Score for a caller that only wants a score above floor:
-// it reports ok = false, without evaluating Φ, when the score is proven
-// not to exceed floor. With improve <= 0 the first term improve·Φ(z) is
-// <= 0 (its sign is exact in floating point) and rounding is monotone,
-// so the sum is <= spread, fused or not; spread <= floor then bounds it.
-// A NaN fails the test and takes the full expression.
+// it reports ok = false, evaluating neither φ nor Φ, when the ceiling
+// proves the score does not exceed floor. A NaN fails the test and takes
+// the full expression.
 func (a EI) scoreAbove(mu, sigma, best, floor float64) (float64, bool) {
 	improve := mu - best - a.Xi
 	if sigma <= 0 {
@@ -51,12 +49,51 @@ func (a EI) scoreAbove(mu, sigma, best, floor float64) (float64, bool) {
 		return math.Max(improve, 0), true
 	}
 	z := improve / sigma
-	spread := sigma * stdNormPDF(z)
-	if improve <= 0 && spread <= floor {
+	if eiCeiling(improve, z, sigma) <= floor {
 		return 0, false
 	}
-	return improve*stdNormCDF(z) + spread, true
+	return improve*stdNormCDF(z) + sigma*stdNormPDF(z), true
 }
+
+// Ceiling returns an upper bound on the EI that Score computes, fused or
+// not, at (mu, σ′, best) for every σ′ <= sigma (a NaN score aside), or
+// +Inf where it gives none: when mu clears best + Xi, or anything is NaN.
+func (a EI) Ceiling(mu, sigma, best float64) float64 {
+	improve := mu - best - a.Xi
+	return eiCeiling(improve, improve/sigma, sigma)
+}
+
+// eiCeiling is Ceiling from Score's own improve and z = improve/sigma.
+// For z <= 0, EI = σ·(φ(z) + z·Φ(z)), and the second factor falls as z²
+// grows (its derivative in |z| is −Φ(z)), so its value at the start of
+// z²'s 1/16-wide cell covers the cell, and the last entry every z² past
+// it. The table's relative margin covers the rounding of the computed
+// score (DESIGN.md §4); a ceiling below 2⁻¹⁰⁰⁰ is refused, because gradual
+// underflow in the score is absolute, not relative, error.
+func eiCeiling(improve, z, sigma float64) float64 {
+	if !(improve <= 0) {
+		return math.Inf(1)
+	}
+	zz := z * z
+	k := len(unitEI) - 1
+	if zz < float64(k)/16 {
+		k = int(zz * 16)
+	}
+	c := sigma * unitEI[k]
+	if !(c >= 0x1p-1000) {
+		return math.Inf(1)
+	}
+	return c
+}
+
+// unitEI[k] is EI at σ = 1 and z = −√(k/16), raised by a relative 2⁻²⁰.
+var unitEI = func() (t [16*16 + 1]float64) {
+	for k := range t {
+		z := -math.Sqrt(float64(k) / 16)
+		t[k] = (z*stdNormCDF(z) + stdNormPDF(z)) * (1 + 0x1p-20)
+	}
+	return t
+}()
 
 // Name implements Acquisition.
 func (a EI) Name() string { return "ei" }
@@ -147,8 +184,9 @@ func Argmax(acq Acquisition, best float64, mu, sigma []float64) (int, float64, e
 	if len(mu) == 0 {
 		return -1, 0, errors.New("bo: no candidates to score")
 	}
-	// EI skips Φ for a candidate that provably cannot beat the running
-	// maximum (EI.scoreAbove); every other acquisition scores in full.
+	// EI skips φ and Φ for a candidate that provably cannot beat the
+	// running maximum (EI.scoreAbove); every other acquisition scores in
+	// full.
 	ei, isEI := acq.(EI)
 	bestIdx, bestScore := -1, math.Inf(-1)
 	for i := range mu {

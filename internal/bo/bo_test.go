@@ -586,6 +586,116 @@ func TestEIScoreUnchanged(t *testing.T) {
 	}
 }
 
+// computedScores returns what EI a computes at (mu, sigma, best): Score,
+// and the two contractions of its final sum into one math.FMA that the Go
+// spec permits a compiler to make.
+func computedScores(a EI, mu, sigma, best float64) [3]float64 {
+	s := a.Score(mu, sigma, best)
+	if !(sigma > 0) {
+		return [3]float64{s, s, s}
+	}
+	improve := mu - best - a.Xi
+	z := improve / sigma
+	cdf, pdf := stdNormCDF(z), stdNormPDF(z)
+	return [3]float64{s, math.FMA(improve, cdf, sigma*pdf), math.FMA(sigma, pdf, improve*cdf)}
+}
+
+// checkCeiling asserts that a's ceiling at (mu, sigma) bounds every
+// computed score at (mu, sigmaP), and reports whether it was finite.
+func checkCeiling(t *testing.T, a EI, mu, best, sigma, sigmaP float64) bool {
+	t.Helper()
+	c := a.Ceiling(mu, sigma, best)
+	if improve := mu - best - a.Xi; !(improve <= 0) && !math.IsInf(c, 1) {
+		t.Fatalf("Xi %v: mu %v best %v sigma %v: improve %v > 0 has ceiling %v", a.Xi, mu, best, sigma, improve, c)
+	}
+	for i, s := range computedScores(a, mu, sigmaP, best) {
+		if s > c {
+			t.Fatalf("Xi %v: mu %v best %v: score %d at sigma %v is %v, above the ceiling %v at sigma %v",
+				a.Xi, mu, best, i, sigmaP, s, c, sigma)
+		}
+	}
+	return !math.IsInf(c, 1)
+}
+
+// TestEICeilingBoundsComputedScore: the ceiling at (μ, σ) bounds the EI
+// computed at (μ, σ′) for σ′ <= σ — Score and both FMA contractions — for
+// |z| up to 40, ξ ∈ {0, 0.01}, σ′ down to 0, −0 and subnormals, and σ up to
+// +Inf; NaN anywhere yields a NaN score or no ceiling.
+func TestEICeilingBoundsComputedScore(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	edges := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 1e-310, 0x1p-1022, 1e-300, math.MaxFloat64, math.Inf(1), math.NaN()}
+	finite, checked := 0, 0
+	for trial := 0; trial < 200000; trial++ {
+		a := EI{Xi: []float64{0, 0.01}[trial%2]}
+		sigma := math.Pow(10, -8+10*rng.Float64())
+		if trial%11 == 0 {
+			sigma = edges[rng.Intn(len(edges))]
+		}
+		z := -40 * math.Pow(rng.Float64(), 3)
+		if trial%13 == 0 {
+			z = -z / 40 // improve > 0: no ceiling
+		}
+		best := rng.NormFloat64()
+		mu := best + a.Xi + z*sigma
+		if trial%17 == 0 {
+			mu = best + a.Xi // improve rounds to 0 or a few ulps either side
+		}
+		sigmas := []float64{sigma, sigma * rng.Float64(), math.Nextafter(sigma, 0), 0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 1e-310, math.NaN()}
+		for _, sp := range sigmas {
+			if sp > sigma {
+				continue
+			}
+			if checkCeiling(t, a, mu, best, sigma, sp) {
+				finite++
+			}
+			checked++
+		}
+	}
+	// z on the table's cell starts, σ a power of two so that improve and z
+	// carry no rounding of their own: only the margin separates the ceiling
+	// from the score there.
+	for k := 0; k <= 300; k++ {
+		for _, sigma := range []float64{0x1p-40, 0x1p-4, 1, 0x1p20} {
+			mu := -math.Sqrt(float64(k)/16) * sigma
+			for _, sp := range []float64{sigma, math.Nextafter(sigma, 0)} {
+				checkCeiling(t, EI{}, mu, 0, sigma, sp)
+			}
+		}
+	}
+	// Subnormal σ with an improve of the same scale: each product of the
+	// score rounds to a multiple of 2⁻¹⁰⁷⁴, so relative margins mean nothing.
+	for k := 1; k <= 64; k++ {
+		sigma := float64(k) * math.SmallestNonzeroFloat64
+		for j := 0; j <= 64; j++ {
+			mu := -float64(j) / 8 * sigma
+			for _, sp := range []float64{sigma, sigma / 2, math.SmallestNonzeroFloat64} {
+				checkCeiling(t, EI{}, mu, 0, sigma, sp)
+			}
+		}
+	}
+	if finite < checked/2 {
+		t.Fatalf("only %d of %d ceilings finite: the bound was hardly exercised", finite, checked)
+	}
+	t.Logf("%d of %d (μ, σ, σ′) cases had a finite ceiling", finite, checked)
+}
+
+// FuzzEICeiling runs TestEICeilingBoundsComputedScore's property over any
+// (μ, best, ξ, σ) and any σ′ <= σ (σ′ = σ where the draw exceeds it).
+func FuzzEICeiling(f *testing.F) {
+	f.Add(0.4, 0.5, 0.0, 0.1, 0.1)
+	f.Add(0.49, 0.5, 0.01, 0.02, 0.005)
+	f.Add(-3.0, 0.5, 0.0, 0.1, 0.0)
+	f.Add(0.5, 0.5, 0.0, 1e-310, 5e-324)
+	f.Add(-1e300, 0.0, 0.0, math.Inf(1), 1.0)
+	f.Add(0.3, 0.5, 0.01, 0.005, math.NaN())
+	f.Fuzz(func(t *testing.T, mu, best, xi, sigma, sigmaP float64) {
+		if sigmaP > sigma {
+			sigmaP = sigma
+		}
+		checkCeiling(t, EI{Xi: xi}, mu, best, sigma, sigmaP)
+	})
+}
+
 // FuzzArgmaxEI runs TestArgmaxEIPruneMatchesScore's property over any
 // pool: the bytes are read as (μ, σ) pairs of raw float64 bits.
 func FuzzArgmaxEI(f *testing.F) {

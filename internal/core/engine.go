@@ -119,6 +119,7 @@ type Engine struct {
 	fitFailures int     // syncModel
 	sweep       int     // trackProxyChange: sweeps run so far
 	proxyChange float64 // trackProxyChange
+	freshSkips  int     // scorePool: ticks whose fresh panel was not solved
 	acqFailures int     // settle
 	exploits    int     // settle
 
@@ -143,7 +144,7 @@ type Engine struct {
 	// Per-tick scratch, reused across Decide calls.
 	windowBuf    []*Record
 	xsBuf        [][]float64
-	ysBuf        []float64
+	rowBuf       []float64 // per model row: targets (syncModel), then means (trackProxyChange)
 	candidateBuf [][]float64
 	muBuf        []float64
 	sigmaBuf     []float64
@@ -176,6 +177,15 @@ type tick struct {
 	topN    int
 
 	mu, sigma []float64 // the proxy model's posterior over the pool
+
+	// The acquisition's argmax over the neighbourhood blocks, as a
+	// block-relative index (scorePool; not for Thompson sampling).
+	blockIdx   int
+	blockScore float64
+	blockErr   error
+	// freshSkipped: no fresh candidate could win, so their σ were bounded,
+	// not solved for, and the block winner is the tick's (scorePool).
+	freshSkipped bool
 }
 
 // New builds a SATORI engine over space.
@@ -448,12 +458,24 @@ func (e *Engine) buildPool(t *tick) {
 // Improvement by default, Sec. III-A; UCB/PI/Thompson for the acquisition
 // ablation), returning the winner's pool index and score. Thompson sampling
 // draws from the joint posterior over the pool and has no score.
+//
+// scorePool has already taken the argmax over the blocks; this merges the
+// fresh candidates' argmax into it, or, when scorePool proved none of them
+// could win, returns the block winner. The fresh candidates come first in
+// the pool, so they win ties: the result is bo.Argmax over the whole pool.
 func (e *Engine) acquire(t *tick) (idx int, score float64, err error) {
 	if e.acq == nil {
 		idx, err = bo.ThompsonSuggest(e.model, e.rng, e.vectors(0, e.candCount))
 		return idx, 0, err
 	}
-	return bo.Argmax(e.acq, t.best, t.mu, t.sigma)
+	fresh := e.opt.Candidates
+	if !t.freshSkipped {
+		idx, score, err = bo.Argmax(e.acq, t.best, t.mu[:fresh], t.sigma[:fresh])
+		if t.blockErr != nil || err == nil && score >= t.blockScore {
+			return idx, score, err
+		}
+	}
+	return fresh + t.blockIdx, t.blockScore, nil
 }
 
 // settle turns the acquisition's result into the tick's decision and
@@ -508,34 +530,34 @@ func (e *Engine) syncModel(window []*Record, w Weights) error {
 	}
 	switch {
 	case miss == 0 && n == len(e.modelRecs):
-		e.ysBuf = e.ysBuf[:0]
+		e.rowBuf = e.rowBuf[:0]
 		for _, rec := range e.modelRecs {
-			e.ysBuf = append(e.ysBuf, rec.Objective(w))
+			e.rowBuf = append(e.rowBuf, rec.Objective(w))
 		}
-		if err := e.model.UpdateTargets(e.ysBuf); err != nil {
+		if err := e.model.UpdateTargets(e.rowBuf); err != nil {
 			return e.dropModel(err)
 		}
 	case miss == 1 && n == len(e.modelRecs)+1:
-		e.ysBuf = e.ysBuf[:0]
+		e.rowBuf = e.rowBuf[:0]
 		for _, rec := range e.modelRecs {
-			e.ysBuf = append(e.ysBuf, rec.Objective(w))
+			e.rowBuf = append(e.rowBuf, rec.Objective(w))
 		}
-		e.ysBuf = append(e.ysBuf, fresh.Objective(w))
-		if err := e.model.Append(fresh.Vector, e.ysBuf); err != nil {
+		e.rowBuf = append(e.rowBuf, fresh.Objective(w))
+		if err := e.model.Append(fresh.Vector, e.rowBuf); err != nil {
 			return e.dropModel(err)
 		}
 		fresh.row = len(e.modelRecs)
 		e.modelRecs = append(e.modelRecs, fresh)
 	default:
-		e.xsBuf, e.ysBuf = e.xsBuf[:0], e.ysBuf[:0]
+		e.xsBuf, e.rowBuf = e.xsBuf[:0], e.rowBuf[:0]
 		e.modelRecs = e.modelRecs[:0]
 		for i, rec := range window {
 			e.xsBuf = append(e.xsBuf, rec.Vector)
-			e.ysBuf = append(e.ysBuf, rec.Objective(w))
+			e.rowBuf = append(e.rowBuf, rec.Objective(w))
 			e.modelRecs = append(e.modelRecs, rec)
 			rec.row = i
 		}
-		if err := e.model.Reset(e.xsBuf, e.ysBuf); err != nil {
+		if err := e.model.Reset(e.xsBuf, e.rowBuf); err != nil {
 			return e.dropModel(err)
 		}
 	}
@@ -606,6 +628,11 @@ func (e *Engine) neighborVectors(rec *Record, i, lo, hi int) {
 // on that record alone, so its block survives in the slot that last scored
 // the record, and the model re-scores it (means only) until a refit or
 // append outdates the block; only a block that misses encodes its vectors.
+//
+// The blocks are scored, and their argmax taken, first. The fresh
+// candidates' means come next, and their σ only if one of them could still
+// win: otherwise the triangular solve of their panel is skipped, and their
+// σ slots hold the ceilings that ruled them out.
 func (e *Engine) scorePool(t *tick) {
 	if cap(e.muBuf) < e.candCount {
 		e.muBuf = make([]float64, e.candCount)
@@ -614,8 +641,8 @@ func (e *Engine) scorePool(t *tick) {
 	mu, sigma := e.muBuf[:e.candCount], e.sigmaBuf[:e.candCount]
 	t.mu, t.sigma = mu, sigma
 	top := e.poolTop[:e.poolTopN]
-	lo := e.opt.Candidates
-	e.model.PredictBatchInto(&e.batchScratch, mu[:lo], sigma[:lo], e.vectors(0, lo))
+	fresh := e.opt.Candidates
+	lo := fresh
 	for i, rec := range top {
 		hi := e.poolEnd[i]
 		blk := e.blockFor(rec, top)
@@ -625,6 +652,47 @@ func (e *Engine) scorePool(t *tick) {
 		}
 		lo = hi
 	}
+	if e.acq != nil {
+		t.blockIdx, t.blockScore, t.blockErr = bo.Argmax(e.acq, t.best, mu[fresh:], sigma[fresh:])
+	}
+	points := e.vectors(0, fresh)
+	e.model.PredictMeansInto(&e.batchScratch, mu[:fresh], points)
+	if !e.freshCanWin(t) {
+		t.freshSkipped = true
+		e.freshSkips++
+		return
+	}
+	e.model.PredictSigmasInto(&e.batchScratch, sigma[:fresh], points)
+}
+
+// freshCanWin reports whether a fresh candidate, its mean known and its σ
+// not yet solved for, could still change the tick's decision. Only EI has
+// a ceiling (bo.EI.Ceiling). A candidate is ruled out when its ceiling is
+// below the floor: the block winner's score, since a fresh candidate wins
+// a tie, raised to the exploit threshold, under which any winner leaves
+// the decision at exploit. It is tried at the prior σ first, which no
+// computed σ exceeds, then at the model's nearest-point ceiling; the first
+// candidate that survives both ends the search. Each ruled-out candidate's
+// σ slot is left holding the σ its ceiling was taken at.
+func (e *Engine) freshCanWin(t *tick) bool {
+	ei, isEI := e.acq.(bo.EI)
+	if !isEI || t.blockErr != nil {
+		return true
+	}
+	floor := max(t.blockScore, e.exploitBelow)
+	fresh := e.opt.Candidates
+	prior := e.model.PriorSigma()
+	for i, m := range t.mu[:fresh] {
+		s := prior
+		if !(ei.Ceiling(m, s, t.best) < floor) {
+			s = e.model.SigmaCeiling(&e.batchScratch, i)
+			if !(ei.Ceiling(m, s, t.best) < floor) {
+				return true
+			}
+		}
+		t.sigma[i] = s
+	}
+	return false
 }
 
 // blockFor returns the slot holding rec's neighborhood block, or failing
@@ -729,14 +797,15 @@ func (e *Engine) candidate(idx int) resource.Config {
 // configurations — the quantity of Fig. 17(b).
 //
 // Every window record is a row of the proxy model once syncModel has
-// succeeded, so its posterior mean is one Gram-row dot product. A record
-// counts only when the previous sweep predicted it too (a tick whose fit
-// fails runs no sweep).
+// succeeded, so the posterior means of all of them are one product of the
+// Gram matrix with α. A record counts only when the previous sweep
+// predicted it too (a tick whose fit fails runs no sweep).
 func (e *Engine) trackProxyChange(window []*Record) {
 	e.sweep++
+	e.rowBuf = e.model.PredictMeansAtInto(e.rowBuf)
 	sum, n := 0.0, 0
 	for _, rec := range window {
-		p := e.model.PredictMeanAt(rec.row)
+		p := e.rowBuf[rec.row]
 		if rec.predFor == e.sweep {
 			denom := math.Abs(rec.pred)
 			if denom < 1e-9 {

@@ -17,9 +17,11 @@ type blockProbe struct {
 
 	prevTop   []*Record
 	prevEpoch int
+	prevSkips int
 	slotRecs  map[string]*Record // every record a slot has held, by config key
 
 	scored    int // ticks whose pool was checked
+	skipped   int // of those, ticks whose fresh panel the engine did not solve
 	flips     int // ticks whose top set kept its members and factor but changed order
 	recreated int // slots taken by a re-created record of a config a slot held before
 }
@@ -38,9 +40,13 @@ func (p *blockProbe) top() []*Record {
 	return window[:min(3, len(window))]
 }
 
-// check runs after a Decide at tick.
+// check runs after a Decide at tick. On a tick whose fresh panel the
+// engine did not solve, each fresh σ slot holds a ceiling, which must not
+// be below the σ a stateless scoring computes.
 func (p *blockProbe) check(tick int) {
 	e := p.eng
+	skipped := e.freshSkips != p.prevSkips
+	p.prevSkips = e.freshSkips
 	if e.model.Len() == 0 || len(e.initQueue) > 0 || e.candCount == 0 {
 		return
 	}
@@ -48,12 +54,19 @@ func (p *blockProbe) check(tick int) {
 	mu, sigma := make([]float64, n), make([]float64, n)
 	e.model.PredictBatchInto(&gp.PredictScratch{}, mu, sigma, e.vectors(0, n))
 	for i := 0; i < n; i++ {
-		if e.muBuf[i] != mu[i] || e.sigmaBuf[i] != sigma[i] {
-			p.t.Fatalf("tick %d: candidate %d of %d: block-scored (%v, %v) != stateless (%v, %v)",
-				tick, i, n, e.muBuf[i], e.sigmaBuf[i], mu[i], sigma[i])
+		sigmaOK := e.sigmaBuf[i] == sigma[i]
+		if skipped && i < e.opt.Candidates {
+			sigmaOK = e.sigmaBuf[i] >= sigma[i]
+		}
+		if e.muBuf[i] != mu[i] || !sigmaOK {
+			p.t.Fatalf("tick %d: candidate %d of %d (fresh solve skipped: %v): block-scored (%v, %v) != stateless (%v, %v)",
+				tick, i, n, skipped, e.muBuf[i], e.sigmaBuf[i], mu[i], sigma[i])
 		}
 	}
 	p.scored++
+	if skipped {
+		p.skipped++
+	}
 
 	top := p.top()
 	st := e.GPStats()
@@ -98,8 +111,11 @@ func probed(t *testing.T, opt Options, recordCap int) *blockProbe {
 	probe := newBlockProbe(t, eng)
 	oracle := &refitOracle{t: t, eng: eng}
 	driveChecked(t, oracle, env, 400, probe.check)
-	if oracle.scored != probe.scored {
-		t.Fatalf("oracle checked %d ticks, block probe %d", oracle.scored, probe.scored)
+	if oracle.scored != probe.scored || oracle.skipped != probe.skipped {
+		t.Fatalf("oracle checked %d ticks (%d fresh solves skipped), block probe %d (%d)", oracle.scored, oracle.skipped, probe.scored, probe.skipped)
+	}
+	if probe.skipped == 0 || probe.skipped == probe.scored {
+		t.Fatalf("%d of %d ticks skipped the fresh solve: both kinds must occur", probe.skipped, probe.scored)
 	}
 	return probe
 }
@@ -115,7 +131,7 @@ func TestEngineBlockReuseUnderSwingingWeights(t *testing.T) {
 	if probe.scored == 0 || probe.flips == 0 {
 		t.Fatalf("%d pools checked, %d top-order flips under a standing factor: reordered reuse not exercised", probe.scored, probe.flips)
 	}
-	t.Logf("%d pools checked, %d top-order flips under a standing factor", probe.scored, probe.flips)
+	t.Logf("%d pools checked (%d fresh solves skipped), %d top-order flips under a standing factor", probe.scored, probe.skipped, probe.flips)
 }
 
 // TestEngineBlockKeySurvivesEviction shrinks the record store until top
@@ -129,5 +145,5 @@ func TestEngineBlockKeySurvivesEviction(t *testing.T) {
 	if probe.scored == 0 || probe.recreated == 0 {
 		t.Fatalf("%d pools checked, %d re-created top configurations: eviction path not exercised", probe.scored, probe.recreated)
 	}
-	t.Logf("%d pools checked, %d re-created top configurations", probe.scored, probe.recreated)
+	t.Logf("%d pools checked (%d fresh solves skipped), %d re-created top configurations", probe.scored, probe.skipped, probe.recreated)
 }

@@ -28,22 +28,28 @@ type refitOracle struct {
 
 	scored   int // ticks whose posterior and decision were checked
 	exploits int // of those, ticks the reference says exploit
+	skipped  int // of those, ticks whose fresh panel the engine did not solve
 }
 
 // Decide is Engine.Decide, checked.
 func (o *refitOracle) Decide(obs policy.Observation, current resource.Config) resource.Config {
 	e := o.eng
-	seeding, fitFailures := len(e.initQueue) > 0, e.fitFailures
+	seeding, fitFailures, freshSkips := len(e.initQueue) > 0, e.fitFailures, e.freshSkips
 	next := e.Decide(obs, current)
 	if seeding || e.fitFailures != fitFailures {
 		return next // no model was consulted
 	}
 	o.t.Helper()
-	o.check(obs.Tick, current, next)
+	o.check(obs.Tick, current, next, e.freshSkips != freshSkips)
 	return next
 }
 
-func (o *refitOracle) check(tick int, current, next resource.Config) {
+// check holds one tick against the refit. On a tick whose fresh panel the
+// engine did not solve (skipped), each fresh σ slot holds the ceiling that
+// ruled the candidate out, which must not be below the reference σ, and
+// the engine's buffers no longer say what the argmax over them is, so the
+// verdict alone is compared.
+func (o *refitOracle) check(tick int, current, next resource.Config, skipped bool) {
 	o.t.Helper()
 	e := o.eng
 	w := e.LastWeights()
@@ -69,19 +75,28 @@ func (o *refitOracle) check(tick int, current, next resource.Config) {
 		c := e.candidate(i)
 		pool[i] = c
 		mu[i], sigma[i] = ref.Predict(e.space.Vector(c))
-		if math.Abs(e.muBuf[i]-mu[i]) > 1e-9 || math.Abs(e.sigmaBuf[i]-sigma[i]) > 1e-9 {
-			o.t.Fatalf("tick %d: candidate %d of %d (%s): engine posterior (%v, %v), refit (%v, %v)",
-				tick, i, len(pool), c.Key(), e.muBuf[i], e.sigmaBuf[i], mu[i], sigma[i])
+		sigmaOK := math.Abs(e.sigmaBuf[i]-sigma[i]) <= 1e-9
+		if skipped && i < e.opt.Candidates {
+			sigmaOK = e.sigmaBuf[i] >= sigma[i]-1e-9
+		}
+		if math.Abs(e.muBuf[i]-mu[i]) > 1e-9 || !sigmaOK {
+			o.t.Fatalf("tick %d: candidate %d of %d (%s, fresh solve skipped: %v): engine posterior (%v, %v), refit (%v, %v)",
+				tick, i, len(pool), c.Key(), skipped, e.muBuf[i], e.sigmaBuf[i], mu[i], sigma[i])
 		}
 	}
 	o.scored++
+	if skipped {
+		o.skipped++
+	}
 	if e.acq == nil {
 		return // Thompson sampling decides by a random draw, not an argmax
 	}
 
 	idx, score, err := bo.Argmax(e.acq, best, mu, sigma)
-	if got, _, gotErr := bo.Argmax(e.acq, best, e.muBuf[:len(pool)], e.sigmaBuf[:len(pool)]); got != idx || (gotErr == nil) != (err == nil) {
-		o.t.Fatalf("tick %d: argmax over the engine's posterior = %d (%v), over the refit's = %d (%v)", tick, got, gotErr, idx, err)
+	if !skipped {
+		if got, _, gotErr := bo.Argmax(e.acq, best, e.muBuf[:len(pool)], e.sigmaBuf[:len(pool)]); got != idx || (gotErr == nil) != (err == nil) {
+			o.t.Fatalf("tick %d: argmax over the engine's posterior = %d (%v), over the refit's = %d (%v)", tick, got, gotErr, idx, err)
+		}
 	}
 	verdict, want := "probe", resource.Config{}
 	switch {
@@ -118,20 +133,37 @@ func driveChecked(t *testing.T, o *refitOracle, env *syntheticEnv, n int, after 
 
 // TestEngineMatchesRefitOracle: every scored tick of a noisy synthetic run
 // — rank-1 appends, target-only re-solves, window evictions, explore and
-// exploit verdicts — agrees with the from-scratch model.
+// exploit verdicts, fresh panels solved and skipped — agrees with the
+// from-scratch model, over five seeds × Window {8, 64} × ExploitThreshold
+// {default, 0.05, never} × Xi {0, 0.01}.
 func TestEngineMatchesRefitOracle(t *testing.T) {
-	env := newSyntheticEnv(0.01)
-	eng, err := New(env.space, Options{Seed: 9, Window: 8})
-	if err != nil {
-		t.Fatal(err)
+	var scored, exploits, skipped, targetSolves, refits int
+	for seed := uint64(9); seed < 14; seed++ {
+		for _, window := range []int{8, 64} {
+			for _, threshold := range []float64{0, 0.05, -1} {
+				for _, xi := range []float64{0, 0.01} {
+					env := newSyntheticEnv(0.01)
+					eng, err := New(env.space, Options{Seed: seed, Window: window, ExploitThreshold: threshold, Xi: xi})
+					if err != nil {
+						t.Fatal(err)
+					}
+					oracle := &refitOracle{t: t, eng: eng}
+					driveChecked(t, oracle, env, 150, nil)
+					if oracle.scored < 100 {
+						t.Fatalf("seed %d window %d threshold %v xi %v: %d ticks checked", seed, window, threshold, xi, oracle.scored)
+					}
+					st := eng.GPStats()
+					scored, exploits, skipped = scored+oracle.scored, exploits+oracle.exploits, skipped+oracle.skipped
+					targetSolves, refits = targetSolves+st.TargetSolves, refits+st.Refits
+				}
+			}
+		}
 	}
-	oracle := &refitOracle{t: t, eng: eng}
-	driveChecked(t, oracle, env, 250, nil)
-	st := eng.GPStats()
-	if oracle.scored < 200 || oracle.exploits == 0 || oracle.exploits == oracle.scored || st.TargetSolves == 0 || st.Refits < 2 {
-		t.Fatalf("%d ticks checked, %d exploits, model updates %+v: not every path was held against the oracle", oracle.scored, oracle.exploits, st)
+	if exploits == 0 || exploits == scored || skipped == 0 || skipped == scored || targetSolves == 0 || refits < 2 {
+		t.Fatalf("%d ticks checked, %d exploits, %d fresh solves skipped, %d target solves, %d refits: not every path was held against the oracle",
+			scored, exploits, skipped, targetSolves, refits)
 	}
-	t.Logf("%d ticks checked (%d exploits), model updates %+v", oracle.scored, oracle.exploits, st)
+	t.Logf("%d ticks checked (%d exploits, %d fresh solves skipped), %d target solves, %d refits", scored, exploits, skipped, targetSolves, refits)
 }
 
 // TestEngineMatchesRefitOracleOnSimulator drives the engine against the
@@ -170,11 +202,13 @@ func TestEngineMatchesRefitOracleOnSimulator(t *testing.T) {
 				}
 			}
 			st := eng.GPStats()
-			if oracle.scored < ticks-eng.opt.InitialSamples-eng.FitFailures() || st.TargetSolves == 0 {
-				t.Fatalf("mix %d window %d: %d of %d ticks checked, model updates %+v", mix.Index, window, oracle.scored, ticks, st)
+			if oracle.scored < ticks-eng.opt.InitialSamples-eng.FitFailures() || st.TargetSolves == 0 ||
+				oracle.skipped == 0 || oracle.skipped == oracle.scored {
+				t.Fatalf("mix %d window %d: %d of %d ticks checked (%d fresh solves skipped), model updates %+v",
+					mix.Index, window, oracle.scored, ticks, oracle.skipped, st)
 			}
-			t.Logf("mix %d window %d: %d ticks checked (%d exploits), model updates %+v",
-				mix.Index, window, oracle.scored, oracle.exploits, st)
+			t.Logf("mix %d window %d: %d ticks checked (%d exploits, %d fresh solves skipped), model updates %+v",
+				mix.Index, window, oracle.scored, oracle.exploits, oracle.skipped, st)
 		}
 	}
 }

@@ -36,6 +36,74 @@ func (m *Incremental) PredictBatchInto(s *PredictScratch, mu, sigma []float64, p
 	m.predictBatch(s, s.kmat, mu, sigma, points)
 }
 
+// PredictMeansInto is the first half of PredictBatchInto: it fills the
+// points' cross-covariances into s and writes their posterior means into mu.
+// PredictSigmasInto finishes the same points from s; SigmaCeiling bounds
+// their σ before that.
+func (m *Incremental) PredictMeansInto(s *PredictScratch, mu []float64, points [][]float64) {
+	q := len(points)
+	if len(mu) != q {
+		panic(fmt.Sprintf("gp: PredictMeansInto got %d mu for %d points", len(mu), q))
+	}
+	s.kmat = grow(s.kmat, m.n*q)
+	for p0 := 0; p0 < q; p0 += panelWidth {
+		p1 := min(p0+panelWidth, q)
+		m.fillPanel(s, s.kmat[m.n*p0:m.n*p1], mu[p0:p1], points[p0:p1])
+	}
+}
+
+// PredictSigmasInto is the second half of PredictBatchInto: the posterior
+// standard deviations of the points PredictMeansInto last filled into s,
+// which must be the points passed here.
+func (m *Incremental) PredictSigmasInto(s *PredictScratch, sigma []float64, points [][]float64) {
+	q := len(points)
+	if len(sigma) != q || len(s.kmat) != m.n*q {
+		panic(fmt.Sprintf("gp: PredictSigmasInto got %d sigma for %d points, %d filled", len(sigma), q, len(s.kmat)/max(m.n, 1)))
+	}
+	for p0 := 0; p0 < q; p0 += panelWidth {
+		p1 := min(p0+panelWidth, q)
+		m.solvePanel(s, s.kmat[m.n*p0:m.n*p1], sigma[p0:p1], points[p0:p1])
+	}
+}
+
+// PriorSigma returns √k(x, x) of the model's Matérn 5/2 kernel, which no
+// σ the model computes exceeds (k(x, x) minus a squared norm, rounded
+// monotonically), or +Inf for any other kernel.
+func (m *Incremental) PriorSigma() float64 {
+	k, ok := m.kernel.(Matern52)
+	if !ok {
+		return math.Inf(1)
+	}
+	return math.Sqrt(k.Variance)
+}
+
+// SigmaCeiling returns a bound on the σ PredictSigmasInto computes for
+// point c of those PredictMeansInto last filled into s, from that point's
+// cross-covariances alone: σ² <= k(x,x) − max_j k_j²/(k(x,x) + jitter), by
+// Cauchy–Schwarz in the inner product of the matrix the computed factor
+// inverts, raised by a margin relative to k(x,x) that covers the solve's
+// backward error (DESIGN.md §4). It is +Inf for a kernel other than
+// Matérn 5/2, and NaN when a cross-covariance is.
+func (m *Incremental) SigmaCeiling(s *PredictScratch, c int) float64 {
+	k, ok := m.kernel.(Matern52)
+	if !ok {
+		return math.Inf(1)
+	}
+	n := m.n
+	q := len(s.kmat) / n
+	p0 := c - c%panelWidth
+	w := min(panelWidth, q-p0)
+	col := s.kmat[n*p0+c-p0:]
+	near := 0.0
+	for i := 0; i < n; i++ {
+		v := col[i*w]
+		near = max(near, v*v)
+	}
+	kxx := k.Variance
+	v := kxx - near/(kxx+m.jitter) + float64(n+4)*0x1p-48*kxx
+	return math.Sqrt(max(v, 0))
+}
+
 // Block is what scoring one group of query points leaves behind that the
 // model's targets cannot change: the cross-covariance columns K* and the
 // posterior standard deviations, functions of the window inputs, the
@@ -95,64 +163,79 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// predictBatch is the batch-scoring kernel behind PredictBatchInto and
-// PredictBlockInto. The pool is cut into panels of at most panelWidth
-// points; panel p's cross-covariances are kept as an n×w row-major matrix
-// at kstar[n·p·panelWidth:], so kstar (n·len(points) entries) can outlive
-// the call. Every stage accumulates per point in the order GP.Predict
-// does: kstar entries are independent; the matrix solve's column c replays
-// SolveLowerInto exactly (columns are independent, so the panel cut does
-// not show); the mean and squared-norm accumulators run over model rows in
-// ascending order, matching linalg.Dot.
+// predictBatch is the batch-scoring kernel behind PredictBlockInto. The
+// pool is cut into panels of at most panelWidth points; panel p's
+// cross-covariances are kept as an n×w row-major matrix at
+// kstar[n·p·panelWidth:], so kstar (n·len(points) entries) can outlive the
+// call. Each panel is filled and then solved while it is still in cache;
+// PredictMeansInto and PredictSigmasInto run the same two stages, one over
+// every panel before the other. Every stage accumulates per point in the
+// order GP.Predict does: kstar entries are independent; the matrix solve's
+// column c replays SolveLowerInto exactly (columns are independent, so the
+// panel cut does not show); the mean and squared-norm accumulators run
+// over model rows in ascending order, matching linalg.Dot.
 func (m *Incremental) predictBatch(s *PredictScratch, kstar, mu, sigma []float64, points [][]float64) {
 	q := len(points)
 	if len(mu) != q || len(sigma) != q {
 		panic(fmt.Sprintf("gp: PredictBatch got %d mu and %d sigma for %d points", len(mu), len(sigma), q))
 	}
-	xs, kernel, n := m.xbuf[:m.n], m.kernel, m.n
-	s.panel = grow(s.panel, n*min(q, panelWidth))
-	s.zeros = grow(s.zeros, n) // nothing writes it: fresh or reused, all zero
-	m52, isM52 := kernel.(Matern52)
 	for p0 := 0; p0 < q; p0 += panelWidth {
 		p1 := min(p0+panelWidth, q)
-		w := p1 - p0
-		pts, psigma := points[p0:p1], sigma[p0:p1]
-		kmat := linalg.Matrix{Rows: n, Cols: w, Data: kstar[n*p0 : n*p1]}
-		// Cross-covariance fill. The Matérn 5/2 default takes a staged
-		// concrete-type fill; anything else goes through the interface.
+		kpanel := kstar[m.n*p0 : m.n*p1]
+		m.fillPanel(s, kpanel, mu[p0:p1], points[p0:p1])
+		m.solvePanel(s, kpanel, sigma[p0:p1], points[p0:p1])
+	}
+}
+
+// fillPanel writes one panel's cross-covariances into kpanel (n×len(pts),
+// row-major) and the points' posterior means into mu.
+func (m *Incremental) fillPanel(s *PredictScratch, kpanel, mu []float64, pts [][]float64) {
+	xs, kernel, w := m.xbuf[:m.n], m.kernel, len(pts)
+	kmat := linalg.Matrix{Rows: m.n, Cols: w, Data: kpanel}
+	// The Matérn 5/2 default takes a staged concrete-type fill; anything
+	// else goes through the interface.
+	if m52, ok := kernel.(Matern52); ok {
+		fillRowsMatern52(s, &kmat, xs, pts, m52)
+	} else {
+		for i, xi := range xs {
+			row := kpanel[i*w : i*w+w : i*w+w]
+			for c, x := range pts {
+				row[c] = kernel.Eval(x, xi)
+			}
+		}
+	}
+	panelMeans(mu, kpanel, m.alpha, m.mean)
+}
+
+// solvePanel writes the posterior standard deviations of one panel whose
+// cross-covariances fillPanel left in kpanel.
+func (m *Incremental) solvePanel(s *PredictScratch, kpanel, sigma []float64, pts [][]float64) {
+	n, w := m.n, len(pts)
+	s.panel = grow(s.panel, n*w)
+	s.zeros = grow(s.zeros, n) // nothing writes it: fresh or reused, all zero
+	// One triangular sweep for the whole panel: V = L⁻¹·K*.
+	kmat := linalg.Matrix{Rows: n, Cols: w, Data: kpanel}
+	vmat := linalg.Matrix{Rows: n, Cols: w, Data: s.panel}
+	m.chol.SolveLowerMatrixInto(&vmat, &kmat)
+	// Squared norms ‖v_c‖², rows ascending, into sigma: the squared
+	// distance of v_c from the origin, since v − 0 is exactly v.
+	linalg.SquaredDistancesInto(sigma, vmat.Data, s.zeros)
+	m52, isM52 := m.kernel.(Matern52)
+	for c, x := range pts {
+		// k(x, x): every shipped kernel evaluates to exactly Variance at
+		// zero distance (r = 0, exp(-0) = 1), so the concrete fast path
+		// skips the call; the value is bit-identical to Eval(x, x).
+		var kxx float64
 		if isM52 {
-			fillRowsMatern52(s, &kmat, xs, pts, m52)
+			kxx = m52.Variance
 		} else {
-			for i, xi := range xs {
-				row := kmat.Data[i*w : i*w+w : i*w+w]
-				for c, x := range pts {
-					row[c] = kernel.Eval(x, xi)
-				}
-			}
+			kxx = m.kernel.Eval(x, x)
 		}
-		panelMeans(mu[p0:p1], kmat.Data, m.alpha, m.mean)
-		// One triangular sweep for the whole panel: V = L⁻¹·K*.
-		vmat := linalg.Matrix{Rows: n, Cols: w, Data: s.panel[:n*w]}
-		m.chol.SolveLowerMatrixInto(&vmat, &kmat)
-		// Squared norms ‖v_c‖², rows ascending, into sigma: the squared
-		// distance of v_c from the origin, since v − 0 is exactly v.
-		linalg.SquaredDistancesInto(psigma, vmat.Data, s.zeros)
-		for c, x := range pts {
-			// k(x, x): every shipped kernel evaluates to exactly Variance at
-			// zero distance (r = 0, exp(-0) = 1), so the concrete fast path
-			// skips the call; the value is bit-identical to Eval(x, x).
-			var kxx float64
-			if isM52 {
-				kxx = m52.Variance
-			} else {
-				kxx = kernel.Eval(x, x)
-			}
-			variance := kxx - psigma[c]
-			if variance < 0 {
-				variance = 0
-			}
-			psigma[c] = math.Sqrt(variance)
+		variance := kxx - sigma[c]
+		if variance < 0 {
+			variance = 0
 		}
+		sigma[c] = math.Sqrt(variance)
 	}
 }
 

@@ -265,3 +265,85 @@ func TestIncrementalNearDuplicateAppendIndefinite(t *testing.T) {
 		}
 	}
 }
+
+// nearCopy returns x moved by a random step of relative size 1e-12 to 1e-3.
+func nearCopy(rng *rand.Rand, x []float64) []float64 {
+	step := math.Pow(10, -12+9*rng.Float64())
+	y := make([]float64, len(x))
+	for d, v := range x {
+		y[d] = v + step*rng.NormFloat64()
+	}
+	return y
+}
+
+// TestSigmaCeilingBoundsPosterior: PredictMeansInto then PredictSigmasInto
+// is PredictBatchInto to the bit, and neither PriorSigma nor SigmaCeiling
+// is ever below the σ computed — over windows of 1 to 64 points in 1 to
+// 72 dimensions with near-duplicate inputs, noise from 1e-9 to 1e-1
+// (jitter escalation included), heuristic and pinned Matérn 5/2 kernels,
+// factors from Reset and from Append, and pools of random points, window
+// points and points a hair off them.
+func TestSigmaCeilingBoundsPosterior(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	columns, tight := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(64)
+		dim := 1 + rng.Intn(72)
+		noise := math.Pow(10, -9+8*rng.Float64())
+		var kernel Kernel
+		if trial%2 == 1 {
+			kernel = Matern52{LengthScale: math.Pow(10, -1+1.5*rng.Float64()) * math.Sqrt(float64(dim)), Variance: math.Pow(10, -2+2*rng.Float64())}
+		}
+		xs := randomInputs(rng, n, dim)
+		for i := 1; i < n; i++ {
+			if rng.Intn(4) == 0 {
+				xs[i] = nearCopy(rng, xs[rng.Intn(i)])
+			}
+		}
+		ys := randomTargets(rng, xs)
+		m := NewIncremental(Options{Kernel: kernel, Noise: noise})
+		n0 := max(1, n-rng.Intn(4))
+		err := m.Reset(xs[:n0], ys[:n0])
+		for i := n0; i < n && err == nil; i++ {
+			err = m.Append(xs[i], ys[:i+1])
+		}
+		if err != nil {
+			t.Fatalf("trial %d: n %d dim %d noise %v: %v", trial, n, dim, noise, err)
+		}
+		pool := randomInputs(rng, 1+rng.Intn(70), dim)
+		for c := range pool {
+			switch rng.Intn(3) {
+			case 0:
+				pool[c] = append([]float64(nil), xs[rng.Intn(n)]...)
+			case 1:
+				pool[c] = nearCopy(rng, xs[rng.Intn(n)])
+			}
+		}
+		q := len(pool)
+		var s PredictScratch
+		mu, sigma := make([]float64, q), make([]float64, q)
+		m.PredictMeansInto(&s, mu, pool)
+		m.PredictSigmasInto(&s, sigma, pool)
+		wantMu, wantSigma := make([]float64, q), make([]float64, q)
+		m.PredictBatchInto(&PredictScratch{}, wantMu, wantSigma, pool)
+		prior := m.PriorSigma()
+		for c := range pool {
+			if mu[c] != wantMu[c] || sigma[c] != wantSigma[c] {
+				t.Fatalf("trial %d: point %d: split (%v, %v) != PredictBatchInto (%v, %v)", trial, c, mu[c], sigma[c], wantMu[c], wantSigma[c])
+			}
+			ceil := m.SigmaCeiling(&s, c)
+			if !(sigma[c] <= ceil) || !(sigma[c] <= prior) {
+				t.Fatalf("trial %d: n %d dim %d noise %v jitter %v: point %d: σ %v above its ceiling %v or the prior %v",
+					trial, n, dim, noise, m.Jitter(), c, sigma[c], ceil, prior)
+			}
+			columns++
+			if ceil < prior/2 {
+				tight++
+			}
+		}
+	}
+	if tight < columns/4 {
+		t.Fatalf("only %d of %d ceilings below half the prior σ: the bound was hardly exercised", tight, columns)
+	}
+	t.Logf("%d of %d ceilings below half the prior σ", tight, columns)
+}

@@ -14,7 +14,8 @@ import (
 //
 //   - a Block re-scored (hit) or re-filled (miss) equals a stateless
 //     PredictBatchInto over the same points on fresh scratch,
-//   - PredictMeanAt(i) equals PredictMean(x_i),
+//   - PredictMeansAtInto's entry i equals PredictMean(x_i), in a buffer
+//     reused while Reset shrinks (evicts) and Append grows the window,
 //   - the cached length scale equals MedianLengthScale of the inputs,
 //   - the kernel epoch moved exactly when Refits+Extends did, and a block
 //     is a hit exactly when the epoch did not move since it was filled.
@@ -31,6 +32,7 @@ func TestKernelEpochReuseProperty(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			var hits, misses, fallbacks, floorRefits, extends int
+			var rowMeans []float64 // reused across windows that grow and shrink
 			for seed := int64(1); seed <= 6; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				dim := 1 + rng.Intn(9)
@@ -95,9 +97,13 @@ func TestKernelEpochReuseProperty(t *testing.T) {
 					if v.opt.Kernel == nil && m.ls != MedianLengthScale(xs) {
 						t.Fatalf("seed %d op %d: cached length scale %v, inputs say %v", seed, op, m.ls, MedianLengthScale(xs))
 					}
+					rowMeans = m.PredictMeansAtInto(rowMeans)
+					if len(rowMeans) != len(xs) {
+						t.Fatalf("seed %d op %d: PredictMeansAtInto gave %d means for %d inputs", seed, op, len(rowMeans), len(xs))
+					}
 					for i, x := range xs {
-						if got, want := m.PredictMeanAt(i), m.PredictMean(x); got != want {
-							t.Fatalf("seed %d op %d: PredictMeanAt(%d) = %v, PredictMean = %v", seed, op, i, got, want)
+						if got, want := rowMeans[i], m.PredictMean(x); got != want {
+							t.Fatalf("seed %d op %d: PredictMeansAtInto [%d] = %v, PredictMean = %v", seed, op, i, got, want)
 						}
 					}
 

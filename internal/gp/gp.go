@@ -194,7 +194,7 @@ func cloneInputs(xs [][]float64) [][]float64 {
 // shared between concurrent predictions.
 type PredictScratch struct {
 	// kmat holds the n×m cross-covariance block of a stateless
-	// PredictBatchInto, panel the triangular solve of one
+	// PredictBatchInto or PredictMeansInto, panel the triangular solve of one
 	// panelWidth-column slice of it, and pt that slice's query points
 	// transposed dim-major for the staged fill. zeros stays all zero: the
 	// origin the squared norms of the solved panel are distances from.

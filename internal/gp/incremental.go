@@ -26,7 +26,7 @@
 // is stamped with one kernel epoch, which moves exactly when a refit or a
 // rank-1 append does (Stats().Refits + Stats().Extends) and never on a
 // target-only update. Under an unchanged epoch the median length scale,
-// the window's Gram matrix (PredictMeanAt) and a scored Block's K* columns
+// the window's Gram matrix (PredictMeansAtInto) and a scored Block's K* columns
 // and standard deviations carry over from tick to tick.
 
 package gp
@@ -333,12 +333,16 @@ func (m *Incremental) PredictMean(x []float64) float64 {
 	return m.mean + linalg.Dot(m.rowBuf, m.alpha)
 }
 
-// PredictMeanAt returns the posterior mean at the model's own input i —
-// PredictMean(x_i) to the bit, read off the Gram row instead of n kernel
-// evaluations.
-func (m *Incremental) PredictMeanAt(i int) float64 {
-	n := m.n
-	return m.mean + linalg.Dot(m.kbuf.Data[i*n:i*n+n], m.alpha)
+// PredictMeansAtInto returns dst, resized to Len, holding the posterior
+// mean at each of the model's own inputs — PredictMean(x_i) to the bit at
+// dst[i], read off the Gram matrix instead of n kernel evaluations a row.
+// The Gram matrix is bit-symmetric (rebuild and Append write (i, j) and
+// (j, i) from one value), so one panel product over it sums each row's
+// K_ij·α_j in Dot's j-ascending order.
+func (m *Incremental) PredictMeansAtInto(dst []float64) []float64 {
+	dst = grow(dst, m.n)
+	panelMeans(dst, m.kbuf.Data[:m.n*m.n], m.alpha[:m.n], m.mean)
+	return dst
 }
 
 // Posterior returns the joint posterior mean vector and covariance matrix

@@ -91,7 +91,8 @@ func TestGPScoringSameUnderBothKernels(t *testing.T) {
 }
 
 // requireSameScoring builds one model over (xs, ys) and requires its pool
-// scores from PredictBatchInto, PredictBlockInto → UpdateTargets(ys2) →
+// scores from PredictBatchInto, PredictMeansInto → SigmaCeiling →
+// PredictSigmasInto, PredictBlockInto → UpdateTargets(ys2) →
 // RepredictBlockInto and Posterior to be == under both kernel sets.
 func requireSameScoring(t *testing.T, ctx string, kernel gp.Kernel, xs [][]float64, ys, ys2 []float64, pool [][]float64) {
 	t.Helper()
@@ -107,6 +108,18 @@ func requireSameScoring(t *testing.T, ctx string, kernel gp.Kernel, xs [][]float
 		return append(append([]float64(nil), mu...), sigma...)
 	})
 	requireSame(t, "PredictBatchInto "+ctx, avx, portable)
+
+	// The split halves, and the σ ceilings read off the filled panel.
+	avx, portable = underBoth(func() []float64 {
+		m.PredictMeansInto(&s, mu, pool)
+		out := append([]float64(nil), mu...)
+		for c := range pool {
+			out = append(out, m.SigmaCeiling(&s, c))
+		}
+		m.PredictSigmasInto(&s, sigma, pool)
+		return append(out, sigma...)
+	})
+	requireSame(t, "PredictMeansInto/SigmaCeiling/PredictSigmasInto "+ctx, avx, portable)
 
 	avx, portable = underBoth(func() []float64 {
 		if err := m.UpdateTargets(ys); err != nil {
