@@ -28,6 +28,7 @@ import (
 	"satori"
 	"satori/internal/fleet"
 	"satori/internal/harness"
+	"satori/internal/stack"
 )
 
 func main() {
@@ -73,7 +74,7 @@ func main() {
 			Profiles:     profiles,
 		},
 	}
-	ticks := int(*seconds / satori.TickSeconds)
+	ticks := stack.Ticks(*seconds)
 
 	if *sweepShards != "" {
 		var counts []int

@@ -15,6 +15,7 @@ import (
 	"satori/internal/policies/oracle"
 	"satori/internal/resource"
 	"satori/internal/sim"
+	"satori/internal/stack"
 	"satori/internal/workloads"
 )
 
@@ -35,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := 0; i < int(*warmup/sim.TickSeconds); i++ {
+	for i := 0; i < stack.Ticks(*warmup); i++ {
 		s.Step()
 	}
 	space := s.Space()

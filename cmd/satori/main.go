@@ -50,7 +50,7 @@ func main() {
 		return
 	}
 
-	ticks := int(*seconds / satori.TickSeconds)
+	ticks := stack.Ticks(*seconds)
 	loop, err := spec.Build(ticks)
 	if err != nil {
 		log.Fatal(err)

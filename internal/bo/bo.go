@@ -146,13 +146,6 @@ type PosteriorModel interface {
 	Posterior(points [][]float64) (mu []float64, cov *linalg.Matrix)
 }
 
-// BatchModel is the pool-scoring interface: one call fills the posterior
-// mean and stddev for every candidate through matrix-level triangular
-// solves against the shared Cholesky factor. *gp.Incremental satisfies it.
-type BatchModel interface {
-	PredictBatchInto(s *gp.PredictScratch, mu, sigma []float64, points [][]float64)
-}
-
 // ErrNoFiniteScore is returned when every candidate's acquisition score is
 // NaN or infinite — a degenerate posterior (e.g. collapsed length-scale or
 // an incumbent of ±Inf), not a legitimate "hold the current config"
@@ -160,10 +153,11 @@ type BatchModel interface {
 var ErrNoFiniteScore = errors.New("bo: no candidate produced a finite acquisition score")
 
 // SuggestBatch scores the whole candidate pool with one PredictBatchInto
-// call and returns Argmax's choice over it. mu and sigma are caller-owned
-// scratch of length len(candidates); scratch may be nil, in which case a
-// temporary is allocated.
-func SuggestBatch(m BatchModel, scratch *gp.PredictScratch, acq Acquisition, best float64, candidates [][]float64, mu, sigma []float64) (int, float64, error) {
+// call — matrix-level triangular solves against the model's shared
+// Cholesky factor — and returns Argmax's choice over it. mu and sigma are
+// caller-owned scratch of length len(candidates); scratch may be nil, in
+// which case a temporary is allocated.
+func SuggestBatch(m *gp.Incremental, scratch *gp.PredictScratch, acq Acquisition, best float64, candidates [][]float64, mu, sigma []float64) (int, float64, error) {
 	if len(candidates) == 0 {
 		return -1, 0, errors.New("bo: no candidates to score")
 	}

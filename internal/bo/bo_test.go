@@ -99,7 +99,7 @@ func fitted(t *testing.T, xs [][]float64, ys []float64, opt gp.Options) *gp.Incr
 }
 
 // suggest runs SuggestBatch with throwaway scratch.
-func suggest(m BatchModel, acq Acquisition, best float64, cands [][]float64) (int, float64, error) {
+func suggest(m *gp.Incremental, acq Acquisition, best float64, cands [][]float64) (int, float64, error) {
 	return SuggestBatch(m, nil, acq, best, cands, make([]float64, len(cands)), make([]float64, len(cands)))
 }
 
@@ -338,9 +338,9 @@ func referenceArgmax(t *testing.T, xs [][]float64, ys []float64, opt gp.Options,
 	return Argmax(acq, best, mu, sigma)
 }
 
-// TestSuggestAcceptsIncrementalModel pins the BatchModel seam: the
-// incremental posterior must be scoreable by the acquisition machinery and
-// agree with the from-scratch fit.
+// TestSuggestAcceptsIncrementalModel: the incremental posterior must be
+// scoreable by the acquisition machinery and agree with the from-scratch
+// fit.
 func TestSuggestAcceptsIncrementalModel(t *testing.T) {
 	xs := [][]float64{{0}, {0.05}, {1}, {0.95}}
 	ys := []float64{0.1, 0.12, 0.1, 0.11}
@@ -391,7 +391,7 @@ func TestThompsonSuggestAllNaNReturnsTypedError(t *testing.T) {
 func TestSuggestBatchMatchesSuggest(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	acqs := []Acquisition{EI{}, EI{Xi: 0.05}, UCB{Beta: 2}, PI{Xi: 0.01}}
-	kernels := []gp.Kernel{nil, gp.Matern52{LengthScale: 0.4, Variance: 1.2}, gp.RBF{LengthScale: 0.8, Variance: 0.5}}
+	kernels := []gp.Matern52{{}, {LengthScale: 0.4, Variance: 1.2}, {LengthScale: 0.08, Variance: 0.5}}
 	for trial := 0; trial < 30; trial++ {
 		n := 4 + rng.Intn(40)
 		dim := 1 + rng.Intn(8)

@@ -62,19 +62,14 @@ func (m *Incremental) PredictSigmasInto(s *PredictScratch, sigma []float64, poin
 	}
 	for p0 := 0; p0 < q; p0 += panelWidth {
 		p1 := min(p0+panelWidth, q)
-		m.solvePanel(s, s.kmat[m.n*p0:m.n*p1], sigma[p0:p1], points[p0:p1])
+		m.solvePanel(s, s.kmat[m.n*p0:m.n*p1], sigma[p0:p1])
 	}
 }
 
-// PriorSigma returns √k(x, x) of the model's Matérn 5/2 kernel, which no
-// σ the model computes exceeds (k(x, x) minus a squared norm, rounded
-// monotonically), or +Inf for any other kernel.
+// PriorSigma returns √k(x, x) of the model's kernel, which no σ the model
+// computes exceeds (k(x, x) minus a squared norm, rounded monotonically).
 func (m *Incremental) PriorSigma() float64 {
-	k, ok := m.kernel.(Matern52)
-	if !ok {
-		return math.Inf(1)
-	}
-	return math.Sqrt(k.Variance)
+	return math.Sqrt(m.kernel.Variance)
 }
 
 // SigmaCeiling returns a bound on the σ PredictSigmasInto computes for
@@ -82,13 +77,8 @@ func (m *Incremental) PriorSigma() float64 {
 // cross-covariances alone: σ² <= k(x,x) − max_j k_j²/(k(x,x) + jitter), by
 // Cauchy–Schwarz in the inner product of the matrix the computed factor
 // inverts, raised by a margin relative to k(x,x) that covers the solve's
-// backward error (DESIGN.md §4). It is +Inf for a kernel other than
-// Matérn 5/2, and NaN when a cross-covariance is.
+// backward error (DESIGN.md §4). It is NaN when a cross-covariance is.
 func (m *Incremental) SigmaCeiling(s *PredictScratch, c int) float64 {
-	k, ok := m.kernel.(Matern52)
-	if !ok {
-		return math.Inf(1)
-	}
 	n := m.n
 	q := len(s.kmat) / n
 	p0 := c - c%panelWidth
@@ -99,7 +89,7 @@ func (m *Incremental) SigmaCeiling(s *PredictScratch, c int) float64 {
 		v := col[i*w]
 		near = max(near, v*v)
 	}
-	kxx := k.Variance
+	kxx := m.kernel.Variance
 	v := kxx - near/(kxx+m.jitter) + float64(n+4)*0x1p-48*kxx
 	return math.Sqrt(max(v, 0))
 }
@@ -183,34 +173,22 @@ func (m *Incremental) predictBatch(s *PredictScratch, kstar, mu, sigma []float64
 		p1 := min(p0+panelWidth, q)
 		kpanel := kstar[m.n*p0 : m.n*p1]
 		m.fillPanel(s, kpanel, mu[p0:p1], points[p0:p1])
-		m.solvePanel(s, kpanel, sigma[p0:p1], points[p0:p1])
+		m.solvePanel(s, kpanel, sigma[p0:p1])
 	}
 }
 
 // fillPanel writes one panel's cross-covariances into kpanel (n×len(pts),
 // row-major) and the points' posterior means into mu.
 func (m *Incremental) fillPanel(s *PredictScratch, kpanel, mu []float64, pts [][]float64) {
-	xs, kernel, w := m.xbuf[:m.n], m.kernel, len(pts)
-	kmat := linalg.Matrix{Rows: m.n, Cols: w, Data: kpanel}
-	// The Matérn 5/2 default takes a staged concrete-type fill; anything
-	// else goes through the interface.
-	if m52, ok := kernel.(Matern52); ok {
-		fillRowsMatern52(s, &kmat, xs, pts, m52)
-	} else {
-		for i, xi := range xs {
-			row := kpanel[i*w : i*w+w : i*w+w]
-			for c, x := range pts {
-				row[c] = kernel.Eval(x, xi)
-			}
-		}
-	}
+	kmat := linalg.Matrix{Rows: m.n, Cols: len(pts), Data: kpanel}
+	fillRowsMatern52(s, &kmat, m.xbuf[:m.n], pts, m.kernel)
 	panelMeans(mu, kpanel, m.alpha, m.mean)
 }
 
 // solvePanel writes the posterior standard deviations of one panel whose
 // cross-covariances fillPanel left in kpanel.
-func (m *Incremental) solvePanel(s *PredictScratch, kpanel, sigma []float64, pts [][]float64) {
-	n, w := m.n, len(pts)
+func (m *Incremental) solvePanel(s *PredictScratch, kpanel, sigma []float64) {
+	n, w := m.n, len(sigma)
 	s.panel = grow(s.panel, n*w)
 	s.zeros = grow(s.zeros, n) // nothing writes it: fresh or reused, all zero
 	// One triangular sweep for the whole panel: V = L⁻¹·K*.
@@ -220,17 +198,10 @@ func (m *Incremental) solvePanel(s *PredictScratch, kpanel, sigma []float64, pts
 	// Squared norms ‖v_c‖², rows ascending, into sigma: the squared
 	// distance of v_c from the origin, since v − 0 is exactly v.
 	linalg.SquaredDistancesInto(sigma, vmat.Data, s.zeros)
-	m52, isM52 := m.kernel.(Matern52)
-	for c, x := range pts {
-		// k(x, x): every shipped kernel evaluates to exactly Variance at
-		// zero distance (r = 0, exp(-0) = 1), so the concrete fast path
-		// skips the call; the value is bit-identical to Eval(x, x).
-		var kxx float64
-		if isM52 {
-			kxx = m52.Variance
-		} else {
-			kxx = m.kernel.Eval(x, x)
-		}
+	// k(x, x) is exactly Variance: at zero distance r = 0 and exp(-0) = 1,
+	// so the value is bit-identical to Eval(x, x).
+	kxx := m.kernel.Variance
+	for c := range sigma {
 		variance := kxx - sigma[c]
 		if variance < 0 {
 			variance = 0
@@ -248,13 +219,12 @@ func panelMeans(mu, kpanel, alpha []float64, mean float64) {
 	}
 }
 
-// fillRowsMatern52 is the staged cross-covariance fill for the default
-// kernel: per model row, a squared-distance sweep over the dim-major
-// transposed panel and the Matérn transform of that row, both linalg
-// column kernels. Each element's value is Matern52.Eval's expression
-// sequence — the squared distance still sums dimension-ascending per
-// element, the transform is Eval's formula with math.Exp's own rounding —
-// so splitting the loops only removes interface dispatch and lets
+// fillRowsMatern52 is the cross-covariance fill: per model row, a
+// squared-distance sweep over the dim-major transposed points and the
+// Matérn transform of that row, both linalg column kernels. Each element's
+// value is Matern52.Eval's expression sequence — the squared distance still
+// sums dimension-ascending per element, the transform is Eval's formula
+// with math.Exp's own rounding — so splitting the loops only lets
 // independent elements share vector lanes; results stay bit-identical to
 // Eval's.
 func fillRowsMatern52(s *PredictScratch, kmat *linalg.Matrix, xs, points [][]float64, k Matern52) {
@@ -280,22 +250,19 @@ func fillRowsMatern52(s *PredictScratch, kmat *linalg.Matrix, xs, points [][]flo
 }
 
 // posteriorBatch is the joint-posterior kernel behind GP.Posterior and
-// Incremental.Posterior: the m query solves collapse into one matrix
-// triangular sweep, and the covariance Gram accumulates row-by-row over
-// contiguous solve rows instead of strided column dots. Accumulation
-// order per (i, j) entry matches the former per-point linalg.Dot loops,
-// so Thompson sampling sees bit-identical posteriors.
-func posteriorBatch(points [][]float64, xs [][]float64, alpha []float64, chol *linalg.Cholesky, kernel Kernel, mean float64) ([]float64, *linalg.Matrix) {
+// Incremental.Posterior: the n×q cross-covariance takes the pool's fill,
+// the q query solves collapse into one matrix triangular sweep, and the
+// covariance Gram accumulates row-by-row over contiguous solve rows instead
+// of strided column dots. Every entry's accumulation order matches the
+// per-point Eval and linalg.Dot loops it replaced, so Thompson sampling
+// sees bit-identical posteriors.
+func posteriorBatch(points [][]float64, xs [][]float64, alpha []float64, chol *linalg.Cholesky, kernel Matern52, mean float64) ([]float64, *linalg.Matrix) {
 	q := len(points)
 	n := len(xs)
 	mu := make([]float64, q)
 	kmat := linalg.NewMatrix(n, q)
-	for i, xi := range xs {
-		row := kmat.Data[i*q : i*q+q]
-		for c, x := range points {
-			row[c] = kernel.Eval(x, xi)
-		}
-	}
+	var s PredictScratch
+	fillRowsMatern52(&s, kmat, xs, points, kernel)
 	panelMeans(mu, kmat.Data, alpha, mean)
 	vmat := chol.SolveLowerMatrixInto(linalg.NewMatrix(n, q), kmat)
 	cov := linalg.NewMatrix(q, q)

@@ -19,8 +19,9 @@ func benchModel(b *testing.B, n, dim int) (*Incremental, [][]float64) {
 	return m, randomInputs(rng, 128, dim)
 }
 
-// BenchmarkKernelFillRow times one model-row worth of kernel evaluations
-// (the n×m cross-covariance fill is the irreducible part of pool scoring).
+// BenchmarkKernelFillRow times one model-row worth of per-element Eval
+// calls (the n×m cross-covariance fill is the irreducible part of pool
+// scoring; compare BenchmarkFillRowsMatern52).
 func BenchmarkKernelFillRow(b *testing.B) {
 	m, pool := benchModel(b, 64, 15)
 	row := make([]float64, len(pool))
@@ -69,16 +70,15 @@ func benchSolveLowerMatrix(b *testing.B, q int) {
 func BenchmarkSolveLowerMatrix32(b *testing.B)  { benchSolveLowerMatrix(b, 32) }
 func BenchmarkSolveLowerMatrix128(b *testing.B) { benchSolveLowerMatrix(b, 128) }
 
-// BenchmarkFillRowsMatern52 times the staged concrete-kernel batch fill
-// (compare ns/eval against BenchmarkKernelFillRow's interface path).
+// BenchmarkFillRowsMatern52 times the staged batch fill (compare ns/eval
+// against BenchmarkKernelFillRow's per-element Eval).
 func BenchmarkFillRowsMatern52(b *testing.B) {
 	m, pool := benchModel(b, 64, 15)
-	k := m.kernel.(Matern52)
 	var s PredictScratch
 	kmat := linalg.NewMatrix(64, len(pool))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fillRowsMatern52(&s, kmat, m.xbuf[:64], pool, k)
+		fillRowsMatern52(&s, kmat, m.xbuf[:64], pool, m.kernel)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(64*len(pool)), "ns/eval")
 }

@@ -37,11 +37,11 @@ func checkPooledAgainstSingles(t *testing.T, m *Incremental, pool [][]float64, c
 // outputs) and agrees with the textbook gp.Fit(...).Predict to 1e-9.
 func TestPredictBatchBitIdenticalToPerCandidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	kernels := []Kernel{
-		nil, // heuristic Matérn 5/2
-		Matern52{LengthScale: 0.6, Variance: 1.3},
-		Matern32{LengthScale: 1.1, Variance: 0.8},
-		RBF{LengthScale: 0.9, Variance: 2.0},
+	kernels := []Matern52{
+		{}, // the heuristics
+		{LengthScale: 0.6, Variance: 1.3},
+		{LengthScale: 1.1, Variance: 0.8},
+		{LengthScale: 0.09, Variance: 2.0},
 	}
 	for trial := 0; trial < 40; trial++ {
 		opt := Options{Kernel: kernels[trial%len(kernels)]}
@@ -290,7 +290,7 @@ func TestSigmaCeilingBoundsPosterior(t *testing.T) {
 		n := 1 + rng.Intn(64)
 		dim := 1 + rng.Intn(72)
 		noise := math.Pow(10, -9+8*rng.Float64())
-		var kernel Kernel
+		var kernel Matern52
 		if trial%2 == 1 {
 			kernel = Matern52{LengthScale: math.Pow(10, -1+1.5*rng.Float64()) * math.Sqrt(float64(dim)), Variance: math.Pow(10, -2+2*rng.Float64())}
 		}
@@ -346,4 +346,86 @@ func TestSigmaCeilingBoundsPosterior(t *testing.T) {
 		t.Fatalf("only %d of %d ceilings below half the prior σ: the bound was hardly exercised", tight, columns)
 	}
 	t.Logf("%d of %d ceilings below half the prior σ", tight, columns)
+}
+
+// posteriorEval is posteriorBatch as it was before the cross-covariance
+// took the pool's fill: one Eval per (window point, query point). It is the
+// oracle TestPosteriorMatchesEvalOracle holds the fill to.
+func posteriorEval(points [][]float64, xs [][]float64, alpha []float64, chol *linalg.Cholesky, kernel Matern52, mean float64) ([]float64, *linalg.Matrix) {
+	q := len(points)
+	n := len(xs)
+	mu := make([]float64, q)
+	kmat := linalg.NewMatrix(n, q)
+	for i, xi := range xs {
+		row := kmat.Data[i*q : i*q+q]
+		for c, x := range points {
+			row[c] = kernel.Eval(x, xi)
+		}
+	}
+	panelMeans(mu, kmat.Data, alpha, mean)
+	vmat := chol.SolveLowerMatrixInto(linalg.NewMatrix(n, q), kmat)
+	cov := linalg.NewMatrix(q, q)
+	for r := 0; r < n; r++ {
+		row := vmat.Data[r*q : r*q+q : r*q+q]
+		for i, vi := range row {
+			ci := cov.Data[i*q : i*q+i+1 : i*q+i+1]
+			for j := range ci {
+				ci[j] += vi * row[j]
+			}
+		}
+	}
+	for i := 0; i < q; i++ {
+		for j := 0; j <= i; j++ {
+			v := kernel.Eval(points[i], points[j]) - cov.Data[i*q+j]
+			cov.Set(i, j, v)
+			cov.Set(j, i, v)
+		}
+	}
+	return mu, cov
+}
+
+// TestPosteriorMatchesEvalOracle: Thompson sampling's joint posterior is
+// unchanged by the shared fill — Incremental.Posterior's mean and
+// covariance equal posteriorEval's by Float64bits, for heuristic and pinned
+// kernels, windows of 1 to 64 points and pools of 1 to 70 (some on either
+// side of panelWidth), with pool points on and off the window.
+func TestPosteriorMatchesEvalOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	kernels := []Matern52{{}, {LengthScale: 0.5, Variance: 1.0}, {LengthScale: 0.05, Variance: 0.3}}
+	pools := []int{1, 2, panelWidth - 1, panelWidth, panelWidth + 1, 2*panelWidth + 1, 70}
+	entries := 0
+	for trial := 0; trial < 60; trial++ {
+		kernel := kernels[trial%len(kernels)]
+		n := 1 + rng.Intn(64)
+		if trial < 2 {
+			n = []int{1, 64}[trial]
+		}
+		dim := 1 + rng.Intn(12)
+		xs := randomInputs(rng, n, dim)
+		m := fitIncremental(t, Options{Kernel: kernel, Noise: 1e-4}, xs, randomTargets(rng, xs))
+		q := pools[trial%len(pools)]
+		if trial%3 == 2 {
+			q = 1 + rng.Intn(70)
+		}
+		pool := randomInputs(rng, q, dim)
+		for c := range pool {
+			if rng.Intn(4) == 0 {
+				pool[c] = append([]float64(nil), xs[rng.Intn(n)]...)
+			}
+		}
+		mu, cov := m.Posterior(pool)
+		wantMu, wantCov := posteriorEval(pool, m.xbuf[:m.n], m.alpha, m.chol, m.kernel, m.mean)
+		for c := range mu {
+			if math.Float64bits(mu[c]) != math.Float64bits(wantMu[c]) {
+				t.Fatalf("trial %d (n %d, q %d, %+v): mean %d is %v, the Eval oracle %v", trial, n, q, m.kernel, c, mu[c], wantMu[c])
+			}
+		}
+		for i, v := range cov.Data {
+			if math.Float64bits(v) != math.Float64bits(wantCov.Data[i]) {
+				t.Fatalf("trial %d (n %d, q %d, %+v): cov (%d, %d) is %v, the Eval oracle %v", trial, n, q, m.kernel, i/q, i%q, v, wantCov.Data[i])
+			}
+		}
+		entries += q + q*q
+	}
+	t.Logf("%d posterior entries compared", entries)
 }

@@ -94,7 +94,7 @@ func TestKernelEpochReuseProperty(t *testing.T) {
 						t.Fatalf("seed %d op %d: epoch %d -> %d but refits+extends %d -> %d", seed, op,
 							epochBefore, m.epoch, before.Refits+before.Extends, after.Refits+after.Extends)
 					}
-					if v.opt.Kernel == nil && m.ls != MedianLengthScale(xs) {
+					if v.opt.Kernel == (Matern52{}) && m.ls != MedianLengthScale(xs) {
 						t.Fatalf("seed %d op %d: cached length scale %v, inputs say %v", seed, op, m.ls, MedianLengthScale(xs))
 					}
 					rowMeans = m.PredictMeansAtInto(rowMeans)
@@ -127,10 +127,10 @@ func TestKernelEpochReuseProperty(t *testing.T) {
 					}
 				}
 			}
-			if hits == 0 || misses == 0 || floorRefits == 0 && v.opt.Kernel == nil {
+			if hits == 0 || misses == 0 || floorRefits == 0 && v.opt.Kernel == (Matern52{}) {
 				t.Fatalf("paths not exercised: %d hits, %d misses, %d floor-crossing refits", hits, misses, floorRefits)
 			}
-			if v.opt.Kernel != nil && (fallbacks == 0 || extends == 0) {
+			if v.opt.Kernel != (Matern52{}) && (fallbacks == 0 || extends == 0) {
 				t.Fatalf("pinned kernel: %d ErrIndefinite fallbacks, %d extends; want both", fallbacks, extends)
 			}
 			t.Logf("%d hits, %d misses, %d extends, %d duplicate-append fallbacks, %d floor-crossing refits",

@@ -4,12 +4,11 @@
 // predicted mean and an uncertainty (standard deviation); the acquisition
 // function in package bo combines the two.
 //
-// The default kernel is Matérn 5/2, the paper's choice; RBF and Matérn 3/2
-// are also provided. Fitting is exact GP regression via Cholesky
-// factorization with automatic jitter escalation for numerical safety, and
-// an optional median-distance length-scale heuristic so no offline
-// hyperparameter tuning is required (consistent with SATORI's
-// no-offline-profiling design goal).
+// The kernel is Matérn 5/2, the paper's choice. Fitting is exact GP
+// regression via Cholesky factorization with automatic jitter escalation
+// for numerical safety, and an optional median-distance length-scale
+// heuristic so no offline hyperparameter tuning is required (consistent
+// with SATORI's no-offline-profiling design goal).
 package gp
 
 import (
@@ -20,16 +19,8 @@ import (
 	"satori/internal/linalg"
 )
 
-// Kernel is a positive-definite covariance function over input vectors.
-type Kernel interface {
-	// Eval returns k(a, b).
-	Eval(a, b []float64) float64
-	// Name identifies the kernel for logs.
-	Name() string
-}
-
 // Matern52 is the Matérn covariance kernel with smoothness ν = 5/2, the
-// proxy-model kernel used by SATORI.
+// proxy-model kernel used by SATORI and the only one this package has.
 type Matern52 struct {
 	// LengthScale l > 0 controls how quickly correlation decays with
 	// input distance.
@@ -38,52 +29,19 @@ type Matern52 struct {
 	Variance float64
 }
 
-// Eval implements Kernel.
+// Eval returns k(a, b).
 func (k Matern52) Eval(a, b []float64) float64 {
 	r := math.Sqrt(linalg.SquaredDistance(a, b)) / k.LengthScale
 	s5r := math.Sqrt(5) * r
 	return k.Variance * (1 + s5r + 5*r*r/3) * math.Exp(-s5r)
 }
 
-// Name implements Kernel.
-func (k Matern52) Name() string { return "matern52" }
-
-// Matern32 is the Matérn kernel with ν = 3/2 (rougher sample paths).
-type Matern32 struct {
-	LengthScale float64
-	Variance    float64
-}
-
-// Eval implements Kernel.
-func (k Matern32) Eval(a, b []float64) float64 {
-	r := math.Sqrt(linalg.SquaredDistance(a, b)) / k.LengthScale
-	s3r := math.Sqrt(3) * r
-	return k.Variance * (1 + s3r) * math.Exp(-s3r)
-}
-
-// Name implements Kernel.
-func (k Matern32) Name() string { return "matern32" }
-
-// RBF is the squared-exponential kernel (infinitely smooth sample paths).
-type RBF struct {
-	LengthScale float64
-	Variance    float64
-}
-
-// Eval implements Kernel.
-func (k RBF) Eval(a, b []float64) float64 {
-	return k.Variance * math.Exp(-linalg.SquaredDistance(a, b)/(2*k.LengthScale*k.LengthScale))
-}
-
-// Name implements Kernel.
-func (k RBF) Name() string { return "rbf" }
-
 // ErrNoData is returned when fitting with no observations.
 var ErrNoData = errors.New("gp: no observations to fit")
 
 // GP is a fitted Gaussian-process posterior.
 type GP struct {
-	kernel Kernel
+	kernel Matern52
 
 	xs     [][]float64
 	alpha  []float64 // K⁻¹(y − mean)
@@ -94,8 +52,9 @@ type GP struct {
 
 // Options configures Fit.
 type Options struct {
-	// Kernel defaults to Matern52 with heuristic length scale when nil.
-	Kernel Kernel
+	// Kernel pins the kernel; the zero value selects the no-tuning
+	// heuristics (median-distance length scale, floored sample variance).
+	Kernel Matern52
 	// Noise is the observation noise variance; defaults to 1e-4, which
 	// matches ~1% measurement noise on objectives scaled to [0, 1].
 	Noise float64
@@ -126,7 +85,7 @@ func Fit(xs [][]float64, ys []float64, opt Options) (*GP, error) {
 	mean := sampleMean(ys)
 
 	kernel := opt.Kernel
-	if kernel == nil {
+	if kernel == (Matern52{}) {
 		// No-tuning heuristics: length scale from the median pairwise
 		// input distance, signal variance from the sample variance of
 		// the observations (floored so a flat initial design still
@@ -236,7 +195,7 @@ func (g *GP) Posterior(points [][]float64) (mu []float64, cov *linalg.Matrix) {
 func (g *GP) Jitter() float64 { return g.jitter }
 
 // Kernel returns the kernel the model was fitted with.
-func (g *GP) Kernel() Kernel { return g.kernel }
+func (g *GP) Kernel() Matern52 { return g.kernel }
 
 // MedianLengthScale returns the median pairwise Euclidean distance between
 // inputs — a standard no-tuning heuristic for the kernel length scale. It

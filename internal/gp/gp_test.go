@@ -12,59 +12,31 @@ import (
 )
 
 func TestKernelBasicProperties(t *testing.T) {
-	kernels := []Kernel{
-		Matern52{LengthScale: 0.5, Variance: 2},
-		Matern32{LengthScale: 0.5, Variance: 2},
-		RBF{LengthScale: 0.5, Variance: 2},
-	}
+	k := Matern52{LengthScale: 0.5, Variance: 2}
 	a := []float64{0.1, 0.2}
 	b := []float64{0.7, 0.9}
-	for _, k := range kernels {
-		// k(x, x) = variance.
-		if got := k.Eval(a, a); math.Abs(got-2) > 1e-12 {
-			t.Errorf("%s: k(x,x) = %g, want 2", k.Name(), got)
-		}
-		// Symmetry.
-		if k.Eval(a, b) != k.Eval(b, a) {
-			t.Errorf("%s: kernel not symmetric", k.Name())
-		}
-		// Positivity and decay.
-		v := k.Eval(a, b)
-		if v <= 0 || v >= 2 {
-			t.Errorf("%s: k(a,b) = %g, want in (0, 2)", k.Name(), v)
-		}
-		// Monotone decay with distance.
-		far := []float64{5, 5}
-		if k.Eval(a, far) >= v {
-			t.Errorf("%s: kernel does not decay with distance", k.Name())
-		}
+	// k(x, x) = variance.
+	if got := k.Eval(a, a); math.Abs(got-2) > 1e-12 {
+		t.Errorf("k(x,x) = %g, want 2", got)
 	}
-}
-
-func TestKernelSmoothnessOrdering(t *testing.T) {
-	// At moderate distance, RBF decays fastest at long range; at a fixed
-	// r=1 with unit scales the known values are:
-	//  RBF: exp(-0.5) ~ 0.6065
-	//  Matern52: (1+sqrt5+5/3)exp(-sqrt5) ~ 0.5240
-	//  Matern32: (1+sqrt3)exp(-sqrt3) ~ 0.4850
-	a := []float64{0}
-	b := []float64{1}
-	rbf := RBF{LengthScale: 1, Variance: 1}.Eval(a, b)
-	m52 := Matern52{LengthScale: 1, Variance: 1}.Eval(a, b)
-	m32 := Matern32{LengthScale: 1, Variance: 1}.Eval(a, b)
-	if math.Abs(rbf-math.Exp(-0.5)) > 1e-12 {
-		t.Errorf("RBF(1) = %g", rbf)
+	// Symmetry.
+	if k.Eval(a, b) != k.Eval(b, a) {
+		t.Error("kernel not symmetric")
 	}
-	want52 := (1 + math.Sqrt(5) + 5.0/3.0) * math.Exp(-math.Sqrt(5))
-	if math.Abs(m52-want52) > 1e-12 {
-		t.Errorf("Matern52(1) = %g, want %g", m52, want52)
+	// Positivity and decay.
+	v := k.Eval(a, b)
+	if v <= 0 || v >= 2 {
+		t.Errorf("k(a,b) = %g, want in (0, 2)", v)
 	}
-	want32 := (1 + math.Sqrt(3)) * math.Exp(-math.Sqrt(3))
-	if math.Abs(m32-want32) > 1e-12 {
-		t.Errorf("Matern32(1) = %g, want %g", m32, want32)
+	// Monotone decay with distance.
+	far := []float64{5, 5}
+	if k.Eval(a, far) >= v {
+		t.Error("kernel does not decay with distance")
 	}
-	if !(m32 < m52 && m52 < rbf) {
-		t.Errorf("smoothness ordering violated: %g %g %g", m32, m52, rbf)
+	// The closed form at r = 1 with unit scales.
+	want := (1 + math.Sqrt(5) + 5.0/3.0) * math.Exp(-math.Sqrt(5))
+	if got := (Matern52{LengthScale: 1, Variance: 1}).Eval([]float64{0}, []float64{1}); math.Abs(got-want) > 1e-12 {
+		t.Errorf("Matern52(1) = %g, want %g", got, want)
 	}
 }
 
@@ -206,13 +178,25 @@ func TestMedianLengthScale(t *testing.T) {
 	}
 }
 
+// TestDefaultKernelIsMatern52: the zero Options.Kernel selects the
+// no-tuning heuristics — the median pairwise distance and the floored
+// sample variance — and a pinned kernel is used as given.
 func TestDefaultKernelIsMatern52(t *testing.T) {
-	g, err := Fit([][]float64{{0}, {1}}, []float64{0, 1}, Options{})
+	xs, ys := [][]float64{{0}, {1}, {3}}, []float64{0, 1, 0.5}
+	g, err := Fit(xs, ys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Kernel().Name() != "matern52" {
-		t.Errorf("default kernel = %s, want matern52", g.Kernel().Name())
+	want := Matern52{LengthScale: 2, Variance: 1.0 / 6}
+	if got := g.Kernel(); math.Abs(got.LengthScale-want.LengthScale) > 1e-12 || math.Abs(got.Variance-want.Variance) > 1e-12 {
+		t.Errorf("default kernel = %+v, want %+v", got, want)
+	}
+	pinned := Matern52{LengthScale: 0.3, Variance: 0.7}
+	if g, err = Fit(xs, ys, Options{Kernel: pinned}); err != nil {
+		t.Fatal(err)
+	}
+	if g.Kernel() != pinned {
+		t.Errorf("pinned kernel = %+v, want %+v", g.Kernel(), pinned)
 	}
 }
 

@@ -56,9 +56,9 @@ type IncrementalStats struct {
 // value is not usable; construct with NewIncremental. Methods are not safe
 // for concurrent use (updates and PredictMean reuse internal buffers).
 type Incremental struct {
-	fixed  Kernel // caller-pinned kernel; nil means heuristic refresh
+	fixed  Matern52 // caller-pinned kernel; the zero value means heuristic refresh
 	noise  float64
-	kernel Kernel
+	kernel Matern52
 	ls     float64 // heuristic length scale backing kernel
 	vr     float64 // heuristic signal variance backing kernel
 	// lsStale marks ls as older than the inputs: set by setX, cleared
@@ -83,7 +83,7 @@ type Incremental struct {
 }
 
 // NewIncremental returns an empty incremental model. opt is interpreted
-// exactly as by Fit: a nil Kernel selects the Matérn 5/2 heuristics,
+// exactly as by Fit: a zero Kernel selects the no-tuning heuristics,
 // Noise defaults to 1e-4.
 func NewIncremental(opt Options) *Incremental {
 	noise := opt.Noise
@@ -99,9 +99,9 @@ func (m *Incremental) Len() int { return m.n }
 // Stats returns the update-path counters.
 func (m *Incremental) Stats() IncrementalStats { return m.stats }
 
-// Kernel returns the model's current kernel (nil before the first Reset
-// in heuristic mode).
-func (m *Incremental) Kernel() Kernel { return m.kernel }
+// Kernel returns the model's current kernel (the zero value before the
+// first Reset in heuristic mode).
+func (m *Incremental) Kernel() Matern52 { return m.kernel }
 
 // Jitter returns the diagonal jitter of the current factorization.
 func (m *Incremental) Jitter() float64 { return m.jitter }
@@ -131,7 +131,7 @@ func (m *Incremental) Reset(xs [][]float64, ys []float64) error {
 		m.setX(i, x)
 	}
 	m.n = n
-	if m.fixed == nil {
+	if m.fixed == (Matern52{}) {
 		m.refreshHeuristics(ys)
 	}
 	return m.rebuild(ys)
@@ -159,7 +159,7 @@ func (m *Incremental) Append(x []float64, ys []float64) error {
 	}
 	m.setX(m.n, x)
 	m.n++
-	if m.fixed == nil && m.refreshHeuristics(ys) {
+	if m.fixed == (Matern52{}) && m.refreshHeuristics(ys) {
 		// Membership change moved the heuristics: hyperparameter
 		// refresh, which invalidates every kernel entry.
 		return m.rebuild(ys)
@@ -171,7 +171,7 @@ func (m *Incremental) Append(x []float64, ys []float64) error {
 	for i := 0; i < m.n-1; i++ {
 		row[i] = m.kernel.Eval(xnew, m.xbuf[i])
 	}
-	diag := m.kernel.Eval(xnew, xnew)
+	diag := m.kernel.Variance // Eval(x, x), exactly: r = 0 and exp(-0) = 1
 	if err := m.chol.Extend(row, diag+m.jitter); err != nil {
 		// Near-singular append (e.g. a duplicate input): fall back to
 		// refactorization with jitter escalation.
@@ -213,7 +213,7 @@ func (m *Incremental) UpdateTargets(ys []float64) error {
 		m.n = 0
 		return err
 	}
-	if m.fixed == nil && m.refreshHeuristics(ys) {
+	if m.fixed == (Matern52{}) && m.refreshHeuristics(ys) {
 		return m.rebuild(ys)
 	}
 	m.stats.TargetSolves++
@@ -229,7 +229,9 @@ func (m *Incremental) UpdateTargets(ys []float64) error {
 // beyond it the scan is order-sensitive, so windows larger than 256 may
 // refresh on revisit-induced reorderings that a from-scratch Fit would not
 // notice — every reordering reaches the model through Reset, hence setX,
-// so the reuse never hides one.
+// so the reuse never hides one. The first call always reports a change:
+// the heuristic length scale is never 0 and the variance is floored at
+// 0.01, so neither can equal the zero value they start from.
 func (m *Incremental) refreshHeuristics(ys []float64) bool {
 	ls := m.ls
 	if m.lsStale {
@@ -237,7 +239,7 @@ func (m *Incremental) refreshHeuristics(ys []float64) bool {
 		m.lsStale = false
 	}
 	vr := flooredVariance(ys, sampleMean(ys))
-	if ls == m.ls && vr == m.vr && m.kernel != nil {
+	if ls == m.ls && vr == m.vr {
 		return false
 	}
 	m.ls, m.vr = ls, vr
@@ -265,7 +267,7 @@ func (m *Incremental) rebuild(ys []float64) error {
 	var err error
 	for attempt, j := 0, m.noise; attempt < 8; attempt, j = attempt+1, j*10 {
 		for i := 0; i < n; i++ {
-			m.kbuf.Set(i, i, m.kernel.Eval(m.xbuf[i], m.xbuf[i])+j)
+			m.kbuf.Set(i, i, m.kernel.Variance+j)
 		}
 		if err = m.chol.Factorize(&m.kbuf); err == nil {
 			m.jitter = j
@@ -277,7 +279,7 @@ func (m *Incremental) rebuild(ys []float64) error {
 		return fmt.Errorf("gp: kernel matrix not factorizable even with jitter: %w", err)
 	}
 	for i := 0; i < n; i++ {
-		m.kbuf.Set(i, i, m.kernel.Eval(m.xbuf[i], m.xbuf[i]))
+		m.kbuf.Set(i, i, m.kernel.Variance)
 	}
 	m.stats.Refits++
 	m.epoch++
@@ -326,11 +328,12 @@ func (m *Incremental) setX(i int, x []float64) {
 // PredictMean returns only the posterior mean at x (no triangular solve,
 // no allocations).
 func (m *Incremental) PredictMean(x []float64) float64 {
-	m.rowBuf = grow(m.rowBuf, m.n)
-	for i := range m.rowBuf {
-		m.rowBuf[i] = m.kernel.Eval(x, m.xbuf[i])
+	row := grow(m.rowBuf, m.n)
+	for i, xi := range m.xbuf[:m.n] {
+		row[i] = m.kernel.Eval(x, xi)
 	}
-	return m.mean + linalg.Dot(m.rowBuf, m.alpha)
+	m.rowBuf = row
+	return m.mean + linalg.Dot(row, m.alpha)
 }
 
 // PredictMeansAtInto returns dst, resized to Len, holding the posterior

@@ -179,8 +179,7 @@ func TestIncrementalMatchesFitHeuristicKernel(t *testing.T) {
 
 		// The heuristics the incremental model settled on must be the
 		// ones Fit derives from the same data.
-		mk, gk := m.Kernel().(Matern52), g.Kernel().(Matern52)
-		if mk != gk {
+		if mk, gk := m.Kernel(), g.Kernel(); mk != gk {
 			t.Fatalf("step %d: kernel drift: incremental %+v vs fit %+v", step, mk, gk)
 		}
 	}

@@ -64,19 +64,19 @@ func TestGPScoringSameUnderBothKernels(t *testing.T) {
 		}
 		return ys
 	}
-	// Every model takes the staged Matérn 5/2 fill. A pinned kernel keeps
-	// the kernel epoch — hence the block — across UpdateTargets; the
-	// heuristic one may move its variance and drop the block, which both
-	// sets must then agree on. At length scale 0.0055 the exponent argument
+	// A pinned kernel keeps the kernel epoch — hence the block — across
+	// UpdateTargets; the heuristic one may move its variance and drop the
+	// block, which both sets must then agree on. Posterior takes the same
+	// fill as the pool. At length scale 0.0055 the exponent argument
 	// −√5r of unit-cube distances in 15 dimensions straddles −700 (about a
 	// quarter of the lanes fall past it), so the transform's assembly stops
 	// mid-row and the Go loop finishes it.
 	models := []struct {
 		name   string
-		kernel gp.Kernel
+		kernel gp.Matern52
 	}{
 		{"pinned", gp.Matern52{LengthScale: 0.9, Variance: 0.5}},
-		{"heuristic", nil},
+		{"heuristic", gp.Matern52{}},
 		{"past -700", gp.Matern52{LengthScale: 0.0055, Variance: 0.5}},
 	}
 	for _, n := range callerWindows {
@@ -94,7 +94,7 @@ func TestGPScoringSameUnderBothKernels(t *testing.T) {
 // scores from PredictBatchInto, PredictMeansInto → SigmaCeiling →
 // PredictSigmasInto, PredictBlockInto → UpdateTargets(ys2) →
 // RepredictBlockInto and Posterior to be == under both kernel sets.
-func requireSameScoring(t *testing.T, ctx string, kernel gp.Kernel, xs [][]float64, ys, ys2 []float64, pool [][]float64) {
+func requireSameScoring(t *testing.T, ctx string, kernel gp.Matern52, xs [][]float64, ys, ys2 []float64, pool [][]float64) {
 	t.Helper()
 	q := len(pool)
 	m := gp.NewIncremental(gp.Options{Kernel: kernel})
@@ -132,7 +132,7 @@ func requireSameScoring(t *testing.T, ctx string, kernel gp.Kernel, xs [][]float
 			t.Fatal(err)
 		}
 		if !m.RepredictBlockInto(&blk, mu, sigma) {
-			if kernel != nil {
+			if kernel != (gp.Matern52{}) {
 				t.Fatalf("%s: block went stale across a target-only update", ctx)
 			}
 			return append(out, -1) // the heuristic moved: no re-predict

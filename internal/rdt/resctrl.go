@@ -106,11 +106,12 @@ func (w ResctrlWriter) Apply(plan Plan) error {
 
 // prune removes control-group directories whose index is beyond the live
 // plan — the groups a removed job (or a coarser clustering) left behind.
-// Only directories named exactly satori-job<N> are candidates; everything
-// else under the root (info, mon_groups, foreign groups) is untouched.
-// On a real resctrl mount a group is deleted with a bare rmdir (its
-// virtual files vanish with it), so plain Remove is tried first and
-// RemoveAll only as the scratch-directory fallback.
+// Only directories named exactly satori-job<N>, N as groupDir spells it,
+// are candidates; everything else under the root (info, mon_groups,
+// foreign groups, and look-alikes such as satori-job03 or satori-job+3)
+// is untouched. On a real resctrl mount a group is deleted with a bare
+// rmdir (its virtual files vanish with it), so plain Remove is tried
+// first and RemoveAll only as the scratch-directory fallback.
 func (w ResctrlWriter) prune(live int) error {
 	entries, err := os.ReadDir(w.Root)
 	if err != nil {
@@ -121,7 +122,7 @@ func (w ResctrlWriter) prune(live int) error {
 			continue
 		}
 		idx, err := strconv.Atoi(e.Name()[len(groupPrefix):])
-		if err != nil || idx < live {
+		if err != nil || idx < live || groupPrefix+strconv.Itoa(idx) != e.Name() {
 			continue
 		}
 		dir := filepath.Join(w.Root, e.Name())

@@ -149,8 +149,7 @@ func TestResctrlWriterApplyAndReadBack(t *testing.T) {
 	}
 	// Directory layout: one group per job with the two control files.
 	for j := 0; j < 3; j++ {
-		dir := filepath.Join(w.Root, "satori-job0")
-		if _, err := os.Stat(dir); err != nil {
+		if _, err := os.Stat(w.groupDir(j)); err != nil {
 			t.Fatalf("missing group dir: %v", err)
 		}
 		got, err := w.ReadGroup(j)
@@ -193,5 +192,47 @@ func TestResctrlWriterValidation(t *testing.T) {
 	bad := Plan{Jobs: []JobAllocation{{Job: 0, CATMask: 0, MBAPercent: 50}}}
 	if err := (ResctrlWriter{Root: t.TempDir()}).Apply(bad); err == nil {
 		t.Error("invalid plan accepted")
+	}
+}
+
+// TestWriterPruneLeavesLookAlikes: pruning deletes only the directories
+// groupDir names. A foreign satori-job03 or satori-job+3 parses to index 3
+// under strconv.Atoi, but neither is a group the writer made, so shrinking
+// the plan to 3 groups must leave both, and the files in them, alone while
+// the real stale satori-job3 goes.
+func TestWriterPruneLeavesLookAlikes(t *testing.T) {
+	w := ResctrlWriter{Root: t.TempDir()}
+	names := []string{"satori-job03", "satori-job+3", "satori-job3"}
+	for _, name := range names {
+		if err := os.MkdirAll(filepath.Join(w.Root, name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(w.Root, name, "tasks"), []byte("42\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	space, err := sim.DefaultMachine().Space(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := Compile(space, space.EqualSplit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Apply(plan); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names[:2] {
+		if _, err := os.Stat(filepath.Join(w.Root, name, "tasks")); err != nil {
+			t.Errorf("prune touched the foreign %s: %v", name, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(w.Root, "satori-job3")); !os.IsNotExist(err) {
+		t.Errorf("stale satori-job3 survived a 3-group apply: %v", err)
+	}
+	for j := 0; j < 3; j++ {
+		if _, err := w.ReadGroup(j); err != nil {
+			t.Errorf("group %d: %v", j, err)
+		}
 	}
 }

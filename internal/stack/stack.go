@@ -9,6 +9,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -108,6 +109,13 @@ func (s Spec) Build(ticks int) (*control.Loop, error) {
 		SLO:        control.SLOOptions{GoalSwitch: s.SLOGoalSwitch},
 		Resilience: control.ResilienceOptions{Sleep: time.Sleep},
 	})
+}
+
+// Ticks converts a run length in simulated seconds into control ticks,
+// rounding to the nearest tick: truncating seconds/TickSeconds would run
+// 0.7 s as 6 ticks, because 0.7/0.1 is 6.999… in floating point.
+func Ticks(seconds float64) int {
+	return int(math.Round(seconds / sim.TickSeconds))
 }
 
 // jobs resolves the job set: a profile file wins, then the -workloads

@@ -279,3 +279,16 @@ func TestBuildRefusesBadInputByName(t *testing.T) {
 		}
 	}
 }
+
+// TestTicks: a run length in seconds becomes the nearest tick count, where
+// truncating the quotient lost one tick to rounding.
+func TestTicks(t *testing.T) {
+	for _, c := range []struct {
+		seconds float64
+		want    int
+	}{{0, 0}, {0.1, 1}, {0.3, 3}, {0.7, 7}, {1.2, 12}, {2.3, 23}, {60, 600}} {
+		if got := Ticks(c.seconds); got != c.want {
+			t.Errorf("Ticks(%v) = %d, want %d", c.seconds, got, c.want)
+		}
+	}
+}
