@@ -207,6 +207,7 @@ func Run(spec RunSpec) (*Result, error) {
 
 	var refSearcher *oracle.Searcher
 	refCache := map[string]resource.Config{}
+	var refKey []byte
 	if spec.TrackOracleDistance {
 		oopt := spec.OracleOptions
 		oopt.Seed = spec.Seed ^ 0xFACE
@@ -247,8 +248,8 @@ func Run(spec RunSpec) (*Result, error) {
 
 		var dist float64
 		if spec.TrackOracleDistance {
-			key := phaseKey(simulator)
-			ref, ok := refCache[key]
+			refKey = simulator.AppendPhaseKey(refKey[:0])
+			ref, ok := refCache[string(refKey)]
 			if !ok {
 				// Cache only successful searches: a failed search
 				// returns the zero-value Config (objective -Inf), and
@@ -257,7 +258,7 @@ func Run(spec RunSpec) (*Result, error) {
 				// key absent retries on the next tick instead.
 				if c, v := refSearcher.Search(0.5, 0.5); c.Alloc != nil && !math.IsInf(v, -1) {
 					ref = c
-					refCache[key] = ref
+					refCache[string(refKey)] = ref
 				}
 			}
 			if ref.Alloc != nil {
@@ -296,13 +297,4 @@ func Run(spec RunSpec) (*Result, error) {
 	res.TransientResets = sum.ResetErrs
 	res.Trace = series
 	return res, nil
-}
-
-// phaseKey mirrors the oracle's joint-phase cache key.
-func phaseKey(s *sim.Simulator) string {
-	key := ""
-	for j := 0; j < s.NumJobs(); j++ {
-		key += s.PhaseName(j) + "|"
-	}
-	return key
 }

@@ -126,12 +126,20 @@ func (m FairnessMetric) String() string {
 // per-job isolated baselines. Jobs with a non-positive baseline yield a
 // speedup of 0 (they cannot be meaningfully normalized). The two slices
 // must have equal length.
-func Speedups(ips, isolated []float64) []float64 {
+func Speedups(ips, isolated []float64) []float64 { return SpeedupsInto(nil, ips, isolated) }
+
+// SpeedupsInto is Speedups writing into dst's storage, which is allocated
+// only when its capacity is short of len(ips). It returns the speedups.
+func SpeedupsInto(dst, ips, isolated []float64) []float64 {
 	if len(ips) != len(isolated) {
 		panic(fmt.Sprintf("metrics: Speedups length mismatch %d vs %d", len(ips), len(isolated)))
 	}
-	s := make([]float64, len(ips))
+	if cap(dst) < len(ips) {
+		dst = make([]float64, len(ips))
+	}
+	s := dst[:len(ips)]
 	for i := range ips {
+		s[i] = 0
 		if isolated[i] > 0 {
 			s[i] = ips[i] / isolated[i]
 		}
@@ -182,9 +190,15 @@ func Jain(speedups []float64) float64 { return Fairness(JainIndex, speedups) }
 // ceiling) and are clamped defensively; SumIPS is normalized against the
 // sum of isolated IPS, the natural upper envelope.
 func NormalizedThroughput(m ThroughputMetric, ips, isolated []float64) float64 {
+	return NormalizedThroughputInto(m, ips, isolated, nil)
+}
+
+// NormalizedThroughputInto is NormalizedThroughput computing any speedups
+// it needs in scratch's storage (see SpeedupsInto).
+func NormalizedThroughputInto(m ThroughputMetric, ips, isolated, scratch []float64) float64 {
 	switch m := m.Resolve(); m {
 	case GeoMeanSpeedup, HarmonicMeanSpeedup:
-		t := Throughput(m, Speedups(ips, isolated))
+		t := Throughput(m, SpeedupsInto(scratch, ips, isolated))
 		return stats.Clamp(t, 0, 1)
 	case SumIPS, P99Latency:
 		// See Throughput: without a latency tracker P99Latency scores
@@ -204,7 +218,13 @@ func NormalizedThroughput(m ThroughputMetric, ips, isolated []float64) float64 {
 // is already bounded; 1−CoV has no lower bound and is clamped at 0 per the
 // paper's normalization note in Sec. III-B.
 func NormalizedFairness(m FairnessMetric, ips, isolated []float64) float64 {
-	f := Fairness(m, Speedups(ips, isolated))
+	return NormalizedFairnessInto(m, ips, isolated, nil)
+}
+
+// NormalizedFairnessInto is NormalizedFairness computing the speedups in
+// scratch's storage (see SpeedupsInto).
+func NormalizedFairnessInto(m FairnessMetric, ips, isolated, scratch []float64) float64 {
+	f := Fairness(m, SpeedupsInto(scratch, ips, isolated))
 	return stats.Clamp(f, 0, 1)
 }
 

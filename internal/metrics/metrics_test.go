@@ -169,6 +169,39 @@ func TestNormalizedRangeProperty(t *testing.T) {
 	}
 }
 
+// TestIntoFormsReuseScratch: with a scratch of sufficient capacity the
+// Into forms allocate nothing, and a scratch holding stale values (from a
+// longer or a zero-baseline vector) changes no result bit.
+func TestIntoFormsReuseScratch(t *testing.T) {
+	ips := []float64{40, 0, 75, 12}
+	iso := []float64{100, 0, 80, 50}
+	scratch := []float64{9, 9, 9, 9, 9}
+	if got := SpeedupsInto(scratch, ips, iso); &got[0] != &scratch[0] || got[1] != 0 || len(got) != 4 {
+		t.Errorf("SpeedupsInto = %v on scratch %v", got, scratch)
+	}
+	tms := []ThroughputMetric{DefaultThroughput, GeoMeanSpeedup, HarmonicMeanSpeedup, SumIPS, P99Latency}
+	fms := []FairnessMetric{DefaultFairness, JainIndex, OneMinusCoV, SLOAttainment}
+	for _, tm := range tms {
+		scratch[1] = 9
+		if a, b := NormalizedThroughputInto(tm, ips, iso, scratch), NormalizedThroughput(tm, ips, iso); math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("%v: Into %v, wrapper %v", tm, a, b)
+		}
+	}
+	for _, fm := range fms {
+		scratch[1] = 9
+		if a, b := NormalizedFairnessInto(fm, ips, iso, scratch), NormalizedFairness(fm, ips, iso); math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("%v: Into %v, wrapper %v", fm, a, b)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		NormalizedThroughputInto(GeoMeanSpeedup, ips, iso, scratch)
+		NormalizedFairnessInto(JainIndex, ips, iso, scratch)
+	})
+	if allocs != 0 {
+		t.Errorf("Into forms allocate %v times with a long enough scratch", allocs)
+	}
+}
+
 func TestWorstSpeedup(t *testing.T) {
 	got := WorstSpeedup(Speedups([]float64{90, 20, 50}, []float64{100, 100, 100}))
 	if math.Abs(got-0.2) > 1e-12 {

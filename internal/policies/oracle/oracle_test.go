@@ -182,3 +182,94 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Errorf("defaults wrong: %+v", o)
 	}
 }
+
+// TestPolicyCacheSeesReplacedJob: three profile pairs share a phase name
+// ("serve", "query", "smooth"). After ReplaceJob swaps one for the other
+// in slot 0, the oracle must search again rather than return the
+// optimum it cached for the departed job, and its answer must be the
+// one a searcher that lived through the same history finds. A cache hit
+// builds no key string.
+func TestPolicyCacheSeesReplacedJob(t *testing.T) {
+	byName := func(n string) *sim.Profile {
+		p, err := workloads.ByName(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, pair := range [][2]string{{"media-streaming", "memcached-lc"}, {"web-search", "search-lc"}, {"amg", "hypre"}} {
+		before, after := byName(pair[0]), byName(pair[1])
+		if before.Phases[0].Name != after.Phases[0].Name {
+			t.Fatalf("%s and %s no longer share their first phase's name", pair[0], pair[1])
+		}
+		newSim := func() *sim.Simulator {
+			s, err := sim.New(sim.DefaultMachine(), []*sim.Profile{before, byName("swaptions"), byName("canneal")}, sim.Options{Seed: 1, NoiseSigma: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		s, twin := newSim(), newSim()
+		opt := Options{Seed: 1, ThroughputMetric: metrics.SumIPS}
+		p, ref := New(Balanced, s, opt), NewSearcher(twin, opt)
+		cur := s.Space().EqualSplit()
+		stale := p.Decide(policy.Observation{Tick: 1}, cur)
+		if allocs := testing.AllocsPerRun(10, func() { p.Decide(policy.Observation{Tick: 1}, cur) }); allocs != 0 {
+			t.Errorf("%s: a cache hit allocates %v times", pair[0], allocs)
+		}
+		wT, wF := Balanced.Weights()
+		if first, _ := ref.Search(wT, wF); !first.Equal(stale) {
+			t.Fatalf("%s: the twin searcher found %v, the policy %v", pair[0], first.Alloc, stale.Alloc)
+		}
+		if err := s.ReplaceJob(0, after); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.ReplaceJob(0, after); err != nil {
+			t.Fatal(err)
+		}
+		got := p.Decide(policy.Observation{Tick: 2}, cur)
+		want, _ := ref.Search(wT, wF)
+		if len(p.cache) != 2 || !got.Equal(want) {
+			t.Errorf("%s -> %s: %d cached states, decided %v, a fresh search finds %v (cached before the swap: %v)",
+				pair[0], pair[1], len(p.cache), got.Alloc, want.Alloc, stale.Alloc)
+		}
+	}
+}
+
+// TestSearchAllocatesPerSearchOnly: a warmed Searcher's allocations do
+// not grow with the number of evaluations — the same small count at 64
+// and 512 probes, and on the exhaustive path.
+func TestSearchAllocatesPerSearchOnly(t *testing.T) {
+	allocs := func(s *sim.Simulator, opt Options) float64 {
+		sr := NewSearcher(s, opt)
+		sr.Search(0.5, 0.5)
+		return testing.AllocsPerRun(5, func() { sr.Search(0.5, 0.5) })
+	}
+	few := allocs(bigSim(t), Options{Seed: 1, Probes: 64})
+	many := allocs(bigSim(t), Options{Seed: 1, Probes: 512})
+	exact := allocs(smallSim(t), Options{Seed: 1})
+	t.Logf("allocations per Search: %v (64 probes), %v (512 probes), %v (exhaustive, 810 configurations)", few, many, exact)
+	if few != many || few > 8 {
+		t.Errorf("hill climb allocates %v times at 64 probes and %v at 512; want one small constant", few, many)
+	}
+	if exact > 12 {
+		t.Errorf("exhaustive search allocates %v times", exact)
+	}
+}
+
+func BenchmarkSearch(b *testing.B) {
+	mixes, err := workloads.PaperMixes(workloads.SuitePARSEC)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := sim.New(sim.DefaultMachine(), mixes[0].Profiles, sim.Options{Seed: 5, NoiseSigma: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sr := NewSearcher(s, Options{Seed: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sr.Search(0.5, 0.5)
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"satori/internal/resource"
 	"satori/internal/slo"
+	"satori/internal/stats"
 )
 
 func testProfile(name string) *Profile {
@@ -569,6 +570,70 @@ func TestReplaceJob(t *testing.T) {
 	want := 1e10 / (1 + 10*0.001)
 	if math.Abs(iso[0]-want)/want > 1e-9 {
 		t.Errorf("new job isolated IPS = %g, want %g", iso[0], want)
+	}
+}
+
+// TestExactJobIPSMatchesExactIPS: the per-job and buffered forms are
+// ExactIPS entry by entry, to the bit, with and without a power row; the
+// buffered form writes nothing for an invalid configuration.
+func TestExactJobIPSMatchesExactIPS(t *testing.T) {
+	for _, powerUnits := range []int{0, 8} {
+		m := DefaultMachine()
+		m.PowerUnits = powerUnits
+		s, err := New(m, []*Profile{testProfile("j0"), testProfile("j1"), testProfile("j2")}, Options{NoiseSigma: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := stats.NewRNG(7)
+		out := make([]float64, s.NumJobs())
+		for i := 0; i < 200; i++ {
+			c := s.Space().Random(rng)
+			want, err := s.ExactIPS(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.ExactIPSInto(out, c); err != nil {
+				t.Fatal(err)
+			}
+			for j := range want {
+				if got := s.ExactJobIPS(c, j); math.Float64bits(got) != math.Float64bits(want[j]) || math.Float64bits(out[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("power %d config %v job %d: ExactJobIPS %v, ExactIPSInto %v, ExactIPS %v", powerUnits, c.Alloc, j, got, out[j], want[j])
+				}
+			}
+			s.Step()
+		}
+		out[0] = -1
+		if err := s.ExactIPSInto(out, s.Space().NewConfig()); err == nil || out[0] != -1 {
+			t.Errorf("power %d: invalid config accepted or written (%v, %v)", powerUnits, err, out[0])
+		}
+	}
+}
+
+// TestAppendPhaseKey: the key moves with a phase change and with a
+// replaced job whose phase has the same name, and is stable otherwise.
+func TestAppendPhaseKey(t *testing.T) {
+	s := newTestSim(t, 2, Options{NoiseSigma: -1})
+	key := func() string { return string(s.AppendPhaseKey(nil)) }
+	k0 := key()
+	if k0 != key() {
+		t.Fatal("key unstable")
+	}
+	for s.PhaseName(0) == "a" {
+		s.Step()
+	}
+	k1 := key()
+	if k1 == k0 {
+		t.Errorf("phase change kept key %q", k1)
+	}
+	if err := s.ReplaceJob(0, testProfile("twin")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ReplaceJob(1, testProfile("j1-twin")); err != nil {
+		t.Fatal(err)
+	}
+	// Both slots now run phase "a" again, of other profiles.
+	if k2 := key(); k2 == k0 || k2 == k1 {
+		t.Errorf("replacing both jobs kept a key: %q", k2)
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"satori/internal/resource"
 	"satori/internal/slo"
@@ -205,6 +206,24 @@ func (s *Simulator) PhaseName(j int) string {
 	return jb.profile.Phases[jb.phaseIdx].Name
 }
 
+// AppendPhaseKey appends a key for the jobs' joint phase state to dst and
+// returns the extended slice: slot by slot, the profile's name (length-
+// prefixed) and the index of its current phase. The noise-free model
+// (ExactIPS, ExactIsolated) depends on nothing else, so a search over it
+// can be cached under this key. Phase names alone are not enough: several
+// profiles share one ("serve", "query", "smooth"), and ReplaceJob can put
+// such a pair in the same slot.
+func (s *Simulator) AppendPhaseKey(dst []byte) []byte {
+	for _, jb := range s.jobs {
+		dst = strconv.AppendInt(dst, int64(len(jb.profile.Name)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, jb.profile.Name...)
+		dst = strconv.AppendInt(dst, int64(jb.phaseIdx), 10)
+		dst = append(dst, '|')
+	}
+	return dst
+}
+
 // ReplaceJob swaps job j's workload for a new profile, modeling a job
 // departure followed by a new arrival in the same slot (the workload-mix
 // change of Algorithm 1 line 12). The new job starts at its first phase;
@@ -348,14 +367,30 @@ func (s *Simulator) ipsModel(p Phase, a alloc) float64 {
 // without advancing time. This is the "oracle knowledge" entry point used
 // by the brute-force Oracle policies.
 func (s *Simulator) ExactIPS(c resource.Config) ([]float64, error) {
-	if err := s.space.Validate(c); err != nil {
+	out := make([]float64, len(s.jobs))
+	if err := s.ExactIPSInto(out, c); err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(s.jobs))
-	for j, jb := range s.jobs {
-		out[j] = s.ipsModel(jb.phase(), s.jobAlloc(c, j))
-	}
 	return out, nil
+}
+
+// ExactIPSInto is ExactIPS writing into out, which must hold one entry
+// per job. Nothing is written when c is invalid.
+func (s *Simulator) ExactIPSInto(out []float64, c resource.Config) error {
+	if err := s.space.Validate(c); err != nil {
+		return err
+	}
+	for j := range s.jobs {
+		out[j] = s.ExactJobIPS(c, j)
+	}
+	return nil
+}
+
+// ExactJobIPS returns job j's entry of ExactIPS(c), bit for bit, without
+// validating c. It reads only job j's current phase and job j's column of
+// c, so a one-unit move between two jobs changes only their two entries.
+func (s *Simulator) ExactJobIPS(c resource.Config, j int) float64 {
+	return s.ipsModel(s.jobs[j].phase(), s.jobAlloc(c, j))
 }
 
 // ExactIsolated returns the noise-free isolated (whole-machine) IPS of
