@@ -119,6 +119,8 @@ type Engine struct {
 	// included, stays in its 1 024-byte size class.
 	lastWeights  Weights // scheduleWeights
 	lastObj      float64 // scheduleWeights
+	forcedTicks  int     // forced
+	seedTicks    int     // seed
 	modelTicks   int     // syncModel
 	appendRefits int     // syncModel
 	fitFailures  int     // syncModel
@@ -388,6 +390,9 @@ func (e *Engine) record(t *tick) {
 // configuration. The weights and the one record above stay live for their
 // readers; nothing else is written and no random number is drawn.
 func (e *Engine) forced() (only resource.Config, forced bool) {
+	if e.single {
+		e.forcedTicks++
+	}
 	return e.equalSplit, e.single
 }
 
@@ -398,6 +403,7 @@ func (e *Engine) seed() (next resource.Config, seeding bool) {
 		return resource.Config{}, false
 	}
 	next, e.initQueue = e.initQueue[0], e.initQueue[1:]
+	e.seedTicks++
 	return next, true
 }
 
@@ -874,9 +880,15 @@ func (e *Engine) Records() *Records { return e.recs }
 // engine's life. Each counter has one writer, the stage of Decide named
 // with it; nothing reads a clock, so counting costs an increment.
 type Stats struct {
-	// ModelTicks counts the ticks that reached the proxy model, neither
-	// forced nor seeding (syncModel).
-	ModelTicks int
+	// ForcedTicks counts the ticks of a one-configuration space (forced),
+	// SeedTicks those that handed out the initial design (seed), and
+	// ModelTicks those that reached the proxy model (syncModel); every
+	// Decide is exactly one of the three.
+	ForcedTicks, SeedTicks, ModelTicks int
+	// RecordHeadHits counts the ticks whose configuration was the one
+	// recorded last, found by the record store without building its key
+	// (Records.HeadHits).
+	RecordHeadHits int
 	// The proxy-model update each of those ticks took, read off the model:
 	// Refits refactorized (a changed window, moved heuristics, a failed
 	// extend), Extends appended one point by a rank-1 extend, TargetSolves
@@ -898,11 +910,12 @@ type Stats struct {
 	Exploits, AcquisitionFailures int
 }
 
-// Stats returns the engine's counters: all zero for an engine whose every
-// decision is forced, which has no model.
+// Stats returns the engine's counters. An engine whose every decision is
+// forced has no model: only ForcedTicks and RecordHeadHits move.
 func (e *Engine) Stats() Stats {
 	s := Stats{
-		ModelTicks: e.modelTicks, AppendRefits: e.appendRefits, FitFailures: e.fitFailures,
+		ForcedTicks: e.forcedTicks, SeedTicks: e.seedTicks, ModelTicks: e.modelTicks,
+		RecordHeadHits: e.recs.HeadHits(), AppendRefits: e.appendRefits, FitFailures: e.fitFailures,
 		BlockHits: e.blockHits, BlockMisses: e.blockMisses, FreshSkips: e.freshSkips,
 		Exploits: e.exploits, AcquisitionFailures: e.acqFailures,
 	}
@@ -925,8 +938,10 @@ func (e *Engine) AcquisitionFailures() int { return e.acqFailures }
 // GPStats returns the proxy model's update-path counters (full refits vs
 // rank-1 extends vs α-only target re-solves), the GP tier of Stats.
 func (e *Engine) GPStats() gp.IncrementalStats {
-	s := e.Stats()
-	return gp.IncrementalStats{Refits: s.Refits, Extends: s.Extends, TargetSolves: s.TargetSolves}
+	if e.model == nil {
+		return gp.IncrementalStats{}
+	}
+	return e.model.Stats()
 }
 
 // Exploits counts ticks on which the engine held the incumbent best

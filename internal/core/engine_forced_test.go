@@ -75,8 +75,10 @@ func TestForcedSpaceSkipsTheSearch(t *testing.T) {
 			if *eng.rng != rngAtBirth {
 				t.Error("a forced engine drew from its RNG")
 			}
-			if st := eng.Stats(); st != (Stats{}) {
-				t.Errorf("Stats = %+v, want every counter 0", st)
+			// The first tick records the configuration; the other 199 find
+			// it at the head of the record store.
+			if st := eng.Stats(); st != (Stats{ForcedTicks: 200, RecordHeadHits: 199}) {
+				t.Errorf("Stats = %+v, want 200 forced ticks, 199 head hits and every other counter 0", st)
 			}
 			if len(weights) < 10 {
 				t.Errorf("LastWeights took %d distinct values over 200 swinging ticks; the scheduler is not live", len(weights))
@@ -96,6 +98,31 @@ func TestForcedSpaceSkipsTheSearch(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestForcedDecideAllocatesNothing: a forced engine re-records the one
+// configuration every tick, which the record store finds at its head, so
+// a warm forced Decide makes no allocation — not even the key string.
+func TestForcedDecideAllocatesNothing(t *testing.T) {
+	space := resource.MustNewSpace(1,
+		resource.Resource{Kind: resource.Cores, Units: 10},
+		resource.Resource{Kind: resource.LLCWays, Units: 11})
+	eng, err := New(space, Options{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	only := space.EqualSplit()
+	tick := 1
+	eng.Decide(swing(tick), only)
+	if n := testing.AllocsPerRun(100, func() {
+		tick++
+		eng.Decide(swing(tick), only)
+	}); n != 0 {
+		t.Errorf("a forced Decide allocates %v times", n)
+	}
+	if st := eng.Stats(); st.RecordHeadHits != tick-1 {
+		t.Errorf("%d head hits over %d ticks, want %d", st.RecordHeadHits, tick, tick-1)
 	}
 }
 

@@ -166,15 +166,17 @@ func TestEngineReturnedConfigIsNotAliased(t *testing.T) {
 }
 
 // TestEngineStatsAddUp holds Stats to the ticks that produced it, tick by
-// tick: a seeding tick moves no counter, every other tick is one model
-// tick; a model tick either fails or takes exactly one GP tier (an
-// AppendRefits only with a refit), scores every top configuration's block
-// as a hit or a miss, and settles as a probe, an exploit or an acquisition
-// failure. Over each run, hits + misses equal the blocks scored, refits +
-// extends + α-only solves the model ticks less the fit failures, and
-// GPStats the model's own counters — under EI with the default and a
-// never-exploit threshold, small and evicting windows, UCB, Thompson
-// sampling and a NaN margin that fails every acquisition.
+// tick: a seeding tick moves SeedTicks alone, every other tick is one model
+// tick, and a tick is a record-store head hit exactly when it records the
+// configuration the tick before recorded; a model tick either fails or
+// takes exactly one GP tier (an AppendRefits only with a refit), scores
+// every top configuration's block as a hit or a miss, and settles as a
+// probe, an exploit or an acquisition failure. Over each run, forced +
+// seeding + model ticks equal the Decide calls, hits + misses the blocks
+// scored, refits + extends + α-only solves the model ticks less the fit
+// failures, and GPStats the model's own counters — under EI with the
+// default and a never-exploit threshold, small and evicting windows, UCB,
+// Thompson sampling and a NaN margin that fails every acquisition.
 func TestEngineStatsAddUp(t *testing.T) {
 	var total Stats
 	for i, opt := range []Options{
@@ -190,15 +192,25 @@ func TestEngineStatsAddUp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		const ticks = 300
 		blocks, scored := 0, 0
+		var previous resource.Config
 		current := env.space.EqualSplit()
-		for tick := 1; tick <= 300; tick++ {
+		for tick := 1; tick <= ticks; tick++ {
 			seeding, before := len(eng.initQueue) > 0, eng.Stats()
 			tp, fair := env.eval(current)
 			next := eng.Decide(policy.Observation{Tick: tick, Time: float64(tick) * 0.1, Throughput: tp, Fairness: fair}, current)
 			d := addStats(eng.Stats(), before, -1)
+			hit := 0
+			if current.Equal(previous) {
+				hit = 1
+			}
+			if d.RecordHeadHits != hit {
+				t.Fatalf("run %d tick %d: %d head hits, want %d", i, tick, d.RecordHeadHits, hit)
+			}
+			d.RecordHeadHits = 0
 			switch {
-			case seeding && d != (Stats{}):
+			case seeding && d != (Stats{SeedTicks: 1}):
 				t.Fatalf("run %d tick %d: a seeding tick moved %+v", i, tick, d)
 			case seeding:
 			case d.ModelTicks != 1:
@@ -213,9 +225,12 @@ func TestEngineStatsAddUp(t *testing.T) {
 					t.Fatalf("run %d tick %d: %d blocks, counters %+v", i, tick, eng.poolTopN, d)
 				}
 			}
-			current = next
+			previous, current = current, next
 		}
 		st := eng.Stats()
+		if st.ForcedTicks+st.SeedTicks+st.ModelTicks != ticks || st.ForcedTicks != 0 {
+			t.Fatalf("run %d: %d forced, %d seeding and %d model ticks of %d", i, st.ForcedTicks, st.SeedTicks, st.ModelTicks, ticks)
+		}
 		if st.BlockHits+st.BlockMisses != blocks || st.Refits+st.Extends+st.TargetSolves != st.ModelTicks-st.FitFailures ||
 			st.ModelTicks-st.FitFailures != scored || eng.GPStats() != eng.model.Stats() {
 			t.Fatalf("run %d: %d blocks on %d scored ticks, Stats %+v, model %+v", i, blocks, scored, st, eng.model.Stats())
@@ -226,7 +241,7 @@ func TestEngineStatsAddUp(t *testing.T) {
 		total = addStats(total, st, 1)
 	}
 	if total.BlockHits == 0 || total.BlockMisses == 0 || total.AppendRefits == 0 || total.Extends == 0 || total.TargetSolves == 0 ||
-		total.FreshSkips == 0 || total.Exploits == 0 || total.AcquisitionFailures == 0 {
+		total.FreshSkips == 0 || total.Exploits == 0 || total.AcquisitionFailures == 0 || total.SeedTicks == 0 || total.RecordHeadHits == 0 {
 		t.Fatalf("totals %+v: a counter never moved", total)
 	}
 	t.Logf("totals %+v", total)

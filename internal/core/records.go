@@ -51,6 +51,10 @@ type Records struct {
 	bySig      map[string]*Record
 	head, tail *Record
 	cap        int
+	// keyBuf holds the key Update last looked up; headHits counts the
+	// updates that found their record at the head without one.
+	keyBuf   []byte
+	headHits int
 }
 
 // DefaultRecordCap bounds the store; it is comfortably larger than any
@@ -76,13 +80,21 @@ func (r *Records) SetCap(n int) {
 // newest measurement is the relevant belief, and the paper explicitly
 // keeps previously sampled configurations eligible for re-evaluation.
 func (r *Records) Update(space *resource.Space, cfg resource.Config, throughput, fairness float64, tick int) *Record {
-	key := cfg.Key()
-	rec, ok := r.bySig[key]
-	if ok {
+	// The head is the configuration recorded last, which a steady tick
+	// records again. Equal configurations have equal keys, so comparing
+	// allocations finds the record the map would.
+	rec := r.head
+	if rec != nil && rec.Config.Equal(cfg) {
+		r.headHits++
 		r.unlink(rec)
 	} else {
-		rec = &Record{Config: cfg.Clone(), Key: key, Vector: space.Vector(cfg)}
-		r.bySig[key] = rec
+		r.keyBuf = cfg.AppendKey(r.keyBuf[:0])
+		if rec = r.bySig[string(r.keyBuf)]; rec != nil {
+			r.unlink(rec)
+		} else {
+			rec = &Record{Config: cfg.Clone(), Key: string(r.keyBuf), Vector: space.Vector(cfg)}
+			r.bySig[rec.Key] = rec
+		}
 	}
 	rec.Throughput = throughput
 	rec.Fairness = fairness
@@ -160,6 +172,10 @@ func (r *Records) Has(cfg resource.Config) bool {
 	_, ok := r.bySig[cfg.Key()]
 	return ok
 }
+
+// HeadHits counts the updates whose configuration was the head's, the
+// one recorded last: found without building its key.
+func (r *Records) HeadHits() int { return r.headHits }
 
 // Window returns up to n records, most recently evaluated first (all of
 // them when n <= 0). The returned slice is freshly allocated but shares

@@ -96,14 +96,18 @@ func sameWindow(got, want []*Record) string {
 // revisits (of live and of evicted ones), ticks that advance, repeat or
 // step back, and capacity changes in both directions down to the clamp.
 // After every operation Window(0), Window(n), Len and the evicted keys
-// must equal the oracle's.
+// must equal the oracle's. Some revisits re-record the head through a clone
+// of its configuration — at each kind of tick, and right after SetCap
+// lowered the cap — and must get the head's own *Record back: engine
+// blocks are keyed by the pointer.
 func TestRecordsMatchSortedOracle(t *testing.T) {
 	space := resource.MustNewSpace(3,
 		resource.Resource{Kind: resource.Cores, Units: 10},
 		resource.Resource{Kind: resource.LLCWays, Units: 8},
 	)
 	const seeds, ops = 200, 400
-	evictions := 0
+	evictions, capEvictions := 0, 0
+	var headOps [4]int // advancing, equal and stepped-back ticks; after a lowered cap
 	for seed := uint64(1); seed <= seeds; seed++ {
 		rng := stats.NewRNG(seed)
 		recs, oracle := NewRecords(), &sortedRecords{bySig: map[string]*Record{}, cap: DefaultRecordCap}
@@ -116,27 +120,44 @@ func TestRecordsMatchSortedOracle(t *testing.T) {
 		tick := rng.Intn(5)
 		for op := 0; op < ops; op++ {
 			where := func() string { return fmt.Sprintf("seed %d op %d (tick %d, cap %d)", seed, op, tick, oracle.cap) }
+			headOp := -1
 			switch k := rng.Intn(20); {
 			case k == 0:
 				c := rng.Intn(32) - 2 // includes the clamp to 1
+				lowered := max(c, 1) < oracle.cap
 				recs.SetCap(c)
 				oracle.SetCap(c)
 				// A lower cap evicts nothing until the next Update.
 				if d := sameWindow(recs.Window(0), oracle.Window(0)); d != "" || recs.Len() != len(oracle.bySig) {
 					t.Fatalf("%s: SetCap(%d): %s, Len %d", where(), c, d, recs.Len())
 				}
-				continue
+				if !lowered || recs.head == nil {
+					continue
+				}
+				headOp = 3 // the head path must run the evictions
 			case k < 10:
 				tick += 1 + rng.Intn(3)
 			case k < 16: // several configurations in one tick
 			default:
 				tick -= 1 + rng.Intn(6)
 			}
+			head := recs.head
+			if headOp < 0 && head != nil && rng.Intn(4) == 0 {
+				headOp = 0
+				if head.LastTick == tick {
+					headOp = 1
+				} else if head.LastTick > tick {
+					headOp = 2
+				}
+			}
 			var cfg resource.Config
-			if len(seen) == 0 || rng.Intn(3) == 0 {
+			switch {
+			case headOp >= 0:
+				cfg = head.Config.Clone()
+			case len(seen) == 0 || rng.Intn(3) == 0:
 				cfg = space.Random(rng)
 				seen = append(seen, cfg)
-			} else {
+			default:
 				cfg = seen[rng.Intn(len(seen))]
 			}
 			tp, fair := rng.Float64(), rng.Float64()
@@ -148,6 +169,15 @@ func TestRecordsMatchSortedOracle(t *testing.T) {
 			want, wantEvicted := oracle.Update(space, cfg, tp, fair, tick)
 			if got.Key != want.Key || got.Visits != want.Visits || got.LastTick != want.LastTick {
 				t.Fatalf("%s: Update returned %s×%d, oracle %s×%d", where(), got.Key, got.Visits, want.Key, want.Visits)
+			}
+			if headOp >= 0 {
+				if got != head {
+					t.Fatalf("%s: re-recording the head %s returned another record", where(), head.Key)
+				}
+				headOps[headOp]++
+				if headOp == 3 {
+					capEvictions += len(wantEvicted)
+				}
 			}
 			all := recs.Window(0)
 			if d := sameWindow(all, oracle.Window(0)); d != "" {
@@ -175,10 +205,16 @@ func TestRecordsMatchSortedOracle(t *testing.T) {
 			evictions += len(wantEvicted)
 		}
 	}
-	if evictions == 0 {
-		t.Fatal("no operation evicted anything: the eviction order was never compared")
+	if evictions == 0 || capEvictions == 0 {
+		t.Fatalf("%d evictions, %d after a lowered cap: the eviction order was never compared", evictions, capEvictions)
 	}
-	t.Logf("%d seeds × %d operations, %d evictions compared", seeds, ops, evictions)
+	for i, n := range headOps {
+		if n == 0 {
+			t.Fatalf("head re-records %v: kind %d never ran", headOps, i)
+		}
+	}
+	t.Logf("%d seeds × %d operations, %d evictions compared (%d by a head re-record after a lowered cap); head re-records at an advancing, equal and stepped-back tick and after a lowered cap: %v",
+		seeds, ops, evictions, capEvictions, headOps)
 }
 
 // windowKeys lists a window as key@tick, for failure messages.

@@ -100,8 +100,6 @@ type node struct {
 	jobs    []*Job
 	loop    *control.Loop
 	gen     int // session generations, for churn-independent seeding
-	last    control.Status
-	hasLast bool // last is valid for the current job set
 
 	// Event-driven stepping state: skip is the remaining idle promise
 	// (ticks this node may defer), owed counts deferred ticks not yet
@@ -110,12 +108,16 @@ type node struct {
 	owed    int
 	skipped int
 
-	// agg caches this node's contribution to the fleet aggregates, so a
-	// node whose status did not change (skipped, in event-driven runs)
-	// costs O(1) at aggregation time instead of O(jobs). Valid only while
-	// last is unchanged.
-	agg      nodeAgg
-	aggValid bool
+	// What the fleet reads of the node's latest status, taken by step in
+	// the parallel phase: its share of the fleet aggregates, so a node
+	// costs O(1) at aggregation time instead of O(jobs), its per-job
+	// speedups for placement, and its SLO view (lc: it has one). Valid
+	// while hasLast; a membership change clears it.
+	hasLast          bool
+	agg              nodeAgg
+	speedups         []float64
+	lc, sloViolating bool
+	sloAttainment    float64
 }
 
 // nodeAgg is a node's pre-reduced share of the fleet metrics: the sums
@@ -131,9 +133,9 @@ type nodeAgg struct {
 	nonPos bool
 }
 
-func buildAgg(st control.Status) nodeAgg {
-	a := nodeAgg{jobs: len(st.Speedups), sumIPS: stats.Sum(st.IPS)}
-	for _, s := range st.Speedups {
+func buildAgg(ips, speedups []float64) nodeAgg {
+	a := nodeAgg{jobs: len(speedups), sumIPS: stats.Sum(ips)}
+	for _, s := range speedups {
 		a.sumS += s
 		a.sumS2 += s * s
 		if s <= 0 {
@@ -381,10 +383,6 @@ func (c *Cluster) Step() (TickStats, error) {
 		if !n.hasLast {
 			continue
 		}
-		if !n.aggValid {
-			n.agg = buildAgg(n.last)
-			n.aggValid = true
-		}
 		agg.jobs += n.agg.jobs
 		agg.sumIPS += n.agg.sumIPS
 		agg.sumS += n.agg.sumS
@@ -408,19 +406,19 @@ func (c *Cluster) Step() (TickStats, error) {
 		c.accJain.Add(st.Jain)
 		c.busyTicks++
 	}
-	// SLO reduction: O(1) per node off the cached last status, in fixed
+	// SLO reduction: O(1) per node off the status step kept, in fixed
 	// node order like the metric reductions above. A skipped node's held
 	// status carries its held attainment, matching the loop's own
 	// SkipIdle accounting.
 	st.SLOAttainment = 1
 	attainSum := 0.0
 	for _, n := range c.nodes {
-		if !n.hasLast || n.last.SLO == nil {
+		if !n.hasLast || !n.lc {
 			continue
 		}
 		st.LCNodes++
-		attainSum += n.last.SLOAttainment
-		if n.last.SLOViolating {
+		attainSum += n.sloAttainment
+		if n.sloViolating {
 			st.SLOViolatingNodes++
 		}
 	}
@@ -579,7 +577,7 @@ func (n *node) admit(job *Job, now float64, opt Options) error {
 	job.PlacedAt = now
 	job.Departs = now + job.Duration
 	n.jobs = append(n.jobs, job)
-	n.hasLast = false // membership changed; last tick's arrays are stale
+	n.hasLast = false // membership changed; last tick's status is stale
 	return nil
 }
 
@@ -648,9 +646,10 @@ func (n *node) step(event bool) error {
 		}
 		return err
 	}
-	n.last = st
+	n.agg = buildAgg(st.IPS, st.Speedups)
+	n.speedups = st.Speedups
+	n.lc, n.sloViolating, n.sloAttainment = st.SLO != nil, st.SLOViolating, st.SLOAttainment
 	n.hasLast = true
-	n.aggValid = false
 	if event {
 		n.skip = n.loop.IdleHorizon()
 	}

@@ -101,7 +101,7 @@ func (c *Cluster) shardViews(s *shard) []NodeView {
 		n := c.nodes[id]
 		v := NodeView{ID: i, Jobs: len(n.jobs), Capacity: c.maxJobs, Cores: c.machine.Cores}
 		if n.hasLast {
-			v.Speedups = n.last.Speedups
+			v.Speedups = n.speedups
 		}
 		out[i] = v
 	}

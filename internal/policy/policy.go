@@ -80,6 +80,7 @@ type Random struct {
 	space *resource.Space
 	rng   *stats.RNG
 	seen  map[string]bool
+	key   []byte // the last configuration's key, looked up without allocating
 }
 
 // NewRandom builds the Random policy over space with a deterministic
@@ -103,9 +104,8 @@ func (r *Random) Decide(_ Observation, current resource.Config) resource.Config 
 	// keeps running for arbitrarily long experiments.
 	for attempt := 0; attempt < 64; attempt++ {
 		c := r.space.Random(r.rng)
-		key := c.Key()
-		if !r.seen[key] {
-			r.seen[key] = true
+		if r.key = c.AppendKey(r.key[:0]); !r.seen[string(r.key)] {
+			r.seen[string(r.key)] = true
 			return c
 		}
 	}

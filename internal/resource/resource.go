@@ -209,21 +209,29 @@ func (c Config) Equal(o Config) bool {
 }
 
 // Key returns a canonical string encoding of c, usable as a map key for
-// the per-goal performance records of Sec. III-B.
+// the per-goal performance records of Sec. III-B: "3,3,4|4,4,3", rows
+// separated by '|' and jobs by ','.
 func (c Config) Key() string {
-	var b strings.Builder
+	var buf [64]byte
+	return string(c.AppendKey(buf[:0]))
+}
+
+// AppendKey appends c's Key to dst and returns the extended slice, so a
+// map keyed by Key can be probed as m[string(buf)], which does not
+// allocate.
+func (c Config) AppendKey(dst []byte) []byte {
 	for r, row := range c.Alloc {
 		if r > 0 {
-			b.WriteByte('|')
+			dst = append(dst, '|')
 		}
 		for j, u := range row {
 			if j > 0 {
-				b.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			b.WriteString(strconv.Itoa(u))
+			dst = strconv.AppendInt(dst, int64(u), 10)
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // String renders c for logs: "cores[3 3 4] llc-ways[4 4 3]".
@@ -490,12 +498,13 @@ func (s *Space) InitialSet(max int) []Config {
 	}
 	set := []Config{s.EqualSplit()}
 	seen := map[string]bool{set[0].Key(): true}
+	var key []byte
 	for _, n := range s.Neighbors(set[0]) {
 		if len(set) >= max {
 			break
 		}
-		if k := n.Key(); !seen[k] {
-			seen[k] = true
+		if key = n.AppendKey(key[:0]); !seen[string(key)] {
+			seen[string(key)] = true
 			set = append(set, n)
 		}
 	}
@@ -523,10 +532,11 @@ func (s *Space) RandomDistinct(rng *stats.RNG, n int) []Config {
 	}
 	out := make([]Config, 0, n)
 	seen := make(map[string]bool, n)
+	var key []byte
 	for len(out) < n {
 		c := s.Random(rng)
-		if k := c.Key(); !seen[k] {
-			seen[k] = true
+		if key = c.AppendKey(key[:0]); !seen[string(key)] {
+			seen[string(key)] = true
 			out = append(out, c)
 		}
 	}

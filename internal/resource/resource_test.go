@@ -2,6 +2,8 @@ package resource
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -573,6 +575,61 @@ func TestVectorIntoMatchesVector(t *testing.T) {
 	c := s.EqualSplit()
 	if n := testing.AllocsPerRun(50, func() { buf = s.VectorInto(buf, c) }); n != 0 {
 		t.Errorf("warm VectorInto allocates %v times per call", n)
+	}
+}
+
+// TestConfigAppendKeyMatchesKey holds AppendKey and Key to the
+// strings.Builder encoding Key had before AppendKey existed: record-store
+// ties are broken by comparing keys, so the bytes themselves must not
+// change. Multi-digit units, a single row and a single job are spelled
+// out; random configurations of a wider space follow, appended after a
+// prefix, and a warm AppendKey does not allocate.
+func TestConfigAppendKeyMatchesKey(t *testing.T) {
+	reference := func(c Config) string {
+		var b strings.Builder
+		for r, row := range c.Alloc {
+			if r > 0 {
+				b.WriteByte('|')
+			}
+			for j, u := range row {
+				if j > 0 {
+					b.WriteByte(',')
+				}
+				b.WriteString(strconv.Itoa(u))
+			}
+		}
+		return b.String()
+	}
+	for _, c := range []struct {
+		alloc [][]int
+		want  string
+	}{
+		{[][]int{{12, 3, 105}, {1, 1, 30}}, "12,3,105|1,1,30"},
+		{[][]int{{7, 10}}, "7,10"},
+		{[][]int{{48}, {32}, {24}}, "48|32|24"},
+		{[][]int{{1000}}, "1000"},
+	} {
+		cfg := Config{Alloc: c.alloc}
+		if got := cfg.Key(); got != c.want || got != reference(cfg) {
+			t.Errorf("Key() = %q, want %q", got, c.want)
+		}
+		if got := string(cfg.AppendKey([]byte("k:"))); got != "k:"+c.want {
+			t.Errorf("AppendKey = %q, want %q", got, "k:"+c.want)
+		}
+	}
+	s := MustNewSpace(7, Resource{Kind: Cores, Units: 48}, Resource{Kind: LLCWays, Units: 32}, Resource{Kind: MemBW, Units: 24})
+	rng := stats.NewRNG(17)
+	var buf []byte
+	for i := 0; i < 200; i++ {
+		c := s.Random(rng)
+		buf = c.AppendKey(append(buf[:0], "prefix"...))
+		if want := reference(c); c.Key() != want || string(buf) != "prefix"+want {
+			t.Fatalf("config %v: Key %q, AppendKey %q, want %q", c.Alloc, c.Key(), buf, want)
+		}
+	}
+	c := s.EqualSplit()
+	if n := testing.AllocsPerRun(50, func() { buf = c.AppendKey(buf[:0]) }); n != 0 {
+		t.Errorf("warm AppendKey allocates %v times per call", n)
 	}
 }
 
