@@ -112,6 +112,13 @@ type Engine struct {
 	// configuration (the equal split): every Decide is then forced, and the
 	// engine carries no initial design, proxy model or candidate pool.
 	single bool
+	// settled counts the consecutive ticks settle ended at exploit with the
+	// fresh panel ruled out (t.freshSkipped), saturating at settleTicks; at
+	// settleTicks buildPool narrows the scored fresh panel. fullPanel, set
+	// only by tests, keeps every tick's panel whole. Both share single's
+	// word, so the struct stays in its size class.
+	fullPanel bool
+	settled   int32
 
 	// Diagnostics, each written by exactly one stage of Decide; the
 	// counters are Stats' fields of the same names. They are fields, not a
@@ -129,6 +136,7 @@ type Engine struct {
 	blockHits    int     // scorePool
 	blockMisses  int     // scorePool
 	freshSkips   int     // scorePool: ticks whose fresh panel was not solved
+	narrowTicks  int     // buildPool: ticks that scored a narrowed fresh panel
 	acqFailures  int     // settle
 	exploits     int     // settle
 
@@ -155,8 +163,7 @@ type Engine struct {
 	xsBuf        [][]float64
 	rowBuf       []float64 // per model row: targets (syncModel), then means (trackProxyChange)
 	pointBuf     gp.Points // the candidates being scored, as the fill reads them (poolPoints)
-	muBuf        []float64
-	sigmaBuf     []float64
+	postBuf      []float64 // the pool's posterior: μ, then σ (posterior)
 	batchScratch gp.PredictScratch
 	// One scored neighborhood per top-configuration slot (scorePool).
 	blocks [3]neighborBlock
@@ -186,6 +193,11 @@ type tick struct {
 	topN    int
 
 	mu, sigma []float64 // the proxy model's posterior over the pool
+	// fresh is how many fresh candidates the tick scores: all
+	// Options.Candidates, or the narrowed panel of a settled engine, which
+	// buildPool lays out first (pool indices [fresh, Candidates) then hold
+	// drawn but unscored candidates).
+	fresh int
 
 	// The acquisition's argmax over the neighbourhood blocks, as a
 	// block-relative index (scorePool; not for Thompson sampling).
@@ -441,6 +453,17 @@ func (e *Engine) rankWindow(t *tick) {
 	}
 }
 
+// A settled engine scores fewer fresh candidates. After settleTicks
+// consecutive exploit ticks on which no fresh candidate could win, buildPool
+// still draws every candidate, in the same order, but only the first
+// 1/narrowBy of the random half and of the walk half are scored. A tick that
+// probes, fails, or finds a scored fresh candidate that could win resets the
+// count, and the next tick scores the whole panel (DESIGN.md §4).
+const (
+	settleTicks = 10
+	narrowBy    = 4
+)
+
 // buildPool fills the candidate pool: uniform random managed
 // configurations for global coverage, short random walks from the
 // incumbent for local refinement (uniform compositions are often
@@ -450,21 +473,55 @@ func (e *Engine) rankWindow(t *tick) {
 // per-engine pool; the generation order fixes the RNG draw sequence. A
 // neighborhood is only counted: nothing reads a neighbor as a
 // configuration but settle, and settle reads only the winner.
+//
+// A settled engine's draws land in a different slot order: the kept random
+// candidates, then the kept walks, then the rest of each half. The kept
+// ones are the tick's fresh panel, in their draw order, so ties between
+// them break as in the whole panel.
 func (e *Engine) buildPool(t *tick) {
-	e.candCount = 0
-	for i := 0; i < e.opt.Candidates/2; i++ {
-		c := e.nextCandidate()
+	narrow := e.settled >= settleTicks && !e.fullPanel
+	if narrow {
+		e.narrowTicks++
+	}
+	n, randoms := e.opt.Candidates, e.opt.Candidates/2
+	keepR, keepW := e.freshPanel(narrow)
+	t.fresh = keepR + keepW
+	for len(e.candidateCfg) < n {
+		e.candidateCfg = append(e.candidateCfg, e.space.NewConfig())
+	}
+	for i := 0; i < randoms; i++ {
+		slot := i
+		if i >= keepR {
+			slot += keepW
+		}
+		c := e.candidateCfg[slot]
 		e.space.RandomInto(e.rng, c)
 		e.pinUnmanaged(c)
 	}
-	for i := e.opt.Candidates / 2; i < e.opt.Candidates; i++ {
-		e.randomWalkInto(e.nextCandidate(), t.bestCfg, 3)
+	for i := 0; i < n-randoms; i++ {
+		slot := keepR + i
+		if i >= keepW {
+			slot = randoms + i
+		}
+		e.randomWalkInto(e.candidateCfg[slot], t.bestCfg, 3)
 	}
+	e.candCount = n
 	e.poolTop, e.poolTopN = t.top, t.topN
 	for i, rec := range t.top[:t.topN] {
 		e.candCount += e.neighborhoodSize(rec.Config)
 		e.poolEnd[i] = e.candCount
 	}
+}
+
+// freshPanel returns how many of the random and of the random-walk
+// candidates a tick scores: all of them, or when narrow the first
+// 1/narrowBy of each half, rounded up.
+func (e *Engine) freshPanel(narrow bool) (randoms, walks int) {
+	randoms, walks = e.opt.Candidates/2, e.opt.Candidates-e.opt.Candidates/2
+	if narrow {
+		randoms, walks = (randoms+narrowBy-1)/narrowBy, (walks+narrowBy-1)/narrowBy
+	}
+	return randoms, walks
 }
 
 // acquire maximizes the acquisition over the scored pool (Expected
@@ -473,22 +530,22 @@ func (e *Engine) buildPool(t *tick) {
 // draws from the joint posterior over the pool and has no score.
 //
 // scorePool has already taken the argmax over the blocks; this merges the
-// fresh candidates' argmax into it, or, when scorePool proved none of them
-// could win, returns the block winner. The fresh candidates come first in
-// the pool, so they win ties: the result is bo.Argmax over the whole pool.
+// scored fresh candidates' argmax into it, or, when scorePool proved none of
+// them could win, returns the block winner. The fresh candidates come first
+// in the pool, so they win ties: the result is bo.Argmax over the scored
+// pool.
 func (e *Engine) acquire(t *tick) (idx int, score float64, err error) {
 	if e.acq == nil {
 		idx, err = bo.ThompsonSuggest(e.model, e.rng, e.poolPoints(0, e.candCount))
 		return idx, 0, err
 	}
-	fresh := e.opt.Candidates
 	if !t.freshSkipped {
-		idx, score, err = bo.Argmax(e.acq, t.best, t.mu[:fresh], t.sigma[:fresh])
+		idx, score, err = bo.Argmax(e.acq, t.best, t.mu[:t.fresh], t.sigma[:t.fresh])
 		if t.blockErr != nil || err == nil && score >= t.blockScore {
 			return idx, score, err
 		}
 	}
-	return fresh + t.blockIdx, t.blockScore, nil
+	return e.opt.Candidates + t.blockIdx, t.blockScore, nil
 }
 
 // settle turns the acquisition's result into the tick's decision and
@@ -498,13 +555,19 @@ func (e *Engine) acquire(t *tick) (idx int, score float64, err error) {
 // meaningful improvement is not worth another probe in the running system:
 // the engine exploits, holding (or returning to) the incumbent — the
 // paper's "avoid frequent updates after the optimal configuration
-// detection" (Sec. V). Otherwise the winner is probed.
+// detection" (Sec. V). Otherwise the winner is probed. Only an exploit whose
+// fresh panel was ruled out extends the engine's settled run.
 func (e *Engine) settle(t *tick, idx int, score float64, err error) resource.Config {
+	settled := e.settled
+	e.settled = 0
 	switch {
 	case err != nil || idx < 0:
 		e.acqFailures++
 		return t.current
 	case score < e.exploitBelow:
+		if t.freshSkipped {
+			e.settled = min(settled+1, settleTicks)
+		}
 		e.exploits++
 		return t.bestCfg
 	}
@@ -583,10 +646,12 @@ func (e *Engine) syncModel(window []*Record, w Weights) error {
 }
 
 // dropModel counts a model failure and clears the membership tracking so
-// the next tick rebuilds from the window.
+// the next tick rebuilds from the window. The tick explores, which ends a
+// settled run.
 func (e *Engine) dropModel(err error) error {
 	e.fitFailures++
 	e.modelRecs = e.modelRecs[:0]
+	e.settled = 0
 	return err
 }
 
@@ -666,17 +731,13 @@ func (e *Engine) neighborPoints(rec *Record, start, end, lo, hi int) {
 // The blocks are scored, and their argmax taken, first. The fresh
 // candidates' means come next, and their σ only if one of them could still
 // win: otherwise the triangular solve of their panel is skipped, and their
-// σ slots hold the ceilings that ruled them out.
+// σ slots hold the ceilings that ruled them out. Only the tick's t.fresh
+// candidates are scored; the slots of the unscored ones keep stale values.
 func (e *Engine) scorePool(t *tick) {
-	if cap(e.muBuf) < e.candCount {
-		e.muBuf = make([]float64, e.candCount)
-		e.sigmaBuf = make([]float64, e.candCount)
-	}
-	mu, sigma := e.muBuf[:e.candCount], e.sigmaBuf[:e.candCount]
+	mu, sigma := e.posterior()
 	t.mu, t.sigma = mu, sigma
-	top := e.poolTop[:e.poolTopN]
-	fresh := e.opt.Candidates
-	lo := fresh
+	top, blocks := e.poolTop[:e.poolTopN], e.opt.Candidates // the blocks start after every fresh slot
+	lo := blocks
 	for i, rec := range top {
 		hi := e.poolEnd[i]
 		blk := e.blockFor(rec, top)
@@ -690,15 +751,26 @@ func (e *Engine) scorePool(t *tick) {
 		lo = hi
 	}
 	if e.acq != nil {
-		t.blockIdx, t.blockScore, t.blockErr = bo.Argmax(e.acq, t.best, mu[fresh:], sigma[fresh:])
+		t.blockIdx, t.blockScore, t.blockErr = bo.Argmax(e.acq, t.best, mu[blocks:], sigma[blocks:])
 	}
-	e.model.PredictMeansInto(&e.batchScratch, mu[:fresh], e.poolPoints(0, fresh))
+	e.model.PredictMeansInto(&e.batchScratch, mu[:t.fresh], e.poolPoints(0, t.fresh))
 	if !e.freshCanWin(t) {
 		t.freshSkipped = true
 		e.freshSkips++
 		return
 	}
-	e.model.PredictSigmasInto(&e.batchScratch, sigma[:fresh])
+	e.model.PredictSigmasInto(&e.batchScratch, sigma[:t.fresh])
+}
+
+// posterior returns the pool's μ and σ slots, candCount of each, from one
+// buffer grown on demand: one slice header fewer keeps the engine inside
+// its size class.
+func (e *Engine) posterior() (mu, sigma []float64) {
+	n := e.candCount
+	if cap(e.postBuf) < 2*n {
+		e.postBuf = make([]float64, 2*n)
+	}
+	return e.postBuf[:n:n], e.postBuf[n : 2*n : 2*n]
 }
 
 // freshCanWin reports whether a fresh candidate, its mean known and its σ
@@ -716,9 +788,8 @@ func (e *Engine) freshCanWin(t *tick) bool {
 		return true
 	}
 	floor := max(t.blockScore, e.exploitBelow)
-	fresh := e.opt.Candidates
 	prior := e.model.PriorSigma()
-	for i, m := range t.mu[:fresh] {
+	for i, m := range t.mu[:t.fresh] {
 		s := prior
 		if !(ei.Ceiling(m, s, t.best) < floor) {
 			s = e.model.SigmaCeiling(&e.batchScratch, i)
@@ -746,17 +817,6 @@ func (e *Engine) blockFor(rec *Record, top []*Record) *neighborBlock {
 		}
 	}
 	return free
-}
-
-// nextCandidate hands out the next pooled candidate configuration,
-// growing the pool on first use.
-func (e *Engine) nextCandidate() resource.Config {
-	if e.candCount == len(e.candidateCfg) {
-		e.candidateCfg = append(e.candidateCfg, e.space.NewConfig())
-	}
-	c := e.candidateCfg[e.candCount]
-	e.candCount++
-	return c
 }
 
 // randomWalkInto copies c into dst and applies up to steps random one-unit
@@ -904,6 +964,9 @@ type Stats struct {
 	// their slot and filled afresh, FreshSkips the ticks whose fresh panel
 	// was not solved (scorePool).
 	BlockHits, BlockMisses, FreshSkips int
+	// NarrowTicks counts the model ticks of a settled engine, which scored
+	// only a narrowed fresh panel (buildPool).
+	NarrowTicks int
 	// Exploits and AcquisitionFailures count the scored ticks settled by
 	// holding the incumbent and by keeping the current configuration
 	// (settle).
@@ -916,7 +979,7 @@ func (e *Engine) Stats() Stats {
 	s := Stats{
 		ForcedTicks: e.forcedTicks, SeedTicks: e.seedTicks, ModelTicks: e.modelTicks,
 		RecordHeadHits: e.recs.HeadHits(), AppendRefits: e.appendRefits, FitFailures: e.fitFailures,
-		BlockHits: e.blockHits, BlockMisses: e.blockMisses, FreshSkips: e.freshSkips,
+		BlockHits: e.blockHits, BlockMisses: e.blockMisses, FreshSkips: e.freshSkips, NarrowTicks: e.narrowTicks,
 		Exploits: e.exploits, AcquisitionFailures: e.acqFailures,
 	}
 	if e.model != nil {

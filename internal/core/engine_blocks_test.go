@@ -15,10 +15,11 @@ type blockProbe struct {
 	t   *testing.T
 	eng *Engine
 
-	prevTop   []*Record
-	prevEpoch int
-	prevSkips int
-	slotRecs  map[string]*Record // every record a slot has held, by config key
+	prevTop    []*Record
+	prevEpoch  int
+	prevSkips  int
+	prevNarrow int
+	slotRecs   map[string]*Record // every record a slot has held, by config key
 
 	scored    int // ticks whose pool was checked
 	skipped   int // of those, ticks whose fresh panel the engine did not solve
@@ -45,8 +46,8 @@ func (p *blockProbe) top() []*Record {
 // be below the σ a stateless scoring computes.
 func (p *blockProbe) check(tick int) {
 	e := p.eng
-	skipped := e.freshSkips != p.prevSkips
-	p.prevSkips = e.freshSkips
+	skipped, narrowed := e.freshSkips != p.prevSkips, e.narrowTicks != p.prevNarrow
+	p.prevSkips, p.prevNarrow = e.freshSkips, e.narrowTicks
 	if e.model.Len() == 0 || len(e.initQueue) > 0 || e.candCount == 0 {
 		return
 	}
@@ -57,14 +58,19 @@ func (p *blockProbe) check(tick int) {
 	}
 	mu, sigma := make([]float64, n), make([]float64, n)
 	e.model.PredictBatchInto(&gp.PredictScratch{}, mu, sigma, pool)
+	lo, hi := unscored(e, narrowed)
+	muBuf, sigmaBuf := e.posterior()
 	for i := 0; i < n; i++ {
-		sigmaOK := e.sigmaBuf[i] == sigma[i]
-		if skipped && i < e.opt.Candidates {
-			sigmaOK = e.sigmaBuf[i] >= sigma[i]
+		if lo <= i && i < hi {
+			continue
 		}
-		if e.muBuf[i] != mu[i] || !sigmaOK {
+		sigmaOK := sigmaBuf[i] == sigma[i]
+		if skipped && i < e.opt.Candidates {
+			sigmaOK = sigmaBuf[i] >= sigma[i]
+		}
+		if muBuf[i] != mu[i] || !sigmaOK {
 			p.t.Fatalf("tick %d: candidate %d of %d (fresh solve skipped: %v): block-scored (%v, %v) != stateless (%v, %v)",
-				tick, i, n, skipped, e.muBuf[i], e.sigmaBuf[i], mu[i], sigma[i])
+				tick, i, n, skipped, muBuf[i], sigmaBuf[i], mu[i], sigma[i])
 		}
 	}
 	p.scored++

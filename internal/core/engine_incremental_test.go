@@ -170,8 +170,10 @@ func TestEngineReturnedConfigIsNotAliased(t *testing.T) {
 // tick, and a tick is a record-store head hit exactly when it records the
 // configuration the tick before recorded; a model tick either fails or
 // takes exactly one GP tier (an AppendRefits only with a refit), scores
-// every top configuration's block as a hit or a miss, and settles as a
-// probe, an exploit or an acquisition failure. Over each run, forced +
+// every top configuration's block as a hit or a miss, settles as a probe,
+// an exploit or an acquisition failure, and narrows its fresh panel exactly
+// when the settleTicks scored ticks before it all exploited with the fresh
+// panel ruled out. Over each run, forced +
 // seeding + model ticks equal the Decide calls, hits + misses the blocks
 // scored, refits + extends + α-only solves the model ticks less the fit
 // failures, and GPStats the model's own counters — under EI with the
@@ -193,7 +195,7 @@ func TestEngineStatsAddUp(t *testing.T) {
 			t.Fatal(err)
 		}
 		const ticks = 300
-		blocks, scored := 0, 0
+		blocks, scored, settled := 0, 0, 0
 		var previous resource.Config
 		current := env.space.EqualSplit()
 		for tick := 1; tick <= ticks; tick++ {
@@ -215,8 +217,17 @@ func TestEngineStatsAddUp(t *testing.T) {
 			case seeding:
 			case d.ModelTicks != 1:
 				t.Fatalf("run %d tick %d: a model tick counted %d", i, tick, d.ModelTicks)
-			case d.FitFailures == 0:
+			case d.FitFailures != 0:
+				settled = 0
+			default:
 				scored++
+				if narrowed := settled >= settleTicks; d.NarrowTicks != 1 && narrowed || d.NarrowTicks != 0 && !narrowed {
+					t.Fatalf("run %d tick %d: %d narrowed ticks after %d settled ticks", i, tick, d.NarrowTicks, settled)
+				}
+				settled++
+				if d.Exploits == 0 || d.FreshSkips == 0 {
+					settled = 0
+				}
 				blocks += eng.poolTopN
 				if d.Refits+d.Extends+d.TargetSolves != 1 || d.AppendRefits > d.Refits {
 					t.Fatalf("run %d tick %d: GP tier %+v", i, tick, d)
@@ -241,7 +252,7 @@ func TestEngineStatsAddUp(t *testing.T) {
 		total = addStats(total, st, 1)
 	}
 	if total.BlockHits == 0 || total.BlockMisses == 0 || total.AppendRefits == 0 || total.Extends == 0 || total.TargetSolves == 0 ||
-		total.FreshSkips == 0 || total.Exploits == 0 || total.AcquisitionFailures == 0 || total.SeedTicks == 0 || total.RecordHeadHits == 0 {
+		total.FreshSkips == 0 || total.NarrowTicks == 0 || total.Exploits == 0 || total.AcquisitionFailures == 0 || total.SeedTicks == 0 || total.RecordHeadHits == 0 {
 		t.Fatalf("totals %+v: a counter never moved", total)
 	}
 	t.Logf("totals %+v", total)

@@ -22,6 +22,8 @@ import (
 // score call for (hold on failure, exploit below the threshold, else probe).
 // Being tick-local, it names the first tick and candidate that disagree,
 // and a disagreement cannot hide behind a decision that happens to match.
+// On a settled engine's narrowed tick the pool is the one the engine scored:
+// its drawn but unscored fresh slots are left out of both sides.
 type refitOracle struct {
 	t   *testing.T
 	eng *Engine
@@ -29,6 +31,7 @@ type refitOracle struct {
 	scored   int // ticks whose posterior and decision were checked
 	exploits int // of those, ticks the reference says exploit
 	skipped  int // of those, ticks whose fresh panel the engine did not solve
+	narrowed int // of those, ticks that scored a narrowed fresh panel
 }
 
 // Decide is Engine.Decide, checked.
@@ -41,8 +44,18 @@ func (o *refitOracle) Decide(obs policy.Observation, current resource.Config) re
 		return next // no model was consulted
 	}
 	o.t.Helper()
-	o.check(obs.Tick, current, next, after.FreshSkips != before.FreshSkips)
+	o.check(obs.Tick, current, next, after.FreshSkips != before.FreshSkips, after.NarrowTicks != before.NarrowTicks)
 	return next
+}
+
+// unscored returns the pool indices [lo, hi) of the fresh candidates a tick
+// drew but did not score: empty unless the tick was narrowed.
+func unscored(e *Engine, narrowed bool) (lo, hi int) {
+	if !narrowed {
+		return e.opt.Candidates, e.opt.Candidates
+	}
+	r, w := e.freshPanel(true)
+	return r + w, e.opt.Candidates
 }
 
 // check holds one tick against the refit. On a tick whose fresh panel the
@@ -50,7 +63,7 @@ func (o *refitOracle) Decide(obs policy.Observation, current resource.Config) re
 // ruled the candidate out, which must not be below the reference σ, and
 // the engine's buffers no longer say what the argmax over them is, so the
 // verdict alone is compared.
-func (o *refitOracle) check(tick int, current, next resource.Config, skipped bool) {
+func (o *refitOracle) check(tick int, current, next resource.Config, skipped, narrowed bool) {
 	o.t.Helper()
 	e := o.eng
 	w := e.LastWeights()
@@ -70,24 +83,36 @@ func (o *refitOracle) check(tick int, current, next resource.Config, skipped boo
 		o.t.Fatalf("tick %d: reference fit on the engine's %d-record window: %v", tick, len(xs), err)
 	}
 
-	pool := make([]resource.Config, e.candCount)
-	mu, sigma := make([]float64, len(pool)), make([]float64, len(pool))
-	for i := range pool {
+	// The scored pool, compacted: pool[k] is pool index at[k].
+	var pool []resource.Config
+	var at []int
+	var mu, sigma, engMu, engSigma []float64
+	lo, hi := unscored(e, narrowed)
+	muBuf, sigmaBuf := e.posterior()
+	for i := 0; i < e.candCount; i++ {
+		if lo <= i && i < hi {
+			continue
+		}
 		c := e.candidate(i)
-		pool[i] = c
-		mu[i], sigma[i] = ref.Predict(e.space.Vector(c))
-		sigmaOK := math.Abs(e.sigmaBuf[i]-sigma[i]) <= 1e-9
+		m, s := ref.Predict(e.space.Vector(c))
+		sigmaOK := math.Abs(sigmaBuf[i]-s) <= 1e-9
 		if skipped && i < e.opt.Candidates {
-			sigmaOK = e.sigmaBuf[i] >= sigma[i]-1e-9
+			sigmaOK = sigmaBuf[i] >= s-1e-9
 		}
-		if math.Abs(e.muBuf[i]-mu[i]) > 1e-9 || !sigmaOK {
-			o.t.Fatalf("tick %d: candidate %d of %d (%s, fresh solve skipped: %v): engine posterior (%v, %v), refit (%v, %v)",
-				tick, i, len(pool), c.Key(), skipped, e.muBuf[i], e.sigmaBuf[i], mu[i], sigma[i])
+		if math.Abs(muBuf[i]-m) > 1e-9 || !sigmaOK {
+			o.t.Fatalf("tick %d: candidate %d of %d (%s, fresh solve skipped: %v, narrowed: %v): engine posterior (%v, %v), refit (%v, %v)",
+				tick, i, e.candCount, c.Key(), skipped, narrowed, muBuf[i], sigmaBuf[i], m, s)
 		}
+		pool, at = append(pool, c), append(at, i)
+		mu, sigma = append(mu, m), append(sigma, s)
+		engMu, engSigma = append(engMu, muBuf[i]), append(engSigma, sigmaBuf[i])
 	}
 	o.scored++
 	if skipped {
 		o.skipped++
+	}
+	if narrowed {
+		o.narrowed++
 	}
 	if e.acq == nil {
 		return // Thompson sampling decides by a random draw, not an argmax
@@ -95,11 +120,11 @@ func (o *refitOracle) check(tick int, current, next resource.Config, skipped boo
 
 	idx, score, err := bo.Argmax(e.acq, best, mu, sigma)
 	if !skipped {
-		if got, _, gotErr := bo.Argmax(e.acq, best, e.muBuf[:len(pool)], e.sigmaBuf[:len(pool)]); got != idx || (gotErr == nil) != (err == nil) {
+		if got, _, gotErr := bo.Argmax(e.acq, best, engMu, engSigma); got != idx || (gotErr == nil) != (err == nil) {
 			o.t.Fatalf("tick %d: argmax over the engine's posterior = %d (%v), over the refit's = %d (%v)", tick, got, gotErr, idx, err)
 		}
 	}
-	verdict, want := "probe", resource.Config{}
+	verdict, want, cand := "probe", resource.Config{}, -1
 	switch {
 	case err != nil:
 		verdict, want = "hold", current
@@ -107,11 +132,11 @@ func (o *refitOracle) check(tick int, current, next resource.Config, skipped boo
 		verdict, want = "exploit", bestCfg
 		o.exploits++
 	default:
-		want = pool[idx]
+		want, cand = pool[idx], at[idx]
 	}
 	if !next.Equal(want) {
 		o.t.Fatalf("tick %d: refit says %s %s (candidate %d, score %v), engine decided %s",
-			tick, verdict, want.Key(), idx, score, next.Key())
+			tick, verdict, want.Key(), cand, score, next.Key())
 	}
 }
 
@@ -134,11 +159,11 @@ func driveChecked(t *testing.T, o *refitOracle, env *syntheticEnv, n int, after 
 
 // TestEngineMatchesRefitOracle: every scored tick of a noisy synthetic run
 // — rank-1 appends, target-only re-solves, window evictions, explore and
-// exploit verdicts, fresh panels solved and skipped — agrees with the
-// from-scratch model, over five seeds × Window {8, 64} × ExploitThreshold
+// exploit verdicts, fresh panels solved, skipped and narrowed — agrees with
+// the from-scratch model, over five seeds × Window {8, 64} × ExploitThreshold
 // {default, 0.05, never} × Xi {0, 0.01}.
 func TestEngineMatchesRefitOracle(t *testing.T) {
-	var scored, exploits, skipped, targetSolves, refits int
+	var scored, exploits, skipped, narrowed, targetSolves, refits int
 	for seed := uint64(9); seed < 14; seed++ {
 		for _, window := range []int{8, 64} {
 			for _, threshold := range []float64{0, 0.05, -1} {
@@ -155,16 +180,19 @@ func TestEngineMatchesRefitOracle(t *testing.T) {
 					}
 					st := eng.GPStats()
 					scored, exploits, skipped = scored+oracle.scored, exploits+oracle.exploits, skipped+oracle.skipped
+					narrowed += oracle.narrowed
 					targetSolves, refits = targetSolves+st.TargetSolves, refits+st.Refits
 				}
 			}
 		}
 	}
-	if exploits == 0 || exploits == scored || skipped == 0 || skipped == scored || targetSolves == 0 || refits < 2 {
-		t.Fatalf("%d ticks checked, %d exploits, %d fresh solves skipped, %d target solves, %d refits: not every path was held against the oracle",
-			scored, exploits, skipped, targetSolves, refits)
+	if exploits == 0 || exploits == scored || skipped == 0 || skipped == scored || narrowed == 0 || narrowed == scored ||
+		targetSolves == 0 || refits < 2 {
+		t.Fatalf("%d ticks checked, %d exploits, %d fresh solves skipped, %d narrowed, %d target solves, %d refits: not every path was held against the oracle",
+			scored, exploits, skipped, narrowed, targetSolves, refits)
 	}
-	t.Logf("%d ticks checked (%d exploits, %d fresh solves skipped), %d target solves, %d refits", scored, exploits, skipped, targetSolves, refits)
+	t.Logf("%d ticks checked (%d exploits, %d fresh solves skipped, %d narrowed), %d target solves, %d refits",
+		scored, exploits, skipped, narrowed, targetSolves, refits)
 }
 
 // TestEngineMatchesRefitOracleOnSimulator drives the engine against the
@@ -208,8 +236,8 @@ func TestEngineMatchesRefitOracleOnSimulator(t *testing.T) {
 				t.Fatalf("mix %d window %d: %d of %d ticks checked (%d fresh solves skipped), model updates %+v",
 					mix.Index, window, oracle.scored, ticks, oracle.skipped, st)
 			}
-			t.Logf("mix %d window %d: %d ticks checked (%d exploits, %d fresh solves skipped), model updates %+v",
-				mix.Index, window, oracle.scored, oracle.exploits, oracle.skipped, st)
+			t.Logf("mix %d window %d: %d ticks checked (%d exploits, %d fresh solves skipped, %d narrowed), model updates %+v",
+				mix.Index, window, oracle.scored, oracle.exploits, oracle.skipped, oracle.narrowed, st)
 		}
 	}
 }
