@@ -167,9 +167,11 @@ func TestOneFreeRowIsNotForced(t *testing.T) {
 
 // TestEngineFitsItsSizeClass: every engine pays for its struct, the forced
 // engines of a trough-hours fleet included, so the struct stays in the
-// allocator's 1 024-byte size class.
+// allocator's 1 024-byte size class. An object with pointers that is larger
+// than 512 bytes carries an 8-byte malloc header inside its size class, so
+// the struct itself may take 1 016 bytes.
 func TestEngineFitsItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Engine{}); size > 1024 {
-		t.Fatalf("core.Engine is %d bytes, past the 1 024-byte size class", size)
+	if size := unsafe.Sizeof(Engine{}); size > 1016 {
+		t.Fatalf("core.Engine is %d bytes; with its 8-byte malloc header it is past the 1 024-byte size class", size)
 	}
 }

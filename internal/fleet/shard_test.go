@@ -64,55 +64,66 @@ func TestShardPartitionProperties(t *testing.T) {
 
 // TestShardDeterminismAcrossWorkers is the tentpole's acceptance bar:
 // sharded placement at any worker count is byte-identical to serial, for
-// every registered placer, under churn.
+// every registered placer, under churn, lockstep and event-driven.
 func TestShardDeterminismAcrossWorkers(t *testing.T) {
 	for _, placer := range PlacerNames() {
 		for _, shards := range []int{1, 4} {
-			opt := testOptions(1)
-			opt.Nodes = 8
-			opt.Placer = placer
-			opt.Shards = shards
-			serial := runCSV(t, opt, 200)
-			for _, workers := range []int{2, 8} {
-				o := opt
-				o.Workers = workers
-				if got := runCSV(t, o, 200); got != serial {
-					t.Fatalf("placer=%s shards=%d workers=%d output differs from serial", placer, shards, workers)
+			for _, eventDriven := range []bool{false, true} {
+				opt := testOptions(1)
+				opt.Nodes = 8
+				opt.Placer = placer
+				opt.Shards = shards
+				opt.EventDriven = eventDriven
+				serial := runCSV(t, opt, 200)
+				for _, workers := range []int{2, 8} {
+					o := opt
+					o.Workers = workers
+					if got := runCSV(t, o, 200); got != serial {
+						t.Fatalf("placer=%s shards=%d event-driven=%v workers=%d output differs from serial",
+							placer, shards, eventDriven, workers)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestShardCountChangesPlacementOnly: different k produce different (but
-// valid) placements; conservation holds at every k, and k is clamped to
-// the node count.
+// TestShardCountChangesPlacement: different k produce different (but
+// valid) placements, lockstep and event-driven: the per-tick trace at
+// k = 2 and k = 4 is not the unsharded one, conservation holds at every k,
+// and k is clamped to the node count.
 func TestShardCountChangesPlacement(t *testing.T) {
-	baseline := ""
-	for _, shards := range []int{1, 2, 4, 99} {
-		opt := testOptions(0)
-		opt.Nodes = 4
-		opt.Shards = shards
-		c, err := New(opt)
-		if err != nil {
-			t.Fatal(err)
+	for _, eventDriven := range []bool{false, true} {
+		baseline := ""
+		for _, shards := range []int{1, 2, 4, 99} {
+			opt := testOptions(0)
+			opt.Nodes = 4
+			opt.Shards = shards
+			opt.EventDriven = eventDriven
+			c, err := New(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shards == 99 && c.ShardCount() != 4 {
+				t.Fatalf("Shards=99 on 4 nodes not clamped: %d", c.ShardCount())
+			}
+			if _, err := c.Run(300); err != nil {
+				t.Fatal(err)
+			}
+			s := c.Summary()
+			if s.Arrived != s.Departed+s.Running+s.Queued {
+				t.Fatalf("event-driven=%v shards=%d: job conservation violated: %+v", eventDriven, shards, s)
+			}
+			csv := seriesCSV(t, c)
+			switch shards {
+			case 1:
+				baseline = csv
+			case 2, 4:
+				if csv == baseline {
+					t.Errorf("event-driven=%v: shards=%d traces the unsharded fleet byte for byte", eventDriven, shards)
+				}
+			}
 		}
-		if shards == 99 && c.ShardCount() != 4 {
-			t.Fatalf("Shards=99 on 4 nodes not clamped: %d", c.ShardCount())
-		}
-		if _, err := c.Run(300); err != nil {
-			t.Fatal(err)
-		}
-		s := c.Summary()
-		if s.Arrived != s.Departed+s.Running+s.Queued {
-			t.Fatalf("shards=%d: job conservation violated: %+v", shards, s)
-		}
-		if shards == 1 {
-			baseline = s.String()
-		}
-	}
-	if baseline == "" {
-		t.Fatal("no baseline run")
 	}
 }
 
