@@ -337,10 +337,14 @@ func staticSession(tb testing.TB, lc bool) *satori.Session {
 		}
 		jobs = append(services[:2], jobs[:3]...)
 	}
+	static, err := satori.NewPolicyByName("static", 9)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	sess, err := satori.NewSession(satori.SessionConfig{
 		Workloads:     jobs,
 		Seed:          9,
-		Policy:        satori.NewStaticPolicy(),
+		Policy:        static,
 		SLOGoalSwitch: lc,
 	})
 	if err != nil {

@@ -10,9 +10,8 @@
 //	experiments -ticks 300 -mixes 5    # reduced scale for quick looks
 //	experiments -parallel 4 -run fig7  # bound the worker pool (0 = all CPUs)
 //
-// The SATORI_PARALLEL environment variable sets the default worker
-// count; -parallel overrides it. Any worker count produces the same
-// output byte for byte — parallelism only changes wall-clock time.
+// Any -parallel value (default 0: one per CPU) produces the same output
+// byte for byte — parallelism only changes wall-clock time.
 package main
 
 import (
@@ -35,13 +34,8 @@ func main() {
 	mixes := flag.Int("mixes", 0, "cap the number of job mixes per suite (0 = paper scale)")
 	csvDir := flag.String("csv", "", "also write each experiment's tables as CSV files into this directory")
 	cacheDir := flag.String("cache", "", "memoize suite cells in this directory; repeated reproductions skip unchanged (policy, mix, seed) runs")
-	envWorkers, envErr := harness.WorkersFromEnv()
-	parallel := flag.Int("parallel", envWorkers,
-		"worker pool size for independent runs (0 = one per CPU, 1 = serial; default from SATORI_PARALLEL)")
+	parallel := flag.Int("parallel", 0, "worker pool size for independent runs (0 = one per CPU, 1 = serial)")
 	flag.Parse()
-	if envErr != nil {
-		log.Fatal(envErr)
-	}
 
 	if *list {
 		for _, e := range harness.Experiments() {

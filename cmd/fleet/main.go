@@ -11,11 +11,11 @@
 //	fleet -nodes 1000 -shards 16 -event-driven -seconds 300
 //	fleet -nodes 64 -sweep-shards 1,4,16,64   # placement quality vs k
 //
-// Any -workers value produces byte-identical output; parallelism only
-// changes wall-clock time. -shards splits placement into POP-style
-// independent subproblems, and -event-driven lets phase-stable nodes
-// defer detailed ticks; both trade a documented amount of fidelity for
-// fleet-scale throughput.
+// Any -workers value (default 0: one per CPU) produces byte-identical
+// output; parallelism only changes wall-clock time. -shards splits
+// placement into POP-style independent subproblems, and -event-driven
+// lets phase-stable nodes defer detailed ticks; both trade a documented
+// amount of fidelity for fleet-scale throughput.
 package main
 
 import (
@@ -23,11 +23,11 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strconv"
 	"strings"
 
 	"satori"
 	"satori/internal/fleet"
-	"satori/internal/harness"
 	"satori/internal/stack"
 )
 
@@ -39,9 +39,7 @@ func main() {
 	placerName := flag.String("placer", "round-robin", "job placement strategy ("+strings.Join(fleet.PlacerNames(), ", ")+")")
 	seed := flag.Uint64("seed", 1, "fleet seed; equal seeds replay identically")
 	seconds := flag.Float64("seconds", 60, "run length in simulated seconds")
-	envWorkers, envErr := harness.WorkersFromEnv()
-	workers := flag.Int("workers", envWorkers,
-		"node-stepping pool size (0 = one per CPU, 1 = serial; default from SATORI_PARALLEL)")
+	workers := flag.Int("workers", 0, "node-stepping pool size (0 = one per CPU, 1 = serial)")
 	suite := flag.String("suite", "parsec", "workload pool jobs draw from (parsec|cloudsuite|ecp)")
 	maxJobs := flag.Int("max-jobs", 5, "max co-located jobs per node")
 	csvPath := flag.String("csv", "", "write the per-tick fleet trace to this CSV file")
@@ -51,9 +49,6 @@ func main() {
 	sweepShards := flag.String("sweep-shards", "",
 		"comma-separated shard counts; runs the placement-quality sweep and prints a table instead of a single run")
 	flag.Parse()
-	if envErr != nil {
-		log.Fatal(envErr)
-	}
 
 	profiles, err := satori.Suite(*suite)
 	if err != nil {
@@ -77,13 +72,9 @@ func main() {
 	ticks := stack.Ticks(*seconds)
 
 	if *sweepShards != "" {
-		var counts []int
-		for _, f := range strings.Split(*sweepShards, ",") {
-			var k int
-			if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &k); err != nil || k < 1 {
-				log.Fatalf("bad -sweep-shards entry %q", f)
-			}
-			counts = append(counts, k)
+		counts, err := parseShardCounts(*sweepShards)
+		if err != nil {
+			log.Fatal(err)
 		}
 		rows, err := fleet.SweepShards(opt, counts, ticks)
 		if err != nil {
@@ -131,4 +122,18 @@ func main() {
 		}
 		fmt.Println("trace written to", *csvPath)
 	}
+}
+
+// parseShardCounts reads -sweep-shards: comma-separated positive integers,
+// each entry whole — "1e3", "4.5" and "4x" are errors, not 1, 4 and 4.
+func parseShardCounts(list string) ([]int, error) {
+	var counts []int
+	for _, f := range strings.Split(list, ",") {
+		k, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || k < 1 {
+			return nil, fmt.Errorf("bad -sweep-shards entry %q: want a positive integer", f)
+		}
+		counts = append(counts, k)
+	}
+	return counts, nil
 }

@@ -99,8 +99,17 @@ func main() {
 }
 
 // buildServer puts the daemon's own flags around the stack: the loop
-// runs at most maxTicks intervals (0: until signaled), one every tick.
+// runs at most maxTicks intervals (0: until signaled), one every tick
+// (0: free-run). None of the three may be negative.
 func buildServer(spec stack.Spec, tick time.Duration, maxTicks, sloUnhealthy int) (*server.Server, error) {
+	switch {
+	case tick < 0:
+		return nil, fmt.Errorf("-tick %v: must be >= 0 (0 = free-run)", tick)
+	case maxTicks < 0:
+		return nil, fmt.Errorf("-max-ticks %d: must be >= 0 (0 = run until signaled)", maxTicks)
+	case sloUnhealthy < 0:
+		return nil, fmt.Errorf("-slo-unhealthy-after %d: must be >= 0 (0 = off)", sloUnhealthy)
+	}
 	loop, err := spec.Build(maxTicks)
 	if err != nil {
 		return nil, err

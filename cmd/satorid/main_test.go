@@ -49,6 +49,31 @@ func TestTickZeroFreeRuns(t *testing.T) {
 	}
 }
 
+// TestNegativeDaemonFlagsRefused: server.Run reads a MaxTicks ≤ 0 as
+// unbounded and a negative TickEvery as free-run, so -max-ticks -1 used to
+// run until signaled and -tick -1s free-ran silently.
+func TestNegativeDaemonFlagsRefused(t *testing.T) {
+	for _, c := range []struct {
+		flag                   string
+		tick                   time.Duration
+		maxTicks, sloUnhealthy int
+	}{
+		{"-tick", -time.Second, 10, 0},
+		{"-tick", -1, 10, 0},
+		{"-max-ticks", 0, -1, 0},
+		{"-slo-unhealthy-after", 0, 10, -5},
+	} {
+		srv, err := buildServer(stack.Spec{Suite: "parsec", Policy: "static", Backend: "sim"}, c.tick, c.maxTicks, c.sloUnhealthy)
+		if err == nil {
+			t.Errorf("%s: accepted (tick %v, max-ticks %d, slo-unhealthy-after %d)", c.flag, c.tick, c.maxTicks, c.sloUnhealthy)
+			continue
+		}
+		if srv != nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Errorf("%s: error does not name the flag: %v", c.flag, err)
+		}
+	}
+}
+
 // TestDaemonOverResctrl: the daemon on the deployment backend — the
 // combination no binary could build while each main had its own assembly.
 // It ticks, the control groups are on disk, reads are served, and churn is

@@ -23,13 +23,16 @@ func platformOf(t *testing.T, spec stack.Spec) satori.Platform {
 	return loop.Platform()
 }
 
-// injectedSim is PARSEC mix 0 on the simulator behind a fault injector
-// whose one scripted fault lies beyond every run here — the stack -fault
+// injected is PARSEC mix 0 on the simulator behind a fault injector whose
+// one scripted fault lies beyond every run here — the stack -fault
 // drives, silent.
+var injected = stack.Spec{Suite: "parsec", Policy: "static", Seed: 3, Backend: "sim", Fault: "apply:error@100000"}
+
+// injectedSim is the platform under the injected stack, and the simulator
+// beneath it.
 func injectedSim(t *testing.T) (satori.Platform, *rdt.SimPlatform) {
 	t.Helper()
-	platform := platformOf(t, stack.Spec{Suite: "parsec", Policy: "static", Seed: 3,
-		Backend: "sim", Fault: "apply:error@100000"})
+	platform := platformOf(t, injected)
 	if _, ok := platform.(*rdt.FaultInjector); !ok {
 		t.Fatalf("-fault built a %T, want the injector outermost", platform)
 	}
@@ -45,17 +48,40 @@ func injectedSim(t *testing.T) (satori.Platform, *rdt.SimPlatform) {
 // simulator kept one control group per job — the thing clustering exists
 // to avoid.
 func TestClusteredPolicyGroupsThroughInjector(t *testing.T) {
-	for name, build := range map[string]func(satori.Platform) (satori.Policy, error){
-		"satori-clustered": satori.NewClusteredSatoriPolicy(2, satori.EngineOptions{Seed: 3}),
-		"lfoc":             satori.NewLFOCPolicy(2),
+	for name, run := range map[string]func() (satori.Platform, error){
+		"satori-clustered": func() (satori.Platform, error) {
+			platform, _ := injectedSim(t)
+			sess, err := satori.NewSessionOn(platform, satori.SessionConfig{
+				Policy: satori.NewClusteredSatoriPolicy(2, satori.EngineOptions{Seed: 3}), Seed: 3})
+			if err != nil {
+				return nil, err
+			}
+			_, err = sess.Run(50)
+			return platform, err
+		},
+		// lfoc at a budget other than its default is -cluster-k's, so it
+		// is built the way the binaries build it.
+		"lfoc": func() (satori.Platform, error) {
+			spec := injected
+			spec.Policy, spec.ClusterK = "lfoc", 2
+			loop, err := spec.Build(50)
+			if err != nil {
+				return nil, err
+			}
+			_, err = loop.Run(50)
+			return loop.Platform(), err
+		},
 	} {
-		platform, sp := injectedSim(t)
-		sess, err := satori.NewSessionOn(platform, satori.SessionConfig{Policy: build, Seed: 3})
+		platform, err := run()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := sess.Run(50); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if _, ok := platform.(*rdt.FaultInjector); !ok {
+			t.Fatalf("%s: ran on a %T, want the injector outermost", name, platform)
+		}
+		sp, ok := rdt.As[*rdt.SimPlatform](platform)
+		if !ok {
+			t.Fatalf("%s: no simulator platform under the injector", name)
 		}
 		if got := len(sp.Plan().Jobs); got != 2 {
 			t.Errorf("%s: platform plan has %d control groups for 5 jobs, want 2 clusters", name, got)

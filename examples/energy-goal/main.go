@@ -13,11 +13,15 @@ import (
 	"satori"
 )
 
-func run(policy func(satori.Platform) (satori.Policy, error), name string, machine satori.MachineSpec, jobs []*satori.Workload) satori.Summary {
+func run(policy, label string, machine satori.MachineSpec, jobs []*satori.Workload) satori.Summary {
+	build, err := satori.NewPolicyByName(policy, 21)
+	if err != nil {
+		log.Fatal(err)
+	}
 	sess, err := satori.NewSession(satori.SessionConfig{
 		Machine:   &machine,
 		Workloads: jobs,
-		Policy:    policy,
+		Policy:    build,
 		Seed:      21,
 	})
 	if err != nil {
@@ -27,7 +31,7 @@ func run(policy func(satori.Platform) (satori.Policy, error), name string, machi
 		log.Fatal(err)
 	}
 	sum := sess.Summary()
-	fmt.Printf("%-12s %s\n", name, sum)
+	fmt.Printf("%-12s %s\n", label, sum)
 	return sum
 }
 
@@ -44,8 +48,8 @@ func main() {
 	fmt.Println("machine resources: cores=10 llc-ways=11 mem-bw=10 power=8")
 	fmt.Println("jobs:", jobs[0].Name, jobs[1].Name, jobs[2].Name)
 
-	static := run(satori.NewStaticPolicy(), "equal-split", machine, jobs)
-	sat := run(satori.NewSatoriPolicy(satori.EngineOptions{Seed: 21}), "satori", machine, jobs)
+	static := run("static", "equal-split", machine, jobs)
+	sat := run("satori", "satori", machine, jobs)
 
 	fmt.Printf("satori vs equal split: throughput %+.1f%%, fairness %+.1f%%\n",
 		(sat.MeanThroughput/static.MeanThroughput-1)*100,

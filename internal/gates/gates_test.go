@@ -31,6 +31,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -191,6 +192,12 @@ var gates = []gate{
 		check: none("case", `^"(parties|dcat|copart|lfoc)"$`),
 		bad:   goSrc(`func f(s string) { switch s { case "lfoc": } }`),
 	},
+	{
+		name:  "Policy-table: the root package builds a baseline by name, not by constructor",
+		files: files{paths: []string{"."}},
+		check: only("func", `^New\w*Policy`, "NewSatoriPolicy", "NewClusteredSatoriPolicy", "NewPolicyByName"),
+		bad:   goSrc(`func NewRandomPolicy(seed uint64) {}`),
+	},
 
 	// One assembly: flags to loop is internal/stack.
 	{
@@ -210,6 +217,13 @@ var gates = []gate{
 		files: files{deps: "benchmark"},
 		check: none("import", `^satori/internal/stack$`),
 		bad:   goSrc(`import _ "satori/internal/stack"`),
+	},
+	{
+		// This file names the variable in its own known-bad snippet.
+		name:  "One-assembly: a worker count is a flag, never the environment",
+		files: files{paths: []string{all}, tests: withTests, skip: []string{"internal/gates"}},
+		check: none("string", `SATORI_PARALLEL`),
+		bad:   goSrc(`import "os"; var v = os.Getenv("SATORI_PARALLEL")`),
 	},
 
 	// Experiment table: a figure is a row of harness.Experiments().
@@ -400,6 +414,22 @@ func exactly(n int, kind, re string) check {
 	return func(ss []shape) error {
 		if hits := matching(ss, kind, re); len(hits) != n {
 			return fmt.Errorf("want %d %s matching %s, found %d: %s", n, kind, re, len(hits), list(hits))
+		}
+		return nil
+	}
+}
+
+// only: every shape of the kind matching re is one of the names.
+func only(kind, re string, names ...string) check {
+	return func(ss []shape) error {
+		var extra []hit
+		for _, h := range matching(ss, kind, re) {
+			if !slices.Contains(names, h.text) {
+				extra = append(extra, h)
+			}
+		}
+		if len(extra) > 0 {
+			return fmt.Errorf("%s matching %s other than %s: %s", kind, re, strings.Join(names, ", "), list(extra))
 		}
 		return nil
 	}

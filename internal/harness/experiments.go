@@ -21,7 +21,7 @@ type ExpOptions struct {
 	// Workers bounds each experiment's fan-out over its independent
 	// run units (0 = one worker per CPU, 1 = serial). Any worker count
 	// produces byte-identical reports; cmd/experiments exposes this as
-	// -parallel and the SATORI_PARALLEL environment knob.
+	// -parallel.
 	Workers int
 	// Cache, when non-nil, memoizes suite cells on disk so repeated
 	// reproductions skip re-simulating unchanged (policy, mix, seed)

@@ -19,10 +19,11 @@ import (
 // simulator, resctrl tree, any decorator — with the run's seed. Most
 // policies read only p.Space(); the clustered ones find the Grouper
 // capability with rdt.As; only the oracles need a simulator underneath.
-// This file holds the one body of each policy kind: the name registry,
-// the PolicyFactory adapters below and the satori.New*Policy
-// constructors all share it. Builders must be safe to call from
-// concurrent runs: captured options are copied, never mutated.
+// This file holds the one body of each policy kind: the name registry
+// (which satori.NewPolicyByName reads), the PolicyFactory adapters below
+// and the two engine-option constructors beside NewPolicyByName all share
+// it. Builders must be safe to call from concurrent runs: captured
+// options are copied, never mutated.
 type builder = func(p rdt.Platform, seed uint64) (policy.Policy, error)
 
 // Satori builds full SATORI (or a variant, via opt). The seed applies

@@ -1,10 +1,7 @@
 package harness
 
 import (
-	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -24,25 +21,6 @@ func resolveWorkers(n int) int {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// WorkersFromEnv reads the SATORI_PARALLEL environment knob. Unset or
-// empty means the default (0 = all CPUs); a malformed or negative value
-// is an error, so a typo like SATORI_PARALLEL=al no longer silently runs
-// with every CPU — callers decide whether to abort or fall back loudly.
-func WorkersFromEnv() (int, error) {
-	v := os.Getenv("SATORI_PARALLEL")
-	if v == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("harness: SATORI_PARALLEL=%q is not an integer: %w", v, err)
-	}
-	if n < 0 {
-		return 0, fmt.Errorf("harness: SATORI_PARALLEL=%q must be >= 0 (0 = all CPUs)", v)
-	}
-	return n, nil
 }
 
 // splitWorkers divides a worker budget between an outer fan-out of n

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -21,61 +19,6 @@ func TestResolveWorkers(t *testing.T) {
 	if got := resolveWorkers(3); got != 3 {
 		t.Errorf("resolveWorkers(3) = %d", got)
 	}
-}
-
-func TestWorkersFromEnv(t *testing.T) {
-	for env, want := range map[string]int{"": 0, "0": 0, "3": 3} {
-		t.Setenv("SATORI_PARALLEL", env)
-		got, err := WorkersFromEnv()
-		if err != nil || got != want {
-			t.Errorf("SATORI_PARALLEL=%q -> %d, %v, want %d", env, got, err, want)
-		}
-	}
-	// Malformed and negative values must surface an error instead of
-	// silently falling back to all CPUs.
-	for _, env := range []string{"nope", "-2", "3.5", "8 "} {
-		t.Setenv("SATORI_PARALLEL", env)
-		if got, err := WorkersFromEnv(); err == nil {
-			t.Errorf("SATORI_PARALLEL=%q -> %d, want error", env, got)
-		}
-	}
-}
-
-// FuzzWorkersFromEnv: whatever SATORI_PARALLEL holds, the knob yields an
-// error that names the value, or the non-negative count strconv.Atoi makes
-// of it (empty = 0 = all CPUs) — one resolveWorkers turns into a pool of at
-// least one worker. Never a panic, never a negative count accepted.
-func FuzzWorkersFromEnv(f *testing.F) {
-	for _, seed := range []string{"", "0", "-1", "+4", " 4", "4x", "99999999999999999999"} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, v string) {
-		if strings.ContainsRune(v, 0) {
-			t.Skip("the OS refuses a NUL in an environment value")
-		}
-		t.Setenv("SATORI_PARALLEL", v)
-		got, err := WorkersFromEnv()
-		if err != nil {
-			if got != 0 || !strings.Contains(err.Error(), strconv.Quote(v)) {
-				t.Fatalf("SATORI_PARALLEL=%q -> %d, %v: the error must name the value and leave the count at 0", v, got, err)
-			}
-			return
-		}
-		want := 0
-		if v != "" {
-			n, convErr := strconv.Atoi(v)
-			if convErr != nil {
-				t.Fatalf("SATORI_PARALLEL=%q accepted as %d, strconv.Atoi refuses it: %v", v, got, convErr)
-			}
-			want = n
-		}
-		if got != want || got < 0 {
-			t.Fatalf("SATORI_PARALLEL=%q -> %d, want %d and never negative", v, got, want)
-		}
-		if w := resolveWorkers(got); w < 1 {
-			t.Fatalf("SATORI_PARALLEL=%q resolves to %d workers", v, w)
-		}
-	})
 }
 
 func TestSplitWorkers(t *testing.T) {

@@ -3,7 +3,6 @@ package satori
 import (
 	"satori/internal/core"
 	"satori/internal/harness"
-	"satori/internal/policies/oracle"
 	"satori/internal/policy"
 	"satori/internal/rdt"
 )
@@ -37,33 +36,6 @@ func NewSatoriPolicy(opt EngineOptions) func(Platform) (Policy, error) {
 	return seeded(harness.Satori(opt), 0)
 }
 
-// NewStaticSatoriPolicy builds SATORI with fixed weights: wT = 1 is
-// Throughput SATORI, wT = 0 is Fairness SATORI, wT = 0.5 is the
-// no-dynamic-prioritization variant.
-func NewStaticSatoriPolicy(wT float64) func(Platform) (Policy, error) {
-	return seeded(harness.StaticSatori(wT), 0)
-}
-
-// NewRandomPolicy builds the Random Search baseline.
-func NewRandomPolicy(seed uint64) func(Platform) (Policy, error) {
-	return seeded(harness.Random, seed)
-}
-
-// NewStaticPolicy builds the hold-current-partition (unmanaged) baseline.
-func NewStaticPolicy() func(Platform) (Policy, error) { return seeded(harness.Static, 0) }
-
-// NewDCATPolicy builds the dCAT baseline (throughput-oriented dynamic LLC
-// way partitioning).
-func NewDCATPolicy() func(Platform) (Policy, error) { return seeded(harness.DCAT, 0) }
-
-// NewCoPartPolicy builds the CoPart baseline (fairness-oriented dual-FSM
-// partitioning of LLC ways and memory bandwidth).
-func NewCoPartPolicy() func(Platform) (Policy, error) { return seeded(harness.CoPart, 0) }
-
-// NewPARTIESPolicy builds the adapted-PARTIES baseline (gradient-descent,
-// one resource dimension at a time, balanced objective).
-func NewPARTIESPolicy() func(Platform) (Policy, error) { return seeded(harness.PARTIES, 0) }
-
 // NewClusteredSatoriPolicy builds SATORI behind the cluster indirection:
 // jobs are classified online (LFOC-style) into at most k clusters and
 // the BO engine searches the reduced cluster space, so a co-location
@@ -75,31 +47,6 @@ func NewPARTIESPolicy() func(Platform) (Policy, error) { return seeded(harness.P
 // membership migration.
 func NewClusteredSatoriPolicy(k int, opt EngineOptions) func(Platform) (Policy, error) {
 	return seeded(harness.ClusteredSatori(k, opt), 0)
-}
-
-// NewLFOCPolicy builds the standalone LFOC baseline: the same online
-// classifier, allocation computed directly from the classes (no search).
-func NewLFOCPolicy(k int) func(Platform) (Policy, error) { return seeded(harness.LFOC(k), 0) }
-
-// OracleGoal selects a brute-force oracle variant.
-type OracleGoal = oracle.Goal
-
-// Oracle goals.
-const (
-	BalancedOracle   = oracle.Balanced
-	ThroughputOracle = oracle.Throughput
-	FairnessOracle   = oracle.Fairness
-)
-
-// NewOraclePolicy builds a brute-force oracle. It requires a platform
-// with the simulator underneath (oracles read the noise-free model —
-// they are offline, practically-infeasible references) and fails naming
-// the oracle and what it needs on any other.
-func NewOraclePolicy(goal OracleGoal) func(Platform) (Policy, error) {
-	return seeded(harness.Oracle(goal, oracle.Options{
-		ThroughputMetric: SumIPS,
-		FairnessMetric:   JainIndex,
-	}), 0)
 }
 
 // NewPolicyByName builds a session policy factory from the shared policy

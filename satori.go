@@ -52,9 +52,10 @@ type (
 	// internal/slo for the M/M/1 latency model behind it).
 	SLOSpec = slo.Spec
 	// Grouping maps jobs many-to-one onto clusters — the indirection the
-	// clustered policies (NewClusteredSatoriPolicy, NewLFOCPolicy) use to
-	// fit co-locations larger than the hardware CLOS budget; resource
-	// partitions are then one control group per cluster.
+	// clustered policies (NewClusteredSatoriPolicy, and NewPolicyByName's
+	// satori-clustered and lfoc) use to fit co-locations larger than the
+	// hardware CLOS budget; resource partitions are then one control
+	// group per cluster.
 	Grouping = resource.Grouping
 )
 
@@ -80,9 +81,9 @@ type SessionConfig struct {
 	// Workloads are the co-located jobs (required by NewSession; unused
 	// by NewSessionOn, whose platform already fixes the job set).
 	Workloads []*Workload
-	// Policy defaults to full SATORI; use the New*Policy constructors
-	// to select a baseline. The function receives the session platform
-	// so policies needing simulator access (oracles) can be built.
+	// Policy defaults to full SATORI; use NewPolicyByName to select a
+	// baseline. The function receives the session platform so policies
+	// needing simulator access (oracles) can be built.
 	Policy func(Platform) (Policy, error)
 	// Seed makes the session reproducible (default 1).
 	Seed uint64

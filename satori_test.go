@@ -91,23 +91,16 @@ func TestSessionBaselineResetSchedule(t *testing.T) {
 	}
 }
 
-func TestSessionWithEveryPolicyConstructor(t *testing.T) {
+// Every registry name runs a plain-simulator session and yields throughput.
+func TestSessionWithEveryNamedPolicy(t *testing.T) {
 	jobs := parsecJobs(t, 3)
-	factories := map[string]func(satori.Platform) (satori.Policy, error){
-		"satori":      satori.NewSatoriPolicy(satori.EngineOptions{Seed: 2}),
-		"static-sat":  satori.NewStaticSatoriPolicy(0.5),
-		"throughput":  satori.NewStaticSatoriPolicy(1),
-		"fairness":    satori.NewStaticSatoriPolicy(0),
-		"random":      satori.NewRandomPolicy(2),
-		"static":      satori.NewStaticPolicy(),
-		"dcat":        satori.NewDCATPolicy(),
-		"copart":      satori.NewCoPartPolicy(),
-		"parties":     satori.NewPARTIESPolicy(),
-		"balanced-or": satori.NewOraclePolicy(satori.BalancedOracle),
-	}
-	for name, f := range factories {
+	for _, name := range satori.PolicyNames() {
+		build, err := satori.NewPolicyByName(name, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
 		sess, err := satori.NewSession(satori.SessionConfig{
-			Workloads: jobs, Policy: f, Seed: 2,
+			Workloads: jobs, Policy: build, Seed: 2,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -19,15 +19,8 @@ const (
 // (PARSEC: 7, CloudSuite: 5, ECP: 5 — Tables I-III of the paper — plus
 // the 3-service latency-critical suite).
 func Suite(name string) ([]*Workload, error) {
-	switch name {
-	case SuitePARSEC:
-		return workloads.PARSEC(), nil
-	case SuiteCloudSuite:
-		return workloads.CloudSuite(), nil
-	case SuiteECP:
-		return workloads.ECP(), nil
-	case SuiteLC:
-		return workloads.LC(), nil
+	if profiles, ok := workloads.Suites()[name]; ok {
+		return profiles, nil
 	}
 	// Delegate the error formatting.
 	_, err := workloads.PaperMixes(name)
