@@ -66,7 +66,10 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	opt := harness.ExpOptions{Ticks: *ticks, Seed: *seed, MixLimit: *mixes, Workers: *parallel}
+	opt, err := expOptions(*ticks, *seed, *mixes, *parallel)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if *cacheDir != "" {
 		cache, err := harness.NewCellCache(*cacheDir)
 		if err != nil {
@@ -102,4 +105,22 @@ func main() {
 			}
 		}
 	}
+}
+
+// expOptions checks the four numeric flags before they reach
+// harness.ExpOptions, whose zero values select defaults: -seed 0 would run
+// seed 42, -ticks 0 or below 600 ticks, and a negative -mixes the paper's
+// full scale.
+func expOptions(ticks int, seed uint64, mixes, parallel int) (harness.ExpOptions, error) {
+	switch {
+	case ticks < 1:
+		return harness.ExpOptions{}, fmt.Errorf("-ticks %d: must be >= 1", ticks)
+	case seed == 0:
+		return harness.ExpOptions{}, fmt.Errorf("-seed 0: must be >= 1")
+	case mixes < 0:
+		return harness.ExpOptions{}, fmt.Errorf("-mixes %d: must be >= 0 (0 = paper scale)", mixes)
+	case parallel < 0:
+		return harness.ExpOptions{}, fmt.Errorf("-parallel %d: must be >= 0 (0 = one per CPU, 1 = serial)", parallel)
+	}
+	return harness.ExpOptions{Ticks: ticks, Seed: seed, MixLimit: mixes, Workers: parallel}, nil
 }

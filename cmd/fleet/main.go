@@ -69,7 +69,10 @@ func main() {
 			Profiles:     profiles,
 		},
 	}
-	ticks := stack.Ticks(*seconds)
+	ticks, err := stack.Ticks("seconds", *seconds)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	if *sweepShards != "" {
 		counts, err := parseShardCounts(*sweepShards)

@@ -23,7 +23,7 @@ import (
 
 func main() {
 	suite := flag.String("suite", "", "limit to one suite (parsec|cloudsuite|ecp); batch suite for -lc-frac")
-	lcFrac := flag.Float64("lc-frac", 0, "generate mixed batch+LC mixes with this latency-critical slot fraction (0 = paper mixes)")
+	lcFrac := flag.Float64("lc-frac", 0, "generate mixed batch+LC mixes with this latency-critical slot fraction, in (0, 1] (0 = paper mixes)")
 	jobs := flag.Int("jobs", 5, "co-location size for generated mixed mixes")
 	count := flag.Int("count", 10, "how many mixed mixes to generate")
 	seed := flag.Uint64("seed", 1, "seed for mixed-mix generation; equal flags reproduce equal mixes")
@@ -32,7 +32,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "with -lc-frac, dump the generated profiles as a -workloads JSON file")
 	flag.Parse()
 
-	if *lcFrac > 0 {
+	if *lcFrac != 0 {
 		listMixed(*suite, *lcFrac, *jobs, *count, *seed, *scaleMin, *scaleMax, *jsonOut)
 		return
 	}

@@ -31,12 +31,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	warmupTicks, err := stack.Ticks("warmup", *warmup)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	s, err := sim.New(sim.DefaultMachine(), profiles, sim.Options{Seed: *seed, NoiseSigma: -1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := 0; i < stack.Ticks(*warmup); i++ {
+	for i := 0; i < warmupTicks; i++ {
 		s.Step()
 	}
 	space := s.Space()

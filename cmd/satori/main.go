@@ -50,7 +50,10 @@ func main() {
 		return
 	}
 
-	ticks := stack.Ticks(*seconds)
+	ticks, err := stack.Ticks("seconds", *seconds)
+	if err != nil {
+		log.Fatal(err)
+	}
 	loop, err := spec.Build(ticks)
 	if err != nil {
 		log.Fatal(err)

@@ -16,8 +16,8 @@ import (
 )
 
 // daemon builds the server the way main does: the stack flags parsed
-// from a command line, then the daemon's own three values.
-func daemon(t *testing.T, maxTicks int, args ...string) *server.Server {
+// from a command line, then the daemon's own three values (-tick 0).
+func daemon(t *testing.T, maxTicks, sloUnhealthy int, args ...string) *server.Server {
 	t.Helper()
 	var spec stack.Spec
 	fs := flag.NewFlagSet("satorid", flag.ContinueOnError)
@@ -25,7 +25,7 @@ func daemon(t *testing.T, maxTicks int, args ...string) *server.Server {
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := buildServer(spec, 0, maxTicks, 0)
+	srv, err := buildServer(spec, 0, maxTicks, sloUnhealthy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func daemon(t *testing.T, maxTicks int, args ...string) *server.Server {
 // reach server.Options as a zero TickEvery, which selects the 100 ms
 // default, so 50 ticks took 5 s of wall clock.
 func TestTickZeroFreeRuns(t *testing.T) {
-	srv := daemon(t, 50, "-suite", "parsec")
+	srv := daemon(t, 50, 0, "-suite", "parsec")
 	start := time.Now()
 	if err := srv.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestNegativeDaemonFlagsRefused(t *testing.T) {
 // here", not a conflict (server.churnErrCode's first branch).
 func TestDaemonOverResctrl(t *testing.T) {
 	root := t.TempDir()
-	srv := daemon(t, 100, "-backend", "resctrl", "-resctrl-root", root, "-suite", "parsec")
+	srv := daemon(t, 100, 0, "-backend", "resctrl", "-resctrl-root", root, "-suite", "parsec")
 	if err := srv.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -110,4 +110,35 @@ func TestDaemonOverResctrl(t *testing.T) {
 	if jobs := srv.Loop().NumJobs(); jobs != 5 {
 		t.Errorf("refused churn left %d jobs, want 5", jobs)
 	}
+}
+
+// TestSLOUnhealthyAfter: with -slo-unhealthy-after 20, /healthz answers 503
+// "slo-violation" once the LC mix has violated its SLO for 20 consecutive
+// ticks, and 200 at the same tick without the flag.
+func TestSLOUnhealthyAfter(t *testing.T) {
+	args := []string{"-workloads", "memcached-lc,nginx-lc,canneal,fluidanimate,streamcluster", "-policy", "satori-slo", "-slo-goal-switch"}
+	gated, plain := daemon(t, 300, 20, args...), daemon(t, 300, 0, args...)
+	healthz := func(srv *server.Server) (int, string) {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+		return rec.Code, rec.Body.String()
+	}
+	for tick := 1; tick <= 300; tick++ {
+		for _, srv := range []*server.Server{gated, plain} {
+			if _, err := srv.Loop().Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if gated.Loop().SLOViolationRun() < 20 {
+			continue
+		}
+		if code, body := healthz(gated); code != http.StatusServiceUnavailable || !strings.Contains(body, `"slo-violation"`) {
+			t.Errorf("tick %d, violation run %d: /healthz = %d %s, want 503 slo-violation", tick, gated.Loop().SLOViolationRun(), code, body)
+		}
+		if code, body := healthz(plain); code != http.StatusOK {
+			t.Errorf("tick %d without the flag: /healthz = %d %s, want 200", tick, code, body)
+		}
+		return
+	}
+	t.Fatal("no 20-tick SLO violation in 300 ticks of the LC mix")
 }

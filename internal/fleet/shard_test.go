@@ -230,6 +230,22 @@ func TestSparseFleetDeterminism(t *testing.T) {
 		}
 	}
 	eventDrivenSkipsAndConserves(t, sparseOptions(1))
+
+	// The 10k-node trough fleet cmd/fleet documents (-nodes 10000 -shards 64
+	// -event-driven -arrival-rate 50 -duration-mean 20 -seconds 10 -seed 42):
+	// about 500 jobs round-robin over 10k nodes, so no node runs a second
+	// job, no node has anything to decide, and the searching policy traces
+	// the same fleet as parties.
+	traces := map[string]string{}
+	for _, policy := range []string{"satori", "parties"} {
+		traces[policy] = runCSV(t, Options{
+			Nodes: 10000, Shards: 64, EventDriven: true, Policy: policy, Seed: 42,
+			Stream: StreamOptions{ArrivalRate: 50, DurationMean: 20},
+		}, 100)
+	}
+	if traces["satori"] != traces["parties"] {
+		t.Error("10k-node sparse fleet: satori and parties trace different fleets")
+	}
 }
 
 // TestStepErrorTerminalAndAccounted is the partial-tick bugfix

@@ -219,6 +219,12 @@ var gates = []gate{
 		bad:   goSrc(`import _ "satori/internal/stack"`),
 	},
 	{
+		name:  "One-assembly: no -sampled flag; a session built from flags evaluates every tick in detail",
+		files: files{paths: []string{"internal/stack", "cmd/satori", "cmd/satorid"}, tests: withTests},
+		check: none("string", `^-?sampled$`),
+		bad:   goSrc(`import "flag"; var sampled = flag.Bool("sampled", false, "extrapolate phase-stable ticks")`),
+	},
+	{
 		// This file names the variable in its own known-bad snippet.
 		name:  "One-assembly: a worker count is a flag, never the environment",
 		files: files{paths: []string{all}, tests: withTests, skip: []string{"internal/gates"}},

@@ -15,36 +15,42 @@ import (
 // formatted digit. A diff here means the control loop changed observable
 // behavior, not just structure.
 
-func goldenCompare(t *testing.T, rep *Report, tableIdx int, goldenFile string) {
+// golden runs experiment id at the given scale on one worker and on four,
+// and holds table 0 of each report to the capture: any worker count must
+// render the same bytes.
+func golden(t *testing.T, id string, opt ExpOptions, goldenFile string) {
 	t.Helper()
-	if tableIdx >= len(rep.Tables) {
-		t.Fatalf("report has %d tables, want index %d", len(rep.Tables), tableIdx)
-	}
-	var got strings.Builder
-	if err := rep.Tables[tableIdx].WriteCSV(&got); err != nil {
-		t.Fatal(err)
+	e, ok := FindExperiment(id)
+	if !ok {
+		t.Fatalf("%s not registered", id)
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", "golden", goldenFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != string(want) {
-		t.Errorf("%s diverged from the pre-refactor capture:\ngot:\n%s\nwant:\n%s",
-			goldenFile, got.String(), want)
+	for _, workers := range []int{1, 4} {
+		opt.Workers = workers
+		rep, err := e.Run(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Tables) == 0 {
+			t.Fatalf("%s rendered no table", id)
+		}
+		var got strings.Builder
+		if err := rep.Tables[0].WriteCSV(&got); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != string(want) {
+			t.Errorf("%s at %d workers diverged from the pre-refactor capture:\ngot:\n%s\nwant:\n%s",
+				goldenFile, workers, got.String(), want)
+		}
 	}
 }
 
 // Fig. 7 smoke scale: -run fig7 -ticks 60 -mixes 2 -seed 42.
 func TestGoldenFig7Smoke(t *testing.T) {
-	e, ok := FindExperiment("fig7")
-	if !ok {
-		t.Fatal("fig7 not registered")
-	}
-	rep, err := e.Run(ExpOptions{Ticks: 60, Seed: 42, MixLimit: 2, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	goldenCompare(t, rep, 0, "fig7_smoke.csv")
+	golden(t, "fig7", ExpOptions{Ticks: 60, Seed: 42, MixLimit: 2}, "fig7_smoke.csv")
 }
 
 // SLO recovery at 200 ticks: -run slo -ticks 200 -seed 42. This golden
@@ -53,15 +59,7 @@ func TestGoldenFig7Smoke(t *testing.T) {
 // violation-driven goal switch — any of which would shift the violated-
 // tick counts or recovery times captured here.
 func TestGoldenSLOSmoke(t *testing.T) {
-	e, ok := FindExperiment("slo")
-	if !ok {
-		t.Fatal("slo not registered")
-	}
-	rep, err := e.Run(ExpOptions{Ticks: 200, Seed: 42, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	goldenCompare(t, rep, 0, "slo_200.csv")
+	golden(t, "slo", ExpOptions{Ticks: 200, Seed: 42}, "slo_200.csv")
 }
 
 // Jobs ≫ classes ablation at 120 ticks: -run cluster -ticks 120 -seed 42.
@@ -71,15 +69,7 @@ func TestGoldenSLOSmoke(t *testing.T) {
 // to per-job partitions — plus (via the per-job satori row) that plain
 // SATORI's draws are untouched by the clustering machinery existing.
 func TestGoldenCluster(t *testing.T) {
-	e, ok := FindExperiment("cluster")
-	if !ok {
-		t.Fatal("cluster not registered")
-	}
-	rep, err := e.Run(ExpOptions{Ticks: 120, Seed: 42, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	goldenCompare(t, rep, 0, "cluster_120.csv")
+	golden(t, "cluster", ExpOptions{Ticks: 120, Seed: 42}, "cluster_120.csv")
 }
 
 // Mix change at 200 ticks: -run mix-change -ticks 200 -seed 42. Ticks=200
@@ -87,13 +77,5 @@ func TestGoldenCluster(t *testing.T) {
 // this golden also pins the "churn preempts the periodic refresh"
 // scheduling the loop must reproduce.
 func TestGoldenMixChange(t *testing.T) {
-	e, ok := FindExperiment("mix-change")
-	if !ok {
-		t.Fatal("mix-change not registered")
-	}
-	rep, err := e.Run(ExpOptions{Ticks: 200, Seed: 42, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	goldenCompare(t, rep, 0, "mixchange_200.csv")
+	golden(t, "mix-change", ExpOptions{Ticks: 200, Seed: 42}, "mixchange_200.csv")
 }

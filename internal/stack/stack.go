@@ -2,7 +2,8 @@
 // control loop: cmd/satori and cmd/satorid Register a Spec on their flag
 // set, add the flags only they have, and Build; tests that want the stack
 // the binaries run call Build too. It pulls in flag and os, so nothing the
-// benchmark links may import it (CI checks `go list -C benchmark -deps`).
+// benchmark links may import it (a row of internal/gates checks
+// `go list -C benchmark -deps`).
 package stack
 
 import (
@@ -32,7 +33,7 @@ type Spec struct {
 	Power                      int
 	Backend, ResctrlRoot       string
 	Trace, Fault               string
-	Sampled, SLOGoalSwitch     bool
+	SLOGoalSwitch              bool
 }
 
 // Register defines the stack flags on fs, bound to s.
@@ -49,16 +50,16 @@ func (s *Spec) Register(fs *flag.FlagSet) {
 	fs.StringVar(&s.ResctrlRoot, "resctrl-root", "", "resctrl mount point or scratch directory (resctrl backend)")
 	fs.StringVar(&s.Trace, "trace", "", "IPS trace file to replay (resctrl backend; default: synthesized from the simulator)")
 	fs.StringVar(&s.Fault, "fault", "", "deterministic fault script, e.g. 'sample:nan@50,apply:error@100x3'")
-	fs.BoolVar(&s.Sampled, "sampled", false, "extrapolate phase-stable intervals instead of evaluating them in detail (sim backend; outputs are bit-identical)")
 	fs.BoolVar(&s.SLOGoalSwitch, "slo-goal-switch", false, "switch the fairness goal to SLO recovery while a violation persists")
 }
 
 // Build assembles the stack, in this order: the job set; the policy, by
 // name from the one registry; the platform — the simulated testbed, or a
 // resctrl tree fed by an IPS trace; the fault injector, when a script is
-// given; and the control loop over all of it, with backoff waiting on the
-// wall clock as a deployment does. ticks is the run length when the
-// caller knows it (0: unbounded); only a synthesized trace reads it.
+// given; and the control loop over all of it, every tick evaluated in
+// detail, with backoff waiting on the wall clock as a deployment does.
+// ticks is the run length when the caller knows it (0: unbounded); only a
+// synthesized trace reads it.
 func (s Spec) Build(ticks int) (*control.Loop, error) {
 	jobs, err := s.jobs()
 	if err != nil {
@@ -105,17 +106,25 @@ func (s Spec) Build(ticks int) (*control.Loop, error) {
 	return control.New(control.Options{
 		Platform:   platform,
 		Policy:     policy,
-		Sampling:   control.SamplingOptions{Enabled: s.Sampled},
 		SLO:        control.SLOOptions{GoalSwitch: s.SLOGoalSwitch},
 		Resilience: control.ResilienceOptions{Sleep: time.Sleep},
 	})
 }
 
-// Ticks converts a run length in simulated seconds into control ticks,
-// rounding to the nearest tick: truncating seconds/TickSeconds would run
-// 0.7 s as 6 ticks, because 0.7/0.1 is 6.999… in floating point.
-func Ticks(seconds float64) int {
-	return int(math.Round(seconds / sim.TickSeconds))
+// Ticks converts a run length in simulated seconds, read from the named
+// flag, into control ticks, rounding to the nearest tick: truncating
+// seconds/TickSeconds would run 0.7 s as 6 ticks, because 0.7/0.1 is
+// 6.999… in floating point. A length that is not a finite number, is
+// negative, or has more ticks than an int holds is refused by flag name.
+func Ticks(flagName string, seconds float64) (int, error) {
+	ticks := math.Round(seconds / sim.TickSeconds)
+	switch {
+	case math.IsNaN(seconds) || math.IsInf(seconds, 0) || seconds < 0:
+		return 0, fmt.Errorf("-%s %v: must be a finite number of seconds >= 0", flagName, seconds)
+	case ticks >= math.MaxInt:
+		return 0, fmt.Errorf("-%s %v: more ticks than an int holds", flagName, seconds)
+	}
+	return int(ticks), nil
 }
 
 // jobs resolves the job set: a profile file wins, then the -workloads

@@ -3,6 +3,7 @@ package stack
 import (
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -281,14 +282,24 @@ func TestBuildRefusesBadInputByName(t *testing.T) {
 }
 
 // TestTicks: a run length in seconds becomes the nearest tick count, where
-// truncating the quotient lost one tick to rounding.
+// truncating the quotient lost one tick to rounding; a length that is not a
+// finite number of seconds >= 0, or overflows an int, is refused by flag
+// name (NaN and -5 used to run 0 ticks and exit 0).
 func TestTicks(t *testing.T) {
 	for _, c := range []struct {
 		seconds float64
 		want    int
 	}{{0, 0}, {0.1, 1}, {0.3, 3}, {0.7, 7}, {1.2, 12}, {2.3, 23}, {60, 600}} {
-		if got := Ticks(c.seconds); got != c.want {
-			t.Errorf("Ticks(%v) = %d, want %d", c.seconds, got, c.want)
+		if got, err := Ticks("seconds", c.seconds); err != nil || got != c.want {
+			t.Errorf("Ticks(%v) = %d, %v; want %d", c.seconds, got, err, c.want)
+		}
+	}
+	for _, seconds := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 1e300} {
+		got, err := Ticks("warmup", seconds)
+		if err == nil {
+			t.Errorf("Ticks(%v) = %d, accepted", seconds, got)
+		} else if !strings.HasPrefix(err.Error(), "-warmup ") {
+			t.Errorf("Ticks(%v): error does not name the flag: %v", seconds, err)
 		}
 	}
 }

@@ -79,7 +79,7 @@ type MixedMixOptions struct {
 	// Jobs is the co-location size (default 5, the PARSEC mix size).
 	Jobs int
 	// LCFraction is the fraction of slots holding latency-critical
-	// jobs, rounded to at least one slot (default 0.4).
+	// jobs, in (0, 1], rounded to at least one slot (default 0.4).
 	LCFraction float64
 	// Count is how many mixes to generate (default 10).
 	Count int
@@ -87,18 +87,24 @@ type MixedMixOptions struct {
 	Seed uint64
 	// TargetScaleMin/Max bound the uniform per-job scaling of each LC
 	// job's p99 target, modeling a distribution of SLO strictness
-	// across service instances (defaults 1/1 = no scaling).
+	// across service instances (defaults 1/1 = no scaling; a zero
+	// maximum is the minimum). Both are finite and positive, the
+	// maximum not below the minimum.
 	TargetScaleMin, TargetScaleMax float64
 }
 
-func (o MixedMixOptions) fill() MixedMixOptions {
+// fill takes the defaults and refuses what no default covers: a fraction
+// outside (0, 1], a scale that is not finite and positive, and a maximum
+// below the minimum. A NaN or infinite scale would name a job
+// "search-lc--9223372036854775808ms".
+func (o MixedMixOptions) fill() (MixedMixOptions, error) {
 	if o.Suite == "" {
 		o.Suite = SuitePARSEC
 	}
 	if o.Jobs <= 0 {
 		o.Jobs = 5
 	}
-	if o.LCFraction <= 0 {
+	if o.LCFraction == 0 {
 		o.LCFraction = 0.4
 	}
 	if o.Count <= 0 {
@@ -107,13 +113,24 @@ func (o MixedMixOptions) fill() MixedMixOptions {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.TargetScaleMin <= 0 {
+	if o.TargetScaleMin == 0 {
 		o.TargetScaleMin = 1
 	}
-	if o.TargetScaleMax < o.TargetScaleMin {
+	if o.TargetScaleMax == 0 {
 		o.TargetScaleMax = o.TargetScaleMin
 	}
-	return o
+	positive := func(x float64) bool { return x > 0 && !math.IsInf(x, 1) } // false for NaN
+	switch {
+	case !(o.LCFraction > 0 && o.LCFraction <= 1):
+		return o, fmt.Errorf("workloads: LC fraction %v: must be in (0, 1]", o.LCFraction)
+	case !positive(o.TargetScaleMin):
+		return o, fmt.Errorf("workloads: target scale minimum %v: must be finite and > 0", o.TargetScaleMin)
+	case !positive(o.TargetScaleMax):
+		return o, fmt.Errorf("workloads: target scale maximum %v: must be finite and > 0", o.TargetScaleMax)
+	case o.TargetScaleMax < o.TargetScaleMin:
+		return o, fmt.Errorf("workloads: target scale maximum %v is below the minimum %v", o.TargetScaleMax, o.TargetScaleMin)
+	}
+	return o, nil
 }
 
 // MixedMixes generates mixed batch+LC co-location mixes: each mix holds
@@ -123,7 +140,10 @@ func (o MixedMixOptions) fill() MixedMixOptions {
 // are renamed with their effective target ("search-lc-24ms") so traces
 // stay self-describing. Deterministic for equal options.
 func MixedMixes(opt MixedMixOptions) ([]Mix, error) {
-	opt = opt.fill()
+	opt, err := opt.fill()
+	if err != nil {
+		return nil, err
+	}
 	batch, ok := Suites()[opt.Suite]
 	if !ok || opt.Suite == SuiteLC {
 		return nil, fmt.Errorf("workloads: unknown batch suite %q", opt.Suite)

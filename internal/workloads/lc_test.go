@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -117,6 +118,53 @@ func TestMixedMixesDeterministicAndShaped(t *testing.T) {
 	}
 	if same {
 		t.Fatalf("seeds 42 and 43 generated identical mix lists")
+	}
+}
+
+// TestMixedMixesRefusesBadOptions: a NaN or infinite scale used to name
+// jobs "search-lc--9223372036854775808ms[p99<=NaNms]", a NaN fraction to
+// list the paper mixes (cmd/mixes), a fraction of 2 to make every slot LC,
+// and a maximum below the minimum to run the minimum. Zero still takes the
+// default: a zero maximum is the minimum.
+func TestMixedMixesRefusesBadOptions(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opt  MixedMixOptions
+		want string
+	}{
+		{"NaN fraction", MixedMixOptions{LCFraction: math.NaN()}, "LC fraction NaN"},
+		{"negative fraction", MixedMixOptions{LCFraction: -0.4}, "LC fraction -0.4"},
+		{"fraction above 1", MixedMixOptions{LCFraction: 2}, "LC fraction 2"},
+		{"NaN minimum", MixedMixOptions{TargetScaleMin: math.NaN()}, "minimum NaN"},
+		{"infinite minimum", MixedMixOptions{TargetScaleMin: math.Inf(1)}, "minimum +Inf"},
+		{"negative minimum", MixedMixOptions{TargetScaleMin: -1}, "minimum -1"},
+		{"infinite maximum", MixedMixOptions{TargetScaleMin: 1, TargetScaleMax: math.Inf(1)}, "maximum +Inf"},
+		{"NaN maximum", MixedMixOptions{TargetScaleMin: 1, TargetScaleMax: math.NaN()}, "maximum NaN"},
+		{"maximum below minimum", MixedMixOptions{TargetScaleMin: 2, TargetScaleMax: 1}, "maximum 1 is below the minimum 2"},
+	} {
+		mixes, err := MixedMixes(c.opt)
+		if err == nil {
+			t.Errorf("%s: accepted, first mix %v", c.name, mixes[0].Names())
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error does not mention %q: %v", c.name, c.want, err)
+		}
+	}
+	// A zero maximum is the minimum: every LC target scaled by exactly 2.
+	mixes, err := MixedMixes(MixedMixOptions{LCFraction: 1, TargetScaleMin: 2, Count: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := map[string]float64{}
+	for _, p := range LC() {
+		base[p.Name] = p.SLO.TargetP99
+	}
+	for _, m := range mixes {
+		for _, p := range m.Profiles {
+			name := p.Name[:strings.LastIndex(p.Name, "-")]
+			if p.SLO == nil || p.SLO.TargetP99 != 2*base[name] {
+				t.Errorf("mix %d: %s not scaled by 2 (base %v)", m.Index, p.Name, base[name])
+			}
+		}
 	}
 }
 
