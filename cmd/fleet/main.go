@@ -9,7 +9,7 @@
 //	fleet -nodes 4 -placer fairness -policy parties -csv fleet.csv
 //	fleet -nodes 8 -seed 42 -workers 1   # byte-identical to -workers 8
 //	fleet -nodes 1000 -shards 16 -event-driven -seconds 300
-//	fleet -nodes 64 -sweep-shards 1,4,16,64   # placement quality vs k
+//	for k in 1 4 16 64; do fleet -nodes 64 -shards $k; done   # placement quality vs k
 //
 // Any -workers value (default 0: one per CPU) produces byte-identical
 // output; parallelism only changes wall-clock time. -shards splits
@@ -22,8 +22,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
-	"strconv"
 	"strings"
 
 	"satori"
@@ -32,63 +32,10 @@ import (
 )
 
 func main() {
-	nodes := flag.Int("nodes", 4, "cluster size")
-	arrivalRate := flag.Float64("arrival-rate", 0.5, "fleet-wide Poisson job arrival rate, jobs/second")
-	durationMean := flag.Float64("duration-mean", 30, "mean job service time, seconds (exponential, truncated)")
-	policyName := flag.String("policy", "satori", "per-node partitioning policy ("+strings.Join(satori.PolicyNames(), ", ")+")")
-	placerName := flag.String("placer", "round-robin", "job placement strategy ("+strings.Join(fleet.PlacerNames(), ", ")+")")
-	seed := flag.Uint64("seed", 1, "fleet seed; equal seeds replay identically")
-	seconds := flag.Float64("seconds", 60, "run length in simulated seconds")
-	workers := flag.Int("workers", 0, "node-stepping pool size (0 = one per CPU, 1 = serial)")
-	suite := flag.String("suite", "parsec", "workload pool jobs draw from (parsec|cloudsuite|ecp)")
-	maxJobs := flag.Int("max-jobs", 5, "max co-located jobs per node")
-	csvPath := flag.String("csv", "", "write the per-tick fleet trace to this CSV file")
-	shards := flag.Int("shards", 1, "POP-style placement shards (clamped to the node count)")
-	eventDriven := flag.Bool("event-driven", false,
-		"let phase-stable nodes defer detailed ticks (coarse batched catch-up)")
-	sweepShards := flag.String("sweep-shards", "",
-		"comma-separated shard counts; runs the placement-quality sweep and prints a table instead of a single run")
-	flag.Parse()
-
-	profiles, err := satori.Suite(*suite)
+	opt, ticks, csvPath, err := options(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := fleet.Options{
-		Nodes:          *nodes,
-		Policy:         *policyName,
-		Placer:         *placerName,
-		Seed:           *seed,
-		Workers:        *workers,
-		MaxJobsPerNode: *maxJobs,
-		Shards:         *shards,
-		EventDriven:    *eventDriven,
-		Stream: fleet.StreamOptions{
-			ArrivalRate:  *arrivalRate,
-			DurationMean: *durationMean,
-			Profiles:     profiles,
-		},
-	}
-	ticks, err := stack.Ticks("seconds", *seconds)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if *sweepShards != "" {
-		counts, err := parseShardCounts(*sweepShards)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rows, err := fleet.SweepShards(opt, counts, ticks)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := fleet.WriteShardSweep(os.Stdout, rows); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
 	cluster, err := fleet.New(opt)
 	if err != nil {
 		log.Fatal(err)
@@ -98,8 +45,8 @@ func main() {
 		report = 1
 	}
 	fmt.Printf("fleet: %d nodes (%d shards%s), policy=%s placer=%s, %.2g jobs/s, mean service %.3gs\n",
-		*nodes, cluster.ShardCount(), map[bool]string{true: ", event-driven", false: ""}[*eventDriven],
-		*policyName, *placerName, *arrivalRate, *durationMean)
+		opt.Nodes, cluster.ShardCount(), map[bool]string{true: ", event-driven", false: ""}[opt.EventDriven],
+		opt.Policy, opt.Placer, opt.Stream.ArrivalRate, opt.Stream.DurationMean)
 	for i := 1; i <= ticks; i++ {
 		st, err := cluster.Step()
 		if err != nil {
@@ -112,8 +59,8 @@ func main() {
 	}
 	fmt.Println(cluster.Summary())
 
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
+	if csvPath != "" {
+		f, err := os.Create(csvPath)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -123,20 +70,56 @@ func main() {
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println("trace written to", *csvPath)
+		fmt.Println("trace written to", csvPath)
 	}
 }
 
-// parseShardCounts reads -sweep-shards: comma-separated positive integers,
-// each entry whole — "1e3", "4.5" and "4x" are errors, not 1, 4 and 4.
-func parseShardCounts(list string) ([]int, error) {
-	var counts []int
-	for _, f := range strings.Split(list, ",") {
-		k, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || k < 1 {
-			return nil, fmt.Errorf("bad -sweep-shards entry %q: want a positive integer", f)
-		}
-		counts = append(counts, k)
+// options parses args on fs into the fleet's options, the run length in
+// ticks and the -csv path. fleet.Options reads a zero or negative rate,
+// mean, shard count or per-node cap as its default, a NaN rate as no
+// arrivals and a NaN mean as instant departures, so such values, and
+// ±Inf, are refused here by flag name.
+func options(fs *flag.FlagSet, args []string) (fleet.Options, int, string, error) {
+	var opt fleet.Options
+	fs.IntVar(&opt.Nodes, "nodes", 4, "cluster size")
+	fs.Float64Var(&opt.Stream.ArrivalRate, "arrival-rate", 0.5, "fleet-wide Poisson job arrival rate, jobs/second")
+	fs.Float64Var(&opt.Stream.DurationMean, "duration-mean", 30, "mean job service time, seconds (exponential, truncated)")
+	fs.StringVar(&opt.Policy, "policy", "satori", "per-node partitioning policy ("+strings.Join(satori.PolicyNames(), ", ")+")")
+	fs.StringVar(&opt.Placer, "placer", "round-robin", "job placement strategy ("+strings.Join(fleet.PlacerNames(), ", ")+")")
+	fs.Uint64Var(&opt.Seed, "seed", 1, "fleet seed; equal seeds replay identically")
+	seconds := fs.Float64("seconds", 60, "run length in simulated seconds")
+	fs.IntVar(&opt.Workers, "workers", 0, "node-stepping pool size (0 = one per CPU, 1 = serial)")
+	suite := fs.String("suite", "parsec", "workload pool jobs draw from (parsec|cloudsuite|ecp)")
+	fs.IntVar(&opt.MaxJobsPerNode, "max-jobs", 5, "max co-located jobs per node")
+	csvPath := fs.String("csv", "", "write the per-tick fleet trace to this CSV file")
+	fs.IntVar(&opt.Shards, "shards", 1, "POP-style placement shards (clamped to the node count)")
+	fs.BoolVar(&opt.EventDriven, "event-driven", false,
+		"let phase-stable nodes defer detailed ticks (coarse batched catch-up)")
+	if err := fs.Parse(args); err != nil {
+		return fleet.Options{}, 0, "", err
 	}
-	return counts, nil
+
+	switch {
+	case !positive(opt.Stream.ArrivalRate):
+		return fleet.Options{}, 0, "", fmt.Errorf("-arrival-rate %v: must be a finite number of jobs/s > 0", opt.Stream.ArrivalRate)
+	case !positive(opt.Stream.DurationMean):
+		return fleet.Options{}, 0, "", fmt.Errorf("-duration-mean %v: must be a finite number of seconds > 0", opt.Stream.DurationMean)
+	case opt.Shards < 1:
+		return fleet.Options{}, 0, "", fmt.Errorf("-shards %d: must be >= 1", opt.Shards)
+	case opt.MaxJobsPerNode < 1:
+		return fleet.Options{}, 0, "", fmt.Errorf("-max-jobs %d: must be >= 1", opt.MaxJobsPerNode)
+	case opt.Workers < 0:
+		return fleet.Options{}, 0, "", fmt.Errorf("-workers %d: must be >= 0 (0 = one per CPU, 1 = serial)", opt.Workers)
+	}
+	ticks, err := stack.Ticks("seconds", *seconds)
+	if err != nil {
+		return fleet.Options{}, 0, "", err
+	}
+	if opt.Stream.Profiles, err = satori.Suite(*suite); err != nil {
+		return fleet.Options{}, 0, "", err
+	}
+	return opt, ticks, *csvPath, nil
 }
+
+// positive reports whether x is a finite number above zero (NaN is not).
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }

@@ -5,14 +5,25 @@
 // With -lc-frac it instead generates mixed batch+latency-critical mixes
 // (workloads.MixedMixes): each mix holds ceil(jobs·frac) LC services
 // with per-instance scaled p99 targets next to distinct batch jobs.
-// The listing is reproducible from the flags alone; -json additionally
-// dumps every generated profile (SLO sections included) so a mix can be
-// fed back through -workloads files.
+// The listing is reproducible from the flags alone.
+//
+// -json writes profiles instead of a listing, in the schema -profiles
+// reads (cmd/satori, cmd/satorid): every generated profile, SLO sections
+// included, with -lc-frac, or one suite's profiles with -suite (lc, the
+// latency-critical services, included). It is the command-line producer
+// of profile JSON.
+//
+// Usage:
+//
+//	mixes                                  # every paper mix
+//	mixes -suite parsec -json > jobs.json  # a suite's profiles, to edit
+//	mixes -lc-frac 0.4 -json > lc.json     # generated batch+LC mixes
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -22,19 +33,36 @@ import (
 )
 
 func main() {
-	suite := flag.String("suite", "", "limit to one suite (parsec|cloudsuite|ecp); batch suite for -lc-frac")
-	lcFrac := flag.Float64("lc-frac", 0, "generate mixed batch+LC mixes with this latency-critical slot fraction, in (0, 1] (0 = paper mixes)")
-	jobs := flag.Int("jobs", 5, "co-location size for generated mixed mixes")
-	count := flag.Int("count", 10, "how many mixed mixes to generate")
-	seed := flag.Uint64("seed", 1, "seed for mixed-mix generation; equal flags reproduce equal mixes")
-	scaleMin := flag.Float64("slo-scale-min", 1, "lower bound of the uniform per-job p99 target scaling")
-	scaleMax := flag.Float64("slo-scale-max", 1, "upper bound of the uniform per-job p99 target scaling")
-	jsonOut := flag.Bool("json", false, "with -lc-frac, dump the generated profiles as a -workloads JSON file")
-	flag.Parse()
+	if err := run(os.Stdout, flag.CommandLine, os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	if *lcFrac != 0 {
-		listMixed(*suite, *lcFrac, *jobs, *count, *seed, *scaleMin, *scaleMax, *jsonOut)
-		return
+// run parses args on fs and writes what they ask for to w.
+func run(w io.Writer, fs *flag.FlagSet, args []string) error {
+	suite := fs.String("suite", "", "limit to one suite (parsec|cloudsuite|ecp; with -json also lc); batch suite for -lc-frac")
+	lcFrac := fs.Float64("lc-frac", 0, "generate mixed batch+LC mixes with this latency-critical slot fraction, in (0, 1] (0 = paper mixes)")
+	jobs := fs.Int("jobs", 5, "co-location size for generated mixed mixes")
+	count := fs.Int("count", 10, "how many mixed mixes to generate")
+	seed := fs.Uint64("seed", 1, "seed for mixed-mix generation; equal flags reproduce equal mixes")
+	scaleMin := fs.Float64("slo-scale-min", 1, "lower bound of the uniform per-job p99 target scaling")
+	scaleMax := fs.Float64("slo-scale-max", 1, "upper bound of the uniform per-job p99 target scaling")
+	jsonOut := fs.Bool("json", false, "write the -lc-frac mixes' or the -suite's profiles as a -profiles JSON file")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	switch {
+	case *lcFrac != 0:
+		return listMixed(w, *suite, *lcFrac, *jobs, *count, *seed, *scaleMin, *scaleMax, *jsonOut)
+	case *jsonOut && *suite == "":
+		return fmt.Errorf("-json needs -suite (a suite's profiles) or -lc-frac (generated mixes)")
+	case *jsonOut:
+		profiles, ok := workloads.Suites()[*suite]
+		if !ok {
+			return fmt.Errorf("-suite %q: no such suite (parsec|cloudsuite|ecp|lc)", *suite)
+		}
+		return workloads.WriteProfiles(w, profiles)
 	}
 
 	suites := []string{workloads.SuitePARSEC, workloads.SuiteCloudSuite, workloads.SuiteECP}
@@ -45,27 +73,28 @@ func main() {
 	for _, name := range suites {
 		mixes, err := workloads.PaperMixes(name)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("== %s: %d mixes of %d jobs ==\n", name, len(mixes), len(mixes[0].Profiles))
+		fmt.Fprintf(w, "== %s: %d mixes of %d jobs ==\n", name, len(mixes), len(mixes[0].Profiles))
 		for _, m := range mixes {
 			space, err := machine.Space(len(m.Profiles))
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			fmt.Printf("  mix %2d: %-70s %12.0f configs\n",
+			fmt.Fprintf(w, "  mix %2d: %-70s %12.0f configs\n",
 				m.Index, strings.Join(m.Names(), "+"), space.Size())
 		}
 	}
+	return nil
 }
 
-func listMixed(suite string, frac float64, jobs, count int, seed uint64, scaleMin, scaleMax float64, jsonOut bool) {
+func listMixed(w io.Writer, suite string, frac float64, jobs, count int, seed uint64, scaleMin, scaleMax float64, jsonOut bool) error {
 	mixes, err := workloads.MixedMixes(workloads.MixedMixOptions{
 		Suite: suite, Jobs: jobs, LCFraction: frac, Count: count, Seed: seed,
 		TargetScaleMin: scaleMin, TargetScaleMax: scaleMax,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if jsonOut {
 		// One flat profile list per run: mix boundaries are recoverable
@@ -74,12 +103,9 @@ func listMixed(suite string, frac float64, jobs, count int, seed uint64, scaleMi
 		for _, m := range mixes {
 			ps = append(ps, m.Profiles...)
 		}
-		if err := workloads.WriteProfiles(os.Stdout, ps); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return workloads.WriteProfiles(w, ps)
 	}
-	fmt.Printf("== mixed batch+lc: %d mixes of %d jobs (lc-frac %.2f, seed %d) ==\n",
+	fmt.Fprintf(w, "== mixed batch+lc: %d mixes of %d jobs (lc-frac %.2f, seed %d) ==\n",
 		len(mixes), jobs, frac, seed)
 	for _, m := range mixes {
 		var parts []string
@@ -90,6 +116,7 @@ func listMixed(suite string, frac float64, jobs, count int, seed uint64, scaleMi
 				parts = append(parts, p.Name)
 			}
 		}
-		fmt.Printf("  mix %2d: %s\n", m.Index, strings.Join(parts, "+"))
+		fmt.Fprintf(w, "  mix %2d: %s\n", m.Index, strings.Join(parts, "+"))
 	}
+	return nil
 }

@@ -9,12 +9,15 @@
 // partition it for real, or at any scratch directory for the identical
 // control path, hermetically. Per-job IPS comes from a recorded -trace
 // (rdt.ReadIPSTrace), or without one from a trace the simulator writes.
+// Custom jobs come from a -profiles JSON file; cmd/mixes writes one
+// (mixes -suite parsec -json) to start from.
 //
 // Usage:
 //
 //	satori -workloads canneal,swaptions,streamcluster -policy satori -seconds 60
 //	satori -suite parsec -mix 0 -policy parties
 //	satori -workloads amg,hypre -policy balanced-oracle -csv run.csv
+//	satori -profiles my-jobs.json -policy satori
 //	satori -backend resctrl -resctrl-root $(mktemp -d) -suite parsec -seconds 5
 package main
 
@@ -36,19 +39,7 @@ func main() {
 	spec.Register(flag.CommandLine)
 	seconds := flag.Float64("seconds", 60, "run length in simulated seconds")
 	csvPath := flag.String("csv", "", "write the per-tick trace to this CSV file")
-	dumpSuite := flag.String("dump-profiles", "", "write a suite's workload profiles as JSON to stdout and exit (parsec|cloudsuite|ecp)")
 	flag.Parse()
-
-	if *dumpSuite != "" {
-		jobs, err := satori.Suite(*dumpSuite)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := satori.SaveWorkloads(os.Stdout, jobs); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	ticks, err := stack.Ticks("seconds", *seconds)
 	if err != nil {

@@ -232,6 +232,27 @@ var gates = []gate{
 		bad:   goSrc(`import "os"; var v = os.Getenv("SATORI_PARALLEL")`),
 	},
 
+	// One job per binary: satori runs a session, fleet runs a fleet, and
+	// mixes is the one command-line producer of profile JSON.
+	{
+		name:  "One-job: no -sweep-shards or -dump-profiles flag in cmd/",
+		files: files{paths: []string{"cmd/..."}, tests: withTests},
+		check: none("string", `sweep-shards|dump-profiles`),
+		bad:   goSrc(`import "flag"; var dump = flag.String("dump-profiles", "", "write a suite's profiles and exit")`),
+	},
+	{
+		name:  "One-job: a shard sweep is one fleet run per k, not a library API",
+		files: files{paths: []string{all}, tests: withTests},
+		check: none("ident", `^(SweepShards|WriteShardSweep|ShardSweepRow)$`),
+		bad:   goSrc(`type ShardSweepRow struct{ Shards int }`),
+	},
+	{
+		name:  "One-job: the resctrl writer addresses cache domain 0 and takes no CacheID",
+		files: files{paths: []string{"internal/rdt"}, tests: withTests},
+		check: none("ident", `^CacheID$`),
+		bad:   goSrc(`type ResctrlWriter struct{ Root string; CacheID int }`),
+	},
+
 	// Experiment table: a figure is a row of harness.Experiments().
 	{
 		name:  "Experiment-table: no per-figure driver function beside the table",

@@ -50,44 +50,111 @@ func TestWriterMaxCLOS(t *testing.T) {
 	}
 }
 
-func TestWriterCLOSLimitPreflight(t *testing.T) {
-	space, err := sim.DefaultMachine().Space(5)
+// traceSampler replays one constant row of IPS for n jobs.
+func traceSampler(t *testing.T, n int) *TraceSampler {
+	t.Helper()
+	row := make([]float64, n)
+	for i := range row {
+		row[i] = 1e9
+	}
+	s, err := NewTraceSampler(row, [][]float64{row})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := Compile(space, space.EqualSplit())
+	return s
+}
+
+// groupDirs lists the control-group directories under root.
+func groupDirs(t *testing.T, root string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var dirs []string
+	for _, e := range entries {
+		if e.Name() != "info" {
+			dirs = append(dirs, e.Name())
+		}
+	}
+	return dirs
+}
+
+// TestResctrlPlatformCLOSPreflight: a job set that needs more control
+// groups than the tree's class-of-service budget is refused with a typed
+// *CLOSLimitError before a single group directory is written — at
+// construction and when a grouping is removed — and fits once clustered.
+func TestResctrlPlatformCLOSPreflight(t *testing.T) {
+	names := []string{"a", "b", "c", "d", "e"}
 	w := ResctrlWriter{Root: t.TempDir()}
 	writeNumCLOSIDs(t, w.Root, "4\n") // 3 usable groups < 5 jobs
-	err = w.Apply(plan)
+	_, err := NewResctrlPlatform(sim.DefaultMachine(), names, w, traceSampler(t, 5), nil)
 	var lim *CLOSLimitError
 	if !errors.As(err, &lim) {
-		t.Fatalf("Apply = %v, want *CLOSLimitError", err)
+		t.Fatalf("NewResctrlPlatform = %v, want *CLOSLimitError", err)
 	}
 	if lim.Need != 5 || lim.Have != 3 {
 		t.Fatalf("CLOSLimitError = %+v, want Need=5 Have=3", lim)
 	}
 	// Nothing may have been written: a partial tree would pin CLOS.
-	entries, err := os.ReadDir(w.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.Name() != "info" {
-			t.Fatalf("preflight-failed Apply left %s behind", e.Name())
-		}
+	if dirs := groupDirs(t, w.Root); len(dirs) > 0 {
+		t.Fatalf("refused construction left %v behind", dirs)
 	}
 	// Clustered to 3 groups the same 5 jobs fit.
-	g := resource.RoundRobinGrouping(5, 3)
-	cfg := space.EqualSplit()
-	grouped, err := CompileGrouped(space, cfg, g)
+	p, err := NewResctrlPlatform(sim.DefaultMachine(), names, w, traceSampler(t, 5), resource.RoundRobinGrouping(5, 3))
+	if err != nil {
+		t.Fatalf("clustered platform refused: %v", err)
+	}
+	if dirs := groupDirs(t, w.Root); len(dirs) != 3 {
+		t.Fatalf("clustered platform wrote %v, want 3 groups", dirs)
+	}
+	// Ungrouping would need 5: refused, rolled back, nothing written.
+	if err := p.SetGrouping(nil); !errors.As(err, &lim) {
+		t.Fatalf("SetGrouping(nil) = %v, want *CLOSLimitError", err)
+	}
+	if g := p.Grouping(); g == nil || g.Clusters != 3 {
+		t.Fatalf("failed SetGrouping did not roll back: %v", p.Grouping())
+	}
+	if dirs := groupDirs(t, w.Root); len(dirs) != 3 {
+		t.Fatalf("refused SetGrouping left %v", dirs)
+	}
+}
+
+// TestResctrlPlatformReadsCLOSBudgetOnce: the budget is read from
+// info/L3/num_closids at construction and only then. The writer used to
+// re-read it on every apply, so a capability file rewritten under a
+// running platform failed every later decision.
+func TestResctrlPlatformReadsCLOSBudgetOnce(t *testing.T) {
+	w := ResctrlWriter{Root: t.TempDir()}
+	writeNumCLOSIDs(t, w.Root, "16\n")
+	p, err := NewResctrlPlatform(sim.DefaultMachine(), []string{"a", "b", "c"}, w, traceSampler(t, 3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Apply(grouped); err != nil {
-		t.Fatalf("clustered plan rejected: %v", err)
+	writeNumCLOSIDs(t, w.Root, "garbage")
+	moved, ok := p.Space().Move(p.Current(), 0, 0, 1)
+	if !ok {
+		t.Fatal("move failed")
+	}
+	if err := p.Apply(moved); err != nil {
+		t.Fatalf("Apply after num_closids changed: %v", err)
+	}
+	if err := p.Resync(); err != nil {
+		t.Fatalf("Resync after num_closids changed: %v", err)
+	}
+	if p.MaxCLOS() != 15 {
+		t.Errorf("MaxCLOS = %d, want the 15 read at construction", p.MaxCLOS())
+	}
+	got, err := p.ReadGroup(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Compile(p.Space(), moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.CATMask != want.Jobs[0].CATMask || got.MBAPercent != want.Jobs[0].MBAPercent {
+		t.Errorf("group 0 = %+v, want the applied %+v", got, want.Jobs[0])
 	}
 }
 

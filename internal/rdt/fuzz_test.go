@@ -84,7 +84,7 @@ func FuzzParseSchemata(f *testing.F) {
 		if !strings.Contains(s, "L3") || !strings.Contains(s, "MB") {
 			t.Fatalf("ParseSchemata(%q) accepted input without both lines", s)
 		}
-		back, err := ParseSchemata(FormatSchemata(ja, 0))
+		back, err := ParseSchemata(FormatSchemata(ja))
 		if err != nil || back.CATMask != ja.CATMask || back.MBAPercent != ja.MBAPercent {
 			t.Fatalf("ParseSchemata(%q) = mask %x, MB %d; after a format/parse round trip mask %x, MB %d, err %v",
 				s, ja.CATMask, ja.MBAPercent, back.CATMask, back.MBAPercent, err)

@@ -14,13 +14,15 @@ import (
 // machine. For every job it maintains a control group directory
 // containing the standard files:
 //
-//	<root>/satori-job<N>/schemata   "L3:<cacheID>=<hex mask>\nMB:<cacheID>=<percent>\n"
+//	<root>/satori-job<N>/schemata   "L3:0=<hex mask>\nMB:0=<percent>\n"
 //	<root>/satori-job<N>/cpus_list  "0-2,5"
 //
 // Pointing Root at /sys/fs/resctrl on a machine with CAT/MBA enabled (and
 // the process running with the needed privileges) applies partitions for
 // real; pointing it at any scratch directory exercises the identical
-// code path hermetically, which is how the tests run.
+// code path hermetically, which is how the tests run. The writer
+// materializes whatever valid plan it is given; ResctrlPlatform checks
+// the class-of-service budget.
 //
 // Monitoring (the pqos side) is intentionally out of scope here: reading
 // IPS needs perf counters, not resctrl files, and stays behind the
@@ -28,9 +30,6 @@ import (
 type ResctrlWriter struct {
 	// Root is the resctrl mount point (or a scratch directory).
 	Root string
-	// CacheID is the L3 cache domain ID for the schemata lines
-	// (socket 0 by default).
-	CacheID int
 }
 
 // groupPrefix names the control groups: <root>/satori-job<N>.
@@ -44,7 +43,7 @@ func (w ResctrlWriter) groupDir(group int) string {
 // info/L3/num_closids under the resctrl root, the standard resctrl
 // capability file. The returned count excludes the root group (which
 // permanently occupies CLOS0 on real hardware), so it is the number of
-// control groups Apply may create. A tree without the info file — a
+// control groups a platform may create. A tree without the info file — a
 // scratch directory, or an MB-only mount — reports 0, meaning unlimited.
 func (w ResctrlWriter) MaxCLOS() (int, error) {
 	blob, err := os.ReadFile(filepath.Join(w.Root, "info", "L3", "num_closids"))
@@ -68,11 +67,6 @@ func (w ResctrlWriter) MaxCLOS() (int, error) {
 // the plan — left over after membership churn shrank the job set, or
 // after clustering reduced the group count — are removed, since a stale
 // group would pin a CLOS (and its cache ways) forever on real hardware.
-//
-// Apply fails with a typed *CLOSLimitError when the plan needs more
-// groups than the hardware offers (info/L3/num_closids, minus the root
-// group) — the loud preflight for running jobs ≫ CLOS without
-// clustering.
 func (w ResctrlWriter) Apply(plan Plan) error {
 	if w.Root == "" {
 		return fmt.Errorf("rdt: ResctrlWriter needs a Root directory")
@@ -80,19 +74,12 @@ func (w ResctrlWriter) Apply(plan Plan) error {
 	if err := plan.Validate(); err != nil {
 		return err
 	}
-	limit, err := w.MaxCLOS()
-	if err != nil {
-		return err
-	}
-	if err := checkCLOS(len(plan.Jobs), limit); err != nil {
-		return err
-	}
 	for _, ja := range plan.Jobs {
 		dir := w.groupDir(ja.Job)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("rdt: creating control group: %w", err)
 		}
-		schemata := FormatSchemata(ja, w.CacheID)
+		schemata := FormatSchemata(ja)
 		if err := os.WriteFile(filepath.Join(dir, "schemata"), []byte(schemata), 0o644); err != nil {
 			return fmt.Errorf("rdt: writing schemata: %w", err)
 		}
@@ -159,9 +146,10 @@ func (w ResctrlWriter) ReadGroup(job int) (JobAllocation, error) {
 	return ja, nil
 }
 
-// FormatSchemata renders the resctrl schemata lines for one job.
-func FormatSchemata(ja JobAllocation, cacheID int) string {
-	return fmt.Sprintf("L3:%d=%x\nMB:%d=%d\n", cacheID, ja.CATMask, cacheID, ja.MBAPercent)
+// FormatSchemata renders the resctrl schemata lines for one job, on
+// cache domain 0.
+func FormatSchemata(ja JobAllocation) string {
+	return fmt.Sprintf("L3:0=%x\nMB:0=%d\n", ja.CATMask, ja.MBAPercent)
 }
 
 // ParseSchemata parses L3/MB schemata lines (single cache domain).

@@ -109,9 +109,14 @@ func (p *ResctrlPlatform) Apply(c resource.Config) error {
 	return nil
 }
 
-// write compiles c under the live grouping and materializes the plan
-// (ResctrlWriter.Apply validates it first); on failure p.plan stands.
+// write checks the live group count against the class-of-service budget
+// read at construction, as SimPlatform.compile does, then compiles c under
+// the live grouping and materializes the plan (ResctrlWriter.Apply
+// validates it first); on failure p.plan stands and no group is written.
 func (p *ResctrlPlatform) write(c resource.Config) error {
+	if err := checkCLOS(planGroups(p.space.Jobs, p.grouping), p.maxCLOS); err != nil {
+		return err
+	}
 	plan, err := CompileGrouped(p.space, c, p.grouping)
 	if err != nil {
 		return err

@@ -105,7 +105,7 @@ func TestCPUListRoundTripProperty(t *testing.T) {
 
 func TestSchemataRoundTrip(t *testing.T) {
 	ja := JobAllocation{Job: 2, CATMask: 0b0111000, MBAPercent: 30}
-	s := FormatSchemata(ja, 0)
+	s := FormatSchemata(ja)
 	if !strings.Contains(s, "L3:0=38") || !strings.Contains(s, "MB:0=30") {
 		t.Errorf("schemata rendering: %q", s)
 	}

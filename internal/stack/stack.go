@@ -39,7 +39,7 @@ type Spec struct {
 // Register defines the stack flags on fs, bound to s.
 func (s *Spec) Register(fs *flag.FlagSet) {
 	fs.StringVar(&s.Workloads, "workloads", "", "comma-separated benchmark names to co-locate")
-	fs.StringVar(&s.Profiles, "profiles", "", "JSON file of custom workload profiles to co-locate (see satori.SaveWorkloads)")
+	fs.StringVar(&s.Profiles, "profiles", "", "JSON file of custom workload profiles to co-locate (mixes -suite S -json writes one)")
 	fs.StringVar(&s.Suite, "suite", "", "pick a paper mix from this suite instead (parsec|cloudsuite|ecp)")
 	fs.IntVar(&s.Mix, "mix", 0, "mix index within -suite")
 	fs.StringVar(&s.Policy, "policy", "satori", "partitioning policy")
@@ -61,6 +61,14 @@ func (s *Spec) Register(fs *flag.FlagSet) {
 // ticks is the run length when the caller knows it (0: unbounded); only a
 // synthesized trace reads it.
 func (s Spec) Build(ticks int) (*control.Loop, error) {
+	// Zero means off for both; downstream a negative value would read as
+	// zero too.
+	switch {
+	case s.Power < 0:
+		return nil, fmt.Errorf("-power %d: must be >= 0 (0 = no power partitioning)", s.Power)
+	case s.ClusterK < 0:
+		return nil, fmt.Errorf("-cluster-k %d: must be >= 0 (0 = the policy's default)", s.ClusterK)
+	}
 	jobs, err := s.jobs()
 	if err != nil {
 		return nil, err

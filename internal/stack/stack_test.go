@@ -261,6 +261,8 @@ func TestBuildRefusesBadInputByName(t *testing.T) {
 		{"absent resctrl root", []string{"-suite", "parsec", "-backend", "resctrl", "-resctrl-root", filepath.Join(dir, "absent")}, []string{"does not exist", "mktemp"}},
 		{"resctrl root is a file", []string{"-suite", "parsec", "-backend", "resctrl", "-resctrl-root", file("plain", "")}, []string{"plain", "not a directory"}},
 		{"unknown backend", []string{"-suite", "parsec", "-backend", "pqos"}, []string{`"pqos"`, "sim, resctrl"}},
+		{"negative power", []string{"-suite", "parsec", "-power", "-3"}, []string{"-power -3", ">= 0"}},
+		{"negative cluster-k", []string{"-suite", "parsec", "-cluster-k", "-2"}, []string{"-cluster-k -2", ">= 0"}},
 	}
 	// sysfs takes no mkdir from anyone, root included: the one unwritable
 	// directory a test can count on. Nothing is created there.
