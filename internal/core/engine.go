@@ -115,10 +115,13 @@ type Engine struct {
 	// settled counts the consecutive ticks settle ended at exploit with the
 	// fresh panel ruled out (t.freshSkipped), saturating at settleTicks; at
 	// settleTicks buildPool narrows the scored fresh panel. fullPanel, set
-	// only by tests, keeps every tick's panel whole. Both share single's
-	// word, so the struct stays in its size class.
-	fullPanel bool
-	settled   int32
+	// only by tests, keeps every tick's panel whole; denseBlocks, set only
+	// by tests, fills a missed neighborhood block from its encoded points
+	// instead of its moves (scorePool). All share single's word, so the
+	// struct stays in its size class.
+	fullPanel   bool
+	denseBlocks bool
+	settled     int32
 
 	// Diagnostics, each written by exactly one stage of Decide; the
 	// counters are Stats' fields of the same names. They are fields, not a
@@ -161,7 +164,7 @@ type Engine struct {
 	// Per-tick scratch, reused across Decide calls.
 	windowBuf    []*Record
 	xsBuf        [][]float64
-	rowBuf       []float64 // per model row: targets (syncModel), then means (trackProxyChange)
+	rowBuf       []float64 // targets (syncModel), then means (trackProxyChange), one per model row; then a missed block's move tables (neighborMoves)
 	pointBuf     gp.Points // the candidates being scored, as the fill reads them (poolPoints)
 	postBuf      []float64 // the pool's posterior: μ, then σ (posterior)
 	batchScratch gp.PredictScratch
@@ -720,13 +723,43 @@ func (e *Engine) neighborPoints(rec *Record, start, end, lo, hi int) {
 	}
 }
 
+// neighborMoves describes rec's neighborhood for the model's moved fill, in
+// neighborPoints' enumeration order: the base point is rec's model row, a
+// group is a resource row of Jobs coordinates, and a managed coordinate
+// holding more than one unit gives, to every other job of its row. Give and
+// Take hold the moved values by VectorInto's own expression, the ones
+// neighborPoints writes; an unmanaged coordinate gives nothing and keeps its
+// value. The two tables live in rowBuf, free once the window's means are
+// tracked.
+func (e *Engine) neighborMoves(rec *Record) gp.Moves {
+	dim, jobs := e.space.Dim(), e.space.Jobs
+	e.rowBuf = slices.Grow(e.rowBuf[:0], 2*dim)[:2*dim]
+	give, take := e.rowBuf[:dim], e.rowBuf[dim:]
+	copy(take, rec.Vector)
+	for k := range give {
+		give[k] = math.NaN()
+	}
+	for _, r := range e.managedRows {
+		units := float64(e.space.Resources[r].Units)
+		for j, u := range rec.Config.Alloc[r] {
+			if u > 1 {
+				give[r*jobs+j] = float64(u-1) / units
+			}
+			take[r*jobs+j] = float64(u+1) / units
+		}
+	}
+	return gp.Moves{Base: rec.row, Group: jobs, Give: give, Take: take}
+}
+
 // scorePool leaves the proxy model's posterior mean and standard deviation
 // at every pool candidate, in pool order, in t.mu and t.sigma. The random
 // and random-walk candidates are new every tick and scored from scratch.
 // The neighborhood of poolTop[i] — pool entries up to poolEnd[i] — depends
 // on that record alone, so its block survives in the slot that last scored
 // the record, and the model re-scores it (means only) until a refit or
-// append outdates the block; only a block that misses encodes its points.
+// append outdates the block. A block that misses is filled from its moves:
+// the record is a window row, so its neighbors' distances to the window
+// are the model's stored ones plus the two coordinates each move changes.
 //
 // The blocks are scored, and their argmax taken, first. The fresh
 // candidates' means come next, and their σ only if one of them could still
@@ -746,7 +779,12 @@ func (e *Engine) scorePool(t *tick) {
 		} else {
 			blk.rec = rec
 			e.blockMisses++
-			e.model.PredictBlockInto(&e.batchScratch, &blk.Block, mu[lo:hi], sigma[lo:hi], e.poolPoints(lo, hi))
+			if e.denseBlocks {
+				e.model.PredictBlockInto(&e.batchScratch, &blk.Block, mu[lo:hi], sigma[lo:hi], e.poolPoints(lo, hi))
+			} else {
+				mv := e.neighborMoves(rec)
+				e.model.PredictMovedBlockInto(&e.batchScratch, &blk.Block, mu[lo:hi], sigma[lo:hi], &mv)
+			}
 		}
 		lo = hi
 	}

@@ -1,12 +1,25 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"testing"
 
 	"satori/internal/gp"
 )
+
+// movedBound is how far a neighborhood block's moved fill may sit from the
+// dense fill of the same points, relative to the larger value (σ to within
+// an absolute movedBound·√k(x, x) as well): the two sum a neighbor's
+// squared distances in different orders, so their last bits differ.
+const movedBound = 1e-12
+
+// withinMoved reports whether a moved-fill value got is within movedBound of
+// the dense fill's want; scale is the absolute floor.
+func withinMoved(got, want, scale float64) bool {
+	return math.Abs(got-want) <= movedBound*max(math.Abs(got), math.Abs(want), scale)
+}
 
 // blockProbe watches an engine between Decide calls: it holds
 // the block-scored pool against a stateless whole-pool scoring, and counts
@@ -41,9 +54,11 @@ func (p *blockProbe) top() []*Record {
 	return window[:min(3, len(window))]
 }
 
-// check runs after a Decide at tick. On a tick whose fresh panel the
-// engine did not solve, each fresh σ slot holds a ceiling, which must not
-// be below the σ a stateless scoring computes.
+// check runs after a Decide at tick. The fresh candidates must equal a
+// stateless dense scoring bit for bit, the blocks a stateless moved fill of
+// the same neighborhoods, and the dense scoring within movedBound. On a
+// tick whose fresh panel the engine did not solve, each fresh σ slot holds
+// a ceiling, which must not be below the σ a stateless scoring computes.
 func (p *blockProbe) check(tick int) {
 	e := p.eng
 	skipped, narrowed := e.freshSkips != p.prevSkips, e.narrowTicks != p.prevNarrow
@@ -58,14 +73,33 @@ func (p *blockProbe) check(tick int) {
 	}
 	mu, sigma := make([]float64, n), make([]float64, n)
 	e.model.PredictBatchInto(&gp.PredictScratch{}, mu, sigma, pool)
+	movedMu, movedSigma := make([]float64, n), make([]float64, n)
+	start := e.opt.Candidates
+	for s, rec := range e.poolTop[:e.poolTopN] {
+		mv := e.neighborMoves(rec)
+		e.model.PredictMovedBlockInto(&gp.PredictScratch{}, &gp.Block{}, movedMu[start:e.poolEnd[s]], movedSigma[start:e.poolEnd[s]], &mv)
+		start = e.poolEnd[s]
+	}
 	lo, hi := unscored(e, narrowed)
 	muBuf, sigmaBuf := e.posterior()
+	prior := e.model.PriorSigma()
 	for i := 0; i < n; i++ {
 		if lo <= i && i < hi {
 			continue
 		}
+		if i >= e.opt.Candidates {
+			if muBuf[i] != movedMu[i] || sigmaBuf[i] != movedSigma[i] {
+				p.t.Fatalf("tick %d: candidate %d of %d: block-scored (%v, %v) != stateless moved fill (%v, %v)",
+					tick, i, n, muBuf[i], sigmaBuf[i], movedMu[i], movedSigma[i])
+			}
+			if !withinMoved(muBuf[i], mu[i], 0) || !withinMoved(sigmaBuf[i], sigma[i], prior) {
+				p.t.Fatalf("tick %d: candidate %d of %d: block-scored (%v, %v), stateless dense (%v, %v): beyond %g",
+					tick, i, n, muBuf[i], sigmaBuf[i], mu[i], sigma[i], movedBound)
+			}
+			continue
+		}
 		sigmaOK := sigmaBuf[i] == sigma[i]
-		if skipped && i < e.opt.Candidates {
+		if skipped {
 			sigmaOK = sigmaBuf[i] >= sigma[i]
 		}
 		if muBuf[i] != mu[i] || !sigmaOK {

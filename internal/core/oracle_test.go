@@ -120,7 +120,11 @@ func (o *refitOracle) check(tick int, current, next resource.Config, skipped, na
 
 	idx, score, err := bo.Argmax(e.acq, best, mu, sigma)
 	if !skipped {
-		if got, _, gotErr := bo.Argmax(e.acq, best, engMu, engSigma); got != idx || (gotErr == nil) != (err == nil) {
+		// The indices may differ where two pool entries hold one
+		// configuration: a neighborhood block's moved fill rounds its last
+		// bits apart from the same configuration drawn fresh.
+		got, _, gotErr := bo.Argmax(e.acq, best, engMu, engSigma)
+		if (gotErr == nil) != (err == nil) || err == nil && !pool[got].Equal(pool[idx]) {
 			o.t.Fatalf("tick %d: argmax over the engine's posterior = %d (%v), over the refit's = %d (%v)", tick, got, gotErr, idx, err)
 		}
 	}

@@ -398,6 +398,7 @@ var gates = []gate{
 			"TestSearchMatchesReference", "TestSearchAllocatesPerSearchOnly", "TestPolicyCacheSeesReplacedJob",
 			"TestExactJobIPSMatchesExactIPS", "TestAppendPhaseKey",
 			"TestTriangleMatchesFit", "TestEngineStatsAddUp", "TestNarrowedPanelMatchesFullPanel", "TestCellCacheRerunsEmptyCell",
+			"TestMovedBlocksMatchDenseBlocks", "TestMovedBlockClampsCoincidingNeighbours", "FuzzMovedBlock",
 			"TestRecordsMatchSortedOracle", "TestForcedDecideAllocatesNothing", "TestConfigAppendKeyMatchesKey"),
 		bad: goSrc(`func TestColumnKernelsMatchPortableRenamed(t *testing.T) {}`),
 	},

@@ -9,9 +9,9 @@
 // sequence — kernel evaluations, k-ascending subtractions, divisions, and
 // row-ascending accumulation for the mean and variance dots — that depends
 // on neither the candidate's pool position nor its pool mates, so a
-// candidate scores to the same bits wherever it is pooled. The property
-// tests in batch_test.go pin that with == comparisons, and agreement with
-// GP.Predict to 1e-9.
+// candidate given as a point scores to the same bits wherever it is pooled.
+// The property tests in batch_test.go pin that with == comparisons, and
+// agreement with GP.Predict to 1e-9.
 //
 // Of a scored point, only the mean depends on the targets. A Block keeps
 // the rest — K* columns and standard deviations — so that a group of
@@ -19,13 +19,19 @@
 // one K*ᵀα product; epoch_test.go pins that reuse with == as well.
 //
 // The query points arrive as Points, already laid out the way the fill
-// streams them, so the caller encodes each point once, in place.
+// streams them, so the caller encodes each point once, in place. A block
+// of points that each differ from one model input in two coordinates can
+// arrive as Moves instead, and its distances are read off the model's
+// stored ones. That fill sums in another order, so a point given as a move
+// does not score to the bits of the same point given as a point; the two
+// agree to about 1e-15 (moved_test.go holds them within 1e-12).
 
 package gp
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"satori/internal/linalg"
 )
@@ -184,7 +190,7 @@ func (m *Incremental) SigmaCeiling(s *PredictScratch, c int) float64 {
 // zero value is an empty block; a block belongs to one model and one
 // fixed group of points.
 type Block struct {
-	epoch uint64 // the model's kernel epoch at the last PredictBlockInto; 0 = never filled
+	epoch uint64 // the model's kernel epoch at the last fill; 0 = never filled
 	// data holds the group's n×q K* columns, then its q standard
 	// deviations. n is the model's size, fixed while its epoch stands.
 	data []float64
@@ -200,9 +206,117 @@ func (m *Incremental) PredictBlockInto(s *PredictScratch, b *Block, mu, sigma []
 	b.epoch = m.epoch
 }
 
+// Moves describes a group of query points by how each differs from one of
+// the model's inputs, x_Base: in two coordinates of one group, the
+// coordinates coming in groups of Group consecutive ones. The point of a
+// move from coordinate a to coordinate b is x_Base with coordinate a set to
+// Give[a] and coordinate b set to Take[b] — a resource unit moved from one
+// job to another, to the engine. Every coordinate a whose Give is not NaN
+// moves, in ascending order, to every other coordinate b of its group, in
+// ascending order: that is the order of the points. Give and Take have the
+// model's dimension.
+type Moves struct {
+	Base, Group int
+	Give, Take  []float64
+}
+
+// Len returns the number of points mv describes.
+func (mv *Moves) Len() int {
+	givers := 0
+	for _, v := range mv.Give {
+		if !math.IsNaN(v) {
+			givers++
+		}
+	}
+	return givers * (mv.Group - 1)
+}
+
+// move is one point of a Moves: the coordinate that gives and the one that
+// takes.
+type move struct{ from, to int32 }
+
+// PredictMovedBlockInto scores the points mv describes into mu and sigma,
+// keeping the kernel-only results in b like PredictBlockInto, without
+// materialising them: a point y that differs from x_p = x_Base in
+// coordinates a and b lies at
+//
+//	‖x_i − y‖² = ‖x_i − x_p‖² + G_i[a] + T_i[b],
+//	G_i[k] = (x_ik − Give[k])² − (x_ik − x_pk)², T_i[k] likewise with Take,
+//
+// from model input i. The first term is the window's stored distance, and
+// the two d-length tables are built once per model row, so a point costs
+// two additions where a dense fill sweeps all d coordinates. The sum does
+// not round like the direct one: the last bits of a point's μ and σ differ
+// from PredictBlockInto's on the materialised point, and a point that
+// coincides with an input, whose true distance is 0, can come out a few
+// ulps negative. max(0, ·) clamps it; the Matérn transform's √ would make it
+// NaN. The transform, the means, the triangular solves and b's epoch stamp
+// are PredictBlockInto's.
+func (m *Incremental) PredictMovedBlockInto(s *PredictScratch, b *Block, mu, sigma []float64, mv *Moves) {
+	n, q, dim, moves := m.n, len(mu), m.dim, mv.Len()
+	if len(sigma) != q || moves != q || mv.Base < 0 || mv.Base >= n || len(mv.Give) != dim || len(mv.Take) != dim || mv.Group < 1 || dim%mv.Group != 0 {
+		panic(fmt.Sprintf("gp: PredictMovedBlockInto got %d mu and %d sigma for %d moves of input %d, dimension %d/%d in groups of %d; model of %d inputs, dimension %d",
+			q, len(sigma), moves, mv.Base, len(mv.Give), len(mv.Take), mv.Group, n, dim))
+	}
+	pairs := m.movePairs(mv, q)
+	nq := n * q
+	b.data = grow(b.data, nq+q)
+	kstar := b.data[:nq]
+	// The model-row-outer fill: row i's d² for every point, transformed,
+	// then cut into the panels the solves read.
+	s.panel = grow(s.panel, q+2*dim)
+	row, gi, ti := s.panel[:q], s.panel[q:q+dim], s.panel[q+dim:q+2*dim]
+	xp := m.xbuf[mv.Base]
+	for i, xi := range m.xbuf[:n] {
+		base := m.triAt(i, mv.Base)
+		for k, x := range xi[:dim] {
+			dp, dg, dt := x-xp[k], x-mv.Give[k], x-mv.Take[k]
+			gi[k] = base + (dg*dg - dp*dp)
+			ti[k] = dt*dt - dp*dp
+		}
+		for c, p := range pairs {
+			// max(0, ·) without a branch: a set sign bit clears every bit.
+			v := math.Float64bits(gi[p.from] + ti[p.to])
+			row[c] = math.Float64frombits(v &^ uint64(int64(v)>>63))
+		}
+		linalg.Matern52Row(row, m.kernel.LengthScale, m.kernel.Variance)
+		for p0 := 0; p0 < q; p0 += panelWidth {
+			w := min(panelWidth, q-p0)
+			copy(kstar[n*p0+i*w:n*p0+i*w+w], row[p0:p0+w])
+		}
+	}
+	for p0 := 0; p0 < q; p0 += panelWidth {
+		p1 := min(p0+panelWidth, q)
+		kpanel := kstar[n*p0 : n*p1]
+		panelMeans(mu[p0:p1], kpanel, m.alpha, m.mean)
+		m.solvePanel(s, kpanel, sigma[p0:p1])
+	}
+	copy(b.data[nq:], sigma)
+	b.epoch = m.epoch
+}
+
+// movePairs lists the coordinate pairs of mv's q points, in order, into the
+// model's buffer, once per block, so that each row of the fill is one
+// branch-free sweep.
+func (m *Incremental) movePairs(mv *Moves, q int) []move {
+	pairs := slices.Grow(m.moveBuf[:0], q)
+	for lo := 0; lo < len(mv.Give); lo += mv.Group {
+		for a := lo; a < lo+mv.Group; a++ {
+			for b := lo; b < lo+mv.Group && !math.IsNaN(mv.Give[a]); b++ {
+				if b != a {
+					pairs = append(pairs, move{int32(a), int32(b)})
+				}
+			}
+		}
+	}
+	m.moveBuf = pairs
+	return pairs
+}
+
 // RepredictBlockInto re-scores the points b was last filled for under the
 // model's current targets: sigma is copied from b and mu recomputed as
-// mean + K*ᵀα, both bit-identical to a fresh PredictBatchInto. It reports
+// mean + K*ᵀα, both bit-identical to filling b afresh the way it was
+// filled (PredictBlockInto or PredictMovedBlockInto). It reports
 // false, writing nothing, when b is stale — the model's inputs, kernel or
 // factor changed since b was filled — or was filled for a group of another
 // size than len(mu).

@@ -90,6 +90,7 @@ type Incremental struct {
 	distBuf []float64
 	rowBuf  []float64
 	ctrBuf  []float64
+	moveBuf []move // the points of the last PredictMovedBlockInto
 }
 
 // NewIncremental returns an empty incremental model. opt is interpreted
@@ -366,6 +367,17 @@ func (m *Incremental) setX(i int, x []float64) {
 	for _, xj := range m.xbuf[:i] {
 		m.tri = append(m.tri, linalg.SquaredDistance(x, xj))
 	}
+}
+
+// triAt returns ‖x_i − x_j‖², 0 on the diagonal, from the triangle.
+func (m *Incremental) triAt(i, j int) float64 {
+	if i < j {
+		i, j = j, i
+	}
+	if i == j {
+		return 0
+	}
+	return m.tri[i*(i-1)/2+j]
 }
 
 // PredictMean returns only the posterior mean at x (no triangular solve,
