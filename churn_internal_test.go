@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"satori/internal/core"
-	"satori/internal/sim"
+	"satori/internal/resource"
 )
 
 // churnSession builds a 2-job session whose policy is a SATORI engine and
@@ -124,7 +124,7 @@ func TestChurnRejectsStaleConfig(t *testing.T) {
 	if err := sess.AddWorkload(jobs[2]); err != nil {
 		t.Fatal(err)
 	}
-	var shapeErr *sim.ConfigShapeError
+	var shapeErr *resource.ConfigShapeError
 	if err := sess.platform.Apply(stale); !errors.As(err, &shapeErr) {
 		t.Fatalf("stale config accepted after churn: %v", err)
 	}

@@ -181,9 +181,6 @@ func (c *Classifier) Grouping() *resource.Grouping { return c.grouping }
 // (all Insensitive before the first round).
 func (c *Classifier) Classes() []Class { return c.classes }
 
-// WaysSlope returns job j's current cache-sensitivity estimate.
-func (c *Classifier) WaysSlope(j int) float64 { return c.ways[j].slope() }
-
 // Observe feeds one interval: the per-job speedups and the configuration
 // that produced them. It reports whether a membership migration was
 // committed this tick (the caller must then rebuild anything dimensioned

@@ -83,7 +83,7 @@ func TestClassifierFingerprints(t *testing.T) {
 	want := []Class{CacheSensitive, CacheSensitive, Streaming, Streaming, Insensitive, Insensitive}
 	for j, cl := range c.Classes() {
 		if cl != want[j] {
-			t.Errorf("job %d classified %v, want %v (ways slope %.3f)", j, cl, want[j], c.WaysSlope(j))
+			t.Errorf("job %d classified %v, want %v (ways slope %.3f)", j, cl, want[j], c.ways[j].slope())
 		}
 	}
 	g := c.Grouping()

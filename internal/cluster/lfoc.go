@@ -67,9 +67,6 @@ func NewLFOC(jobSpace *resource.Space, opt LFOCOptions) (*LFOC, error) {
 // Name implements policy.Policy.
 func (l *LFOC) Name() string { return "lfoc" }
 
-// Grouping returns the active job→cluster map.
-func (l *LFOC) Grouping() *resource.Grouping { return l.grouping }
-
 // Regroups reports committed membership migrations.
 func (l *LFOC) Regroups() int { return l.migrations }
 
@@ -126,7 +123,7 @@ func classBoost(kind resource.Kind, cl Class) float64 {
 // resource's leftover units are apportioned to clusters by
 // members × classBoost with largest-remainder rounding (ties to the
 // lower cluster index), then split within clusters exactly as
-// Grouping.Expand does.
+// Grouping.ExpandInto does.
 func (l *LFOC) allocate() {
 	g := l.grouping
 	classes := l.cls.Classes()

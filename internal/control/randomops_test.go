@@ -206,7 +206,7 @@ func runRandomOps(t *testing.T, seed uint64, ops int, kind policyKind, tally *op
 		Platform: platform,
 		Policy: func(p rdt.Platform) (policy.Policy, error) {
 			wander := func(space *resource.Space) (policy.Policy, error) {
-				return &wanderPolicy{space: space, rng: rng.Split(), decides: &decides}, nil
+				return &wanderPolicy{space: space, rng: stats.NewRNG(rng.Uint64()), decides: &decides}, nil
 			}
 			switch kind {
 			case runWander:

@@ -967,10 +967,6 @@ func (e *Engine) LastObjective() float64 { return e.lastObj }
 // predictions between consecutive iterations (Fig. 17(b)).
 func (e *Engine) ProxyChange() float64 { return e.proxyChange }
 
-// Scheduler exposes the weight scheduler (the harness uses its
-// equalization boundary to re-record baselines, Algorithm 1 line 12).
-func (e *Engine) Scheduler() *Scheduler { return e.sched }
-
 // Records returns the per-goal configuration records.
 func (e *Engine) Records() *Records { return e.recs }
 

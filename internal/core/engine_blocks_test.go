@@ -150,7 +150,7 @@ func probed(t *testing.T, opt Options, recordCap int) *blockProbe {
 		t.Fatal(err)
 	}
 	if recordCap > 0 {
-		eng.Records().SetCap(recordCap)
+		eng.Records().cap = recordCap
 	}
 	probe := newBlockProbe(t, eng)
 	oracle := &refitOracle{t: t, eng: eng}

@@ -211,9 +211,6 @@ func TestEngineInstrumentation(t *testing.T) {
 	if eng.Records().Len() == 0 {
 		t.Error("no records accumulated")
 	}
-	if eng.Scheduler() == nil {
-		t.Error("Scheduler accessor nil")
-	}
 	// Proxy change becomes available once at least two refits happened
 	// on overlapping windows.
 	if eng.ProxyChange() < 0 {
@@ -266,7 +263,7 @@ func TestRecords(t *testing.T) {
 	recs := NewRecords()
 	eq := space.EqualSplit()
 	recs.Update(space, eq, 0.5, 0.6, 1)
-	if recs.Len() != 1 || !recs.Has(eq) {
+	if recs.Len() != 1 || recs.bySig[eq.Key()] == nil {
 		t.Fatal("record not stored")
 	}
 	// Update overwrites with the latest observation.
@@ -326,7 +323,7 @@ func TestEngineAcquisitionVariants(t *testing.T) {
 func TestRecordsEviction(t *testing.T) {
 	space := newSyntheticEnv(0).space
 	recs := NewRecords()
-	recs.SetCap(5)
+	recs.cap = 5
 	rng := stats.NewRNG(40)
 	// Insert many distinct configurations; the store must stay bounded
 	// and keep the most recent ones.
@@ -339,7 +336,7 @@ func TestRecordsEviction(t *testing.T) {
 	if recs.Len() > 6 {
 		t.Errorf("records grew to %d with cap 5", recs.Len())
 	}
-	if !recs.Has(last) {
+	if recs.bySig[last.Key()] == nil {
 		t.Error("most recent record was evicted")
 	}
 	// The window still returns newest-first.
@@ -352,17 +349,17 @@ func TestRecordsEviction(t *testing.T) {
 	if (&Records{bySig: map[string]*Record{}, cap: 1}).Len() != 0 {
 		t.Error("empty store wrong")
 	}
-	recs.SetCap(0) // clamps to 1
+	recs.cap = 1
 	recs.Update(space, space.EqualSplit(), 0.5, 0.5, 999)
 	if recs.Len() > 2 {
-		t.Errorf("cap clamp failed: %d", recs.Len())
+		t.Errorf("cap 1 kept %d records", recs.Len())
 	}
 
 	// Ties at the oldest tick: the victim is the smallest key among them,
 	// which in window order is the first of the oldest tick's records, not
 	// the last record of the window.
 	tied := NewRecords()
-	tied.SetCap(4)
+	tied.cap = 4
 	var cfgs []resource.Config
 	for c0 := 1; c0 <= 5; c0++ {
 		c := space.EqualSplit()
@@ -494,7 +491,7 @@ func TestPoolMatchesEagerNeighbours(t *testing.T) {
 					floorRows++
 				}
 			}
-			if recs.Has(c) {
+			if recs.bySig[c.Key()] != nil {
 				continue
 			}
 			tk.top[tk.topN] = recs.Update(space, c, rng.Float64(), rng.Float64(), 1)

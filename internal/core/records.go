@@ -66,15 +66,6 @@ func NewRecords() *Records {
 	return &Records{bySig: make(map[string]*Record), cap: DefaultRecordCap}
 }
 
-// SetCap overrides the eviction capacity (minimum 1). A lower cap evicts
-// at the next Update.
-func (r *Records) SetCap(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.cap = n
-}
-
 // Update folds a fresh (throughput, fairness) observation for cfg. The
 // latest observation replaces the previous one: under phase changes the
 // newest measurement is the relevant belief, and the paper explicitly
@@ -166,12 +157,6 @@ func (r *Records) evictOldest() {
 
 // Len returns the number of distinct configurations recorded.
 func (r *Records) Len() int { return len(r.bySig) }
-
-// Has reports whether cfg has been evaluated before.
-func (r *Records) Has(cfg resource.Config) bool {
-	_, ok := r.bySig[cfg.Key()]
-	return ok
-}
 
 // HeadHits counts the updates whose configuration was the head's, the
 // one recorded last: found without building its key.

@@ -94,11 +94,11 @@ func sameWindow(got, want []*Record) string {
 // TestRecordsMatchSortedOracle holds the recency list to the sort it
 // replaced under random operation sequences: new configurations and
 // revisits (of live and of evicted ones), ticks that advance, repeat or
-// step back, and capacity changes in both directions down to the clamp.
+// step back, and capacity changes in both directions down to a cap of 1.
 // After every operation Window(0), Window(n), Len and the evicted keys
 // must equal the oracle's. Some revisits re-record the head through a clone
-// of its configuration — at each kind of tick, and right after SetCap
-// lowered the cap — and must get the head's own *Record back: engine
+// of its configuration — at each kind of tick, and right after the
+// cap was lowered — and must get the head's own *Record back: engine
 // blocks are keyed by the pointer.
 func TestRecordsMatchSortedOracle(t *testing.T) {
 	space := resource.MustNewSpace(3,
@@ -113,8 +113,8 @@ func TestRecordsMatchSortedOracle(t *testing.T) {
 		recs, oracle := NewRecords(), &sortedRecords{bySig: map[string]*Record{}, cap: DefaultRecordCap}
 		if seed%2 == 0 {
 			c := 1 + rng.Intn(24)
-			recs.SetCap(c)
 			oracle.SetCap(c)
+			recs.cap = oracle.cap
 		}
 		var seen []resource.Config
 		tick := rng.Intn(5)
@@ -125,11 +125,11 @@ func TestRecordsMatchSortedOracle(t *testing.T) {
 			case k == 0:
 				c := rng.Intn(32) - 2 // includes the clamp to 1
 				lowered := max(c, 1) < oracle.cap
-				recs.SetCap(c)
 				oracle.SetCap(c)
+				recs.cap = oracle.cap
 				// A lower cap evicts nothing until the next Update.
 				if d := sameWindow(recs.Window(0), oracle.Window(0)); d != "" || recs.Len() != len(oracle.bySig) {
-					t.Fatalf("%s: SetCap(%d): %s, Len %d", where(), c, d, recs.Len())
+					t.Fatalf("%s: cap set from %d: %s, Len %d", where(), c, d, recs.Len())
 				}
 				if !lowered || recs.head == nil {
 					continue

@@ -287,14 +287,6 @@ func (s *Scheduler) advanceClock(w Weights) {
 	}
 }
 
-// EqualizationBoundary reports whether the last Step closed an
-// equalization period — the moment Algorithm 1 re-records the isolated
-// baselines.
-func (s *Scheduler) EqualizationBoundary() bool { return s.boundaryHit }
-
-// Last returns the most recently computed weights.
-func (s *Scheduler) Last() Weights { return s.last }
-
 // Mode returns the scheduler's weight mode.
 func (s *Scheduler) Mode() WeightMode { return s.mode }
 

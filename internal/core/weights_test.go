@@ -81,7 +81,7 @@ func TestEqualizationAveragesToHalf(t *testing.T) {
 		w := s.Step(tp, f)
 		sum += w.T
 		n++
-		if s.EqualizationBoundary() {
+		if s.boundaryHit {
 			avg := sum / float64(n)
 			if math.Abs(avg-0.5) > 0.08 {
 				t.Errorf("period %d: mean W_T = %g, want ~0.5", periods, avg)
@@ -171,7 +171,7 @@ func TestEqualizationBoundarySignal(t *testing.T) {
 	boundaries := 0
 	for i := 1; i <= 100; i++ {
 		s.Step(0.5, 0.5)
-		if s.EqualizationBoundary() {
+		if s.boundaryHit {
 			boundaries++
 			if i%20 != 0 {
 				t.Errorf("boundary at tick %d, want multiples of 20", i)
@@ -207,8 +207,8 @@ func TestModeStrings(t *testing.T) {
 func TestLastWeights(t *testing.T) {
 	s := NewScheduler(SchedulerOptions{})
 	w := s.Step(0.4, 0.6)
-	if s.Last() != w {
-		t.Error("Last does not return the latest weights")
+	if s.last != w {
+		t.Error("last does not hold the latest weights")
 	}
 }
 

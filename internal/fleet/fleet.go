@@ -453,12 +453,6 @@ func (c *Cluster) Run(n int) (TickStats, error) {
 // Series returns the per-tick fleet trace (CSV via trace.Series).
 func (c *Cluster) Series() *trace.Series { return c.series }
 
-// Ticks returns the number of completed fleet ticks.
-func (c *Cluster) Ticks() int { return c.ticks }
-
-// Nodes returns the cluster size.
-func (c *Cluster) Nodes() int { return len(c.nodes) }
-
 // ShardCount returns the number of placement shards (after clamping).
 func (c *Cluster) ShardCount() int { return len(c.shards) }
 

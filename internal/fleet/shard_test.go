@@ -296,17 +296,17 @@ func TestStepErrorTerminalAndAccounted(t *testing.T) {
 		t.Fatalf("first failure already reported ErrHalted: %v", stepErr)
 	}
 	// The failed tick is accounted: counter advanced and row recorded.
-	if got := c.Ticks(); got != steps+1 {
+	if got := c.ticks; got != steps+1 {
 		t.Errorf("failed tick not accounted: Ticks()=%d after %d clean steps + 1 failed", got, steps)
 	}
-	if rows := c.Series().Len(); rows != c.Ticks() {
-		t.Errorf("trace desynced from tick counter: %d rows, %d ticks", rows, c.Ticks())
+	if rows := c.Series().Len(); rows != c.ticks {
+		t.Errorf("trace desynced from tick counter: %d rows, %d ticks", rows, c.ticks)
 	}
 	// Terminal by contract: a retry cannot double-step healthy nodes.
 	if _, err := c.Step(); !errors.Is(err, ErrHalted) {
 		t.Errorf("second Step after failure = %v, want ErrHalted", err)
 	}
-	if got := c.Ticks(); got != steps+1 {
+	if got := c.ticks; got != steps+1 {
 		t.Errorf("halted Step advanced the tick counter to %d", got)
 	}
 	if rows := c.Series().Len(); rows != steps+1 {

@@ -11,9 +11,12 @@
 // range and loop headers, case values, keyed fields, function and
 // interface declarations, string literals, assembly instructions. A
 // renamed import reads as its package's name, so `s.New` under
-// `import s "satori/internal/sim"` is `sim.New`. Each row also carries a
-// small known-bad file, parsed in memory, that its check must reject: a
-// gate that cannot fire fails here rather than gating nothing.
+// `import s "satori/internal/sim"` is `sim.New`. One row reads the module
+// type-checked instead (exports_test.go): its shapes are exported declarations
+// and the references that resolve to them. Each row also carries a small
+// known-bad file, read in memory the way the row reads the tree, that its
+// check must reject: a gate that cannot fire fails here rather than gating
+// nothing.
 //
 // Nothing here is linked into any binary; `go test ./...` runs it.
 package gates
@@ -42,7 +45,7 @@ const root = "../.."
 
 // A shape is one thing a file says, as the checks see it.
 type shape struct {
-	kind string // import, ident, sel, call, assert, lit, range, loop, case, kv, func, interface, string, instr, line or file
+	kind string // import, ident, sel, call, assert, lit, range, loop, case, kv, func, interface, string, instr, line, file, export or use
 	text string
 	fn   string // the function declaration it sits in, "" outside one
 	at   string // file:line
@@ -64,6 +67,7 @@ type files struct {
 	tests testFiles // which Go files count
 	skip  []string  // directories a walk leaves out
 	deps  string    // instead of paths: every package `go list -deps .` links from this directory, as an import
+	typed bool      // instead of paths: the module's non-test packages, type-checked, as exports and uses
 }
 
 // A check holds over the shapes of a row's files, or says what breaks it.
@@ -402,6 +406,51 @@ var gates = []gate{
 			"TestRecordsMatchSortedOracle", "TestForcedDecideAllocatesNothing", "TestConfigAppendKeyMatchesKey"),
 		bad: goSrc(`func TestColumnKernelsMatchPortableRenamed(t *testing.T) {}`),
 	},
+
+	// Every export earns a production caller (exports_test.go).
+	{
+		name:  "Every export earns a production caller",
+		files: files{typed: true},
+		check: used(unreferenced),
+		bad:   goSrc(`func Dead() {}`),
+	},
+}
+
+// unreferenced is the exports row's allowlist: exports no production code
+// references, each with the reason it stays. benchmark/ is frozen, and its
+// text must not move in a change that claims no gain (ROADMAP standing
+// rules 1 and 2).
+var unreferenced = map[string]string{
+	// Called only by the frozen benchmark.
+	"bo.SuggestBatch":                    "benchmark/probes.go times the acquisition pass",
+	"core.(*Records).Window":             "benchmark/probes.go reads the proxy-model window",
+	"gp.(*Incremental).PredictMean":      "benchmark/probes.go times the window means",
+	"gp.(*Incremental).Jitter":           "benchmark/probes.go rebuilds the kernel matrix",
+	"gp.(*Incremental).Kernel":           "benchmark/probes.go rebuilds the kernel matrix",
+	"cluster.(*Partitioner).Inner":       "benchmark/workload.go digs the engine out of the clustered policy",
+	"cluster.(*Partitioner).Grouping":    "benchmark/workload.go builds the clustered engine's space",
+	"core.(*Engine).AcquisitionFailures": "benchmark/layers.go reports core.acq_failures",
+	"core.(*Engine).FitFailures":         "benchmark/layers.go reports core.fit_failures",
+	"fleet.(*Cluster).Run":               "benchmark/workload.go warms the fleet workloads",
+	"harness.SatoriStaticFactory":        "benchmark/workload_suite.go builds suite_fig7's static rows",
+	"rdt.CLOSLimiter":                    "benchmark/interpose.go forwards the capability",
+	// The linker keeps these for a called interface method of the same
+	// name: deleting one moves the benchmark's linked text.
+	"slo.(*Detector).Reset":   "linked into the benchmark; deleting it moves its text",
+	"linalg.(*Cholesky).Size": "linked into the benchmark; deleting it moves its text",
+	"control.(*Loop).Current": "linked into the benchmark; deleting it moves its text",
+	"trace.(*Series).Len":     "linked into the benchmark; deleting it moves its text",
+	// Reference implementations the fast paths are tested against.
+	"gp.Fit":           "the from-scratch refit every gp and core oracle compares with",
+	"gp.(*GP).Predict": "the per-point posterior the batched routines are tested against",
+	// Read only by tests, and by a test outside the package where no other
+	// API shows the same state.
+	"rdt.WriteIPSTrace":           "FuzzReadIPSTrace's round-trip writer",
+	"core.(*Engine).Stats":        "TestEngineStatsAddUp (an Oracles row) and ROADMAP item 2's decision record",
+	"resource.MustNewSpace":       "the shared test constructor of six packages' tests",
+	"rdt.(*SimPlatform).Plan":     "TestClusteredPolicyGroupsThroughInjector, TestRunSurvivesHeldTicks and TestRandomOpsLedgerAndInvariants count the compiled control groups",
+	"resource.(*Space).Imbalance": "core's TestEngineSeedsWithInitialSet bounds the initial samples; its synthetic fairness reads it",
+	"control.(*Loop).Isolated":    "TestChurnReinitIncremental reads the baselines churn re-measured, before any Status shows them",
 }
 
 // TestGates runs every row over the tree, then over its known-bad file.
@@ -416,7 +465,7 @@ func TestGates(t *testing.T) {
 			if err := g.check(ss); err != nil {
 				t.Error(err)
 			}
-			bad, err := shapesOf(g.bad.name, []byte(g.bad.text))
+			bad, err := g.files.parse(g.bad)
 			if err != nil {
 				t.Fatalf("known-bad %s does not parse: %v", g.bad.name, err)
 			}
@@ -553,6 +602,13 @@ func list(hits []hit) string {
 
 // shapes reads the row's files, each parsed at most once per run.
 func (f files) shapes(cache map[string][]shape) ([]shape, error) {
+	if f.typed {
+		m, err := loadModule()
+		if err != nil {
+			return nil, err
+		}
+		return m.exportShapes(m.checked()), nil
+	}
 	if f.deps != "" {
 		cmd := exec.Command("go", "list", "-deps", ".")
 		cmd.Dir = filepath.Join(root, f.deps)
@@ -587,6 +643,23 @@ func (f files) shapes(cache map[string][]shape) ([]shape, error) {
 		ss = append(ss, cache[name]...)
 	}
 	return ss, nil
+}
+
+// parse reads a known-bad file the way the row reads the tree: a typed
+// row reads the module with the file as one more package of it.
+func (f files) parse(src source) ([]shape, error) {
+	if !f.typed {
+		return shapesOf(src.name, []byte(src.text))
+	}
+	m, err := loadModule()
+	if err != nil {
+		return nil, err
+	}
+	pkgs, err := m.withSnippet(src)
+	if err != nil {
+		return nil, err
+	}
+	return m.exportShapes(pkgs), nil
 }
 
 // list names the row's files, relative to the root.

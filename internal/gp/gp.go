@@ -190,13 +190,6 @@ func (g *GP) Posterior(pts *Points) (mu []float64, cov *linalg.Matrix) {
 	return posteriorBatch(pts, g.xs, g.alpha, g.chol, g.kernel, g.mean)
 }
 
-// Jitter returns the diagonal jitter that was required to factorize the
-// kernel matrix (equal to the noise term when no escalation was needed).
-func (g *GP) Jitter() float64 { return g.jitter }
-
-// Kernel returns the kernel the model was fitted with.
-func (g *GP) Kernel() Matern52 { return g.kernel }
-
 // medianScanCap caps the O(n²) pair scan of the median heuristic to the
 // first 256 points; beyond a few hundred points the median is already
 // stable.

@@ -147,7 +147,7 @@ func TestDuplicateInputsHandledViaJitter(t *testing.T) {
 	if mu < 0.8 || mu > 1.2 {
 		t.Errorf("duplicate-point mean = %g, want near 1.0", mu)
 	}
-	if g.Jitter() <= 0 {
+	if g.jitter <= 0 {
 		t.Error("jitter should be positive")
 	}
 }
@@ -188,15 +188,15 @@ func TestDefaultKernelIsMatern52(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Matern52{LengthScale: 2, Variance: 1.0 / 6}
-	if got := g.Kernel(); math.Abs(got.LengthScale-want.LengthScale) > 1e-12 || math.Abs(got.Variance-want.Variance) > 1e-12 {
+	if got := g.kernel; math.Abs(got.LengthScale-want.LengthScale) > 1e-12 || math.Abs(got.Variance-want.Variance) > 1e-12 {
 		t.Errorf("default kernel = %+v, want %+v", got, want)
 	}
 	pinned := Matern52{LengthScale: 0.3, Variance: 0.7}
 	if g, err = Fit(xs, ys, Options{Kernel: pinned}); err != nil {
 		t.Fatal(err)
 	}
-	if g.Kernel() != pinned {
-		t.Errorf("pinned kernel = %+v, want %+v", g.Kernel(), pinned)
+	if g.kernel != pinned {
+		t.Errorf("pinned kernel = %+v, want %+v", g.kernel, pinned)
 	}
 }
 

@@ -189,7 +189,7 @@ func TestIncrementalMatchesFitHeuristicKernel(t *testing.T) {
 
 		// The heuristics the incremental model settled on must be the
 		// ones Fit derives from the same data.
-		if mk, gk := m.Kernel(), g.Kernel(); mk != gk {
+		if mk, gk := m.Kernel(), g.kernel; mk != gk {
 			t.Fatalf("step %d: kernel drift: incremental %+v vs fit %+v", step, mk, gk)
 		}
 	}
@@ -248,8 +248,8 @@ func TestIncrementalDuplicateAppendFallsBack(t *testing.T) {
 	}
 	g := fitReference(t, opt, xs, ys)
 	comparePosteriors(t, m, g, rng, 3, 1e-6, "duplicate append")
-	if m.Jitter() != g.Jitter() {
-		t.Fatalf("jitter drift: incremental %g vs fit %g", m.Jitter(), g.Jitter())
+	if m.Jitter() != g.jitter {
+		t.Fatalf("jitter drift: incremental %g vs fit %g", m.Jitter(), g.jitter)
 	}
 }
 
@@ -422,9 +422,9 @@ func TestTriangleMatchesFit(t *testing.T) {
 			}
 			g := fitReference(t, Options{Noise: noise}, xs, ys)
 			ctx := fmt.Sprintf("trial %d step %d (n %d, dim %d)", trial, step, len(xs), dim)
-			mk, gk := m.Kernel(), g.Kernel()
-			if !sameFloat(mk.LengthScale, gk.LengthScale) || !sameFloat(mk.Variance, gk.Variance) || !sameFloat(m.Jitter(), g.Jitter()) {
-				t.Fatalf("%s: kernel %+v jitter %v, Fit %+v jitter %v", ctx, mk, m.Jitter(), gk, g.Jitter())
+			mk, gk := m.Kernel(), g.kernel
+			if !sameFloat(mk.LengthScale, gk.LengthScale) || !sameFloat(mk.Variance, gk.Variance) || !sameFloat(m.Jitter(), g.jitter) {
+				t.Fatalf("%s: kernel %+v jitter %v, Fit %+v jitter %v", ctx, mk, m.Jitter(), gk, g.jitter)
 			}
 			n := len(xs)
 			for i := 0; i < n; i++ {

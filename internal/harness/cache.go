@@ -53,9 +53,6 @@ func NewCellCache(dir string) (*CellCache, error) {
 	return &CellCache{dir: dir}, nil
 }
 
-// Dir returns the cache directory.
-func (c *CellCache) Dir() string { return c.dir }
-
 // Stats reports cache traffic: hits served from disk, misses that ran
 // and were stored, and skips that bypassed the cache (KeepTrace or
 // tracked-oracle cells).

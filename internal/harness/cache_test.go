@@ -220,7 +220,7 @@ func TestCellCacheRerunsTornFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(cache.Dir(), key+".json")
+	path := filepath.Join(cache.dir, key+".json")
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func TestCellCacheRerunsEmptyCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(cache.Dir(), key+".json")
+	path := filepath.Join(cache.dir, key+".json")
 	for i, blob := range []string{"null", "{}", `{"Ticks":-1}`} {
 		if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
 			t.Fatal(err)

@@ -2,9 +2,8 @@ package harness
 
 import (
 	"math"
+	"slices"
 	"testing"
-
-	"satori/internal/stats"
 )
 
 // The claims tier: the paper's verdicts (and this reproduction's known
@@ -193,7 +192,7 @@ func TestClaimsFig16Insensitivity(t *testing.T) {
 		for p := 1; p <= 3; p++ {
 			midT, midF = append(midT, means[2*p]), append(midF, means[2*p+1])
 		}
-		spreadT, spreadF := stats.Max(midT)-stats.Min(midT), stats.Max(midF)-stats.Min(midF)
+		spreadT, spreadF := slices.Max(midT)-slices.Min(midT), slices.Max(midF)-slices.Min(midF)
 		t.Logf("axis %d: mid-range spread %.1f pts throughput, %.1f pts fairness", i, spreadT*100, spreadF*100)
 		if spreadT > 0.06 || spreadF > 0.03 {
 			t.Errorf("axis %d: mid-range means span %.1f pts of throughput and %.1f of fairness, want <= 6 and <= 3",

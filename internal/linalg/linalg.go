@@ -57,23 +57,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// MulVec computes y = M·x. x must have length Cols.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("linalg: MulVec dimension mismatch: %d cols vs %d vector", m.Cols, len(x)))
-	}
-	y := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
 // Cholesky holds the lower-triangular factor L of an SPD matrix A = L·Lᵀ.
 // The factor can grow in place: Extend appends one row/column in O(n²)
 // (a rank-1 append), and Factorize refactorizes into the existing storage,

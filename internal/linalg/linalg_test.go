@@ -31,27 +31,6 @@ func TestNewMatrixPanicsOnNegative(t *testing.T) {
 	NewMatrix(-1, 2)
 }
 
-func TestMulVec(t *testing.T) {
-	m := NewMatrix(2, 2)
-	m.Set(0, 0, 1)
-	m.Set(0, 1, 2)
-	m.Set(1, 0, 3)
-	m.Set(1, 1, 4)
-	y := m.MulVec([]float64{1, 1})
-	if y[0] != 3 || y[1] != 7 {
-		t.Errorf("MulVec = %v, want [3 7]", y)
-	}
-}
-
-func TestMulVecDimMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("dim mismatch did not panic")
-		}
-	}()
-	NewMatrix(2, 2).MulVec([]float64{1})
-}
-
 func TestCholeskyKnownFactor(t *testing.T) {
 	// A = [[4, 2], [2, 3]] has L = [[2, 0], [1, sqrt(2)]].
 	a := NewMatrix(2, 2)
@@ -121,7 +100,12 @@ func TestCholeskySolveProperty(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		bvec := a.MulVec(x)
+		bvec := make([]float64, n)
+		for i := range bvec {
+			for j, v := range x {
+				bvec[i] += a.At(i, j) * v
+			}
+		}
 		c, err := NewCholesky(a)
 		if err != nil {
 			t.Fatalf("SPD matrix rejected: %v", err)

@@ -181,9 +181,6 @@ func Fairness(m FairnessMetric, speedups []float64) float64 {
 	}
 }
 
-// Jain computes Jain's fairness index directly from speedups.
-func Jain(speedups []float64) float64 { return Fairness(JainIndex, speedups) }
-
 // NormalizedThroughput maps a throughput observation into [0, 1] as
 // required by the SATORI objective (Sec. III-B). Speedup-based metrics are
 // already in (0, 1] under partitioning (isolated performance is the

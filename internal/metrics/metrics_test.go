@@ -44,16 +44,16 @@ func TestThroughputMetrics(t *testing.T) {
 
 func TestJainIndexProperties(t *testing.T) {
 	// Perfect fairness: all speedups equal -> Jain = 1.
-	if got := Jain([]float64{0.7, 0.7, 0.7}); math.Abs(got-1) > 1e-12 {
+	if got := Fairness(JainIndex, []float64{0.7, 0.7, 0.7}); math.Abs(got-1) > 1e-12 {
 		t.Errorf("Jain of equal speedups = %g, want 1", got)
 	}
 	// Known value: speedups {1, 0} -> mean .5, std .5, CoV 1 -> Jain 0.5.
-	if got := Jain([]float64{1, 0}); math.Abs(got-0.5) > 1e-12 {
+	if got := Fairness(JainIndex, []float64{1, 0}); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("Jain(1,0) = %g, want 0.5", got)
 	}
 	// More dispersion means lower fairness.
-	low := Jain([]float64{0.4, 0.6})
-	high := Jain([]float64{0.49, 0.51})
+	low := Fairness(JainIndex, []float64{0.4, 0.6})
+	high := Fairness(JainIndex, []float64{0.49, 0.51})
 	if low >= high {
 		t.Errorf("Jain ordering wrong: dispersed %g >= tight %g", low, high)
 	}
@@ -67,7 +67,7 @@ func TestJainBoundsProperty(t *testing.T) {
 		for i := range sp {
 			sp[i] = rng.Float64()
 		}
-		j := Jain(sp)
+		j := Fairness(JainIndex, sp)
 		return j > 0 && j <= 1+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -88,7 +88,7 @@ func TestJainScaleInvarianceProperty(t *testing.T) {
 			sp[i] = 0.1 + rng.Float64()
 			scaled[i] = sp[i] * k
 		}
-		return math.Abs(Jain(sp)-Jain(scaled)) < 1e-9
+		return math.Abs(Fairness(JainIndex, sp)-Fairness(JainIndex, scaled)) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -38,9 +38,6 @@ func (e *Epoch) Add(score float64) (mean float64, done bool) {
 // Reset discards any partial accumulation.
 func (e *Epoch) Reset() { e.sum, e.n = 0, 0 }
 
-// Ticks returns the epoch length.
-func (e *Epoch) Ticks() int { return e.ticks }
-
 // ArgMinMax returns the indices of the smallest and largest values.
 // It panics on an empty slice.
 func ArgMinMax(xs []float64) (argmin, argmax int) {

@@ -41,8 +41,8 @@ func TestEpochReset(t *testing.T) {
 
 func TestEpochMinimumLength(t *testing.T) {
 	e := NewEpoch(0)
-	if e.Ticks() != 1 {
-		t.Errorf("Ticks = %d, want 1", e.Ticks())
+	if e.ticks != 1 {
+		t.Errorf("ticks = %d, want 1", e.ticks)
 	}
 	if mean, done := e.Add(7); !done || mean != 7 {
 		t.Error("length-1 epoch should complete immediately")

@@ -278,14 +278,12 @@ func TestSimPlatformGroupingAndCLOS(t *testing.T) {
 		t.Fatalf("fresh SimPlatform MaxCLOS = %d, want 0 (unlimited)", p.MaxCLOS())
 	}
 	// 5 jobs into a 3-CLOS budget: rejected per-job, accepted clustered.
-	if err := p.SetMaxCLOS(3); err == nil {
-		t.Fatal("SetMaxCLOS(3) accepted with 5 per-job control groups live")
+	p.maxCLOS = 3
+	if err := p.Resync(); err == nil {
+		t.Fatal("a 3-CLOS budget accepted 5 per-job control groups")
 	}
 	if err := p.SetGrouping(resource.RoundRobinGrouping(5, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SetMaxCLOS(3); err != nil {
-		t.Fatalf("SetMaxCLOS(3) rejected despite 3-cluster grouping: %v", err)
+		t.Fatalf("a 3-CLOS budget rejected a 3-cluster grouping: %v", err)
 	}
 	if got := len(p.Plan().Jobs); got != 3 {
 		t.Fatalf("grouped plan has %d entries, want 3", got)
@@ -324,9 +322,7 @@ func TestSimPlatformChurnKeepsGroupingWithinBudget(t *testing.T) {
 	if err := p.SetGrouping(resource.RoundRobinGrouping(5, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SetMaxCLOS(3); err != nil {
-		t.Fatal(err)
-	}
+	p.maxCLOS = 3
 	// Churn in a 6th job: the platform must re-churn the grouping (same
 	// cluster count, new job spanned) rather than fall back to per-job
 	// groups that would blow the CLOS budget mid-churn.

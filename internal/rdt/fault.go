@@ -255,9 +255,6 @@ func (f *FaultInjector) Unwrap() Platform { return f.inner }
 // Counts returns the faults injected so far.
 func (f *FaultInjector) Counts() FaultCounts { return f.counts }
 
-// Calls returns how many times op has been invoked through the injector.
-func (f *FaultInjector) Calls(op FaultOp) int { return f.calls[op] }
-
 // next advances op's call counter and resolves the fault (if any) firing
 // on this call: scripted faults first, then the seeded random stream.
 // The random stream draws exactly one uniform per call with a nonzero

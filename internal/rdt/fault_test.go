@@ -154,9 +154,7 @@ func (d budgetDecorator) MaxCLOS() int     { return d.budget }
 func TestAsPrefersTheOuterDecorator(t *testing.T) {
 	inner := newFaultTestPlatform(t, FaultScript{})
 	sp, _ := As[*SimPlatform](inner)
-	if err := sp.SetMaxCLOS(12); err != nil {
-		t.Fatal(err)
-	}
+	sp.maxCLOS = 12
 	outer := budgetDecorator{Platform: inner, budget: 3}
 	if lim, ok := As[CLOSLimiter](outer); !ok || lim.MaxCLOS() != 3 {
 		t.Errorf("As[CLOSLimiter] skipped the decorator's own implementation (ok=%v)", ok)
@@ -286,8 +284,8 @@ func TestFaultInjectorScriptExact(t *testing.T) {
 	if slept != 1 {
 		t.Errorf("Sleep hook called %d times, want 1", slept)
 	}
-	if p.Calls(OpSample) != 10 || p.Calls(OpApply) != 5 {
-		t.Errorf("call counters = sample %d apply %d, want 10, 5", p.Calls(OpSample), p.Calls(OpApply))
+	if p.calls[OpSample] != 10 || p.calls[OpApply] != 5 {
+		t.Errorf("call counters = sample %d apply %d, want 10, 5", p.calls[OpSample], p.calls[OpApply])
 	}
 }
 

@@ -284,8 +284,8 @@ type SimPlatform struct {
 	// grouping, when non-nil, maps jobs many-to-one onto clusters and the
 	// compiled plan holds one entry per CLUSTER (rdt.Grouper capability).
 	grouping *resource.Grouping
-	// maxCLOS is the simulated hardware class-of-service budget
-	// (0 = unlimited, the default — existing behavior is untouched).
+	// maxCLOS is the simulated hardware class-of-service budget (0 =
+	// unlimited, the default; tests set it to model resctrl's CLOS wall).
 	maxCLOS int
 }
 
@@ -307,7 +307,7 @@ func (p *SimPlatform) Space() *resource.Space { return p.sim.Space() }
 // Apply implements Platform: it compiles and validates the hardware plan,
 // then installs the configuration in the simulator. A configuration shaped
 // for a different job set (stale after AddJob/RemoveJob churn) surfaces as
-// the simulator's typed *sim.ConfigShapeError before compilation.
+// the simulator's typed *resource.ConfigShapeError before compilation.
 func (p *SimPlatform) Apply(c resource.Config) error {
 	if err := p.sim.CheckShape(c); err != nil {
 		return err
@@ -366,20 +366,6 @@ func (p *SimPlatform) SetGrouping(g *resource.Grouping) error {
 
 // Grouping implements Grouper.
 func (p *SimPlatform) Grouping() *resource.Grouping { return p.grouping }
-
-// SetMaxCLOS sets the simulated class-of-service budget (the number of
-// usable control groups; 0 = unlimited). A plan needing more groups is
-// rejected with a *CLOSLimitError — letting tests and experiments model
-// the ~16-CLOS wall of real resctrl hardware.
-func (p *SimPlatform) SetMaxCLOS(n int) error {
-	prev := p.maxCLOS
-	p.maxCLOS = n
-	if err := p.Resync(); err != nil {
-		p.maxCLOS = prev
-		return err
-	}
-	return nil
-}
 
 // MaxCLOS implements CLOSLimiter.
 func (p *SimPlatform) MaxCLOS() int { return p.maxCLOS }

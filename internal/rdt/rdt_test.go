@@ -247,8 +247,8 @@ func TestSimPlatformSampling(t *testing.T) {
 			t.Errorf("job %d isolated %g below co-located %g (beyond noise?)", j, iso[j], ips[j])
 		}
 	}
-	if p.Simulator().Ticks() != 1 {
-		t.Errorf("Sample should advance exactly one tick, got %d", p.Simulator().Ticks())
+	if now := p.Simulator().Now(); now != sim.TickSeconds {
+		t.Errorf("Sample should advance exactly one tick, clock at %g s", now)
 	}
 }
 

@@ -16,9 +16,9 @@ import "fmt"
 // exactly the constraint shape Space already models. ClusterSpace returns
 // that reduced space, so every existing Space operation (EqualSplit,
 // Random, Neighbors, Enumerate, the GP vector encoding) works over
-// clusters unchanged; Expand translates a reduced cluster configuration
-// back into a per-job configuration, and Aggregate inverts a per-job
-// configuration into reduced cluster coordinates.
+// clusters unchanged; ExpandInto translates a reduced cluster
+// configuration back into a per-job configuration, and AggregateInto
+// inverts a per-job configuration into reduced cluster coordinates.
 type Grouping struct {
 	// JobToCluster[j] is the cluster index of job j; cluster indices are
 	// contiguous in [0, Clusters) and every cluster is non-empty.
@@ -105,8 +105,8 @@ func (g *Grouping) Jobs() int { return len(g.JobToCluster) }
 func (g *Grouping) Size(c int) int { return g.sizes[c] }
 
 // IsSingleton reports whether every job has its own cluster (K = M), in
-// which case ClusterSpace equals the job space and Expand/Aggregate are
-// the identity.
+// which case ClusterSpace equals the job space and ExpandInto and
+// AggregateInto are the identity.
 func (g *Grouping) IsSingleton() bool { return g.Clusters == len(g.JobToCluster) }
 
 // Equal reports whether two groupings assign identically.
@@ -123,15 +123,6 @@ func (g *Grouping) Equal(o *Grouping) bool {
 		}
 	}
 	return true
-}
-
-// Clone returns a deep copy.
-func (g *Grouping) Clone() *Grouping {
-	return &Grouping{
-		JobToCluster: append([]int(nil), g.JobToCluster...),
-		Clusters:     g.Clusters,
-		sizes:        append([]int(nil), g.sizes...),
-	}
 }
 
 // String renders the grouping for logs: "[0 1 0 2] (3 clusters)".
@@ -154,18 +145,11 @@ func (g *Grouping) ClusterSpace(jobSpace *Space) (*Space, error) {
 	return NewSpace(g.Clusters, rs...)
 }
 
-// Expand translates a reduced cluster configuration into a per-job
-// configuration of jobSpace: cluster c's physical total u_c = v_c + n_c − 1
-// is split as evenly as possible among its members, remainder units going
-// to the lowest-indexed member jobs (mirroring EqualSplit's tie-breaking).
-func (g *Grouping) Expand(clusterCfg Config, jobSpace *Space) Config {
-	out := jobSpace.NewConfig()
-	g.ExpandInto(clusterCfg, out)
-	return out
-}
-
-// ExpandInto is the allocation-free Expand variant: dst must be shaped for
-// the job space.
+// ExpandInto translates a reduced cluster configuration into a per-job
+// configuration, written into dst (shaped for the job space): cluster c's
+// physical total u_c = v_c + n_c − 1 is split as evenly as possible among
+// its members, remainder units going to the lowest-indexed member jobs
+// (mirroring EqualSplit's tie-breaking).
 func (g *Grouping) ExpandInto(clusterCfg Config, dst Config) {
 	for r := range clusterCfg.Alloc {
 		row := dst.Alloc[r]
@@ -194,18 +178,11 @@ func (g *Grouping) ExpandInto(clusterCfg Config, dst Config) {
 	}
 }
 
-// Aggregate inverts Expand: it maps a per-job configuration into reduced
-// cluster coordinates, v_c = (Σ_{j∈c} u_j) − n_c + 1. Any valid per-job
-// configuration aggregates to a valid reduced configuration (each member
-// contributes at least one unit, so v_c ≥ 1).
-func (g *Grouping) Aggregate(jobCfg Config, clusterSpace *Space) Config {
-	out := clusterSpace.NewConfig()
-	g.AggregateInto(jobCfg, out)
-	return out
-}
-
-// AggregateInto is the allocation-free Aggregate variant: dst must be
-// shaped for the cluster space.
+// AggregateInto inverts ExpandInto: it maps a per-job configuration into
+// reduced cluster coordinates, v_c = (Σ_{j∈c} u_j) − n_c + 1, written into
+// dst (shaped for the cluster space). Any valid per-job configuration
+// aggregates to a valid reduced configuration (each member contributes at
+// least one unit, so v_c ≥ 1).
 func (g *Grouping) AggregateInto(jobCfg Config, dst Config) {
 	for r := range jobCfg.Alloc {
 		row := dst.Alloc[r]

@@ -469,8 +469,9 @@ func (s *Space) MoveInPlace(c Config, r, from, to int) bool {
 }
 
 // Imbalance returns the mean absolute deviation of c's unit shares from
-// the equal split, averaged over resources and jobs. Used to construct the
-// "good" low-imbalance initial sample set (Sec. V).
+// the equal split, averaged over resources and jobs. core's engine tests
+// read it: their synthetic fairness, and TestEngineSeedsWithInitialSet's
+// bound on the "good" low-imbalance initial sample set (Sec. V).
 func (s *Space) Imbalance(c Config) float64 {
 	sum := 0.0
 	n := 0

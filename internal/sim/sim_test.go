@@ -336,8 +336,8 @@ func TestStepAdvancesTimeAndWork(t *testing.T) {
 	if sample.Tick != 1 || math.Abs(sample.Time-TickSeconds) > 1e-12 {
 		t.Errorf("first sample: tick=%d time=%g", sample.Tick, sample.Time)
 	}
-	if s.Ticks() != 1 || math.Abs(s.Now()-TickSeconds) > 1e-12 {
-		t.Errorf("sim clock: ticks=%d now=%g", s.Ticks(), s.Now())
+	if s.ticks != 1 || math.Abs(s.Now()-TickSeconds) > 1e-12 {
+		t.Errorf("sim clock: ticks=%d now=%g", s.ticks, s.Now())
 	}
 	for j, ips := range sample.IPS {
 		if ips <= 0 {
@@ -377,15 +377,15 @@ func TestPhaseTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.PhaseName(0) != "first" {
-		t.Fatalf("initial phase %q", s.PhaseName(0))
+	if phaseName(s, 0) != "first" {
+		t.Fatalf("initial phase %q", phaseName(s, 0))
 	}
 	sample := s.Step()
 	if !sample.PhaseChanged[0] {
 		t.Error("phase change not flagged")
 	}
-	if s.PhaseName(0) != "second" {
-		t.Errorf("phase after step = %q, want second", s.PhaseName(0))
+	if phaseName(s, 0) != "second" {
+		t.Errorf("phase after step = %q, want second", phaseName(s, 0))
 	}
 	if sample.PhaseChanged[1] {
 		t.Error("other job flagged a phase change")
@@ -406,7 +406,7 @@ func TestPhaseLoopsAround(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		s.Step()
-		if s.PhaseName(0) != "only" {
+		if phaseName(s, 0) != "only" {
 			t.Fatal("single-phase profile left its phase")
 		}
 	}
@@ -533,7 +533,7 @@ func TestJobNames(t *testing.T) {
 	if s.NumJobs() != 2 || s.JobName(0) != "j0" || s.JobName(1) != "j1" {
 		t.Error("job bookkeeping wrong")
 	}
-	if s.Spec().Cores != 10 {
+	if s.spec.Cores != 10 {
 		t.Error("Spec not preserved")
 	}
 }
@@ -554,8 +554,8 @@ func TestReplaceJob(t *testing.T) {
 	if err := s.ReplaceJob(0, repl); err != nil {
 		t.Fatal(err)
 	}
-	if s.JobName(0) != "replacement" || s.PhaseName(0) != "only" {
-		t.Errorf("job 0 after replace: %s/%s", s.JobName(0), s.PhaseName(0))
+	if s.JobName(0) != "replacement" || phaseName(s, 0) != "only" {
+		t.Errorf("job 0 after replace: %s/%s", s.JobName(0), phaseName(s, 0))
 	}
 	// The other job is untouched and stepping still works.
 	if s.JobName(1) != "j1" {
@@ -618,7 +618,7 @@ func TestAppendPhaseKey(t *testing.T) {
 	if k0 != key() {
 		t.Fatal("key unstable")
 	}
-	for s.PhaseName(0) == "a" {
+	for phaseName(s, 0) == "a" {
 		s.Step()
 	}
 	k1 := key()
@@ -802,7 +802,7 @@ func TestAddJobValidation(t *testing.T) {
 
 // TestApplyRejectsStaleShapedConfig is the churn-safety regression: a
 // configuration decided for the old job set must be rejected with a
-// typed *ConfigShapeError after AddJob/RemoveJob, not silently
+// typed *resource.ConfigShapeError after AddJob/RemoveJob, not silently
 // misallocated.
 func TestApplyRejectsStaleShapedConfig(t *testing.T) {
 	s := newTestSim(t, 2, Options{NoiseSigma: -1})
@@ -814,9 +814,9 @@ func TestApplyRejectsStaleShapedConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	err := s.Apply(stale)
-	var shapeErr *ConfigShapeError
+	var shapeErr *resource.ConfigShapeError
 	if !errors.As(err, &shapeErr) {
-		t.Fatalf("stale config after AddJob: got %v, want *ConfigShapeError", err)
+		t.Fatalf("stale config after AddJob: got %v, want *resource.ConfigShapeError", err)
 	}
 	if shapeErr.ConfigJobs != 2 || shapeErr.SpaceJobs != 3 {
 		t.Errorf("shape error dims = %+v", shapeErr)
@@ -964,4 +964,10 @@ func TestSampledRefusesNearSLOBoundary(t *testing.T) {
 	if h == 0 {
 		t.Fatal("no extrapolation promise for a comfortably attaining LC job")
 	}
+}
+
+// phaseName is the name of job j's current phase.
+func phaseName(s *Simulator, j int) string {
+	jb := s.jobs[j]
+	return jb.profile.Phases[jb.phaseIdx].Name
 }

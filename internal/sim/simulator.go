@@ -111,9 +111,6 @@ func New(spec MachineSpec, profiles []*Profile, opt Options) (*Simulator, error)
 // Space returns the configuration space of this co-location.
 func (s *Simulator) Space() *resource.Space { return s.space }
 
-// Spec returns the machine description.
-func (s *Simulator) Spec() MachineSpec { return s.spec }
-
 // NumJobs returns the number of co-located jobs.
 func (s *Simulator) NumJobs() int { return len(s.jobs) }
 
@@ -147,9 +144,6 @@ func (s *Simulator) nearSLOBoundary(jb *job, ips float64) bool {
 // Now returns the simulated time in seconds.
 func (s *Simulator) Now() float64 { return float64(s.ticks) * TickSeconds }
 
-// Ticks returns the number of completed 100 ms steps.
-func (s *Simulator) Ticks() int { return s.ticks }
-
 // Applies returns how many configuration changes have been applied — the
 // reconfiguration count used in overhead accounting.
 func (s *Simulator) Applies() int { return s.applies }
@@ -162,17 +156,11 @@ func (s *Simulator) Current() resource.Config { return s.current.Clone() }
 // that elide re-applying an unchanged partition.
 func (s *Simulator) CurrentEquals(c resource.Config) bool { return s.current.Equal(c) }
 
-// ConfigShapeError is the backend-shared typed rejection of a
-// configuration whose dimensions do not match the live job set — the
-// typical symptom of a policy holding a configuration from before an
-// AddJob/RemoveJob churn event. The type lives in internal/resource so
-// every Platform backend rejects stale shapes identically.
-type ConfigShapeError = resource.ConfigShapeError
-
-// CheckShape reports a *ConfigShapeError when c's dimensions do not match
-// the live space (e.g. a configuration decided before AddJob/RemoveJob
-// changed the job set), and nil when the shape is current. It checks only
-// dimensions, not allocation sums — Apply still runs full validation.
+// CheckShape reports a *resource.ConfigShapeError when c's dimensions do
+// not match the live space (e.g. a configuration decided before
+// AddJob/RemoveJob changed the job set), and nil when the shape is current.
+// It checks only dimensions, not allocation sums — Apply still runs full
+// validation.
 func (s *Simulator) CheckShape(c resource.Config) error {
 	return resource.CheckShape(s.space, c)
 }
@@ -181,7 +169,7 @@ func (s *Simulator) CheckShape(c resource.Config) error {
 // from the next Step. Identical configurations are deduplicated (real
 // CAT/MBA MSR writes are skipped when nothing changes). A configuration
 // shaped for a different job set (stale after AddJob/RemoveJob) is
-// rejected with a typed *ConfigShapeError rather than silently
+// rejected with a typed *resource.ConfigShapeError rather than silently
 // misallocating.
 func (s *Simulator) Apply(c resource.Config) error {
 	if err := s.CheckShape(c); err != nil {
@@ -198,12 +186,6 @@ func (s *Simulator) Apply(c resource.Config) error {
 		s.ipsValid = false
 	}
 	return nil
-}
-
-// PhaseName returns the name of job j's current phase.
-func (s *Simulator) PhaseName(j int) string {
-	jb := s.jobs[j]
-	return jb.profile.Phases[jb.phaseIdx].Name
 }
 
 // AppendPhaseKey appends a key for the jobs' joint phase state to dst and

@@ -81,9 +81,6 @@ func (d *Detector) MidStreak() bool {
 // Onsets counts violation onsets observed so far.
 func (d *Detector) Onsets() int { return d.onsets }
 
-// Clears counts recoveries observed so far.
-func (d *Detector) Clears() int { return d.clears }
-
 // Reset returns the detector to the attaining state with no streaks.
 func (d *Detector) Reset() {
 	d.violating = false

@@ -159,7 +159,7 @@ func TestDetectorHysteresis(t *testing.T) {
 	if !d.Observe(false) {
 		t.Fatalf("4th consecutive attaining tick should clear")
 	}
-	if d.Violating() || d.Clears() != 1 {
+	if d.Violating() || d.clears != 1 {
 		t.Fatalf("expected attaining state with 1 clear")
 	}
 	if d.MidStreak() {

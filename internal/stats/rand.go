@@ -39,12 +39,6 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-// Split derives an independent generator from r. It is used to hand each
-// simulated job or experiment its own stream without sharing state.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xD2B74407B1CE6E93)
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.

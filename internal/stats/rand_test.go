@@ -205,18 +205,3 @@ func TestShufflePreservesMultiset(t *testing.T) {
 		t.Errorf("Shuffle changed contents: %v", xs)
 	}
 }
-
-func TestSplitIndependence(t *testing.T) {
-	parent := NewRNG(42)
-	a := parent.Split()
-	b := parent.Split()
-	same := 0
-	for i := 0; i < 64; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("split streams overlap: %d/64 identical", same)
-	}
-}

@@ -99,17 +99,6 @@ func Min(xs []float64) float64 {
 	return m
 }
 
-// Max returns the largest element of xs, or -Inf for an empty slice.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks. It copies xs and does not
 // modify the input. An empty input yields 0.
@@ -202,11 +191,3 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the running population standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// CoV returns the running coefficient of variation, or 0 if the mean is 0.
-func (w *Welford) CoV() float64 {
-	if w.mean == 0 {
-		return 0
-	}
-	return w.StdDev() / w.mean
-}

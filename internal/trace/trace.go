@@ -28,9 +28,6 @@ func NewSeries(names ...string) *Series {
 	return &Series{names: append([]string(nil), names...), index: idx}
 }
 
-// Names returns the column names.
-func (s *Series) Names() []string { return append([]string(nil), s.names...) }
-
 // Len returns the number of rows.
 func (s *Series) Len() int { return len(s.rows) }
 
@@ -55,15 +52,6 @@ func (s *Series) Column(name string) []float64 {
 		out[r] = row[i]
 	}
 	return out
-}
-
-// At returns the value at (row, column name).
-func (s *Series) At(row int, name string) float64 {
-	i, ok := s.index[name]
-	if !ok {
-		panic(fmt.Sprintf("trace: unknown column %q", name))
-	}
-	return s.rows[row][i]
 }
 
 // WriteCSV writes the series as CSV with a header row.

@@ -7,8 +7,8 @@ import (
 
 func TestSeriesBasics(t *testing.T) {
 	s := NewSeries("tick", "value")
-	if got := s.Names(); len(got) != 2 || got[0] != "tick" {
-		t.Fatalf("Names = %v", got)
+	if got := s.names; len(got) != 2 || got[0] != "tick" {
+		t.Fatalf("names = %v", got)
 	}
 	s.Add(1, 10)
 	s.Add(2, 20)
@@ -19,8 +19,8 @@ func TestSeriesBasics(t *testing.T) {
 	if col[0] != 10 || col[1] != 20 {
 		t.Errorf("Column = %v", col)
 	}
-	if s.At(1, "tick") != 2 {
-		t.Errorf("At = %g", s.At(1, "tick"))
+	if tick := s.Column("tick"); tick[1] != 2 {
+		t.Errorf("Column(tick) = %v", tick)
 	}
 }
 
@@ -29,7 +29,7 @@ func TestSeriesColumnIsCopy(t *testing.T) {
 	s.Add(1)
 	col := s.Column("x")
 	col[0] = 99
-	if s.At(0, "x") == 99 {
+	if s.rows[0][0] == 99 {
 		t.Error("Column aliases internal storage")
 	}
 }
@@ -39,7 +39,7 @@ func TestSeriesAddCopiesRow(t *testing.T) {
 	row := []float64{1, 2}
 	s.Add(row...)
 	row[0] = 99
-	if s.At(0, "a") == 99 {
+	if s.rows[0][0] == 99 {
 		t.Error("Add aliased the caller's slice")
 	}
 }
@@ -49,7 +49,6 @@ func TestSeriesPanics(t *testing.T) {
 		"duplicate column": func() { NewSeries("a", "a") },
 		"wrong row width":  func() { NewSeries("a").Add(1, 2) },
 		"unknown column":   func() { s := NewSeries("a"); s.Add(1); s.Column("b") },
-		"unknown At":       func() { s := NewSeries("a"); s.Add(1); s.At(0, "b") },
 	} {
 		func() {
 			defer func() {
