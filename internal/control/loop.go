@@ -320,9 +320,6 @@ func (l *Loop) Platform() rdt.Platform { return l.platform }
 // Policy returns the active policy (rebuilt after membership churn).
 func (l *Loop) Policy() policy.Policy { return l.pol }
 
-// Current returns the configuration that will run next interval.
-func (l *Loop) Current() resource.Config { return l.current }
-
 // Isolated returns the isolated baselines currently in force.
 func (l *Loop) Isolated() []float64 { return l.isolated }
 

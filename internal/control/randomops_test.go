@@ -324,10 +324,10 @@ func runRandomOps(t *testing.T, seed uint64, ops int, kind policyKind, tally *op
 		if len(loop.Isolated()) != loop.NumJobs() {
 			t.Fatalf("seed %d op %d (%s): %d baselines for %d jobs", seed, op, name, len(loop.Isolated()), loop.NumJobs())
 		}
-		if err := platform.Space().Validate(loop.Current()); err != nil {
+		if err := platform.Space().Validate(loop.current); err != nil {
 			t.Fatalf("seed %d op %d (%s): loop configuration invalid on the live space: %v", seed, op, name, err)
 		}
-		if !loop.Current().Equal(platform.Current()) {
+		if !loop.current.Equal(platform.Current()) {
 			t.Fatalf("seed %d op %d (%s): loop configuration diverged from the platform's", seed, op, name)
 		}
 		switch jobs := loop.NumJobs(); {

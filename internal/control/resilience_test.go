@@ -382,7 +382,7 @@ func TestLoopChurnSurvivesFailedRemeasure(t *testing.T) {
 		if loop.NumJobs() != 4 || len(loop.Isolated()) != 4 {
 			t.Fatalf("%s: %d jobs, %d baselines, want 4 and 4", when, loop.NumJobs(), len(loop.Isolated()))
 		}
-		if err := loop.Platform().Space().Validate(loop.Current()); err != nil {
+		if err := loop.Platform().Space().Validate(loop.current); err != nil {
 			t.Fatalf("%s: loop configuration does not fit the live space: %v", when, err)
 		}
 	}

@@ -199,7 +199,7 @@ func TestBadSampleRejected(t *testing.T) {
 			}
 			if st.Held == HeldSampleCorrupt {
 				badTicks++
-				if !st.Config.Equal(loop.Current()) {
+				if !st.Config.Equal(loop.current) {
 					t.Fatal("bad sample changed the configuration")
 				}
 			} else if math.IsNaN(st.Throughput) || st.Throughput < 0 {

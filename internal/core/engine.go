@@ -117,11 +117,15 @@ type Engine struct {
 	// settleTicks buildPool narrows the scored fresh panel. fullPanel, set
 	// only by tests, keeps every tick's panel whole; denseBlocks, set only
 	// by tests, fills a missed neighborhood block from its encoded points
-	// instead of its moves (scorePool). All share single's word, so the
-	// struct stays in its size class.
-	fullPanel   bool
-	denseBlocks bool
-	settled     int32
+	// instead of its moves (scorePool); solvedTargets, set only by tests,
+	// hands a target-only tick its weighted objectives (UpdateTargets, one
+	// solve) instead of its goals and weights (UpdateGoals, the goal basis;
+	// syncModel). All share single's word, so the struct stays in its size
+	// class.
+	fullPanel     bool
+	denseBlocks   bool
+	solvedTargets bool
+	settled       int32
 
 	// Diagnostics, each written by exactly one stage of Decide; the
 	// counters are Stats' fields of the same names. They are fields, not a
@@ -164,7 +168,7 @@ type Engine struct {
 	// Per-tick scratch, reused across Decide calls.
 	windowBuf    []*Record
 	xsBuf        [][]float64
-	rowBuf       []float64 // targets (syncModel), then means (trackProxyChange), one per model row; then a missed block's move tables (neighborMoves)
+	rowBuf       []float64 // goals or targets per model row (syncModel), then means (trackProxyChange); then a missed block's move tables (neighborMoves)
 	pointBuf     gp.Points // the candidates being scored, as the fill reads them (poolPoints)
 	postBuf      []float64 // the pool's posterior: μ, then σ (posterior)
 	batchScratch gp.PredictScratch
@@ -581,8 +585,9 @@ func (e *Engine) settle(t *tick, idx int, score float64, err error) resource.Con
 // choosing the cheapest sufficient update (Sec. V overhead optimization):
 //
 //   - unchanged membership (every exploit/revisit tick): only the
-//     re-weighted targets moved, so one O(n²) α re-solve via
-//     UpdateTargets — the kernel factor carries over untouched;
+//     re-weighted targets moved, so UpdateGoals gets each model row's
+//     throughput and fairness and this tick's weights, and forms α from
+//     the goal basis in O(n) — the kernel factor carries over untouched;
 //   - exactly one new configuration: O(n²) rank-1 Cholesky append;
 //   - anything else (first fit after seeding, window eviction, model
 //     recovery): full refit, adopting the window's order.
@@ -609,12 +614,21 @@ func (e *Engine) syncModel(window []*Record, w Weights) error {
 		}
 	}
 	switch {
-	case miss == 0 && n == len(e.modelRecs):
+	case miss == 0 && n == len(e.modelRecs) && e.solvedTargets:
 		e.rowBuf = e.rowBuf[:0]
 		for _, rec := range e.modelRecs {
 			e.rowBuf = append(e.rowBuf, rec.Objective(w))
 		}
 		if err := e.model.UpdateTargets(e.rowBuf); err != nil {
+			return e.dropModel(err)
+		}
+	case miss == 0 && n == len(e.modelRecs):
+		e.rowBuf = slices.Grow(e.rowBuf[:0], 2*n)[:2*n]
+		t, f := e.rowBuf[:n], e.rowBuf[n:]
+		for i, rec := range e.modelRecs {
+			t[i], f[i] = rec.Throughput, rec.Fairness
+		}
+		if err := e.model.UpdateGoals(t, f, w.T, w.F); err != nil {
 			return e.dropModel(err)
 		}
 	case miss == 1 && n == len(e.modelRecs)+1:
@@ -931,9 +945,9 @@ func (e *Engine) candidate(idx int) resource.Config {
 // configurations — the quantity of Fig. 17(b).
 //
 // Every window record is a row of the proxy model once syncModel has
-// succeeded, so the posterior means of all of them are one product of the
-// Gram matrix with α. A record counts only when the previous sweep
-// predicted it too (a tick whose fit fails runs no sweep).
+// succeeded, so the posterior means of all of them are the model's
+// closed form y − jitter·α, O(n). A record counts only when the previous
+// sweep predicted it too (a tick whose fit fails runs no sweep).
 func (e *Engine) trackProxyChange(window []*Record) {
 	e.sweep++
 	e.rowBuf = e.model.PredictMeansAtInto(e.rowBuf)
@@ -1033,7 +1047,7 @@ func (e *Engine) FitFailures() int { return e.fitFailures }
 func (e *Engine) AcquisitionFailures() int { return e.acqFailures }
 
 // GPStats returns the proxy model's update-path counters (full refits vs
-// rank-1 extends vs α-only target re-solves), the GP tier of Stats.
+// rank-1 extends vs target-only updates), the GP tier of Stats.
 func (e *Engine) GPStats() gp.IncrementalStats {
 	if e.model == nil {
 		return gp.IncrementalStats{}

@@ -109,9 +109,6 @@ type Scheduler struct {
 	wTP              float64 // current prioritization weight for throughput
 	wFP              float64
 
-	last        Weights
-	boundaryHit bool
-
 	// sloViolating is the loop-fed violation state consulted under
 	// WeightsSLOAware; other modes ignore it.
 	sloViolating bool
@@ -189,7 +186,6 @@ func NewStaticScheduler(wT float64) *Scheduler {
 // and returns the weights to use when constructing this tick's objective
 // function.
 func (s *Scheduler) Step(throughput, fairness float64) Weights {
-	s.boundaryHit = false
 	if s.mode == WeightsStatic {
 		w := Weights{
 			T: s.staticT, F: 1 - s.staticT,
@@ -197,7 +193,6 @@ func (s *Scheduler) Step(throughput, fairness float64) Weights {
 			TP: s.staticT, FP: 1 - s.staticT,
 		}
 		s.advanceClock(w)
-		s.last = w
 		return w
 	}
 
@@ -266,7 +261,6 @@ func (s *Scheduler) Step(throughput, fairness float64) Weights {
 		EqFrac: frac,
 	}
 	s.advanceClock(w)
-	s.last = w
 	return w
 }
 
@@ -283,7 +277,6 @@ func (s *Scheduler) advanceClock(w Weights) {
 	if s.te >= s.teTicks {
 		s.te = 0
 		s.sumWT = 0
-		s.boundaryHit = true
 	}
 }
 

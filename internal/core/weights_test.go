@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"satori/internal/policy"
 	"satori/internal/stats"
 )
 
@@ -81,7 +82,7 @@ func TestEqualizationAveragesToHalf(t *testing.T) {
 		w := s.Step(tp, f)
 		sum += w.T
 		n++
-		if s.boundaryHit {
+		if s.te == 0 { // advanceClock closed a period
 			avg := sum / float64(n)
 			if math.Abs(avg-0.5) > 0.08 {
 				t.Errorf("period %d: mean W_T = %g, want ~0.5", periods, avg)
@@ -171,7 +172,7 @@ func TestEqualizationBoundarySignal(t *testing.T) {
 	boundaries := 0
 	for i := 1; i <= 100; i++ {
 		s.Step(0.5, 0.5)
-		if s.boundaryHit {
+		if s.te == 0 { // advanceClock closed a period
 			boundaries++
 			if i%20 != 0 {
 				t.Errorf("boundary at tick %d, want multiples of 20", i)
@@ -204,11 +205,23 @@ func TestModeStrings(t *testing.T) {
 	}
 }
 
+// TestLastWeights: an engine reports the weights its last Decide built
+// the objective from, the ones a scheduler of its options steps to on the
+// same observations.
 func TestLastWeights(t *testing.T) {
+	env := newSyntheticEnv(0.01)
+	eng, err := New(env.space, Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := NewScheduler(SchedulerOptions{})
-	w := s.Step(0.4, 0.6)
-	if s.last != w {
-		t.Error("last does not hold the latest weights")
+	current := env.space.EqualSplit()
+	for tick := 1; tick <= 30; tick++ {
+		tp, fair := env.eval(current)
+		current = eng.Decide(policy.Observation{Tick: tick, Throughput: tp, Fairness: fair}, current)
+		if w := s.Step(tp, fair); eng.LastWeights() != w {
+			t.Fatalf("tick %d: LastWeights %+v, the scheduler's %+v", tick, eng.LastWeights(), w)
+		}
 	}
 }
 

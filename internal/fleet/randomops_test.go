@@ -38,8 +38,8 @@ func runFleetOps(t *testing.T, name string, opt Options, horizon int) fleetRun {
 			run.ticks = append(run.ticks, st) // accounted, failed or not
 		}
 		s := c.Summary()
-		if c.Series().Len() != c.ticks || s.Ticks != len(run.ticks) {
-			t.Fatalf("%s: tick %d: %d rows, %d ticks, %d stats", name, st.Tick, c.Series().Len(), c.ticks, len(run.ticks))
+		if len(c.Series().Column("tick")) != c.ticks || s.Ticks != len(run.ticks) {
+			t.Fatalf("%s: tick %d: %d rows, %d ticks, %d stats", name, st.Tick, len(c.Series().Column("tick")), c.ticks, len(run.ticks))
 		}
 		if s.Arrived != s.Departed+s.Running+s.Queued || s.Placed != s.Departed+s.Running ||
 			s.Running != st.Running || s.Queued != st.Queued {
@@ -56,8 +56,8 @@ func runFleetOps(t *testing.T, name string, opt Options, horizon int) fleetRun {
 			if _, err := c.Step(); !errors.Is(err, ErrHalted) {
 				t.Fatalf("%s: Step %d after the fatal fault = %v, want ErrHalted", name, i+1, err)
 			}
-			if c.ticks != len(run.ticks) || c.Series().Len() != c.ticks {
-				t.Fatalf("%s: a halted Step accounted a tick: %d ticks, %d rows, %d stats", name, c.ticks, c.Series().Len(), len(run.ticks))
+			if c.ticks != len(run.ticks) || len(c.Series().Column("tick")) != c.ticks {
+				t.Fatalf("%s: a halted Step accounted a tick: %d ticks, %d rows, %d stats", name, c.ticks, len(c.Series().Column("tick")), len(run.ticks))
 			}
 		}
 		break

@@ -299,7 +299,7 @@ func TestStepErrorTerminalAndAccounted(t *testing.T) {
 	if got := c.ticks; got != steps+1 {
 		t.Errorf("failed tick not accounted: Ticks()=%d after %d clean steps + 1 failed", got, steps)
 	}
-	if rows := c.Series().Len(); rows != c.ticks {
+	if rows := len(c.Series().Column("tick")); rows != c.ticks {
 		t.Errorf("trace desynced from tick counter: %d rows, %d ticks", rows, c.ticks)
 	}
 	// Terminal by contract: a retry cannot double-step healthy nodes.
@@ -309,7 +309,7 @@ func TestStepErrorTerminalAndAccounted(t *testing.T) {
 	if got := c.ticks; got != steps+1 {
 		t.Errorf("halted Step advanced the tick counter to %d", got)
 	}
-	if rows := c.Series().Len(); rows != steps+1 {
+	if rows := len(c.Series().Column("tick")); rows != steps+1 {
 		t.Errorf("halted Step recorded a row: %d", rows)
 	}
 	if !strings.Contains(stepErr.Error(), "fatal") {

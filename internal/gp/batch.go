@@ -16,7 +16,10 @@
 // Of a scored point, only the mean depends on the targets. A Block keeps
 // the rest — K* columns and standard deviations — so that a group of
 // points scored again under the same kernel epoch (see Incremental) costs
-// one K*ᵀα product; epoch_test.go pins that reuse with == as well.
+// no fill and no solve; epoch_test.go pins that reuse with == as well. It
+// also keeps K*ᵀ of each goal-basis vector, so that re-weighted targets
+// cost the group O(1) per point: its mean is the same weighted sum of
+// those projections that α is of the basis.
 //
 // The query points arrive as Points, already laid out the way the fill
 // streams them, so the caller encodes each point once, in place. A block
@@ -183,27 +186,34 @@ func (m *Incremental) SigmaCeiling(s *PredictScratch, c int) float64 {
 }
 
 // Block is what scoring one group of query points leaves behind that the
-// model's targets cannot change: the cross-covariance columns K* and the
-// posterior standard deviations, functions of the window inputs, the
-// kernel and the factor only. While the model's kernel epoch stands,
-// RepredictBlockInto re-scores the group from it in O(n) per point. The
-// zero value is an empty block; a block belongs to one model and one
-// fixed group of points.
+// model's targets cannot change: the cross-covariance columns K*, the
+// posterior standard deviations and the projections K*ᵀb of the goal
+// basis vectors b, functions of the window inputs, the kernel and the
+// factor only. While the model's kernel epoch stands, RepredictBlockInto
+// re-scores the group from it in O(1) per point, after projecting any
+// basis vector the block has not seen in O(n). The zero value is an empty
+// block; a block belongs to one model and one fixed group of points.
 type Block struct {
 	epoch uint64 // the model's kernel epoch at the last fill; 0 = never filled
-	// data holds the group's n×q K* columns, then its q standard
-	// deviations. n is the model's size, fixed while its epoch stands.
+	// data holds the group's n×q K* columns, its q standard deviations, its
+	// nproj projections of q, then the basis generation they were taken
+	// under and how many of them are. n is the model's size, fixed while
+	// its epoch stands.
 	data []float64
 }
 
+// blockLen is the length of a Block's data for n inputs and q points.
+func blockLen(n, q int) int { return (n+1+nproj)*q + 2 }
+
 // PredictBlockInto scores pts like PredictBatchInto, keeping the group's
-// kernel-only results in b for RepredictBlockInto.
+// kernel-only results in b for RepredictBlockInto; the means are then
+// taken from b, to RepredictBlockInto's bits.
 func (m *Incremental) PredictBlockInto(s *PredictScratch, b *Block, mu, sigma []float64, pts *Points) {
 	nq := m.n * pts.Len()
-	b.data = grow(b.data, nq+pts.Len())
+	b.data = grow(b.data, blockLen(m.n, pts.Len()))
 	m.predictBatch(s, b.data[:nq], mu, sigma, pts)
 	copy(b.data[nq:], sigma)
-	b.epoch = m.epoch
+	m.fillBlock(b, mu)
 }
 
 // Moves describes a group of query points by how each differs from one of
@@ -250,8 +260,8 @@ type move struct{ from, to int32 }
 // from PredictBlockInto's on the materialised point, and a point that
 // coincides with an input, whose true distance is 0, can come out a few
 // ulps negative. max(0, ·) clamps it; the Matérn transform's √ would make it
-// NaN. The transform, the means, the triangular solves and b's epoch stamp
-// are PredictBlockInto's.
+// NaN. The transform, the triangular solves, the means and b's stamps are
+// PredictBlockInto's.
 func (m *Incremental) PredictMovedBlockInto(s *PredictScratch, b *Block, mu, sigma []float64, mv *Moves) {
 	n, q, dim, moves := m.n, len(mu), m.dim, mv.Len()
 	if len(sigma) != q || moves != q || mv.Base < 0 || mv.Base >= n || len(mv.Give) != dim || len(mv.Take) != dim || mv.Group < 1 || dim%mv.Group != 0 {
@@ -260,7 +270,7 @@ func (m *Incremental) PredictMovedBlockInto(s *PredictScratch, b *Block, mu, sig
 	}
 	pairs := m.movePairs(mv, q)
 	nq := n * q
-	b.data = grow(b.data, nq+q)
+	b.data = grow(b.data, blockLen(n, q))
 	kstar := b.data[:nq]
 	// The model-row-outer fill: row i's d² for every point, transformed,
 	// then cut into the panels the solves read.
@@ -287,12 +297,10 @@ func (m *Incremental) PredictMovedBlockInto(s *PredictScratch, b *Block, mu, sig
 	}
 	for p0 := 0; p0 < q; p0 += panelWidth {
 		p1 := min(p0+panelWidth, q)
-		kpanel := kstar[n*p0 : n*p1]
-		panelMeans(mu[p0:p1], kpanel, m.alpha, m.mean)
-		m.solvePanel(s, kpanel, sigma[p0:p1])
+		m.solvePanel(s, kstar[n*p0:n*p1], sigma[p0:p1])
 	}
 	copy(b.data[nq:], sigma)
-	b.epoch = m.epoch
+	m.fillBlock(b, mu)
 }
 
 // movePairs lists the coordinate pairs of mv's q points, in order, into the
@@ -314,23 +322,63 @@ func (m *Incremental) movePairs(mv *Moves, q int) []move {
 }
 
 // RepredictBlockInto re-scores the points b was last filled for under the
-// model's current targets: sigma is copied from b and mu recomputed as
-// mean + K*ᵀα, both bit-identical to filling b afresh the way it was
-// filled (PredictBlockInto or PredictMovedBlockInto). It reports
-// false, writing nothing, when b is stale — the model's inputs, kernel or
-// factor changed since b was filled — or was filled for a group of another
-// size than len(mu).
+// model's current targets: sigma is copied from b and mu recomputed from
+// b's projections, both bit-identical to filling b afresh the way it was
+// filled (PredictBlockInto or PredictMovedBlockInto). It reports false,
+// writing nothing, when b is stale — the model's inputs, kernel or factor
+// changed since b was filled — or was filled for a group of another size
+// than len(mu).
 func (m *Incremental) RepredictBlockInto(b *Block, mu, sigma []float64) bool {
 	q := len(mu)
-	if b.epoch != m.epoch || len(sigma) != q || len(b.data) != (m.n+1)*q {
+	if b.epoch != m.epoch || len(sigma) != q || len(b.data) != blockLen(m.n, q) {
 		return false
 	}
 	copy(sigma, b.data[m.n*q:])
-	for p0 := 0; p0 < q; p0 += panelWidth {
-		p1 := min(p0+panelWidth, q)
-		panelMeans(mu[p0:p1], b.data[m.n*p0:m.n*p1], m.alpha, m.mean)
-	}
+	m.blockMeans(b, mu)
 	return true
+}
+
+// fillBlock stamps b, whose K* and σ were just filled, with the model's
+// epoch and no projections, and writes its means.
+func (m *Incremental) fillBlock(b *Block, mu []float64) {
+	b.epoch = m.epoch
+	b.data[len(b.data)-2], b.data[len(b.data)-1] = 0, 0
+	m.blockMeans(b, mu)
+}
+
+// blockMeans writes the means of b's q = len(mu) points. Under a goal
+// basis they are mean + Σ_k coef_k·(K*ᵀb_k), the projections kept in b and
+// the missing ones taken first (all of them when b's generation is not the
+// model's); a panel's projection is one DotsInto, as panelMeans takes
+// K*ᵀα, so one goal's means have panelMeans' bits. Without a basis — α was
+// solved, after a Reset or an Append — they are panelMeans over K*.
+func (m *Incremental) blockMeans(b *Block, mu []float64) {
+	n, q := m.n, len(mu)
+	kstar := b.data[:n*q]
+	if m.goals == 0 {
+		for p0 := 0; p0 < q; p0 += panelWidth {
+			p1 := min(p0+panelWidth, q)
+			panelMeans(mu[p0:p1], kstar[n*p0:n*p1], m.alpha, m.mean)
+		}
+		return
+	}
+	proj, stamp := b.data[(n+1)*q:(n+1+nproj)*q], b.data[len(b.data)-2:]
+	have, k := int(stamp[1]), m.active()
+	if stamp[0] != float64(m.stats.BasisBuilds) {
+		have = 0
+	}
+	for j := have; j < k; j++ {
+		pj, bj := proj[j*q:(j+1)*q], m.slot(slotBeta+j)
+		for p0 := 0; p0 < q; p0 += panelWidth {
+			p1 := min(p0+panelWidth, q)
+			linalg.DotsInto(pj[p0:p1], kstar[n*p0:n*p1], bj)
+		}
+	}
+	stamp[0], stamp[1] = float64(m.stats.BasisBuilds), float64(k)
+	weigh(mu, m.basis[:k], proj, q)
+	for c := range mu {
+		mu[c] = m.mean + mu[c]
+	}
 }
 
 // panelWidth is how many query points share one triangular sweep. The

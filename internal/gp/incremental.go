@@ -6,10 +6,12 @@
 //  1. Re-weighting: the goal weights move, every recorded objective
 //     y_i = W_T·T_i + W_F·F_i is reconstructed in software (Sec. III-B),
 //     but the window's *inputs* are untouched. The kernel matrix — and
-//     therefore its Cholesky factor — depends only on the inputs, so only
-//     the solve α = K⁻¹(y−m) needs to be repeated: O(n²), not O(n³).
+//     therefore its Cholesky factor — depends only on the inputs, and
+//     α = K̃⁻¹(y − m) is linear in the targets, so α is a weighted sum of a
+//     few solves kept per kernel epoch (the goal basis, below): O(n).
 //  2. Append: a newly probed configuration joins the window. The factor
-//     gains one row/column via linalg.Cholesky.Extend — again O(n²).
+//     gains one row/column via linalg.Cholesky.Extend — O(n²) — and α is
+//     solved once.
 //  3. Eviction: the sliding window drops old configurations. The factor
 //     is rebuilt from scratch (refactorization, not downdating — eviction
 //     is rare relative to ticks, and refactorization is unconditionally
@@ -26,13 +28,33 @@
 // is stamped with one kernel epoch, which moves exactly when a refit or a
 // rank-1 append does (Stats().Refits + Stats().Extends) and never on a
 // target-only update. Under an unchanged epoch the median length scale,
-// the window's Gram matrix (PredictMeansAtInto) and a scored Block's K* columns
-// and standard deviations carry over from tick to tick.
+// the goal basis and a scored Block's K* columns, standard deviations and
+// basis projections carry over from tick to tick.
+//
+// The goal basis. UpdateGoals takes the two goals per row, T and F, and
+// their weights. Per kernel epoch the model solves β_T = K̃⁻¹(T₀ − mean T₀)
+// and β_F likewise once, T₀ and F₀ being the goals at that build, and
+// d_r = K̃⁻¹(e_r − 1/n) for each of at most maxLive live rows, the rows
+// whose goals moved since (the engine re-records the configuration it runs
+// every tick). With s_r the move of row r's target,
+//
+//	α = w_T·β_T + w_F·β_F + Σ_r s_r·d_r
+//
+// solves (K + jitter·I)·α = y − mean exactly in real arithmetic — a moved
+// target moves the mean by s_r/n, which d_r's centring takes out — and
+// costs O(n) per tick. A further moved row, or a new epoch, rebuilds the
+// basis. The sum rounds unlike a solve: α agrees with the solve to about
+// 1e-14 of its scale, and the posterior means with it. UpdateTargets is the
+// one-goal case of the same path: its basis is the solve itself, rebuilt
+// whenever a target moves, so its α is the solve's to the bit.
 //
 // The window's pairwise squared distances depend on the inputs alone, so
 // they are computed once per point, when the point is set, and kept as a
 // packed lower triangle. The median heuristic selects from it, and a refit
-// or an extend turns it into Gram rows with one Matérn transform per row.
+// or an extend turns it into Gram rows with one Matérn transform per row,
+// written straight into the factor's storage. No Gram matrix is kept: the
+// posterior means at the window's own inputs are y − jitter·α, since
+// (K + jitter·I)·α = y − mean.
 
 package gp
 
@@ -53,9 +75,14 @@ type IncrementalStats struct {
 	Refits int
 	// Extends is the number of O(n²) rank-1 appends.
 	Extends int
-	// TargetSolves is the number of O(n²) α-only re-solves (pure target
-	// re-weighting, the common case while the engine exploits).
+	// TargetSolves is the number of target-only updates (pure target
+	// re-weighting, the common case while the engine exploits): O(n) when
+	// the goal basis stands.
 	TargetSolves int
+	// BasisBuilds counts the goal bases built (one O(n²) solve per goal) —
+	// the generation a Block's projections are stamped with — and
+	// ColumnSolves the O(n²) solves of a live row's column d_r.
+	BasisBuilds, ColumnSolves int
 }
 
 // Incremental is a GP posterior that can be updated in place. The zero
@@ -64,12 +91,16 @@ type IncrementalStats struct {
 type Incremental struct {
 	fixed  Matern52 // caller-pinned kernel; the zero value means heuristic refresh
 	noise  float64
-	kernel Matern52
-	ls     float64 // heuristic length scale backing kernel
-	vr     float64 // heuristic signal variance backing kernel
-	// lsStale marks ls as older than the inputs: set by setX, cleared
-	// when refreshHeuristics recomputes the median pairwise distance.
+	kernel Matern52 // in heuristic mode, the heuristics' last values
+	// lsStale marks the length scale as older than the inputs: set by setX,
+	// cleared when refreshHeuristics recomputes the median pairwise
+	// distance.
 	lsStale bool
+	// goals is how many goals the basis was built for, 0 while α was
+	// solved directly (after a Reset, an Append or a refit: a new epoch);
+	// nlive of its live rows are live[:nlive].
+	goals, nlive int8
+	live         [maxLive]int32
 
 	n    int
 	dim  int
@@ -85,12 +116,44 @@ type Incremental struct {
 
 	stats IncrementalStats
 	epoch uint64 // kernel epoch: Refits + Extends, so 0 means never fitted
-
-	kbuf    linalg.Matrix // the window's Gram matrix k(x_i, x_j), jitter-free
+	// basis holds the targets of the last update and the goal basis; see
+	// the slot constants.
+	basis   []float64
 	distBuf []float64
 	rowBuf  []float64
 	ctrBuf  []float64
 	moveBuf []move // the points of the last PredictMovedBlockInto
+}
+
+// The goal basis: at most maxGoals goals and maxLive live rows, so a
+// Block keeps nproj projections of each point.
+const (
+	maxGoals = 2
+	maxLive  = 2
+	nproj    = maxGoals + maxLive
+)
+
+// Incremental.basis starts with the nproj coefficients of the current α
+// on the basis vectors. After them come n-long slots: the targets of the
+// last update, the goals at the build, then the basis vectors, β per goal
+// and d per live row — projection k of a Block is slot slotBeta+k.
+const (
+	slotY    = 0
+	slotGoal = 1
+	slotBeta = slotGoal + maxGoals
+	slots    = slotBeta + nproj
+)
+
+// slot returns slot k of the basis buffer.
+func (m *Incremental) slot(k int) []float64 {
+	at := nproj + k*m.n
+	return m.basis[at : at+m.n : at+m.n]
+}
+
+// active is how many basis vectors the current α weighs: the goals', and
+// the live rows' too. They are the first of the slots from slotBeta on.
+func (m *Incremental) active() int {
+	return int(m.goals + m.nlive)
 }
 
 // NewIncremental returns an empty incremental model. opt is interpreted
@@ -145,7 +208,11 @@ func (m *Incremental) Reset(xs [][]float64, ys []float64) error {
 	if m.fixed == (Matern52{}) {
 		m.refreshHeuristics(ys)
 	}
-	return m.rebuild(ys)
+	if err := m.rebuild(); err != nil {
+		return err
+	}
+	m.solveAlpha(ys)
+	return nil
 }
 
 // Append extends the model with one new point. ys carries the (possibly
@@ -170,71 +237,201 @@ func (m *Incremental) Append(x []float64, ys []float64) error {
 	}
 	m.setX(m.n, x)
 	m.n++
-	if m.fixed == (Matern52{}) && m.refreshHeuristics(ys) {
-		// Membership change moved the heuristics: hyperparameter
-		// refresh, which invalidates every kernel entry.
-		return m.rebuild(ys)
+	if err := m.extend(ys); err != nil {
+		return err
 	}
-	// Kernel unchanged: rank-1 append of the new row/column, the new
-	// point's triangle row through the Matérn transform.
-	m.rowBuf = grow(m.rowBuf, m.n-1)
-	row := m.rowBuf
-	m.gramRow(row, m.n-1)
-	diag := m.kernel.Variance // Eval(x, x), exactly: r = 0 and exp(-0) = 1
-	if err := m.chol.Extend(row, diag+m.jitter); err != nil {
-		// Near-singular append (e.g. a duplicate input): fall back to
-		// refactorization with jitter escalation.
-		return m.rebuild(ys)
-	}
-	// The Gram matrix gains the same row and column: re-stride the old
-	// rows back to front (in place when the storage is kept), then write
-	// the new ones.
-	n := m.n
-	old := m.kbuf.Data
-	m.resizeGram(n)
-	g := m.kbuf.Data
-	for i := n - 2; i >= 0; i-- {
-		copy(g[i*n:i*n+n-1], old[i*(n-1):(i+1)*(n-1)])
-		g[i*n+n-1] = row[i]
-	}
-	copy(g[(n-1)*n:], row)
-	g[n*n-1] = diag
-	m.stats.Extends++
-	m.epoch++
 	m.solveAlpha(ys)
 	return nil
 }
 
-// UpdateTargets re-solves the posterior for re-weighted targets over the
+// extend folds the point setX just added into the factor: a rank-1 append
+// of its triangle row through the Matérn transform while the heuristics
+// stand, else a refit.
+func (m *Incremental) extend(ys []float64) error {
+	if m.fixed == (Matern52{}) && m.refreshHeuristics(ys) {
+		// Membership change moved the heuristics: hyperparameter
+		// refresh, which invalidates every kernel entry.
+		return m.rebuild()
+	}
+	m.rowBuf = grow(m.rowBuf, m.n-1)
+	row := m.rowBuf
+	m.gramRow(row, m.n-1)
+	// Eval(x, x) is Variance exactly: r = 0 and exp(-0) = 1.
+	if err := m.chol.Extend(row, m.kernel.Variance+m.jitter); err != nil {
+		// Near-singular append (e.g. a duplicate input): fall back to
+		// refactorization with jitter escalation.
+		return m.rebuild()
+	}
+	m.stats.Extends++
+	m.newEpoch()
+	return nil
+}
+
+// UpdateTargets re-targets the posterior at ys over the unchanged window,
+// the one-goal case of UpdateGoals: its basis is the solve
+// α = K̃⁻¹(y − mean) itself, rebuilt whenever a target moved, so α keeps
+// the solve's bits, and targets equal to the last update's cost O(n).
+func (m *Incremental) UpdateTargets(ys []float64) error {
+	return m.retarget([maxGoals][]float64{ys}, [maxGoals]float64{1}, 1)
+}
+
+// UpdateGoals re-targets the posterior at y_i = wT·t_i + wF·f_i over the
 // unchanged window — the engine's fast path while it exploits: the paper
 // skips the proxy-model update after the optimal configuration has been
-// detected, and with an unchanged window membership the length scale and
-// the kernel factor carry over, leaving one O(n) variance check and one
-// O(n²) solve. When the data-scaled variance heuristic moves (it is
-// floored, so it rarely does), the kernel itself changed and the model
-// refits in place.
-func (m *Incremental) UpdateTargets(ys []float64) error {
-	if m.n == 0 {
+// detected, and with an unchanged window membership the length scale, the
+// kernel factor and the goal basis carry over, leaving O(n) work and one
+// O(n²) column solve per row whose goals newly moved (see the package
+// doc). When the data-scaled variance heuristic moves (it is floored, so
+// it rarely does), the kernel itself changed and the model refits in
+// place.
+func (m *Incremental) UpdateGoals(t, f []float64, wT, wF float64) error {
+	return m.retarget([maxGoals][]float64{t, f}, [maxGoals]float64{wT, wF}, maxGoals)
+}
+
+// retarget is UpdateTargets and UpdateGoals: goals g of the model's rows,
+// weighted by w.
+func (m *Incremental) retarget(goals [maxGoals][]float64, w [maxGoals]float64, g int) error {
+	n := m.n
+	if n == 0 {
 		return ErrNoData
 	}
-	if len(ys) != m.n {
-		err := fmt.Errorf("gp: UpdateTargets got %d targets for %d points", len(ys), m.n)
-		m.n = 0
-		return err
+	for _, goal := range goals[:g] {
+		if len(goal) != n {
+			err := fmt.Errorf("gp: got %d targets for %d points", len(goal), n)
+			m.n = 0
+			return err
+		}
 	}
-	if m.fixed == (Matern52{}) && m.refreshHeuristics(ys) {
-		return m.rebuild(ys)
+	m.sizeBasis()
+	y := m.slot(slotY)
+	if g == 1 {
+		copy(y, goals[0])
+	} else {
+		t, f := goals[0][:n], goals[1][:n]
+		for i := range y {
+			y[i] = w[0]*t[i] + w[1]*f[i]
+		}
 	}
-	m.stats.TargetSolves++
-	m.solveAlpha(ys)
+	if m.fixed == (Matern52{}) && m.refreshHeuristics(y) {
+		if err := m.rebuild(); err != nil {
+			return err
+		}
+	} else {
+		m.stats.TargetSolves++
+	}
+	m.mean = sampleMean(y)
+	if !m.keepBasis(goals, g) {
+		m.buildBasis(goals, g)
+	}
+	m.weighBasis(w)
 	return nil
+}
+
+// keepBasis reports whether the basis serves g goals at their current
+// values, making live any row whose goals moved since the build. It
+// refuses — the basis is rebuilt — after a new epoch, for another number
+// of goals, and when more rows moved than live columns are left; one goal
+// keeps no live rows.
+func (m *Incremental) keepBasis(goals [maxGoals][]float64, g int) bool {
+	if int(m.goals) != g {
+		return false
+	}
+	var moved [maxLive]int32
+	nm := 0
+	for k, goal := range goals[:g] {
+		for i, v := range m.slot(slotGoal + k) {
+			if goal[i] == v || slices.Contains(m.live[:m.nlive], int32(i)) || slices.Contains(moved[:nm], int32(i)) {
+				continue
+			}
+			if g == 1 || int(m.nlive)+nm == maxLive {
+				return false
+			}
+			moved[nm] = int32(i)
+			nm++
+		}
+	}
+	for _, r := range moved[:nm] {
+		m.addLive(int(r))
+	}
+	return true
+}
+
+// buildBasis solves the basis for goals at their current values, β per
+// goal, centred by its mean; no row is live.
+func (m *Incremental) buildBasis(goals [maxGoals][]float64, g int) {
+	m.goals, m.nlive = int8(g), 0
+	m.stats.BasisBuilds++
+	m.ctrBuf = grow(m.ctrBuf, m.n)
+	for k, goal := range goals[:g] {
+		copy(m.slot(slotGoal+k), goal)
+		mk := sampleMean(goal)
+		for i, v := range goal[:m.n] {
+			m.ctrBuf[i] = v - mk
+		}
+		m.chol.SolveVecInto(m.slot(slotBeta+k), m.ctrBuf)
+	}
+}
+
+// addLive solves row r's column d_r = K̃⁻¹(e_r − 1/n) into the next live
+// slot.
+func (m *Incremental) addLive(r int) {
+	m.ctrBuf = grow(m.ctrBuf, m.n)
+	inv := 1 / float64(m.n)
+	for i := range m.ctrBuf {
+		m.ctrBuf[i] = -inv
+	}
+	m.ctrBuf[r] = 1 - inv
+	m.chol.SolveVecInto(m.slot(slotBeta+maxGoals+int(m.nlive)), m.ctrBuf)
+	m.live[m.nlive] = int32(r)
+	m.nlive++
+	m.stats.ColumnSolves++
+}
+
+// weighBasis writes the current targets' coefficients on the basis into
+// the header and α as their weighted sum. One goal's α is its β, to the
+// bit (1·x = x).
+func (m *Incremental) weighBasis(w [maxGoals]float64) {
+	coef := m.basis[:nproj]
+	if m.goals == 1 {
+		coef[0] = 1
+	} else {
+		y, t0, f0 := m.slot(slotY), m.slot(slotGoal), m.slot(slotGoal+1)
+		coef[0], coef[1] = w[0], w[1]
+		for j, r := range m.live[:m.nlive] {
+			coef[maxGoals+j] = y[r] - (w[0]*t0[r] + w[1]*f0[r])
+		}
+	}
+	m.alpha = grow(m.alpha, m.n)
+	weigh(m.alpha, coef[:m.active()], m.basis[nproj+slotBeta*m.n:], m.n)
+}
+
+// weigh writes dst[i] = Σ_j coef[j]·vecs[j·stride+i], summed j-ascending:
+// vecs holds len(coef) vectors, stride apart.
+func weigh(dst, coef, vecs []float64, stride int) {
+	v := vecs[:len(dst)]
+	for i := range dst {
+		dst[i] = coef[0] * v[i]
+	}
+	for j, c := range coef[1:] {
+		v := vecs[(j+1)*stride:][:len(dst)]
+		for i := range dst {
+			dst[i] += c * v[i]
+		}
+	}
+}
+
+// sizeBasis sizes the basis buffer for the model's n.
+func (m *Incremental) sizeBasis() {
+	if want := nproj + slots*m.n; len(m.basis) != want {
+		m.basis = grow(m.basis, want)
+	}
 }
 
 // refreshHeuristics re-evaluates the no-tuning hyperparameters over the
 // current window and reports whether they changed, updating the kernel
 // when they did. The median length scale is a function of the inputs
 // alone, so its selection runs only after setX touched a row; target-only
-// calls reuse m.ls. Note the 256-point cap on the pairs it selects from:
+// calls reuse the kernel's. Note the 256-point cap on the pairs it selects from:
 // beyond it the median is order-sensitive, so windows larger than 256 may
 // refresh on revisit-induced reorderings that a from-scratch Fit would not
 // notice — every reordering reaches the model through Reset, hence setX,
@@ -242,17 +439,15 @@ func (m *Incremental) UpdateTargets(ys []float64) error {
 // the heuristic length scale is never 0 and the variance is floored at
 // 0.01, so neither can equal the zero value they start from.
 func (m *Incremental) refreshHeuristics(ys []float64) bool {
-	ls := m.ls
+	k := Matern52{LengthScale: m.kernel.LengthScale, Variance: flooredVariance(ys, sampleMean(ys))}
 	if m.lsStale {
-		ls = m.medianLengthScale()
+		k.LengthScale = m.medianLengthScale()
 		m.lsStale = false
 	}
-	vr := flooredVariance(ys, sampleMean(ys))
-	if ls == m.ls && vr == m.vr {
+	if k == m.kernel {
 		return false
 	}
-	m.ls, m.vr = ls, vr
-	m.kernel = Matern52{LengthScale: ls, Variance: vr}
+	m.kernel = k
 	return true
 }
 
@@ -285,29 +480,20 @@ func (m *Incremental) gramRow(row []float64, i int) {
 }
 
 // rebuild refactorizes the kernel matrix — the same computation as Fit,
-// including the jitter escalation schedule, but into reused buffers — and
-// leaves the jitter-free Gram matrix behind in kbuf. On failure the model
-// is left empty.
-func (m *Incremental) rebuild(ys []float64) error {
-	n := m.n
-	m.resizeGram(n)
-	g := m.kbuf.Data
-	for i := 0; i < n; i++ {
-		row := g[i*n : i*n+i]
-		m.gramRow(row, i)
-		for j, v := range row {
-			g[j*n+i] = v
-		}
-	}
+// including the jitter escalation schedule — writing each Gram row
+// straight into the factor's storage, and starts a new epoch. On failure
+// the model is left empty.
+func (m *Incremental) rebuild() error {
 	if m.chol == nil {
 		m.chol = &linalg.Cholesky{}
 	}
 	var err error
 	for attempt, j := 0, m.noise; attempt < 8; attempt, j = attempt+1, j*10 {
-		for i := 0; i < n; i++ {
-			m.kbuf.Set(i, i, m.kernel.Variance+j)
-		}
-		if err = m.chol.Factorize(&m.kbuf); err == nil {
+		diag := m.kernel.Variance + j
+		if err = m.chol.FactorizeRows(m.n, func(i int, row []float64) {
+			m.gramRow(row[:i], i)
+			row[i] = diag
+		}); err == nil {
 			m.jitter = j
 			break
 		}
@@ -316,39 +502,29 @@ func (m *Incremental) rebuild(ys []float64) error {
 		m.n = 0
 		return fmt.Errorf("gp: kernel matrix not factorizable even with jitter: %w", err)
 	}
-	for i := 0; i < n; i++ {
-		m.kbuf.Set(i, i, m.kernel.Variance)
-	}
 	m.stats.Refits++
-	m.epoch++
-	m.solveAlpha(ys)
+	m.newEpoch()
 	return nil
 }
 
-// solveAlpha recomputes the prior mean and α = K⁻¹(y − m) into reused
-// buffers.
+// newEpoch moves the kernel epoch, which outdates the goal basis.
+func (m *Incremental) newEpoch() {
+	m.epoch++
+	m.goals = 0
+}
+
+// solveAlpha recomputes the prior mean and α = K̃⁻¹(y − m) into reused
+// buffers, keeping the targets for PredictMeansAtInto.
 func (m *Incremental) solveAlpha(ys []float64) {
+	m.sizeBasis()
+	copy(m.slot(slotY), ys)
 	m.mean = sampleMean(ys)
-	if cap(m.ctrBuf) < m.n {
-		m.ctrBuf = make([]float64, m.n)
-		m.alpha = make([]float64, m.n)
-	}
-	m.ctrBuf = m.ctrBuf[:m.n]
-	m.alpha = m.alpha[:m.n]
+	m.ctrBuf = grow(m.ctrBuf, m.n)
+	m.alpha = grow(m.alpha, m.n)
 	for i, y := range ys {
 		m.ctrBuf[i] = y - m.mean
 	}
 	m.chol.SolveVecInto(m.alpha, m.ctrBuf)
-}
-
-// resizeGram reshapes kbuf to n×n. Storage grows amortized and keeps its
-// leading entries, so an append can re-stride the old rows in place.
-func (m *Incremental) resizeGram(n int) {
-	data := m.kbuf.Data
-	if n*n > len(data) {
-		data = slices.Grow(data, n*n-len(data))
-	}
-	m.kbuf = linalg.Matrix{Rows: n, Cols: n, Data: data[:n*n]}
 }
 
 // setX copies x into the owned input buffer at index i and writes its
@@ -392,14 +568,15 @@ func (m *Incremental) PredictMean(x []float64) float64 {
 }
 
 // PredictMeansAtInto returns dst, resized to Len, holding the posterior
-// mean at each of the model's own inputs — PredictMean(x_i) to the bit at
-// dst[i], read off the Gram matrix instead of n kernel evaluations a row.
-// The Gram matrix is bit-symmetric (rebuild and Append write (i, j) and
-// (j, i) from one value), so one panel product over it sums each row's
-// K_ij·α_j in Dot's j-ascending order.
+// mean at each of the model's own inputs: mean + (K·α)_i, which is
+// y_i − jitter·α_i because (K + jitter·I)·α = y − mean. It agrees with
+// PredictMean(x_i) to the solve's residual, about 1e-15 of the targets'
+// scale, in O(n).
 func (m *Incremental) PredictMeansAtInto(dst []float64) []float64 {
 	dst = grow(dst, m.n)
-	panelMeans(dst, m.kbuf.Data[:m.n*m.n], m.alpha[:m.n], m.mean)
+	for i, y := range m.slot(slotY) {
+		dst[i] = y - m.jitter*m.alpha[i]
+	}
 	return dst
 }
 

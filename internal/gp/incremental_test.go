@@ -427,17 +427,21 @@ func TestTriangleMatchesFit(t *testing.T) {
 				t.Fatalf("%s: kernel %+v jitter %v, Fit %+v jitter %v", ctx, mk, m.Jitter(), gk, g.jitter)
 			}
 			n := len(xs)
+			row := make([]float64, n)
 			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					want := gk.Variance
-					if i != j {
-						want = gk.Eval(xs[i], xs[j])
-						if linalg.SquaredDistance(xs[i], xs[j]) == 0 {
-							zeros++
-						}
+				m.gramRow(row[:i], i)
+				for j := 0; j < i; j++ {
+					want := gk.Eval(xs[i], xs[j])
+					if linalg.SquaredDistance(xs[i], xs[j]) == 0 {
+						zeros++
 					}
-					if got := m.kbuf.At(i, j); !sameFloat(got, want) {
+					if got := row[j]; !sameFloat(got, want) {
 						t.Fatalf("%s: Gram (%d, %d) = %v, Fit's Eval %v", ctx, i, j, got, want)
+					}
+				}
+				for j := 0; j <= i; j++ {
+					if got, want := m.chol.LAt(i, j), g.chol.LAt(i, j); !sameFloat(got, want) {
+						t.Fatalf("%s: factor (%d, %d) = %v, Fit's %v", ctx, i, j, got, want)
 					}
 				}
 			}

@@ -161,7 +161,7 @@ func renderOverhead(rep *Report, out overheadOutcome) {
 	tbl.AddRow("exploit (skip-probe) ticks", fmt.Sprintf("%d of %d", out.exploits, out.ticks))
 	tbl.AddRow("GP full refits", fmt.Sprintf("%d", out.refits))
 	tbl.AddRow("GP rank-1 extends", fmt.Sprintf("%d", out.extends))
-	tbl.AddRow("GP α-only target re-solves", fmt.Sprintf("%d", out.targetSolves))
+	tbl.AddRow("GP target-only updates", fmt.Sprintf("%d", out.targetSolves))
 	rep.Tables = append(rep.Tables, tbl)
 }
 

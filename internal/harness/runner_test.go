@@ -70,7 +70,7 @@ func TestRunTraceColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Trace == nil || res.Trace.Len() != 120 {
+	if res.Trace == nil || len(res.Trace.Column("tick")) != 120 {
 		t.Fatal("trace missing or wrong length")
 	}
 	// SATORI runs include the weight instrumentation columns.
@@ -250,8 +250,8 @@ func TestRunSurvivesHeldTicks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Ticks != 120 || res.Trace.Len() != 120 || res.RejectedApplies != 1 {
-		t.Fatalf("ticks=%d rows=%d rejected=%d, want 120, 120, 1", res.Ticks, res.Trace.Len(), res.RejectedApplies)
+	if res.Ticks != 120 || len(res.Trace.Column("tick")) != 120 || res.RejectedApplies != 1 {
+		t.Fatalf("ticks=%d rows=%d rejected=%d, want 120, 120, 1", res.Ticks, len(res.Trace.Column("tick")), res.RejectedApplies)
 	}
 	var sum float64
 	scored := 0

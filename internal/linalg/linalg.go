@@ -78,29 +78,42 @@ func NewCholesky(a *Matrix) (*Cholesky, error) {
 }
 
 // Factorize (re)factorizes the SPD matrix a into c, reusing c's storage
-// when it is large enough. On error c is left empty (Size 0); the storage
-// is retained for the next attempt.
+// when it is large enough. On error c is left empty; the storage is
+// retained for the next attempt.
 func (c *Cholesky) Factorize(a *Matrix) error {
 	if a.Rows != a.Cols {
 		return fmt.Errorf("linalg: Cholesky of non-square %dx%d matrix", a.Rows, a.Cols)
 	}
 	n := a.Rows
+	return c.FactorizeRows(n, func(i int, row []float64) { copy(row, a.Data[i*n:i*n+i+1]) })
+}
+
+// FactorizeRows (re)factorizes the n×n SPD matrix A whose lower triangle
+// fill writes straight into c's storage: fill(i, row) sets row[j] = A(i, j)
+// for j ≤ i, and row i is factored in place as soon as it is written. The
+// factor's row i depends on A's row i and the factor's earlier rows alone,
+// so this is Factorize's computation — the same operations in the same
+// order, hence the same bits — without a copy of A. On error c is left
+// empty; the storage is retained for the next attempt.
+func (c *Cholesky) FactorizeRows(n int, fill func(i int, row []float64)) error {
 	c.n = 0
 	c.grow(n)
 	l, s := c.l, c.stride
 	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
+		row := l[i*s : i*s+i+1 : i*s+i+1]
+		fill(i, row)
+		for j := range row {
+			sum := row[j]
 			for k := 0; k < j; k++ {
-				sum -= l[i*s+k] * l[j*s+k]
+				sum -= row[k] * l[j*s+k]
 			}
 			if i == j {
 				if sum <= 0 || math.IsNaN(sum) {
 					return ErrNotSPD
 				}
-				l[i*s+j] = math.Sqrt(sum)
+				row[j] = math.Sqrt(sum)
 			} else {
-				l[i*s+j] = sum / l[j*s+j]
+				row[j] = sum / l[j*s+j]
 			}
 		}
 	}
@@ -160,9 +173,6 @@ func (c *Cholesky) Extend(row []float64, diag float64) error {
 	return nil
 }
 
-// Size returns the dimension of the factored matrix.
-func (c *Cholesky) Size() int { return c.n }
-
 // LAt returns element (i, j) of the lower-triangular factor L
 // (0 above the diagonal).
 func (c *Cholesky) LAt(i, j int) float64 {
@@ -178,7 +188,7 @@ func (c *Cholesky) SolveVec(b []float64) []float64 {
 	return c.SolveVecInto(make([]float64, c.n), b)
 }
 
-// SolveVecInto solves A·x = b into dst, which must have length Size and
+// SolveVecInto solves A·x = b into dst, which must have the factor's size and
 // may not alias b. No allocations: the backward pass runs in place on the
 // forward pass's result.
 func (c *Cholesky) SolveVecInto(dst, b []float64) []float64 {
@@ -202,7 +212,7 @@ func (c *Cholesky) SolveLower(b []float64) []float64 {
 	return c.SolveLowerInto(make([]float64, c.n), b)
 }
 
-// SolveLowerInto solves L·y = b into dst, which must have length Size and
+// SolveLowerInto solves L·y = b into dst, which must have the factor's size and
 // may not alias b. No allocations.
 func (c *Cholesky) SolveLowerInto(dst, b []float64) []float64 {
 	if len(b) != c.n {

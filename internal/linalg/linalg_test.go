@@ -49,8 +49,8 @@ func TestCholeskyKnownFactor(t *testing.T) {
 		t.Errorf("wrong factor: L = [[%g %g],[%g %g]]",
 			c.LAt(0, 0), c.LAt(0, 1), c.LAt(1, 0), c.LAt(1, 1))
 	}
-	if c.Size() != 2 {
-		t.Errorf("Size = %d", c.Size())
+	if c.n != 2 {
+		t.Errorf("size = %d", c.n)
 	}
 }
 
@@ -223,8 +223,8 @@ func TestCholeskyExtendMatchesFullFactorization(t *testing.T) {
 				t.Fatalf("trial %d: Extend to %d failed: %v", trial, m+1, err)
 			}
 		}
-		if inc.Size() != n {
-			t.Fatalf("trial %d: extended size %d, want %d", trial, inc.Size(), n)
+		if inc.n != n {
+			t.Fatalf("trial %d: extended size %d, want %d", trial, inc.n, n)
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j <= i; j++ {
@@ -255,8 +255,8 @@ func TestCholeskyExtendRejectsNonSPD(t *testing.T) {
 	if !errors.Is(err, ErrNotSPD) {
 		t.Fatalf("ErrIndefinite does not wrap ErrNotSPD: %v", err)
 	}
-	if c.Size() != 1 || c.LAt(0, 0) != 2 {
-		t.Errorf("failed Extend modified the factor: size %d, L(0,0)=%g", c.Size(), c.LAt(0, 0))
+	if c.n != 1 || c.LAt(0, 0) != 2 {
+		t.Errorf("failed Extend modified the factor: size %d, L(0,0)=%g", c.n, c.LAt(0, 0))
 	}
 }
 
@@ -302,8 +302,8 @@ func TestCholeskyFactorizeReuse(t *testing.T) {
 	if err := c.Factorize(bad); err != ErrNotSPD {
 		t.Fatalf("Factorize on zero matrix: got %v, want ErrNotSPD", err)
 	}
-	if c.Size() != 0 {
-		t.Errorf("failed Factorize left size %d, want 0", c.Size())
+	if c.n != 0 {
+		t.Errorf("failed Factorize left size %d, want 0", c.n)
 	}
 	good := randomSPD(rng, 5)
 	if err := c.Factorize(good); err != nil {

@@ -15,7 +15,6 @@ type Detector struct {
 	okStreak   int // run of attaining verdicts while violating
 
 	onsets int
-	clears int
 }
 
 // Default hysteresis: half an equalization window to confirm an onset,
@@ -62,7 +61,6 @@ func (d *Detector) Observe(violating bool) (switched bool) {
 	if d.okStreak >= d.clear {
 		d.violating = false
 		d.okStreak = 0
-		d.clears++
 		return true
 	}
 	return false
@@ -80,10 +78,3 @@ func (d *Detector) MidStreak() bool {
 
 // Onsets counts violation onsets observed so far.
 func (d *Detector) Onsets() int { return d.onsets }
-
-// Reset returns the detector to the attaining state with no streaks.
-func (d *Detector) Reset() {
-	d.violating = false
-	d.violStreak = 0
-	d.okStreak = 0
-}

@@ -159,8 +159,8 @@ func TestDetectorHysteresis(t *testing.T) {
 	if !d.Observe(false) {
 		t.Fatalf("4th consecutive attaining tick should clear")
 	}
-	if d.Violating() || d.clears != 1 {
-		t.Fatalf("expected attaining state with 1 clear")
+	if d.Violating() || d.Onsets() != 1 {
+		t.Fatalf("expected attaining state after 1 onset")
 	}
 	if d.MidStreak() {
 		t.Fatalf("streaks should be empty after a flip")
@@ -177,11 +177,18 @@ func TestDetectorDefaultsAndReset(t *testing.T) {
 	if !d.Observe(true) {
 		t.Fatalf("default onset did not fire at %d ticks", DefaultOnsetTicks)
 	}
-	d.Reset()
+	for i := 0; i < DefaultClearTicks-1; i++ {
+		if d.Observe(false) {
+			t.Fatalf("default clear fired early")
+		}
+	}
+	if !d.Observe(false) {
+		t.Fatalf("default clear did not fire at %d ticks", DefaultClearTicks)
+	}
 	if d.Violating() || d.MidStreak() {
-		t.Fatalf("Reset should return to clean attaining state")
+		t.Fatalf("the clear should return to a clean attaining state")
 	}
 	if d.Onsets() != 1 {
-		t.Fatalf("Reset should preserve counters")
+		t.Fatalf("the clear should preserve the onset count")
 	}
 }

@@ -28,9 +28,6 @@ func NewSeries(names ...string) *Series {
 	return &Series{names: append([]string(nil), names...), index: idx}
 }
 
-// Len returns the number of rows.
-func (s *Series) Len() int { return len(s.rows) }
-
 // Add appends one row; the number of values must match the column count.
 func (s *Series) Add(values ...float64) {
 	if len(values) != len(s.names) {

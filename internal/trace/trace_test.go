@@ -12,8 +12,8 @@ func TestSeriesBasics(t *testing.T) {
 	}
 	s.Add(1, 10)
 	s.Add(2, 20)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.rows) != 2 {
+		t.Fatalf("%d rows", len(s.rows))
 	}
 	col := s.Column("value")
 	if col[0] != 10 || col[1] != 20 {
