@@ -120,12 +120,14 @@ type Engine struct {
 	// instead of its moves (scorePool); solvedTargets, set only by tests,
 	// hands a target-only tick its weighted objectives (UpdateTargets, one
 	// solve) instead of its goals and weights (UpdateGoals, the goal basis;
-	// syncModel). All share single's word, so the struct stays in its size
-	// class.
+	// syncModel); noShadows, set only by tests, fills every block that
+	// misses its slot afresh (revive). All share single's word, so the
+	// struct stays in its size class.
 	fullPanel     bool
 	denseBlocks   bool
 	solvedTargets bool
-	settled       int32
+	noShadows     bool
+	settled       int8
 
 	// Diagnostics, each written by exactly one stage of Decide; the
 	// counters are Stats' fields of the same names. They are fields, not a
@@ -172,8 +174,11 @@ type Engine struct {
 	pointBuf     gp.Points // the candidates being scored, as the fill reads them (poolPoints)
 	postBuf      []float64 // the pool's posterior: μ, then σ (posterior)
 	batchScratch gp.PredictScratch
-	// One scored neighborhood per top-configuration slot (scorePool).
-	blocks [3]neighborBlock
+	// One scored neighborhood per top-configuration slot (scorePool), and
+	// the shadows of blocks whose records left the slots (revive), allocated
+	// by the first block that misses its slot.
+	blocks  [3]neighborBlock
+	shadows *shadowRing
 }
 
 // neighborBlock is the scored one-unit neighborhood of a recorded
@@ -185,6 +190,27 @@ type Engine struct {
 type neighborBlock struct {
 	rec *Record
 	gp.Block
+}
+
+// A block outlives its record's turn in the top configurations. When a slot
+// takes another record while its block is current, the block's shadow — its
+// σ and projections, not K* (gp.ShadowBlock) — is kept in a ring of
+// shadowSlots, keyed by the record as the slots are. A record that comes
+// back while the model's kernel epoch stands is re-scored from its shadow
+// without a triangular solve (revive); a new epoch empties the ring.
+const shadowSlots = 8
+
+// shadowRing holds the shadows, each owned by recs[i] (nil: free), written
+// into a free entry or, when none is, round robin from next; epoch is the
+// kernel epoch they were kept under, as the model's Refits + Extends. It
+// also counts the blocks revived from them.
+type shadowRing struct {
+	recs     [shadowSlots]*Record
+	blks     [shadowSlots]gp.Block
+	next     int
+	epoch    int
+	revivals int // scorePool: blocks re-scored from a shadow
+	refills  int // revive: of those, blocks whose K* was refilled
 }
 
 // tick is the state one Decide call threads through its stages.
@@ -202,8 +228,8 @@ type tick struct {
 	mu, sigma []float64 // the proxy model's posterior over the pool
 	// fresh is how many fresh candidates the tick scores: all
 	// Options.Candidates, or the narrowed panel of a settled engine, which
-	// buildPool lays out first (pool indices [fresh, Candidates) then hold
-	// drawn but unscored candidates).
+	// buildPool lays out first (pool indices [fresh, Candidates) are then
+	// drawn but not built: their slots hold an earlier tick's candidates).
 	fresh int
 
 	// The acquisition's argmax over the neighbourhood blocks, as a
@@ -462,10 +488,11 @@ func (e *Engine) rankWindow(t *tick) {
 
 // A settled engine scores fewer fresh candidates. After settleTicks
 // consecutive exploit ticks on which no fresh candidate could win, buildPool
-// still draws every candidate, in the same order, but only the first
-// 1/narrowBy of the random half and of the walk half are scored. A tick that
-// probes, fails, or finds a scored fresh candidate that could win resets the
-// count, and the next tick scores the whole panel (DESIGN.md §4).
+// still takes every candidate's draws, in the same order, but only the
+// first 1/narrowBy of the random half and of the walk half are built and
+// scored. A tick that probes, fails, or finds a scored fresh candidate that
+// could win resets the count, and the next tick scores the whole panel
+// (DESIGN.md §4).
 const (
 	settleTicks = 10
 	narrowBy    = 4
@@ -481,10 +508,10 @@ const (
 // neighborhood is only counted: nothing reads a neighbor as a
 // configuration but settle, and settle reads only the winner.
 //
-// A settled engine's draws land in a different slot order: the kept random
-// candidates, then the kept walks, then the rest of each half. The kept
-// ones are the tick's fresh panel, in their draw order, so ties between
-// them break as in the whole panel.
+// The tick's fresh panel is the kept random candidates, then the kept walks,
+// each in draw order, so ties between them break as in the whole panel. A
+// settled engine keeps a quarter of each half: the rest only advance the
+// RNG by the draws building them would take (SkipRandom, skipWalk).
 func (e *Engine) buildPool(t *tick) {
 	narrow := e.settled >= settleTicks && !e.fullPanel
 	if narrow {
@@ -497,20 +524,20 @@ func (e *Engine) buildPool(t *tick) {
 		e.candidateCfg = append(e.candidateCfg, e.space.NewConfig())
 	}
 	for i := 0; i < randoms; i++ {
-		slot := i
 		if i >= keepR {
-			slot += keepW
+			e.space.SkipRandom(e.rng)
+			continue
 		}
-		c := e.candidateCfg[slot]
+		c := e.candidateCfg[i]
 		e.space.RandomInto(e.rng, c)
 		e.pinUnmanaged(c)
 	}
 	for i := 0; i < n-randoms; i++ {
-		slot := keepR + i
 		if i >= keepW {
-			slot = randoms + i
+			e.skipWalk(3)
+			continue
 		}
-		e.randomWalkInto(e.candidateCfg[slot], t.bestCfg, 3)
+		e.randomWalkInto(e.candidateCfg[keepR+i], t.bestCfg, 3)
 	}
 	e.candCount = n
 	e.poolTop, e.poolTopN = t.top, t.topN
@@ -771,9 +798,11 @@ func (e *Engine) neighborMoves(rec *Record) gp.Moves {
 // The neighborhood of poolTop[i] — pool entries up to poolEnd[i] — depends
 // on that record alone, so its block survives in the slot that last scored
 // the record, and the model re-scores it (means only) until a refit or
-// append outdates the block. A block that misses is filled from its moves:
-// the record is a window row, so its neighbors' distances to the window
-// are the model's stored ones plus the two coordinates each move changes.
+// append outdates the block. A block that misses its slot is revived from
+// its record's shadow when the epoch it was filled under stands, and
+// otherwise filled from its moves: the record is a window row, so its
+// neighbors' distances to the window are the model's stored ones plus the
+// two coordinates each move changes.
 //
 // The blocks are scored, and their argmax taken, first. The fresh
 // candidates' means come next, and their σ only if one of them could still
@@ -788,17 +817,18 @@ func (e *Engine) scorePool(t *tick) {
 	for i, rec := range top {
 		hi := e.poolEnd[i]
 		blk := e.blockFor(rec, top)
-		if blk.rec == rec && e.model.RepredictBlockInto(&blk.Block, mu[lo:hi], sigma[lo:hi]) {
+		switch {
+		case blk.rec == rec && e.model.RepredictBlockInto(&blk.Block, mu[lo:hi], sigma[lo:hi]):
 			e.blockHits++
-		} else {
-			blk.rec = rec
+		case e.revive(blk, rec, mu[lo:hi], sigma[lo:hi]):
+			e.shadows.revivals++
+		case e.denseBlocks:
 			e.blockMisses++
-			if e.denseBlocks {
-				e.model.PredictBlockInto(&e.batchScratch, &blk.Block, mu[lo:hi], sigma[lo:hi], e.poolPoints(lo, hi))
-			} else {
-				mv := e.neighborMoves(rec)
-				e.model.PredictMovedBlockInto(&e.batchScratch, &blk.Block, mu[lo:hi], sigma[lo:hi], &mv)
-			}
+			e.model.PredictBlockInto(&e.batchScratch, &blk.Block, mu[lo:hi], sigma[lo:hi], e.poolPoints(lo, hi))
+		default:
+			e.blockMisses++
+			mv := e.neighborMoves(rec)
+			e.model.PredictMovedBlockInto(&e.batchScratch, &blk.Block, mu[lo:hi], sigma[lo:hi], &mv)
 		}
 		lo = hi
 	}
@@ -854,6 +884,54 @@ func (e *Engine) freshCanWin(t *tick) bool {
 	return false
 }
 
+// revive hands blk to rec and re-scores rec's neighborhood into mu and sigma
+// without a triangular solve, from σ kept under the model's current epoch,
+// and reports whether it could. When blk held another record, that record's
+// block is shadowed first if it is current, and rec's shadow, if any, is
+// taken off the ring; when blk already held rec, it is itself a shadow whose
+// projections no longer cover the basis. Either way the shadow's epoch must
+// be the model's (gp.ReviveMovedBlockInto), and a revived block whose
+// projections fall short has its K* refilled from its moves.
+func (e *Engine) revive(blk *neighborBlock, rec *Record, mu, sigma []float64) bool {
+	if e.noShadows || e.denseBlocks {
+		blk.rec = rec
+		return false
+	}
+	if e.shadows == nil {
+		e.shadows = new(shadowRing)
+	}
+	ring, sh := e.shadows, &blk.Block
+	if st := e.model.Stats(); st.Refits+st.Extends != ring.epoch {
+		ring.recs, ring.epoch = [shadowSlots]*Record{}, st.Refits+st.Extends
+	}
+	if blk.rec != rec {
+		i := slices.Index(ring.recs[:], rec)
+		if at := slices.Index(ring.recs[:], nil); blk.rec != nil {
+			if at < 0 {
+				at = ring.next
+				if at == i {
+					at = (at + 1) % shadowSlots // never over the shadow about to be read
+				}
+				ring.next = (at + 1) % shadowSlots
+			}
+			if e.model.ShadowBlock(&ring.blks[at], &blk.Block) {
+				ring.recs[at] = blk.rec
+			}
+		}
+		blk.rec = rec
+		if i < 0 {
+			return false
+		}
+		ring.recs[i], sh = nil, &ring.blks[i]
+	}
+	mv := e.neighborMoves(rec)
+	ok, refilled := e.model.ReviveMovedBlockInto(&e.batchScratch, &blk.Block, sh, mu, sigma, &mv)
+	if refilled {
+		ring.refills++
+	}
+	return ok
+}
+
 // blockFor returns the slot holding rec's neighborhood block, or failing
 // that a slot whose record is not among this tick's top configurations
 // (there are as many slots as top configurations, so one always is).
@@ -869,6 +947,19 @@ func (e *Engine) blockFor(rec *Record, top []*Record) *neighborBlock {
 		}
 	}
 	return free
+}
+
+// skipWalk advances the RNG exactly as randomWalkInto does, building
+// nothing: three draws per step, none when no row is managed.
+func (e *Engine) skipWalk(steps int) {
+	if len(e.managedRows) == 0 {
+		return
+	}
+	for s := 0; s < steps; s++ {
+		e.rng.Intn(len(e.managedRows))
+		e.rng.Intn(e.space.Jobs)
+		e.rng.Intn(e.space.Jobs)
+	}
 }
 
 // randomWalkInto copies c into dst and applies up to steps random one-unit
@@ -1008,10 +1099,14 @@ type Stats struct {
 	Refits, Extends, TargetSolves, AppendRefits int
 	// FitFailures counts model updates that failed (syncModel).
 	FitFailures int
-	// BlockHits and BlockMisses count the neighborhood blocks re-scored from
-	// their slot and filled afresh, FreshSkips the ticks whose fresh panel
-	// was not solved (scorePool).
-	BlockHits, BlockMisses, FreshSkips int
+	// BlockHits, BlockRevivals and BlockMisses count the neighborhood
+	// blocks re-scored from their slot, re-scored from a shadow kept under
+	// the current kernel epoch without a solve, and filled afresh; every
+	// scored block is one of the three. BlockRefills counts the revivals
+	// whose K* had to be refilled from the moves first (their projections
+	// fell short of the goal basis). FreshSkips counts the ticks whose fresh
+	// panel was not solved (scorePool).
+	BlockHits, BlockRevivals, BlockRefills, BlockMisses, FreshSkips int
 	// NarrowTicks counts the model ticks of a settled engine, which scored
 	// only a narrowed fresh panel (buildPool).
 	NarrowTicks int
@@ -1029,6 +1124,9 @@ func (e *Engine) Stats() Stats {
 		RecordHeadHits: e.recs.HeadHits(), AppendRefits: e.appendRefits, FitFailures: e.fitFailures,
 		BlockHits: e.blockHits, BlockMisses: e.blockMisses, FreshSkips: e.freshSkips, NarrowTicks: e.narrowTicks,
 		Exploits: e.exploits, AcquisitionFailures: e.acqFailures,
+	}
+	if e.shadows != nil {
+		s.BlockRevivals, s.BlockRefills = e.shadows.revivals, e.shadows.refills
 	}
 	if e.model != nil {
 		gs := e.model.Stats()

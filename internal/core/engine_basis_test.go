@@ -40,7 +40,10 @@ func modelAlpha(m *gp.Incremental) []float64 {
 //   - the RNG states agree, and so do the settled counts, so both engines
 //     draw and lay out the same fresh panel;
 //   - both engines' models took the same refits and extends, so every
-//     block hit and miss and every fresh σ agree to the bit;
+//     fresh σ agrees to the bit and both engines filled the same blocks
+//     afresh; the rest each re-scored from its slot or a shadow, which
+//     split apart where a shadow's projections cover one basis and not
+//     the other;
 //   - α, the window means and every scored candidate's μ are within
 //     basisBound of the solved engine's;
 //   - the decisions agree.
@@ -68,7 +71,7 @@ func lockstepBasis(t *testing.T, opt Options, env environment, ticks int) basisR
 				tick, *basis.rng == *solved.rng, basis.settled, solved.settled)
 		}
 		if bd.Refits != sd.Refits || bd.Extends != sd.Extends || bd.BlockMisses != sd.BlockMisses ||
-			bd.BlockHits != sd.BlockHits || bd.NarrowTicks != sd.NarrowTicks || bd.FitFailures != sd.FitFailures {
+			bd.BlockHits+bd.BlockRevivals != sd.BlockHits+sd.BlockRevivals || bd.NarrowTicks != sd.NarrowTicks || bd.FitFailures != sd.FitFailures {
 			t.Fatalf("tick %d: basis engine %+v, solved engine %+v", tick, bd, sd)
 		}
 		if bd.ModelTicks == 1 && bd.FitFailures == 0 {

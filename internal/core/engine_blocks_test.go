@@ -38,6 +38,7 @@ type blockProbe struct {
 	skipped   int // of those, ticks whose fresh panel the engine did not solve
 	flips     int // ticks whose top set kept its members and factor but changed order
 	recreated int // slots taken by a re-created record of a config a slot held before
+	revivals  int // blocks the engine revived from a shadow (Stats().BlockRevivals)
 }
 
 func newBlockProbe(t *testing.T, eng *Engine) *blockProbe {
@@ -141,7 +142,9 @@ func (p *blockProbe) check(tick int) {
 
 // probed drives an engine for 400 ticks with every Decide held against the
 // refitOracle and its pool against the blockProbe, and returns the probe.
-// recordCap > 0 shrinks the record store.
+// recordCap > 0 shrinks the record store. A block revived from its shadow
+// is held to a stateless moved fill like every other block; the callers
+// require some to have been.
 func probed(t *testing.T, opt Options, recordCap int) *blockProbe {
 	t.Helper()
 	env := newSyntheticEnv(0.02)
@@ -161,21 +164,28 @@ func probed(t *testing.T, opt Options, recordCap int) *blockProbe {
 	if probe.skipped == 0 || probe.skipped == probe.scored {
 		t.Fatalf("%d of %d ticks skipped the fresh solve: both kinds must occur", probe.skipped, probe.scored)
 	}
+	probe.revivals = eng.Stats().BlockRevivals
 	return probe
 }
 
 // TestEngineBlockReuseUnderSwingingWeights runs the default (dynamic)
 // weight schedule, whose swings reorder the top configurations while the
 // window — and so the factor — stands still. Reordered neighborhoods are
-// re-scored from blocks filled at other pool offsets, so every tick's pool
-// must still equal a stateless scoring bit for bit, and the refit oracle's
-// posterior and decision tick for tick.
+// re-scored from blocks filled at other pool offsets, and a record that
+// drops out of the top configurations and comes back is revived from its
+// shadow, so every tick's pool must still equal a stateless scoring bit for
+// bit, and the refit oracle's posterior and decision tick for tick. Seeds
+// 13–17 between them must reorder and revive.
 func TestEngineBlockReuseUnderSwingingWeights(t *testing.T) {
-	probe := probed(t, Options{Seed: 13, Window: 12}, 0)
-	if probe.scored == 0 || probe.flips == 0 {
-		t.Fatalf("%d pools checked, %d top-order flips under a standing factor: reordered reuse not exercised", probe.scored, probe.flips)
+	scored, skipped, flips, revivals := 0, 0, 0, 0
+	for seed := uint64(13); seed <= 17; seed++ {
+		probe := probed(t, Options{Seed: seed, Window: 12}, 0)
+		scored, skipped, flips, revivals = scored+probe.scored, skipped+probe.skipped, flips+probe.flips, revivals+probe.revivals
 	}
-	t.Logf("%d pools checked (%d fresh solves skipped), %d top-order flips under a standing factor", probe.scored, probe.skipped, probe.flips)
+	if scored == 0 || flips == 0 || revivals == 0 {
+		t.Fatalf("%d pools checked, %d top-order flips under a standing factor, %d blocks revived: reordered reuse or revival not exercised", scored, flips, revivals)
+	}
+	t.Logf("%d pools checked (%d fresh solves skipped), %d top-order flips under a standing factor, %d blocks revived", scored, skipped, flips, revivals)
 }
 
 // TestEngineBlockKeySurvivesEviction shrinks the record store until top
@@ -186,8 +196,8 @@ func TestEngineBlockReuseUnderSwingingWeights(t *testing.T) {
 // oracle's.
 func TestEngineBlockKeySurvivesEviction(t *testing.T) {
 	probe := probed(t, Options{Seed: 17, Window: 8, ExploitThreshold: 0.002}, 5)
-	if probe.scored == 0 || probe.recreated == 0 {
-		t.Fatalf("%d pools checked, %d re-created top configurations: eviction path not exercised", probe.scored, probe.recreated)
+	if probe.scored == 0 || probe.recreated == 0 || probe.revivals == 0 {
+		t.Fatalf("%d pools checked, %d re-created top configurations, %d blocks revived: eviction or revival path not exercised", probe.scored, probe.recreated, probe.revivals)
 	}
-	t.Logf("%d pools checked (%d fresh solves skipped), %d re-created top configurations", probe.scored, probe.skipped, probe.recreated)
+	t.Logf("%d pools checked (%d fresh solves skipped), %d re-created top configurations, %d blocks revived", probe.scored, probe.skipped, probe.recreated, probe.revivals)
 }

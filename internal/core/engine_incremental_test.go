@@ -232,7 +232,8 @@ func TestEngineStatsAddUp(t *testing.T) {
 				if d.Refits+d.Extends+d.TargetSolves != 1 || d.AppendRefits > d.Refits {
 					t.Fatalf("run %d tick %d: GP tier %+v", i, tick, d)
 				}
-				if d.BlockHits+d.BlockMisses != eng.poolTopN || d.Exploits+d.AcquisitionFailures > 1 || d.FreshSkips > 1 {
+				if d.BlockHits+d.BlockRevivals+d.BlockMisses != eng.poolTopN || d.BlockRefills > d.BlockRevivals ||
+					d.Exploits+d.AcquisitionFailures > 1 || d.FreshSkips > 1 {
 					t.Fatalf("run %d tick %d: %d blocks, counters %+v", i, tick, eng.poolTopN, d)
 				}
 			}
@@ -242,7 +243,7 @@ func TestEngineStatsAddUp(t *testing.T) {
 		if st.ForcedTicks+st.SeedTicks+st.ModelTicks != ticks || st.ForcedTicks != 0 {
 			t.Fatalf("run %d: %d forced, %d seeding and %d model ticks of %d", i, st.ForcedTicks, st.SeedTicks, st.ModelTicks, ticks)
 		}
-		if st.BlockHits+st.BlockMisses != blocks || st.Refits+st.Extends+st.TargetSolves != st.ModelTicks-st.FitFailures ||
+		if st.BlockHits+st.BlockRevivals+st.BlockMisses != blocks || st.Refits+st.Extends+st.TargetSolves != st.ModelTicks-st.FitFailures ||
 			st.ModelTicks-st.FitFailures != scored || eng.GPStats() != eng.model.Stats() {
 			t.Fatalf("run %d: %d blocks on %d scored ticks, Stats %+v, model %+v", i, blocks, scored, st, eng.model.Stats())
 		}
@@ -251,7 +252,7 @@ func TestEngineStatsAddUp(t *testing.T) {
 		}
 		total = addStats(total, st, 1)
 	}
-	if total.BlockHits == 0 || total.BlockMisses == 0 || total.AppendRefits == 0 || total.Extends == 0 || total.TargetSolves == 0 ||
+	if total.BlockHits == 0 || total.BlockMisses == 0 || total.BlockRevivals == 0 || total.BlockRefills == 0 || total.AppendRefits == 0 || total.Extends == 0 || total.TargetSolves == 0 ||
 		total.FreshSkips == 0 || total.NarrowTicks == 0 || total.Exploits == 0 || total.AcquisitionFailures == 0 || total.SeedTicks == 0 || total.RecordHeadHits == 0 {
 		t.Fatalf("totals %+v: a counter never moved", total)
 	}

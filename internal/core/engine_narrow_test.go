@@ -70,28 +70,24 @@ type lockstepRun struct {
 	failResets       int // settled runs ended by a failed model update
 }
 
-// fullIndex maps a narrowed tick's candidate slot to the slot the same draw
-// takes in the whole panel: the kept random draws, the kept walks, the rest
-// of the random half, the rest of the walk half.
+// fullIndex maps a narrowed tick's scored candidate slot to the slot the
+// same draw takes in the whole panel: the kept random draws, then the kept
+// walks, which the whole panel lays out after every random draw.
 func fullIndex(e *Engine, slot int) int {
-	keepR, keepW := e.freshPanel(true)
-	randoms := e.opt.Candidates / 2
-	switch {
-	case slot < keepR:
+	keepR, _ := e.freshPanel(true)
+	if slot < keepR {
 		return slot
-	case slot < keepR+keepW:
-		return randoms + slot - keepR
-	case slot < randoms+keepW:
-		return slot - keepW
 	}
-	return slot
+	return e.opt.Candidates/2 + slot - keepR
 }
 
 // lockstep runs a settled-narrowing engine and a full-panel one, built from
 // the same options, on the same observations for ticks ticks; the
 // environment follows the full engine. Both engines draw the same random
 // numbers and see the same windows, so every tick is compared:
-//   - the RNG state and every drawn candidate (through fullIndex) agree;
+//   - the RNG state and every scored candidate (through fullIndex) agree:
+//     the unscored ones only advanced the RNG, their slots were not
+//     written;
 //   - every scored pool entry has the full engine's μ bits, and its σ bits
 //     wherever both solved the fresh panel;
 //   - the narrowed engine's settled count follows its ticks: one more
@@ -130,7 +126,7 @@ func lockstep(t *testing.T, opt Options, env environment, ticks int) lockstepRun
 		if narrowed != (scored && settled >= settleTicks) || d.NarrowTicks > 1 {
 			t.Fatalf("tick %d: %d narrowed ticks from a settled count of %d (scored: %v)", tick, d.NarrowTicks, settled, scored)
 		}
-		wantSettled := int32(0)
+		wantSettled := int8(0)
 		switch {
 		case scored && d.Exploits == 1 && d.FreshSkips == 1:
 			wantSettled = min(settled+1, settleTicks)
@@ -155,7 +151,7 @@ func lockstep(t *testing.T, opt Options, env environment, ticks int) lockstepRun
 			run.narrowed++
 		}
 		if !got.Equal(want) {
-			if !narrowed || !unscoredHolds(narrow, want) {
+			if !narrowed || !unscoredHolds(full, want) {
 				t.Fatalf("tick %d: narrowed engine decided %s, full panel %s, which no unscored fresh candidate holds (narrowed: %v)",
 					tick, got.Key(), want.Key(), narrowed)
 			}
@@ -180,15 +176,15 @@ func comparePools(t *testing.T, tick int, narrow, full *Engine, narrowed, sigmas
 	nMu, nSigma := narrow.posterior()
 	fMu, fSigma := full.posterior()
 	for i := 0; i < narrow.candCount; i++ {
+		if lo <= i && i < hi {
+			continue
+		}
 		j := i
-		if narrowed {
+		if narrowed && i < lo {
 			j = fullIndex(narrow, i)
 		}
 		if i < narrow.opt.Candidates && !narrow.candidateCfg[i].Equal(full.candidateCfg[j]) {
 			t.Fatalf("tick %d: slot %d holds %s, the full panel's slot %d %s", tick, i, narrow.candidateCfg[i].Key(), j, full.candidateCfg[j].Key())
-		}
-		if lo <= i && i < hi {
-			continue
 		}
 		sigmaOK := !sigmas && i < narrow.opt.Candidates ||
 			math.Float64bits(nSigma[i]) == math.Float64bits(fSigma[j])
@@ -199,12 +195,15 @@ func comparePools(t *testing.T, tick int, narrow, full *Engine, narrowed, sigmas
 	}
 }
 
-// unscoredHolds reports whether c is one of e's drawn but unscored fresh
-// candidates on a narrowed tick.
-func unscoredHolds(e *Engine, c resource.Config) bool {
-	lo, hi := unscored(e, true)
-	for _, u := range e.candidateCfg[lo:hi] {
-		if u.Equal(c) {
+// unscoredHolds reports whether c is one of the full-panel engine full's
+// fresh candidates whose draws a narrowed tick takes without building them:
+// the random and walk draws past each half's kept quarter.
+func unscoredHolds(full *Engine, c resource.Config) bool {
+	keepR, keepW := full.freshPanel(true)
+	randoms := full.opt.Candidates / 2
+	for j, u := range full.candidateCfg[:full.opt.Candidates] {
+		kept := j < keepR || randoms <= j && j < randoms+keepW
+		if !kept && u.Equal(c) {
 			return true
 		}
 	}

@@ -407,7 +407,9 @@ var gates = []gate{
 			"TestTriangleMatchesFit", "TestEngineStatsAddUp", "TestNarrowedPanelMatchesFullPanel", "TestCellCacheRerunsEmptyCell",
 			"TestMovedBlocksMatchDenseBlocks", "TestMovedBlockClampsCoincidingNeighbours", "FuzzMovedBlock",
 			"TestBasisTargetsMatchSolvedTargets", "FuzzGoalBasis", "TestGoalBasisCoversItsCases",
-			"TestRecordsMatchSortedOracle", "TestForcedDecideAllocatesNothing", "TestConfigAppendKeyMatchesKey"),
+			"TestRecordsMatchSortedOracle", "TestForcedDecideAllocatesNothing", "TestConfigAppendKeyMatchesKey",
+			"TestSkipRandomMatchesRandomInto", "FuzzSkipRandom", "TestSkippedDrawsMatchBuiltDraws",
+			"TestShadowedBlocksMatchFreshFills", "TestShadowRevivesToFreshMovedFill"),
 		bad: goSrc(`func TestColumnKernelsMatchPortableRenamed(t *testing.T) {}`),
 	},
 

@@ -193,17 +193,33 @@ func (m *Incremental) SigmaCeiling(s *PredictScratch, c int) float64 {
 // re-scores the group from it in O(1) per point, after projecting any
 // basis vector the block has not seen in O(n). The zero value is an empty
 // block; a block belongs to one model and one fixed group of points.
+//
+// A block without its K* columns is a shadow (ShadowBlock): it still
+// re-scores its group while its projections cover the model's basis, and
+// otherwise needs K* refilled, which ReviveMovedBlockInto does without the
+// triangular solve.
 type Block struct {
 	epoch uint64 // the model's kernel epoch at the last fill; 0 = never filled
-	// data holds the group's n×q K* columns, its q standard deviations, its
-	// nproj projections of q, then the basis generation they were taken
-	// under and how many of them are. n is the model's size, fixed while
-	// its epoch stands.
+	// data holds the group's n×q K* columns, unless the block is a shadow,
+	// then its tail: the q standard deviations, the nproj projections of q,
+	// the basis generation they were taken under, how many of them are, and
+	// q. n is the model's size, fixed while its epoch stands.
 	data []float64
 }
 
-// blockLen is the length of a Block's data for n inputs and q points.
-func blockLen(n, q int) int { return (n+1+nproj)*q + 2 }
+// tailLen is the length of a Block's data past its K* columns, for q
+// points; blockLen is the whole, for n inputs.
+func tailLen(q int) int     { return (1+nproj)*q + 3 }
+func blockLen(n, q int) int { return n*q + tailLen(q) }
+
+// tail returns b's data past its K* columns: all of a shadow's, or nil
+// when b was never filled.
+func (b *Block) tail() []float64 {
+	if len(b.data) == 0 {
+		return nil
+	}
+	return b.data[len(b.data)-tailLen(int(b.data[len(b.data)-1])):]
+}
 
 // PredictBlockInto scores pts like PredictBatchInto, keeping the group's
 // kernel-only results in b for RepredictBlockInto; the means are then
@@ -263,17 +279,36 @@ type move struct{ from, to int32 }
 // NaN. The transform, the triangular solves, the means and b's stamps are
 // PredictBlockInto's.
 func (m *Incremental) PredictMovedBlockInto(s *PredictScratch, b *Block, mu, sigma []float64, mv *Moves) {
-	n, q, dim, moves := m.n, len(mu), m.dim, mv.Len()
-	if len(sigma) != q || moves != q || mv.Base < 0 || mv.Base >= n || len(mv.Give) != dim || len(mv.Take) != dim || mv.Group < 1 || dim%mv.Group != 0 {
-		panic(fmt.Sprintf("gp: PredictMovedBlockInto got %d mu and %d sigma for %d moves of input %d, dimension %d/%d in groups of %d; model of %d inputs, dimension %d",
-			q, len(sigma), moves, mv.Base, len(mv.Give), len(mv.Take), mv.Group, n, dim))
-	}
-	pairs := m.movePairs(mv, q)
+	n, q := m.n, len(mu)
+	m.checkMoves(mv, q, len(sigma))
 	nq := n * q
 	b.data = grow(b.data, blockLen(n, q))
 	kstar := b.data[:nq]
-	// The model-row-outer fill: row i's d² for every point, transformed,
-	// then cut into the panels the solves read.
+	m.fillMoved(s, kstar, mv, q)
+	for p0 := 0; p0 < q; p0 += panelWidth {
+		p1 := min(p0+panelWidth, q)
+		m.solvePanel(s, kstar[n*p0:n*p1], sigma[p0:p1])
+	}
+	copy(b.data[nq:], sigma)
+	m.fillBlock(b, mu)
+}
+
+// checkMoves panics unless mv describes q points of the model, scored into
+// q sigma.
+func (m *Incremental) checkMoves(mv *Moves, q, nsigma int) {
+	n, dim, moves := m.n, m.dim, mv.Len()
+	if nsigma != q || moves != q || mv.Base < 0 || mv.Base >= n || len(mv.Give) != dim || len(mv.Take) != dim || mv.Group < 1 || dim%mv.Group != 0 {
+		panic(fmt.Sprintf("gp: moved block got %d mu and %d sigma for %d moves of input %d, dimension %d/%d in groups of %d; model of %d inputs, dimension %d",
+			q, nsigma, moves, mv.Base, len(mv.Give), len(mv.Take), mv.Group, n, dim))
+	}
+}
+
+// fillMoved writes the K* columns of the q points mv describes into kstar,
+// cut into the panels the solves read: the model-row-outer fill, row i's d²
+// for every point, transformed.
+func (m *Incremental) fillMoved(s *PredictScratch, kstar []float64, mv *Moves, q int) {
+	n, dim := m.n, m.dim
+	pairs := m.movePairs(mv, q)
 	s.panel = grow(s.panel, q+2*dim)
 	row, gi, ti := s.panel[:q], s.panel[q:q+dim], s.panel[q+dim:q+2*dim]
 	xp := m.xbuf[mv.Base]
@@ -295,12 +330,6 @@ func (m *Incremental) PredictMovedBlockInto(s *PredictScratch, b *Block, mu, sig
 			copy(kstar[n*p0+i*w:n*p0+i*w+w], row[p0:p0+w])
 		}
 	}
-	for p0 := 0; p0 < q; p0 += panelWidth {
-		p1 := min(p0+panelWidth, q)
-		m.solvePanel(s, kstar[n*p0:n*p1], sigma[p0:p1])
-	}
-	copy(b.data[nq:], sigma)
-	m.fillBlock(b, mu)
 }
 
 // movePairs lists the coordinate pairs of mv's q points, in order, into the
@@ -327,22 +356,82 @@ func (m *Incremental) movePairs(mv *Moves, q int) []move {
 // filled (PredictBlockInto or PredictMovedBlockInto). It reports false,
 // writing nothing, when b is stale — the model's inputs, kernel or factor
 // changed since b was filled — or was filled for a group of another size
-// than len(mu).
+// than len(mu), or is a shadow whose projections do not cover the basis.
 func (m *Incremental) RepredictBlockInto(b *Block, mu, sigma []float64) bool {
 	q := len(mu)
-	if b.epoch != m.epoch || len(sigma) != q || len(b.data) != blockLen(m.n, q) {
+	if b.epoch != m.epoch || len(sigma) != q || len(b.data) != blockLen(m.n, q) && !m.covers(b, q) {
 		return false
 	}
-	copy(sigma, b.data[m.n*q:])
+	copy(sigma, b.tail())
 	m.blockMeans(b, mu)
 	return true
 }
 
+// ShadowBlock keeps in sh what of b outlives b's K* columns — its σ,
+// projections and stamps — so that the group can be re-scored from sh while
+// the model's epoch stands (ReviveMovedBlockInto), and reports whether it
+// did: a stale block is not kept, and sh is then left as it was.
+func (m *Incremental) ShadowBlock(sh, b *Block) bool {
+	if b.epoch != m.epoch || len(b.data) == 0 {
+		return false
+	}
+	sh.epoch, sh.data = b.epoch, append(sh.data[:0], b.tail()...)
+	return true
+}
+
+// ReviveMovedBlockInto re-scores the points mv describes from sh, a shadow
+// of a block filled for them (ShadowBlock, or b itself when b is a shadow),
+// leaving b their block, and reports whether it could: not when sh is stale
+// or of another group size. σ comes from sh. When sh's projections cover
+// the model's basis, μ is their weighted sum and b stays a shadow;
+// otherwise K* is refilled from mv into b, without the triangular solve, and
+// the missing projections are taken from it (refilled). Either way mu and
+// sigma are the bits a fresh PredictMovedBlockInto writes.
+func (m *Incremental) ReviveMovedBlockInto(s *PredictScratch, b, sh *Block, mu, sigma []float64, mv *Moves) (ok, refilled bool) {
+	n, q := m.n, len(mu)
+	tail := sh.tail()
+	if sh.epoch != m.epoch || len(tail) != tailLen(q) || len(sigma) != q {
+		return false, false
+	}
+	if m.covers(sh, q) {
+		if b != sh {
+			b.epoch, b.data = sh.epoch, append(b.data[:0], tail...)
+		}
+		copy(sigma, tail)
+		m.blockMeans(b, mu)
+		return true, false
+	}
+	m.checkMoves(mv, q, len(sigma))
+	data := b.data
+	if cap(data) < blockLen(n, q) {
+		data = grow(nil, blockLen(n, q))
+	}
+	data = data[:blockLen(n, q)]
+	copy(data[n*q:], tail) // a memmove: tail may be b's own
+	b.epoch, b.data = sh.epoch, data
+	m.fillMoved(s, data[:n*q], mv, q)
+	copy(sigma, data[n*q:])
+	m.blockMeans(b, mu)
+	return true, true
+}
+
+// covers reports whether b, filled for q points, holds a projection of
+// every basis vector α weighs, so that its means need no K*.
+func (m *Incremental) covers(b *Block, q int) bool {
+	tail := b.tail()
+	if m.goals == 0 || len(tail) != tailLen(q) {
+		return false
+	}
+	stamp := tail[len(tail)-3:]
+	return stamp[0] == float64(m.stats.BasisBuilds) && int(stamp[1]) == m.active()
+}
+
 // fillBlock stamps b, whose K* and σ were just filled, with the model's
-// epoch and no projections, and writes its means.
+// epoch, no projections and its point count, and writes its means.
 func (m *Incremental) fillBlock(b *Block, mu []float64) {
 	b.epoch = m.epoch
-	b.data[len(b.data)-2], b.data[len(b.data)-1] = 0, 0
+	stamp := b.data[len(b.data)-3:]
+	stamp[0], stamp[1], stamp[2] = 0, 0, float64(len(mu))
 	m.blockMeans(b, mu)
 }
 
@@ -351,10 +440,12 @@ func (m *Incremental) fillBlock(b *Block, mu []float64) {
 // the missing ones taken first (all of them when b's generation is not the
 // model's); a panel's projection is one DotsInto, as panelMeans takes
 // K*ᵀα, so one goal's means have panelMeans' bits. Without a basis — α was
-// solved, after a Reset or an Append — they are panelMeans over K*.
+// solved, after a Reset or an Append — they are panelMeans over K*. Only
+// the missing projections and the solved means read K*, so a shadow whose
+// projections cover the basis needs none.
 func (m *Incremental) blockMeans(b *Block, mu []float64) {
 	n, q := m.n, len(mu)
-	kstar := b.data[:n*q]
+	kstar := b.data[:len(b.data)-tailLen(q)]
 	if m.goals == 0 {
 		for p0 := 0; p0 < q; p0 += panelWidth {
 			p1 := min(p0+panelWidth, q)
@@ -362,7 +453,8 @@ func (m *Incremental) blockMeans(b *Block, mu []float64) {
 		}
 		return
 	}
-	proj, stamp := b.data[(n+1)*q:(n+1+nproj)*q], b.data[len(b.data)-2:]
+	tail := b.tail()
+	proj, stamp := tail[q:(1+nproj)*q], tail[(1+nproj)*q:]
 	have, k := int(stamp[1]), m.active()
 	if stamp[0] != float64(m.stats.BasisBuilds) {
 		have = 0

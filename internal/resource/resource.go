@@ -282,6 +282,18 @@ func (s *Space) RandomInto(rng *stats.RNG, c Config) {
 	}
 }
 
+// SkipRandom advances rng exactly as RandomInto does, building nothing: a
+// caller that draws a configuration it will not read keeps every later draw
+// where it was. Per resource row randomComposition takes Intn(U−1−i) for
+// each of its M−1 cut points, and nothing when M = 1.
+func (s *Space) SkipRandom(rng *stats.RNG) {
+	for _, res := range s.Resources {
+		for i := 0; i < s.Jobs-1; i++ {
+			rng.Intn(res.Units - 1 - i)
+		}
+	}
+}
+
 // randomComposition fills out with a uniform composition of units into
 // len(out) positive parts.
 func randomComposition(rng *stats.RNG, units, parts int, out []int) {

@@ -655,3 +655,71 @@ func TestCopyFrom(t *testing.T) {
 	bad := Config{Alloc: [][]int{{1}}}
 	bad.CopyFrom(src)
 }
+
+// skipMatchesRandom draws RandomInto from one generator and SkipRandom from
+// a twin seeded alike, draws times over, and fails unless the two states
+// agree after each.
+func skipMatchesRandom(t *testing.T, s *Space, seed uint64, draws int) {
+	t.Helper()
+	rng, twin := stats.NewRNG(seed), stats.NewRNG(seed)
+	c := s.NewConfig()
+	for d := 0; d < draws; d++ {
+		s.RandomInto(rng, c)
+		s.SkipRandom(twin)
+		if *rng != *twin {
+			t.Fatalf("space %+v seed %d draw %d: SkipRandom left the generator elsewhere than RandomInto", *s, seed, d)
+		}
+	}
+}
+
+// TestSkipRandomMatchesRandomInto holds the draw-only twin to RandomInto
+// over random spaces: one job (no draws), every job on its 1-unit floor
+// (units = jobs), rows of more than 65 units (the heap bitset) and spaces of
+// up to four rows of unlike sizes.
+func TestSkipRandomMatchesRandomInto(t *testing.T) {
+	kinds := []Kind{Cores, LLCWays, MemBW, Power}
+	rng := stats.NewRNG(5)
+	oneJob, floor, heap := 0, 0, 0
+	for i := 0; i < 400; i++ {
+		jobs := 1 + rng.Intn(12)
+		rows := make([]Resource, 1+rng.Intn(len(kinds)))
+		for r := range rows {
+			units := jobs + rng.Intn(20)
+			switch rng.Intn(4) {
+			case 0:
+				units = jobs
+			case 1:
+				units = jobs + 60 + rng.Intn(80)
+			}
+			rows[r] = Resource{Kind: kinds[r], Units: units}
+			if units == jobs {
+				floor++
+			}
+			if units-1 > 64 {
+				heap++
+			}
+		}
+		if jobs == 1 {
+			oneJob++
+		}
+		skipMatchesRandom(t, MustNewSpace(jobs, rows...), uint64(i), 3)
+	}
+	if oneJob == 0 || floor == 0 || heap == 0 {
+		t.Fatalf("%d one-job spaces, %d floor rows, %d heap rows: a case was not drawn", oneJob, floor, heap)
+	}
+	t.Logf("400 spaces: %d of one job, %d rows on the floor, %d rows past 65 units", oneJob, floor, heap)
+}
+
+// FuzzSkipRandom is TestSkipRandomMatchesRandomInto's check over spaces the
+// fuzzer picks: up to 40 jobs, two rows of up to 200 units.
+func FuzzSkipRandom(f *testing.F) {
+	f.Add(uint64(1), uint8(1), uint8(0), uint8(0))
+	f.Add(uint64(2), uint8(5), uint8(0), uint8(3))
+	f.Add(uint64(3), uint8(24), uint8(24), uint8(8))
+	f.Add(uint64(4), uint8(6), uint8(120), uint8(150))
+	f.Fuzz(func(t *testing.T, seed uint64, jobs, extraA, extraB uint8) {
+		j := 1 + int(jobs)%40
+		s := MustNewSpace(j, Resource{Kind: Cores, Units: j + int(extraA)%160}, Resource{Kind: LLCWays, Units: j + int(extraB)%160})
+		skipMatchesRandom(t, s, seed, 2)
+	})
+}
