@@ -44,12 +44,7 @@ func main() {
 		s.Step()
 	}
 	space := s.Space()
-	fmt.Printf("space: %.0f configurations", space.Size())
-	if space.Size() <= 20000 {
-		fmt.Println(" (exhaustive search)")
-	} else {
-		fmt.Println(" (multi-restart hill climbing)")
-	}
+	fmt.Printf("space: %.0f configurations\n", space.Size())
 
 	met := harness.DefaultMetrics()
 	sr := oracle.NewSearcher(s, oracle.Options{

@@ -28,8 +28,9 @@
 //	}
 //	fmt.Println(sess.Summary())
 //
-// The public API in this package is a thin facade; the implementation
-// lives in internal/ packages (core = the SATORI engine, sim = the
-// testbed, bo/gp/linalg = the optimizer stack, policies/* = baselines,
-// harness = the experiment drivers).
+// The public API in this package is a thin facade — sessions, policies by
+// name, and the paper's workloads and mixes; the implementation lives in
+// internal/ packages (core = the SATORI engine, sim = the testbed,
+// bo/gp/linalg = the optimizer stack, policies/* = baselines, harness =
+// the experiment drivers, which cmd/experiments runs).
 package satori

@@ -11,6 +11,7 @@ import (
 	"satori"
 	"satori/internal/control"
 	"satori/internal/rdt"
+	"satori/internal/resource"
 	"satori/internal/stack"
 )
 
@@ -65,7 +66,7 @@ func TestResctrlSessionEndToEnd(t *testing.T) {
 	}
 
 	changed := 0
-	var prev satori.Config
+	var prev resource.Config
 	var sawReset bool
 	for tick := 1; tick <= 120; tick++ {
 		st, err := loop.Step()

@@ -30,17 +30,21 @@ func ExampleNewSession() {
 	// ticks: 50
 }
 
-// ExampleSession_ReplaceWorkload demonstrates a workload-mix change
-// (Algorithm 1 line 12): a job departs and a new one arrives; SATORI
-// needs no re-initialization.
-func ExampleSession_ReplaceWorkload() {
+// ExampleSession_RemoveWorkload demonstrates a workload-mix change
+// (Algorithm 1 line 12): a job departs and a new one arrives, and the
+// session re-splits the partition and rebuilds SATORI on the new space.
+func ExampleSession_RemoveWorkload() {
 	jobs, _ := satori.Suite(satori.SuiteECP)
 	sess, _ := satori.NewSession(satori.SessionConfig{
 		Workloads: jobs[:2], Seed: 1, NoiseSigma: -1,
 	})
 	sess.Run(20)
 	arrival, _ := satori.WorkloadByName("amg")
-	if err := sess.ReplaceWorkload(1, arrival); err != nil {
+	if err := sess.RemoveWorkload(1); err != nil {
+		fmt.Println(err)
+		return
+	}
+	if err := sess.AddWorkload(arrival); err != nil {
 		fmt.Println(err)
 		return
 	}
@@ -57,16 +61,4 @@ func ExamplePaperMixes() {
 	// Output:
 	// PARSEC mixes: 21
 	// mix 0: [blackscholes canneal fluidanimate freqmine streamcluster]
-}
-
-// ExampleRunExperiment reproduces one paper figure programmatically.
-func ExampleRunExperiment() {
-	rep, err := satori.RunExperiment("space", satori.ExperimentOptions{})
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Println(rep.ID, "tables:", len(rep.Tables))
-	// Output:
-	// space tables: 1
 }

@@ -16,9 +16,18 @@ import (
 	"testing"
 )
 
-// internalPrefix is the import path prefix of the packages whose exports
-// must earn a caller.
-const internalPrefix = "satori/internal/"
+// The packages whose exports must earn a caller: the root package, the one
+// way a caller outside the module reaches it, and every package under
+// internal/.
+const (
+	rootPath       = "satori"
+	internalPrefix = rootPath + "/internal/"
+)
+
+// checkedPath: the package at path must earn its exports a caller.
+func checkedPath(path string) bool {
+	return path == rootPath || strings.HasPrefix(path, internalPrefix)
+}
 
 // A checked package is one type-checked package of the module.
 type checked struct {
@@ -130,13 +139,9 @@ func (m *module) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 	if p := m.pkgs[path]; p != nil {
 		return p.types, nil
 	}
-	var files []*ast.File
-	for _, name := range l.files {
-		f, err := parser.ParseFile(m.fset, filepath.Join(l.dir, name), nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
+	files, err := m.parse(l, nil)
+	if err != nil {
+		return nil, err
 	}
 	p, err := m.check(path, files)
 	if err != nil {
@@ -144,6 +149,22 @@ func (m *module) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 	}
 	m.pkgs[path] = p
 	return p.types, nil
+}
+
+// parse reads a listed package's files, after the extra file if there is one.
+func (m *module) parse(l listed, extra *ast.File) ([]*ast.File, error) {
+	var files []*ast.File
+	if extra != nil {
+		files = append(files, extra)
+	}
+	for _, name := range l.files {
+		f, err := parser.ParseFile(m.fset, filepath.Join(l.dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
 }
 
 func (m *module) check(path string, files []*ast.File) (*checked, error) {
@@ -155,18 +176,39 @@ func (m *module) check(path string, files []*ast.File) (*checked, error) {
 	return &checked{p, files}, nil
 }
 
-// withSnippet type-checks a known-bad file as one more package of the
-// module, satori/internal/bad.
+// withSnippet type-checks a known-bad file into the module: a file of
+// package satori as one more file of the root package, which then stands
+// in for the root package as loaded, any other as one more package,
+// satori/internal/bad.
 func (m *module) withSnippet(src source) ([]*checked, error) {
 	f, err := parser.ParseFile(m.fset, src.name, src.text, parser.SkipObjectResolution)
 	if err != nil {
 		return nil, err
 	}
-	p, err := m.check(internalPrefix+"bad", []*ast.File{f})
+	if f.Name.Name != rootPath {
+		p, err := m.check(internalPrefix+"bad", []*ast.File{f})
+		if err != nil {
+			return nil, err
+		}
+		return append(m.checked(), p), nil
+	}
+	// The root package's files are parsed afresh, so the second check
+	// records its objects against identifiers of its own.
+	files, err := m.parse(m.list[rootPath], f)
 	if err != nil {
 		return nil, err
 	}
-	return append(m.checked(), p), nil
+	p, err := m.check(rootPath, files)
+	if err != nil {
+		return nil, err
+	}
+	ps := m.checked()
+	for i := range ps {
+		if ps[i].types.Path() == rootPath {
+			ps[i] = p
+		}
+	}
+	return ps, nil
 }
 
 func (m *module) checked() []*checked {
@@ -178,17 +220,18 @@ func (m *module) checked() []*checked {
 }
 
 // exportShapes reads type-checked packages. Each exported func, type, var
-// and const of a non-main package under internal/, and each exported method
-// of a type it declares, is an "export". Each reference the packages make
-// to one is a "use", unless it sits in the referenced declaration itself,
-// or is a method's receiver type or a reference inside a method to that
-// type. A method whose type satisfies an interface that declares it (in the
-// module or the standard library) is a use too, at "implements I".
+// and const of the root package or a non-main package under internal/, and
+// each exported method of a type it declares, is an "export". Each
+// reference the packages make to one is a "use", unless it sits in the
+// referenced declaration itself, or is a method's receiver type or a
+// reference inside a method to that type. A method whose type satisfies an
+// interface that declares it (in the module or the standard library) is a
+// use too, at "implements I".
 func (m *module) exportShapes(pkgs []*checked) []shape {
 	var ss []shape
 	var methods []*types.Func
 	for _, p := range pkgs {
-		if !strings.HasPrefix(p.types.Path(), internalPrefix) || p.types.Name() == "main" {
+		if !checkedPath(p.types.Path()) || p.types.Name() == "main" {
 			continue
 		}
 		scope := p.types.Scope()
@@ -329,9 +372,9 @@ func (m *module) interfaces(pkgs []*checked) map[string][]types.Type {
 }
 
 // exportable: obj is a package-level object or a method of a named type,
-// declared under internal/ and exported.
+// declared in a checked package and exported.
 func exportable(obj types.Object) bool {
-	if obj.Pkg() == nil || !obj.Exported() || !strings.HasPrefix(obj.Pkg().Path(), internalPrefix) {
+	if obj.Pkg() == nil || !obj.Exported() || !checkedPath(obj.Pkg().Path()) {
 		return false
 	}
 	if f, ok := obj.(*types.Func); ok {
@@ -367,7 +410,8 @@ func origin(obj types.Object) types.Object {
 }
 
 // exportKey names an object as the row and its allowlist do: the package
-// path under internal/, then the name, a method as "(*T).M" or "(T).M".
+// path under internal/ (the root package as satori), then the name, a
+// method as "(*T).M" or "(T).M".
 func exportKey(obj types.Object) string {
 	pkg := strings.TrimPrefix(obj.Pkg().Path(), internalPrefix)
 	var t types.Type
@@ -508,5 +552,40 @@ var _ = Called{}.Ticks()`))
 	}
 	if want := []string{"bad.(Twin).Ticks", "bad.Named", "bad.Twin"}; !slices.Equal(unused, want) {
 		t.Errorf("unused %v, want %v (exports %v)", unused, want, sortedKeys(exports))
+	}
+}
+
+// TestExportsReadRootPackage: a file added to package satori is read with
+// the root package's own files. Its unreferenced export is unused, one its
+// other declaration names is used, and the names cmd/ and examples/ call,
+// which resolve to the root package as first loaded, still count.
+func TestExportsReadRootPackage(t *testing.T) {
+	m, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := m.withSnippet(source{"bad.go", `package satori
+
+func Dead() {}
+func Live() {}
+var _ = Live`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exports, uses := map[string]bool{}, map[string]bool{}
+	for _, s := range m.exportShapes(pkgs) {
+		switch s.kind {
+		case "export":
+			exports[s.text] = true
+		case "use":
+			uses[s.text] = true
+		}
+	}
+	for name, want := range map[string]bool{"satori.Dead": false, "satori.Live": true, "satori.NewSession": true, "satori.(*Session).Step": true} {
+		if !exports[name] {
+			t.Errorf("%s: not read as an export", name)
+		} else if uses[name] != want {
+			t.Errorf("%s: used = %v, want %v", name, uses[name], want)
+		}
 	}
 }

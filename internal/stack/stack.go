@@ -62,12 +62,16 @@ func (s *Spec) Register(fs *flag.FlagSet) {
 // synthesized trace reads it.
 func (s Spec) Build(ticks int) (*control.Loop, error) {
 	// Zero means off for both; downstream a negative value would read as
-	// zero too.
+	// zero too. The resctrl flags would be dropped by any other backend.
 	switch {
 	case s.Power < 0:
 		return nil, fmt.Errorf("-power %d: must be >= 0 (0 = no power partitioning)", s.Power)
 	case s.ClusterK < 0:
 		return nil, fmt.Errorf("-cluster-k %d: must be >= 0 (0 = the policy's default)", s.ClusterK)
+	case s.Trace != "" && s.Backend != "resctrl":
+		return nil, fmt.Errorf("-trace %s: only -backend resctrl replays a trace (-backend is %q)", s.Trace, s.Backend)
+	case s.ResctrlRoot != "" && s.Backend != "resctrl":
+		return nil, fmt.Errorf("-resctrl-root %s: only -backend resctrl writes one (-backend is %q)", s.ResctrlRoot, s.Backend)
 	}
 	jobs, err := s.jobs()
 	if err != nil {
@@ -135,9 +139,18 @@ func Ticks(flagName string, seconds float64) (int, error) {
 	return int(ticks), nil
 }
 
-// jobs resolves the job set: a profile file wins, then the -workloads
-// list, then the -suite mix.
+// jobs resolves the job set from exactly one of a profile file, the
+// -workloads list and the -suite mix; a flag the chosen source would
+// ignore is refused by name.
 func (s Spec) jobs() ([]*sim.Profile, error) {
+	switch {
+	case s.Profiles != "" && (s.Workloads != "" || s.Suite != ""):
+		return nil, fmt.Errorf("-profiles %s: the file is the whole job set; drop -workloads and -suite", s.Profiles)
+	case s.Workloads != "" && s.Suite != "":
+		return nil, fmt.Errorf("-workloads %s with -suite %s: pass one job set, not both", s.Workloads, s.Suite)
+	case s.Mix != 0 && s.Suite == "":
+		return nil, fmt.Errorf("-mix %d: picks a mix within -suite; pass -suite too", s.Mix)
+	}
 	if s.Profiles == "" {
 		return workloads.Select(s.Workloads, s.Suite, s.Mix)
 	}

@@ -263,6 +263,12 @@ func TestBuildRefusesBadInputByName(t *testing.T) {
 		{"unknown backend", []string{"-suite", "parsec", "-backend", "pqos"}, []string{`"pqos"`, "sim, resctrl"}},
 		{"negative power", []string{"-suite", "parsec", "-power", "-3"}, []string{"-power -3", ">= 0"}},
 		{"negative cluster-k", []string{"-suite", "parsec", "-cluster-k", "-2"}, []string{"-cluster-k -2", ">= 0"}},
+		{"trace on the simulator", []string{"-suite", "parsec", "-trace", filepath.Join(dir, "x.trace")}, []string{"-trace", "x.trace", "-backend resctrl"}},
+		{"resctrl root on the simulator", []string{"-suite", "parsec", "-resctrl-root", dir}, []string{"-resctrl-root", "-backend resctrl"}},
+		{"profiles with workloads", []string{"-profiles", file("p1.json", oneProfile), "-workloads", "canneal"}, []string{"-profiles", "p1.json", "-workloads"}},
+		{"profiles with a suite", []string{"-profiles", file("p2.json", oneProfile), "-suite", "parsec"}, []string{"-profiles", "p2.json", "-suite"}},
+		{"workloads with a suite", []string{"-workloads", "canneal,swaptions", "-suite", "parsec", "-mix", "3"}, []string{"-workloads canneal,swaptions", "-suite parsec"}},
+		{"mix without a suite", []string{"-workloads", "canneal,swaptions", "-mix", "7"}, []string{"-mix 7", "-suite"}},
 	}
 	// sysfs takes no mkdir from anyone, root included: the one unwritable
 	// directory a test can count on. Nothing is created there.

@@ -10,16 +10,6 @@ import (
 // EngineOptions re-exports the SATORI engine configuration.
 type EngineOptions = core.Options
 
-// SchedulerOptions re-exports the goal-weight scheduler configuration.
-type SchedulerOptions = core.SchedulerOptions
-
-// Weight modes (Sec. III-C).
-const (
-	WeightsDynamic       = core.WeightsDynamic
-	WeightsStatic        = core.WeightsStatic
-	WeightsFavorStronger = core.WeightsFavorStronger
-)
-
 // Engine is the SATORI BO engine (policy implementation).
 type Engine = core.Engine
 

@@ -10,7 +10,6 @@ import (
 	"satori/internal/rdt"
 	"satori/internal/resource"
 	"satori/internal/sim"
-	"satori/internal/slo"
 )
 
 // Re-exported model types. These aliases are the public names of the
@@ -22,57 +21,24 @@ type (
 	Workload = sim.Profile
 	// Phase is one program phase with its resource sensitivities.
 	Phase = sim.Phase
-	// Config is a resource partitioning configuration.
-	Config = resource.Config
 	// Space is a configuration search space.
 	Space = resource.Space
-	// ResourceKind identifies one partitionable resource.
-	ResourceKind = resource.Kind
 	// Policy is a partitioning strategy (SATORI or a baseline).
 	Policy = policy.Policy
-	// Observation is the per-interval input every policy sees.
-	Observation = policy.Observation
 	// Platform is the control+monitoring surface policies run against.
 	// Two backends ship: the simulator (NewSession) and the Linux
 	// resctrl filesystem (rdt.ResctrlPlatform via NewSessionOn).
 	Platform = rdt.Platform
-	// Weights is SATORI's per-tick goal-weight decomposition.
-	Weights = core.Weights
 	// Status is one interval's outcome (control.Loop's per-tick record).
 	Status = control.Status
 	// Summary aggregates a session so far, including the count of
 	// policy decisions the platform rejected.
 	Summary = control.Summary
-	// Health is the loop's liveness summary: consecutive failures,
-	// circuit-breaker state, and the resilience counters.
-	Health = control.Health
-	// SLOSpec declares a latency-critical job's service-level objective:
-	// target p99, per-request service demand, and offered load. Attach
-	// one to Workload.SLO to make a job latency-critical (see
-	// internal/slo for the M/M/1 latency model behind it).
-	SLOSpec = slo.Spec
-	// Grouping maps jobs many-to-one onto clusters — the indirection the
-	// clustered policies (NewClusteredSatoriPolicy, and NewPolicyByName's
-	// satori-clustered and lfoc) use to fit co-locations larger than the
-	// hardware CLOS budget; resource partitions are then one control
-	// group per cluster.
-	Grouping = resource.Grouping
-)
-
-// Resource kinds.
-const (
-	Cores   = resource.Cores
-	LLCWays = resource.LLCWays
-	MemBW   = resource.MemBW
-	Power   = resource.Power
 )
 
 // DefaultMachine mirrors the paper's testbed: 10 cores, 11 LLC ways,
 // 10 memory-bandwidth steps.
 func DefaultMachine() MachineSpec { return sim.DefaultMachine() }
-
-// TickSeconds is the monitoring/decision interval (100 ms, 10 Hz).
-const TickSeconds = sim.TickSeconds
 
 // SessionConfig describes a co-location session.
 type SessionConfig struct {
@@ -91,12 +57,10 @@ type SessionConfig struct {
 	// negative disables noise). Simulator backend only.
 	NoiseSigma float64
 	// ThroughputMetric selects the throughput objective. The zero
-	// value is the DefaultThroughput sentinel, which resolves to the
-	// paper's evaluation default (SumIPS); explicit choices — including
-	// GeoMeanSpeedup — are always honored.
+	// value resolves to the paper's evaluation default (SumIPS).
 	ThroughputMetric metrics.ThroughputMetric
-	// FairnessMetric selects the fairness objective. The zero value is
-	// the DefaultFairness sentinel, resolving to JainIndex.
+	// FairnessMetric selects the fairness objective. The zero value
+	// resolves to JainIndex.
 	FairnessMetric metrics.FairnessMetric
 	// BaselineResetTicks is the isolated-baseline refresh period
 	// (default 100 ticks = 10 s, the equalization period).
@@ -114,25 +78,6 @@ type SessionConfig struct {
 	// clears. No effect without latency-critical workloads.
 	SLOGoalSwitch bool
 }
-
-// Objective metric choices, re-exported. The Default* sentinels are the
-// zero values and resolve to the paper's evaluation pairing
-// (SumIPS + JainIndex, Sec. IV).
-const (
-	DefaultThroughput   = metrics.DefaultThroughput
-	GeoMeanSpeedup      = metrics.GeoMeanSpeedup
-	HarmonicMeanSpeedup = metrics.HarmonicMeanSpeedup
-	SumIPS              = metrics.SumIPS
-	// P99Latency scores tail-latency headroom on the throughput channel
-	// (latency-critical sessions only; falls back to SumIPS otherwise).
-	P99Latency      = metrics.P99Latency
-	DefaultFairness = metrics.DefaultFairness
-	JainIndex       = metrics.JainIndex
-	OneMinusCoV     = metrics.OneMinusCoV
-	// SLOAttainment scores the fraction of LC requests served within
-	// their p99 targets on the fairness channel.
-	SLOAttainment = metrics.SLOAttainment
-)
 
 // Session drives one co-location under a policy, one 100 ms interval at
 // a time — a thin facade over internal/control's backend-agnostic loop
@@ -210,9 +155,6 @@ func NewSessionOn(platform Platform, cfg SessionConfig) (*Session, error) {
 // a type assertion to *Engine).
 func (s *Session) Policy() Policy { return s.loop.Policy() }
 
-// Platform returns the backend the session drives.
-func (s *Session) Platform() Platform { return s.platform }
-
 // SpaceInfo returns the session's configuration space.
 func (s *Session) SpaceInfo() *Space { return s.platform.Space() }
 
@@ -227,19 +169,12 @@ func (s *Session) JobNames() []string { return s.platform.JobNames() }
 // error, so callers never need to classify a status field.
 func (s *Session) Step() (Status, error) { return s.loop.Step() }
 
-// ReplaceWorkload swaps the workload running in slot j for a new one —
-// a job departure plus a new arrival (Algorithm 1 line 12). Isolated
-// baselines are re-measured immediately and the policy sees a
-// BaselineReset on its next observation; SATORI requires no other
-// re-initialization (Sec. III-C).
-func (s *Session) ReplaceWorkload(j int, w *Workload) error { return s.loop.ReplaceJob(j, w) }
-
 // NumJobs returns the number of currently co-located jobs.
 func (s *Session) NumJobs() int { return s.loop.NumJobs() }
 
 // AddWorkload admits a new job into the co-location (a fleet-layer job
-// arrival). The configuration space changes dimension, so unlike
-// ReplaceWorkload this is a full membership change: the partition is
+// arrival). The configuration space changes dimension, so this is a
+// full membership change: the partition is
 // re-split, isolated baselines are re-measured, and the policy is rebuilt
 // on the new space — the engine re-initialization that a job-count change
 // requires (its proxy-model inputs are per-(resource, job) coordinates).
@@ -258,8 +193,3 @@ func (s *Session) Run(n int) (Status, error) { return s.loop.Run(n) }
 
 // Summary returns the running aggregate.
 func (s *Session) Summary() Summary { return s.loop.Summary() }
-
-// Health returns the loop's liveness summary — breaker state,
-// consecutive failures, and the resilience counters (see
-// control.ResilienceOptions for the policies behind them).
-func (s *Session) Health() Health { return s.loop.Health() }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"satori"
+	"satori/internal/metrics"
 )
 
 func parsecJobs(t *testing.T, n int) []*satori.Workload {
@@ -155,34 +156,9 @@ func TestSuitesAndWorkloadLookup(t *testing.T) {
 	if w, err := satori.WorkloadByName("canneal"); err != nil || w.Name != "canneal" {
 		t.Errorf("WorkloadByName: %v", err)
 	}
-	if len(satori.WorkloadNames()) != 20 {
-		// 17 batch benchmarks plus the 3 latency-critical services.
-		t.Errorf("WorkloadNames = %d, want 20", len(satori.WorkloadNames()))
-	}
 	mixes, err := satori.PaperMixes(satori.SuitePARSEC)
 	if err != nil || len(mixes) != 21 {
 		t.Errorf("PaperMixes: %d, %v", len(mixes), err)
-	}
-	jobs, _ := satori.Suite(satori.SuiteECP)
-	twoOfFive, err := satori.Mixes(jobs, 2)
-	if err != nil || len(twoOfFive) != 10 {
-		t.Errorf("Mixes: %d, %v", len(twoOfFive), err)
-	}
-}
-
-func TestExperimentRegistryAccess(t *testing.T) {
-	if len(satori.Experiments()) < 20 {
-		t.Error("experiment registry too small")
-	}
-	rep, err := satori.RunExperiment("space", satori.ExperimentOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep.String(), "592704") {
-		t.Error("space experiment content wrong")
-	}
-	if _, err := satori.RunExperiment("nope", satori.ExperimentOptions{}); err == nil {
-		t.Error("unknown experiment accepted")
 	}
 }
 
@@ -208,8 +184,8 @@ func TestCustomMachineAndPowerResource(t *testing.T) {
 func TestMetricSelection(t *testing.T) {
 	sess, err := satori.NewSession(satori.SessionConfig{
 		Workloads:        parsecJobs(t, 3),
-		ThroughputMetric: satori.GeoMeanSpeedup,
-		FairnessMetric:   satori.OneMinusCoV,
+		ThroughputMetric: metrics.GeoMeanSpeedup,
+		FairnessMetric:   metrics.OneMinusCoV,
 		Seed:             8,
 	})
 	if err != nil {
@@ -221,41 +197,5 @@ func TestMetricSelection(t *testing.T) {
 	}
 	if st.Throughput <= 0 || st.Throughput > 1 {
 		t.Errorf("geomean throughput = %g", st.Throughput)
-	}
-}
-
-func TestReplaceWorkloadMidSession(t *testing.T) {
-	sess, err := satori.NewSession(satori.SessionConfig{Workloads: parsecJobs(t, 3), Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Run(40); err != nil {
-		t.Fatal(err)
-	}
-	sw, err := satori.WorkloadByName("swaptions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.ReplaceWorkload(1, sw); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.ReplaceWorkload(9, sw); err == nil {
-		t.Error("out-of-range slot accepted")
-	}
-	st, err := sess.Step()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.BaselineReset {
-		t.Error("mix change did not reset baselines")
-	}
-	if sess.JobNames()[1] != "swaptions" {
-		t.Errorf("slot 1 = %s after replacement", sess.JobNames()[1])
-	}
-	if _, err := sess.Run(40); err != nil {
-		t.Fatal(err)
-	}
-	if sess.Summary().MeanThroughput <= 0 {
-		t.Error("session degenerate after mix change")
 	}
 }

@@ -22,8 +22,8 @@ func TestNewSessionHonorsExplicitMetrics(t *testing.T) {
 	sess, err := NewSession(SessionConfig{
 		Workloads:        jobs[:3],
 		Seed:             7,
-		ThroughputMetric: GeoMeanSpeedup,
-		FairnessMetric:   JainIndex,
+		ThroughputMetric: metrics.GeoMeanSpeedup,
+		FairnessMetric:   metrics.JainIndex,
 	})
 	if err != nil {
 		t.Fatal(err)
