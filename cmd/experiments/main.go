@@ -33,7 +33,6 @@ func main() {
 	seed := flag.Uint64("seed", 42, "base random seed")
 	mixes := flag.Int("mixes", 0, "cap the number of job mixes per suite (0 = paper scale)")
 	csvDir := flag.String("csv", "", "also write each experiment's tables as CSV files into this directory")
-	cacheDir := flag.String("cache", "", "memoize suite cells in this directory; repeated reproductions skip unchanged (policy, mix, seed) runs")
 	parallel := flag.Int("parallel", 0, "worker pool size for independent runs (0 = one per CPU, 1 = serial)")
 	flag.Parse()
 
@@ -69,17 +68,6 @@ func main() {
 	opt, err := expOptions(*ticks, *seed, *mixes, *parallel)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *cacheDir != "" {
-		cache, err := harness.NewCellCache(*cacheDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opt.Cache = cache
-		defer func() {
-			hits, misses, _ := cache.Stats()
-			fmt.Printf("cell cache: %d hits, %d runs stored\n", hits, misses)
-		}()
 	}
 	for _, e := range selected {
 		start := time.Now()

@@ -3,12 +3,18 @@
 // normalizes every result against. It prints the throughput-optimal,
 // fairness-optimal and balanced-optimal configurations for the mix's
 // initial phase state, with their scores and mutual distances.
+//
+// The job set is -workloads or a -suite mix, resolved and refused exactly
+// as cmd/satori resolves them (internal/stack); with neither, it is PARSEC
+// mix -mix.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"satori/internal/harness"
 	"satori/internal/metrics"
@@ -16,61 +22,79 @@ import (
 	"satori/internal/resource"
 	"satori/internal/sim"
 	"satori/internal/stack"
-	"satori/internal/workloads"
 )
 
 func main() {
-	workloadList := flag.String("workloads", "", "comma-separated benchmark names")
-	suite := flag.String("suite", "parsec", "suite for -mix")
-	mixIdx := flag.Int("mix", 0, "paper mix index within -suite")
-	warmup := flag.Float64("warmup", 0, "advance this many simulated seconds before searching")
-	seed := flag.Uint64("seed", 1, "random seed")
-	flag.Parse()
-
-	profiles, err := workloads.Select(*workloadList, *suite, *mixIdx)
-	if err != nil {
+	if err := run(os.Stdout, flag.CommandLine, os.Args[1:]); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// run parses args on fs and writes the search's report to w.
+func run(w io.Writer, fs *flag.FlagSet, args []string) error {
+	var spec stack.Spec
+	fs.StringVar(&spec.Workloads, "workloads", "", "comma-separated benchmark names")
+	fs.StringVar(&spec.Suite, "suite", "", "pick a paper mix from this suite instead (parsec|cloudsuite|ecp; default parsec without -workloads)")
+	fs.IntVar(&spec.Mix, "mix", 0, "paper mix index within -suite")
+	warmup := fs.Float64("warmup", 0, "advance this many simulated seconds before searching")
+	seed := fs.Uint64("seed", 1, "random seed")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if spec.Workloads == "" && spec.Suite == "" {
+		spec.Suite = "parsec"
+	}
+	profiles, err := spec.Jobs()
+	if err != nil {
+		return err
 	}
 	warmupTicks, err := stack.Ticks("warmup", *warmup)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	s, err := sim.New(sim.DefaultMachine(), profiles, sim.Options{Seed: *seed, NoiseSigma: -1})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i := 0; i < warmupTicks; i++ {
 		s.Step()
 	}
 	space := s.Space()
-	fmt.Printf("space: %.0f configurations\n", space.Size())
+	fmt.Fprintf(w, "space: %.0f configurations\n", space.Size())
 
 	met := harness.DefaultMetrics()
 	sr := oracle.NewSearcher(s, oracle.Options{
 		Seed: *seed, ThroughputMetric: met.Throughput, FairnessMetric: met.Fairness,
 	})
-	score := func(c resource.Config) (float64, float64) {
+	score := func(c resource.Config) (float64, float64, error) {
 		ips, err := s.ExactIPS(c)
 		if err != nil {
-			log.Fatal(err)
+			return 0, 0, err
 		}
 		iso := s.ExactIsolated()
 		return metrics.NormalizedThroughput(met.Throughput, ips, iso),
-			metrics.NormalizedFairness(met.Fairness, ips, iso)
+			metrics.NormalizedFairness(met.Fairness, ips, iso), nil
 	}
 
 	eq := space.EqualSplit()
-	tEq, fEq := score(eq)
-	fmt.Printf("\n%-20s T=%.4f F=%.4f  %s\n", "equal-split", tEq, fEq, space.String(eq))
+	tEq, fEq, err := score(eq)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\n%-20s T=%.4f F=%.4f  %s\n", "equal-split", tEq, fEq, space.String(eq))
 	var configs []resource.Config
 	for _, goal := range []oracle.Goal{oracle.Throughput, oracle.Fairness, oracle.Balanced} {
 		wT, wF := goal.Weights()
 		best, _ := sr.Search(wT, wF)
-		t, f := score(best)
-		fmt.Printf("%-20s T=%.4f F=%.4f  %s\n", goal.String(), t, f, space.String(best))
+		t, f, err := score(best)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-20s T=%.4f F=%.4f  %s\n", goal.String(), t, f, space.String(best))
 		configs = append(configs, best)
 	}
-	fmt.Printf("\ndistance(T-opt, F-opt) = %.2f units (max possible %.2f)\n",
+	fmt.Fprintf(w, "\ndistance(T-opt, F-opt) = %.2f units (max possible %.2f)\n",
 		resource.Distance(configs[0], configs[1]), space.MaxDistance())
+	return nil
 }

@@ -121,13 +121,16 @@ type Engine struct {
 	// hands a target-only tick its weighted objectives (UpdateTargets, one
 	// solve) instead of its goals and weights (UpdateGoals, the goal basis;
 	// syncModel); noShadows, set only by tests, fills every block that
-	// misses its slot afresh (revive). All share single's word, so the
+	// misses its slot afresh (revive). ruledOut has bit s set when the last
+	// scored tick ruled out poolTop[s]'s block (scorePool), whose pool slots
+	// then hold an earlier tick's values. All share single's word, so the
 	// struct stays in its size class.
 	fullPanel     bool
 	denseBlocks   bool
 	solvedTargets bool
 	noShadows     bool
 	settled       int8
+	ruledOut      uint8
 
 	// Diagnostics, each written by exactly one stage of Decide; the
 	// counters are Stats' fields of the same names. They are fields, not a
@@ -144,6 +147,7 @@ type Engine struct {
 	proxyChange  float64 // trackProxyChange
 	blockHits    int     // scorePool
 	blockMisses  int     // scorePool
+	blocksOut    int     // scorePool: BlocksRuledOut, blocks ruled out by their ceiling
 	freshSkips   int     // scorePool: ticks whose fresh panel was not solved
 	narrowTicks  int     // buildPool: ticks that scored a narrowed fresh panel
 	acqFailures  int     // settle
@@ -804,19 +808,34 @@ func (e *Engine) neighborMoves(rec *Record) gp.Moves {
 // neighbors' distances to the window are the model's stored ones plus the
 // two coordinates each move changes.
 //
-// The blocks are scored, and their argmax taken, first. The fresh
-// candidates' means come next, and their σ only if one of them could still
-// win: otherwise the triangular solve of their panel is skipped, and their
-// σ slots hold the ceilings that ruled them out. Only the tick's t.fresh
-// candidates are scored; the slots of the unscored ones keep stale values.
+// The blocks are scored, and their argmax taken, first. Under EI a block
+// that keeps its slot and whose projections cover the goal basis is first
+// bounded as a whole (gp.BlockCeiling): when EI's ceiling at the bound is
+// below the exploit threshold, no point of it can change the decision, and
+// it is ruled out unscored — its slots keep an earlier tick's values
+// (argmaxBlocks). The fresh candidates' means come next, and their σ only
+// if one of them could still win: otherwise the triangular solve of their
+// panel is skipped, and their σ slots hold the ceilings that ruled them
+// out. Only the tick's t.fresh candidates are scored; the slots of the
+// unscored ones keep stale values.
 func (e *Engine) scorePool(t *tick) {
 	mu, sigma := e.posterior()
 	t.mu, t.sigma = mu, sigma
 	top, blocks := e.poolTop[:e.poolTopN], e.opt.Candidates // the blocks start after every fresh slot
+	ei, isEI := e.acq.(bo.EI)
 	lo := blocks
+	e.ruledOut = 0
 	for i, rec := range top {
 		hi := e.poolEnd[i]
 		blk := e.blockFor(rec, top)
+		if isEI && blk.rec == rec && hi > lo {
+			if m, s, ok := e.model.BlockCeiling(&blk.Block, hi-lo); ok && ei.Ceiling(m, s, t.best) < e.exploitBelow {
+				e.ruledOut |= 1 << i
+				e.blocksOut++
+				lo = hi
+				continue
+			}
+		}
 		switch {
 		case blk.rec == rec && e.model.RepredictBlockInto(&blk.Block, mu[lo:hi], sigma[lo:hi]):
 			e.blockHits++
@@ -832,8 +851,12 @@ func (e *Engine) scorePool(t *tick) {
 		}
 		lo = hi
 	}
-	if e.acq != nil {
+	switch {
+	case e.acq == nil:
+	case e.ruledOut == 0:
 		t.blockIdx, t.blockScore, t.blockErr = bo.Argmax(e.acq, t.best, mu[blocks:], sigma[blocks:])
+	default:
+		e.argmaxBlocks(t)
 	}
 	e.model.PredictMeansInto(&e.batchScratch, mu[:t.fresh], e.poolPoints(0, t.fresh))
 	if !e.freshCanWin(t) {
@@ -842,6 +865,31 @@ func (e *Engine) scorePool(t *tick) {
 		return
 	}
 	e.model.PredictSigmasInto(&e.batchScratch, sigma[:t.fresh])
+}
+
+// argmaxBlocks is the blocks' argmax when some were ruled out: over the
+// scored blocks, an earlier block winning a tie as in one Argmax over all of
+// them, and −Inf at the first ruled-out point when none scores. Either way
+// it leaves blockErr nil. Every score of a ruled-out block is finite and
+// below exploitBelow, so the winner it leaves out could only have been one
+// whose verdict is exploit; freshCanWin's floor, acquire's merge and
+// settle's verdict come out as they would have with it (DESIGN.md §4).
+func (e *Engine) argmaxBlocks(t *tick) {
+	blocks := e.opt.Candidates
+	mu, sigma := t.mu[blocks:], t.sigma[blocks:]
+	t.blockIdx, t.blockScore = -1, math.Inf(-1)
+	lo := 0
+	for i, end := range e.poolEnd[:e.poolTopN] {
+		hi := end - blocks
+		if e.ruledOut&(1<<i) != 0 {
+			if t.blockIdx < 0 {
+				t.blockIdx = lo
+			}
+		} else if idx, score, err := bo.Argmax(e.acq, t.best, mu[lo:hi], sigma[lo:hi]); err == nil && score > t.blockScore {
+			t.blockIdx, t.blockScore = lo+idx, score
+		}
+		lo = hi
+	}
 }
 
 // posterior returns the pool's μ and σ slots, candCount of each, from one
@@ -1101,12 +1149,14 @@ type Stats struct {
 	FitFailures int
 	// BlockHits, BlockRevivals and BlockMisses count the neighborhood
 	// blocks re-scored from their slot, re-scored from a shadow kept under
-	// the current kernel epoch without a solve, and filled afresh; every
-	// scored block is one of the three. BlockRefills counts the revivals
-	// whose K* had to be refilled from the moves first (their projections
-	// fell short of the goal basis). FreshSkips counts the ticks whose fresh
-	// panel was not solved (scorePool).
-	BlockHits, BlockRevivals, BlockRefills, BlockMisses, FreshSkips int
+	// the current kernel epoch without a solve, and filled afresh;
+	// BlocksRuledOut counts those left unscored in their slot because EI's
+	// ceiling over the whole block fell below the exploit threshold. Every
+	// block a tick meets is one of the four. BlockRefills counts the
+	// revivals whose K* had to be refilled from the moves first (their
+	// projections fell short of the goal basis). FreshSkips counts the ticks
+	// whose fresh panel was not solved (scorePool).
+	BlockHits, BlockRevivals, BlockRefills, BlockMisses, BlocksRuledOut, FreshSkips int
 	// NarrowTicks counts the model ticks of a settled engine, which scored
 	// only a narrowed fresh panel (buildPool).
 	NarrowTicks int
@@ -1122,7 +1172,7 @@ func (e *Engine) Stats() Stats {
 	s := Stats{
 		ForcedTicks: e.forcedTicks, SeedTicks: e.seedTicks, ModelTicks: e.modelTicks,
 		RecordHeadHits: e.recs.HeadHits(), AppendRefits: e.appendRefits, FitFailures: e.fitFailures,
-		BlockHits: e.blockHits, BlockMisses: e.blockMisses, FreshSkips: e.freshSkips, NarrowTicks: e.narrowTicks,
+		BlockHits: e.blockHits, BlockMisses: e.blockMisses, BlocksRuledOut: e.blocksOut, FreshSkips: e.freshSkips, NarrowTicks: e.narrowTicks,
 		Exploits: e.exploits, AcquisitionFailures: e.acqFailures,
 	}
 	if e.shadows != nil {

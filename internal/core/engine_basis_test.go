@@ -71,7 +71,7 @@ func lockstepBasis(t *testing.T, opt Options, env environment, ticks int) basisR
 				tick, *basis.rng == *solved.rng, basis.settled, solved.settled)
 		}
 		if bd.Refits != sd.Refits || bd.Extends != sd.Extends || bd.BlockMisses != sd.BlockMisses ||
-			bd.BlockHits+bd.BlockRevivals != sd.BlockHits+sd.BlockRevivals || bd.NarrowTicks != sd.NarrowTicks || bd.FitFailures != sd.FitFailures {
+			bd.BlockHits+bd.BlockRevivals+bd.BlocksRuledOut != sd.BlockHits+sd.BlockRevivals+sd.BlocksRuledOut || bd.NarrowTicks != sd.NarrowTicks || bd.FitFailures != sd.FitFailures {
 			t.Fatalf("tick %d: basis engine %+v, solved engine %+v", tick, bd, sd)
 		}
 		if bd.ModelTicks == 1 && bd.FitFailures == 0 {
@@ -121,7 +121,7 @@ func compareBasis(t *testing.T, tick int, basis, solved *Engine, narrowed, sigma
 	kxx := solved.model.PriorSigma() * solved.model.PriorSigma()
 	muScale := math.Abs(reflect.ValueOf(solved.model).Elem().FieldByName("mean").Float()) + kxx*sumAlpha
 	for i := 0; i < basis.candCount; i++ {
-		if lo <= i && i < hi {
+		if lo <= i && i < hi || ruledOut(basis, i) || ruledOut(solved, i) {
 			continue
 		}
 		if i < basis.opt.Candidates && !basis.candidateCfg[i].Equal(solved.candidateCfg[i]) {

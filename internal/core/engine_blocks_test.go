@@ -39,6 +39,7 @@ type blockProbe struct {
 	flips     int // ticks whose top set kept its members and factor but changed order
 	recreated int // slots taken by a re-created record of a config a slot held before
 	revivals  int // blocks the engine revived from a shadow (Stats().BlockRevivals)
+	ruled     int // blocks the engine ruled out, each held to its ceiling
 }
 
 func newBlockProbe(t *testing.T, eng *Engine) *blockProbe {
@@ -59,7 +60,9 @@ func (p *blockProbe) top() []*Record {
 // stateless dense scoring bit for bit, the blocks a stateless moved fill of
 // the same neighborhoods, and the dense scoring within movedBound. On a
 // tick whose fresh panel the engine did not solve, each fresh σ slot holds
-// a ceiling, which must not be below the σ a stateless scoring computes.
+// a ceiling, which must not be below the σ a stateless scoring computes. A
+// block the engine ruled out was not re-scored: its slot's ceiling must
+// hold every μ and σ of the stateless moved fill, compared exactly.
 func (p *blockProbe) check(tick int) {
 	e := p.eng
 	skipped, narrowed := e.freshSkips != p.prevSkips, e.narrowTicks != p.prevNarrow
@@ -84,8 +87,22 @@ func (p *blockProbe) check(tick int) {
 	lo, hi := unscored(e, narrowed)
 	muBuf, sigmaBuf := e.posterior()
 	prior := e.model.PriorSigma()
+	start = e.opt.Candidates
+	for s, rec := range e.poolTop[:e.poolTopN] {
+		if e.ruledOut&(1<<s) != 0 {
+			p.ruled++
+			muMax, sigmaMax, ok := e.model.BlockCeiling(&e.blockFor(rec, e.poolTop[:e.poolTopN]).Block, e.poolEnd[s]-start)
+			for i := start; i < e.poolEnd[s]; i++ {
+				if !ok || movedMu[i] > muMax || movedSigma[i] > sigmaMax {
+					p.t.Fatalf("tick %d: candidate %d of ruled-out block %d: stateless moved fill (%v, %v), ceiling (%v, %v, %v)",
+						tick, i, s, movedMu[i], movedSigma[i], muMax, sigmaMax, ok)
+				}
+			}
+		}
+		start = e.poolEnd[s]
+	}
 	for i := 0; i < n; i++ {
-		if lo <= i && i < hi {
+		if lo <= i && i < hi || ruledOut(e, i) {
 			continue
 		}
 		if i >= e.opt.Candidates {
@@ -177,15 +194,16 @@ func probed(t *testing.T, opt Options, recordCap int) *blockProbe {
 // bit, and the refit oracle's posterior and decision tick for tick. Seeds
 // 13–17 between them must reorder and revive.
 func TestEngineBlockReuseUnderSwingingWeights(t *testing.T) {
-	scored, skipped, flips, revivals := 0, 0, 0, 0
+	scored, skipped, flips, revivals, ruled := 0, 0, 0, 0, 0
 	for seed := uint64(13); seed <= 17; seed++ {
 		probe := probed(t, Options{Seed: seed, Window: 12}, 0)
 		scored, skipped, flips, revivals = scored+probe.scored, skipped+probe.skipped, flips+probe.flips, revivals+probe.revivals
+		ruled += probe.ruled
 	}
-	if scored == 0 || flips == 0 || revivals == 0 {
-		t.Fatalf("%d pools checked, %d top-order flips under a standing factor, %d blocks revived: reordered reuse or revival not exercised", scored, flips, revivals)
+	if scored == 0 || flips == 0 || revivals == 0 || ruled == 0 {
+		t.Fatalf("%d pools checked, %d top-order flips under a standing factor, %d blocks revived, %d ruled out: reordered reuse, revival or the ceiling not exercised", scored, flips, revivals, ruled)
 	}
-	t.Logf("%d pools checked (%d fresh solves skipped), %d top-order flips under a standing factor, %d blocks revived", scored, skipped, flips, revivals)
+	t.Logf("%d pools checked (%d fresh solves skipped), %d top-order flips under a standing factor, %d blocks revived, %d ruled out", scored, skipped, flips, revivals, ruled)
 }
 
 // TestEngineBlockKeySurvivesEviction shrinks the record store until top

@@ -47,7 +47,7 @@ func lockstepMoved(t *testing.T, opt Options, env environment, ticks int) movedR
 			t.Fatalf("tick %d: the engines parted: random streams equal %v, settled counts %d and %d",
 				tick, *moved.rng == *dense.rng, moved.settled, dense.settled)
 		}
-		if md.BlockHits+md.BlockRevivals+md.BlockMisses != dd.BlockHits+dd.BlockMisses || md.BlockMisses > dd.BlockMisses ||
+		if md.BlockHits+md.BlockRevivals+md.BlockMisses+md.BlocksRuledOut != dd.BlockHits+dd.BlockMisses+dd.BlocksRuledOut || md.BlockMisses > dd.BlockMisses ||
 			dd.BlockRevivals != 0 || md.NarrowTicks != dd.NarrowTicks {
 			t.Fatalf("tick %d: moved engine %+v, dense engine %+v", tick, md, dd)
 		}
@@ -76,7 +76,7 @@ func compareMoved(t *testing.T, tick int, moved, dense *Engine, narrowed, sigmas
 	dMu, dSigma := dense.posterior()
 	prior := moved.model.PriorSigma()
 	for i := 0; i < moved.candCount; i++ {
-		if lo <= i && i < hi {
+		if lo <= i && i < hi || ruledOut(moved, i) || ruledOut(dense, i) {
 			continue
 		}
 		if i < moved.opt.Candidates {

@@ -176,7 +176,7 @@ func comparePools(t *testing.T, tick int, narrow, full *Engine, narrowed, sigmas
 	nMu, nSigma := narrow.posterior()
 	fMu, fSigma := full.posterior()
 	for i := 0; i < narrow.candCount; i++ {
-		if lo <= i && i < hi {
+		if lo <= i && i < hi || ruledOut(narrow, i) || ruledOut(full, i) {
 			continue
 		}
 		j := i

@@ -45,7 +45,7 @@ func lockstepShadows(t *testing.T, opt Options, env environment, ticks int) shad
 			t.Fatalf("tick %d: the engines parted: random streams equal %v, settled counts %d and %d",
 				tick, *shadowed.rng == *fresh.rng, shadowed.settled, fresh.settled)
 		}
-		if sd.BlockHits+sd.BlockRevivals+sd.BlockMisses != fd.BlockHits+fd.BlockMisses || sd.BlockMisses > fd.BlockMisses ||
+		if sd.BlockHits+sd.BlockRevivals+sd.BlockMisses+sd.BlocksRuledOut != fd.BlockHits+fd.BlockMisses+fd.BlocksRuledOut || sd.BlockMisses > fd.BlockMisses ||
 			fd.BlockRevivals != 0 || sd.NarrowTicks != fd.NarrowTicks || sd.FreshSkips != fd.FreshSkips {
 			t.Fatalf("tick %d: engine with shadows %+v, without %+v", tick, sd, fd)
 		}
@@ -75,7 +75,7 @@ func compareShadowed(t *testing.T, tick int, shadowed, fresh *Engine, narrowed b
 	sMu, sSigma := shadowed.posterior()
 	fMu, fSigma := fresh.posterior()
 	for i := 0; i < shadowed.candCount; i++ {
-		if lo <= i && i < hi {
+		if lo <= i && i < hi || ruledOut(shadowed, i) || ruledOut(fresh, i) {
 			continue
 		}
 		if math.Float64bits(sMu[i]) != math.Float64bits(fMu[i]) || math.Float64bits(sSigma[i]) != math.Float64bits(fSigma[i]) {

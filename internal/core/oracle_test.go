@@ -23,7 +23,10 @@ import (
 // Being tick-local, it names the first tick and candidate that disagree,
 // and a disagreement cannot hide behind a decision that happens to match.
 // On a settled engine's narrowed tick the pool is the one the engine scored:
-// its drawn but unscored fresh slots are left out of both sides.
+// its drawn but unscored fresh slots are left out of both sides. A
+// neighbourhood block the engine ruled out by its ceiling is left out of the
+// engine's side only: the refit must score every point of it below the
+// exploit threshold, and the verdict is still taken over the whole pool.
 type refitOracle struct {
 	t   *testing.T
 	eng *Engine
@@ -32,6 +35,7 @@ type refitOracle struct {
 	exploits int // of those, ticks the reference says exploit
 	skipped  int // of those, ticks whose fresh panel the engine did not solve
 	narrowed int // of those, ticks that scored a narrowed fresh panel
+	ruled    int // of those, ticks that ruled out a neighbourhood block
 }
 
 // Decide is Engine.Decide, checked.
@@ -46,6 +50,20 @@ func (o *refitOracle) Decide(obs policy.Observation, current resource.Config) re
 	o.t.Helper()
 	o.check(obs.Tick, current, next, after.FreshSkips != before.FreshSkips, after.NarrowTicks != before.NarrowTicks)
 	return next
+}
+
+// ruledOut reports whether pool index i lies in a neighbourhood block that
+// e's last scored tick ruled out (scorePool): its slots hold an earlier
+// tick's values.
+func ruledOut(e *Engine, i int) bool {
+	lo := e.opt.Candidates
+	for s, hi := range e.poolEnd[:e.poolTopN] {
+		if lo <= i && i < hi {
+			return e.ruledOut&(1<<s) != 0
+		}
+		lo = hi
+	}
+	return false
 }
 
 // unscored returns the pool indices [lo, hi) of the fresh candidates a tick
@@ -83,8 +101,9 @@ func (o *refitOracle) check(tick int, current, next resource.Config, skipped, na
 		o.t.Fatalf("tick %d: reference fit on the engine's %d-record window: %v", tick, len(xs), err)
 	}
 
-	// The scored pool, compacted: pool[k] is pool index at[k].
-	var pool []resource.Config
+	// The scored pool, compacted: pool[k] is pool index at[k]; the engine's
+	// side leaves ruled-out blocks out (engPool).
+	var pool, engPool []resource.Config
 	var at []int
 	var mu, sigma, engMu, engSigma []float64
 	lo, hi := unscored(e, narrowed)
@@ -95,6 +114,15 @@ func (o *refitOracle) check(tick int, current, next resource.Config, skipped, na
 		}
 		c := e.candidate(i)
 		m, s := ref.Predict(e.space.Vector(c))
+		pool, at = append(pool, c), append(at, i)
+		mu, sigma = append(mu, m), append(sigma, s)
+		if ruledOut(e, i) {
+			if score := e.acq.Score(m, s, best); !(score < e.exploitBelow) {
+				o.t.Fatalf("tick %d: candidate %d of %d (%s) lies in a ruled-out block, yet the refit (%v, %v) scores it %v, not below %v",
+					tick, i, e.candCount, c.Key(), m, s, score, e.exploitBelow)
+			}
+			continue
+		}
 		sigmaOK := math.Abs(sigmaBuf[i]-s) <= 1e-9
 		if skipped && i < e.opt.Candidates {
 			sigmaOK = sigmaBuf[i] >= s-1e-9
@@ -103,8 +131,7 @@ func (o *refitOracle) check(tick int, current, next resource.Config, skipped, na
 			o.t.Fatalf("tick %d: candidate %d of %d (%s, fresh solve skipped: %v, narrowed: %v): engine posterior (%v, %v), refit (%v, %v)",
 				tick, i, e.candCount, c.Key(), skipped, narrowed, muBuf[i], sigmaBuf[i], m, s)
 		}
-		pool, at = append(pool, c), append(at, i)
-		mu, sigma = append(mu, m), append(sigma, s)
+		engPool = append(engPool, c)
 		engMu, engSigma = append(engMu, muBuf[i]), append(engSigma, sigmaBuf[i])
 	}
 	o.scored++
@@ -114,17 +141,21 @@ func (o *refitOracle) check(tick int, current, next resource.Config, skipped, na
 	if narrowed {
 		o.narrowed++
 	}
+	if e.ruledOut != 0 {
+		o.ruled++
+	}
 	if e.acq == nil {
 		return // Thompson sampling decides by a random draw, not an argmax
 	}
 
 	idx, score, err := bo.Argmax(e.acq, best, mu, sigma)
-	if !skipped {
+	if !skipped && (e.ruledOut == 0 || err == nil && score >= e.exploitBelow) {
 		// The indices may differ where two pool entries hold one
 		// configuration: a neighborhood block's moved fill rounds its last
-		// bits apart from the same configuration drawn fresh.
+		// bits apart from the same configuration drawn fresh. A winner that
+		// clears the exploit threshold lies outside every ruled-out block.
 		got, _, gotErr := bo.Argmax(e.acq, best, engMu, engSigma)
-		if (gotErr == nil) != (err == nil) || err == nil && !pool[got].Equal(pool[idx]) {
+		if (gotErr == nil) != (err == nil) || err == nil && !engPool[got].Equal(pool[idx]) {
 			o.t.Fatalf("tick %d: argmax over the engine's posterior = %d (%v), over the refit's = %d (%v)", tick, got, gotErr, idx, err)
 		}
 	}
@@ -167,7 +198,7 @@ func driveChecked(t *testing.T, o *refitOracle, env *syntheticEnv, n int, after 
 // the from-scratch model, over five seeds × Window {8, 64} × ExploitThreshold
 // {default, 0.05, never} × Xi {0, 0.01}.
 func TestEngineMatchesRefitOracle(t *testing.T) {
-	var scored, exploits, skipped, narrowed, targetSolves, refits int
+	var scored, exploits, skipped, narrowed, ruled, targetSolves, refits int
 	for seed := uint64(9); seed < 14; seed++ {
 		for _, window := range []int{8, 64} {
 			for _, threshold := range []float64{0, 0.05, -1} {
@@ -184,19 +215,19 @@ func TestEngineMatchesRefitOracle(t *testing.T) {
 					}
 					st := eng.GPStats()
 					scored, exploits, skipped = scored+oracle.scored, exploits+oracle.exploits, skipped+oracle.skipped
-					narrowed += oracle.narrowed
+					narrowed, ruled = narrowed+oracle.narrowed, ruled+oracle.ruled
 					targetSolves, refits = targetSolves+st.TargetSolves, refits+st.Refits
 				}
 			}
 		}
 	}
 	if exploits == 0 || exploits == scored || skipped == 0 || skipped == scored || narrowed == 0 || narrowed == scored ||
-		targetSolves == 0 || refits < 2 {
-		t.Fatalf("%d ticks checked, %d exploits, %d fresh solves skipped, %d narrowed, %d target solves, %d refits: not every path was held against the oracle",
-			scored, exploits, skipped, narrowed, targetSolves, refits)
+		ruled == 0 || ruled == scored || targetSolves == 0 || refits < 2 {
+		t.Fatalf("%d ticks checked, %d exploits, %d fresh solves skipped, %d narrowed, %d ruling out a block, %d target solves, %d refits: not every path was held against the oracle",
+			scored, exploits, skipped, narrowed, ruled, targetSolves, refits)
 	}
-	t.Logf("%d ticks checked (%d exploits, %d fresh solves skipped, %d narrowed), %d target solves, %d refits",
-		scored, exploits, skipped, narrowed, targetSolves, refits)
+	t.Logf("%d ticks checked (%d exploits, %d fresh solves skipped, %d narrowed, %d ruling out a block), %d target solves, %d refits",
+		scored, exploits, skipped, narrowed, ruled, targetSolves, refits)
 }
 
 // TestEngineMatchesRefitOracleOnSimulator drives the engine against the
@@ -210,6 +241,7 @@ func TestEngineMatchesRefitOracleOnSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ticks = 200
+	ruled := 0
 	for _, mix := range mixes[:2] {
 		for _, window := range []int{16, 64} {
 			simulator, err := sim.New(sim.DefaultMachine(), mix.Profiles, sim.Options{Seed: 23})
@@ -240,8 +272,12 @@ func TestEngineMatchesRefitOracleOnSimulator(t *testing.T) {
 				t.Fatalf("mix %d window %d: %d of %d ticks checked (%d fresh solves skipped), model updates %+v",
 					mix.Index, window, oracle.scored, ticks, oracle.skipped, st)
 			}
-			t.Logf("mix %d window %d: %d ticks checked (%d exploits, %d fresh solves skipped, %d narrowed), model updates %+v",
-				mix.Index, window, oracle.scored, oracle.exploits, oracle.skipped, oracle.narrowed, st)
+			t.Logf("mix %d window %d: %d ticks checked (%d exploits, %d fresh solves skipped, %d narrowed, %d ruling out a block), model updates %+v",
+				mix.Index, window, oracle.scored, oracle.exploits, oracle.skipped, oracle.narrowed, oracle.ruled, st)
+			ruled += oracle.ruled
 		}
+	}
+	if ruled == 0 {
+		t.Fatal("no tick ruled out a neighbourhood block: the ceiling was never held against the oracle")
 	}
 }

@@ -286,6 +286,12 @@ var gates = []gate{
 		bad:   goSrc(`func f(opt ExpOptions) { _, _ = opt.Cache, opt.Cache }`),
 	},
 	{
+		name:  "Commands: none opens the suite cell cache, whose key misses changed draws (ROADMAP 17)",
+		files: files{paths: []string{"cmd/..."}},
+		check: none("call", `^harness\.NewCellCache$`),
+		bad:   goSrc(`func f() { harness.NewCellCache(".cache") }`),
+	},
+	{
 		name:  "Experiment-table: one place hands the worker count to a SuiteSpec",
 		files: files{paths: []string{"internal/harness"}, match: `^(experiments.*|replication)\.go$`},
 		check: exactly(1, "kv", `^Workers: opt\.Workers$`),
@@ -409,7 +415,8 @@ var gates = []gate{
 			"TestBasisTargetsMatchSolvedTargets", "FuzzGoalBasis", "TestGoalBasisCoversItsCases",
 			"TestRecordsMatchSortedOracle", "TestForcedDecideAllocatesNothing", "TestConfigAppendKeyMatchesKey",
 			"TestSkipRandomMatchesRandomInto", "FuzzSkipRandom", "TestSkippedDrawsMatchBuiltDraws",
-			"TestShadowedBlocksMatchFreshFills", "TestShadowRevivesToFreshMovedFill"),
+			"TestShadowedBlocksMatchFreshFills", "TestShadowRevivesToFreshMovedFill",
+			"FuzzBlockMeanCeiling", "TestBlockCeilingCoversItsCases"),
 		bad: goSrc(`func TestColumnKernelsMatchPortableRenamed(t *testing.T) {}`),
 	},
 
@@ -446,6 +453,7 @@ var unreferenced = map[string]string{
 	"core.(*Engine).FitFailures":         "benchmark/layers.go reports core.fit_failures",
 	"fleet.(*Cluster).Run":               "benchmark/workload.go warms the fleet workloads",
 	"harness.SatoriStaticFactory":        "benchmark/workload_suite.go builds suite_fig7's static rows",
+	"harness.NewCellCache":               "benchmark/workload_suite.go times a warm cache pass (harness.cache_warm_s); cache.go goes after the [benchmark] bundle (ROADMAP 17)",
 	"rdt.CLOSLimiter":                    "benchmark/interpose.go forwards the capability",
 	// Used by a code sample of the documentation.
 	"satori.SuiteLC": "README.md's latency-critical sample, line 105",

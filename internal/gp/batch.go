@@ -198,19 +198,26 @@ func (m *Incremental) SigmaCeiling(s *PredictScratch, c int) float64 {
 // re-scores its group while its projections cover the model's basis, and
 // otherwise needs K* refilled, which ReviveMovedBlockInto does without the
 // triangular solve.
+//
+// A block also keeps the extremes of what it stores — the largest σ and each
+// projection's least and greatest value — so that BlockCeiling can bound
+// every mean and σ the group would re-score to without writing any of them.
 type Block struct {
 	epoch uint64 // the model's kernel epoch at the last fill; 0 = never filled
 	// data holds the group's n×q K* columns, unless the block is a shadow,
 	// then its tail: the q standard deviations, the nproj projections of q,
-	// the basis generation they were taken under, how many of them are, and
-	// q. n is the model's size, fixed while its epoch stands.
+	// the largest σ, the nproj projections' minima and their maxima, the
+	// basis generation the projections were taken under, how many of them
+	// are, and q. n is the model's size, fixed while its epoch stands.
 	data []float64
 }
 
 // tailLen is the length of a Block's data past its K* columns, for q
-// points; blockLen is the whole, for n inputs.
-func tailLen(q int) int     { return (1+nproj)*q + 3 }
+// points; blockLen is the whole, for n inputs. ext is where a tail's
+// extremes start.
+func tailLen(q int) int     { return ext(q) + 1 + 2*nproj + 3 }
 func blockLen(n, q int) int { return n*q + tailLen(q) }
+func ext(q int) int         { return (1 + nproj) * q }
 
 // tail returns b's data past its K* columns: all of a shadow's, or nil
 // when b was never filled.
@@ -230,6 +237,34 @@ func (m *Incremental) PredictBlockInto(s *PredictScratch, b *Block, mu, sigma []
 	m.predictBatch(s, b.data[:nq], mu, sigma, pts)
 	copy(b.data[nq:], sigma)
 	m.fillBlock(b, mu)
+}
+
+// BlockCeiling bounds what RepredictBlockInto would write for b's q points
+// without writing it: no mean exceeds mu and no σ exceeds sigma, both
+// compared exactly. It reports ok only when b is current and its
+// projections cover the model's basis, so that the means are the weighted
+// sum of stored projections. The bound takes each projection's extreme on
+// the side its coefficient's sign favours and weighs those through weigh
+// itself, in blockMeans' order: every step of that sum rounds monotonically
+// in each operand, fused or not, so the bound dominates each point's sum
+// with no margin (DESIGN.md §4). A NaN anywhere makes mu or sigma NaN.
+func (m *Incremental) BlockCeiling(b *Block, q int) (mu, sigma float64, ok bool) {
+	if b.epoch != m.epoch || !m.covers(b, q) {
+		return 0, 0, false
+	}
+	tail := b.tail()
+	x := tail[ext(q) : ext(q)+1+2*nproj]
+	coef := m.basis[:m.active()]
+	var pick [nproj]float64
+	for j, c := range coef {
+		pick[j] = x[1+j] // the minimum
+		if c >= 0 {
+			pick[j] = x[1+nproj+j] // the maximum
+		}
+	}
+	var sum [1]float64
+	weigh(sum[:], coef, pick[:], 1)
+	return m.mean + sum[0], x[0], true
 }
 
 // Moves describes a group of query points by how each differs from one of
@@ -427,12 +462,29 @@ func (m *Incremental) covers(b *Block, q int) bool {
 }
 
 // fillBlock stamps b, whose K* and σ were just filled, with the model's
-// epoch, no projections and its point count, and writes its means.
+// epoch, its largest σ, no projections and its point count, and writes its
+// means.
 func (m *Incremental) fillBlock(b *Block, mu []float64) {
+	q := len(mu)
 	b.epoch = m.epoch
 	stamp := b.data[len(b.data)-3:]
-	stamp[0], stamp[1], stamp[2] = 0, 0, float64(len(mu))
+	stamp[0], stamp[1], stamp[2] = 0, 0, float64(q)
+	tail := b.tail()
+	_, tail[ext(q)] = extremes(tail[:q])
 	m.blockMeans(b, mu)
+}
+
+// extremes returns the least and the greatest of v, NaN when v holds one,
+// and zeros when v is empty.
+func extremes(v []float64) (lo, hi float64) {
+	if len(v) == 0 {
+		return 0, 0
+	}
+	lo, hi = v[0], v[0]
+	for _, x := range v[1:] {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	return lo, hi
 }
 
 // blockMeans writes the means of b's q = len(mu) points. Under a goal
@@ -454,7 +506,7 @@ func (m *Incremental) blockMeans(b *Block, mu []float64) {
 		return
 	}
 	tail := b.tail()
-	proj, stamp := tail[q:(1+nproj)*q], tail[(1+nproj)*q:]
+	proj, x, stamp := tail[q:ext(q)], tail[ext(q)+1:ext(q)+1+2*nproj], tail[len(tail)-3:]
 	have, k := int(stamp[1]), m.active()
 	if stamp[0] != float64(m.stats.BasisBuilds) {
 		have = 0
@@ -465,6 +517,7 @@ func (m *Incremental) blockMeans(b *Block, mu []float64) {
 			p1 := min(p0+panelWidth, q)
 			linalg.DotsInto(pj[p0:p1], kstar[n*p0:n*p1], bj)
 		}
+		x[j], x[nproj+j] = extremes(pj)
 	}
 	stamp[0], stamp[1] = float64(m.stats.BasisBuilds), float64(k)
 	weigh(mu, m.basis[:k], proj, q)
@@ -558,22 +611,29 @@ func panelMeans(mu, kpanel, alpha []float64, mean float64) {
 }
 
 // fillRowsMatern52 is the cross-covariance fill of the dim-major panel pt
-// of w points: per model row i, a squared-distance sweep over the panel and
-// the Matérn transform of that row, both linalg column kernels, into
-// dst[i·stride:][:w]. Each element's value is Matern52.Eval's expression
-// sequence — the squared distance still sums dimension-ascending per
-// element, the transform is Eval's formula with math.Exp's own rounding —
-// so splitting the loops only lets independent elements share vector
-// lanes; results stay bit-identical to Eval's.
+// of w points: per model row i, a squared-distance sweep over the panel
+// into dst[i·stride:][:w], then the Matérn transform of the rows, both
+// linalg column kernels. Each element's value is Matern52.Eval's
+// expression sequence — the squared distance still sums dimension-ascending
+// per element, the transform is Eval's formula with math.Exp's own
+// rounding — so splitting the loops only lets independent elements share
+// vector lanes; results stay bit-identical to Eval's. The transform works
+// per element, so when the rows are contiguous (stride w, the pool's
+// panel) it runs once over all of them, and otherwise once per row.
 func fillRowsMatern52(dst []float64, stride int, xs [][]float64, pt []float64, k Matern52) {
 	w := 0
 	if len(xs) > 0 && len(xs[0]) > 0 {
 		w = len(pt) / len(xs[0])
 	}
 	for i, xi := range xs {
-		row := dst[i*stride : i*stride+w : i*stride+w]
-		linalg.SquaredDistancesInto(row, pt, xi)
-		linalg.Matern52Row(row, k.LengthScale, k.Variance)
+		linalg.SquaredDistancesInto(dst[i*stride:i*stride+w:i*stride+w], pt, xi)
+	}
+	if stride == w {
+		linalg.Matern52Row(dst[:len(xs)*w], k.LengthScale, k.Variance)
+		return
+	}
+	for i := range xs {
+		linalg.Matern52Row(dst[i*stride:i*stride+w:i*stride+w], k.LengthScale, k.Variance)
 	}
 }
 

@@ -53,13 +53,6 @@ func NewCellCache(dir string) (*CellCache, error) {
 	return &CellCache{dir: dir}, nil
 }
 
-// Stats reports cache traffic: hits served from disk, misses that ran
-// and were stored, and skips that bypassed the cache (KeepTrace or
-// tracked-oracle cells).
-func (c *CellCache) Stats() (hits, misses, skips int64) {
-	return c.hits.Load(), c.misses.Load(), c.skips.Load()
-}
-
 // cellKey is the canonical hashed identity of one suite cell. Every
 // field feeds the hash through deterministic JSON encoding.
 type cellKey struct {

@@ -45,7 +45,7 @@ func TestCellCacheHitsAreByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, misses, _ := cache.Stats()
+	hits, misses := cache.hits.Load(), cache.misses.Load()
 	if hits != 0 || misses != 6 { // 2 mixes × (oracle + 2 policies)
 		t.Fatalf("cold pass: %d hits, %d misses, want 0/6", hits, misses)
 	}
@@ -53,7 +53,7 @@ func TestCellCacheHitsAreByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, misses, _ = cache.Stats()
+	hits, misses = cache.hits.Load(), cache.misses.Load()
 	if hits != 6 || misses != 6 {
 		t.Fatalf("warm pass: %d hits, %d misses, want 6/6", hits, misses)
 	}
@@ -111,12 +111,12 @@ func TestEverySuiteRowUsesTheCellCache(t *testing.T) {
 				return rep.String()
 			}
 			uncached, cold := render(nil), render(cache)
-			_, stored, _ := cache.Stats()
+			stored := cache.misses.Load()
 			if stored == 0 {
 				t.Fatal("cold run stored no cells: the row does not pass the cache on")
 			}
 			warm := render(cache)
-			if _, misses, _ := cache.Stats(); misses != stored {
+			if misses := cache.misses.Load(); misses != stored {
 				t.Errorf("warm run re-simulated %d cells", misses-stored)
 			}
 			if cold != uncached || warm != uncached {
@@ -192,7 +192,7 @@ func TestCellCacheSkipsTraceCells(t *testing.T) {
 			t.Fatal("KeepTrace run lost its trace")
 		}
 	}
-	hits, misses, skips := cache.Stats()
+	hits, misses, skips := cache.hits.Load(), cache.misses.Load(), cache.skips.Load()
 	if hits != 0 || misses != 0 || skips != 2 {
 		t.Fatalf("stats %d/%d/%d, want 0 hits, 0 misses, 2 skips", hits, misses, skips)
 	}
@@ -237,7 +237,7 @@ func TestCellCacheRerunsTornFile(t *testing.T) {
 			t.Fatalf("pass %d: %+v, want %+v", i, got, want)
 		}
 	}
-	if hits, misses, _ := cache.Stats(); hits != 1 || misses != 2 {
+	if hits, misses := cache.hits.Load(), cache.misses.Load(); hits != 1 || misses != 2 {
 		t.Fatalf("stats %d hits, %d misses: want the torn file re-run once, then served", hits, misses)
 	}
 }
@@ -277,7 +277,7 @@ func TestCellCacheRerunsEmptyCell(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: %+v, want %+v", blob, got, want)
 		}
-		if hits, misses, _ := cache.Stats(); hits != 0 || misses != int64(i+2) {
+		if hits, misses := cache.hits.Load(), cache.misses.Load(); hits != 0 || misses != int64(i+2) {
 			t.Fatalf("%s: stats %d hits, %d misses: want the cell re-run", blob, hits, misses)
 		}
 		stored, err := os.ReadFile(path)

@@ -25,8 +25,8 @@ type ExpOptions struct {
 	Workers int
 	// Cache, when non-nil, memoizes suite cells on disk so repeated
 	// reproductions skip re-simulating unchanged (policy, mix, seed)
-	// cells; cmd/experiments exposes this as -cache DIR. Reports are
-	// byte-identical with or without it.
+	// cells. No command sets it: its key misses changes to the control
+	// loop's draws, so a warm cache can serve stale cells (ROADMAP 17).
 	Cache *CellCache
 }
 

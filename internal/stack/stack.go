@@ -73,7 +73,7 @@ func (s Spec) Build(ticks int) (*control.Loop, error) {
 	case s.ResctrlRoot != "" && s.Backend != "resctrl":
 		return nil, fmt.Errorf("-resctrl-root %s: only -backend resctrl writes one (-backend is %q)", s.ResctrlRoot, s.Backend)
 	}
-	jobs, err := s.jobs()
+	jobs, err := s.Jobs()
 	if err != nil {
 		return nil, err
 	}
@@ -139,10 +139,11 @@ func Ticks(flagName string, seconds float64) (int, error) {
 	return int(ticks), nil
 }
 
-// jobs resolves the job set from exactly one of a profile file, the
+// Jobs resolves the job set from exactly one of a profile file, the
 // -workloads list and the -suite mix; a flag the chosen source would
-// ignore is refused by name.
-func (s Spec) jobs() ([]*sim.Profile, error) {
+// ignore is refused by name. Build calls it, and so does cmd/oracle, whose
+// job flags are a subset of the stack's.
+func (s Spec) Jobs() ([]*sim.Profile, error) {
 	switch {
 	case s.Profiles != "" && (s.Workloads != "" || s.Suite != ""):
 		return nil, fmt.Errorf("-profiles %s: the file is the whole job set; drop -workloads and -suite", s.Profiles)
