@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"satori/internal/bo"
@@ -10,45 +11,79 @@ import (
 	"satori/internal/policy"
 	"satori/internal/resource"
 	"satori/internal/sim"
+	"satori/internal/stats"
 	"satori/internal/workloads"
 )
 
-// refitOracle holds an engine's every model-consulting tick against the
-// textbook proxy model. After each Decide it fits gp.Fit from scratch on
-// the engine's own window under that tick's weights, scores the engine's
-// pool one candidate at a time with GP.Predict, and requires the engine's
-// posterior to agree to 1e-9, the acquisition to pick the same pool index
-// from either posterior, and the decision to be the one that index and
-// score call for (hold on failure, exploit below the threshold, else probe).
-// Being tick-local, it names the first tick and candidate that disagree,
-// and a disagreement cannot hide behind a decision that happens to match.
+// refitOracle holds an engine's every tick against the textbook proxy model
+// and the plain draw functions. After each model-consulting Decide it fits
+// gp.Fit from scratch on the engine's own window under that tick's weights,
+// scores the engine's pool one candidate at a time with GP.Predict, and
+// requires the engine's posterior and window means to agree to 1e-9, the
+// acquisition to pick the same pool index from either posterior, and the
+// decision to be the one that index and score call for (hold on failure,
+// exploit below the threshold, else probe). Being tick-local, it names the
+// first tick and candidate that disagree, and a disagreement cannot hide
+// behind a decision that happens to match.
 // On a settled engine's narrowed tick the pool is the one the engine scored:
 // its drawn but unscored fresh slots are left out of both sides. A
 // neighbourhood block the engine ruled out by its ceiling is left out of the
 // engine's side only: the refit must score every point of it below the
 // exploit threshold, and the verdict is still taken over the whole pool.
+//
+// The draw stream is held too (stream): every tick must take exactly the
+// draws its decision calls for, and a tick narrows exactly when the
+// oracle's own count of settled ticks says it must.
 type refitOracle struct {
 	t   *testing.T
 	eng *Engine
+
+	// settled is the oracle's count of the engine's settled ticks: one more
+	// (up to settleTicks) after an exploit whose fresh panel was ruled out,
+	// zero after any other model tick.
+	settled int8
 
 	scored   int // ticks whose posterior and decision were checked
 	exploits int // of those, ticks the reference says exploit
 	skipped  int // of those, ticks whose fresh panel the engine did not solve
 	narrowed int // of those, ticks that scored a narrowed fresh panel
 	ruled    int // of those, ticks that ruled out a neighbourhood block
+	forced   int // ticks of a one-configuration space, which draw nothing
+	failed   int // ticks whose model update failed, which explore one draw
 }
 
 // Decide is Engine.Decide, checked.
 func (o *refitOracle) Decide(obs policy.Observation, current resource.Config) resource.Config {
+	o.t.Helper()
 	e := o.eng
-	seeding, before := len(e.initQueue) > 0, e.Stats()
+	seeding, before, rng := len(e.initQueue) > 0, e.Stats(), *e.rng
 	next := e.Decide(obs, current)
 	after := e.Stats()
-	if seeding || after.FitFailures != before.FitFailures {
-		return next // no model was consulted
+	switch {
+	case e.single || seeding:
+		// Nothing to decide, or the initial design: no draw.
+		if *e.rng != rng || e.single && !next.Equal(e.equalSplit) {
+			o.t.Fatalf("tick %d: a forced or seeding tick drew (%v) or left the equal split (%s)", obs.Tick, *e.rng != rng, next.Key())
+		}
+		if e.single {
+			o.forced++
+		}
+	case after.FitFailures != before.FitFailures:
+		// No model: the tick explores one pinned random configuration.
+		want := e.space.NewConfig()
+		e.space.RandomInto(&rng, want)
+		e.pinUnmanaged(want)
+		if *e.rng != rng || !next.Equal(want) {
+			o.t.Fatalf("tick %d: a failed model update explored %s, the plain draw %s (streams equal: %v)", obs.Tick, next.Key(), want.Key(), *e.rng == rng)
+		}
+		o.settled = 0
+		o.failed++
+	default:
+		o.check(obs.Tick, current, next, rng, after.FreshSkips != before.FreshSkips, after.NarrowTicks != before.NarrowTicks)
 	}
-	o.t.Helper()
-	o.check(obs.Tick, current, next, after.FreshSkips != before.FreshSkips, after.NarrowTicks != before.NarrowTicks)
+	if e.settled != o.settled {
+		o.t.Fatalf("tick %d: the engine's settled count is %d, the oracle's %d", obs.Tick, e.settled, o.settled)
+	}
 	return next
 }
 
@@ -81,15 +116,21 @@ func unscored(e *Engine, narrowed bool) (lo, hi int) {
 // ruled the candidate out, which must not be below the reference σ, and
 // the engine's buffers no longer say what the argmax over them is, so the
 // verdict alone is compared.
-func (o *refitOracle) check(tick int, current, next resource.Config, skipped, narrowed bool) {
+func (o *refitOracle) check(tick int, current, next resource.Config, rng stats.RNG, skipped, narrowed bool) {
 	o.t.Helper()
 	e := o.eng
+	settled := o.settled
+	o.settled = 0
+	if narrowed != (settled >= settleTicks) {
+		o.t.Fatalf("tick %d: narrowed %v after %d settled ticks", tick, narrowed, settled)
+	}
 	w := e.LastWeights()
 	var xs [][]float64
 	var ys []float64
 	best := math.Inf(-1)
 	var bestCfg resource.Config
-	for _, rec := range e.recs.Window(e.opt.Window) {
+	window := e.recs.Window(e.opt.Window)
+	for _, rec := range window {
 		y := rec.Objective(w)
 		xs, ys = append(xs, rec.Vector), append(ys, y)
 		if y > best {
@@ -100,11 +141,18 @@ func (o *refitOracle) check(tick int, current, next resource.Config, skipped, na
 	if err != nil {
 		o.t.Fatalf("tick %d: reference fit on the engine's %d-record window: %v", tick, len(xs), err)
 	}
+	means := e.model.PredictMeansAtInto(nil)
+	for i, rec := range window {
+		if m, _ := ref.Predict(xs[i]); !(math.Abs(means[rec.row]-m) <= 1e-9) {
+			o.t.Fatalf("tick %d: window record %d (model row %d): engine mean %v, refit %v", tick, i, rec.row, means[rec.row], m)
+		}
+	}
+	o.stream(tick, rng, bestCfg, narrowed, next)
 
 	// The scored pool, compacted: pool[k] is pool index at[k]; the engine's
 	// side leaves ruled-out blocks out (engPool).
 	var pool, engPool []resource.Config
-	var at []int
+	var at, engAt []int // engPool[k] is pool[engAt[k]]
 	var mu, sigma, engMu, engSigma []float64
 	lo, hi := unscored(e, narrowed)
 	muBuf, sigmaBuf := e.posterior()
@@ -127,11 +175,11 @@ func (o *refitOracle) check(tick int, current, next resource.Config, skipped, na
 		if skipped && i < e.opt.Candidates {
 			sigmaOK = sigmaBuf[i] >= s-1e-9
 		}
-		if math.Abs(muBuf[i]-m) > 1e-9 || !sigmaOK {
+		if !(math.Abs(muBuf[i]-m) <= 1e-9) || !sigmaOK {
 			o.t.Fatalf("tick %d: candidate %d of %d (%s, fresh solve skipped: %v, narrowed: %v): engine posterior (%v, %v), refit (%v, %v)",
 				tick, i, e.candCount, c.Key(), skipped, narrowed, muBuf[i], sigmaBuf[i], m, s)
 		}
-		engPool = append(engPool, c)
+		engPool, engAt = append(engPool, c), append(engAt, len(pool)-1)
 		engMu, engSigma = append(engMu, muBuf[i]), append(engSigma, sigmaBuf[i])
 	}
 	o.scored++
@@ -145,18 +193,28 @@ func (o *refitOracle) check(tick int, current, next resource.Config, skipped, na
 		o.ruled++
 	}
 	if e.acq == nil {
-		return // Thompson sampling decides by a random draw, not an argmax
+		return // Thompson sampling decides by a random draw (stream), not an argmax
 	}
 
 	idx, score, err := bo.Argmax(e.acq, best, mu, sigma)
 	if !skipped && (e.ruledOut == 0 || err == nil && score >= e.exploitBelow) {
 		// The indices may differ where two pool entries hold one
 		// configuration: a neighborhood block's moved fill rounds its last
-		// bits apart from the same configuration drawn fresh. A winner that
-		// clears the exploit threshold lies outside every ruled-out block.
+		// bits apart from the same configuration drawn fresh. They may also
+		// differ at a tie between symmetric candidates (two jobs of one
+		// profile), which the refit scores equal to within rounding: the
+		// engine's winner then stands. A winner that clears the exploit
+		// threshold lies outside every ruled-out block.
 		got, _, gotErr := bo.Argmax(e.acq, best, engMu, engSigma)
-		if (gotErr == nil) != (err == nil) || err == nil && !engPool[got].Equal(pool[idx]) {
-			o.t.Fatalf("tick %d: argmax over the engine's posterior = %d (%v), over the refit's = %d (%v)", tick, got, gotErr, idx, err)
+		switch {
+		case (gotErr == nil) != (err == nil):
+			o.t.Fatalf("tick %d: argmax over the engine's posterior failed: %v, over the refit's: %v", tick, gotErr, err)
+		case err != nil || engPool[got].Equal(pool[idx]):
+		case score-e.acq.Score(mu[engAt[got]], sigma[engAt[got]], best) <= 1e-12*math.Abs(score):
+			idx = engAt[got]
+		default:
+			o.t.Fatalf("tick %d: argmax over the engine's posterior = %d (%s), over the refit's = %d (%s, score %v)",
+				tick, at[engAt[got]], engPool[got].Key(), at[idx], pool[idx].Key(), score)
 		}
 	}
 	verdict, want, cand := "probe", resource.Config{}, -1
@@ -166,12 +224,60 @@ func (o *refitOracle) check(tick int, current, next resource.Config, skipped, na
 	case score < e.exploitBelow:
 		verdict, want = "exploit", bestCfg
 		o.exploits++
+		if skipped {
+			o.settled = min(settled+1, settleTicks)
+		}
 	default:
 		want, cand = pool[idx], at[idx]
 	}
 	if !next.Equal(want) {
 		o.t.Fatalf("tick %d: refit says %s %s (candidate %d, score %v), engine decided %s",
 			tick, verdict, want.Key(), cand, score, next.Key())
+	}
+}
+
+// stream holds a scored tick's draws to the plain draw functions. From rng,
+// the engine's generator as the tick found it, it rebuilds the tick's whole
+// fresh panel — Candidates/2 pinned RandomInto draws, then walks of three
+// steps from the incumbent — and replays Thompson sampling's draw from the
+// joint posterior, which must pick the engine's decision. The engine's
+// scored fresh slots must hold the matching draws: all of them, or on a
+// narrowed tick the first quarter of each half, random then walk. Its
+// generator must end where the rebuild's does.
+func (o *refitOracle) stream(tick int, rng stats.RNG, incumbent resource.Config, narrowed bool, next resource.Config) {
+	o.t.Helper()
+	e := o.eng
+	randoms := e.opt.Candidates / 2
+	full := make([]resource.Config, e.opt.Candidates)
+	engine := e.rng
+	e.rng = &rng // the plain draw functions read the engine's generator
+	for i := range full {
+		full[i] = e.space.NewConfig()
+		if i < randoms {
+			e.space.RandomInto(e.rng, full[i])
+			e.pinUnmanaged(full[i])
+		} else {
+			e.randomWalkInto(full[i], incumbent, 3)
+		}
+	}
+	if e.acq == nil {
+		if idx, err := bo.ThompsonSuggest(e.model, e.rng, e.poolPoints(0, e.candCount)); err == nil && !next.Equal(e.candidate(idx)) {
+			o.t.Fatalf("tick %d: Thompson sampling replayed picks candidate %d, %s; the engine decided %s", tick, idx, e.candidate(idx).Key(), next.Key())
+		}
+	}
+	e.rng = engine
+	keepR, keepW := e.freshPanel(narrowed)
+	for slot := range keepR + keepW {
+		j := slot
+		if slot >= keepR {
+			j = randoms + slot - keepR
+		}
+		if !e.candidateCfg[slot].Equal(full[j]) {
+			o.t.Fatalf("tick %d: fresh slot %d holds %s, plain draw %d %s (narrowed: %v)", tick, slot, e.candidateCfg[slot].Key(), j, full[j].Key(), narrowed)
+		}
+	}
+	if *e.rng != rng {
+		o.t.Fatalf("tick %d: the engine's generator ended elsewhere than the plain draws' (narrowed: %v)", tick, narrowed)
 	}
 }
 
@@ -280,4 +386,166 @@ func TestEngineMatchesRefitOracleOnSimulator(t *testing.T) {
 	if ruled == 0 {
 		t.Fatal("no tick ruled out a neighbourhood block: the ceiling was never held against the oracle")
 	}
+}
+
+// driveRun counts what the random drives reached; each count must be
+// non-zero.
+type driveRun struct {
+	engines, forced, failed, scored, exploits, skipped, narrowed, ruled int
+	switches, swings, shifts, evictions, thompson                       int
+	basisBuilds, columnSolves                                           int
+	stats                                                               Stats
+}
+
+// add folds one finished engine's oracle and counters into the run.
+func (r *driveRun) add(o *refitOracle) {
+	r.engines++
+	r.forced, r.failed, r.scored = r.forced+o.forced, r.failed+o.failed, r.scored+o.scored
+	r.exploits, r.skipped, r.narrowed, r.ruled = r.exploits+o.exploits, r.skipped+o.skipped, r.narrowed+o.narrowed, r.ruled+o.ruled
+	if o.eng.acq == nil {
+		r.thompson += o.scored
+	}
+	r.stats = addStats(r.stats, o.eng.Stats(), 1)
+	gs := o.eng.GPStats()
+	r.basisBuilds, r.columnSolves = r.basisBuilds+gs.BasisBuilds, r.columnSolves+gs.ColumnSolves
+}
+
+// randomDrive is one seeded random operation sequence of ticks ticks: an
+// engine, every Decide through a refitOracle, under
+// operations drawn each tick —
+//   - job churn: a new job set of one to five PARSEC jobs on the
+//     simulator, or the two jobs of the synthetic landscape, so a rebuilt
+//     engine under new options (acquisition, window, weight schedule,
+//     managed kinds); one job is a forced space;
+//   - goal switches: the throughput and fairness metrics the engine is fed
+//     change, and an SLO violation comes or goes, so every record's goals
+//     move as it is observed again;
+//   - weight swings: one tick's throughput drops or jumps, which the
+//     dynamic schedule answers by re-weighting;
+//   - kernel-epoch rollovers: the landscape is rescaled, which lifts the
+//     variance heuristic off its floor or puts it back, and the window
+//     refits;
+//   - window evictions: the record store shrinks below the window;
+//   - a NaN observation, whose record fails every model update until the
+//     window moves past it.
+func randomDrive(t *testing.T, seed int64, ticks int, mixes []workloads.Mix, run *driveRun) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var (
+		space      *resource.Space
+		observe    func(current resource.Config) (throughput, fairness float64)
+		o          *refitOracle
+		current    resource.Config
+		tpMetric   = metrics.SumIPS
+		fairMetric = metrics.JainIndex
+		scale      = 1.0
+		violating  bool
+	)
+	churn := func() {
+		if o != nil {
+			run.add(o)
+		}
+		if rng.Intn(4) == 0 {
+			env := newSyntheticEnv(0.01)
+			space, observe = env.space, env.eval
+		} else {
+			mix := mixes[rng.Intn(len(mixes))]
+			simulator, err := sim.New(sim.DefaultMachine(), mix.Profiles[:1+rng.Intn(len(mix.Profiles))], sim.Options{Seed: rng.Uint64()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			isolated := simulator.MeasureIsolated()
+			space, observe = simulator.Space(), func(current resource.Config) (float64, float64) {
+				if err := simulator.Apply(current); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				s := simulator.Step()
+				return metrics.NormalizedThroughput(tpMetric, s.IPS, isolated), metrics.NormalizedFairness(fairMetric, s.IPS, isolated)
+			}
+		}
+		opt := Options{Seed: rng.Uint64(), Window: []int{4, 8, 16, 64}[rng.Intn(4)]}
+		switch k := rng.Intn(10); {
+		case k < 2:
+			opt.Acquisition = []string{"ucb", "pi", "ts"}[rng.Intn(3)]
+		case k == 2:
+			opt.ExploitThreshold = 0.002
+		case k == 3:
+			opt.Xi = 0.01
+		}
+		switch k := rng.Intn(8); {
+		case k == 0:
+			opt.Scheduler.Mode, opt.StaticWTSet, opt.StaticWT = WeightsStatic, true, rng.Float64()
+		case k == 1:
+			opt.Scheduler.Mode = WeightsSLOAware
+		case k == 2:
+			opt.Scheduler.Mode = WeightsFavorStronger
+		}
+		if rng.Intn(6) == 0 {
+			opt.Managed = []resource.Kind{space.Resources[rng.Intn(len(space.Resources))].Kind}
+		}
+		eng, err := New(space, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o = &refitOracle{t: t, eng: eng}
+		current = space.EqualSplit()
+	}
+	churn()
+	for tick := 1; tick <= ticks; tick++ {
+		swing := 1.0
+		switch k := rng.Intn(200); {
+		case k < 2:
+			churn()
+		case k < 5:
+			tpMetric = []metrics.ThroughputMetric{metrics.SumIPS, metrics.GeoMeanSpeedup, metrics.HarmonicMeanSpeedup}[rng.Intn(3)]
+			fairMetric = []metrics.FairnessMetric{metrics.JainIndex, metrics.OneMinusCoV}[rng.Intn(2)]
+			violating = !violating
+			run.switches++
+		case k < 8:
+			swing = []float64{0.5, 1.5}[rng.Intn(2)]
+			run.swings++
+		case k < 10:
+			scale = []float64{0.3, 1, 2}[rng.Intn(3)]
+			run.shifts++
+		case k < 12:
+			o.eng.Records().cap = 3 + rng.Intn(8)
+			run.evictions++
+		case k < 13 && o.eng.opt.Window <= 16:
+			swing = math.NaN()
+		}
+		tp, fair := observe(current)
+		current = o.Decide(policy.Observation{
+			Tick: tick, Time: float64(tick) * 0.1, SLOViolating: violating,
+			Throughput: swing * scale * tp, Fairness: scale * fair,
+		}, current)
+	}
+	run.add(o)
+}
+
+// TestRandomDrivesMatchOracles runs seeded random operation sequences
+// (randomDrive) with every tick under the refit oracle and its draw-stream
+// check, and requires the drives between them to have reached every path
+// the engine's shortcuts take: forced, failed, narrowed, skipped and
+// ruled-out ticks, block hits, revivals (with and without a K* refill) and
+// moved fills, goal-basis builds and column solves, refits, extends and
+// target-only updates, and Thompson sampling's replayed draws.
+func TestRandomDrivesMatchOracles(t *testing.T) {
+	mixes, err := workloads.PaperMixes(workloads.SuitePARSEC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var run driveRun
+	for seed := int64(1); seed <= 16; seed++ {
+		randomDrive(t, seed, 500, mixes, &run)
+	}
+	st := run.stats
+	for _, c := range []int{run.forced, run.failed, run.scored, run.exploits, run.skipped, run.narrowed, run.ruled, run.thompson,
+		run.switches, run.swings, run.shifts, run.evictions,
+		st.BlockHits, st.BlockRevivals - st.BlockRefills, st.BlockRefills, st.BlockMisses, st.Refits, st.Extends, st.TargetSolves,
+		run.basisBuilds, run.columnSolves} {
+		if c == 0 {
+			t.Fatalf("a path was never reached: %+v", run)
+		}
+	}
+	t.Logf("%+v", run)
 }

@@ -81,56 +81,3 @@ func TestRandomWalkFullyManagedStillWalks(t *testing.T) {
 		t.Error("16-step walk over the full space did not move")
 	}
 }
-
-// TestSkippedDrawsMatchBuiltDraws holds the draws a narrowed tick takes
-// without building (buildPool) to the ones building takes: after each pair,
-// skipWalk leaves the RNG where randomWalkInto leaves its twin's, and
-// SkipRandom where RandomInto and the pin of the unmanaged rows leave it.
-// Rows: every row managed, a managed subset, and no managed row (an engine
-// New would refuse, built by hand), whose walk draws nothing.
-func TestSkippedDrawsMatchBuiltDraws(t *testing.T) {
-	space := walkSpace(t)
-	start := space.EqualSplit()
-	for _, row := range []struct {
-		name    string
-		managed []resource.Kind
-		none    bool
-	}{
-		{"all managed", nil, false},
-		{"llc only", []resource.Kind{resource.LLCWays}, false},
-		{"cores and bandwidth", []resource.Kind{resource.Cores, resource.MemBW}, false},
-		{"no managed row", nil, true},
-	} {
-		for seed := uint64(1); seed <= 50; seed++ {
-			built, err := New(space, Options{Seed: seed, Managed: row.managed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			skipped, err := New(space, Options{Seed: seed, Managed: row.managed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if row.none {
-				built.managedRows, skipped.managedRows = nil, nil
-			}
-			dst := space.NewConfig()
-			for steps := 0; steps <= 4; steps++ {
-				before := *built.rng
-				built.randomWalkInto(dst, start, steps)
-				skipped.skipWalk(steps)
-				if *built.rng != *skipped.rng {
-					t.Fatalf("%s seed %d: skipWalk(%d) left the RNG elsewhere than randomWalkInto", row.name, seed, steps)
-				}
-				if moved := *built.rng != before; moved != (steps > 0 && !row.none) {
-					t.Fatalf("%s seed %d: a %d-step walk drew: %v", row.name, seed, steps, moved)
-				}
-				built.space.RandomInto(built.rng, dst)
-				built.pinUnmanaged(dst)
-				skipped.space.SkipRandom(skipped.rng)
-				if *built.rng != *skipped.rng {
-					t.Fatalf("%s seed %d: SkipRandom left the RNG elsewhere than a pinned RandomInto", row.name, seed)
-				}
-			}
-		}
-	}
-}

@@ -405,19 +405,26 @@ var gates = []gate{
 			"TestMaternTransformMatchesPortable", "TestMaternTransformSelection", "TestMatern52RowMatchesEval", "FuzzMatern52Row",
 			"TestPoolMatchesEagerNeighbours", "TestRandomCompositionMatchesSortOracle",
 			"TestEICeilingBoundsComputedScore", "FuzzEICeiling", "TestArgmaxEIPruneMatchesScore", "FuzzArgmaxEI",
-			"TestSigmaCeilingBoundsPosterior", "TestKernelEpochReuseProperty",
-			"TestEngineMatchesRefitOracle", "TestEngineMatchesRefitOracleOnSimulator",
-			"TestEngineBlockReuseUnderSwingingWeights", "TestEngineBlockKeySurvivesEviction",
+			"TestSigmaCeilingBoundsPosterior",
+			"TestEngineMatchesRefitOracle", "TestEngineMatchesRefitOracleOnSimulator", "TestRandomDrivesMatchOracles", "(*refitOracle).stream",
 			"TestSearchMatchesReference", "TestSearchAllocatesPerSearchOnly", "TestPolicyCacheSeesReplacedJob",
 			"TestExactJobIPSMatchesExactIPS", "TestAppendPhaseKey",
-			"TestTriangleMatchesFit", "TestEngineStatsAddUp", "TestNarrowedPanelMatchesFullPanel", "TestCellCacheRerunsEmptyCell",
-			"TestMovedBlocksMatchDenseBlocks", "TestMovedBlockClampsCoincidingNeighbours", "FuzzMovedBlock",
-			"TestBasisTargetsMatchSolvedTargets", "FuzzGoalBasis", "TestGoalBasisCoversItsCases",
+			"TestTriangleMatchesFit", "TestEngineStatsAddUp", "TestCellCacheRerunsEmptyCell",
+			"FuzzMovedBlock", "FuzzGoalBasis",
 			"TestRecordsMatchSortedOracle", "TestForcedDecideAllocatesNothing", "TestConfigAppendKeyMatchesKey",
-			"TestSkipRandomMatchesRandomInto", "FuzzSkipRandom", "TestSkippedDrawsMatchBuiltDraws",
-			"TestShadowedBlocksMatchFreshFills", "TestShadowRevivesToFreshMovedFill",
+			"TestSkipRandomMatchesRandomInto", "FuzzSkipRandom",
 			"FuzzBlockMeanCeiling", "TestBlockCeilingCoversItsCases"),
 		bad: goSrc(`func TestColumnKernelsMatchPortableRenamed(t *testing.T) {}`),
+	},
+
+	// The mutation table (mutants_test.go, run under -tags mutants) attacks
+	// each of the engine's scoring-path shortcuts with at least one row.
+	{
+		name:  "Mutants: the mutation table attacks every shortcut",
+		files: files{paths: []string{"internal/gates/mutants_test.go"}, tests: testsOnly},
+		check: each("kv", "shortcut: windowDistances", "shortcut: goalBasis", "shortcut: blocks",
+			"shortcut: drawSkips", "shortcut: narrowing", "shortcut: blockCeiling"),
+		bad: goSrc(`var rows = []mutant{{shortcut: windowDistances}, {shortcut: goalBasis}, {shortcut: blocks}, {shortcut: drawSkips}, {shortcut: narrowing}}`),
 	},
 
 	// Every export earns a production caller (exports_test.go).

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"unsafe"
 )
 
 // basisBound is how far α formed from the goal basis may sit from the
@@ -206,79 +205,4 @@ func fuzzGoalBasis(t *testing.T, seed int64, n, dim, steps int) basisRun {
 		checkBasis(t, ctx, m, tg, fg, wT, 1-wT, pts, &blk, &run)
 	}
 	return run
-}
-
-// TestGoalBasisCoversItsCases runs FuzzGoalBasis's inputs over more seeds
-// and requires every case — column solves, rebuilds on a third moved row,
-// new epochs — to have been met, logging the largest gaps seen.
-func TestGoalBasisCoversItsCases(t *testing.T) {
-	var total basisRun
-	for seed := int64(1); seed <= 12; seed++ {
-		run := fuzzGoalBasis(t, seed, 4+int(seed)*5, 1+int(seed)%7, 120)
-		total.builds += run.builds
-		total.columns += run.columns
-		total.rebuildsOnThird += run.rebuildsOnThird
-		total.epochs += run.epochs
-		total.alphaGap = max(total.alphaGap, run.alphaGap)
-		total.muGap = max(total.muGap, run.muGap)
-	}
-	if total.columns == 0 || total.rebuildsOnThird == 0 || total.epochs == 0 {
-		t.Fatalf("a case was not met: %+v", total)
-	}
-	t.Logf("%d basis builds (%d on a third moved row, %d on a new epoch), %d column solves; largest gaps α %.2g, μ %.2g",
-		total.builds, total.rebuildsOnThird, total.epochs, total.columns, total.alphaGap, total.muGap)
-}
-
-// TestIncrementalFitsItsSizeClass: every engine holds one model, so its
-// struct stays in the 352-byte size class it was in before the goal basis
-// (the basis lives in one buffer, its bookkeeping in the padding).
-func TestIncrementalFitsItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Incremental{}); size > 352 {
-		t.Fatalf("gp.Incremental is %d bytes, past the 352-byte size class", size)
-	}
-}
-
-// benchTargets64 builds a window of 64 in dimension 15 (a 5-job node) with
-// its goals and a second set in which the incumbent's row moved, and
-// brings the model to the first.
-func benchTargets64(b *testing.B) (m *Incremental, tg, fg, tg2 []float64) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(5))
-	xs := randomInputs(rng, 64, 15)
-	tg, fg = goalValues(rng, 64, 0.05), goalValues(rng, 64, 0.05)
-	m = NewIncremental(Options{Noise: 1e-3})
-	if err := m.Reset(xs, weighted(tg, fg, 0.5, 0.5)); err != nil {
-		b.Fatal(err)
-	}
-	tg2 = append([]float64(nil), tg...)
-	tg2[7] += 0.01
-	return m, tg, fg, tg2
-}
-
-// BenchmarkSolvedTargets64 is one target-only update at window 64 with the
-// incumbent's row moved, solved: the weighted targets through
-// UpdateTargets, which re-solves α whenever a target moved (compare
-// BenchmarkBasisTargets64).
-func BenchmarkSolvedTargets64(b *testing.B) {
-	m, tg, fg, tg2 := benchTargets64(b)
-	ys := [2][]float64{weighted(tg, fg, 0.5, 0.5), weighted(tg2, fg, 0.5, 0.5)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.UpdateTargets(ys[i%2]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBasisTargets64 is the same update through UpdateGoals, α from
-// the goal basis with the incumbent's row live.
-func BenchmarkBasisTargets64(b *testing.B) {
-	m, tg, fg, tg2 := benchTargets64(b)
-	goals := [2][]float64{tg, tg2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.UpdateGoals(goals[i%2], fg, 0.5+0.01*float64(i%2), 0.5-0.01*float64(i%2)); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

@@ -87,3 +87,92 @@ func BenchmarkFillRowsMatern52(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(64*len(pool)), "ns/eval")
 }
+
+// benchBlock72 builds the neighbourhood block a 24-job engine on a
+// 48-core, 32-way, 24-band machine scores: a window of 64, dimension 72,
+// and every coordinate giving, 72·23 = 1 656 moves.
+func benchBlock72(b *testing.B) (*Incremental, *Moves, *Points) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(7))
+	xs := randomInputs(rng, 64, 72)
+	m := NewIncremental(Options{Noise: 1e-3})
+	if err := m.Reset(xs, randomTargets(rng, xs)); err != nil {
+		b.Fatal(err)
+	}
+	mv := &Moves{Base: 5, Group: 24, Give: make([]float64, 72), Take: make([]float64, 72)}
+	for k := range mv.Give {
+		units := []float64{48, 32, 24}[k/24]
+		mv.Give[k], mv.Take[k] = xs[5][k]-1/units, xs[5][k]+1/units
+	}
+	return m, mv, pointsOf(movedPoints(m, mv))
+}
+
+// BenchmarkDenseBlock72 fills and solves the block from its materialised
+// points (compare BenchmarkMovedBlock72).
+func BenchmarkDenseBlock72(b *testing.B) {
+	m, _, pts := benchBlock72(b)
+	var s PredictScratch
+	var blk Block
+	mu, sigma := make([]float64, pts.Len()), make([]float64, pts.Len())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.PredictBlockInto(&s, &blk, mu, sigma, pts)
+	}
+}
+
+// BenchmarkMovedBlock72 fills and solves the same block from its moves.
+func BenchmarkMovedBlock72(b *testing.B) {
+	m, mv, pts := benchBlock72(b)
+	var s PredictScratch
+	var blk Block
+	mu, sigma := make([]float64, pts.Len()), make([]float64, pts.Len())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.PredictMovedBlockInto(&s, &blk, mu, sigma, mv)
+	}
+}
+
+// benchTargets64 builds a window of 64 in dimension 15 (a 5-job node) with
+// its goals and a second set in which the incumbent's row moved, and
+// brings the model to the first.
+func benchTargets64(b *testing.B) (m *Incremental, tg, fg, tg2 []float64) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(5))
+	xs := randomInputs(rng, 64, 15)
+	tg, fg = goalValues(rng, 64, 0.05), goalValues(rng, 64, 0.05)
+	m = NewIncremental(Options{Noise: 1e-3})
+	if err := m.Reset(xs, weighted(tg, fg, 0.5, 0.5)); err != nil {
+		b.Fatal(err)
+	}
+	tg2 = append([]float64(nil), tg...)
+	tg2[7] += 0.01
+	return m, tg, fg, tg2
+}
+
+// BenchmarkSolvedTargets64 is one target-only update at window 64 with the
+// incumbent's row moved, solved: the weighted targets through
+// UpdateTargets, which re-solves α whenever a target moved (compare
+// BenchmarkBasisTargets64).
+func BenchmarkSolvedTargets64(b *testing.B) {
+	m, tg, fg, tg2 := benchTargets64(b)
+	ys := [2][]float64{weighted(tg, fg, 0.5, 0.5), weighted(tg2, fg, 0.5, 0.5)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.UpdateTargets(ys[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBasisTargets64 is the same update through UpdateGoals, α from
+// the goal basis with the incumbent's row live.
+func BenchmarkBasisTargets64(b *testing.B) {
+	m, tg, fg, tg2 := benchTargets64(b)
+	goals := [2][]float64{tg, tg2}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.UpdateGoals(goals[i%2], fg, 0.5+0.01*float64(i%2), 0.5-0.01*float64(i%2)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -429,3 +429,26 @@ func TestPosteriorMatchesEvalOracle(t *testing.T) {
 	}
 	t.Logf("%d posterior entries compared", entries)
 }
+
+// TestRepredictBlockRejectsOtherSizes pins that a block only re-scores into
+// buffers of the size it was filled for, and that the zero Block is stale.
+func TestRepredictBlockRejectsOtherSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	xs := randomInputs(rng, 10, 3)
+	m := NewIncremental(Options{})
+	if err := m.Reset(xs, randomTargets(rng, xs)); err != nil {
+		t.Fatal(err)
+	}
+	var blk Block
+	mu, sigma := make([]float64, 5), make([]float64, 5)
+	if m.RepredictBlockInto(&blk, nil, nil) {
+		t.Fatal("zero Block reported fresh")
+	}
+	m.PredictBlockInto(&PredictScratch{}, &blk, mu, sigma, pointsOf(randomInputs(rng, 5, 3)))
+	if m.RepredictBlockInto(&blk, mu[:4], sigma[:4]) {
+		t.Fatal("block filled for 5 points re-scored into 4")
+	}
+	if !m.RepredictBlockInto(&blk, mu, sigma) {
+		t.Fatal("fresh block reported stale")
+	}
+}

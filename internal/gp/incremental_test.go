@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"satori/internal/linalg"
 )
@@ -468,3 +469,12 @@ func TestTriangleMatchesFit(t *testing.T) {
 
 // sameFloat reports whether a and b have the same bits.
 func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestIncrementalFitsItsSizeClass: every engine holds one model, so its
+// struct stays in the 352-byte size class it was in before the goal basis
+// (the basis lives in one buffer, its bookkeeping in the padding).
+func TestIncrementalFitsItsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Incremental{}); size > 352 {
+		t.Fatalf("gp.Incremental is %d bytes, past the 352-byte size class", size)
+	}
+}

@@ -120,47 +120,3 @@ func FuzzMovedBlock(f *testing.F) {
 		}
 	})
 }
-
-// benchBlock72 builds the neighbourhood block a 24-job engine on a
-// 48-core, 32-way, 24-band machine scores: a window of 64, dimension 72,
-// and every coordinate giving, 72·23 = 1 656 moves.
-func benchBlock72(b *testing.B) (*Incremental, *Moves, *Points) {
-	b.Helper()
-	rng := rand.New(rand.NewSource(7))
-	xs := randomInputs(rng, 64, 72)
-	m := NewIncremental(Options{Noise: 1e-3})
-	if err := m.Reset(xs, randomTargets(rng, xs)); err != nil {
-		b.Fatal(err)
-	}
-	mv := &Moves{Base: 5, Group: 24, Give: make([]float64, 72), Take: make([]float64, 72)}
-	for k := range mv.Give {
-		units := []float64{48, 32, 24}[k/24]
-		mv.Give[k], mv.Take[k] = xs[5][k]-1/units, xs[5][k]+1/units
-	}
-	return m, mv, pointsOf(movedPoints(m, mv))
-}
-
-// BenchmarkDenseBlock72 fills and solves the block from its materialised
-// points (compare BenchmarkMovedBlock72).
-func BenchmarkDenseBlock72(b *testing.B) {
-	m, _, pts := benchBlock72(b)
-	var s PredictScratch
-	var blk Block
-	mu, sigma := make([]float64, pts.Len()), make([]float64, pts.Len())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictBlockInto(&s, &blk, mu, sigma, pts)
-	}
-}
-
-// BenchmarkMovedBlock72 fills and solves the same block from its moves.
-func BenchmarkMovedBlock72(b *testing.B) {
-	m, mv, pts := benchBlock72(b)
-	var s PredictScratch
-	var blk Block
-	mu, sigma := make([]float64, pts.Len()), make([]float64, pts.Len())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictMovedBlockInto(&s, &blk, mu, sigma, mv)
-	}
-}
