@@ -11,9 +11,8 @@ import (
 func ExampleNewSession() {
 	jobs, _ := satori.Suite(satori.SuitePARSEC)
 	sess, err := satori.NewSession(satori.SessionConfig{
-		Workloads:  jobs[:3],
-		Seed:       1,
-		NoiseSigma: -1, // deterministic output for the example
+		Workloads: jobs[:3],
+		Seed:      1,
 	})
 	if err != nil {
 		fmt.Println(err)
@@ -36,7 +35,7 @@ func ExampleNewSession() {
 func ExampleSession_RemoveWorkload() {
 	jobs, _ := satori.Suite(satori.SuiteECP)
 	sess, _ := satori.NewSession(satori.SessionConfig{
-		Workloads: jobs[:2], Seed: 1, NoiseSigma: -1,
+		Workloads: jobs[:2], Seed: 1,
 	})
 	sess.Run(20)
 	arrival, _ := satori.WorkloadByName("amg")

@@ -13,8 +13,6 @@ import (
 type LFOCOptions struct {
 	// K is the maximum cluster count (required ≥ 1).
 	K int
-	// Classifier tunes the online classifier (K is taken from above).
-	Classifier ClassifierOptions
 	// Grouper, when non-nil, is notified of every grouping.
 	Grouper rdt.Grouper
 }
@@ -47,11 +45,9 @@ func NewLFOC(jobSpace *resource.Space, opt LFOCOptions) (*LFOC, error) {
 	if opt.K < 1 {
 		return nil, fmt.Errorf("cluster: LFOCOptions.K must be ≥ 1, got %d", opt.K)
 	}
-	copt := opt.Classifier
-	copt.K = opt.K
 	l := &LFOC{
 		jobSpace: jobSpace,
-		cls:      NewClassifier(jobSpace, copt),
+		cls:      NewClassifier(jobSpace, ClassifierOptions{K: opt.K}),
 		opt:      opt,
 		target:   jobSpace.NewConfig(),
 	}

@@ -27,8 +27,6 @@ type Options struct {
 	// without the capability simply pass nil and the clustering stays a
 	// pure search-space reduction.
 	Grouper rdt.Grouper
-	// Name overrides the policy name (default "satori-clustered").
-	Name string
 }
 
 // Partitioner is the cluster indirection as a policy.Policy over the JOB
@@ -39,7 +37,6 @@ type Options struct {
 // configurations — while the search below it sees K coordinates per
 // resource instead of M, the LFOC search-speed win.
 type Partitioner struct {
-	name     string
 	jobSpace *resource.Space
 	cls      *Classifier
 	inner    policy.Policy
@@ -69,14 +66,9 @@ func New(jobSpace *resource.Space, opt Options) (*Partitioner, error) {
 	if opt.Inner == nil {
 		return nil, fmt.Errorf("cluster: Options.Inner is required")
 	}
-	name := opt.Name
-	if name == "" {
-		name = "satori-clustered"
-	}
 	copt := opt.Classifier
 	copt.K = opt.K
 	p := &Partitioner{
-		name:     name,
 		jobSpace: jobSpace,
 		cls:      NewClassifier(jobSpace, copt),
 		opt:      opt,
@@ -117,7 +109,7 @@ func (p *Partitioner) install(g *resource.Grouping) error {
 }
 
 // Name implements policy.Policy.
-func (p *Partitioner) Name() string { return p.name }
+func (p *Partitioner) Name() string { return "satori-clustered" }
 
 // Grouping returns the active job→cluster map.
 func (p *Partitioner) Grouping() *resource.Grouping { return p.grouping }

@@ -337,6 +337,16 @@ func TestLoopFaultRunDeterministic(t *testing.T) {
 	}
 }
 
+// Regression for the metric-selection aliasing bug: GeoMeanSpeedup and
+// JainIndex used to share the enum zero value with "unset", so asking for
+// exactly this pairing was silently rewritten to SumIPS + Jain.
+func TestNewHonorsExplicitMetrics(t *testing.T) {
+	loop, _ := newFaultLoop(t, rdt.FaultScript{}, Options{Throughput: metrics.GeoMeanSpeedup, Fairness: metrics.JainIndex})
+	if tm, fm := loop.Objectives(); tm != metrics.GeoMeanSpeedup || fm != metrics.JainIndex {
+		t.Errorf("objectives = %v/%v, want geomean/jain", tm, fm)
+	}
+}
+
 // SetObjectives swaps the goal formulas mid-run without disturbing the
 // loop.
 func TestLoopSetObjectives(t *testing.T) {

@@ -114,23 +114,12 @@ type Engine struct {
 	single bool
 	// settled counts the consecutive ticks settle ended at exploit with the
 	// fresh panel ruled out (t.freshSkipped), saturating at settleTicks; at
-	// settleTicks buildPool narrows the scored fresh panel. fullPanel, set
-	// only by tests, keeps every tick's panel whole; denseBlocks, set only
-	// by tests, fills a missed neighborhood block from its encoded points
-	// instead of its moves (scorePool); solvedTargets, set only by tests,
-	// hands a target-only tick its weighted objectives (UpdateTargets, one
-	// solve) instead of its goals and weights (UpdateGoals, the goal basis;
-	// syncModel); noShadows, set only by tests, fills every block that
-	// misses its slot afresh (revive). ruledOut has bit s set when the last
-	// scored tick ruled out poolTop[s]'s block (scorePool), whose pool slots
-	// then hold an earlier tick's values. All share single's word, so the
-	// struct stays in its size class.
-	fullPanel     bool
-	denseBlocks   bool
-	solvedTargets bool
-	noShadows     bool
-	settled       int8
-	ruledOut      uint8
+	// settleTicks buildPool narrows the scored fresh panel. ruledOut has bit
+	// s set when the last scored tick ruled out poolTop[s]'s block
+	// (scorePool), whose pool slots then hold an earlier tick's values. Both
+	// share single's word.
+	settled  int8
+	ruledOut uint8
 
 	// Diagnostics, each written by exactly one stage of Decide; the
 	// counters are Stats' fields of the same names. They are fields, not a
@@ -517,7 +506,7 @@ const (
 // settled engine keeps a quarter of each half: the rest only advance the
 // RNG by the draws building them would take (SkipRandom, skipWalk).
 func (e *Engine) buildPool(t *tick) {
-	narrow := e.settled >= settleTicks && !e.fullPanel
+	narrow := e.settled >= settleTicks
 	if narrow {
 		e.narrowTicks++
 	}
@@ -645,14 +634,6 @@ func (e *Engine) syncModel(window []*Record, w Weights) error {
 		}
 	}
 	switch {
-	case miss == 0 && n == len(e.modelRecs) && e.solvedTargets:
-		e.rowBuf = e.rowBuf[:0]
-		for _, rec := range e.modelRecs {
-			e.rowBuf = append(e.rowBuf, rec.Objective(w))
-		}
-		if err := e.model.UpdateTargets(e.rowBuf); err != nil {
-			return e.dropModel(err)
-		}
 	case miss == 0 && n == len(e.modelRecs):
 		e.rowBuf = slices.Grow(e.rowBuf[:0], 2*n)[:2*n]
 		t, f := e.rowBuf[:n], e.rowBuf[n:]
@@ -841,9 +822,6 @@ func (e *Engine) scorePool(t *tick) {
 			e.blockHits++
 		case e.revive(blk, rec, mu[lo:hi], sigma[lo:hi]):
 			e.shadows.revivals++
-		case e.denseBlocks:
-			e.blockMisses++
-			e.model.PredictBlockInto(&e.batchScratch, &blk.Block, mu[lo:hi], sigma[lo:hi], e.poolPoints(lo, hi))
 		default:
 			e.blockMisses++
 			mv := e.neighborMoves(rec)
@@ -941,10 +919,6 @@ func (e *Engine) freshCanWin(t *tick) bool {
 // be the model's (gp.ReviveMovedBlockInto), and a revived block whose
 // projections fall short has its K* refilled from its moves.
 func (e *Engine) revive(blk *neighborBlock, rec *Record, mu, sigma []float64) bool {
-	if e.noShadows || e.denseBlocks {
-		blk.rec = rec
-		return false
-	}
 	if e.shadows == nil {
 		e.shadows = new(shadowRing)
 	}

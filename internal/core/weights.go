@@ -124,17 +124,14 @@ type SchedulerOptions struct {
 	EqualizationTicks int
 	// WeightFloor and WeightCeil override the [0.25, 0.75] bounds of
 	// Sec. III-C (used by the bounds ablation). The zero value keeps the
-	// defaults; an explicit 0 bound (the truly unbounded ablation) is
-	// expressed by also setting the matching *Set flag — the same
-	// sentinel pattern as Options.StaticWTSet.
+	// defaults; an explicit 0 floor (the truly unbounded ablation) is
+	// expressed by also setting WeightFloorSet — the same sentinel pattern
+	// as Options.StaticWTSet. A ceiling of exactly 1 needs no flag.
 	WeightFloor float64
 	WeightCeil  float64
 	// WeightFloorSet marks WeightFloor as explicit, so WeightFloor: 0 is
 	// honored as "no floor" instead of being rewritten to 0.25.
 	WeightFloorSet bool
-	// WeightCeilSet marks WeightCeil as explicit (a ceiling of exactly 1
-	// needs no flag; it is accepted directly).
-	WeightCeilSet bool
 }
 
 // NewScheduler builds a weight scheduler.
@@ -148,7 +145,7 @@ func NewScheduler(opt SchedulerOptions) *Scheduler {
 	if opt.WeightFloor < 0 || (opt.WeightFloor == 0 && !opt.WeightFloorSet) {
 		opt.WeightFloor = DefaultWeightFloor
 	}
-	if opt.WeightCeil < 0 || opt.WeightCeil > 1 || (opt.WeightCeil == 0 && !opt.WeightCeilSet) {
+	if opt.WeightCeil <= 0 || opt.WeightCeil > 1 {
 		opt.WeightCeil = DefaultWeightCeil
 	}
 	if opt.WeightCeil < opt.WeightFloor {

@@ -298,7 +298,7 @@ func TestUnsetBoundsKeepDefaults(t *testing.T) {
 			s.floor, s.ceil, DefaultWeightFloor, DefaultWeightCeil)
 	}
 	// Nonsensical explicit bounds (ceil below floor) also fall back.
-	s = NewScheduler(SchedulerOptions{WeightFloor: 0.9, WeightCeil: 0.1, WeightCeilSet: true})
+	s = NewScheduler(SchedulerOptions{WeightFloor: 0.9, WeightCeil: 0.1})
 	if s.floor != DefaultWeightFloor || s.ceil != DefaultWeightCeil {
 		t.Fatalf("inverted bounds = [%g, %g], want defaults", s.floor, s.ceil)
 	}

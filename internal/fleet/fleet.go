@@ -44,8 +44,6 @@ import (
 type Options struct {
 	// Nodes is the cluster size (required, ≥ 1).
 	Nodes int
-	// Machine is the per-node hardware shape (default sim.DefaultMachine).
-	Machine *sim.MachineSpec
 	// Policy is the per-node partitioning policy, by registry name
 	// (default "satori"; see harness.PolicyNames).
 	Policy string
@@ -54,9 +52,6 @@ type Options struct {
 	Placer string
 	// Seed drives the whole fleet; equal seeds replay identically.
 	Seed uint64
-	// NoiseSigma forwards to each node's simulator (0 = default 2%,
-	// negative = noise-free).
-	NoiseSigma float64
 	// Stream tunes job churn. Stream.Seed defaults to Seed so one knob
 	// reproduces the whole run.
 	Stream StreamOptions
@@ -210,13 +205,8 @@ func New(opt Options) (*Cluster, error) {
 	if opt.Shards > opt.Nodes {
 		opt.Shards = opt.Nodes
 	}
+	// Every node is the paper's testbed (sim.DefaultMachine).
 	machine := sim.DefaultMachine()
-	if opt.Machine != nil {
-		machine = *opt.Machine
-	}
-	if err := machine.Validate(); err != nil {
-		return nil, err
-	}
 	stream, err := NewJobStream(opt.Stream)
 	if err != nil {
 		return nil, err
@@ -528,8 +518,7 @@ func (n *node) admit(job *Job, now float64, opt Options) error {
 		if err != nil {
 			return err
 		}
-		simulator, err := sim.New(n.machine, []*sim.Profile{job.Profile},
-			sim.Options{Seed: seed, NoiseSigma: opt.NoiseSigma})
+		simulator, err := sim.New(n.machine, []*sim.Profile{job.Profile}, sim.Options{Seed: seed})
 		if err != nil {
 			return err
 		}

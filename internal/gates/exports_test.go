@@ -104,6 +104,8 @@ func newModule() (*module, error) {
 			Types: map[ast.Expr]types.TypeAndValue{},
 			Defs:  map[*ast.Ident]types.Object{},
 			Uses:  map[*ast.Ident]types.Object{},
+
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
 		},
 	}
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {

@@ -11,9 +11,10 @@
 // range and loop headers, case values, keyed fields, function and
 // interface declarations, string literals, assembly instructions. A
 // renamed import reads as its package's name, so `s.New` under
-// `import s "satori/internal/sim"` is `sim.New`. One row reads the module
-// type-checked instead (exports_test.go): its shapes are exported declarations
-// and the references that resolve to them. Each row also carries a small
+// `import s "satori/internal/sim"` is `sim.New`. Two rows read the module
+// type-checked instead: exported declarations and the references that
+// resolve to them (exports_test.go), and struct fields with the reads and
+// writes that resolve to them (fields_test.go). Each row also carries a small
 // known-bad file, read in memory the way the row reads the tree, that its
 // check must reject: a gate that cannot fire fails here rather than gating
 // nothing.
@@ -45,7 +46,7 @@ const root = "../.."
 
 // A shape is one thing a file says, as the checks see it.
 type shape struct {
-	kind string // import, ident, sel, call, assert, lit, range, loop, case, kv, func, interface, string, instr, line, file, export or use
+	kind string // import, ident, sel, call, assert, lit, range, loop, case, kv, func, interface, string, instr, line, file, export, use, field, read or write
 	text string
 	fn   string // the function declaration it sits in, "" outside one
 	at   string // file:line
@@ -67,7 +68,9 @@ type files struct {
 	tests testFiles // which Go files count
 	skip  []string  // directories a walk leaves out
 	deps  string    // instead of paths: every package `go list -deps .` links from this directory, as an import
-	typed bool      // instead of paths: the module's non-test packages, type-checked, as exports and uses
+	// instead of paths: the module's non-test packages, type-checked, read
+	// by this method (exports and uses, or fields, reads and writes)
+	typed func(*module, []*checked) []shape
 }
 
 // A check holds over the shapes of a row's files, or says what breaks it.
@@ -430,16 +433,23 @@ var gates = []gate{
 	// Every export earns a production caller (exports_test.go).
 	{
 		name:  "Every export earns a production caller",
-		files: files{typed: true},
+		files: files{typed: (*module).exportShapes},
 		check: used(unreferenced),
 		bad:   source{"bad.go", "package satori\n\nfunc Dead() {}\n"},
+	},
+
+	// Every field read has a production writer (fields_test.go).
+	{
+		name:  "Every field read has a production writer",
+		files: files{typed: (*module).fieldShapes},
+		check: written(unwritten),
+		bad:   goSrc(`type T struct{ off bool }; func (t *T) F() bool { return t.off }`),
 	},
 }
 
 // unreferenced is the exports row's allowlist: exports no production code
-// references, each with the reason it stays. benchmark/ is frozen, and its
-// text must not move in a change that claims no gain (ROADMAP standing
-// rules 1 and 2). A name of the root package stays for one of two reasons
+// references, each with the reason it stays. benchmark/ is frozen (ROADMAP
+// standing rule 1), so what it calls stays. A name of the root package stays for one of two reasons
 // only: the benchmark compiles against it, or a code sample of README.md
 // or doc.go uses it, named by line.
 var unreferenced = map[string]string{
@@ -465,8 +475,10 @@ var unreferenced = map[string]string{
 	// Used by a code sample of the documentation.
 	"satori.SuiteLC": "README.md's latency-critical sample, line 105",
 	// Reference implementations the fast paths are tested against.
-	"gp.Fit":           "the from-scratch refit every gp and core oracle compares with",
-	"gp.(*GP).Predict": "the per-point posterior the batched routines are tested against",
+	"gp.Fit":                             "the from-scratch refit every gp and core oracle compares with",
+	"gp.(*GP).Predict":                   "the per-point posterior the batched routines are tested against",
+	"gp.(*Incremental).PredictBlockInto": "the dense fill FuzzMovedBlock, TestBlockCeilingCoversItsCases and the DenseBlock72/MovedBlock72 gate hold the moved fill to",
+	"gp.(*Incremental).UpdateTargets":    "benchmark/probes.go times it (gp.update_targets_us); the SolvedTargets64 gate holds the goal basis to it",
 	// Read only by tests, and by a test outside the package where no other
 	// API shows the same state.
 	"rdt.WriteIPSTrace":           "FuzzReadIPSTrace's round-trip writer",
@@ -475,6 +487,30 @@ var unreferenced = map[string]string{
 	"rdt.(*SimPlatform).Plan":     "TestClusteredPolicyGroupsThroughInjector, TestRunSurvivesHeldTicks and TestRandomOpsLedgerAndInvariants count the compiled control groups",
 	"resource.(*Space).Imbalance": "core's TestEngineSeedsWithInitialSet bounds the initial samples; its synthetic fairness reads it",
 	"control.(*Loop).Isolated":    "TestChurnReinitIncremental reads the baselines churn re-measured, before any Status shows them",
+}
+
+// unwritten is the fields row's allowlist: fields non-test code reads and
+// only tests, or the frozen benchmark, write, each with the reason it stays.
+// A field no test needs goes, with the branches that read it.
+var unwritten = map[string]string{
+	// Set only by the frozen benchmark (ROADMAP standing rule 1).
+	"satori.SessionConfig.Sampled":       "benchmark/workload.go runs its sampled workloads with it",
+	"satori.SessionConfig.SLOGoalSwitch": "benchmark/workload.go and bench_test.go's latency-critical sessions set it",
+	"fleet.Options.WrapPlatform":         "benchmark/workload.go traces the fleet workloads' platforms; fleet's shard and random-ops tests inject faults through it",
+	// Set by tests whose coverage would go with it.
+	"core.Options.Xi":                    "TestEngineMatchesRefitOracle and TestRandomDrivesMatchOracles vary ξ",
+	"gp.Options.Kernel":                  "gp's, bo's and linalg's tests pin the hyperparameters with it",
+	"control.Options.BaselineResetTicks": "control's loop, idle, resilience and random-ops tests shorten the baseline refresh with it (TestLoopPeriodicBaselineRefresh holds the schedule)",
+	"cluster.Options.Classifier":         "control's random-ops model sets a quick classifier, so jobs migrate between churns",
+	"harness.RunSpec.Faults":             "TestRunSurvivesTransientResetFailure and TestRunSurvivesHeldTicks set it",
+	"harness.ExpOptions.Cache":           "cache_test.go runs experiments through the cache; it goes with cache.go (ROADMAP 17)",
+	"fleet.StreamOptions.MaxJobs":        "the FleetTick* benchmarks behind CI's fleet gates set it",
+	"rdt.SimPlatform.maxCLOS":            "rdt's cluster and fault tests emulate a CLOS budget with it",
+	"rdt.FaultScript.ApplyErrorRate":     "the random-ops, resilience and soak tests set it",
+	"rdt.FaultScript.MeasureErrorRate":   "the random-ops, resilience and soak tests set it",
+	"rdt.FaultScript.ResyncErrorRate":    "the random-ops, resilience and soak tests set it",
+	"rdt.FaultScript.SampleCorruptRate":  "the random-ops, resilience and soak tests set it",
+	"rdt.FaultScript.SampleErrorRate":    "the random-ops, resilience and soak tests set it",
 }
 
 // TestGates runs every row over the tree, then over its known-bad file.
@@ -626,12 +662,12 @@ func list(hits []hit) string {
 
 // shapes reads the row's files, each parsed at most once per run.
 func (f files) shapes(cache map[string][]shape) ([]shape, error) {
-	if f.typed {
+	if f.typed != nil {
 		m, err := loadModule()
 		if err != nil {
 			return nil, err
 		}
-		return m.exportShapes(m.checked()), nil
+		return f.typed(m, m.checked()), nil
 	}
 	if f.deps != "" {
 		cmd := exec.Command("go", "list", "-deps", ".")
@@ -672,7 +708,7 @@ func (f files) shapes(cache map[string][]shape) ([]shape, error) {
 // parse reads a known-bad file the way the row reads the tree: a typed
 // row reads the module with the file as one more package of it.
 func (f files) parse(src source) ([]shape, error) {
-	if !f.typed {
+	if f.typed == nil {
 		return shapesOf(src.name, []byte(src.text))
 	}
 	m, err := loadModule()
@@ -683,7 +719,7 @@ func (f files) parse(src source) ([]shape, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.exportShapes(pkgs), nil
+	return f.typed(m, pkgs), nil
 }
 
 // list names the row's files, relative to the root.

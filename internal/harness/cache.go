@@ -56,16 +56,15 @@ func NewCellCache(dir string) (*CellCache, error) {
 // cellKey is the canonical hashed identity of one suite cell. Every
 // field feeds the hash through deterministic JSON encoding.
 type cellKey struct {
-	Schema             int
-	Machine            sim.MachineSpec
-	Profiles           []*sim.Profile
-	PolicyID           string
-	Seed               uint64
-	Ticks              int
-	NoiseSigma         float64
-	Throughput         metrics.ThroughputMetric
-	Fairness           metrics.FairnessMetric
-	BaselineResetTicks int
+	Schema     int
+	Machine    sim.MachineSpec
+	Profiles   []*sim.Profile
+	PolicyID   string
+	Seed       uint64
+	Ticks      int
+	NoiseSigma float64
+	Throughput metrics.ThroughputMetric
+	Fairness   metrics.FairnessMetric
 }
 
 // key derives the content hash for spec under policyID.
@@ -79,16 +78,15 @@ func (c *CellCache) key(spec RunSpec, policyID string) (string, error) {
 		ticks = 600
 	}
 	blob, err := json.Marshal(cellKey{
-		Schema:             cacheSchemaVersion,
-		Machine:            machine,
-		Profiles:           spec.Profiles,
-		PolicyID:           policyID,
-		Seed:               spec.Seed,
-		Ticks:              ticks,
-		NoiseSigma:         spec.NoiseSigma,
-		Throughput:         spec.Metrics.Throughput,
-		Fairness:           spec.Metrics.Fairness,
-		BaselineResetTicks: spec.BaselineResetTicks,
+		Schema:     cacheSchemaVersion,
+		Machine:    machine,
+		Profiles:   spec.Profiles,
+		PolicyID:   policyID,
+		Seed:       spec.Seed,
+		Ticks:      ticks,
+		NoiseSigma: spec.NoiseSigma,
+		Throughput: spec.Metrics.Throughput,
+		Fairness:   spec.Metrics.Fairness,
 	})
 	if err != nil {
 		return "", fmt.Errorf("harness: cell cache key: %w", err)
@@ -100,8 +98,7 @@ func (c *CellCache) key(spec RunSpec, policyID string) (string, error) {
 // Run executes spec through the cache: a hit returns the stored result
 // without simulating; a miss runs the cell and stores it. Cells the
 // cache cannot faithfully serialize (KeepTrace) or identify
-// (TrackOracleDistance with an anonymous searcher configuration) run
-// uncached.
+// (TrackOracleDistance, which the key does not cover) run uncached.
 func (c *CellCache) Run(spec RunSpec, policyID string) (*Result, error) {
 	if spec.KeepTrace || spec.TrackOracleDistance {
 		c.skips.Add(1)

@@ -105,17 +105,11 @@ type RunSpec struct {
 	NoiseSigma float64
 	// Metrics selects objective formulas.
 	Metrics MetricSet
-	// BaselineResetTicks is the isolated-baseline refresh period
-	// (default 100 ticks = 10 s, the equalization period).
-	BaselineResetTicks int
 	// TrackOracleDistance additionally computes, each tick, the
 	// Balanced-Oracle configuration for the current phase state and
 	// records the Euclidean distance of the applied configuration to
 	// it (Fig. 15). Costs an oracle search per phase change.
 	TrackOracleDistance bool
-	// OracleOptions tunes the reference searcher when
-	// TrackOracleDistance is set.
-	OracleOptions oracle.Options
 	// KeepTrace retains the full per-tick series in the result.
 	KeepTrace bool
 	// Faults, when non-nil, wraps the platform in a deterministic fault
@@ -195,11 +189,7 @@ func Run(spec RunSpec) (*Result, error) {
 	}
 	loop, simulator, err := bootSim(machine, spec.Profiles,
 		sim.Options{Seed: spec.Seed, NoiseSigma: spec.NoiseSigma}, spec.Faults, spec.Policy,
-		control.Options{
-			Throughput:         spec.Metrics.Throughput,
-			Fairness:           spec.Metrics.Fairness,
-			BaselineResetTicks: spec.BaselineResetTicks,
-		})
+		control.Options{Throughput: spec.Metrics.Throughput, Fairness: spec.Metrics.Fairness})
 	if err != nil {
 		return nil, err
 	}
@@ -209,11 +199,11 @@ func Run(spec RunSpec) (*Result, error) {
 	refCache := map[string]resource.Config{}
 	var refKey []byte
 	if spec.TrackOracleDistance {
-		oopt := spec.OracleOptions
-		oopt.Seed = spec.Seed ^ 0xFACE
-		oopt.ThroughputMetric = spec.Metrics.Throughput
-		oopt.FairnessMetric = spec.Metrics.Fairness
-		refSearcher = oracle.NewSearcher(simulator, oopt)
+		refSearcher = oracle.NewSearcher(simulator, oracle.Options{
+			Seed:             spec.Seed ^ 0xFACE,
+			ThroughputMetric: spec.Metrics.Throughput,
+			FairnessMetric:   spec.Metrics.Fairness,
+		})
 	}
 
 	columns := []string{"tick", "time", "throughput", "fairness", "objective", "worst"}

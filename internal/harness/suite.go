@@ -50,8 +50,6 @@ type SuiteSpec struct {
 	// Base carries shared run parameters (Ticks, Seed, Metrics,
 	// NoiseSigma, Machine...). Policy and Profiles are overwritten.
 	Base RunSpec
-	// OracleOptions tunes the Balanced Oracle reference runs.
-	OracleOptions oracle.Options
 	// Workers bounds the fan-out over the suite's independent run
 	// units (every mix × policy cell plus the per-mix oracle
 	// reference): 0 = one worker per CPU, 1 = serial. Results are
@@ -80,9 +78,10 @@ func RunSuite(spec SuiteSpec) (*SuiteResult, error) {
 	}
 	// The oracle must optimize the same objective formulas the
 	// experiment scores with.
-	oracleOpts := spec.OracleOptions
-	oracleOpts.ThroughputMetric = spec.Base.Metrics.Throughput
-	oracleOpts.FairnessMetric = spec.Base.Metrics.Fairness
+	oracleOpts := oracle.Options{
+		ThroughputMetric: spec.Base.Metrics.Throughput,
+		FairnessMetric:   spec.Base.Metrics.Fairness,
+	}
 
 	// Every run unit — the Balanced Oracle reference plus each policy,
 	// per mix — is independent and reproducible from its own seed, so

@@ -5,7 +5,6 @@ import (
 
 	"satori/internal/control"
 	"satori/internal/core"
-	"satori/internal/metrics"
 	"satori/internal/policy"
 	"satori/internal/rdt"
 	"satori/internal/resource"
@@ -53,18 +52,6 @@ type SessionConfig struct {
 	Policy func(Platform) (Policy, error)
 	// Seed makes the session reproducible (default 1).
 	Seed uint64
-	// NoiseSigma is the relative IPS measurement noise (default ~2%;
-	// negative disables noise). Simulator backend only.
-	NoiseSigma float64
-	// ThroughputMetric selects the throughput objective. The zero
-	// value resolves to the paper's evaluation default (SumIPS).
-	ThroughputMetric metrics.ThroughputMetric
-	// FairnessMetric selects the fairness objective. The zero value
-	// resolves to JainIndex.
-	FairnessMetric metrics.FairnessMetric
-	// BaselineResetTicks is the isolated-baseline refresh period
-	// (default 100 ticks = 10 s, the equalization period).
-	BaselineResetTicks int
 	// Sampled enables Pac-Sim-style sampled simulation: phase-stable
 	// intervals are extrapolated instead of evaluated in detail (see
 	// control.SamplingOptions). On the simulator backend the outputs are
@@ -102,7 +89,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	simulator, err := sim.New(machine, cfg.Workloads, sim.Options{Seed: seed, NoiseSigma: cfg.NoiseSigma})
+	simulator, err := sim.New(machine, cfg.Workloads, sim.Options{Seed: seed})
 	if err != nil {
 		return nil, err
 	}
@@ -116,9 +103,10 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 
 // NewSessionOn builds a session driving an already-constructed Platform
 // backend — the deployment path for rdt.ResctrlPlatform (and any future
-// backend). cfg.Workloads, Machine and NoiseSigma are ignored (the
-// platform fixes all three); Policy, Seed, metrics and the baseline
-// refresh period apply as in NewSession.
+// backend). cfg.Workloads and Machine are ignored (the platform fixes
+// both); Policy, Seed, Sampled and SLOGoalSwitch apply as in NewSession.
+// The goals are the paper's defaults (SumIPS throughput, Jain fairness)
+// and the baselines refresh every equalization period (100 ticks).
 func NewSessionOn(platform Platform, cfg SessionConfig) (*Session, error) {
 	if platform == nil {
 		return nil, fmt.Errorf("satori: NewSessionOn needs a platform")
@@ -137,13 +125,10 @@ func NewSessionOn(platform Platform, cfg SessionConfig) (*Session, error) {
 		return core.New(p.Space(), core.Options{Seed: seed})
 	}
 	loop, err := control.New(control.Options{
-		Platform:           platform,
-		Policy:             build,
-		Throughput:         cfg.ThroughputMetric,
-		Fairness:           cfg.FairnessMetric,
-		BaselineResetTicks: cfg.BaselineResetTicks,
-		Sampling:           control.SamplingOptions{Enabled: cfg.Sampled},
-		SLO:                control.SLOOptions{GoalSwitch: cfg.SLOGoalSwitch},
+		Platform: platform,
+		Policy:   build,
+		Sampling: control.SamplingOptions{Enabled: cfg.Sampled},
+		SLO:      control.SLOOptions{GoalSwitch: cfg.SLOGoalSwitch},
 	})
 	if err != nil {
 		return nil, err

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"satori"
-	"satori/internal/metrics"
 )
 
 func parsecJobs(t *testing.T, n int) []*satori.Workload {
@@ -64,31 +63,6 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 	if !strings.Contains(sum.String(), "throughput=") {
 		t.Error("summary rendering wrong")
-	}
-}
-
-func TestSessionBaselineResetSchedule(t *testing.T) {
-	sess, err := satori.NewSession(satori.SessionConfig{
-		Workloads:          parsecJobs(t, 3),
-		BaselineResetTicks: 10,
-		Seed:               4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resets := 0
-	for i := 0; i < 50; i++ {
-		st, err := sess.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.BaselineReset {
-			resets++
-		}
-	}
-	// Tick 1 (initial) plus ticks 11, 21, 31, 41.
-	if resets != 5 {
-		t.Errorf("%d baseline resets in 50 ticks with period 10, want 5", resets)
 	}
 }
 
@@ -181,12 +155,12 @@ func TestCustomMachineAndPowerResource(t *testing.T) {
 	}
 }
 
+// A session's throughput score is the paper's default, normalized sum-IPS:
+// positive and at most 1.
 func TestMetricSelection(t *testing.T) {
 	sess, err := satori.NewSession(satori.SessionConfig{
-		Workloads:        parsecJobs(t, 3),
-		ThroughputMetric: metrics.GeoMeanSpeedup,
-		FairnessMetric:   metrics.OneMinusCoV,
-		Seed:             8,
+		Workloads: parsecJobs(t, 3),
+		Seed:      8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -196,6 +170,6 @@ func TestMetricSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Throughput <= 0 || st.Throughput > 1 {
-		t.Errorf("geomean throughput = %g", st.Throughput)
+		t.Errorf("normalized throughput = %g", st.Throughput)
 	}
 }
