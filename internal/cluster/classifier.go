@@ -69,12 +69,11 @@ type ClassifierOptions struct {
 	// oscillation at class boundaries exactly like the SLO detector's
 	// onset streaks.
 	Hysteresis int
-	// WaysSlopeMin and BWSlopeMin are the d(speedup)/d(share) thresholds
-	// above which a job counts as cache-sensitive / streaming
-	// (default 0.2 each).
-	WaysSlopeMin float64
-	BWSlopeMin   float64
 }
+
+// slopeMin is the d(speedup)/d(share) threshold above which a job counts as
+// cache-sensitive (its ways slope) or streaming (its bandwidth slope).
+const slopeMin = 0.2
 
 func (o ClassifierOptions) fill() ClassifierOptions {
 	if o.ReclassifyEvery <= 0 {
@@ -85,12 +84,6 @@ func (o ClassifierOptions) fill() ClassifierOptions {
 	}
 	if o.Hysteresis <= 0 {
 		o.Hysteresis = 2
-	}
-	if o.WaysSlopeMin <= 0 {
-		o.WaysSlopeMin = 0.2
-	}
-	if o.BWSlopeMin <= 0 {
-		o.BWSlopeMin = 0.2
 	}
 	return o
 }
@@ -213,9 +206,9 @@ func (c *Classifier) round() bool {
 	for j := range c.classes {
 		ws, bs := c.ways[j].slope(), c.bw[j].slope()
 		switch {
-		case ws >= c.opt.WaysSlopeMin:
+		case ws >= slopeMin:
 			c.classes[j] = CacheSensitive
-		case bs >= c.opt.BWSlopeMin:
+		case bs >= slopeMin:
 			c.classes[j] = Streaming
 		default:
 			c.classes[j] = Insensitive

@@ -212,11 +212,11 @@ type tick struct {
 	current resource.Config
 	w       Weights // this tick's goal weights
 
-	window  []*Record       // most recent records, the proxy model's inputs
-	best    float64         // highest window objective under w
-	bestCfg resource.Config // the incumbent: the configuration that reached it
-	top     [3]*Record      // best topN window records, descending objective
-	topN    int
+	window    []*Record  // most recent records, the proxy model's inputs
+	best      float64    // highest window objective under w
+	incumbent *Record    // the record that reached it
+	top       [3]*Record // best topN window records, descending objective
+	topN      int
 
 	mu, sigma []float64 // the proxy model's posterior over the pool
 	// fresh is how many fresh candidates the tick scores: all
@@ -398,8 +398,10 @@ func (e *Engine) Decide(obs policy.Observation, current resource.Config) resourc
 		return e.randomConfig()
 	}
 	e.trackProxyChange(t.window)
-	e.buildPool(&t)
-	e.scorePool(&t)
+	// The walks' moved coordinates, on the stack for the default 16 walks.
+	var moved [16 * (2*walkSteps + 1)]int32
+	walks := e.buildPool(&t, moved[:0])
+	e.scorePool(&t, walks)
 	idx, score, err := e.acquire(&t)
 	return e.settle(&t, idx, score, err)
 }
@@ -457,7 +459,7 @@ func (e *Engine) rankWindow(t *tick) {
 	for _, rec := range t.window {
 		y := rec.Objective(t.w)
 		if y > t.best {
-			t.best, t.bestCfg = y, rec.Config
+			t.best, t.incumbent = y, rec
 		}
 		p := t.topN
 		for i := 0; i < t.topN; i++ {
@@ -504,8 +506,10 @@ const (
 // The tick's fresh panel is the kept random candidates, then the kept walks,
 // each in draw order, so ties between them break as in the whole panel. A
 // settled engine keeps a quarter of each half: the rest only advance the
-// RNG by the draws building them would take (SkipRandom, skipWalk).
-func (e *Engine) buildPool(t *tick) {
+// RNG by the draws building them would take (SkipRandom, skipWalk). The
+// kept walks are returned described for the fill, their moved coordinates
+// appended to moved.
+func (e *Engine) buildPool(t *tick, moved []int32) gp.Walks {
 	narrow := e.settled >= settleTicks
 	if narrow {
 		e.narrowTicks++
@@ -527,10 +531,10 @@ func (e *Engine) buildPool(t *tick) {
 	}
 	for i := 0; i < n-randoms; i++ {
 		if i >= keepW {
-			e.skipWalk(3)
+			e.skipWalk()
 			continue
 		}
-		e.randomWalkInto(e.candidateCfg[keepR+i], t.bestCfg, 3)
+		moved = append(e.randomWalkInto(e.candidateCfg[keepR+i], t.incumbent.Config, walkSteps, moved), -1)
 	}
 	e.candCount = n
 	e.poolTop, e.poolTopN = t.top, t.topN
@@ -538,6 +542,7 @@ func (e *Engine) buildPool(t *tick) {
 		e.candCount += e.neighborhoodSize(rec.Config)
 		e.poolEnd[i] = e.candCount
 	}
+	return gp.Walks{Base: t.incumbent.row, Moved: moved}
 }
 
 // freshPanel returns how many of the random and of the random-walk
@@ -596,7 +601,7 @@ func (e *Engine) settle(t *tick, idx int, score float64, err error) resource.Con
 			e.settled = min(settled+1, settleTicks)
 		}
 		e.exploits++
-		return t.bestCfg
+		return t.incumbent.Config
 	}
 	return e.candidate(idx)
 }
@@ -799,7 +804,7 @@ func (e *Engine) neighborMoves(rec *Record) gp.Moves {
 // panel is skipped, and their σ slots hold the ceilings that ruled them
 // out. Only the tick's t.fresh candidates are scored; the slots of the
 // unscored ones keep stale values.
-func (e *Engine) scorePool(t *tick) {
+func (e *Engine) scorePool(t *tick, walks gp.Walks) {
 	mu, sigma := e.posterior()
 	t.mu, t.sigma = mu, sigma
 	top, blocks := e.poolTop[:e.poolTopN], e.opt.Candidates // the blocks start after every fresh slot
@@ -836,7 +841,7 @@ func (e *Engine) scorePool(t *tick) {
 	default:
 		e.argmaxBlocks(t)
 	}
-	e.model.PredictMeansInto(&e.batchScratch, mu[:t.fresh], e.poolPoints(0, t.fresh))
+	e.model.PredictMeansInto(&e.batchScratch, mu[:t.fresh], e.poolPoints(0, t.fresh), walks)
 	if !e.freshCanWin(t) {
 		t.freshSkipped = true
 		e.freshSkips++
@@ -971,17 +976,27 @@ func (e *Engine) blockFor(rec *Record, top []*Record) *neighborBlock {
 	return free
 }
 
-// skipWalk advances the RNG exactly as randomWalkInto does, building
-// nothing: three draws per step, none when no row is managed.
-func (e *Engine) skipWalk(steps int) {
+// walkSteps is how many one-unit moves a fresh walk tries.
+const walkSteps = 3
+
+// skipWalk advances the RNG exactly as a walk of walkSteps steps does,
+// building nothing.
+func (e *Engine) skipWalk() {
+	var d [3 * walkSteps]int
+	e.walkDraws(d[:])
+}
+
+// walkDraws takes the draws of len(d)/3 walk steps into d in one Intns
+// call: per step a managed row's index, a donor and a receiver. It draws
+// nothing when no row is managed.
+func (e *Engine) walkDraws(d []int) {
 	if len(e.managedRows) == 0 {
 		return
 	}
-	for s := 0; s < steps; s++ {
-		e.rng.Intn(len(e.managedRows))
-		e.rng.Intn(e.space.Jobs)
-		e.rng.Intn(e.space.Jobs)
+	for s := 0; s < len(d); s += 3 {
+		d[s], d[s+1], d[s+2] = len(e.managedRows), e.space.Jobs, e.space.Jobs
 	}
+	e.rng.Intns(d)
 }
 
 // randomWalkInto copies c into dst and applies up to steps random one-unit
@@ -989,18 +1004,33 @@ func (e *Engine) skipWalk(steps int) {
 // sampled from the managed set only: drawing over all rows and skipping
 // unmanaged ones would consume steps without moving, so walks under the
 // Sec. V source-of-benefit ablations (Managed restricted to a subset) would
-// be systematically shorter than full SATORI's.
-func (e *Engine) randomWalkInto(dst, c resource.Config, steps int) {
+// be systematically shorter than full SATORI's. It appends to moved the
+// coordinates (row·Jobs + job, as VectorInto lays them out) that its legal
+// moves changed, each the first time it moves, and returns it: the walk's
+// encoding differs from c's in no other coordinate (gp.Walks).
+func (e *Engine) randomWalkInto(dst, c resource.Config, steps int, moved []int32) []int32 {
 	dst.CopyFrom(c)
 	if len(e.managedRows) == 0 {
-		return
+		return moved
 	}
-	for s := 0; s < steps; s++ {
-		r := e.managedRows[e.rng.Intn(len(e.managedRows))]
-		from := e.rng.Intn(e.space.Jobs)
-		to := e.rng.Intn(e.space.Jobs)
-		e.space.MoveInPlace(dst, r, from, to)
+	start, jobs := len(moved), e.space.Jobs
+	var d [3 * walkSteps]int
+	for s := 0; s < steps; s += walkSteps {
+		draws := d[:3*min(walkSteps, steps-s)]
+		e.walkDraws(draws)
+		for j := 0; j < len(draws); j += 3 {
+			r, from, to := e.managedRows[draws[j]], draws[j+1], draws[j+2]
+			if !e.space.MoveInPlace(dst, r, from, to) {
+				continue
+			}
+			for _, k := range [...]int32{int32(r*jobs + from), int32(r*jobs + to)} {
+				if !slices.Contains(moved[start:], k) {
+					moved = append(moved, k)
+				}
+			}
+		}
 	}
+	return moved
 }
 
 // neighborhoodSize counts c's one-unit moves within managed rows: every job

@@ -497,8 +497,8 @@ func TestPoolMatchesEagerNeighbours(t *testing.T) {
 			tk.top[tk.topN] = recs.Update(space, c, rng.Float64(), rng.Float64(), 1)
 			tk.topN++
 		}
-		tk.bestCfg = tk.top[0].Config
-		e.buildPool(&tk)
+		tk.incumbent = tk.top[0]
+		e.buildPool(&tk, nil)
 
 		var want []resource.Config
 		for _, c := range e.candidateCfg[:e.opt.Candidates] {

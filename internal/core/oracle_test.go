@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"satori/internal/bo"
@@ -71,7 +72,7 @@ func (o *refitOracle) Decide(obs policy.Observation, current resource.Config) re
 	case after.FitFailures != before.FitFailures:
 		// No model: the tick explores one pinned random configuration.
 		want := e.space.NewConfig()
-		e.space.RandomInto(&rng, want)
+		plainRandomInto(&rng, e.space, want)
 		e.pinUnmanaged(want)
 		if *e.rng != rng || !next.Equal(want) {
 			o.t.Fatalf("tick %d: a failed model update explored %s, the plain draw %s (streams equal: %v)", obs.Tick, next.Key(), want.Key(), *e.rng == rng)
@@ -238,8 +239,9 @@ func (o *refitOracle) check(tick int, current, next resource.Config, rng stats.R
 
 // stream holds a scored tick's draws to the plain draw functions. From rng,
 // the engine's generator as the tick found it, it rebuilds the tick's whole
-// fresh panel — Candidates/2 pinned RandomInto draws, then walks of three
-// steps from the incumbent — and replays Thompson sampling's draw from the
+// fresh panel one Intn at a time — Candidates/2 pinned random
+// configurations (plainRandomInto), then walks of three steps from the
+// incumbent (plainWalkInto) — and replays Thompson sampling's draw from the
 // joint posterior, which must pick the engine's decision. The engine's
 // scored fresh slots must hold the matching draws: all of them, or on a
 // narrowed tick the first quarter of each half, random then walk. Its
@@ -249,23 +251,20 @@ func (o *refitOracle) stream(tick int, rng stats.RNG, incumbent resource.Config,
 	e := o.eng
 	randoms := e.opt.Candidates / 2
 	full := make([]resource.Config, e.opt.Candidates)
-	engine := e.rng
-	e.rng = &rng // the plain draw functions read the engine's generator
 	for i := range full {
 		full[i] = e.space.NewConfig()
 		if i < randoms {
-			e.space.RandomInto(e.rng, full[i])
+			plainRandomInto(&rng, e.space, full[i])
 			e.pinUnmanaged(full[i])
 		} else {
-			e.randomWalkInto(full[i], incumbent, 3)
+			plainWalkInto(e, &rng, full[i], incumbent)
 		}
 	}
 	if e.acq == nil {
-		if idx, err := bo.ThompsonSuggest(e.model, e.rng, e.poolPoints(0, e.candCount)); err == nil && !next.Equal(e.candidate(idx)) {
+		if idx, err := bo.ThompsonSuggest(e.model, &rng, e.poolPoints(0, e.candCount)); err == nil && !next.Equal(e.candidate(idx)) {
 			o.t.Fatalf("tick %d: Thompson sampling replayed picks candidate %d, %s; the engine decided %s", tick, idx, e.candidate(idx).Key(), next.Key())
 		}
 	}
-	e.rng = engine
 	keepR, keepW := e.freshPanel(narrowed)
 	for slot := range keepR + keepW {
 		j := slot
@@ -278,6 +277,44 @@ func (o *refitOracle) stream(tick int, rng stats.RNG, incumbent resource.Config,
 	}
 	if *e.rng != rng {
 		o.t.Fatalf("tick %d: the engine's generator ended elsewhere than the plain draws' (narrowed: %v)", tick, narrowed)
+	}
+}
+
+// plainRandomInto is Space.RandomInto drawn one Intn at a time, the
+// oracle's reference for the batched draws: per resource row, M−1 cut
+// points by a partial Fisher–Yates over the positions 1…U−1, sorted, their
+// gaps the composition.
+func plainRandomInto(rng *stats.RNG, s *resource.Space, c resource.Config) {
+	for r, res := range s.Resources {
+		n, k := res.Units-1, s.Jobs-1
+		pos := make([]int, n)
+		for i := range pos {
+			pos[i] = i + 1
+		}
+		for i := 0; i < k; i++ {
+			j := i + rng.Intn(n-i)
+			pos[i], pos[j] = pos[j], pos[i]
+		}
+		slices.Sort(pos[:k])
+		prev := 0
+		for i, cut := range pos[:k] {
+			c.Alloc[r][i], prev = cut-prev, cut
+		}
+		c.Alloc[r][k] = res.Units - prev
+	}
+}
+
+// plainWalkInto is a fresh walk from c drawn one Intn at a time: per step a
+// managed row, a donor and a receiver, the move made when it is legal.
+func plainWalkInto(e *Engine, rng *stats.RNG, dst, c resource.Config) {
+	dst.CopyFrom(c)
+	for range walkSteps {
+		if len(e.managedRows) == 0 {
+			return
+		}
+		r := e.managedRows[rng.Intn(len(e.managedRows))]
+		from, to := rng.Intn(e.space.Jobs), rng.Intn(e.space.Jobs)
+		e.space.MoveInPlace(dst, r, from, to)
 	}
 }
 
@@ -385,6 +422,67 @@ func TestEngineMatchesRefitOracleOnSimulator(t *testing.T) {
 	}
 	if ruled == 0 {
 		t.Fatal("no tick ruled out a neighbourhood block: the ceiling was never held against the oracle")
+	}
+}
+
+// TestEngineMatchesRefitOracleOnWideSimulator drives the engine under the
+// oracle on 16 PARSEC jobs on a machine of 32 cores, 35 ways and 32
+// bandwidth units: dimension 48, gp's walkDim, so every scored tick's walks
+// are filled from the coordinates they moved. At a window of 16 it runs the
+// default panel, 48 candidates (24 walks, more than the stack holds the
+// lists of) and 80 candidates (40 random ones, so a panel holds both kinds)
+// managing the cache ways only, and Thompson sampling managing the ways of
+// the same jobs on 17 of them, whose one-donor neighbourhoods keep its joint
+// posterior small.
+func TestEngineMatchesRefitOracleOnWideSimulator(t *testing.T) {
+	parsec := workloads.PARSEC()
+	profiles := make([]*sim.Profile, 16)
+	for i := range profiles {
+		profiles[i] = parsec[i%len(parsec)]
+	}
+	machine := sim.DefaultMachine()
+	machine.Cores, machine.LLCWays, machine.MemBWUnits = 32, 35, 32
+	narrow := machine
+	narrow.LLCWays = 17
+	llc := []resource.Kind{resource.LLCWays}
+	const ticks = 80
+	for _, run := range []struct {
+		machine sim.MachineSpec
+		opt     Options
+	}{
+		{machine, Options{Seed: 31}},
+		{machine, Options{Seed: 32, Candidates: 48}},
+		{machine, Options{Seed: 33, Candidates: 80, Managed: llc}},
+		{narrow, Options{Seed: 34, Acquisition: "ts", Managed: llc}},
+	} {
+		run.opt.Window = 16
+		simulator, err := sim.New(run.machine, profiles, sim.Options{Seed: run.opt.Seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := New(simulator.Space(), run.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := &refitOracle{t: t, eng: eng}
+		isolated := simulator.MeasureIsolated()
+		current := simulator.Current()
+		for tick := 1; tick <= ticks; tick++ {
+			s := simulator.Step()
+			current = oracle.Decide(policy.Observation{
+				Tick: tick, Time: s.Time,
+				Throughput: metrics.NormalizedThroughput(metrics.DefaultThroughput, s.IPS, isolated),
+				Fairness:   metrics.NormalizedFairness(metrics.DefaultFairness, s.IPS, isolated),
+			}, current)
+			if err := simulator.Apply(current); err != nil {
+				t.Fatalf("seed %d tick %d: %v", run.opt.Seed, tick, err)
+			}
+		}
+		if oracle.scored < ticks-eng.opt.InitialSamples-eng.FitFailures() {
+			t.Fatalf("seed %d: %d of %d ticks checked", run.opt.Seed, oracle.scored, ticks)
+		}
+		t.Logf("seed %d, %d candidates (%s), dimension %d, pool %d: %d ticks checked (%d exploits, %d fresh solves skipped, %d narrowed)",
+			run.opt.Seed, eng.opt.Candidates, eng.Name(), simulator.Space().Dim(), eng.candCount, oracle.scored, oracle.exploits, oracle.skipped, oracle.narrowed)
 	}
 }
 

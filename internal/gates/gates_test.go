@@ -426,8 +426,8 @@ var gates = []gate{
 		name:  "Mutants: the mutation table attacks every shortcut",
 		files: files{paths: []string{"internal/gates/mutants_test.go"}, tests: testsOnly},
 		check: each("kv", "shortcut: windowDistances", "shortcut: goalBasis", "shortcut: blocks",
-			"shortcut: drawSkips", "shortcut: narrowing", "shortcut: blockCeiling"),
-		bad: goSrc(`var rows = []mutant{{shortcut: windowDistances}, {shortcut: goalBasis}, {shortcut: blocks}, {shortcut: drawSkips}, {shortcut: narrowing}}`),
+			"shortcut: drawSkips", "shortcut: narrowing", "shortcut: blockCeiling", "shortcut: walkUpdate", "shortcut: drawBatch"),
+		bad: goSrc(`var rows = []mutant{{shortcut: windowDistances}, {shortcut: goalBasis}, {shortcut: blocks}, {shortcut: drawSkips}, {shortcut: narrowing}, {shortcut: blockCeiling}}`),
 	},
 
 	// Every export earns a production caller (exports_test.go).

@@ -16,7 +16,8 @@ import (
 // The mutation table judges the checks that judge the engine's shortcuts.
 // Each shortcut on the scoring path — the window's kept distances, the goal
 // basis, neighbourhood blocks (moved fills and shadows), draw-only skips,
-// narrowing and the block ceiling — is held by two broad checks in
+// narrowing, the block ceiling, walks filled from their moves and the
+// batched draws — is held by two broad checks in
 // internal/core: the refit oracle, which refits the proxy model from
 // scratch after every tick, and its draw-stream check, which rebuilds the
 // tick's draws from a copy of the engine's generator (oracle_test.go, fed
@@ -25,8 +26,8 @@ import (
 // new shortcut adds rows here, not a test file of its own.
 //
 // Run it with `go test -tags mutants -run Mutants ./internal/gates`; each
-// row rebuilds internal/{core,gp} and what links them, so the table stays
-// out of the tier-1 `go test ./...`.
+// row rebuilds internal/{core,gp,stats,resource} and what links them, so the
+// table stays out of the tier-1 `go test ./...`.
 
 // The shortcuts, by the DESIGN.md §4 section that states each contract.
 const (
@@ -36,6 +37,8 @@ const (
 	drawSkips       = "draw-only skips"
 	narrowing       = "narrowing"
 	blockCeiling    = "block ceiling"
+	walkUpdate      = "walks by update"
+	drawBatch       = "draws in registers"
 )
 
 // The checks that catch them.
@@ -43,6 +46,7 @@ const (
 	refitOracle = "TestEngineMatchesRefitOracle"
 	onSimulator = "TestEngineMatchesRefitOracleOnSimulator"
 	drives      = "TestRandomDrivesMatchOracles"
+	wide        = "TestEngineMatchesRefitOracleOnWideSimulator"
 )
 
 // A mutant is one row: in file, the text old, which must occur exactly once,
@@ -115,15 +119,15 @@ var mutants = []mutant{
 	},
 	{
 		file:     "internal/core/engine.go",
-		old:      "\t\te.rng.Intn(len(e.managedRows))\n",
-		new:      "\t\t// one of skipWalk's three draws dropped\n",
+		old:      "\te.walkDraws(d[:])\n",
+		new:      "\te.walkDraws(d[3:])\n", // one of skipWalk's steps not drawn
 		shortcut: drawSkips,
 		tests:    []string{refitOracle, onSimulator, drives},
 	},
 	{
 		file:     "internal/resource/resource.go",
-		old:      "for i := 0; i < s.Jobs-1; i++ {",
-		new:      "for i := 1; i < s.Jobs-1; i++ {", // SkipRandom one draw short per row
+		old:      "for i := 0; i < s.Jobs-1; i += len(draws) {",
+		new:      "for i := 1; i < s.Jobs-1; i += len(draws) {", // SkipRandom one draw short per row
 		shortcut: drawSkips,
 		tests:    []string{refitOracle, onSimulator, drives},
 	},
@@ -136,8 +140,8 @@ var mutants = []mutant{
 	},
 	{
 		file:     "internal/core/engine.go",
-		old:      "e.randomWalkInto(e.candidateCfg[keepR+i], t.bestCfg, 3)",
-		new:      "e.randomWalkInto(e.candidateCfg[n-keepW+i], t.bestCfg, 3)", // the walks laid out last
+		old:      "moved = append(e.randomWalkInto(e.candidateCfg[keepR+i], t.incumbent.Config, walkSteps, moved), -1)",
+		new:      "moved = append(e.randomWalkInto(e.candidateCfg[n-keepW+i], t.incumbent.Config, walkSteps, moved), -1)", // the walks laid out last
 		shortcut: narrowing,
 		tests:    []string{refitOracle, onSimulator, drives},
 	},
@@ -169,11 +173,53 @@ var mutants = []mutant{
 		shortcut: blockCeiling,
 		tests:    []string{refitOracle},
 	},
+	{
+		file:     "internal/gp/batch.go",
+		old:      "rows[i], rows[n+i] = m.triAt(i, base), 1",
+		new:      "rows[i], rows[n+i] = 0, 1", // the walk update without its stored base term
+		shortcut: walkUpdate,
+		tests:    []string{wide, "TestWalksMatchDense", "FuzzWalks"},
+	},
+	{
+		file:     "internal/gp/batch.go",
+		old:      "kpanel[i*w+c] = math.Float64frombits(u &^ uint64(int64(u)>>63))",
+		new:      "kpanel[i*w+c] = math.Float64frombits(u)", // the walk update's max(0, ·) clamp dropped
+		shortcut: walkUpdate,
+		tests:    []string{"TestWalksMatchDense"},
+	},
+	{
+		file:     "internal/core/engine.go",
+		old:      "for _, k := range [...]int32{int32(r*jobs + from), int32(r*jobs + to)} {",
+		new:      "for _, k := range [...]int32{int32(r*jobs + from)} {", // a move's receiving coordinate left out of the list
+		shortcut: walkUpdate,
+		tests:    []string{wide},
+	},
+	{
+		file:     "internal/core/engine.go",
+		old:      "return gp.Walks{Base: t.incumbent.row, Moved: moved}",
+		new:      "return gp.Walks{Base: t.top[t.topN-1].row, Moved: moved}", // walks scored from the wrong base row
+		shortcut: walkUpdate,
+		tests:    []string{wide},
+	},
+	{
+		file:     "internal/stats/rand.go",
+		old:      "if lo >= n || lo >= -n%n {",
+		new:      "if lo >= 0 || lo >= -n%n {", // Intns' rejection test dropped: every draw accepted
+		shortcut: drawBatch,
+		tests:    []string{"TestIntnsMatchesIntn"},
+	},
+	{
+		file:     "internal/resource/resource.go",
+		old:      "cut := j + 1 + int(off[j])",
+		new:      "cut := j + 2 + int(off[j])", // the composition's lazy identity one past
+		shortcut: drawBatch,
+		tests:    []string{refitOracle, onSimulator, drives, wide, "TestRandomCompositionMatchesSortOracle"},
+	},
 }
 
 // TestMutants copies the module (without .git and .bench_build) once and
 // runs every row in the copy: the mutant must build, and `go test` of the
-// row's tests in internal/core and internal/gp must report each of them
+// row's tests in internal/{core,gp,stats,resource} must report each of them
 // failed. A row whose text does not occur exactly once, that changes more
 // than one line, or whose mutant does not build is broken, not a catch.
 func TestMutants(t *testing.T) {
@@ -207,7 +253,7 @@ func TestMutants(t *testing.T) {
 				t.Fatalf("broken row: the mutant does not build: %v\n%s", err, out)
 			}
 			out, _ := run(dir, "go", "test", "-count=1", "-vet=off", "-timeout=10m", "-v",
-				"-run", "^("+strings.Join(m.tests, "|")+")$", "./internal/core", "./internal/gp")
+				"-run", "^("+strings.Join(m.tests, "|")+")$", "./internal/core", "./internal/gp", "./internal/stats", "./internal/resource")
 			failed := map[string]bool{}
 			for _, f := range failLine.FindAllStringSubmatch(out, -1) {
 				failed[f[1]] = true

@@ -176,3 +176,51 @@ func BenchmarkBasisTargets64(b *testing.B) {
 		}
 	}
 }
+
+// benchWalks builds a jobs-job engine's fresh panel at a window of 64: the
+// inputs in dimension 3·jobs, 16 random points, then 16 walks of three
+// moves from input 5 on a 24-unit grid, listed as the engine lists them.
+func benchWalks(b *testing.B, jobs int) (*Incremental, *Points, Walks) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(7))
+	xs := randomInputs(rng, 64, 3*jobs)
+	m := NewIncremental(Options{Noise: 1e-3})
+	if err := m.Reset(xs, randomTargets(rng, xs)); err != nil {
+		b.Fatal(err)
+	}
+	pool, wk := randomInputs(rng, 16, 3*jobs), Walks{Base: 5}
+	for range 16 {
+		y, moved := gridWalk(rng, xs[5], jobs, 24, 3)
+		pool = append(pool, y)
+		wk.Moved = append(append(wk.Moved, moved...), -1)
+	}
+	return m, pointsOf(pool), wk
+}
+
+// benchWalkFill times filling that panel's cross-covariances and means:
+// swept densely, as below walkDim, or the walks from their moves.
+func benchWalkFill(b *testing.B, jobs int, moved bool) {
+	m, pts, wk := benchWalks(b, jobs)
+	var s PredictScratch
+	kpanel, mu := make([]float64, m.n*pts.Len()), make([]float64, pts.Len())
+	b.ResetTimer()
+	for range b.N {
+		if moved {
+			m.fillWalks(&s, kpanel, pts.panel(0, pts.Len()), 16, wk.Base, wk.Moved)
+			panelMeans(mu, kpanel, m.alpha, m.mean)
+		} else {
+			m.fillPanel(kpanel, mu, pts.panel(0, pts.Len()))
+		}
+	}
+}
+
+// The walk fill against the dense one at a 24-job node's dimension 72, a
+// 16-job node's 48 (walkDim), an 8-job node's 24 and a 5-job node's 15.
+func BenchmarkDenseWalks72(b *testing.B) { benchWalkFill(b, 24, false) }
+func BenchmarkMovedWalks72(b *testing.B) { benchWalkFill(b, 24, true) }
+func BenchmarkDenseWalks48(b *testing.B) { benchWalkFill(b, 16, false) }
+func BenchmarkMovedWalks48(b *testing.B) { benchWalkFill(b, 16, true) }
+func BenchmarkDenseWalks24(b *testing.B) { benchWalkFill(b, 8, false) }
+func BenchmarkMovedWalks24(b *testing.B) { benchWalkFill(b, 8, true) }
+func BenchmarkDenseWalks15(b *testing.B) { benchWalkFill(b, 5, false) }
+func BenchmarkMovedWalks15(b *testing.B) { benchWalkFill(b, 5, true) }

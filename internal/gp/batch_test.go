@@ -322,7 +322,7 @@ func TestSigmaCeilingBoundsPosterior(t *testing.T) {
 		q := len(pool)
 		var s PredictScratch
 		mu, sigma := make([]float64, q), make([]float64, q)
-		m.PredictMeansInto(&s, mu, pointsOf(pool))
+		m.PredictMeansInto(&s, mu, pointsOf(pool), Walks{})
 		m.PredictSigmasInto(&s, sigma)
 		wantMu, wantSigma := make([]float64, q), make([]float64, q)
 		m.PredictBatchInto(&PredictScratch{}, wantMu, wantSigma, pool)

@@ -119,10 +119,13 @@ type Incremental struct {
 	// basis holds the targets of the last update and the goal basis; see
 	// the slot constants.
 	basis   []float64
-	distBuf []float64
-	rowBuf  []float64
+	rowBuf  []float64 // scratch: a Gram row, a kernel row, the median's pairs
 	ctrBuf  []float64
 	moveBuf []move // the points of the last PredictMovedBlockInto
+	// cols holds the inputs dim-major as of kernel epoch colsEpoch, the
+	// rows the walk fill gathers (walkCols).
+	cols      []float64
+	colsEpoch uint64
 }
 
 // The goal basis: at most maxGoals goals and maxLive live rows, so a
@@ -459,13 +462,13 @@ func (m *Incremental) refreshHeuristics(ys []float64) bool {
 // selected d² is the distance the scan selects.
 func (m *Incremental) medianLengthScale() float64 {
 	limit := min(m.n, medianScanCap)
-	d := m.distBuf[:0]
+	d := m.rowBuf[:0]
 	for _, v := range m.tri[:limit*(limit-1)/2] {
 		if v > 0 {
 			d = append(d, v)
 		}
 	}
-	m.distBuf = d
+	m.rowBuf = d
 	if len(d) == 0 {
 		return 1
 	}

@@ -123,7 +123,7 @@ func requireSameScoring(t *testing.T, ctx string, kernel gp.Matern52, xs [][]flo
 
 	// The split halves, and the σ ceilings read off the filled panel.
 	avx, portable = underBoth(func() []float64 {
-		m.PredictMeansInto(&s, mu, &pts)
+		m.PredictMeansInto(&s, mu, &pts, gp.Walks{})
 		out := append([]float64(nil), mu...)
 		for c := range pool {
 			out = append(out, m.SigmaCeiling(&s, c))

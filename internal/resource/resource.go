@@ -285,11 +285,17 @@ func (s *Space) RandomInto(rng *stats.RNG, c Config) {
 // SkipRandom advances rng exactly as RandomInto does, building nothing: a
 // caller that draws a configuration it will not read keeps every later draw
 // where it was. Per resource row randomComposition takes Intn(U−1−i) for
-// each of its M−1 cut points, and nothing when M = 1.
+// each of its M−1 cut points, and nothing when M = 1; the bounds go to
+// rng.Intns a few at a time.
 func (s *Space) SkipRandom(rng *stats.RNG) {
+	var draws [16]int
 	for _, res := range s.Resources {
-		for i := 0; i < s.Jobs-1; i++ {
-			rng.Intn(res.Units - 1 - i)
+		for i := 0; i < s.Jobs-1; i += len(draws) {
+			d := draws[:min(len(draws), s.Jobs-1-i)]
+			for j := range d {
+				d[j] = res.Units - 1 - i - j
+			}
+			rng.Intns(d)
 		}
 	}
 }
@@ -303,40 +309,63 @@ func randomComposition(rng *stats.RNG, units, parts int, out []int) {
 	}
 	// Sample parts-1 distinct cut points from {1, ..., units-1} with a
 	// partial Fisher-Yates over the candidate positions, mark cut p as bit
-	// p-1 of a bitset and read the bits back in ascending order. Both
-	// work arrays live on the stack for every unit count up to 65.
-	n := units - 1
-	k := parts - 1
-	var posArr [64]int
-	var setArr [1]uint64
-	var pos []int
-	var set []uint64
-	if n <= len(posArr) {
-		pos, set = posArr[:n], setArr[:]
-	} else {
-		pos, set = make([]int, n), make([]uint64, (n+63)/64)
+	// p-1 of a bitset and read the bits back in ascending order. Step i's
+	// offset Intn(n−i) is drawn into out[i], all of them in one Intns call;
+	// out is free again once the cuts are marked.
+	n, k := units-1, parts-1
+	draws := out[:k]
+	for i := range draws {
+		draws[i] = n - i
 	}
+	rng.Intns(draws)
+	if n > 64 {
+		wideComposition(units, draws, out)
+		return
+	}
+	// Up to 65 units the positions fit one 64-byte array and the bitset one
+	// word. off[x] is the value at position x less x+1, so the zeroed array
+	// is the identity; a position behind the front is never read again, so
+	// the front's half of a swap is not written.
+	var off [64]int8
+	var set uint64
+	for i, d := range draws {
+		j := i + d
+		cut := j + 1 + int(off[j])
+		off[j] = int8(i - j + int(off[i]))
+		set |= 1 << (cut - 1)
+	}
+	prev, i := 0, 0
+	for ; set != 0; set &= set - 1 {
+		cut := bits.TrailingZeros64(set) + 1
+		out[i], prev = cut-prev, cut
+		i++
+	}
+	out[parts-1] = units - prev
+}
+
+// wideComposition is randomComposition past 65 units, its positions and
+// bitset on the heap.
+func wideComposition(units int, draws, out []int) {
+	n := units - 1
+	pos, set := make([]int, n), make([]uint64, (n+63)/64)
 	for i := range pos {
 		pos[i] = i + 1
 	}
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(n-i)
+	for i, d := range draws {
+		j := i + d
 		pos[i], pos[j] = pos[j], pos[i]
-	}
-	for _, cut := range pos[:k] {
-		b := uint(cut - 1)
+		b := uint(pos[i] - 1)
 		set[b/64] |= 1 << (b % 64)
 	}
 	prev, i := 0, 0
 	for w, word := range set {
 		for ; word != 0; word &= word - 1 {
 			cut := w*64 + bits.TrailingZeros64(word) + 1
-			out[i] = cut - prev
-			prev = cut
+			out[i], prev = cut-prev, cut
 			i++
 		}
 	}
-	out[parts-1] = units - prev
+	out[len(out)-1] = units - prev
 }
 
 // Enumerate calls fn for every valid configuration in the space, in a

@@ -2,6 +2,7 @@ package resource
 
 import (
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"testing"
@@ -722,4 +723,58 @@ func FuzzSkipRandom(f *testing.F) {
 		s := MustNewSpace(j, Resource{Kind: Cores, Units: j + int(extraA)%160}, Resource{Kind: LLCWays, Units: j + int(extraB)%160})
 		skipMatchesRandom(t, s, seed, 2)
 	})
+}
+
+// intnComposition is randomComposition as it was before Intns: the same
+// partial Fisher–Yates and bitset, one Intn call per cut point and the
+// positions an int array, the baseline of BenchmarkRandomIntoIntn24.
+func intnComposition(rng *stats.RNG, units, parts int, out []int) {
+	if parts == 1 {
+		out[0] = units
+		return
+	}
+	n, k := units-1, parts-1
+	var pos [64]int
+	var set uint64
+	for i := range pos[:n] {
+		pos[i] = i + 1
+	}
+	for i := 0; i < k; i++ {
+		j := i + rng.Intn(n-i)
+		pos[i], pos[j] = pos[j], pos[i]
+		set |= 1 << (pos[i] - 1)
+	}
+	prev, i := 0, 0
+	for ; set != 0; set &= set - 1 {
+		cut := bits.TrailingZeros64(set) + 1
+		out[i], prev = cut-prev, cut
+		i++
+	}
+	out[parts-1] = units - prev
+}
+
+// wideSpace is a 24-job node of 48 cores, 32 ways and 24 bandwidth units.
+func wideSpace() *Space {
+	return MustNewSpace(24, Resource{Kind: Cores, Units: 48}, Resource{Kind: LLCWays, Units: 32}, Resource{Kind: MemBW, Units: 24})
+}
+
+// BenchmarkRandomIntoIntn24 draws one configuration of a 24-job node one
+// Intn at a time (compare BenchmarkRandomInto24).
+func BenchmarkRandomIntoIntn24(b *testing.B) {
+	s, rng := wideSpace(), stats.NewRNG(1)
+	c := s.NewConfig()
+	for range b.N {
+		for r, res := range s.Resources {
+			intnComposition(rng, res.Units, s.Jobs, c.Alloc[r])
+		}
+	}
+}
+
+// BenchmarkRandomInto24 draws the same configuration through Intns.
+func BenchmarkRandomInto24(b *testing.B) {
+	s, rng := wideSpace(), stats.NewRNG(1)
+	c := s.NewConfig()
+	for range b.N {
+		s.RandomInto(rng, c)
+	}
 }

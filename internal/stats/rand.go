@@ -89,6 +89,38 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
+// Intns replaces each bound v[i] by Intn(v[i]), drawing in order: the
+// values and the final state of calling Intn on each bound in turn, with the
+// generator's state held in locals across the draws and written back once.
+// It panics if a bound is not positive.
+func (r *RNG) Intns(v []int) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i, b := range v {
+		if b <= 0 {
+			panic("stats: Intn with non-positive n")
+		}
+		n := uint64(b)
+		for {
+			x := rotl(s1*5, 7) * 9
+			t := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = rotl(s3, 45)
+			// Uint64n's test: the threshold -n % n is below n, so only a
+			// low word below n can be rejected.
+			hi, lo := bits.Mul64(x, n)
+			if lo >= n || lo >= -n%n {
+				v[i] = int(hi)
+				break
+			}
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // NormFloat64 returns a standard normal variate (Box-Muller, polar form).
 func (r *RNG) NormFloat64() float64 {
 	for {

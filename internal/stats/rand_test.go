@@ -205,3 +205,89 @@ func TestShufflePreservesMultiset(t *testing.T) {
 		t.Errorf("Shuffle changed contents: %v", xs)
 	}
 }
+
+// intnsAgainstIntn draws bounds through Intns from one generator and through
+// Intn, bound by bound, from a twin, and fails unless every value and the
+// final states agree. It returns how many of the twin's draws were
+// rejected: a rejected draw shows as more than one Uint64 between two
+// states.
+func intnsAgainstIntn(t *testing.T, seed uint64, bounds []int) (rejected int) {
+	t.Helper()
+	r, twin := NewRNG(seed), NewRNG(seed)
+	got := append([]int(nil), bounds...)
+	r.Intns(got)
+	for i, b := range bounds {
+		before := *twin
+		if want := twin.Intn(b); got[i] != want {
+			t.Fatalf("seed %d bound %d (%d of %d): Intns drew %d, Intn %d", seed, b, i, len(bounds), got[i], want)
+		}
+		for n := 0; ; n++ {
+			if before.Uint64(); before == *twin {
+				rejected += n
+				break
+			}
+			if n == 64 {
+				t.Fatalf("seed %d bound %d: Intn took more than 64 draws", seed, b)
+			}
+		}
+	}
+	if *r != *twin {
+		t.Fatalf("seed %d: Intns over %d bounds left the generator elsewhere than Intn", seed, len(bounds))
+	}
+	return rejected
+}
+
+// TestIntnsMatchesIntn holds Intns to a plain sequence of Intn calls over
+// small bounds, bounds up to 2⁶², and bounds just above 2⁶⁴/3 and 2⁶²,
+// where about a third and a quarter of the draws are rejected and redrawn.
+func TestIntnsMatchesIntn(t *testing.T) {
+	rng := NewRNG(77)
+	rejected, draws := 0, 0
+	for seed := uint64(0); seed < 300; seed++ {
+		bounds := make([]int, rng.Intn(40))
+		for i := range bounds {
+			switch rng.Intn(4) {
+			case 0:
+				bounds[i] = 1 + rng.Intn(64)
+			case 1:
+				bounds[i] = 1 + rng.Intn(1<<62)
+			case 2:
+				bounds[i] = int(^uint64(0)/3) + 1 + rng.Intn(1<<20)
+			default:
+				bounds[i] = 1<<62 + 1 + rng.Intn(1<<20)
+			}
+		}
+		rejected += intnsAgainstIntn(t, seed, bounds)
+		draws += len(bounds)
+	}
+	if rejected == 0 {
+		t.Fatal("no draw was rejected: the rejection path was not compared")
+	}
+	t.Logf("%d bounds drawn, %d draws rejected and redrawn", draws, rejected)
+}
+
+// FuzzIntns is TestIntnsMatchesIntn's check over bounds the fuzzer picks,
+// each eight bytes folded to a positive int.
+func FuzzIntns(f *testing.F) {
+	f.Add(uint64(1), []byte{5, 0, 0, 0, 0, 0, 0, 0, 24, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint64(2), []byte{0x56, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55})
+	f.Add(uint64(3), []byte{1, 0, 0, 0, 0, 0, 0, 0x40, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Fuzz(func(t *testing.T, seed uint64, raw []byte) {
+		var bounds []int
+		for ; len(raw) >= 8; raw = raw[8:] {
+			b := uint64(raw[0]) | uint64(raw[1])<<8 | uint64(raw[2])<<16 | uint64(raw[3])<<24 |
+				uint64(raw[4])<<32 | uint64(raw[5])<<40 | uint64(raw[6])<<48 | uint64(raw[7])<<56
+			bounds = append(bounds, max(1, int(b>>1)))
+		}
+		intnsAgainstIntn(t, seed, bounds)
+	})
+}
+
+func TestIntnsPanicsOnNonPositive(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Intns with a zero bound did not panic")
+		}
+	}()
+	NewRNG(1).Intns([]int{3, 0})
+}
