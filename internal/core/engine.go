@@ -35,9 +35,6 @@ type Options struct {
 	// split plus low-imbalance perturbations (default 8, Sec. V notes
 	// seeding with "good" configurations instead of random ones).
 	InitialSamples int
-	// Noise is the GP observation-noise variance on the [0,1]-scaled
-	// objective (default 1e-3, absorbing ~2-3% IPS counter noise).
-	Noise float64
 	// Xi is the Expected Improvement exploration margin (default 0).
 	Xi float64
 	// Acquisition selects the acquisition function: "ei" (default, the
@@ -67,6 +64,10 @@ type Options struct {
 	Name string
 }
 
+// modelNoise is the GP observation-noise variance on the [0,1]-scaled
+// objective, absorbing ~2-3% IPS counter noise.
+const modelNoise = 1e-3
+
 func (o *Options) fill() {
 	if o.Window <= 0 {
 		o.Window = 64
@@ -76,9 +77,6 @@ func (o *Options) fill() {
 	}
 	if o.InitialSamples <= 0 {
 		o.InitialSamples = 8
-	}
-	if o.Noise <= 0 {
-		o.Noise = 1e-3
 	}
 	if o.ExploitThreshold == 0 {
 		o.ExploitThreshold = 0.012
@@ -105,9 +103,13 @@ type Engine struct {
 	exploitBelow float64
 
 	initQueue   []resource.Config
-	managedRow  []bool
-	managedRows []int // indices of managed rows, for uniform sampling
-	equalSplit  resource.Config
+	managedRows []int // indices of managed rows, ascending
+	// enc[r][u] is VectorInto's encoding of u units of resource row r,
+	// u/Units, for every u from 0 to Units, built with the pool: the fresh
+	// candidates, the neighbourhoods and their move tables look their
+	// coordinates up.
+	enc        [][]float64
+	equalSplit resource.Config
 	// single is set by New when the managed space holds exactly one
 	// configuration (the equal split): every Decide is then forced, and the
 	// engine carries no initial design, proxy model or candidate pool.
@@ -266,41 +268,25 @@ func New(space *resource.Space, opt Options) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown acquisition %q (want ei, ucb, pi, or ts)", opt.Acquisition)
 	}
-	e.managedRow = make([]bool, len(space.Resources))
-	if len(opt.Managed) == 0 {
-		for i := range e.managedRow {
-			e.managedRow[i] = true
+	for r, res := range space.Resources {
+		if len(opt.Managed) == 0 || slices.Contains(opt.Managed, res.Kind) {
+			e.managedRows = append(e.managedRows, r)
 		}
-	} else {
-		for i, r := range space.Resources {
-			for _, k := range opt.Managed {
-				if r.Kind == k {
-					e.managedRow[i] = true
-				}
-			}
-		}
-		any := false
-		for _, m := range e.managedRow {
-			any = any || m
-		}
-		if !any {
-			return nil, fmt.Errorf("core: none of the managed kinds %v exist in the space", opt.Managed)
-		}
+	}
+	if len(e.managedRows) == 0 {
+		return nil, fmt.Errorf("core: none of the managed kinds %v exist in the space", opt.Managed)
 	}
 	// A row of U units among M jobs has C(U−1, M−1) compositions: one
 	// exactly when nothing is divided (M = 1) or every job sits on its
 	// 1-unit floor (U = M). Unmanaged rows stay at the equal split either way.
 	e.single = true
-	for r, managed := range e.managedRow {
-		if managed {
-			e.managedRows = append(e.managedRows, r)
-			e.single = e.single && (space.Jobs == 1 || space.Resources[r].Units == space.Jobs)
-		}
+	for _, r := range e.managedRows {
+		e.single = e.single && (space.Jobs == 1 || space.Resources[r].Units == space.Jobs)
 	}
 	if e.single {
 		return e, nil
 	}
-	e.model = gp.NewIncremental(gp.Options{Noise: opt.Noise})
+	e.model = gp.NewIncremental(gp.Options{Noise: modelNoise})
 	if opt.RandomInit {
 		// Ablation mode: random initial design.
 		for i := 0; i < opt.InitialSamples; i++ {
@@ -365,8 +351,8 @@ func (e *Engine) Name() string {
 // pinUnmanaged pins the unmanaged resource rows of c to the equal split,
 // in place.
 func (e *Engine) pinUnmanaged(c resource.Config) {
-	for r, managed := range e.managedRow {
-		if !managed {
+	for r := range c.Alloc {
+		if !slices.Contains(e.managedRows, r) {
 			copy(c.Alloc[r], e.equalSplit.Alloc[r])
 		}
 	}
@@ -519,6 +505,15 @@ func (e *Engine) buildPool(t *tick, moved []int32) gp.Walks {
 	t.fresh = keepR + keepW
 	for len(e.candidateCfg) < n {
 		e.candidateCfg = append(e.candidateCfg, e.space.NewConfig())
+	}
+	if e.enc == nil {
+		e.enc = make([][]float64, len(e.space.Resources))
+		for r, res := range e.space.Resources {
+			e.enc[r] = make([]float64, res.Units+1)
+			for u := range e.enc[r] {
+				e.enc[r][u] = float64(u) / float64(res.Units)
+			}
+		}
 	}
 	for i := 0; i < randoms; i++ {
 		if i >= keepR {
@@ -708,14 +703,14 @@ func (e *Engine) poolPoints(lo, hi int) *gp.Points {
 	return pts
 }
 
-// configPoint writes c's encoding as point c of pointBuf, each coordinate by
-// VectorInto's own expression.
+// configPoint writes c's encoding as point c of pointBuf, each coordinate
+// looked up in enc.
 func (e *Engine) configPoint(col int, c resource.Config) {
 	at, stride := e.pointBuf.Column(col)
 	for r, row := range c.Alloc {
-		units := float64(e.space.Resources[r].Units)
+		enc := e.enc[r]
 		for _, u := range row {
-			e.pointBuf.Data[at] = float64(u) / units
+			e.pointBuf.Data[at] = enc[u]
 			at += stride
 		}
 	}
@@ -723,22 +718,21 @@ func (e *Engine) configPoint(col int, c resource.Config) {
 
 // neighborPoints writes the members of rec's neighborhood, pool indices
 // [start, end), that fall in [lo, hi). A neighbor's encoding is rec.Vector
-// with the donor's and the receiver's coordinates rewritten by VectorInto's
-// own expression, so it has the bits of encoding the moved configuration:
-// rec.Vector is broadcast over the range, then each member's two
-// coordinates are patched.
+// with the donor's and the receiver's coordinates rewritten from enc, so it
+// has the bits of encoding the moved configuration: rec.Vector is
+// broadcast over the range, then each member's two coordinates are
+// patched.
 func (e *Engine) neighborPoints(rec *Record, start, end, lo, hi int) {
 	pts := &e.pointBuf
 	pts.Broadcast(max(start, lo)-lo, min(end, hi)-lo, rec.Vector)
 	jobs, i := e.space.Jobs, start
 	for _, r := range e.managedRows {
-		row := rec.Config.Alloc[r]
-		units := float64(e.space.Resources[r].Units)
+		row, enc := rec.Config.Alloc[r], e.enc[r]
 		for from, u := range row {
 			if u <= 1 {
 				continue
 			}
-			give := float64(u-1) / units
+			give := enc[u-1]
 			for to, v := range row {
 				if to == from {
 					continue
@@ -746,7 +740,7 @@ func (e *Engine) neighborPoints(rec *Record, start, end, lo, hi int) {
 				if lo <= i && i < hi {
 					at, stride := pts.Column(i - lo)
 					pts.Data[at+(r*jobs+from)*stride] = give
-					pts.Data[at+(r*jobs+to)*stride] = float64(v+1) / units
+					pts.Data[at+(r*jobs+to)*stride] = enc[v+1]
 				}
 				i++
 			}
@@ -758,10 +752,9 @@ func (e *Engine) neighborPoints(rec *Record, start, end, lo, hi int) {
 // neighborPoints' enumeration order: the base point is rec's model row, a
 // group is a resource row of Jobs coordinates, and a managed coordinate
 // holding more than one unit gives, to every other job of its row. Give and
-// Take hold the moved values by VectorInto's own expression, the ones
-// neighborPoints writes; an unmanaged coordinate gives nothing and keeps its
-// value. The two tables live in rowBuf, free once the window's means are
-// tracked.
+// Take hold the moved values from enc, the ones neighborPoints writes; an
+// unmanaged coordinate gives nothing and keeps its value. The two tables
+// live in rowBuf, free once the window's means are tracked.
 func (e *Engine) neighborMoves(rec *Record) gp.Moves {
 	dim, jobs := e.space.Dim(), e.space.Jobs
 	e.rowBuf = slices.Grow(e.rowBuf[:0], 2*dim)[:2*dim]
@@ -771,12 +764,12 @@ func (e *Engine) neighborMoves(rec *Record) gp.Moves {
 		give[k] = math.NaN()
 	}
 	for _, r := range e.managedRows {
-		units := float64(e.space.Resources[r].Units)
+		enc := e.enc[r]
 		for j, u := range rec.Config.Alloc[r] {
 			if u > 1 {
-				give[r*jobs+j] = float64(u-1) / units
+				give[r*jobs+j] = enc[u-1]
 			}
-			take[r*jobs+j] = float64(u+1) / units
+			take[r*jobs+j] = enc[u+1]
 		}
 	}
 	return gp.Moves{Base: rec.row, Group: jobs, Give: give, Take: take}
@@ -892,7 +885,9 @@ func (e *Engine) posterior() (mu, sigma []float64) {
 // below the floor: the block winner's score, since a fresh candidate wins
 // a tie, raised to the exploit threshold, under which any winner leaves
 // the decision at exploit. It is tried at the prior σ first, which no
-// computed σ exceeds, then at the model's nearest-point ceiling; the first
+// computed σ exceeds, then at the model's nearest-point ceiling, which the
+// first candidate of a panel to fail the prior's test has the model write
+// into its σ slot and those of the rest of its panel at once; the first
 // candidate that survives both ends the search. Each ruled-out candidate's
 // σ slot is left holding the σ its ceiling was taken at.
 func (e *Engine) freshCanWin(t *tick) bool {
@@ -902,15 +897,18 @@ func (e *Engine) freshCanWin(t *tick) bool {
 	}
 	floor := max(t.blockScore, e.exploitBelow)
 	prior := e.model.PriorSigma()
+	ceiled := 0 // the panel end up to which t.sigma holds ceilings
 	for i, m := range t.mu[:t.fresh] {
-		s := prior
-		if !(ei.Ceiling(m, s, t.best) < floor) {
-			s = e.model.SigmaCeiling(&e.batchScratch, i)
-			if !(ei.Ceiling(m, s, t.best) < floor) {
-				return true
-			}
+		if ei.Ceiling(m, prior, t.best) < floor {
+			t.sigma[i] = prior
+			continue
 		}
-		t.sigma[i] = s
+		if i >= ceiled {
+			ceiled = e.model.SigmaCeilingsInto(&e.batchScratch, t.sigma[:t.fresh], i)
+		}
+		if !(ei.Ceiling(m, t.sigma[i], t.best) < floor) {
+			return true
+		}
 	}
 	return false
 }

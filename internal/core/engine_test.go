@@ -395,10 +395,7 @@ func TestRecordsEviction(t *testing.T) {
 // one-unit move of c within managed rows, copied onto the pool, enumerated
 // row, then donor, then receiver.
 func appendManagedNeighbors(e *Engine, pool []resource.Config, c resource.Config) []resource.Config {
-	for r, managed := range e.managedRow {
-		if !managed {
-			continue
-		}
+	for _, r := range e.managedRows {
 		for from := 0; from < e.space.Jobs; from++ {
 			if c.Alloc[r][from] <= 1 {
 				continue

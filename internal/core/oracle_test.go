@@ -138,7 +138,7 @@ func (o *refitOracle) check(tick int, current, next resource.Config, rng stats.R
 			best, bestCfg = y, rec.Config
 		}
 	}
-	ref, err := gp.Fit(xs, ys, gp.Options{Noise: e.opt.Noise})
+	ref, err := gp.Fit(xs, ys, gp.Options{Noise: modelNoise})
 	if err != nil {
 		o.t.Fatalf("tick %d: reference fit on the engine's %d-record window: %v", tick, len(xs), err)
 	}

@@ -25,6 +25,12 @@ import (
 //     a function of the module that passes one of its parameters to the
 //     decoder (every exported field the decoded type reaches).
 //
+// A field's own default is not a write of it: an assignment x.f = v made
+// directly in the body of an if whose condition compares the same x.f with
+// a constant, as in if o.X <= 0 { o.X = d }. A knob that only its default
+// sets is read and never written. (x.f == nil compares with no constant: a
+// lazily built field is written by its builder.)
+//
 // Fields resolve as *types.Var, so a promoted field counts for the struct
 // that declares it.
 func (m *module) fieldShapes(pkgs []*checked) []shape {
@@ -216,9 +222,11 @@ func addressed(s *types.Selection) bool {
 	return !isPtr
 }
 
-// writeSites is every selector of f the code writes through.
+// writeSites is every selector of f the code writes through, a field's
+// default left out (fieldShapes).
 func (m *module) writeSites(f *ast.File) map[*ast.SelectorExpr]bool {
 	w := map[*ast.SelectorExpr]bool{}
+	defaults := map[ast.Expr]bool{}
 	var chain func(e ast.Expr)
 	chain = func(e ast.Expr) {
 		for e != nil {
@@ -243,10 +251,21 @@ func (m *module) writeSites(f *ast.File) map[*ast.SelectorExpr]bool {
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.IfStmt:
+			tested := m.comparedWithConstant(n.Cond)
+			for _, st := range n.Body.List {
+				if a, ok := st.(*ast.AssignStmt); ok && a.Tok == token.ASSIGN && len(a.Lhs) == 1 {
+					if sel, ok := ast.Unparen(a.Lhs[0]).(*ast.SelectorExpr); ok && tested[types.ExprString(sel)] {
+						defaults[a.Lhs[0]] = true
+					}
+				}
+			}
 		case *ast.AssignStmt:
 			if n.Tok != token.DEFINE {
 				for _, l := range n.Lhs {
-					chain(l)
+					if !defaults[l] {
+						chain(l)
+					}
 				}
 			}
 		case *ast.IncDecStmt:
@@ -269,6 +288,29 @@ func (m *module) writeSites(f *ast.File) map[*ast.SelectorExpr]bool {
 		return true
 	})
 	return w
+}
+
+// comparedWithConstant is every selector expression, as text, that cond
+// compares with a constant, through && and ||: o.X in o.X <= 0 || o.X > 1.
+func (m *module) comparedWithConstant(cond ast.Expr) map[string]bool {
+	tested := map[string]bool{}
+	ast.Inspect(cond, func(n ast.Node) bool {
+		b, ok := n.(*ast.BinaryExpr)
+		if !ok {
+			return true
+		}
+		switch b.Op {
+		case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+			for _, side := range [][2]ast.Expr{{b.X, b.Y}, {b.Y, b.X}} {
+				sel, ok := ast.Unparen(side[0]).(*ast.SelectorExpr)
+				if ok && m.info.Types[side[1]].Value != nil {
+					tested[types.ExprString(sel)] = true
+				}
+			}
+		}
+		return true
+	})
+	return tested
 }
 
 // callee is the function or method a call names, or nil.
@@ -423,8 +465,9 @@ func TestFieldsAllowlist(t *testing.T) {
 // TestFieldsResolveEachWrite: each write form counts, for the field that
 // declares it — a promoted field, a pointer-method call on a value, an
 // address, a positional literal, an assignment through a field, a
-// JSON-decoded struct — while a pointer-method call through a pointer field
-// and a plain read do not; the server's request bodies count as written by
+// JSON-decoded struct, a lazy build under == nil — while a pointer-method
+// call through a pointer field, a field's own default and a plain read do
+// not; the server's request bodies count as written by
 // their decoder.
 func TestFieldsResolveEachWrite(t *testing.T) {
 	m, err := loadModule()
@@ -443,6 +486,8 @@ type Outer struct {
 	pos     Pair
 	Decoded *Body
 	onlyRead int
+	defaulted int
+	lazy    *int
 }
 type Pair struct{ a, b int }
 type Body struct{ Name string; Deep []struct{ X int } }
@@ -455,7 +500,13 @@ func use(o *Outer, b []byte) int {
 	o.slice[0]++
 	o.pos = Pair{1, 2}
 	decode(b, &o.Decoded)
-	return *p + o.promoted + o.onlyRead + len(o.Decoded.Name) + o.Decoded.Deep[0].X + o.pos.a + o.pos.b + len(o.slice)
+	if o.defaulted <= 0 || o.defaulted > 9 {
+		o.defaulted = 1
+	}
+	if o.lazy == nil {
+		o.lazy = new(int)
+	}
+	return *p + *o.lazy + o.defaulted + o.promoted + o.onlyRead + len(o.Decoded.Name) + o.Decoded.Deep[0].X + o.pos.a + o.pos.b + len(o.slice)
 }
 
 func decode(b []byte, v any) { _ = json.Unmarshal(b, v) }`))
@@ -479,8 +530,9 @@ func decode(b []byte, v any) { _ = json.Unmarshal(b, v) }`))
 		}
 	}
 	slices.Sort(unwritten)
-	// Inner is reached by o.promoted = 1 and so written with it.
-	if want := []string{"bad.Inner.unread", "bad.Outer.onlyRead", "bad.Outer.ptrMu"}; !slices.Equal(unwritten, want) {
+	// Inner is reached by o.promoted = 1 and so written with it; o.lazy's
+	// builder writes it, o.defaulted's default does not.
+	if want := []string{"bad.Inner.unread", "bad.Outer.defaulted", "bad.Outer.onlyRead", "bad.Outer.ptrMu"}; !slices.Equal(unwritten, want) {
 		t.Errorf("unwritten %v, want %v (fields %v)", unwritten, want, fields)
 	}
 	for _, name := range []string{"server.AddJobRequest.Workload", "server.GoalRequest.Throughput", "server.GoalRequest.Fairness"} {

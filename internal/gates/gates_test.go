@@ -151,6 +151,15 @@ var gates = []gate{
 }`),
 	},
 	{
+		name:  "Row-kernel: gp's distance fills go four window rows per kernel call; only the solved panel's norms take one row",
+		files: files{paths: []string{"internal/gp"}},
+		check: exactly(1, "call", `^linalg\.SquaredDistancesInto$`),
+		bad: goSrc(`func fill(dst, pt []float64, xs [][]float64) {
+	for i, x := range xs { linalg.SquaredDistancesInto(dst[i*4:i*4+4], pt, x) }
+	linalg.SquaredDistancesInto(dst, pt, xs[0])
+}`),
+	},
+	{
 		name:  "Row-kernel: no loop over k around the solve's kernel call",
 		files: files{paths: []string{"internal/linalg"}},
 		check: in(solveMatrix, none("loop", `^k$`)),
@@ -426,7 +435,8 @@ var gates = []gate{
 		name:  "Mutants: the mutation table attacks every shortcut",
 		files: files{paths: []string{"internal/gates/mutants_test.go"}, tests: testsOnly},
 		check: each("kv", "shortcut: windowDistances", "shortcut: goalBasis", "shortcut: blocks",
-			"shortcut: drawSkips", "shortcut: narrowing", "shortcut: blockCeiling", "shortcut: walkUpdate", "shortcut: drawBatch"),
+			"shortcut: drawSkips", "shortcut: narrowing", "shortcut: blockCeiling", "shortcut: walkUpdate", "shortcut: drawBatch",
+			"shortcut: freshCeilings"),
 		bad: goSrc(`var rows = []mutant{{shortcut: windowDistances}, {shortcut: goalBasis}, {shortcut: blocks}, {shortcut: drawSkips}, {shortcut: narrowing}, {shortcut: blockCeiling}}`),
 	},
 
@@ -511,6 +521,29 @@ var unwritten = map[string]string{
 	"rdt.FaultScript.ResyncErrorRate":    "the random-ops, resilience and soak tests set it",
 	"rdt.FaultScript.SampleCorruptRate":  "the random-ops, resilience and soak tests set it",
 	"rdt.FaultScript.SampleErrorRate":    "the random-ops, resilience and soak tests set it",
+	// Set by tests only, the program taking their defaults (if o.X <= 0
+	// { o.X = d } is no writer).
+	"core.Options.Candidates":                    "the wide-simulator oracle test scores 48 and 80 candidates; TestPoolMatchesEagerNeighbours panels of 31 to 65",
+	"core.Options.ExploitThreshold":              "the refit oracle varies the threshold; the incremental and random-drive tests explore every tick with −1",
+	"core.Options.InitialSamples":                "the engine and incremental tests seed short windows with it",
+	"cluster.ClassifierOptions.ReclassifyEvery":  "cluster's classifier tests and control's random-ops model set a quick classifier",
+	"cluster.ClassifierOptions.MinSamples":       "cluster's classifier tests and control's random-ops model set a quick classifier",
+	"cluster.ClassifierOptions.Hysteresis":       "cluster's classifier tests and control's random-ops model set a quick classifier",
+	"control.ResilienceOptions.MaxRetries":       "the resilience and random-ops tests bound the retries",
+	"control.ResilienceOptions.BackoffBase":      "the resilience tests shorten the backoff",
+	"control.ResilienceOptions.BreakerThreshold": "the resilience and random-ops tests trip the breaker early",
+	"control.SamplingOptions.StableTicks":        "the sampling tests arm sampled stepping after k stable ticks",
+	"fleet.StreamOptions.DurationMin":            "benchmark/workload.go's fleet_churn stream and fleet's shard, bench, random-ops and determinism tests bound the service times",
+	"fleet.StreamOptions.DurationMax":            "benchmark/workload.go's fleet_churn stream and fleet's shard, bench, random-ops and determinism tests bound the service times",
+	"fleet.StreamOptions.Seed":                   "fleet.New derives it from Options.Seed; fleet_test's NewJobStream case seeds a bare stream",
+	"policies/copart.Options.EpochTicks":         "copart's tests shorten the epoch",
+	"policies/copart.Options.SlowdownGap":        "copart's tests set the gap",
+	"policies/dcat.Options.EpochTicks":           "dcat's tests shorten the epoch",
+	"policies/dcat.Options.IdleEpochs":           "dcat's tests shorten the idle wait",
+	"policies/parties.Options.EpochTicks":        "parties' tests shorten the epoch",
+	"policies/parties.Options.IdleEpochs":        "parties' tests shorten the idle wait",
+	"policies/oracle.Options.ExactLimit":         "the oracle's reference and hill-climb tests force the climb with it",
+	"policies/oracle.Options.Probes":             "the oracle's reference and allocation tests vary the probe count",
 }
 
 // TestGates runs every row over the tree, then over its known-bad file.

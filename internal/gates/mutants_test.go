@@ -16,8 +16,8 @@ import (
 // The mutation table judges the checks that judge the engine's shortcuts.
 // Each shortcut on the scoring path — the window's kept distances, the goal
 // basis, neighbourhood blocks (moved fills and shadows), draw-only skips,
-// narrowing, the block ceiling, walks filled from their moves and the
-// batched draws — is held by two broad checks in
+// narrowing, the block ceiling, walks filled from their moves, the
+// batched draws and the fresh panel's σ ceilings — is held by two broad checks in
 // internal/core: the refit oracle, which refits the proxy model from
 // scratch after every tick, and its draw-stream check, which rebuilds the
 // tick's draws from a copy of the engine's generator (oracle_test.go, fed
@@ -27,7 +27,8 @@ import (
 //
 // Run it with `go test -tags mutants -run Mutants ./internal/gates`; each
 // row rebuilds internal/{core,gp,stats,resource} and what links them, so the
-// table stays out of the tier-1 `go test ./...`.
+// table stays out of the tier-1 `go test ./...`. A row of the AVX assembly
+// is seen only where init takes the AVX kernels.
 
 // The shortcuts, by the DESIGN.md §4 section that states each contract.
 const (
@@ -39,6 +40,7 @@ const (
 	blockCeiling    = "block ceiling"
 	walkUpdate      = "walks by update"
 	drawBatch       = "draws in registers"
+	freshCeilings   = "fresh ceilings"
 )
 
 // The checks that catch them.
@@ -47,6 +49,7 @@ const (
 	onSimulator = "TestEngineMatchesRefitOracleOnSimulator"
 	drives      = "TestRandomDrivesMatchOracles"
 	wide        = "TestEngineMatchesRefitOracleOnWideSimulator"
+	ceilings    = "TestSigmaCeilingBoundsPosterior"
 )
 
 // A mutant is one row: in file, the text old, which must occur exactly once,
@@ -214,6 +217,29 @@ var mutants = []mutant{
 		new:      "cut := j + 2 + int(off[j])", // the composition's lazy identity one past
 		shortcut: drawBatch,
 		tests:    []string{refitOracle, onSimulator, drives, wide, "TestRandomCompositionMatchesSortOracle"},
+	},
+	{
+		file:     "internal/gp/batch.go",
+		old:      "v := kxx - near[c-p0]/(kxx+m.jitter) + float64(n+4)*0x1p-48*kxx",
+		new:      "v := kxx - near[(c-p0+1)%(p1-p0)]/(kxx+m.jitter) + float64(n+4)*0x1p-48*kxx", // the pass reads the neighbouring column
+		shortcut: freshCeilings,
+		tests:    []string{refitOracle, onSimulator, drives, ceilings},
+	},
+	{
+		file:     "internal/gp/batch.go",
+		old:      "v := kxx - near[c-p0]/(kxx+m.jitter) + float64(n+4)*0x1p-48*kxx",
+		new:      "v := kxx - near[c-p0]/kxx + float64(n+4)*0x1p-48*kxx", // the jitter term dropped
+		shortcut: freshCeilings,
+		tests:    []string{refitOracle, onSimulator, drives, wide, ceilings},
+	},
+	{
+		file:     "internal/linalg/kernels_amd64.s",
+		old:      "\tVORPD Y12, Y4, Y4\n\tVORPD Y13, Y5, Y5\n",
+		new:      "\t// the NaN mask not taken\n\tVORPD Y13, Y5, Y5\n", // a NaN drops out of the maxima at the next finite row
+		shortcut: freshCeilings,
+		// No window input or pool point the engine meets makes a
+		// cross-covariance NaN; the bound test plants them.
+		tests: []string{ceilings},
 	},
 }
 

@@ -129,8 +129,8 @@ func (m *Incremental) PredictBatchInto(s *PredictScratch, mu, sigma []float64, p
 
 // PredictMeansInto is the first half of scoring pts: it fills their
 // cross-covariances into s and writes their posterior means into mu.
-// PredictSigmasInto finishes the same points from s; SigmaCeiling bounds
-// their σ before that.
+// PredictSigmasInto finishes the same points from s; SigmaCeilingsInto
+// bounds their σ before that.
 //
 // The last wk.Len() points are walks from model input wk.Base. From
 // dimension walkDim on, a walk's squared distances to the inputs are
@@ -220,9 +220,7 @@ func (m *Incremental) fillWalks(s *PredictScratch, kpanel, pt []float64, dense, 
 		for d := 0; d < dim; d++ {
 			copy(sub[d*dense:(d+1)*dense], pt[d*w:d*w+dense])
 		}
-		for i, xi := range m.xbuf[:n] {
-			linalg.SquaredDistancesInto(kpanel[i*w:i*w+dense], sub, xi)
-		}
+		linalg.SquaredDistanceRowsInto(kpanel[:(n-1)*w+dense], w, sub, m.xbuf[:n])
 	}
 	for i := range n {
 		rows[i], rows[n+i] = m.triAt(i, base), 1
@@ -288,26 +286,31 @@ func (m *Incremental) PriorSigma() float64 {
 	return math.Sqrt(m.kernel.Variance)
 }
 
-// SigmaCeiling returns a bound on the σ PredictSigmasInto computes for
-// point c of those PredictMeansInto last filled into s, from that point's
-// cross-covariances alone: σ² <= k(x,x) − max_j k_j²/(k(x,x) + jitter), by
-// Cauchy–Schwarz in the inner product of the matrix the computed factor
-// inverts, raised by a margin relative to k(x,x) that covers the solve's
-// backward error (DESIGN.md §4). It is NaN when a cross-covariance is.
-func (m *Incremental) SigmaCeiling(s *PredictScratch, c int) float64 {
-	n := m.n
-	q := len(s.kmat) / n
-	p0 := c - c%panelWidth
-	w := min(panelWidth, q-p0)
-	col := s.kmat[n*p0+c-p0:]
-	near := 0.0
-	for i := 0; i < n; i++ {
-		v := col[i*w]
-		near = max(near, v*v)
+// SigmaCeilingsInto bounds the σ PredictSigmasInto computes for the points
+// PredictMeansInto last filled into s, from their cross-covariances alone:
+// it writes the bound of each point c from i to the end of i's panel into
+// sigma[c], leaves the rest of sigma as it was, and returns that end. The
+// bound is σ² <= k(x,x) − max_j k_j²/(k(x,x) + jitter), by Cauchy–Schwarz
+// in the inner product of the matrix the computed factor inverts, raised
+// by a margin relative to k(x,x) that covers the solve's backward error
+// (DESIGN.md §4); one linalg.MaxSquaresInto takes the whole panel's
+// maxima. It is NaN where a cross-covariance is.
+func (m *Incremental) SigmaCeilingsInto(s *PredictScratch, sigma []float64, i int) int {
+	n, q := m.n, len(sigma)
+	if len(s.kmat) != n*q || i < 0 || i >= q {
+		panic(fmt.Sprintf("gp: SigmaCeilingsInto got %d sigma from point %d, %d points filled", q, i, len(s.kmat)/max(n, 1)))
 	}
+	p0 := i - i%panelWidth
+	p1 := min(p0+panelWidth, q)
+	s.panel = grow(s.panel, p1-p0)
+	near := s.panel
+	linalg.MaxSquaresInto(near, s.kmat[n*p0:n*p1])
 	kxx := m.kernel.Variance
-	v := kxx - near/(kxx+m.jitter) + float64(n+4)*0x1p-48*kxx
-	return math.Sqrt(max(v, 0))
+	for c := i; c < p1; c++ {
+		v := kxx - near[c-p0]/(kxx+m.jitter) + float64(n+4)*0x1p-48*kxx
+		sigma[c] = math.Sqrt(max(v, 0))
+	}
+	return p1
 }
 
 // Block is what scoring one group of query points leaves behind that the
@@ -736,9 +739,9 @@ func panelMeans(mu, kpanel, alpha []float64, mean float64) {
 }
 
 // fillRowsMatern52 is the cross-covariance fill of the dim-major panel pt
-// of w points: per model row i, a squared-distance sweep over the panel
-// into dst[i·stride:][:w], then the Matérn transform of the rows, both
-// linalg column kernels. Each element's value is Matern52.Eval's
+// of w points: the squared distances of model row i into dst[i·stride:][:w],
+// four rows per sweep of the panel, then the Matérn transform of the rows,
+// both linalg column kernels. Each element's value is Matern52.Eval's
 // expression sequence — the squared distance still sums dimension-ascending
 // per element, the transform is Eval's formula with math.Exp's own
 // rounding — so splitting the loops only lets independent elements share
@@ -746,13 +749,14 @@ func panelMeans(mu, kpanel, alpha []float64, mean float64) {
 // per element, so when the rows are contiguous (stride w, the pool's
 // panel) it runs once over all of them, and otherwise once per row.
 func fillRowsMatern52(dst []float64, stride int, xs [][]float64, pt []float64, k Matern52) {
+	if len(xs) == 0 {
+		return
+	}
 	w := 0
-	if len(xs) > 0 && len(xs[0]) > 0 {
+	if len(xs[0]) > 0 {
 		w = len(pt) / len(xs[0])
 	}
-	for i, xi := range xs {
-		linalg.SquaredDistancesInto(dst[i*stride:i*stride+w:i*stride+w], pt, xi)
-	}
+	linalg.SquaredDistanceRowsInto(dst[:(len(xs)-1)*stride+w], stride, pt, xs)
 	if stride == w {
 		linalg.Matern52Row(dst[:len(xs)*w], k.LengthScale, k.Variance)
 		return

@@ -277,15 +277,19 @@ func nearCopy(rng *rand.Rand, x []float64) []float64 {
 }
 
 // TestSigmaCeilingBoundsPosterior: PredictMeansInto then PredictSigmasInto
-// is PredictBatchInto to the bit, and neither PriorSigma nor SigmaCeiling
-// is ever below the σ computed — over windows of 1 to 64 points in 1 to
-// 72 dimensions with near-duplicate inputs, noise from 1e-9 to 1e-1
-// (jitter escalation included), heuristic and pinned Matérn 5/2 kernels,
-// factors from Reset and from Append, and pools of random points, window
-// points and points a hair off them.
+// is PredictBatchInto to the bit, the panel pass SigmaCeilingsInto writes
+// sigmaCeilingAt's bits from any point of a panel on, and neither
+// PriorSigma nor the ceiling is ever below the σ computed — over windows of
+// 1 to 64 points in 1 to 72 dimensions with near-duplicate inputs, noise
+// from 1e-9 to 1e-1 (jitter escalation included), heuristic and pinned
+// Matérn 5/2 kernels, factors from Reset and from Append, and pools of
+// random points, window points and points a hair off them. Then NaNs
+// planted in the filled cross-covariances — in a column's first row, its
+// last, or after its largest entry — make exactly their columns' ceilings
+// NaN.
 func TestSigmaCeilingBoundsPosterior(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	columns, tight := 0, 0
+	columns, tight, nans := 0, 0, 0
 	for trial := 0; trial < 400; trial++ {
 		n := 1 + rng.Intn(64)
 		dim := 1 + rng.Intn(72)
@@ -323,6 +327,7 @@ func TestSigmaCeilingBoundsPosterior(t *testing.T) {
 		var s PredictScratch
 		mu, sigma := make([]float64, q), make([]float64, q)
 		m.PredictMeansInto(&s, mu, pointsOf(pool), Walks{})
+		ceil := sigmaCeilings(t, m, &s, q, rng)
 		m.PredictSigmasInto(&s, sigma)
 		wantMu, wantSigma := make([]float64, q), make([]float64, q)
 		m.PredictBatchInto(&PredictScratch{}, wantMu, wantSigma, pool)
@@ -331,21 +336,102 @@ func TestSigmaCeilingBoundsPosterior(t *testing.T) {
 			if mu[c] != wantMu[c] || sigma[c] != wantSigma[c] {
 				t.Fatalf("trial %d: point %d: split (%v, %v) != PredictBatchInto (%v, %v)", trial, c, mu[c], sigma[c], wantMu[c], wantSigma[c])
 			}
-			ceil := m.SigmaCeiling(&s, c)
-			if !(sigma[c] <= ceil) || !(sigma[c] <= prior) {
+			if !(sigma[c] <= ceil[c]) || !(sigma[c] <= prior) {
 				t.Fatalf("trial %d: n %d dim %d noise %v jitter %v: point %d: σ %v above its ceiling %v or the prior %v",
-					trial, n, dim, noise, m.Jitter(), c, sigma[c], ceil, prior)
+					trial, n, dim, noise, m.Jitter(), c, sigma[c], ceil[c], prior)
 			}
 			columns++
-			if ceil < prior/2 {
+			if ceil[c] < prior/2 {
 				tight++
 			}
 		}
+		// Every other column gets a NaN: in row 0, in the last row, or in the
+		// row after its largest entry (the last row when that is the last).
+		for c := 0; c < q; c += 2 {
+			p0 := c - c%panelWidth
+			w := min(panelWidth, q-p0)
+			row := 0
+			switch c / 2 % 3 {
+			case 1:
+				row = n - 1
+			case 2:
+				for i := 0; i < n; i++ {
+					if math.Abs(s.kmat[n*p0+i*w+c-p0]) > math.Abs(s.kmat[n*p0+row*w+c-p0]) {
+						row = i
+					}
+				}
+				row = min(row+1, n-1)
+			}
+			s.kmat[n*p0+row*w+c-p0] = math.NaN()
+		}
+		for c, v := range sigmaCeilings(t, m, &s, q, rng) {
+			if math.IsNaN(v) != (c%2 == 0) {
+				t.Fatalf("trial %d: n %d: point %d's ceiling is %v with a NaN planted: %v", trial, n, c, v, c%2 == 0)
+			}
+			if math.IsNaN(v) {
+				nans++
+			}
+		}
 	}
-	if tight < columns/4 {
-		t.Fatalf("only %d of %d ceilings below half the prior σ: the bound was hardly exercised", tight, columns)
+	if tight < columns/4 || nans == 0 {
+		t.Fatalf("only %d of %d ceilings below half the prior σ, %d NaN ones: the bound was hardly exercised", tight, columns, nans)
 	}
-	t.Logf("%d of %d ceilings below half the prior σ", tight, columns)
+	t.Logf("%d of %d ceilings below half the prior σ; %d NaN ones", tight, columns, nans)
+}
+
+// sigmaCeilingAt is the nearest-point ceiling of point c of those
+// PredictMeansInto last filled into s, one point at a time: a strided
+// maximum down c's column of its panel, then SigmaCeilingsInto's formula.
+func sigmaCeilingAt(m *Incremental, s *PredictScratch, c int) float64 {
+	n := m.n
+	q := len(s.kmat) / n
+	p0 := c - c%panelWidth
+	w := min(panelWidth, q-p0)
+	col := s.kmat[n*p0+c-p0:]
+	near := 0.0
+	for i := 0; i < n; i++ {
+		v := col[i*w]
+		near = max(near, v*v)
+	}
+	kxx := m.kernel.Variance
+	v := kxx - near/(kxx+m.jitter) + float64(n+4)*0x1p-48*kxx
+	return math.Sqrt(max(v, 0))
+}
+
+// sigmaCeilings returns the ceilings of the q points PredictMeansInto last
+// filled into s, taken by SigmaCeilingsInto panel by panel: first from a
+// point of the panel rng picks (its first when rng is nil), which must
+// return the panel's end and leave the slots before that point alone, then
+// from the panel's first. Every ceiling must be sigmaCeilingAt's, to the
+// bit, or NaN where it is NaN.
+func sigmaCeilings(t testing.TB, m *Incremental, s *PredictScratch, q int, rng *rand.Rand) []float64 {
+	t.Helper()
+	ceil, probe := make([]float64, q), make([]float64, q)
+	for p0 := 0; p0 < q; p0 += panelWidth {
+		p1 := min(p0+panelWidth, q)
+		i := p0
+		if rng != nil {
+			i += rng.Intn(p1 - p0)
+		}
+		for c := range probe {
+			probe[c] = -1
+		}
+		if end := m.SigmaCeilingsInto(s, probe, i); end != p1 {
+			t.Fatalf("the pass from point %d of %d ended at %d, not at its panel's end %d", i, q, end, p1)
+		}
+		for c, v := range probe {
+			if v == -1 == (c >= i && c < p1) {
+				t.Fatalf("the pass from point %d (panel [%d, %d)) wrote %v at point %d", i, p0, p1, v, c)
+			}
+		}
+		m.SigmaCeilingsInto(s, ceil, p0)
+	}
+	for c, v := range ceil {
+		if want := sigmaCeilingAt(m, s, c); !sameFloat(v, want) && !(math.IsNaN(v) && math.IsNaN(want)) {
+			t.Fatalf("point %d of %d: the panel pass's ceiling %v (%#x), one point at a time %v (%#x)", c, q, v, math.Float64bits(v), want, math.Float64bits(want))
+		}
+	}
+	return ceil
 }
 
 // posteriorEval is posteriorBatch as it was before the cross-covariance

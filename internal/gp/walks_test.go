@@ -69,7 +69,7 @@ func walkPanel(rng *rand.Rand, n, groups, group, units, extra, count, steps int)
 // checkWalks holds PredictMeansInto with the walks described, then
 // PredictSigmasInto, to the dense fill of the same points: the other points
 // to the bit, the walks within movedBound and never NaN, every σ under
-// SigmaCeiling, and below walkDim everything to the bit. It returns the
+// the panel pass's ceilings, and below walkDim everything to the bit. It returns the
 // walk columns' μ and σ.
 func checkWalks(t *testing.T, m *Incremental, pool [][]float64, wk Walks) (mu, sigma []float64) {
 	t.Helper()
@@ -77,10 +77,7 @@ func checkWalks(t *testing.T, m *Incremental, pool [][]float64, wk Walks) (mu, s
 	var s PredictScratch
 	mu, sigma = make([]float64, q), make([]float64, q)
 	m.PredictMeansInto(&s, mu, pointsOf(pool), wk)
-	ceil := make([]float64, q)
-	for c := range ceil {
-		ceil[c] = m.SigmaCeiling(&s, c)
-	}
+	ceil := sigmaCeilings(t, m, &s, q, nil)
 	m.PredictSigmasInto(&s, sigma)
 	wantMu, wantSigma := make([]float64, q), make([]float64, q)
 	m.PredictBatchInto(&PredictScratch{}, wantMu, wantSigma, pool)

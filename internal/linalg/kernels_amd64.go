@@ -13,10 +13,11 @@ package linalg
 // and stays consistent with itself, as every other architecture does.
 
 var avxKernels = columnKernels{
-	sqDists:  sqDistsAVX,
-	dots:     dotsAVX,
-	solveRow: solveRowAVX,
-	matern52: matern52AVX,
+	sqDists:    sqDistsAVX,
+	dots:       dotsAVX,
+	solveRow:   solveRowAVX,
+	matern52:   matern52AVX,
+	maxSquares: maxSquaresAVX,
 }
 
 func init() {
@@ -78,13 +79,16 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func sqDistsAVX(dst, pt, x []float64)
+func sqDistsAVX(dst []float64, stride int, pt []float64, x [4][]float64, rows int)
 
 //go:noescape
 func dotsAVX(dst, pt, x []float64)
 
 //go:noescape
 func solveRowAVX(dst, b, pt, x []float64, pivot float64)
+
+//go:noescape
+func maxSquaresAVX(dst, pt []float64)
 
 // matern52Blocks transforms row four columns at a time and returns how many
 // columns it transformed: a multiple of four, short of len(row) when the

@@ -80,9 +80,11 @@ func (k kernelCase) window(n int) (win, whole []float64) {
 }
 
 // TestColumnKernelsMatchPortable holds each AVX kernel to its Go twin, to
-// the bit, over widths that exercise every mix of the 16-, 4- and 1-column
-// blocks, panels of the row counts the callers see on both sides of 8, and
-// pivots of either sign.
+// the bit, over widths that exercise every mix of the 16-, 8-, 4- and
+// 1-column blocks, panels of the row counts the callers see on both sides
+// of 8, pivots of either sign, and for the squared distances 0 to 9 and 64
+// points — whole groups of four and every remainder — written at a row
+// stride wider than the panel.
 func TestColumnKernelsMatchPortable(t *testing.T) {
 	requireAVX(t)
 	rng := stats.NewRNG(24)
@@ -111,8 +113,22 @@ func TestColumnKernelsMatchPortable(t *testing.T) {
 
 				for _, dim := range []int{0, 1, 2, 15} {
 					pt, _ := k.window(dim * n)
+					stride := n + 1 + off
+					for _, points := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64} {
+						xs := make([][]float64, points)
+						for r := range xs {
+							xs[r], _ = k.window(dim)
+						}
+						size := max(0, (points-1)*stride+n)
+						_, rowsOut := k.window(size)
+						run("sqDists", k, points, rowsOut, func(impl *columnKernels, whole []float64) {
+							withKernels(impl, func() { SquaredDistanceRowsInto(whole[off:off+size:off+size], stride, pt, xs) })
+						})
+					}
 					pos, _ := k.window(dim)
-					run("sqDists", k, dim, y, func(impl *columnKernels, whole []float64) { impl.sqDists(out(whole), pt, pos) })
+					run("sqDists one row", k, dim, y, func(impl *columnKernels, whole []float64) {
+						withKernels(impl, func() { SquaredDistancesInto(out(whole), pt, pos) })
+					})
 				}
 				for _, rows := range []int{0, 1, 7, 8, 9, 64} {
 					pt, _ := k.window(rows * n)
@@ -121,6 +137,52 @@ func TestColumnKernelsMatchPortable(t *testing.T) {
 					run("dots", k, rows, y, func(impl *columnKernels, whole []float64) { impl.dots(out(whole), pt, x) })
 					for _, pivot := range []float64{k.values(1)[0], -1.75, -3e-309} {
 						run("solveRow", k, rows, y, func(impl *columnKernels, whole []float64) { impl.solveRow(out(whole), b, pt, x, pivot) })
+					}
+					run("maxSquares", k, rows, y, func(impl *columnKernels, whole []float64) { impl.maxSquares(out(whole), pt) })
+				}
+			}
+		}
+	}
+	// The maxima's NaN columns, planted where a lane-wise maximum could lose
+	// them: a NaN in the first row, in the last, after a larger value, and
+	// among ±0 and ±Inf, in every lane of every block.
+	for n := 1; n <= 40; n++ {
+		for _, rows := range []int{1, 2, 3, 8, 64} {
+			for _, plant := range []string{"first", "last", "after larger", "signed zeros", "infinities"} {
+				pt := make([]float64, rows*n)
+				for i := range pt {
+					pt[i] = rng.NormFloat64()
+				}
+				for c := 0; c < n; c++ {
+					switch at := c % rows; plant {
+					case "first":
+						pt[c] = math.NaN()
+					case "last":
+						pt[(rows-1)*n+c] = math.NaN()
+					case "after larger":
+						pt[at*n+c] = 1e150
+						if at+1 < rows {
+							pt[(at+1)*n+c] = math.NaN()
+						}
+					case "signed zeros":
+						pt[at*n+c] = math.Copysign(0, float64(c%2*2-1))
+						if c%3 == 0 {
+							pt[(rows-1-at)*n+c] = math.NaN()
+						}
+					case "infinities":
+						pt[at*n+c] = math.Inf(c%2*2 - 1)
+						if c%3 == 0 {
+							pt[(rows-1-at)*n+c] = math.NaN()
+						}
+					}
+				}
+				want, got := make([]float64, n), make([]float64, n)
+				maxSquaresGo(want, pt)
+				maxSquaresAVX(got, pt)
+				for c := range want {
+					if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+						t.Fatalf("maxSquares n=%d rows=%d, NaN %s: column %d is %v (%#x) under AVX, %v (%#x) portable",
+							n, rows, plant, c, got[c], math.Float64bits(got[c]), want[c], math.Float64bits(want[c]))
 					}
 				}
 			}
@@ -351,37 +413,55 @@ func WithPortableKernels(f func()) { withKernels(&portableKernels, f) }
 // RequireAVX is requireAVX for the external tests.
 func RequireAVX(tb testing.TB) { requireAVX(tb) }
 
-// benchColumnKernels times what one scoring panel asks of the linear
-// kernels at the engine's steady state, 64 window rows by 32 candidates in
-// 15 dimensions: the squared-distance sweep of every row, the posterior
-// means (dots), the triangular solve (one solveRow per factor row) and the
-// squared norms of the solved panel.
+// benchColumnKernels times what the engine's steady state asks of the
+// linear kernels, 64 window rows in 15 dimensions: for a full panel of 32
+// candidates and a narrowed one of 8, the squared-distance fill of every
+// row, the posterior means (dots), the triangular solve (one solveRow per
+// factor row) and the squared norms of the solved panel; for the narrowed
+// panel also the maxima its σ ceilings read.
 func benchColumnKernels(b *testing.B, impl *columnKernels) {
-	const n, q, dim = 64, 32, 15
+	const n, dim = 64, 15
 	rng := stats.NewRNG(5)
 	c, err := NewCholesky(randomSPD(rng, n))
 	if err != nil {
 		b.Fatal(err)
 	}
-	kmat, vmat := NewMatrix(n, q), NewMatrix(n, q)
-	pt := make([]float64, dim*q)
-	xs := make([]float64, n*dim)
-	alpha, zeros := make([]float64, n), make([]float64, n)
-	mu, norms := make([]float64, q), make([]float64, q)
-	for _, buf := range [][]float64{pt, xs, alpha} {
-		for i := range buf {
-			buf[i] = rng.NormFloat64()
+	xs := make([][]float64, n)
+	for r := range xs {
+		xs[r] = make([]float64, dim)
+		for d := range xs[r] {
+			xs[r][d] = rng.NormFloat64()
 		}
+	}
+	alpha, zeros := make([]float64, n), make([]float64, n)
+	for i := range alpha {
+		alpha[i] = rng.NormFloat64()
+	}
+	type panel struct {
+		kmat, vmat    *Matrix
+		pt, mu, norms []float64
+		ceilings      bool
+	}
+	var panels []panel
+	for _, q := range []int{32, 8} {
+		p := panel{kmat: NewMatrix(n, q), vmat: NewMatrix(n, q), pt: make([]float64, dim*q), mu: make([]float64, q), norms: make([]float64, q), ceilings: q == 8}
+		for i := range p.pt {
+			p.pt[i] = rng.NormFloat64()
+		}
+		panels = append(panels, p)
 	}
 	withKernels(impl, func() {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for r := 0; r < n; r++ {
-				SquaredDistancesInto(kmat.Data[r*q:r*q+q], pt, xs[r*dim:r*dim+dim])
+			for _, p := range panels {
+				SquaredDistanceRowsInto(p.kmat.Data, p.kmat.Cols, p.pt, xs)
+				DotsInto(p.mu, p.kmat.Data, alpha)
+				if p.ceilings {
+					MaxSquaresInto(p.norms, p.kmat.Data)
+				}
+				c.SolveLowerMatrixInto(p.vmat, p.kmat)
+				SquaredDistancesInto(p.norms, p.vmat.Data, zeros)
 			}
-			DotsInto(mu, kmat.Data, alpha)
-			c.SolveLowerMatrixInto(vmat, kmat)
-			SquaredDistancesInto(norms, vmat.Data, zeros)
 		}
 	})
 }

@@ -4,6 +4,7 @@ package linalg_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -92,8 +93,8 @@ func TestGPScoringSameUnderBothKernels(t *testing.T) {
 
 // requireSameScoring builds one model over (xs, ys) and requires its Gram
 // matrix, built by Reset and by Append (read through the window means), and
-// its pool scores from PredictBatchInto, PredictMeansInto → SigmaCeiling →
-// PredictSigmasInto, PredictBlockInto → UpdateTargets(ys2) →
+// its pool scores from PredictBatchInto, PredictMeansInto →
+// SigmaCeilingsInto → PredictSigmasInto, PredictBlockInto → UpdateTargets(ys2) →
 // RepredictBlockInto and Posterior to be == under both kernel sets.
 func requireSameScoring(t *testing.T, ctx string, kernel gp.Matern52, xs [][]float64, ys, ys2 []float64, pool [][]float64) {
 	t.Helper()
@@ -121,17 +122,24 @@ func requireSameScoring(t *testing.T, ctx string, kernel gp.Matern52, xs [][]flo
 	})
 	requireSame(t, "PredictBatchInto "+ctx, avx, portable)
 
-	// The split halves, and the σ ceilings read off the filled panel.
+	// The split halves, and the σ ceilings read off the filled panel, which
+	// must also be the ceilings taken one point at a time from Eval.
 	avx, portable = underBoth(func() []float64 {
 		m.PredictMeansInto(&s, mu, &pts, gp.Walks{})
 		out := append([]float64(nil), mu...)
-		for c := range pool {
-			out = append(out, m.SigmaCeiling(&s, c))
+		ceil := make([]float64, q)
+		for c := 0; c < q; {
+			c = m.SigmaCeilingsInto(&s, ceil, c)
 		}
 		m.PredictSigmasInto(&s, sigma)
-		return append(out, sigma...)
+		return append(append(out, ceil...), sigma...)
 	})
-	requireSame(t, "PredictMeansInto/SigmaCeiling/PredictSigmasInto "+ctx, avx, portable)
+	requireSame(t, "PredictMeansInto/SigmaCeilingsInto/PredictSigmasInto "+ctx, avx, portable)
+	for c, y := range pool {
+		if got, want := avx[q+c], sigmaCeilingAt(m, xs, y); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: point %d's ceiling is %v from the panel, %v one point at a time", ctx, c, got, want)
+		}
+	}
 
 	avx, portable = underBoth(func() []float64 {
 		if err := m.UpdateTargets(ys); err != nil {
@@ -158,4 +166,18 @@ func requireSameScoring(t *testing.T, ctx string, kernel gp.Matern52, xs [][]flo
 		return append(pmu, cov.Data...)
 	})
 	requireSame(t, "Posterior "+ctx, avx, portable)
+}
+
+// sigmaCeilingAt is m's nearest-point σ ceiling at y, one point at a time:
+// the largest squared covariance of y with m's inputs xs, by Eval (which
+// the fill equals to the bit), in SigmaCeilingsInto's formula.
+func sigmaCeilingAt(m *gp.Incremental, xs [][]float64, y []float64) float64 {
+	k := m.Kernel()
+	near := 0.0
+	for _, x := range xs[:m.Len()] {
+		v := k.Eval(x, y)
+		near = max(near, v*v)
+	}
+	v := k.Variance - near/(k.Variance+m.Jitter()) + float64(m.Len()+4)*0x1p-48*k.Variance
+	return math.Sqrt(max(v, 0))
 }

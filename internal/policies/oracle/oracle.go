@@ -64,15 +64,15 @@ func (g Goal) String() string {
 	}
 }
 
+// restarts is the number of random hill-climb restarts for large spaces,
+// in addition to the equal-split and incumbent starts.
+const restarts = 4
+
 // Options tunes the search.
 type Options struct {
 	// ExactLimit is the largest space size searched exhaustively
 	// (default 20,000 configurations).
 	ExactLimit float64
-	// Restarts is the number of random hill-climb restarts for large
-	// spaces, in addition to the equal-split and incumbent starts
-	// (default 4).
-	Restarts int
 	// Probes is the number of uniform random configurations scored as
 	// extra candidate starts (default 256).
 	Probes int
@@ -89,9 +89,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.ExactLimit <= 0 {
 		o.ExactLimit = 20000
-	}
-	if o.Restarts <= 0 {
-		o.Restarts = 4
 	}
 	if o.Probes <= 0 {
 		o.Probes = 256
@@ -148,7 +145,7 @@ func NewSearcher(s *sim.Simulator, opt Options) *Searcher {
 	for range space.Resources {
 		sr.up, sr.down = append(sr.up, jobs()), append(sr.down, jobs())
 	}
-	for i := 0; i <= opt.Restarts; i++ {
+	for i := 0; i <= restarts; i++ {
 		sr.starts = append(sr.starts, space.NewConfig())
 	}
 	return sr
@@ -217,7 +214,7 @@ func (s *Searcher) hillClimb(wT, wF float64) float64 {
 	if bestProbeVal > math.Inf(-1) {
 		starts = s.starts[:2]
 	}
-	for i := 0; i < s.opt.Restarts; i++ {
+	for i := 0; i < restarts; i++ {
 		starts = s.starts[:len(starts)+1]
 		s.space.RandomInto(s.rng, starts[len(starts)-1])
 	}

@@ -178,7 +178,7 @@ func TestPolicyCachesPerPhase(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	var o Options
 	o.fill()
-	if o.ExactLimit != 20000 || o.Restarts != 4 || o.Probes != 256 {
+	if o.ExactLimit != 20000 || o.Probes != 256 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
 }

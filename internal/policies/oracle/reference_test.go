@@ -63,7 +63,7 @@ func (s *Searcher) refHillClimb(wT, wF float64) (resource.Config, float64) {
 	if bestProbeVal > math.Inf(-1) {
 		starts = append(starts, bestProbe)
 	}
-	for i := 0; i < s.opt.Restarts; i++ {
+	for i := 0; i < restarts; i++ {
 		starts = append(starts, s.space.Random(s.rng))
 	}
 

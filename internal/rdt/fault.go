@@ -99,8 +99,9 @@ const (
 	// FaultNegative corrupts one job's IPS to a negative value
 	// (OpSample only).
 	FaultNegative
-	// FaultLatency delays the call through the script's Sleep hook and
-	// then lets it succeed — a slow resctrl write or perf read.
+	// FaultLatency delays the call by faultLatency through the script's
+	// Sleep hook and then lets it succeed — a slow resctrl write or perf
+	// read.
 	FaultLatency
 	// FaultFatal fails the call with a NON-transient error — a dead
 	// counter, an exhausted trace, a misconfigured resctrl root. The
@@ -152,8 +153,6 @@ type FaultScript struct {
 	// alternate dropout / NaN corruption from the seeded stream.
 	ApplyErrorRate, SampleErrorRate, SampleCorruptRate float64
 	MeasureErrorRate, ResyncErrorRate                  float64
-	// Latency is the delay a FaultLatency fault injects (default 1 ms).
-	Latency time.Duration
 	// Sleep performs latency injection (default time.Sleep). Tests
 	// install a recorder so scripted latency stays wall-clock free.
 	Sleep func(time.Duration)
@@ -213,13 +212,13 @@ type FaultInjector struct {
 	scripted [numFaultOps]map[int]FaultKind
 }
 
+// faultLatency is the delay a FaultLatency fault injects.
+const faultLatency = time.Millisecond
+
 // NewFaultInjector wraps inner with the script.
 func NewFaultInjector(inner Platform, script FaultScript) (*FaultInjector, error) {
 	if script.Seed == 0 {
 		script.Seed = 1
-	}
-	if script.Latency <= 0 {
-		script.Latency = time.Millisecond
 	}
 	if script.Sleep == nil {
 		script.Sleep = time.Sleep
@@ -289,7 +288,7 @@ func (f *FaultInjector) gate(op FaultOp, rate float64, transient *int) error {
 	case !fire:
 	case kind == FaultLatency:
 		f.counts.Latencies++
-		f.script.Sleep(f.script.Latency)
+		f.script.Sleep(faultLatency)
 	case kind == FaultFatal:
 		f.counts.FatalErrors++
 		return fmt.Errorf("injected fatal %s failure (call %d)", op, f.calls[op])
@@ -326,7 +325,7 @@ func (f *FaultInjector) Sample() ([]float64, error) {
 	kind, fire := f.next(OpSample, f.script.SampleErrorRate, f.script.SampleCorruptRate)
 	if fire && kind == FaultLatency {
 		f.counts.Latencies++
-		f.script.Sleep(f.script.Latency)
+		f.script.Sleep(faultLatency)
 	}
 	ips, err := f.inner.Sample()
 	if err != nil || !fire || kind == FaultLatency {
