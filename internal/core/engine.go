@@ -127,22 +127,25 @@ type Engine struct {
 	// counters are Stats' fields of the same names. They are fields, not a
 	// Stats value, so the struct that every engine pays for, forced ones
 	// included, stays in its 1 024-byte size class.
-	lastWeights  Weights // scheduleWeights
-	lastObj      float64 // scheduleWeights
-	forcedTicks  int     // forced
-	seedTicks    int     // seed
-	modelTicks   int     // syncModel
-	appendRefits int     // syncModel
-	fitFailures  int     // syncModel
-	sweep        int     // trackProxyChange: sweeps run so far
-	proxyChange  float64 // trackProxyChange
-	blockHits    int     // scorePool
-	blockMisses  int     // scorePool
-	blocksOut    int     // scorePool: BlocksRuledOut, blocks ruled out by their ceiling
-	freshSkips   int     // scorePool: ticks whose fresh panel was not solved
-	narrowTicks  int     // buildPool: ticks that scored a narrowed fresh panel
-	acqFailures  int     // settle
-	exploits     int     // settle
+	lastWeights   Weights // scheduleWeights
+	lastObj       float64 // scheduleWeights
+	forcedTicks   int     // forced
+	seedTicks     int     // seed
+	modelTicks    int     // syncModel
+	appendRefits  int     // syncModel
+	fitFailures   int     // syncModel
+	sweep         int     // trackProxyChange: sweeps run so far
+	proxyChange   float64 // trackProxyChange
+	blockHits     int     // scorePool
+	blockMisses   int     // scorePool
+	blocksOut     int     // scorePool: BlocksRuledOut, blocks ruled out by their ceiling
+	freshSkips    int     // scorePool: ticks whose fresh panel was not solved
+	blockCandsOut int     // scorePool: candidates of the blocks ruled out
+	freshCandsOut int     // scorePool: fresh candidates ruled out by their σ ceilings
+	candsScored   int     // scorePool: candidates scored
+	narrowTicks   int     // buildPool: ticks that scored a narrowed fresh panel
+	acqFailures   int     // settle
+	exploits      int     // settle
 
 	// The proxy model: row i conditions on modelRecs[i] (Record.row is the
 	// inverse), so per-tick target reconstruction can feed
@@ -162,13 +165,16 @@ type Engine struct {
 	poolTopN     int
 	candCount    int
 
-	// Per-tick scratch, reused across Decide calls.
-	windowBuf    []*Record
-	xsBuf        [][]float64
-	rowBuf       []float64 // goals or targets per model row (syncModel), then means (trackProxyChange); then a missed block's move tables (neighborMoves)
-	pointBuf     gp.Points // the candidates being scored, as the fill reads them (poolPoints)
-	postBuf      []float64 // the pool's posterior: μ, then σ (posterior)
-	batchScratch gp.PredictScratch
+	// Per-tick buffers, reused across Decide calls. The scoring scratch —
+	// the fill's and the solve's panels and the candidates laid out as points
+	// — is not among them: a tick borrows it (tick.scratch), so an engine
+	// between ticks holds none. The pool's posterior and candidates stay:
+	// they describe the last tick after Decide returns (the refit oracle
+	// reads them).
+	windowBuf []*Record
+	xsBuf     [][]float64
+	rowBuf    []float64 // goals or targets per model row (syncModel), then means (trackProxyChange); then a missed block's move tables (neighborMoves)
+	postBuf   []float64 // the pool's posterior: μ, then σ (posterior)
 	// One scored neighborhood per top-configuration slot (scorePool), and
 	// the shadows of blocks whose records left the slots (revive), allocated
 	// by the first block that misses its slot.
@@ -235,6 +241,11 @@ type tick struct {
 	// freshSkipped: no fresh candidate could win, so their σ were bounded,
 	// not solved for, and the block winner is the tick's (scorePool).
 	freshSkipped bool
+
+	// scratch is the scoring workspace the tick borrows from the list every
+	// engine shares (gp.TakeScratch) once its model is current, and returns
+	// before it settles; a forced or seeding tick takes none.
+	scratch *gp.PredictScratch
 }
 
 // New builds a SATORI engine over space.
@@ -384,11 +395,13 @@ func (e *Engine) Decide(obs policy.Observation, current resource.Config) resourc
 		return e.randomConfig()
 	}
 	e.trackProxyChange(t.window)
+	t.scratch = gp.TakeScratch()
 	// The walks' moved coordinates, on the stack for the default 16 walks.
 	var moved [16 * (2*walkSteps + 1)]int32
 	walks := e.buildPool(&t, moved[:0])
 	e.scorePool(&t, walks)
 	idx, score, err := e.acquire(&t)
+	t.scratch.Release()
 	return e.settle(&t, idx, score, err)
 }
 
@@ -563,7 +576,7 @@ func (e *Engine) freshPanel(narrow bool) (randoms, walks int) {
 // pool.
 func (e *Engine) acquire(t *tick) (idx int, score float64, err error) {
 	if e.acq == nil {
-		idx, err = bo.ThompsonSuggest(e.model, e.rng, e.poolPoints(0, e.candCount))
+		idx, err = bo.ThompsonSuggest(e.model, e.rng, e.poolPoints(&t.scratch.Points, 0, e.candCount))
 		return idx, 0, err
 	}
 	if !t.freshSkipped {
@@ -684,33 +697,32 @@ func (e *Engine) dropModel(err error) error {
 	return err
 }
 
-// poolPoints encodes pool candidates [lo, hi) as GP inputs, candidate i as
-// point i−lo of pointBuf, and returns them: each coordinate is written
+// poolPoints encodes pool candidates [lo, hi) as GP inputs into pts,
+// candidate i as point i−lo, and returns pts: each coordinate is written
 // once, where the fill reads it.
-func (e *Engine) poolPoints(lo, hi int) *gp.Points {
-	pts := &e.pointBuf
+func (e *Engine) poolPoints(pts *gp.Points, lo, hi int) *gp.Points {
 	pts.Reset(hi-lo, e.space.Dim())
 	for i := lo; i < min(hi, e.opt.Candidates); i++ {
-		e.configPoint(i-lo, e.candidateCfg[i])
+		e.configPoint(pts, i-lo, e.candidateCfg[i])
 	}
 	start := e.opt.Candidates
 	for s, rec := range e.poolTop[:e.poolTopN] {
 		if start < hi && lo < e.poolEnd[s] {
-			e.neighborPoints(rec, start, e.poolEnd[s], lo, hi)
+			e.neighborPoints(pts, rec, start, e.poolEnd[s], lo, hi)
 		}
 		start = e.poolEnd[s]
 	}
 	return pts
 }
 
-// configPoint writes c's encoding as point c of pointBuf, each coordinate
+// configPoint writes c's encoding as point col of pts, each coordinate
 // looked up in enc.
-func (e *Engine) configPoint(col int, c resource.Config) {
-	at, stride := e.pointBuf.Column(col)
+func (e *Engine) configPoint(pts *gp.Points, col int, c resource.Config) {
+	at, stride := pts.Column(col)
 	for r, row := range c.Alloc {
 		enc := e.enc[r]
 		for _, u := range row {
-			e.pointBuf.Data[at] = enc[u]
+			pts.Data[at] = enc[u]
 			at += stride
 		}
 	}
@@ -722,8 +734,7 @@ func (e *Engine) configPoint(col int, c resource.Config) {
 // has the bits of encoding the moved configuration: rec.Vector is
 // broadcast over the range, then each member's two coordinates are
 // patched.
-func (e *Engine) neighborPoints(rec *Record, start, end, lo, hi int) {
-	pts := &e.pointBuf
+func (e *Engine) neighborPoints(pts *gp.Points, rec *Record, start, end, lo, hi int) {
 	pts.Broadcast(max(start, lo)-lo, min(end, hi)-lo, rec.Vector)
 	jobs, i := e.space.Jobs, start
 	for _, r := range e.managedRows {
@@ -798,6 +809,7 @@ func (e *Engine) neighborMoves(rec *Record) gp.Moves {
 // out. Only the tick's t.fresh candidates are scored; the slots of the
 // unscored ones keep stale values.
 func (e *Engine) scorePool(t *tick, walks gp.Walks) {
+	sc := t.scratch
 	mu, sigma := e.posterior()
 	t.mu, t.sigma = mu, sigma
 	top, blocks := e.poolTop[:e.poolTopN], e.opt.Candidates // the blocks start after every fresh slot
@@ -811,6 +823,7 @@ func (e *Engine) scorePool(t *tick, walks gp.Walks) {
 			if m, s, ok := e.model.BlockCeiling(&blk.Block, hi-lo); ok && ei.Ceiling(m, s, t.best) < e.exploitBelow {
 				e.ruledOut |= 1 << i
 				e.blocksOut++
+				e.blockCandsOut += hi - lo
 				lo = hi
 				continue
 			}
@@ -818,13 +831,14 @@ func (e *Engine) scorePool(t *tick, walks gp.Walks) {
 		switch {
 		case blk.rec == rec && e.model.RepredictBlockInto(&blk.Block, mu[lo:hi], sigma[lo:hi]):
 			e.blockHits++
-		case e.revive(blk, rec, mu[lo:hi], sigma[lo:hi]):
+		case e.revive(sc, blk, rec, mu[lo:hi], sigma[lo:hi]):
 			e.shadows.revivals++
 		default:
 			e.blockMisses++
 			mv := e.neighborMoves(rec)
-			e.model.PredictMovedBlockInto(&e.batchScratch, &blk.Block, mu[lo:hi], sigma[lo:hi], &mv)
+			e.model.PredictMovedBlockInto(sc, &blk.Block, mu[lo:hi], sigma[lo:hi], &mv)
 		}
+		e.candsScored += hi - lo
 		lo = hi
 	}
 	switch {
@@ -834,13 +848,15 @@ func (e *Engine) scorePool(t *tick, walks gp.Walks) {
 	default:
 		e.argmaxBlocks(t)
 	}
-	e.model.PredictMeansInto(&e.batchScratch, mu[:t.fresh], e.poolPoints(0, t.fresh), walks)
+	e.model.PredictMeansInto(sc, mu[:t.fresh], e.poolPoints(&sc.Points, 0, t.fresh), walks)
 	if !e.freshCanWin(t) {
 		t.freshSkipped = true
 		e.freshSkips++
+		e.freshCandsOut += t.fresh
 		return
 	}
-	e.model.PredictSigmasInto(&e.batchScratch, sigma[:t.fresh])
+	e.model.PredictSigmasInto(sc, sigma[:t.fresh])
+	e.candsScored += t.fresh
 }
 
 // argmaxBlocks is the blocks' argmax when some were ruled out: over the
@@ -904,7 +920,7 @@ func (e *Engine) freshCanWin(t *tick) bool {
 			continue
 		}
 		if i >= ceiled {
-			ceiled = e.model.SigmaCeilingsInto(&e.batchScratch, t.sigma[:t.fresh], i)
+			ceiled = e.model.SigmaCeilingsInto(t.scratch, t.sigma[:t.fresh], i)
 		}
 		if !(ei.Ceiling(m, t.sigma[i], t.best) < floor) {
 			return true
@@ -921,7 +937,7 @@ func (e *Engine) freshCanWin(t *tick) bool {
 // projections no longer cover the basis. Either way the shadow's epoch must
 // be the model's (gp.ReviveMovedBlockInto), and a revived block whose
 // projections fall short has its K* refilled from its moves.
-func (e *Engine) revive(blk *neighborBlock, rec *Record, mu, sigma []float64) bool {
+func (e *Engine) revive(sc *gp.PredictScratch, blk *neighborBlock, rec *Record, mu, sigma []float64) bool {
 	if e.shadows == nil {
 		e.shadows = new(shadowRing)
 	}
@@ -950,7 +966,7 @@ func (e *Engine) revive(blk *neighborBlock, rec *Record, mu, sigma []float64) bo
 		ring.recs[i], sh = nil, &ring.blks[i]
 	}
 	mv := e.neighborMoves(rec)
-	ok, refilled := e.model.ReviveMovedBlockInto(&e.batchScratch, &blk.Block, sh, mu, sigma, &mv)
+	ok, refilled := e.model.ReviveMovedBlockInto(sc, &blk.Block, sh, mu, sigma, &mv)
 	if refilled {
 		ring.refills++
 	}
@@ -1159,6 +1175,14 @@ type Stats struct {
 	// projections fell short of the goal basis). FreshSkips counts the ticks
 	// whose fresh panel was not solved (scorePool).
 	BlockHits, BlockRevivals, BlockRefills, BlockMisses, BlocksRuledOut, FreshSkips int
+	// The same, candidate by candidate: BlockCandidatesRuledOut counts the
+	// candidates of the blocks ruled out by their ceiling,
+	// FreshCandidatesRuledOut the fresh candidates of the ticks whose fresh
+	// panel its σ ceilings ruled out, and CandidatesScored those whose μ and
+	// σ a tick computed or re-scored, blocks and fresh panel alike. On a
+	// tick that scores its pool the three sum to the pool less the fresh
+	// candidates a narrowed panel leaves unbuilt.
+	BlockCandidatesRuledOut, FreshCandidatesRuledOut, CandidatesScored int
 	// NarrowTicks counts the model ticks of a settled engine, which scored
 	// only a narrowed fresh panel (buildPool).
 	NarrowTicks int
@@ -1175,6 +1199,7 @@ func (e *Engine) Stats() Stats {
 		ForcedTicks: e.forcedTicks, SeedTicks: e.seedTicks, ModelTicks: e.modelTicks,
 		RecordHeadHits: e.recs.HeadHits(), AppendRefits: e.appendRefits, FitFailures: e.fitFailures,
 		BlockHits: e.blockHits, BlockMisses: e.blockMisses, BlocksRuledOut: e.blocksOut, FreshSkips: e.freshSkips, NarrowTicks: e.narrowTicks,
+		BlockCandidatesRuledOut: e.blockCandsOut, FreshCandidatesRuledOut: e.freshCandsOut, CandidatesScored: e.candsScored,
 		Exploits: e.exploits, AcquisitionFailures: e.acqFailures,
 	}
 	if e.shadows != nil {

@@ -88,7 +88,7 @@ func TestForcedSpaceSkipsTheSearch(t *testing.T) {
 			}
 			// No search state, at construction or after 200 ticks.
 			if eng.model != nil || eng.initQueue != nil || eng.modelRecs != nil ||
-				eng.windowBuf != nil || eng.candidateCfg != nil || eng.pointBuf.Data != nil ||
+				eng.windowBuf != nil || eng.candidateCfg != nil ||
 				eng.postBuf != nil || eng.xsBuf != nil || eng.rowBuf != nil {
 				t.Error("a forced engine holds initial-design, model or pool state")
 			}

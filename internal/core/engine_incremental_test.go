@@ -173,7 +173,10 @@ func TestEngineReturnedConfigIsNotAliased(t *testing.T) {
 // every top configuration's block as a hit or a miss, settles as a probe,
 // an exploit or an acquisition failure, and narrows its fresh panel exactly
 // when the settleTicks scored ticks before it all exploited with the fresh
-// panel ruled out. Over each run, forced +
+// panel ruled out. Its pool, less the fresh candidates a narrowed panel
+// leaves unbuilt, is every candidate once: in a block ruled out by its
+// ceiling, in a fresh panel ruled out by its σ ceilings (all of the panel,
+// exactly on a tick that skipped its solve) or scored. Over each run, forced +
 // seeding + model ticks equal the Decide calls, hits + misses the blocks
 // scored, refits + extends + α-only solves the model ticks less the fit
 // failures, and GPStats the model's own counters — under EI with the
@@ -221,8 +224,15 @@ func TestEngineStatsAddUp(t *testing.T) {
 				settled = 0
 			default:
 				scored++
-				if narrowed := settled >= settleTicks; d.NarrowTicks != 1 && narrowed || d.NarrowTicks != 0 && !narrowed {
+				narrowed := settled >= settleTicks
+				if d.NarrowTicks != 1 && narrowed || d.NarrowTicks != 0 && !narrowed {
 					t.Fatalf("run %d tick %d: %d narrowed ticks after %d settled ticks", i, tick, d.NarrowTicks, settled)
+				}
+				keepR, keepW := eng.freshPanel(narrowed)
+				pool := eng.candCount - (eng.opt.Candidates - keepR - keepW)
+				if d.BlockCandidatesRuledOut+d.FreshCandidatesRuledOut+d.CandidatesScored != pool ||
+					d.FreshCandidatesRuledOut != d.FreshSkips*(keepR+keepW) || d.BlockCandidatesRuledOut > 0 && d.BlocksRuledOut == 0 {
+					t.Fatalf("run %d tick %d: a pool of %d candidates (%d fresh), counters %+v", i, tick, pool, keepR+keepW, d)
 				}
 				settled++
 				if d.Exploits == 0 || d.FreshSkips == 0 {
@@ -253,7 +263,7 @@ func TestEngineStatsAddUp(t *testing.T) {
 		total = addStats(total, st, 1)
 	}
 	if total.BlockHits == 0 || total.BlockMisses == 0 || total.BlockRevivals == 0 || total.BlockRefills == 0 || total.BlocksRuledOut == 0 || total.AppendRefits == 0 || total.Extends == 0 || total.TargetSolves == 0 ||
-		total.FreshSkips == 0 || total.NarrowTicks == 0 || total.Exploits == 0 || total.AcquisitionFailures == 0 || total.SeedTicks == 0 || total.RecordHeadHits == 0 {
+		total.FreshSkips == 0 || total.NarrowTicks == 0 || total.BlockCandidatesRuledOut == 0 || total.FreshCandidatesRuledOut == 0 || total.CandidatesScored == 0 || total.Exploits == 0 || total.AcquisitionFailures == 0 || total.SeedTicks == 0 || total.RecordHeadHits == 0 {
 		t.Fatalf("totals %+v: a counter never moved", total)
 	}
 	t.Logf("totals %+v", total)

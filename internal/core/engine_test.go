@@ -429,14 +429,15 @@ func sameBits(a, b []float64) bool {
 }
 
 // TestPoolMatchesEagerNeighbours holds the described pool to the built one
-// over random spaces (1–24 jobs, 1–3 rows of J to 3J+5 units, random
-// Managed masks, 31 to 65 fresh candidates) and top records whose rows
-// often sit on the 1-unit floor: the pool size and each neighborhood's end,
-// every candidate decoded by candidate, and every column poolPoints writes —
-// the fresh panel, each block panel, the whole pool, ranges of 31, 32, 33
-// and 65 points across the panel cut and random sub-ranges, each into a
-// buffer scribbled with NaN — to VectorInto of the eager configuration, bit
-// for bit. Thompson sampling's pool posterior equals the one over the eager
+// over random spaces to search (2–24 jobs, 1–3 rows of J to 3J+5 units,
+// random Managed masks, 31 to 65 fresh candidates; a space of one
+// configuration, which New leaves without a pool, is drawn again) and top
+// records whose rows often sit on the 1-unit floor: the pool size and each
+// neighborhood's end, every candidate decoded by candidate, and every
+// column poolPoints writes — the fresh panel, each block panel, the whole
+// pool, ranges of 31, 32, 33 and 65 points across the panel cut and random
+// sub-ranges, each into the shared scratch's points scribbled with NaN — to
+// VectorInto of the eager configuration, bit for bit. Thompson sampling's pool posterior equals the one over the eager
 // vectors loaded as points. A winner settle hands out is a configuration of
 // its own: mutating it leaves its record, and the pool, untouched.
 func TestPoolMatchesEagerNeighbours(t *testing.T) {
@@ -444,29 +445,41 @@ func TestPoolMatchesEagerNeighbours(t *testing.T) {
 	const trials = 200
 	neighbors, floorRows, columns, posteriors := 0, 0, 0, 0
 	widths := map[int]bool{}
+	redrawn := 0
 	for trial := uint64(1); trial <= trials; trial++ {
 		rng := stats.NewRNG(trial)
-		jobs := 1 + rng.Intn(24)
-		var rs []resource.Resource
-		for _, k := range kinds[:1+rng.Intn(len(kinds))] {
-			rs = append(rs, resource.Resource{Kind: k, Units: jobs + rng.Intn(2*jobs+6)})
-		}
-		space := resource.MustNewSpace(jobs, rs...)
-		var managed []resource.Kind
-		if rng.Intn(3) > 0 {
-			for _, r := range rs {
-				if rng.Intn(2) == 0 {
-					managed = append(managed, r.Kind)
+		var (
+			jobs    int
+			rs      []resource.Resource
+			space   *resource.Space
+			managed []resource.Kind
+			fresh   int
+			e       *Engine
+		)
+		for e == nil || e.single {
+			if e != nil {
+				redrawn++
+			}
+			jobs, rs, managed = 1+rng.Intn(24), nil, nil
+			for _, k := range kinds[:1+rng.Intn(len(kinds))] {
+				rs = append(rs, resource.Resource{Kind: k, Units: jobs + rng.Intn(2*jobs+6)})
+			}
+			space = resource.MustNewSpace(jobs, rs...)
+			if rng.Intn(3) > 0 {
+				for _, r := range rs {
+					if rng.Intn(2) == 0 {
+						managed = append(managed, r.Kind)
+					}
+				}
+				if len(managed) == 0 {
+					managed = append(managed, rs[rng.Intn(len(rs))].Kind)
 				}
 			}
-			if len(managed) == 0 {
-				managed = append(managed, rs[rng.Intn(len(rs))].Kind)
+			fresh = []int{31, 32, 33, 65}[rng.Intn(4)]
+			var err error
+			if e, err = New(space, Options{Seed: trial, Managed: managed, Candidates: fresh}); err != nil {
+				t.Fatal(err)
 			}
-		}
-		fresh := []int{31, 32, 33, 65}[rng.Intn(4)]
-		e, err := New(space, Options{Seed: trial, Managed: managed, Candidates: fresh})
-		if err != nil {
-			t.Fatal(err)
 		}
 		where := func() string {
 			return fmt.Sprintf("trial %d (%d jobs, %v, managed %v, %d fresh)", trial, jobs, rs, managed, fresh)
@@ -516,14 +529,15 @@ func TestPoolMatchesEagerNeighbours(t *testing.T) {
 			vectors[i] = space.VectorInto(nil, c)
 		}
 
+		sc := gp.TakeScratch()
 		check := func(lo, hi int) {
 			t.Helper()
-			e.pointBuf.Reset(len(want), space.Dim())
-			scribble := e.pointBuf.Data[:cap(e.pointBuf.Data)]
+			sc.Points.Reset(len(want), space.Dim())
+			scribble := sc.Points.Data[:cap(sc.Points.Data)]
 			for i := range scribble {
 				scribble[i] = math.NaN()
 			}
-			pts := e.poolPoints(lo, hi)
+			pts := e.poolPoints(&sc.Points, lo, hi)
 			if pts.Len() != hi-lo {
 				t.Fatalf("%s: poolPoints(%d, %d) holds %d points", where(), lo, hi, pts.Len())
 			}
@@ -565,7 +579,7 @@ func TestPoolMatchesEagerNeighbours(t *testing.T) {
 
 		// Thompson sampling's joint posterior over the pool, from the points
 		// poolPoints writes and from the eager vectors.
-		if e.model != nil && len(want) <= 200 {
+		if len(want) <= 200 {
 			var xs [][]float64
 			var ys []float64
 			for _, rec := range tk.top[:tk.topN] {
@@ -576,13 +590,14 @@ func TestPoolMatchesEagerNeighbours(t *testing.T) {
 			}
 			var eager gp.Points
 			eager.Load(vectors)
-			mu, cov := e.model.Posterior(e.poolPoints(0, len(want)))
+			mu, cov := e.model.Posterior(e.poolPoints(&sc.Points, 0, len(want)))
 			wantMu, wantCov := e.model.Posterior(&eager)
 			if !sameBits(mu, wantMu) || !sameBits(cov.Data, wantCov.Data) {
 				t.Fatalf("%s: pool posterior differs from the eager vectors'", where())
 			}
 			posteriors++
 		}
+		sc.Release()
 
 		// Probe a random winner and scribble over it.
 		idx := rng.Intn(len(want))
@@ -612,5 +627,6 @@ func TestPoolMatchesEagerNeighbours(t *testing.T) {
 	if neighbors == 0 || floorRows == 0 || posteriors == 0 {
 		t.Fatalf("%d neighbors compared, %d floor rows, %d posteriors: nothing exercised", neighbors, floorRows, posteriors)
 	}
-	t.Logf("%d trials, %d neighbors, %d columns compared, %d rows on the floor, %d pool posteriors", trials, neighbors, columns, floorRows, posteriors)
+	t.Logf("%d trials (%d one-configuration spaces drawn again), %d neighbors, %d columns compared, %d rows on the floor, %d pool posteriors",
+		trials, redrawn, neighbors, columns, floorRows, posteriors)
 }

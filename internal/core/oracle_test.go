@@ -261,7 +261,7 @@ func (o *refitOracle) stream(tick int, rng stats.RNG, incumbent resource.Config,
 		}
 	}
 	if e.acq == nil {
-		if idx, err := bo.ThompsonSuggest(e.model, &rng, e.poolPoints(0, e.candCount)); err == nil && !next.Equal(e.candidate(idx)) {
+		if idx, err := bo.ThompsonSuggest(e.model, &rng, e.poolPoints(new(gp.Points), 0, e.candCount)); err == nil && !next.Equal(e.candidate(idx)) {
 			o.t.Fatalf("tick %d: Thompson sampling replayed picks candidate %d, %s; the engine decided %s", tick, idx, e.candidate(idx).Key(), next.Key())
 		}
 	}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"satori/internal/sim"
@@ -158,4 +159,61 @@ func BenchmarkFleetTick1kOneJobParties(b *testing.B) {
 }
 func BenchmarkFleetTick1kOneJobSatori(b *testing.B) {
 	benchFleetScale(b, 1000, "satori", 1, false, benchActiveInstr)
+}
+
+// BenchmarkFleetHeapSatori2k is what a SATORI fleet holds between its
+// ticks, per node, at 2 000 nodes of four slots: satori, immortal jobs of
+// short phases (every node decides every tick), 64 shards, event-driven.
+// One op builds the fleet, fills it in one burst and runs 300 ticks,
+// counting the allocations of the last 100; after a forced collection it
+// reports the live heap and objects per node, and the allocations per
+// fleet tick. Its ≈ 190 MB make it a one-iteration run:
+//
+//	go test -run - -bench FleetHeapSatori2k -benchtime 1x ./internal/fleet
+func BenchmarkFleetHeapSatori2k(b *testing.B) {
+	const nodes, slots, ticks, counted = 2000, 4, 300, 100
+	var kb, objects, allocs float64
+	for range b.N {
+		c, err := New(Options{
+			Nodes:          nodes,
+			Seed:           42,
+			Policy:         "satori",
+			MaxJobsPerNode: slots,
+			Shards:         64,
+			EventDriven:    true,
+			Stream: StreamOptions{
+				ArrivalRate:  float64(nodes*slots) * 100, // one burst fills the fleet
+				MaxJobs:      nodes * slots,
+				DurationMean: 1e7, // immortal
+				DurationMin:  1e7,
+				DurationMax:  1e7,
+				Profiles:     []*sim.Profile{benchProfile("bench", benchActiveInstr)},
+			},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var before, after, live runtime.MemStats
+		for tick := range ticks {
+			if tick == ticks-counted {
+				runtime.ReadMemStats(&before)
+			}
+			if _, err := c.Step(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if s := c.Summary(); s.Placed < nodes*slots*8/10 {
+			b.Fatalf("placed only %d of %d burst jobs: %+v", s.Placed, nodes*slots, s)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&live)
+		kb = float64(live.HeapAlloc) / 1024 / nodes
+		objects = float64(live.HeapObjects) / nodes
+		allocs = float64(after.Mallocs-before.Mallocs) / counted
+		runtime.KeepAlive(c)
+	}
+	b.ReportMetric(kb, "KB/node")
+	b.ReportMetric(objects, "objects/node")
+	b.ReportMetric(allocs, "allocs/tick")
 }

@@ -9,7 +9,8 @@
 // "shapes" those files contain — imports, identifiers, calls, selectors,
 // type assertions (type switches included), composite-literal types,
 // range and loop headers, case values, keyed fields, function and
-// interface declarations, string literals, assembly instructions. A
+// interface declarations, struct fields with their types, string literals,
+// assembly instructions. A
 // renamed import reads as its package's name, so `s.New` under
 // `import s "satori/internal/sim"` is `sim.New`. Two rows read the module
 // type-checked instead: exported declarations and the references that
@@ -46,7 +47,7 @@ const root = "../.."
 
 // A shape is one thing a file says, as the checks see it.
 type shape struct {
-	kind string // import, ident, sel, call, assert, lit, range, loop, case, kv, func, interface, string, instr, line, file, export, use, field, read or write
+	kind string // import, ident, sel, call, assert, lit, range, loop, case, kv, func, interface, member, string, instr, line, file, export, use, field, read or write
 	text string
 	fn   string // the function declaration it sits in, "" outside one
 	at   string // file:line
@@ -132,6 +133,22 @@ var gates = []gate{
 		files: files{paths: []string{"internal/core/records.go"}},
 		check: none("range", `\.bySig$`),
 		bad:   goSrc(`func (r *Records) f() { for k := range r.bySig { _ = k } }`),
+	},
+
+	// Resident state: what a fleet node keeps between its ticks is its search
+	// state; the scoring scratch is borrowed per tick, and the factor is
+	// packed (DESIGN.md, "What a node holds").
+	{
+		name:  "Resident-state: an engine holds no scoring scratch of its own",
+		files: files{paths: []string{"internal/core"}},
+		check: none("member", `^Engine\.\w+ .*\bgp\.(PredictScratch|Points)$`),
+		bad:   goSrc(`type Engine struct { pointBuf gp.Points; batchScratch gp.PredictScratch }`),
+	},
+	{
+		name:  "Resident-state: the Cholesky factor is packed, with no row stride",
+		files: files{paths: []string{"internal/linalg"}},
+		check: none("member", `^Cholesky\.stride `),
+		bad:   goSrc(`type Cholesky struct { n, stride int; l []float64 }`),
 	},
 
 	// Row kernels: one column-kernel call per output row.
@@ -425,7 +442,8 @@ var gates = []gate{
 			"FuzzMovedBlock", "FuzzGoalBasis",
 			"TestRecordsMatchSortedOracle", "TestForcedDecideAllocatesNothing", "TestConfigAppendKeyMatchesKey",
 			"TestSkipRandomMatchesRandomInto", "FuzzSkipRandom",
-			"FuzzBlockMeanCeiling", "TestBlockCeilingCoversItsCases"),
+			"FuzzBlockMeanCeiling", "TestBlockCeilingCoversItsCases",
+			"TestPackedFactorMatchesSquareReference", "TestInterleavedEnginesShareTheScratch"),
 		bad: goSrc(`func TestColumnKernelsMatchPortableRenamed(t *testing.T) {}`),
 	},
 
@@ -934,8 +952,22 @@ func goShapes(name string, src []byte) ([]shape, error) {
 		case *ast.ForStmt:
 			header(n.Init, n.Cond, n.Post)
 		case *ast.TypeSpec:
-			if _, ok := n.Type.(*ast.InterfaceType); ok {
+			switch t := n.Type.(type) {
+			case *ast.InterfaceType:
 				add("interface", n.Name.Name, n)
+			case *ast.StructType:
+				for _, fd := range t.Fields.List {
+					names := []string{str(fd.Type)} // embedded: named by its type
+					if len(fd.Names) > 0 {
+						names = names[:0]
+						for _, id := range fd.Names {
+							names = append(names, id.Name)
+						}
+					}
+					for _, name := range names {
+						add("member", n.Name.Name+"."+name+" "+str(fd.Type), fd)
+					}
+				}
 			}
 		case *ast.BasicLit:
 			if n.Kind == token.STRING {

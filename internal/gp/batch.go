@@ -122,9 +122,9 @@ func (p *Points) squaredDistance(i, j int) float64 {
 // path. After the scratch has grown to the model×pool size it performs no
 // allocations.
 func (m *Incremental) PredictBatchInto(s *PredictScratch, mu, sigma []float64, points [][]float64) {
-	s.pts.Load(points)
+	s.Points.Load(points)
 	s.kmat = grow(s.kmat, m.n*len(points))
-	m.predictBatch(s, s.kmat, mu, sigma, &s.pts)
+	m.predictBatch(s, s.kmat, mu, sigma, &s.Points)
 }
 
 // PredictMeansInto is the first half of scoring pts: it fills their

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"satori/internal/linalg"
 )
@@ -146,21 +147,66 @@ func cloneInputs(xs [][]float64) [][]float64 {
 	return out
 }
 
-// PredictScratch is caller-owned workspace for zero-allocation batched
-// prediction (see predictBatch). The zero value is ready to use; buffers
-// grow on first use and are reused afterwards. A scratch must not be
-// shared between concurrent predictions.
+// PredictScratch is workspace for zero-allocation batched prediction (see
+// predictBatch). The zero value is ready to use; buffers grow on first use
+// and are reused afterwards. A scratch must not be shared between
+// concurrent predictions, and no call leaves anything in it that a later
+// call reads, except that PredictSigmasInto and SigmaCeilingsInto finish
+// the points PredictMeansInto filled. So between such calls a scratch can
+// serve any model: TakeScratch lends one from a list that every model
+// shares.
 type PredictScratch struct {
 	// kmat holds the n×m cross-covariance block of a stateless
-	// PredictBatchInto or PredictMeansInto, panel the triangular solve of one
-	// panelWidth-column slice of it, and pts the query points
-	// PredictBatchInto was handed, laid out for the fill. zeros stays all
-	// zero: the origin the squared norms of the solved panel are distances
-	// from.
+	// PredictBatchInto or PredictMeansInto, and panel the triangular solve
+	// of one panelWidth-column slice of it, or the working rows of a fill,
+	// or the median's pair list. zeros stays all zero: the origin the
+	// squared norms of the solved panel are distances from.
 	kmat  []float64
 	panel []float64
-	pts   Points
 	zeros []float64
+	// Points holds query points laid out for the fill: the ones
+	// PredictBatchInto was handed, or a caller's own.
+	Points Points
+	// ref is how the free list holds a scratch TakeScratch made.
+	ref scratchRef
+}
+
+// scratches is the free list TakeScratch lends from. A scratch in use is
+// off it; one on it is held by a scratchRef, weakly where the toolchain
+// has weak pointers (Go 1.24), so a collection frees every scratch no
+// prediction is using: memory a search needs only while it scores is not
+// kept by a process that has stopped scoring. A list and not a sync.Pool,
+// whose per-P slots can leave one goroutine two scratches and whose
+// victim cache keeps them through a collection.
+var scratches struct {
+	sync.Mutex
+	free []scratchRef
+}
+
+// TakeScratch lends a scratch off the shared free list, or a new one when
+// every scratch is in use or was collected; Release returns it. Its
+// buffers keep the size the largest call since it was made gave them.
+func TakeScratch() *PredictScratch {
+	scratches.Lock()
+	defer scratches.Unlock()
+	for n := len(scratches.free); n > 0; n-- {
+		ref := scratches.free[n-1]
+		scratches.free = scratches.free[:n-1]
+		if s := ref.Value(); s != nil {
+			return s
+		}
+	}
+	s := new(PredictScratch)
+	s.ref = refOf(s)
+	return s
+}
+
+// Release returns s, which TakeScratch lent, to the free list; s must not
+// be used after.
+func (s *PredictScratch) Release() {
+	scratches.Lock()
+	scratches.free = append(scratches.free, s.ref)
+	scratches.Unlock()
 }
 
 // Predict returns the posterior mean and standard deviation at x — the

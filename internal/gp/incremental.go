@@ -119,7 +119,7 @@ type Incremental struct {
 	// basis holds the targets of the last update and the goal basis; see
 	// the slot constants.
 	basis   []float64
-	rowBuf  []float64 // scratch: a Gram row, a kernel row, the median's pairs
+	rowBuf  []float64 // scratch: a Gram row or a kernel row
 	ctrBuf  []float64
 	moveBuf []move // the points of the last PredictMovedBlockInto
 	// cols holds the inputs dim-major as of kernel epoch colsEpoch, the
@@ -459,20 +459,25 @@ func (m *Incremental) refreshHeuristics(ys []float64) bool {
 // triangle rows hold exactly the pairs the capped scan visits, the order
 // statistic of a set does not depend on its order, a squared distance is
 // positive exactly when its root is, and √ is monotone, so the root of the
-// selected d² is the distance the scan selects.
+// selected d² is the distance the scan selects. The pair list, up to
+// n(n−1)/2 floats, is a scratch's (TakeScratch): no model keeps it between
+// calls.
 func (m *Incremental) medianLengthScale() float64 {
 	limit := min(m.n, medianScanCap)
-	d := m.rowBuf[:0]
+	s := TakeScratch()
+	d := s.panel[:0]
 	for _, v := range m.tri[:limit*(limit-1)/2] {
 		if v > 0 {
 			d = append(d, v)
 		}
 	}
-	m.rowBuf = d
-	if len(d) == 0 {
-		return 1
+	s.panel = d
+	ls := 1.0
+	if len(d) > 0 {
+		ls = math.Sqrt(selectKth(d, len(d)/2))
 	}
-	return math.Sqrt(selectKth(d, len(d)/2))
+	s.Release()
+	return ls
 }
 
 // gramRow writes k(x_i, x_j) for j < i into row: triangle row i through

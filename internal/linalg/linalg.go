@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -57,15 +58,19 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Cholesky holds the lower-triangular factor L of an SPD matrix A = L·Lᵀ.
-// The factor can grow in place: Extend appends one row/column in O(n²)
-// (a rank-1 append), and Factorize refactorizes into the existing storage,
-// so long-lived factors on a hot path do not reallocate.
+// Cholesky holds the lower-triangular factor L of an SPD matrix A = L·Lᵀ,
+// packed: row i of L, its i+1 entries up to the diagonal, at l[i(i+1)/2:],
+// so a factor of n rows holds n(n+1)/2 floats. The factor can grow in
+// place: Extend appends one row/column in O(n²) (a rank-1 append), and
+// Factorize refactorizes into the existing storage, so long-lived factors
+// on a hot path do not reallocate once they have reached their size.
 type Cholesky struct {
-	n      int
-	stride int       // row stride of l; >= n so appends have headroom
-	l      []float64 // row-major lower triangle (stride x stride storage)
+	n int
+	l []float64 // the packed rows
 }
+
+// rowAt is where row i of a packed factor starts.
+func rowAt(i int) int { return i * (i + 1) / 2 }
 
 // NewCholesky factorizes the SPD matrix a (only the lower triangle is
 // read). It returns ErrNotSPD when a pivot is not strictly positive.
@@ -97,15 +102,17 @@ func (c *Cholesky) Factorize(a *Matrix) error {
 // empty; the storage is retained for the next attempt.
 func (c *Cholesky) FactorizeRows(n int, fill func(i int, row []float64)) error {
 	c.n = 0
-	c.grow(n)
-	l, s := c.l, c.stride
+	c.reserve(n)
+	l := c.l
 	for i := 0; i < n; i++ {
-		row := l[i*s : i*s+i+1 : i*s+i+1]
+		at := rowAt(i)
+		row := l[at : at+i+1 : at+i+1]
 		fill(i, row)
 		for j := range row {
+			lj := l[rowAt(j):][:j+1]
 			sum := row[j]
 			for k := 0; k < j; k++ {
-				sum -= row[k] * l[j*s+k]
+				sum -= row[k] * lj[k]
 			}
 			if i == j {
 				if sum <= 0 || math.IsNaN(sum) {
@@ -113,7 +120,7 @@ func (c *Cholesky) FactorizeRows(n int, fill func(i int, row []float64)) error {
 				}
 				row[j] = math.Sqrt(sum)
 			} else {
-				row[j] = sum / l[j*s+j]
+				row[j] = sum / lj[j]
 			}
 		}
 	}
@@ -121,20 +128,12 @@ func (c *Cholesky) FactorizeRows(n int, fill func(i int, row []float64)) error {
 	return nil
 }
 
-// grow ensures storage for an n x n factor, preserving the current rows.
-func (c *Cholesky) grow(n int) {
-	if n <= c.stride {
-		return
-	}
-	stride := 2 * c.stride
-	if stride < n {
-		stride = n
-	}
-	l := make([]float64, stride*stride)
-	for i := 0; i < c.n; i++ {
-		copy(l[i*stride:i*stride+i+1], c.l[i*c.stride:i*c.stride+i+1])
-	}
-	c.l, c.stride = l, stride
+// reserve ensures storage for n packed rows, keeping the factor's current
+// ones. A new buffer grows as append grows one, so a factor that gains a
+// row per Extend reallocates a logarithmic number of times.
+func (c *Cholesky) reserve(n int) {
+	keep := rowAt(c.n)
+	c.l = slices.Grow(c.l[:keep], rowAt(n)-keep)[:rowAt(n)]
 }
 
 // Extend appends one row/column to the factored matrix in O(n²): given
@@ -149,26 +148,28 @@ func (c *Cholesky) Extend(row []float64, diag float64) error {
 		panic(fmt.Sprintf("linalg: Extend dimension mismatch: %d vs %d", len(row), c.n))
 	}
 	n := c.n
-	c.grow(n + 1)
-	l, s := c.l, c.stride
+	c.reserve(n + 1)
+	l := c.l
 	// New off-diagonal entries: w = L⁻¹·row (forward substitution),
 	// written directly into the appended row.
+	w := l[rowAt(n) : rowAt(n)+n+1]
 	for i := 0; i < n; i++ {
+		li := l[rowAt(i):][:i+1]
 		sum := row[i]
 		for k := 0; k < i; k++ {
-			sum -= l[i*s+k] * l[n*s+k]
+			sum -= li[k] * w[k]
 		}
-		l[n*s+i] = sum / l[i*s+i]
+		w[i] = sum / li[i]
 	}
 	// New pivot: L(n,n)² = diag − ||w||².
 	pivot := diag
 	for k := 0; k < n; k++ {
-		pivot -= l[n*s+k] * l[n*s+k]
+		pivot -= w[k] * w[k]
 	}
 	if pivot <= 0 || math.IsNaN(pivot) {
 		return ErrIndefinite
 	}
-	l[n*s+n] = math.Sqrt(pivot)
+	w[n] = math.Sqrt(pivot)
 	c.n = n + 1
 	return nil
 }
@@ -179,7 +180,7 @@ func (c *Cholesky) LAt(i, j int) float64 {
 	if j > i {
 		return 0
 	}
-	return c.l[i*c.stride+j]
+	return c.l[rowAt(i)+j]
 }
 
 // SolveVec solves A·x = b using the factorization (forward then backward
@@ -196,13 +197,13 @@ func (c *Cholesky) SolveVecInto(dst, b []float64) []float64 {
 		panic(fmt.Sprintf("linalg: SolveVec dimension mismatch: %d vs %d", len(b), c.n))
 	}
 	c.SolveLowerInto(dst, b)
-	n, l, s := c.n, c.l, c.stride
+	n, l := c.n, c.l
 	for i := n - 1; i >= 0; i-- {
 		sum := dst[i]
 		for k := i + 1; k < n; k++ {
-			sum -= l[k*s+i] * dst[k]
+			sum -= l[rowAt(k)+i] * dst[k]
 		}
-		dst[i] = sum / l[i*s+i]
+		dst[i] = sum / l[rowAt(i)+i]
 	}
 	return dst
 }
@@ -218,13 +219,14 @@ func (c *Cholesky) SolveLowerInto(dst, b []float64) []float64 {
 	if len(b) != c.n {
 		panic(fmt.Sprintf("linalg: SolveLower dimension mismatch: %d vs %d", len(b), c.n))
 	}
-	n, l, s := c.n, c.l, c.stride
+	n, l := c.n, c.l
 	for i := 0; i < n; i++ {
+		li := l[rowAt(i):][:i+1]
 		sum := b[i]
 		for k := 0; k < i; k++ {
-			sum -= l[i*s+k] * dst[k]
+			sum -= li[k] * dst[k]
 		}
-		dst[i] = sum / l[i*s+i]
+		dst[i] = sum / li[i]
 	}
 	return dst
 }
@@ -250,9 +252,10 @@ func (c *Cholesky) SolveLowerMatrixInto(dst, b *Matrix) *Matrix {
 	if overlaps(dst.Data, b.Data) {
 		panic("linalg: SolveLowerMatrix dst shares storage with b")
 	}
-	n, l, s, m := c.n, c.l, c.stride, b.Cols
+	n, l, m := c.n, c.l, b.Cols
 	for i := 0; i < n; i++ {
-		kern.solveRow(dst.Data[i*m:i*m+m], b.Data[i*m:i*m+m], dst.Data[:i*m], l[i*s:i*s+i], l[i*s+i])
+		at := rowAt(i)
+		kern.solveRow(dst.Data[i*m:i*m+m], b.Data[i*m:i*m+m], dst.Data[:i*m], l[at:at+i], l[at+i])
 	}
 	return dst
 }
