@@ -242,9 +242,10 @@ type tick struct {
 	// not solved for, and the block winner is the tick's (scorePool).
 	freshSkipped bool
 
-	// scratch is the scoring workspace the tick borrows from the list every
-	// engine shares (gp.TakeScratch) once its model is current, and returns
-	// before it settles; a forced or seeding tick takes none.
+	// scratch is the workspace the tick borrows from the list every engine
+	// shares (gp.TakeScratch) before it updates its model, which uses it
+	// too, and returns before it settles; a forced or seeding tick takes
+	// none.
 	scratch *gp.PredictScratch
 }
 
@@ -390,12 +391,13 @@ func (e *Engine) Decide(obs policy.Observation, current resource.Config) resourc
 		return next
 	}
 	e.rankWindow(&t)
-	if err := e.syncModel(t.window, t.w); err != nil {
+	t.scratch = gp.TakeScratch()
+	if err := e.syncModel(t.window, t.w, t.scratch); err != nil {
+		t.scratch.Release()
 		// Degenerate window (should not happen after seeding): explore.
 		return e.randomConfig()
 	}
 	e.trackProxyChange(t.window)
-	t.scratch = gp.TakeScratch()
 	// The walks' moved coordinates, on the stack for the default 16 walks.
 	var moved [16 * (2*walkSteps + 1)]int32
 	walks := e.buildPool(&t, moved[:0])
@@ -625,11 +627,14 @@ func (e *Engine) settle(t *tick, idx int, score float64, err error) resource.Con
 //   - anything else (first fit after seeding, window eviction, model
 //     recovery): full refit, adopting the window's order.
 //
-// On error the model is empty, the failure is counted and the engine's
-// membership tracking is cleared, so the next tick re-enters through the
-// Reset path.
-func (e *Engine) syncModel(window []*Record, w Weights) error {
+// The model works in s, the tick's scratch, for the call, so the update
+// borrows no scratch of its own. On error the model is empty, the failure
+// is counted and the engine's membership tracking is cleared, so the next
+// tick re-enters through the Reset path.
+func (e *Engine) syncModel(window []*Record, w Weights, s *gp.PredictScratch) error {
 	e.modelTicks++
+	e.model.UseScratch(s)
+	defer e.model.UseScratch(nil)
 	n := len(window)
 	var fresh *Record
 	miss := -1

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"weak"
 
 	"satori/internal/linalg"
 )
@@ -168,19 +169,17 @@ type PredictScratch struct {
 	// PredictBatchInto was handed, or a caller's own.
 	Points Points
 	// ref is how the free list holds a scratch TakeScratch made.
-	ref scratchRef
+	ref weak.Pointer[PredictScratch]
 }
 
 // scratches is the free list TakeScratch lends from. A scratch in use is
-// off it; one on it is held by a scratchRef, weakly where the toolchain
-// has weak pointers (Go 1.24), so a collection frees every scratch no
+// off it; one on it is held weakly, so a collection frees every scratch no
 // prediction is using: memory a search needs only while it scores is not
 // kept by a process that has stopped scoring. A list and not a sync.Pool,
-// whose per-P slots can leave one goroutine two scratches and whose
-// victim cache keeps them through a collection.
+// whose victim cache keeps idle scratches through a collection.
 var scratches struct {
 	sync.Mutex
-	free []scratchRef
+	free []weak.Pointer[PredictScratch]
 }
 
 // TakeScratch lends a scratch off the shared free list, or a new one when
@@ -197,7 +196,7 @@ func TakeScratch() *PredictScratch {
 		}
 	}
 	s := new(PredictScratch)
-	s.ref = refOf(s)
+	s.ref = weak.Make(s)
 	return s
 }
 

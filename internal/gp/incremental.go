@@ -126,6 +126,9 @@ type Incremental struct {
 	// rows the walk fill gathers (walkCols).
 	cols      []float64
 	colsEpoch uint64
+	// scratch is the caller's scratch for the updates' working memory
+	// (UseScratch), nil while the caller lends none.
+	scratch *PredictScratch
 }
 
 // The goal basis: at most maxGoals goals and maxLive live rows, so a
@@ -460,11 +463,15 @@ func (m *Incremental) refreshHeuristics(ys []float64) bool {
 // statistic of a set does not depend on its order, a squared distance is
 // positive exactly when its root is, and √ is monotone, so the root of the
 // selected d² is the distance the scan selects. The pair list, up to
-// n(n−1)/2 floats, is a scratch's (TakeScratch): no model keeps it between
+// n(n−1)/2 floats, is a scratch's: the one the caller lent (UseScratch),
+// else one off the shared list (TakeScratch), so no model keeps it between
 // calls.
 func (m *Incremental) medianLengthScale() float64 {
+	s := m.scratch
+	if s == nil {
+		s = TakeScratch()
+	}
 	limit := min(m.n, medianScanCap)
-	s := TakeScratch()
 	d := s.panel[:0]
 	for _, v := range m.tri[:limit*(limit-1)/2] {
 		if v > 0 {
@@ -476,9 +483,18 @@ func (m *Incremental) medianLengthScale() float64 {
 	if len(d) > 0 {
 		ls = math.Sqrt(selectKth(d, len(d)/2))
 	}
-	s.Release()
+	if s != m.scratch {
+		s.Release()
+	}
 	return ls
 }
+
+// UseScratch lends the model s for the working memory of its updates
+// (Reset, Append, UpdateGoals, UpdateTargets) until UseScratch(nil), so a
+// caller that holds a scratch for its tick takes none more; without one an
+// update borrows its own. The model must not be updated while s is in use
+// elsewhere, and s must be taken back before it is released.
+func (m *Incremental) UseScratch(s *PredictScratch) { m.scratch = s }
 
 // gramRow writes k(x_i, x_j) for j < i into row: triangle row i through
 // the Matérn transform, whose every element is Eval's bits for its pair.

@@ -116,6 +116,66 @@ func TestSharedScratchMatchesAFreshOne(t *testing.T) {
 	}
 }
 
+// TestUpdatesUseTheLentScratch: a model lent a scratch (UseScratch) takes
+// none off the shared list through 40 appends and refits after its first, each of which
+// selects the median length scale, and reaches the kernel and means a
+// model borrowing its own scratch reaches, to the bit.
+func TestUpdatesUseTheLentScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	xs := randomInputs(rng, 41, 6)
+	ys := flatTargets(rng, xs)
+	own, lent := NewIncremental(Options{Noise: 1e-3}), NewIncremental(Options{Noise: 1e-3})
+	s := new(PredictScratch)
+	lent.UseScratch(s)
+	for _, m := range []*Incremental{own, lent} {
+		if err := m.Reset(xs[:1], ys[:1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// taken reports how many scratches update took off an emptied list:
+	// one it takes comes back to it.
+	taken := func(update func() error) int {
+		scratches.Lock()
+		saved := scratches.free
+		scratches.free = nil
+		scratches.Unlock()
+		if err := update(); err != nil {
+			t.Fatal(err)
+		}
+		scratches.Lock()
+		defer scratches.Unlock()
+		n := len(scratches.free)
+		scratches.free = saved
+		return n
+	}
+	for n := 2; n <= len(xs); n++ {
+		for _, m := range []*Incremental{own, lent} {
+			update := func() error { return m.Append(xs[n-1], ys[:n]) }
+			if n%7 == 0 {
+				update = func() error { return m.Reset(xs[:n], ys[:n]) }
+			}
+			want := 1
+			if m == lent {
+				want = 0
+			}
+			if got := taken(update); got != want {
+				t.Fatalf("%d inputs: the update took %d scratches off the list, want %d", n, got, want)
+			}
+		}
+		if own.Kernel() != lent.Kernel() {
+			t.Fatalf("%d inputs: kernel %+v with the lent scratch, %+v with its own", n, lent.Kernel(), own.Kernel())
+		}
+		for _, x := range xs {
+			if a, b := own.PredictMean(x), lent.PredictMean(x); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%d inputs: mean %v with the lent scratch, %v with its own", n, b, a)
+			}
+		}
+	}
+	if cap(s.panel) == 0 {
+		t.Fatal("the lent scratch was never written")
+	}
+}
+
 func sameBitsAll(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
