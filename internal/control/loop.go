@@ -198,7 +198,8 @@ type Loop struct {
 	tm         metrics.ThroughputMetric
 	fm         metrics.FairnessMetric
 	isolated   []float64
-	needIso    bool // isolated is a placeholder: re-measure before scoring
+	needIso    bool      // isolated is a placeholder: re-measure before scoring
+	speedups   []float64 // this tick's per-job speedups, for the scores (speedupBuf)
 	current    resource.Config
 	tick       int
 	resetEvery int
@@ -552,7 +553,7 @@ func (l *Loop) scoreThroughput(ips []float64) float64 {
 	if l.slo != nil && l.tm == metrics.P99Latency {
 		return slo.HeadroomScore(l.slo.specs, ips)
 	}
-	return metrics.NormalizedThroughput(l.tm, ips, l.isolated)
+	return metrics.NormalizedThroughputInto(l.tm, ips, l.isolated, l.speedupBuf(len(ips)))
 }
 
 // scoreFairness maps this tick's observation to the normalized fairness
@@ -569,7 +570,16 @@ func (l *Loop) scoreFairness(ips []float64) float64 {
 	if l.slo != nil && l.fm == metrics.SLOAttainment {
 		return l.slo.attainment
 	}
-	return metrics.NormalizedFairness(l.fm, ips, l.isolated)
+	return metrics.NormalizedFairnessInto(l.fm, ips, l.isolated, l.speedupBuf(len(ips)))
+}
+
+// speedupBuf returns n floats of the loop's speedup buffer, so that a
+// score reduced from the per-job speedups allocates nothing per tick.
+func (l *Loop) speedupBuf(n int) []float64 {
+	if cap(l.speedups) < n {
+		l.speedups = make([]float64, n)
+	}
+	return l.speedups[:n]
 }
 
 // updateStability advances the phase-stability window: stable counts

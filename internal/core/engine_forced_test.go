@@ -88,8 +88,8 @@ func TestForcedSpaceSkipsTheSearch(t *testing.T) {
 			}
 			// No search state, at construction or after 200 ticks.
 			if eng.model != nil || eng.initQueue != nil || eng.modelRecs != nil ||
-				eng.windowBuf != nil || eng.candidateCfg != nil ||
-				eng.postBuf != nil || eng.xsBuf != nil || eng.rowBuf != nil {
+				eng.windowBuf != nil || eng.enc != nil || eng.work.Alloc != nil ||
+				eng.xsBuf != nil || eng.rowBuf != nil {
 				t.Error("a forced engine holds initial-design, model or pool state")
 			}
 			for i := range eng.blocks {

@@ -432,19 +432,22 @@ func sameBits(a, b []float64) bool {
 // over random spaces to search (2–24 jobs, 1–3 rows of J to 3J+5 units,
 // random Managed masks, 31 to 65 fresh candidates; a space of one
 // configuration, which New leaves without a pool, is drawn again) and top
-// records whose rows often sit on the 1-unit floor: the pool size and each
-// neighborhood's end, every candidate decoded by candidate, and every
-// column poolPoints writes — the fresh panel, each block panel, the whole
-// pool, ranges of 31, 32, 33 and 65 points across the panel cut and random
-// sub-ranges, each into the shared scratch's points scribbled with NaN — to
-// VectorInto of the eager configuration, bit for bit. Thompson sampling's pool posterior equals the one over the eager
-// vectors loaded as points. A winner settle hands out is a configuration of
-// its own: mutating it leaves its record, and the pool, untouched.
+// records whose rows often sit on the 1-unit floor. The fresh candidates
+// are replayed from a copy of the engine's generator with the plain draws
+// (plainRandomInto, plainWalkInto). Against that eager pool it checks the
+// pool size and each neighborhood's end, every candidate decoded by
+// candidate, and every column the pool leaves in a scratch off the shared
+// list scribbled with NaN — the fresh panel buildPool writes, then the
+// whole pool poolPoints grows it to, across the panel cut when the fresh
+// count is not a multiple of the panel width — against VectorInto of the
+// eager configuration, bit for bit. Thompson sampling's pool posterior
+// equals the one over the eager vectors loaded as points. A winner settle
+// hands out is a configuration of its own: mutating it leaves its record,
+// and the pool, untouched.
 func TestPoolMatchesEagerNeighbours(t *testing.T) {
 	kinds := []resource.Kind{resource.Cores, resource.LLCWays, resource.MemBW}
 	const trials = 200
-	neighbors, floorRows, columns, posteriors := 0, 0, 0, 0
-	widths := map[int]bool{}
+	neighbors, floorRows, columns, posteriors, regrown := 0, 0, 0, 0, 0
 	redrawn := 0
 	for trial := uint64(1); trial <= trials; trial++ {
 		rng := stats.NewRNG(trial)
@@ -508,11 +511,32 @@ func TestPoolMatchesEagerNeighbours(t *testing.T) {
 			tk.topN++
 		}
 		tk.incumbent = tk.top[0]
+		sc := gp.TakeScratch()
+		tk.scratch = sc
+		scribble := func(from int) {
+			buf := sc.Points.Data[from:cap(sc.Points.Data)]
+			for i := range buf {
+				buf[i] = math.NaN()
+			}
+		}
+		sc.Points.Reset(0, space.Dim())
+		scribble(0)
+		draws := *e.rng
 		e.buildPool(&tk, nil)
 
 		var want []resource.Config
-		for _, c := range e.candidateCfg[:e.opt.Candidates] {
-			want = append(want, c.Clone())
+		for i := range e.opt.Candidates {
+			c := space.NewConfig()
+			if i < e.opt.Candidates/2 {
+				plainRandomInto(&draws, space, c)
+				e.pinUnmanaged(c)
+			} else {
+				plainWalkInto(e, &draws, c, tk.incumbent.Config)
+			}
+			want = append(want, c)
+		}
+		if draws != *e.rng {
+			t.Fatalf("%s: the pool's draws end elsewhere than the plain draws'", where())
 		}
 		for i, rec := range tk.top[:tk.topN] {
 			want = appendManagedNeighbors(e, want, rec.Config)
@@ -529,50 +553,34 @@ func TestPoolMatchesEagerNeighbours(t *testing.T) {
 			vectors[i] = space.VectorInto(nil, c)
 		}
 
-		sc := gp.TakeScratch()
-		check := func(lo, hi int) {
+		check := func(pts *gp.Points, n int) {
 			t.Helper()
-			sc.Points.Reset(len(want), space.Dim())
-			scribble := sc.Points.Data[:cap(sc.Points.Data)]
-			for i := range scribble {
-				scribble[i] = math.NaN()
+			if pts.Len() != n {
+				t.Fatalf("%s: the points hold %d, want %d", where(), pts.Len(), n)
 			}
-			pts := e.poolPoints(&sc.Points, lo, hi)
-			if pts.Len() != hi-lo {
-				t.Fatalf("%s: poolPoints(%d, %d) holds %d points", where(), lo, hi, pts.Len())
-			}
-			for c := 0; c < hi-lo; c++ {
+			for c := range n {
 				at, stride := pts.Column(c)
-				for d, v := range vectors[lo+c] {
+				for d, v := range vectors[c] {
 					if got := pts.Data[at+d*stride]; math.Float64bits(got) != math.Float64bits(v) {
-						t.Fatalf("%s: poolPoints(%d, %d) point %d coordinate %d = %v, eager %v", where(), lo, hi, c, d, got, v)
+						t.Fatalf("%s: point %d of %d coordinate %d = %v, eager %v", where(), c, n, d, got, v)
 					}
 				}
 			}
-			columns += hi - lo
-			widths[hi-lo] = true
+			columns += n
 		}
-		check(0, e.opt.Candidates)
-		lo := e.opt.Candidates
-		for _, hi := range e.poolEnd[:e.poolTopN] {
-			if hi > lo {
-				check(lo, hi)
-			}
-			lo = hi
-		}
-		check(0, len(want))
-		for _, q := range []int{31, 32, 33, 65} {
-			if q <= len(want) {
-				lo := rng.Intn(len(want) - q + 1)
-				check(lo, lo+q)
+		check(&sc.Points, e.opt.Candidates)
+		for i, w := range want[:e.opt.Candidates] {
+			if got := e.candidate(&sc.Points, i); !got.Equal(w) {
+				t.Fatalf("%s: fresh candidate(%d) = %s, eager %s", where(), i, got.Key(), w.Key())
 			}
 		}
-		for k := 0; k < 4; k++ {
-			lo := rng.Intn(len(want))
-			check(lo, lo+1+rng.Intn(len(want)-lo))
+		scribble(len(sc.Points.Data))
+		check(e.poolPoints(&sc.Points), len(want))
+		if fresh%32 != 0 && len(want) > fresh {
+			regrown++
 		}
 		for i, w := range want {
-			if got := e.candidate(i); !got.Equal(w) {
+			if got := e.candidate(&sc.Points, i); !got.Equal(w) {
 				t.Fatalf("%s: candidate(%d) = %s, eager %s", where(), i, got.Key(), w.Key())
 			}
 		}
@@ -590,14 +598,13 @@ func TestPoolMatchesEagerNeighbours(t *testing.T) {
 			}
 			var eager gp.Points
 			eager.Load(vectors)
-			mu, cov := e.model.Posterior(e.poolPoints(&sc.Points, 0, len(want)))
+			mu, cov := e.model.Posterior(&sc.Points)
 			wantMu, wantCov := e.model.Posterior(&eager)
 			if !sameBits(mu, wantMu) || !sameBits(cov.Data, wantCov.Data) {
 				t.Fatalf("%s: pool posterior differs from the eager vectors'", where())
 			}
 			posteriors++
 		}
-		sc.Release()
 
 		// Probe a random winner and scribble over it.
 		idx := rng.Intn(len(want))
@@ -615,18 +622,14 @@ func TestPoolMatchesEagerNeighbours(t *testing.T) {
 				t.Fatalf("%s: mutating winner %d changed record %s", where(), idx, rec.Key)
 			}
 		}
-		if got := e.candidate(idx); !got.Equal(want[idx]) {
+		if got := e.candidate(&sc.Points, idx); !got.Equal(want[idx]) {
 			t.Fatalf("%s: after mutating the winner, candidate(%d) = %s, eager %s", where(), idx, got.Key(), want[idx].Key())
 		}
+		sc.Release()
 	}
-	for _, q := range []int{31, 32, 33, 65} {
-		if !widths[q] {
-			t.Fatalf("no range of %d points checked: the panel cut was not crossed", q)
-		}
+	if neighbors == 0 || floorRows == 0 || posteriors == 0 || regrown == 0 {
+		t.Fatalf("%d neighbors compared, %d floor rows, %d posteriors, %d pools grown across a panel cut: nothing exercised", neighbors, floorRows, posteriors, regrown)
 	}
-	if neighbors == 0 || floorRows == 0 || posteriors == 0 {
-		t.Fatalf("%d neighbors compared, %d floor rows, %d posteriors: nothing exercised", neighbors, floorRows, posteriors)
-	}
-	t.Logf("%d trials (%d one-configuration spaces drawn again), %d neighbors, %d columns compared, %d rows on the floor, %d pool posteriors",
-		trials, redrawn, neighbors, columns, floorRows, posteriors)
+	t.Logf("%d trials (%d one-configuration spaces drawn again), %d neighbors, %d columns compared, %d rows on the floor, %d pool posteriors, %d pools grown across a panel cut",
+		trials, redrawn, neighbors, columns, floorRows, posteriors, regrown)
 }

@@ -79,8 +79,7 @@ func (r *Records) Update(space *resource.Space, cfg resource.Config, throughput,
 		r.headHits++
 		r.unlink(rec)
 	} else {
-		r.keyBuf = cfg.AppendKey(r.keyBuf[:0])
-		if rec = r.bySig[string(r.keyBuf)]; rec != nil {
+		if rec = r.lookup(cfg); rec != nil {
 			r.unlink(rec)
 		} else {
 			rec = &Record{Config: cfg.Clone(), Key: string(r.keyBuf), Vector: space.Vector(cfg)}
@@ -96,6 +95,12 @@ func (r *Records) Update(space *resource.Space, cfg resource.Config, throughput,
 		r.evictOldest()
 	}
 	return rec
+}
+
+// lookup returns cfg's record, or nil, its key built in keyBuf.
+func (r *Records) lookup(cfg resource.Config) *Record {
+	r.keyBuf = cfg.AppendKey(r.keyBuf[:0])
+	return r.bySig[string(r.keyBuf)]
 }
 
 // precedes reports whether a comes before b in Window's order.

@@ -56,6 +56,25 @@ func (p *Points) Reset(n, dim int) {
 	p.len, p.dim = n, dim
 }
 
+// Grow extends p to n >= Len() points of its dimension, keeping the points
+// it holds: only the last panel's layout depends on the count, so its
+// points move to their places in the wider panel. The new points are left
+// unwritten.
+func (p *Points) Grow(n int) {
+	old := p.len
+	if n < old {
+		panic(fmt.Sprintf("gp: Grow to %d points of %d", n, old))
+	}
+	p.Data = slices.Grow(p.Data[:p.dim*old], p.dim*(n-old))[:p.dim*n]
+	p.len = n
+	p0 := old - old%panelWidth
+	w0, w1 := old-p0, min(panelWidth, n-p0)
+	panel := p.Data[p.dim*p0:]
+	for d := p.dim - 1; d > 0 && w0 < w1; d-- { // coordinate 0 stays put
+		copy(panel[d*w1:d*w1+w0], panel[d*w0:d*w0+w0])
+	}
+}
+
 // Load resets p to hold xs, which must share one dimension.
 func (p *Points) Load(xs [][]float64) {
 	dim := 0
@@ -361,7 +380,7 @@ func (b *Block) tail() []float64 {
 // taken from b, to RepredictBlockInto's bits.
 func (m *Incremental) PredictBlockInto(s *PredictScratch, b *Block, mu, sigma []float64, pts *Points) {
 	nq := m.n * pts.Len()
-	b.data = grow(b.data, blockLen(m.n, pts.Len()))
+	b.data = s.blockData(b, m.n, pts.Len())
 	m.predictBatch(s, b.data[:nq], mu, sigma, pts)
 	copy(b.data[nq:], sigma)
 	m.fillBlock(b, mu)
@@ -445,7 +464,7 @@ func (m *Incremental) PredictMovedBlockInto(s *PredictScratch, b *Block, mu, sig
 	n, q := m.n, len(mu)
 	m.checkMoves(mv, q, len(sigma))
 	nq := n * q
-	b.data = grow(b.data, blockLen(n, q))
+	b.data = s.blockData(b, n, q)
 	kstar := b.data[:nq]
 	m.fillMoved(s, kstar, mv, q)
 	for p0 := 0; p0 < q; p0 += panelWidth {
@@ -467,13 +486,14 @@ func (m *Incremental) checkMoves(mv *Moves, q, nsigma int) {
 }
 
 // fillMoved writes the K* columns of the q points mv describes into kstar,
-// cut into the panels the solves read: the model-row-outer fill, row i's d²
-// for every point, transformed.
+// cut into the panels the solves read: model row by model row, row i's d²
+// for every point straight into its place in each panel, then one Matérn
+// transform over the whole block, which works element by element.
 func (m *Incremental) fillMoved(s *PredictScratch, kstar []float64, mv *Moves, q int) {
 	n, dim := m.n, m.dim
 	pairs := m.movePairs(mv, q)
-	s.panel = grow(s.panel, q+2*dim)
-	row, gi, ti := s.panel[:q], s.panel[q:q+dim], s.panel[q+dim:q+2*dim]
+	s.panel = grow(s.panel, 2*dim)
+	gi, ti := s.panel[:dim], s.panel[dim:2*dim]
 	xp := m.xbuf[mv.Base]
 	for i, xi := range m.xbuf[:n] {
 		base := m.triAt(i, mv.Base)
@@ -482,17 +502,17 @@ func (m *Incremental) fillMoved(s *PredictScratch, kstar []float64, mv *Moves, q
 			gi[k] = base + (dg*dg - dp*dp)
 			ti[k] = dt*dt - dp*dp
 		}
-		for c, p := range pairs {
-			// max(0, ·) without a branch: a set sign bit clears every bit.
-			v := math.Float64bits(gi[p.from] + ti[p.to])
-			row[c] = math.Float64frombits(v &^ uint64(int64(v)>>63))
-		}
-		linalg.Matern52Row(row, m.kernel.LengthScale, m.kernel.Variance)
 		for p0 := 0; p0 < q; p0 += panelWidth {
 			w := min(panelWidth, q-p0)
-			copy(kstar[n*p0+i*w:n*p0+i*w+w], row[p0:p0+w])
+			row := kstar[n*p0+i*w : n*p0+i*w+w]
+			for c, p := range pairs[p0 : p0+w] {
+				// max(0, ·) without a branch: a set sign bit clears every bit.
+				v := math.Float64bits(gi[p.from] + ti[p.to])
+				row[c] = math.Float64frombits(v &^ uint64(int64(v)>>63))
+			}
 		}
 	}
+	linalg.Matern52Row(kstar[:n*q], m.kernel.LengthScale, m.kernel.Variance)
 }
 
 // movePairs lists the coordinate pairs of mv's q points, in order, into the
@@ -565,11 +585,7 @@ func (m *Incremental) ReviveMovedBlockInto(s *PredictScratch, b, sh *Block, mu, 
 		return true, false
 	}
 	m.checkMoves(mv, q, len(sigma))
-	data := b.data
-	if cap(data) < blockLen(n, q) {
-		data = grow(nil, blockLen(n, q))
-	}
-	data = data[:blockLen(n, q)]
+	data := s.blockData(b, n, q)
 	copy(data[n*q:], tail) // a memmove: tail may be b's own
 	b.epoch, b.data = sh.epoch, data
 	m.fillMoved(s, data[:n*q], mv, q)

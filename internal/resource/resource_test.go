@@ -778,3 +778,114 @@ func BenchmarkRandomInto24(b *testing.B) {
 		s.RandomInto(rng, c)
 	}
 }
+
+// TestConfigRowsShareNoStorage: NewConfig and Clone cut a configuration's
+// rows from one backing array, two allocations in all, and still no write
+// crosses a row or a copy: appending to a row leaves every other row as it
+// was, and writing every entry of a clone — of a well-shaped configuration
+// or of a ragged one, as a stale decision can be — leaves its source as it
+// was.
+func TestConfigRowsShareNoStorage(t *testing.T) {
+	s := MustNewSpace(4,
+		Resource{Kind: Cores, Units: 9},
+		Resource{Kind: LLCWays, Units: 11},
+		Resource{Kind: MemBW, Units: 7},
+	)
+	ragged := Config{Alloc: [][]int{{1, 2}, {}, {3, 4, 5, 6, 7}}}
+	for _, c := range []Config{s.NewConfig(), s.EqualSplit(), s.EqualSplit().Clone(), ragged.Clone()} {
+		for r := range c.Alloc {
+			before := c.Clone()
+			_ = append(c.Alloc[r], 99, 98, 97)
+			for o, row := range c.Alloc {
+				if o != r && !equalInts(row, before.Alloc[o]) {
+					t.Fatalf("appending to row %d of %v wrote row %d: %v", r, before.Alloc, o, row)
+				}
+			}
+		}
+		src := c.Clone()
+		cl := c.Clone()
+		for _, row := range cl.Alloc {
+			for j := range row {
+				row[j] = -1
+			}
+		}
+		if !c.Equal(src) {
+			t.Fatalf("writing a clone of %v changed its source to %v", src.Alloc, c.Alloc)
+		}
+	}
+	eq := s.EqualSplit()
+	if n := testing.AllocsPerRun(100, func() { _ = s.NewConfig() }); n != 2 {
+		t.Errorf("NewConfig makes %.0f allocations, want 2", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = eq.Clone() }); n != 2 {
+		t.Errorf("Clone makes %.0f allocations, want 2", n)
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestInitialSetMatchesNeighbors holds InitialSet, which builds a neighbour
+// only while the set has room, to the set it was before: the equal split,
+// then Neighbors of it in order, duplicates left out, cut at max — over
+// spaces of 1 to 6 jobs and 1 to 3 rows and every max up to past the whole
+// neighbourhood. A set of three makes at most 20 allocations, however many
+// neighbours the equal split has (up to 90 here, each of which was cloned
+// when they were all built).
+func TestInitialSetMatchesNeighbors(t *testing.T) {
+	kinds := []Kind{Cores, LLCWays, MemBW}
+	rng := stats.NewRNG(5)
+	sets := 0
+	for trial := 0; trial < 60; trial++ {
+		jobs := 1 + rng.Intn(6)
+		var rs []Resource
+		for _, k := range kinds[:1+rng.Intn(len(kinds))] {
+			rs = append(rs, Resource{Kind: k, Units: jobs + rng.Intn(2*jobs+4)})
+		}
+		s := MustNewSpace(jobs, rs...)
+		equal := s.EqualSplit()
+		want := []Config{equal}
+		for _, n := range s.Neighbors(equal) {
+			if !containsConfig(want, n) {
+				want = append(want, n)
+			}
+		}
+		for k := 0; k <= len(want)+2; k++ {
+			got := s.InitialSet(k)
+			w := want[:min(len(want), max(k, 1))]
+			if len(got) != len(w) {
+				t.Fatalf("%v, %d jobs: InitialSet(%d) holds %d, want %d", rs, jobs, k, len(got), len(w))
+			}
+			for i := range w {
+				if !got[i].Equal(w[i]) {
+					t.Fatalf("%v, %d jobs: InitialSet(%d)[%d] = %s, want %s", rs, jobs, k, i, got[i].Key(), w[i].Key())
+				}
+			}
+			sets++
+		}
+		if len(want) > 8 {
+			if n := testing.AllocsPerRun(10, func() { s.InitialSet(3) }); n > 20 {
+				t.Errorf("%v, %d jobs: InitialSet(3) makes %.0f allocations", rs, jobs, n)
+			}
+		}
+	}
+	t.Logf("%d sets compared", sets)
+}
+
+func containsConfig(cs []Config, c Config) bool {
+	for _, x := range cs {
+		if x.Equal(c) {
+			return true
+		}
+	}
+	return false
+}

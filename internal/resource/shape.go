@@ -29,23 +29,26 @@ func (e *ConfigShapeError) Error() string {
 // and nil when the shape is current. It checks only dimensions, not
 // allocation sums — Validate still performs full validation.
 func CheckShape(space *Space, c Config) error {
-	shapeErr := &ConfigShapeError{
-		ConfigResources: len(c.Alloc),
-		SpaceResources:  len(space.Resources),
-		ConfigJobs:      space.Jobs,
-		SpaceJobs:       space.Jobs,
-	}
+	jobs := space.Jobs
 	if len(c.Alloc) != len(space.Resources) {
 		if len(c.Alloc) > 0 {
-			shapeErr.ConfigJobs = len(c.Alloc[0])
+			jobs = len(c.Alloc[0])
 		}
-		return shapeErr
-	}
-	for _, row := range c.Alloc {
-		if len(row) != space.Jobs {
-			shapeErr.ConfigJobs = len(row)
-			return shapeErr
+	} else {
+		for _, row := range c.Alloc {
+			if len(row) != space.Jobs {
+				jobs = len(row)
+				break
+			}
+		}
+		if jobs == space.Jobs {
+			return nil
 		}
 	}
-	return nil
+	// Built only once the shape is stale: a current shape, every Apply's
+	// case, allocates nothing.
+	return &ConfigShapeError{
+		ConfigResources: len(c.Alloc), SpaceResources: len(space.Resources),
+		ConfigJobs: jobs, SpaceJobs: space.Jobs,
+	}
 }
