@@ -105,13 +105,14 @@ type Engine struct {
 	initQueue   []resource.Config
 	managedRows []int // indices of managed rows, ascending
 	// enc[r][u] is VectorInto's encoding of u units of resource row r,
-	// u/Units, for every u from 0 to Units, built with the pool: the fresh
-	// candidates, the neighbourhoods and their move tables look their
-	// coordinates up, and a fresh winner is decoded through it (decode).
-	// work is the configuration buildPool draws each fresh candidate into
-	// before it encodes it.
+	// u/Units, for every u from 0 to Units, built by the first model tick
+	// (buildTables): the model's inputs, the fresh candidates, the
+	// neighbourhoods and their move tables look their coordinates up, and a
+	// fresh winner is decoded through it (decode). work is the configuration
+	// buildPool draws each fresh candidate into before it encodes it; out is
+	// the configuration an exploit returns, the incumbent's written into it.
 	enc        [][]float64
-	work       resource.Config
+	work, out  resource.Config
 	equalSplit resource.Config
 	// single is set by New when the managed space holds exactly one
 	// configuration (the equal split): every Decide is then forced, and the
@@ -150,11 +151,13 @@ type Engine struct {
 	acqFailures   int     // settle
 	exploits      int     // settle
 
-	// The proxy model: row i conditions on modelRecs[i] (Record.row is the
-	// inverse), so per-tick target reconstruction can feed
-	// UpdateTargets/Append in model order.
+	// The proxy model: row i conditions on the record in slot modelRecs[i]
+	// (its row is the inverse), so per-tick target reconstruction can feed
+	// UpdateGoals/Append in model order. A slot's row is −1 from the
+	// record's birth until the model takes it in, so a record born in an
+	// evicted row's slot is no row.
 	model     *gp.Incremental
-	modelRecs []*Record
+	modelRecs []int32
 
 	// The candidate pool (buildPool): the Candidates random and random-walk
 	// configurations, kept only as their points in the tick's scratch, and
@@ -162,7 +165,7 @@ type Engine struct {
 	// described, not built — poolEnd[i] is the pool index one past
 	// poolTop[i]'s neighborhood, and poolPoints and candidate decode an
 	// index into its move. candCount is the pool's size.
-	poolTop   [3]*Record
+	poolTop   [3]ref
 	poolEnd   [3]int
 	poolTopN  int
 	candCount int
@@ -171,9 +174,7 @@ type Engine struct {
 	// the fill's and the solve's panels, the fresh candidates laid out as
 	// points and the pool's posterior — is not among them: a tick borrows it
 	// (tick.scratch), so an engine between ticks holds none.
-	windowBuf []*Record
-	xsBuf     [][]float64
-	rowBuf    []float64 // goals or targets per model row (syncModel), then means (trackProxyChange); then a missed block's move tables (neighborMoves)
+	rowBuf []float64 // goals or targets per model row (syncModel), then means (trackProxyChange); then a missed block's move tables (neighborMoves) or a neighbourhood's base point (neighborPoints)
 	// One scored neighborhood per top-configuration slot (scorePool), and
 	// the shadows of blocks whose records left the slots (revive), allocated
 	// by the first block that misses its slot. A block keeps its K* only
@@ -186,10 +187,11 @@ type Engine struct {
 // configuration. The neighborhood is a function of the record's (fixed)
 // configuration, so while a slot keeps its record the block's kernel-only
 // part is reusable for as long as the model says so. The slot holds the
-// record itself — not its key or window position — so an evicted and
-// re-created configuration can never be mistaken for it.
+// record's ref — its store slot and birth stamp, not its key or window
+// position — so a configuration evicted and recorded again, or another
+// born in its store slot, can never be mistaken for it.
 type neighborBlock struct {
-	rec *Record
+	rec ref
 	gp.Block
 }
 
@@ -201,12 +203,12 @@ type neighborBlock struct {
 // without a triangular solve (revive); a new epoch empties the ring.
 const shadowSlots = 8
 
-// shadowRing holds the shadows, each owned by recs[i] (nil: free), written
-// into a free entry or, when none is, round robin from next; epoch is the
-// kernel epoch they were kept under, as the model's Refits + Extends. It
-// also counts the blocks revived from them.
+// shadowRing holds the shadows, each owned by recs[i] (the zero ref: free),
+// written into a free entry or, when none is, round robin from next; epoch
+// is the kernel epoch they were kept under, as the model's Refits +
+// Extends. It also counts the blocks revived from them.
 type shadowRing struct {
-	recs     [shadowSlots]*Record
+	recs     [shadowSlots]ref
 	blks     [shadowSlots]gp.Block
 	next     int
 	epoch    int
@@ -220,10 +222,10 @@ type tick struct {
 	current resource.Config
 	w       Weights // this tick's goal weights
 
-	window    []*Record  // most recent records, the proxy model's inputs
-	best      float64    // highest window objective under w
-	incumbent *Record    // the record that reached it
-	top       [3]*Record // best topN window records, descending objective
+	window    []int32 // the most recent records' slots, a prefix of the store's order: the proxy model's inputs
+	best      float64 // highest window objective under w
+	incumbent int32   // the slot of the record that reached it
+	top       [3]ref  // best topN window records, descending objective
 	topN      int
 
 	// The proxy model's posterior over the pool, in the scratch's slots
@@ -284,6 +286,9 @@ func New(space *resource.Space, opt Options) (*Engine, error) {
 		return nil, fmt.Errorf("core: unknown acquisition %q (want ei, ucb, pi, or ts)", opt.Acquisition)
 	}
 	for r, res := range space.Resources {
+		if res.Units > math.MaxUint16 {
+			return nil, fmt.Errorf("core: %s has %d units; a record holds at most 65535", res.Kind, res.Units)
+		}
 		if len(opt.Managed) == 0 || slices.Contains(opt.Managed, res.Kind) {
 			e.managedRows = append(e.managedRows, r)
 		}
@@ -316,7 +321,7 @@ func New(space *resource.Space, opt Options) (*Engine, error) {
 			break
 		}
 		e.pinUnmanaged(c)
-		if len(e.initQueue) == 0 || !containsConfig(e.initQueue, c) {
+		if !slices.ContainsFunc(e.initQueue, c.Equal) {
 			e.initQueue = append(e.initQueue, c)
 		}
 	}
@@ -328,15 +333,6 @@ func orDefault(v, d int) int {
 		return d
 	}
 	return v
-}
-
-func containsConfig(cs []resource.Config, c resource.Config) bool {
-	for _, x := range cs {
-		if x.Equal(c) {
-			return true
-		}
-	}
-	return false
 }
 
 // Name implements policy.Policy.
@@ -382,7 +378,9 @@ func (e *Engine) randomConfig() resource.Config {
 
 // Decide implements policy.Policy — one iteration of Algorithm 1, as the
 // list of its stages. Only the stages touch engine state, and each
-// diagnostic counter has one stage that writes it.
+// diagnostic counter has one stage that writes it. An exploit returns the
+// engine's own configuration (out), which the next Decide overwrites, as
+// policy.Policy allows.
 func (e *Engine) Decide(obs policy.Observation, current resource.Config) resource.Config {
 	t := tick{obs: obs, current: current}
 	e.scheduleWeights(&t)
@@ -420,8 +418,14 @@ func (e *Engine) Decide(obs policy.Observation, current resource.Config) resourc
 // decision adds a record that the next tick's model update must take in,
 // by an append or a refit, and either moves the epoch.
 func (e *Engine) inWindow(next resource.Config) bool {
-	rec := e.recs.lookup(next)
-	return rec != nil && rec.row < len(e.modelRecs) && e.modelRecs[rec.row] == rec
+	slot := e.recs.lookup(next)
+	return slot >= 0 && e.isRow(slot)
+}
+
+// isRow reports whether the record in slot is a row of the proxy model.
+func (e *Engine) isRow(slot int32) bool {
+	row := e.recs.recs[slot].row
+	return row >= 0 && int(row) < len(e.modelRecs) && e.modelRecs[row] == slot
 }
 
 // keepBlocks readies the blocks for the ticks between this one and the
@@ -492,14 +496,13 @@ func (e *Engine) seed() (next resource.Config, seeding bool) {
 // incumbent best, and the top few records whose neighborhoods seed the
 // pool (fixed arrays keep them off the heap).
 func (e *Engine) rankWindow(t *tick) {
-	e.windowBuf = e.recs.WindowInto(e.windowBuf, e.opt.Window)
-	t.window = e.windowBuf
+	t.window = e.recs.window(e.opt.Window)
 	t.best = math.Inf(-1)
 	var topY [len(t.top)]float64
-	for _, rec := range t.window {
-		y := rec.Objective(t.w)
+	for _, slot := range t.window {
+		y := e.recs.objective(slot, t.w)
 		if y > t.best {
-			t.best, t.incumbent = y, rec
+			t.best, t.incumbent = y, slot
 		}
 		p := t.topN
 		for i := 0; i < t.topN; i++ {
@@ -517,7 +520,7 @@ func (e *Engine) rankWindow(t *tick) {
 		for i := t.topN - 1; i > p; i-- {
 			topY[i], t.top[i] = topY[i-1], t.top[i-1]
 		}
-		topY[p], t.top[p] = y, rec
+		topY[p], t.top[p] = y, e.recs.ref(slot)
 	}
 }
 
@@ -558,16 +561,6 @@ func (e *Engine) buildPool(t *tick, moved []int32) gp.Walks {
 	n, randoms := e.opt.Candidates, e.opt.Candidates/2
 	keepR, keepW := e.freshPanel(narrow)
 	t.fresh = keepR + keepW
-	if e.enc == nil {
-		e.enc = make([][]float64, len(e.space.Resources))
-		for r, res := range e.space.Resources {
-			e.enc[r] = make([]float64, res.Units+1)
-			for u := range e.enc[r] {
-				e.enc[r][u] = float64(u) / float64(res.Units)
-			}
-		}
-		e.work = e.space.NewConfig()
-	}
 	pts := &t.scratch.Points
 	pts.Reset(t.fresh, e.space.Dim())
 	for i := 0; i < randoms; i++ {
@@ -584,16 +577,43 @@ func (e *Engine) buildPool(t *tick, moved []int32) gp.Walks {
 			e.skipWalk()
 			continue
 		}
-		moved = append(e.randomWalkInto(e.work, t.incumbent.Config, walkSteps, moved), -1)
+		moved = append(e.randomWalkInto(e.work, t.incumbent, walkSteps, moved), -1)
 		e.configPoint(pts, keepR+i, e.work)
 	}
 	e.candCount = n
 	e.poolTop, e.poolTopN = t.top, t.topN
 	for i, rec := range t.top[:t.topN] {
-		e.candCount += e.neighborhoodSize(rec.Config)
+		e.candCount += e.neighborhoodSize(rec.slot)
 		e.poolEnd[i] = e.candCount
 	}
-	return gp.Walks{Base: t.incumbent.row, Moved: moved}
+	return gp.Walks{Base: int(e.recs.recs[t.incumbent].row), Moved: moved}
+}
+
+// buildTables builds enc, work and out, once: a forced engine, or one
+// still seeding, has none.
+func (e *Engine) buildTables() {
+	if e.enc != nil {
+		return
+	}
+	e.enc = make([][]float64, len(e.space.Resources))
+	for r, res := range e.space.Resources {
+		e.enc[r] = make([]float64, res.Units+1)
+		for u := range e.enc[r] {
+			e.enc[r][u] = float64(u) / float64(res.Units)
+		}
+	}
+	e.work, e.out = e.space.NewConfig(), e.space.NewConfig()
+}
+
+// vectorInto writes the GP encoding of slot's configuration into dst, each
+// coordinate looked up in enc: the bits of Space.Vector.
+func (e *Engine) vectorInto(dst []float64, slot int32) {
+	u, jobs := e.recs.unitsOf(slot), e.space.Jobs
+	for r, enc := range e.enc {
+		for j, v := range u[r*jobs : (r+1)*jobs] {
+			dst[r*jobs+j] = enc[v]
+		}
+	}
 }
 
 // freshPanel returns how many of the random and of the random-walk
@@ -652,7 +672,8 @@ func (e *Engine) settle(t *tick, idx int, score float64, err error) resource.Con
 			e.settled = min(settled+1, settleTicks)
 		}
 		e.exploits++
-		return t.incumbent.Config
+		e.recs.configInto(e.out, t.incumbent)
+		return e.out
 	}
 	return e.candidate(&t.scratch.Points, idx)
 }
@@ -669,23 +690,24 @@ func (e *Engine) settle(t *tick, idx int, score float64, err error) resource.Con
 //     recovery): full refit, adopting the window's order.
 //
 // The model works in s, the tick's scratch, for the call, so the update
-// borrows no scratch of its own. On error the model is empty, the failure
-// is counted and the engine's membership tracking is cleared, so the next
-// tick re-enters through the Reset path.
-func (e *Engine) syncModel(window []*Record, w Weights, s *gp.PredictScratch) error {
+// borrows no scratch of its own; the inputs it copies in are encoded into
+// the scratch too (gp.PredictScratch.Inputs). On error the model is empty,
+// the failure is counted and the engine's membership tracking is cleared,
+// so the next tick re-enters through the Reset path.
+func (e *Engine) syncModel(window []int32, w Weights, s *gp.PredictScratch) error {
 	e.modelTicks++
+	e.buildTables()
 	e.model.UseScratch(s)
 	defer e.model.UseScratch(nil)
-	n := len(window)
-	var fresh *Record
-	miss := -1
+	n, recs := len(window), e.recs.recs
+	fresh, miss := int32(-1), -1
 	if n > 0 && e.model.Len() == len(e.modelRecs) &&
 		(n == len(e.modelRecs) || n == len(e.modelRecs)+1) {
 		miss = 0
-		for _, rec := range window {
-			if rec.row >= len(e.modelRecs) || e.modelRecs[rec.row] != rec {
+		for _, slot := range window {
+			if !e.isRow(slot) {
 				miss++
-				fresh = rec
+				fresh = slot
 				if miss > 1 {
 					break
 				}
@@ -696,37 +718,40 @@ func (e *Engine) syncModel(window []*Record, w Weights, s *gp.PredictScratch) er
 	case miss == 0 && n == len(e.modelRecs):
 		e.rowBuf = slices.Grow(e.rowBuf[:0], 2*n)[:2*n]
 		t, f := e.rowBuf[:n], e.rowBuf[n:]
-		for i, rec := range e.modelRecs {
-			t[i], f[i] = rec.Throughput, rec.Fairness
+		for i, slot := range e.modelRecs {
+			t[i], f[i] = recs[slot].throughput, recs[slot].fairness
 		}
 		if err := e.model.UpdateGoals(t, f, w.T, w.F); err != nil {
 			return e.dropModel(err)
 		}
 	case miss == 1 && n == len(e.modelRecs)+1:
 		e.rowBuf = e.rowBuf[:0]
-		for _, rec := range e.modelRecs {
-			e.rowBuf = append(e.rowBuf, rec.Objective(w))
+		for _, slot := range e.modelRecs {
+			e.rowBuf = append(e.rowBuf, e.recs.objective(slot, w))
 		}
-		e.rowBuf = append(e.rowBuf, fresh.Objective(w))
+		e.rowBuf = append(e.rowBuf, e.recs.objective(fresh, w))
+		x := s.Inputs(1, e.space.Dim())[0]
+		e.vectorInto(x, fresh)
 		refits := e.model.Stats().Refits
-		if err := e.model.Append(fresh.Vector, e.rowBuf); err != nil {
+		if err := e.model.Append(x, e.rowBuf); err != nil {
 			return e.dropModel(err)
 		}
 		if e.model.Stats().Refits != refits {
 			e.appendRefits++
 		}
-		fresh.row = len(e.modelRecs)
+		recs[fresh].row = int32(len(e.modelRecs))
 		e.modelRecs = append(e.modelRecs, fresh)
 	default:
-		e.xsBuf, e.rowBuf = e.xsBuf[:0], e.rowBuf[:0]
+		xs := s.Inputs(n, e.space.Dim())
+		e.rowBuf = e.rowBuf[:0]
 		e.modelRecs = e.modelRecs[:0]
-		for i, rec := range window {
-			e.xsBuf = append(e.xsBuf, rec.Vector)
-			e.rowBuf = append(e.rowBuf, rec.Objective(w))
-			e.modelRecs = append(e.modelRecs, rec)
-			rec.row = i
+		for i, slot := range window {
+			e.vectorInto(xs[i], slot)
+			e.rowBuf = append(e.rowBuf, e.recs.objective(slot, w))
+			e.modelRecs = append(e.modelRecs, slot)
+			recs[slot].row = int32(i)
 		}
-		if err := e.model.Reset(e.xsBuf, e.rowBuf); err != nil {
+		if err := e.model.Reset(xs, e.rowBuf); err != nil {
 			return e.dropModel(err)
 		}
 	}
@@ -751,7 +776,7 @@ func (e *Engine) poolPoints(pts *gp.Points) *gp.Points {
 	pts.Grow(e.candCount)
 	start := e.opt.Candidates
 	for s, rec := range e.poolTop[:e.poolTopN] {
-		e.neighborPoints(pts, rec, start, e.poolEnd[s])
+		e.neighborPoints(pts, rec.slot, start, e.poolEnd[s])
 		start = e.poolEnd[s]
 	}
 	return pts
@@ -770,17 +795,20 @@ func (e *Engine) configPoint(pts *gp.Points, col int, c resource.Config) {
 	}
 }
 
-// neighborPoints writes the members of rec's neighborhood, pool indices
-// [start, end), as points [start, end) of pts. A neighbor's encoding is
-// rec.Vector with the donor's and the receiver's coordinates rewritten from
-// enc, so it has the bits of encoding the moved configuration: rec.Vector
-// is broadcast over the range, then each member's two coordinates are
-// patched.
-func (e *Engine) neighborPoints(pts *gp.Points, rec *Record, start, end int) {
-	pts.Broadcast(start, end, rec.Vector)
+// neighborPoints writes the members of slot's neighborhood, pool indices
+// [start, end), as points [start, end) of pts. A neighbor's encoding is the
+// record's with the donor's and the receiver's coordinates rewritten from
+// enc, so it has the bits of encoding the moved configuration: the
+// record's encoding, laid out in rowBuf, is broadcast over the range, then
+// each member's two coordinates are patched.
+func (e *Engine) neighborPoints(pts *gp.Points, slot int32, start, end int) {
 	jobs, i := e.space.Jobs, start
+	e.rowBuf = slices.Grow(e.rowBuf[:0], e.space.Dim())[:e.space.Dim()]
+	e.vectorInto(e.rowBuf, slot)
+	pts.Broadcast(start, end, e.rowBuf)
+	units := e.recs.unitsOf(slot)
 	for _, r := range e.managedRows {
-		row, enc := rec.Config.Alloc[r], e.enc[r]
+		row, enc := units[r*jobs:(r+1)*jobs], e.enc[r]
 		for from, u := range row {
 			if u <= 1 {
 				continue
@@ -799,31 +827,33 @@ func (e *Engine) neighborPoints(pts *gp.Points, rec *Record, start, end int) {
 	}
 }
 
-// neighborMoves describes rec's neighborhood for the model's moved fill, in
-// neighborPoints' enumeration order: the base point is rec's model row, a
-// group is a resource row of Jobs coordinates, and a managed coordinate
-// holding more than one unit gives, to every other job of its row. Give and
-// Take hold the moved values from enc, the ones neighborPoints writes; an
-// unmanaged coordinate gives nothing and keeps its value. The two tables
-// live in rowBuf, free once the window's means are tracked.
-func (e *Engine) neighborMoves(rec *Record) gp.Moves {
+// neighborMoves describes slot's neighborhood for the model's moved fill,
+// in neighborPoints' enumeration order: the base point is the record's
+// model row, a group is a resource row of Jobs coordinates, and a managed
+// coordinate holding more than one unit gives, to every other job of its
+// row. Give and Take hold the moved values from enc, the ones
+// neighborPoints writes; an unmanaged coordinate gives nothing and keeps
+// its value. The two tables live in rowBuf, free once the window's means
+// are tracked.
+func (e *Engine) neighborMoves(slot int32) gp.Moves {
 	dim, jobs := e.space.Dim(), e.space.Jobs
 	e.rowBuf = slices.Grow(e.rowBuf[:0], 2*dim)[:2*dim]
 	give, take := e.rowBuf[:dim], e.rowBuf[dim:]
-	copy(take, rec.Vector)
+	e.vectorInto(take, slot)
 	for k := range give {
 		give[k] = math.NaN()
 	}
+	units := e.recs.unitsOf(slot)
 	for _, r := range e.managedRows {
 		enc := e.enc[r]
-		for j, u := range rec.Config.Alloc[r] {
+		for j, u := range units[r*jobs : (r+1)*jobs] {
 			if u > 1 {
 				give[r*jobs+j] = enc[u-1]
 			}
 			take[r*jobs+j] = enc[u+1]
 		}
 	}
-	return gp.Moves{Base: rec.row, Group: jobs, Give: give, Take: take}
+	return gp.Moves{Base: int(e.recs.recs[slot].row), Group: jobs, Give: give, Take: take}
 }
 
 // scorePool leaves the proxy model's posterior mean and standard deviation
@@ -876,7 +906,7 @@ func (e *Engine) scorePool(t *tick, walks gp.Walks) {
 			e.shadows.revivals++
 		default:
 			e.blockMisses++
-			mv := e.neighborMoves(rec)
+			mv := e.neighborMoves(rec.slot)
 			e.model.PredictMovedBlockInto(sc, &blk.Block, mu[lo:hi], sigma[lo:hi], &mv)
 		}
 		e.candsScored += hi - lo
@@ -967,17 +997,17 @@ func (e *Engine) freshCanWin(t *tick) bool {
 // projections no longer cover the basis. Either way the shadow's epoch must
 // be the model's (gp.ReviveMovedBlockInto), and a revived block whose
 // projections fall short has its K* refilled from its moves.
-func (e *Engine) revive(sc *gp.PredictScratch, blk *neighborBlock, rec *Record, mu, sigma []float64) bool {
+func (e *Engine) revive(sc *gp.PredictScratch, blk *neighborBlock, rec ref, mu, sigma []float64) bool {
 	if e.shadows == nil {
 		e.shadows = new(shadowRing)
 	}
 	ring, sh := e.shadows, &blk.Block
 	if st := e.model.Stats(); st.Refits+st.Extends != ring.epoch {
-		ring.recs, ring.epoch = [shadowSlots]*Record{}, st.Refits+st.Extends
+		ring.recs, ring.epoch = [shadowSlots]ref{}, st.Refits+st.Extends
 	}
 	if blk.rec != rec {
 		i := slices.Index(ring.recs[:], rec)
-		if at := slices.Index(ring.recs[:], nil); blk.rec != nil {
+		if at := slices.Index(ring.recs[:], ref{}); blk.rec != (ref{}) {
 			if at < 0 {
 				at = ring.next
 				if at == i {
@@ -993,9 +1023,9 @@ func (e *Engine) revive(sc *gp.PredictScratch, blk *neighborBlock, rec *Record, 
 		if i < 0 {
 			return false
 		}
-		ring.recs[i], sh = nil, &ring.blks[i]
+		ring.recs[i], sh = ref{}, &ring.blks[i]
 	}
-	mv := e.neighborMoves(rec)
+	mv := e.neighborMoves(rec.slot)
 	ok, refilled := e.model.ReviveMovedBlockInto(sc, &blk.Block, sh, mu, sigma, &mv)
 	if refilled {
 		ring.refills++
@@ -1006,7 +1036,7 @@ func (e *Engine) revive(sc *gp.PredictScratch, blk *neighborBlock, rec *Record, 
 // blockFor returns the slot holding rec's neighborhood block, or failing
 // that a slot whose record is not among this tick's top configurations
 // (there are as many slots as top configurations, so one always is).
-func (e *Engine) blockFor(rec *Record, top []*Record) *neighborBlock {
+func (e *Engine) blockFor(rec ref, top []ref) *neighborBlock {
 	var free *neighborBlock
 	for i := range e.blocks {
 		blk := &e.blocks[i]
@@ -1043,7 +1073,8 @@ func (e *Engine) walkDraws(d []int) {
 	e.rng.Intns(d)
 }
 
-// randomWalkInto copies c into dst and applies up to steps random one-unit
+// randomWalkInto copies the configuration in slot into dst and applies up
+// to steps random one-unit
 // moves in managed rows; an illegal move still burns its draws. Rows are
 // sampled from the managed set only: drawing over all rows and skipping
 // unmanaged ones would consume steps without moving, so walks under the
@@ -1051,9 +1082,9 @@ func (e *Engine) walkDraws(d []int) {
 // be systematically shorter than full SATORI's. It appends to moved the
 // coordinates (row·Jobs + job, as VectorInto lays them out) that its legal
 // moves changed, each the first time it moves, and returns it: the walk's
-// encoding differs from c's in no other coordinate (gp.Walks).
-func (e *Engine) randomWalkInto(dst, c resource.Config, steps int, moved []int32) []int32 {
-	dst.CopyFrom(c)
+// encoding differs from the record's in no other coordinate (gp.Walks).
+func (e *Engine) randomWalkInto(dst resource.Config, slot int32, steps int, moved []int32) []int32 {
+	e.recs.configInto(dst, slot)
 	if len(e.managedRows) == 0 {
 		return moved
 	}
@@ -1077,12 +1108,13 @@ func (e *Engine) randomWalkInto(dst, c resource.Config, steps int, moved []int32
 	return moved
 }
 
-// neighborhoodSize counts c's one-unit moves within managed rows: every job
-// holding more than one unit of a row can give one to each of the others.
-func (e *Engine) neighborhoodSize(c resource.Config) int {
-	donors := 0
+// neighborhoodSize counts the one-unit moves of slot's configuration within
+// managed rows: every job holding more than one unit of a row can give one
+// to each of the others.
+func (e *Engine) neighborhoodSize(slot int32) int {
+	donors, units, jobs := 0, e.recs.unitsOf(slot), e.space.Jobs
 	for _, r := range e.managedRows {
-		for _, u := range c.Alloc[r] {
+		for _, u := range units[r*jobs : (r+1)*jobs] {
 			if u > 1 {
 				donors++
 			}
@@ -1105,7 +1137,8 @@ func (e *Engine) candidate(pts *gp.Points, idx int) resource.Config {
 		off = idx - e.poolEnd[s]
 		s++
 	}
-	c, moves := e.poolTop[s].Config, e.space.Jobs-1
+	c, moves := e.space.NewConfig(), e.space.Jobs-1
+	e.recs.configInto(c, e.poolTop[s].slot)
 	for _, r := range e.managedRows {
 		for from, u := range c.Alloc[r] {
 			if u <= 1 {
@@ -1119,10 +1152,9 @@ func (e *Engine) candidate(pts *gp.Points, idx int) resource.Config {
 			if to >= from {
 				to++
 			}
-			n := c.Clone()
-			n.Alloc[r][from]--
-			n.Alloc[r][to]++
-			return n
+			c.Alloc[r][from]--
+			c.Alloc[r][to]++
+			return c
 		}
 	}
 	panic(fmt.Sprint("core: pool index past the pool: ", idx))
@@ -1156,11 +1188,12 @@ func (e *Engine) decode(pts *gp.Points, col int) resource.Config {
 // succeeded, so the posterior means of all of them are the model's
 // closed form y − jitter·α, O(n). A record counts only when the previous
 // sweep predicted it too (a tick whose fit fails runs no sweep).
-func (e *Engine) trackProxyChange(window []*Record) {
+func (e *Engine) trackProxyChange(window []int32) {
 	e.sweep++
 	e.rowBuf = e.model.PredictMeansAtInto(e.rowBuf)
 	sum, n := 0.0, 0
-	for _, rec := range window {
+	for _, slot := range window {
+		rec := &e.recs.recs[slot]
 		p := e.rowBuf[rec.row]
 		if rec.predFor == e.sweep {
 			denom := math.Abs(rec.pred)

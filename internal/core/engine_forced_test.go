@@ -88,12 +88,11 @@ func TestForcedSpaceSkipsTheSearch(t *testing.T) {
 			}
 			// No search state, at construction or after 200 ticks.
 			if eng.model != nil || eng.initQueue != nil || eng.modelRecs != nil ||
-				eng.windowBuf != nil || eng.enc != nil || eng.work.Alloc != nil ||
-				eng.xsBuf != nil || eng.rowBuf != nil {
+				eng.enc != nil || eng.work.Alloc != nil || eng.out.Alloc != nil || eng.rowBuf != nil {
 				t.Error("a forced engine holds initial-design, model or pool state")
 			}
 			for i := range eng.blocks {
-				if eng.blocks[i].rec != nil {
+				if eng.blocks[i].rec != (ref{}) {
 					t.Errorf("neighborhood block %d is in use", i)
 				}
 			}

@@ -194,6 +194,14 @@ func TestEngineRejectsEmptyManagedMask(t *testing.T) {
 	}
 }
 
+// A record keeps a unit count in 16 bits, so New refuses a row of more.
+func TestEngineRejectsUnitsPastTheRecords(t *testing.T) {
+	space := resource.MustNewSpace(2, resource.Resource{Kind: resource.Cores, Units: math.MaxUint16 + 1})
+	if _, err := New(space, Options{}); err == nil {
+		t.Error("a row of 65 536 units accepted")
+	}
+}
+
 func TestEngineInstrumentation(t *testing.T) {
 	env := newSyntheticEnv(0.01)
 	eng, err := New(env.space, Options{Seed: 6})
@@ -263,7 +271,7 @@ func TestRecords(t *testing.T) {
 	recs := NewRecords()
 	eq := space.EqualSplit()
 	recs.Update(space, eq, 0.5, 0.6, 1)
-	if recs.Len() != 1 || recs.bySig[eq.Key()] == nil {
+	if recs.Len() != 1 || recs.lookup(eq) < 0 {
 		t.Fatal("record not stored")
 	}
 	// Update overwrites with the latest observation.
@@ -336,7 +344,7 @@ func TestRecordsEviction(t *testing.T) {
 	if recs.Len() > 6 {
 		t.Errorf("records grew to %d with cap 5", recs.Len())
 	}
-	if recs.bySig[last.Key()] == nil {
+	if recs.lookup(last) < 0 {
 		t.Error("most recent record was evicted")
 	}
 	// The window still returns newest-first.
@@ -346,7 +354,7 @@ func TestRecordsEviction(t *testing.T) {
 			t.Error("window ordering broken after eviction")
 		}
 	}
-	if (&Records{bySig: map[string]*Record{}, cap: 1}).Len() != 0 {
+	if (&Records{cap: 1}).Len() != 0 {
 		t.Error("empty store wrong")
 	}
 	recs.cap = 1
@@ -490,7 +498,7 @@ func TestPoolMatchesEagerNeighbours(t *testing.T) {
 
 		// One to three distinct top records; a third of their rows put
 		// every job but one on its floor.
-		recs := NewRecords()
+		recs := e.recs
 		var tk tick
 		for tk.topN < 1+rng.Intn(3) {
 			c := space.Random(rng)
@@ -504,13 +512,14 @@ func TestPoolMatchesEagerNeighbours(t *testing.T) {
 					floorRows++
 				}
 			}
-			if recs.bySig[c.Key()] != nil {
+			if recs.lookup(c) >= 0 {
 				continue
 			}
-			tk.top[tk.topN] = recs.Update(space, c, rng.Float64(), rng.Float64(), 1)
+			tk.top[tk.topN] = recs.ref(recs.Update(space, c, rng.Float64(), rng.Float64(), 1))
 			tk.topN++
 		}
-		tk.incumbent = tk.top[0]
+		tk.incumbent = tk.top[0].slot
+		e.buildTables()
 		sc := gp.TakeScratch()
 		tk.scratch = sc
 		scribble := func(from int) {
@@ -531,7 +540,7 @@ func TestPoolMatchesEagerNeighbours(t *testing.T) {
 				plainRandomInto(&draws, space, c)
 				e.pinUnmanaged(c)
 			} else {
-				plainWalkInto(e, &draws, c, tk.incumbent.Config)
+				plainWalkInto(e, &draws, c, recs.configOf(tk.incumbent))
 			}
 			want = append(want, c)
 		}
@@ -539,7 +548,7 @@ func TestPoolMatchesEagerNeighbours(t *testing.T) {
 			t.Fatalf("%s: the pool's draws end elsewhere than the plain draws'", where())
 		}
 		for i, rec := range tk.top[:tk.topN] {
-			want = appendManagedNeighbors(e, want, rec.Config)
+			want = appendManagedNeighbors(e, want, recs.configOf(rec.slot))
 			if e.poolEnd[i] != len(want) {
 				t.Fatalf("%s: neighborhood %d ends at %d, eager pool at %d", where(), i, e.poolEnd[i], len(want))
 			}
@@ -591,7 +600,7 @@ func TestPoolMatchesEagerNeighbours(t *testing.T) {
 			var xs [][]float64
 			var ys []float64
 			for _, rec := range tk.top[:tk.topN] {
-				xs, ys = append(xs, rec.Vector), append(ys, rng.Float64())
+				xs, ys = append(xs, space.Vector(recs.configOf(rec.slot))), append(ys, rng.Float64())
 			}
 			if err := e.model.Reset(xs, ys); err != nil {
 				t.Fatal(err)
@@ -607,6 +616,10 @@ func TestPoolMatchesEagerNeighbours(t *testing.T) {
 		}
 
 		// Probe a random winner and scribble over it.
+		var keys [len(tk.top)]string
+		for i, rec := range tk.top[:tk.topN] {
+			keys[i] = recs.configOf(rec.slot).Key()
+		}
 		idx := rng.Intn(len(want))
 		next := e.settle(&tk, idx, math.Inf(1), nil)
 		if !next.Equal(want[idx]) {
@@ -617,9 +630,9 @@ func TestPoolMatchesEagerNeighbours(t *testing.T) {
 				row[j] = 99
 			}
 		}
-		for _, rec := range tk.top[:tk.topN] {
-			if rec.Config.Key() != rec.Key || !sameBits(rec.Vector, space.Vector(rec.Config)) {
-				t.Fatalf("%s: mutating winner %d changed record %s", where(), idx, rec.Key)
+		for i, rec := range tk.top[:tk.topN] {
+			if key := recs.configOf(rec.slot).Key(); key != keys[i] {
+				t.Fatalf("%s: mutating winner %d changed record %s to %s", where(), idx, keys[i], key)
 			}
 		}
 		if got := e.candidate(&sc.Points, idx); !got.Equal(want[idx]) {

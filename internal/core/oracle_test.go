@@ -161,9 +161,10 @@ func (o *refitOracle) check(s *gp.PredictScratch, tick int, current, next resour
 		o.t.Fatalf("tick %d: reference fit on the engine's %d-record window: %v", tick, len(xs), err)
 	}
 	means := e.model.PredictMeansAtInto(nil)
-	for i, rec := range window {
-		if m, _ := ref.Predict(xs[i]); !(math.Abs(means[rec.row]-m) <= 1e-9) {
-			o.t.Fatalf("tick %d: window record %d (model row %d): engine mean %v, refit %v", tick, i, rec.row, means[rec.row], m)
+	for i, slot := range e.recs.window(e.opt.Window) {
+		row := e.recs.recs[slot].row
+		if m, _ := ref.Predict(xs[i]); !(math.Abs(means[row]-m) <= 1e-9) {
+			o.t.Fatalf("tick %d: window record %d (model row %d): engine mean %v, refit %v", tick, i, row, means[row], m)
 		}
 	}
 	o.stream(s, tick, rng, bestCfg, narrowed, next)

@@ -38,7 +38,7 @@ func TestRandomWalkSamplesManagedRowsOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := space.NewConfig()
-		eng.randomWalkInto(got, start, 1, nil)
+		eng.randomWalkInto(got, eng.recs.Update(space, start, 0, 0, 1), 1, nil)
 		// Unmanaged rows must never move.
 		for _, r := range []int{0, 2} {
 			for j := range got.Alloc[r] {
@@ -73,7 +73,7 @@ func TestRandomWalkFullyManagedStillWalks(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := space.NewConfig()
-	eng.randomWalkInto(got, start, 16, nil)
+	eng.randomWalkInto(got, eng.recs.Update(space, start, 0, 0, 1), 16, nil)
 	if err := space.Validate(got); err != nil {
 		t.Fatalf("walk left the space: %v", err)
 	}

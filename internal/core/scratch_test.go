@@ -180,7 +180,7 @@ func TestBlocksKeepKStarOnlyForAWindowDecision(t *testing.T) {
 			}
 			emptied = false
 			if scored {
-				inWindow := slices.ContainsFunc(eng.modelRecs, func(r *Record) bool { return r.Config.Equal(next) })
+				inWindow := slices.ContainsFunc(eng.modelRecs, func(s int32) bool { return eng.recs.configOf(s).Equal(next) })
 				for s := range eng.blocks {
 					blk := &eng.blocks[s]
 					n, capacity := blockStorage(&blk.Block)

@@ -34,6 +34,7 @@ import (
 
 	"satori/internal/control"
 	"satori/internal/harness"
+	"satori/internal/policy"
 	"satori/internal/rdt"
 	"satori/internal/sim"
 	"satori/internal/stats"
@@ -85,6 +86,10 @@ type Options struct {
 	// platform, so an opaque decorator (no Unwrap) costs only the oracle
 	// policies, which cannot reach the simulator through it.
 	WrapPlatform func(node int, p rdt.Platform) rdt.Platform
+	// WrapPolicy, when non-nil, wraps each policy a node's loop builds (at
+	// boot and at every membership change), as WrapPlatform wraps its
+	// platform.
+	WrapPolicy func(node int, p policy.Policy) policy.Policy
 }
 
 // node is one machine of the fleet: a control loop (nil while idle) plus
@@ -517,6 +522,16 @@ func (n *node) admit(job *Job, now float64, opt Options) error {
 		build, _, err := harness.ResolvePolicy(opt.Policy, seed, 0)
 		if err != nil {
 			return err
+		}
+		if wrap := opt.WrapPolicy; wrap != nil {
+			inner := build
+			build = func(p rdt.Platform) (policy.Policy, error) {
+				pol, err := inner(p)
+				if err != nil {
+					return nil, err
+				}
+				return wrap(n.id, pol), nil
+			}
 		}
 		simulator, err := sim.New(n.machine, []*sim.Profile{job.Profile}, sim.Options{Seed: seed})
 		if err != nil {

@@ -53,6 +53,8 @@ const (
 	wide        = "TestEngineMatchesRefitOracleOnWideSimulator"
 	ceilings    = "TestSigmaCeilingBoundsPosterior"
 	retention   = "TestBlocksKeepKStarOnlyForAWindowDecision"
+	pointers    = "TestRecordsMatchPointerStore"
+	sorted      = "TestRecordsMatchSortedOracle"
 )
 
 // A mutant is one row: in file, the text old, which must occur exactly once,
@@ -210,8 +212,8 @@ var mutants = []mutant{
 	},
 	{
 		file:     "internal/core/engine.go",
-		old:      "return gp.Walks{Base: t.incumbent.row, Moved: moved}",
-		new:      "return gp.Walks{Base: t.top[t.topN-1].row, Moved: moved}", // walks scored from the wrong base row
+		old:      "return gp.Walks{Base: int(e.recs.recs[t.incumbent].row), Moved: moved}",
+		new:      "return gp.Walks{Base: int(e.recs.recs[t.top[t.topN-1].slot].row), Moved: moved}", // walks scored from the wrong base row
 		shortcut: walkUpdate,
 		tests:    []string{wide},
 	},
@@ -328,6 +330,34 @@ var mutants = []mutant{
 		new:      "for d := p.dim - 1; d > 1 && w0 < w1; d-- { // coordinate 1 left behind too",
 		shortcut: residentState,
 		tests:    []string{"TestPoolMatchesEagerNeighbours", "TestPointsGrowKeepsThePoints"},
+	},
+	{
+		file:     "internal/core/records.go",
+		old:      "r.recs[slot] = record{row: -1, hash: hash(cfg), stamp: r.recs[slot].stamp + 1}",
+		new:      "r.recs[slot] = record{row: -1, hash: hash(cfg), stamp: max(r.recs[slot].stamp, 1)} // a reused slot keeps its old stamp",
+		shortcut: residentState,
+		tests:    []string{pointers},
+	},
+	{
+		file:     "internal/core/records.go",
+		old:      "return string(r.appendKey(ka[:0], a)) < string(r.appendKey(kb[:0], b))",
+		new:      "return string(r.appendKey(ka[:0], a)) > string(r.appendKey(kb[:0], b)) // the tick-tie key order inverted",
+		shortcut: residentState,
+		tests:    []string{pointers, sorted, "TestRecordsEviction"},
+	},
+	{
+		file:     "internal/core/records.go",
+		old:      "for at > 0 && r.recs[r.order[at-1]].lastTick == r.recs[r.order[at]].lastTick {",
+		new:      "for at > len(r.order) && r.recs[r.order[at-1]].lastTick == r.recs[r.order[at]].lastTick { // the tail itself evicted, not its tie group's newest member",
+		shortcut: residentState,
+		tests:    []string{pointers, sorted, "TestRecordsEviction"},
+	},
+	{
+		file:     "internal/core/records.go",
+		old:      "if home := int(r.recs[r.index[j]-1].hash) & mask; (j-home)&mask >= (j-i)&mask {",
+		new:      "if home := int(r.recs[r.index[j]-1].hash) & mask; (j-home)&mask > (j-i)&mask { // an entry homed at the hole left behind",
+		shortcut: residentState,
+		tests:    []string{pointers},
 	},
 }
 

@@ -165,9 +165,12 @@ type PredictScratch struct {
 	kmat  []float64
 	panel []float64
 	zeros []float64
-	// post holds a caller's posterior over its pool (PoolPosterior), which
-	// no call of this package writes.
-	post []float64
+	// post holds a caller's posterior over its pool (PoolPosterior), and in
+	// a caller's model inputs (Inputs), rows cut from inData. No call of
+	// this package writes either.
+	post   []float64
+	in     [][]float64
+	inData []float64
 	// spares holds the storage of blocks handed back (Recycle), for the
 	// block fills that need more than their own (blockData).
 	spares [maxSpares][]float64
@@ -221,6 +224,19 @@ func (s *PredictScratch) Release() {
 func (s *PredictScratch) PoolPosterior(n int) (mu, sigma []float64) {
 	s.post = grow(s.post, 2*n)
 	return s.post[:n:n], s.post[n : 2*n : 2*n]
+}
+
+// Inputs returns n rows of dim floats for a caller's model inputs, the xs
+// of a Reset or the x of an Append, which copy them: a model keeps no
+// caller's row, so the caller need not keep one either. Nothing writes them
+// but the caller.
+func (s *PredictScratch) Inputs(n, dim int) [][]float64 {
+	s.inData = grow(s.inData, n*dim)
+	s.in = s.in[:0]
+	for i := range n {
+		s.in = append(s.in, s.inData[i*dim:(i+1)*dim:(i+1)*dim])
+	}
+	return s.in
 }
 
 // maxSpares is how many block buffers a scratch keeps: a tick fills at most

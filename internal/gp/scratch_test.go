@@ -73,7 +73,8 @@ func newScratchCases(t *testing.T) []*scratchCase {
 // TestSharedScratchMatchesAFreshOne: scratches off the shared free list,
 // used by four goroutines at once, each lent scratch last sized and
 // written by a model of another size and dimension and then scribbled with
-// NaN (all but zeros, which must stay zero; its spare block buffers too),
+// NaN (all but zeros, which must stay zero; its spare block buffers and
+// caller inputs too),
 // score every path of gp to the bits a fresh scratch scores it to: so no
 // call reads what it did not write, and no two goroutines hold one scratch.
 // The rounds must have filled blocks into spares.
@@ -91,7 +92,7 @@ func TestSharedScratchMatchesAFreshOne(t *testing.T) {
 			for r := range rounds {
 				c := cases[rng.Intn(len(cases))]
 				s := TakeScratch()
-				for _, buf := range append([][]float64{s.kmat, s.panel, s.post, s.Points.Data}, s.spares[:]...) {
+				for _, buf := range append([][]float64{s.kmat, s.panel, s.post, s.inData, s.Points.Data}, s.spares[:]...) {
 					buf = buf[:cap(buf)]
 					for i := range buf {
 						buf[i] = math.NaN()

@@ -58,7 +58,9 @@ type Policy interface {
 	// the observation for the interval that just ended and the
 	// configuration that produced it. Implementations must return a
 	// valid configuration for their space; returning current unchanged
-	// is always allowed.
+	// is always allowed. The returned configuration is valid until the
+	// next Decide call, which may reuse its storage: a caller that keeps
+	// it longer must copy it.
 	Decide(obs Observation, current resource.Config) resource.Config
 }
 

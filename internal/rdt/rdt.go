@@ -18,6 +18,7 @@ package rdt
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"satori/internal/resource"
@@ -49,7 +50,8 @@ type Plan struct {
 // Compile translates a validated configuration into hardware settings.
 // Cores and LLC ways are handed out contiguously in job order, matching
 // how CAT requires contiguous way masks and how affinity is set in
-// practice to preserve locality.
+// practice to preserve locality. The jobs' CPU sets are cut from one
+// backing array, each without capacity past its end.
 func Compile(space *resource.Space, c resource.Config) (Plan, error) {
 	if err := space.Validate(c); err != nil {
 		return Plan{}, fmt.Errorf("rdt: cannot compile invalid config: %w", err)
@@ -64,15 +66,20 @@ func Compile(space *resource.Space, c resource.Config) (Plan, error) {
 	}
 	iCores, iWays, iBW, iPower := idx(resource.Cores), idx(resource.LLCWays), idx(resource.MemBW), idx(resource.Power)
 	plan := Plan{Jobs: make([]JobAllocation, space.Jobs)}
+	var cpus []int
+	if iCores >= 0 {
+		cpus = make([]int, space.Resources[iCores].Units)
+		for i := range cpus {
+			cpus[i] = i
+		}
+	}
 	coreCursor, wayCursor := 0, 0
 	for j := 0; j < space.Jobs; j++ {
 		ja := JobAllocation{Job: j}
 		if iCores >= 0 {
 			n := c.Alloc[iCores][j]
-			for i := 0; i < n; i++ {
-				ja.CPUSet = append(ja.CPUSet, coreCursor)
-				coreCursor++
-			}
+			ja.CPUSet = cpus[coreCursor : coreCursor+n : coreCursor+n]
+			coreCursor += n
 		}
 		if iWays >= 0 {
 			n := c.Alloc[iWays][j]
@@ -111,16 +118,32 @@ func (p Plan) String() string {
 
 // Validate checks the hardware invariants: disjoint CPU sets, disjoint
 // contiguous CAT masks, and MBA percents that are positive multiples of
-// the platform step.
+// the platform step. The CPUs seen are kept in a bitset from the lowest
+// CPU listed to the highest: on the stack when they span at most 256, else
+// in one slice. A plan whose CPU ids span more than maxCPUSpan is refused
+// before anything else is checked.
 func (p Plan) Validate() error {
-	seenCPU := map[int]bool{}
+	lo, hi := math.MaxInt, math.MinInt
+	for _, j := range p.Jobs {
+		for _, cpu := range j.CPUSet {
+			lo, hi = min(lo, cpu), max(hi, cpu)
+		}
+	}
+	var small [4]uint64
+	seen := small[:]
+	if span := uint64(hi) - uint64(lo); hi >= lo && span >= maxCPUSpan {
+		return fmt.Errorf("rdt: cpu ids %d to %d span more than %d", lo, hi, maxCPUSpan)
+	} else if hi >= lo && span/64 >= uint64(len(small)) {
+		seen = make([]uint64, span/64+1)
+	}
 	var maskUnion uint64
 	for _, j := range p.Jobs {
 		for _, cpu := range j.CPUSet {
-			if seenCPU[cpu] {
+			at := uint64(cpu) - uint64(lo)
+			if seen[at/64]&(1<<(at%64)) != 0 {
 				return fmt.Errorf("rdt: cpu %d assigned to multiple jobs", cpu)
 			}
-			seenCPU[cpu] = true
+			seen[at/64] |= 1 << (at % 64)
 		}
 		if j.CATMask == 0 {
 			return fmt.Errorf("rdt: job %d has empty CAT mask", j.Job)
@@ -138,6 +161,10 @@ func (p Plan) Validate() error {
 	}
 	return nil
 }
+
+// maxCPUSpan bounds the CPU ids one plan may span, lowest to highest, and
+// with it the bitset Validate keeps them in (128 KB).
+const maxCPUSpan = 1 << 20
 
 // contiguous reports whether the set bits of m form one run.
 func contiguous(m uint64) bool {
