@@ -46,6 +46,13 @@ func run(args []string, stdin io.Reader, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 {
+		// The flags take no arguments: this is a flag given without its
+		// value, which swallowed the next flag.
+		fmt.Fprintf(stderr, "unexpected argument %q\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
 
 	metrics, err := parse(bufio.NewScanner(stdin))
 	if err == nil && len(metrics) == 0 {

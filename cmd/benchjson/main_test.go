@@ -45,3 +45,14 @@ func TestGates(t *testing.T) {
 		}
 	}
 }
+
+// TestPositionalArgumentsRefused: the flags take no arguments, so one on
+// the command line is a flag given without its value, which swallowed the
+// next flag: `-min-ratio A/B=4 stray` exits 2 naming it, not 1 on the gate.
+func TestPositionalArgumentsRefused(t *testing.T) {
+	const input = "BenchmarkA-2 10 300 ns/op\nBenchmarkB-2 10 100 ns/op\n"
+	var stderr strings.Builder
+	if code := run([]string{"-min-ratio", "A/B=4", "stray"}, strings.NewReader(input), &stderr); code != 2 || !strings.Contains(stderr.String(), `unexpected argument "stray"`) {
+		t.Errorf("a stray argument: exit %d, want 2; stderr:\n%s", code, stderr.String())
+	}
+}

@@ -35,6 +35,11 @@ func main() {
 	csvDir := flag.String("csv", "", "also write each experiment's tables as CSV files into this directory")
 	parallel := flag.Int("parallel", 0, "worker pool size for independent runs (0 = one per CPU, 1 = serial)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(flag.CommandLine.Output(), "unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range harness.Experiments() {

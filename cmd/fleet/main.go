@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -33,6 +34,11 @@ import (
 
 func main() {
 	opt, ticks, csvPath, err := options(flag.CommandLine, os.Args[1:])
+	if errors.Is(err, errArgs) {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,6 +104,9 @@ func options(fs *flag.FlagSet, args []string) (fleet.Options, int, string, error
 	if err := fs.Parse(args); err != nil {
 		return fleet.Options{}, 0, "", err
 	}
+	if fs.NArg() > 0 {
+		return fleet.Options{}, 0, "", fmt.Errorf("%w %q", errArgs, fs.Arg(0))
+	}
 
 	switch {
 	case !positive(opt.Stream.ArrivalRate):
@@ -120,6 +129,11 @@ func options(fs *flag.FlagSet, args []string) (fleet.Options, int, string, error
 	}
 	return opt, ticks, *csvPath, nil
 }
+
+// errArgs is a positional argument on the command line: the flags take
+// none, so one is a flag given without its value, which swallowed the next
+// flag. main exits 2 on it, as the flag package does on a flag it refuses.
+var errArgs = errors.New("unexpected argument")
 
 // positive reports whether x is a finite number above zero (NaN is not).
 func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"os"
 	"strings"
 	"testing"
 )
@@ -60,5 +62,22 @@ func TestFlagsReachOptions(t *testing.T) {
 		opt.Placer != "round-robin" || opt.Seed != 1 || opt.Shards != 1 || opt.MaxJobsPerNode != 5 ||
 		opt.Workers != 0 || opt.EventDriven || ticks != 600 || csv != "" || len(opt.Stream.Profiles) != 7 {
 		t.Errorf("defaults = %+v, %d ticks, csv %q", opt, ticks, csv)
+	}
+}
+
+// TestPositionalArgumentsRefused: the flags take no arguments, so one on
+// the command line is a flag given without its value, which swallowed the
+// next flag. `-csv -workers 4` used to write the trace to a file named
+// -workers and run at the default worker count, with no error. Such a
+// command line is refused before anything runs, and no file is written.
+func TestPositionalArgumentsRefused(t *testing.T) {
+	t.Chdir(t.TempDir())
+	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
+	_, _, _, err := options(fs, strings.Fields("-nodes 24 -shards 4 -event-driven -csv -workers 4"))
+	if !errors.Is(err, errArgs) || !strings.Contains(err.Error(), `"4"`) {
+		t.Fatalf("a stray argument: %v, want it refused by name", err)
+	}
+	if entries, err := os.ReadDir("."); err != nil || len(entries) != 0 {
+		t.Fatalf("the refused command line left %d files (%v)", len(entries), err)
 	}
 }

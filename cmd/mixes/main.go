@@ -21,6 +21,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,10 +34,21 @@ import (
 )
 
 func main() {
-	if err := run(os.Stdout, flag.CommandLine, os.Args[1:]); err != nil {
+	err := run(os.Stdout, flag.CommandLine, os.Args[1:])
+	if errors.Is(err, errArgs) {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 }
+
+// errArgs is a positional argument on the command line: the flags take
+// none, so one is a flag given without its value, which swallowed the next
+// flag. main exits 2 on it, as the flag package does on a flag it refuses.
+var errArgs = errors.New("unexpected argument")
 
 // run parses args on fs and writes what they ask for to w.
 func run(w io.Writer, fs *flag.FlagSet, args []string) error {
@@ -50,6 +62,9 @@ func run(w io.Writer, fs *flag.FlagSet, args []string) error {
 	jsonOut := fs.Bool("json", false, "write the -lc-frac mixes' or the -suite's profiles as a -profiles JSON file")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("%w %q", errArgs, fs.Arg(0))
 	}
 
 	switch {

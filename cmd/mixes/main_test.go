@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"strings"
 	"testing"
@@ -63,5 +64,18 @@ func TestJSONNeedsASource(t *testing.T) {
 		if !strings.Contains(out, head) {
 			t.Errorf("listing lacks %q", head)
 		}
+	}
+}
+
+// TestPositionalArgumentsRefused: the flags take no arguments, so one on
+// the command line is a flag given without its value, which swallowed the
+// next flag; it is refused by name, and nothing is written.
+func TestPositionalArgumentsRefused(t *testing.T) {
+	out, err := runArgs("-suite", "parsec", "-json", "stray")
+	if !errors.Is(err, errArgs) || !strings.Contains(err.Error(), `"stray"`) {
+		t.Errorf("a stray argument: %v, want it refused by name", err)
+	}
+	if out != "" {
+		t.Errorf("a stray argument: refused, yet wrote %q", out)
 	}
 }

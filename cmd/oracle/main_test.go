@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"strings"
 	"testing"
@@ -61,5 +62,18 @@ func TestDefaultJobSet(t *testing.T) {
 		if got != want || !strings.HasPrefix(got, "space: ") {
 			t.Errorf("%v printed\n%s\n%v printed\n%s", c.bare, got, c.explicit, want)
 		}
+	}
+}
+
+// TestPositionalArgumentsRefused: the flags take no arguments, so one on
+// the command line is a flag given without its value, which swallowed the
+// next flag; it is refused by name before the search runs.
+func TestPositionalArgumentsRefused(t *testing.T) {
+	out, err := runArgs("-suite", "parsec", "-mix", "0", "stray")
+	if !errors.Is(err, errArgs) || !strings.Contains(err.Error(), `"stray"`) {
+		t.Errorf("a stray argument: %v, want it refused by name", err)
+	}
+	if out != "" {
+		t.Errorf("a stray argument: refused, yet printed %q", out)
 	}
 }

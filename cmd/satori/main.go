@@ -40,6 +40,11 @@ func main() {
 	seconds := flag.Float64("seconds", 60, "run length in simulated seconds")
 	csvPath := flag.String("csv", "", "write the per-tick trace to this CSV file")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(flag.CommandLine.Output(), "unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	ticks, err := stack.Ticks("seconds", *seconds)
 	if err != nil {

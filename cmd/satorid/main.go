@@ -47,6 +47,11 @@ func main() {
 	maxTicks := flag.Int("max-ticks", 0, "stop after this many ticks (0 = run until signaled)")
 	sloUnhealthy := flag.Int("slo-unhealthy-after", 0, "report 503 on /healthz after a sustained SLO violation of this many ticks (0 = off)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(flag.CommandLine.Output(), "unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	log.SetFlags(0)
 
 	srv, err := buildServer(spec, *tick, *maxTicks, *sloUnhealthy)

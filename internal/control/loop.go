@@ -292,12 +292,14 @@ func New(opt Options) (*Loop, error) {
 		rebuild:    rebuild,
 		tm:         opt.Throughput.Resolve(),
 		fm:         opt.Fairness.Resolve(),
-		current:    opt.Platform.Current(),
 		resetEvery: resetEvery,
 		pendReset:  true,
 		sampling:   opt.Sampling.fill(),
 		resil:      opt.Resilience.fill(),
 		sloOpt:     opt.SLO,
+	}
+	if l.current, err = l.readCurrent(); err != nil {
+		return nil, err
 	}
 	l.churn, _ = rdt.As[rdt.Churner](opt.Platform)
 	l.lc, _ = rdt.As[rdt.SLOProvider](opt.Platform)
@@ -538,7 +540,11 @@ func (l *Loop) decide(st *Status) error {
 		// l.current tracks the platform's installed configuration (both
 		// are updated only here and in the churn paths), so an unchanged
 		// decision needs no re-clone — the steady-state fast path.
-		l.current = l.platform.Current()
+		cur, err := l.readCurrent()
+		if err != nil {
+			return err
+		}
+		l.current = cur
 		st.Config = l.current
 	}
 	l.noteGoodTick()
@@ -729,7 +735,9 @@ func (l *Loop) Run(n int) (Status, error) {
 // when the measurement fails — the loop must describe the job set the
 // platform runs, or the next observation would be scored against
 // baselines of another length; commitBaselines marks them missing and
-// the error is returned for the caller to count.
+// the error is returned for the caller to count. A re-split partition the
+// space refuses is returned the same way, and the loop holds the space's
+// equal split in its place, so the next decision is made from a valid one.
 func (l *Loop) rebuildAfterChurn() error {
 	pol, err := l.rebuild()
 	if err != nil {
@@ -737,9 +745,31 @@ func (l *Loop) rebuildAfterChurn() error {
 	}
 	l.pol = pol
 	l.captureRegrouper() // the rebuilt policy starts its migration counter fresh
-	l.current = l.platform.Current()
+	cur, curErr := l.readCurrent()
+	if curErr != nil {
+		cur = l.platform.Space().EqualSplit()
+	}
+	l.current = cur
 	l.slo = newSLOTracker(l.lc, l.sloOpt)
-	return l.commitBaselines(l.measureIsolatedRetry())
+	if err := l.commitBaselines(l.measureIsolatedRetry()); err != nil {
+		return err
+	}
+	return curErr
+}
+
+// readCurrent reads the platform's installed configuration and checks it
+// against the platform's space. A platform is outside input — any caller
+// of satori.NewSessionOn can implement one — and the policy is handed the
+// configuration to decide from, so one holding a unit count outside the
+// space is refused here, named with the platform's type; the caller drops
+// the configuration returned with the error.
+func (l *Loop) readCurrent() (resource.Config, error) {
+	cur := l.platform.Current()
+	err := l.platform.Space().Validate(cur)
+	if err != nil {
+		err = fmt.Errorf("control: platform %T reports an invalid current configuration: %w", l.platform, err)
+	}
+	return cur, err
 }
 
 // captureRegrouper re-detects the policy's optional migration counter —

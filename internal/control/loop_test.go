@@ -2,8 +2,10 @@ package control
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
+	"satori/internal/core"
 	"satori/internal/policy"
 	"satori/internal/rdt"
 	"satori/internal/resource"
@@ -246,5 +248,65 @@ func TestLoopChurnUnsupported(t *testing.T) {
 	}
 	if _, err := loop.Step(); err != nil {
 		t.Errorf("loop unusable after refused churn: %v", err)
+	}
+}
+
+// scribblingPlatform wraps a SimPlatform and, while units is not 0,
+// reports a current configuration whose first job holds units units of
+// the first resource: a platform outside the loop's control that reports
+// nonsense.
+type scribblingPlatform struct {
+	*rdt.SimPlatform
+	units int
+}
+
+func (p *scribblingPlatform) Current() resource.Config {
+	c := p.SimPlatform.Current()
+	if p.units != 0 {
+		c = c.Clone()
+		c.Alloc[0][0] = p.units
+	}
+	return c
+}
+
+// TestLoopRefusesAnInvalidCurrentConfiguration: a platform whose current
+// configuration holds a unit count outside [1, Units] — −1, then Units+1 —
+// is refused with an error that names it, by New when it reports one from
+// the start and by Step when it reports one after an Apply, and the
+// SATORI engine behind the loop, which indexes by those units, is never
+// handed it.
+func TestLoopRefusesAnInvalidCurrentConfiguration(t *testing.T) {
+	simulator, err := sim.New(sim.DefaultMachine(), workloads.PARSEC()[:3], sim.Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := rdt.NewSimPlatform(simulator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := func(p rdt.Platform) (policy.Policy, error) { return core.New(p.Space(), core.Options{Seed: 1}) }
+	for _, units := range []int{-1, sp.Space().Resources[0].Units + 1} {
+		p := &scribblingPlatform{SimPlatform: sp, units: units}
+		if _, err := New(Options{Platform: p, Policy: engine}); err == nil || !strings.Contains(err.Error(), "scribblingPlatform") {
+			t.Fatalf("units %d: New returned %v, want an error naming the platform", units, err)
+		}
+		p.units = 0
+		loop, err := New(Options{Platform: p, Policy: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.units = units
+		for tick := 1; ; tick++ {
+			_, err := loop.Step()
+			if err != nil {
+				if !strings.Contains(err.Error(), "scribblingPlatform") {
+					t.Fatalf("units %d tick %d: Step returned %v, want an error naming the platform", units, tick, err)
+				}
+				break
+			}
+			if tick == 20 {
+				t.Fatalf("units %d: 20 steps over a platform reporting an invalid configuration returned no error", units)
+			}
+		}
 	}
 }

@@ -159,7 +159,11 @@ func (l *Loop) noteFailedTick() bool {
 	if l.safeInstalled || l.applyRetry(l.platform.Space().EqualSplit()) != nil {
 		return false
 	}
-	l.current = l.platform.Current()
+	cur, err := l.readCurrent()
+	if err != nil {
+		return false // the platform does not confirm the safe configuration
+	}
+	l.current = cur
 	l.safeInstalled = true
 	l.resetStability()
 	return true

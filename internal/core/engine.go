@@ -130,7 +130,7 @@ type Engine struct {
 	// Diagnostics, each written by exactly one stage of Decide; the
 	// counters are Stats' fields of the same names. They are fields, not a
 	// Stats value, so the struct that every engine pays for, forced ones
-	// included, stays in its 1 024-byte size class.
+	// included, stays in its 768-byte size class.
 	lastWeights   Weights // scheduleWeights
 	lastObj       float64 // scheduleWeights
 	forcedTicks   int     // forced
@@ -141,6 +141,8 @@ type Engine struct {
 	sweep         int     // trackProxyChange: sweeps run so far
 	proxyChange   float64 // trackProxyChange
 	blockHits     int     // scorePool
+	blockRevivals int     // scorePool: blocks re-scored from their tail, K* handed back
+	blockRefills  int     // scorePool: of those, blocks whose K* was refilled
 	blockMisses   int     // scorePool
 	blocksOut     int     // scorePool: BlocksRuledOut, blocks ruled out by their ceiling
 	freshSkips    int     // scorePool: ticks whose fresh panel was not solved
@@ -175,46 +177,30 @@ type Engine struct {
 	// points and the pool's posterior — is not among them: a tick borrows it
 	// (tick.scratch), so an engine between ticks holds none.
 	rowBuf []float64 // goals or targets per model row (syncModel), then means (trackProxyChange); then a missed block's move tables (neighborMoves) or a neighbourhood's base point (neighborPoints)
-	// One scored neighborhood per top-configuration slot (scorePool), and
-	// the shadows of blocks whose records left the slots (revive), allocated
-	// by the first block that misses its slot. A block keeps its K* only
-	// for a tick that can read it (recycleBlocks).
-	blocks  [3]neighborBlock
-	shadows *shadowRing
+	// The scored neighbourhoods, blockSlots of them keyed by record, most
+	// recently met first (blockFor), allocated by the first scored tick. A
+	// block keeps its K* only for a tick that can read it (keepBlocks).
+	blocks []neighborBlock
 }
 
 // neighborBlock is the scored one-unit neighborhood of a recorded
 // configuration. The neighborhood is a function of the record's (fixed)
-// configuration, so while a slot keeps its record the block's kernel-only
-// part is reusable for as long as the model says so. The slot holds the
-// record's ref — its store slot and birth stamp, not its key or window
-// position — so a configuration evicted and recorded again, or another
-// born in its store slot, can never be mistaken for it.
+// configuration, so while the block keeps its record its kernel-only part
+// is reusable for as long as the model says so. It is keyed by the record's
+// ref — its store slot and birth stamp, not its key or window position — so
+// a configuration evicted and recorded again, or another born in its store
+// slot, can never be mistaken for it.
 type neighborBlock struct {
 	rec ref
 	gp.Block
 }
 
-// A block outlives its record's turn in the top configurations. When a slot
-// takes another record while its block is current, the block's shadow — its
-// σ and projections, not K* (gp.ShadowBlock) — is kept in a ring of
-// shadowSlots, keyed by the record as the slots are. A record that comes
-// back while the model's kernel epoch stands is re-scored from its shadow
-// without a triangular solve (revive); a new epoch empties the ring.
-const shadowSlots = 8
-
-// shadowRing holds the shadows, each owned by recs[i] (the zero ref: free),
-// written into a free entry or, when none is, round robin from next; epoch
-// is the kernel epoch they were kept under, as the model's Refits +
-// Extends. It also counts the blocks revived from them.
-type shadowRing struct {
-	recs     [shadowSlots]ref
-	blks     [shadowSlots]gp.Block
-	next     int
-	epoch    int
-	revivals int // scorePool: blocks re-scored from a shadow
-	refills  int // revive: of those, blocks whose K* was refilled
-}
+// A block outlives its record's turn in the top configurations: the store
+// holds one block per top configuration and blockSlots − 3 more, of records
+// that left the top. A record that comes back while the model's kernel
+// epoch stands is re-scored from its block's tail without a triangular
+// solve (gp.ReviveMovedBlockInto).
+const blockSlots = 3 + 8
 
 // tick is the state one Decide call threads through its stages.
 type tick struct {
@@ -429,18 +415,23 @@ func (e *Engine) isRow(slot int32) bool {
 }
 
 // keepBlocks readies the blocks for the ticks between this one and the
-// next. When the decision keeps the kernel epoch (inWindow), they keep K*,
-// each in storage at most twice its size (gp.PredictScratch.Trim); else
-// every block's storage goes to s (gp.PredictScratch.Recycle), so that no
-// block keeps K* that no later tick reads. A block left empty keeps its
+// next. When the decision keeps the kernel epoch (inWindow), the top
+// records' blocks keep K*, each part in storage at most twice its size
+// (gp.PredictScratch.Trim), and the others hand K* to s and keep their
+// tails (Shed); scorePool met the top records' blocks last, so they lead
+// the store. Else every block's storage goes to s (Recycle), so that no
+// block keeps what no later tick reads. A block left empty keeps its
 // record, and the next tick that meets it fills it afresh, to the bits a
 // re-score would give.
 func (e *Engine) keepBlocks(s *gp.PredictScratch, keep bool) {
 	for i := range e.blocks {
-		if keep {
-			s.Trim(&e.blocks[i].Block)
-		} else {
-			s.Recycle(&e.blocks[i].Block)
+		switch blk := &e.blocks[i].Block; {
+		case !keep:
+			s.Recycle(blk)
+		case i < e.poolTopN:
+			s.Trim(blk)
+		default:
+			s.Shed(blk)
 		}
 	}
 }
@@ -861,16 +852,16 @@ func (e *Engine) neighborMoves(slot int32) gp.Moves {
 // tick's scratch. The random and random-walk candidates are new every tick
 // and scored from scratch.
 // The neighborhood of poolTop[i] — pool entries up to poolEnd[i] — depends
-// on that record alone, so its block survives in the slot that last scored
-// the record, and the model re-scores it (means only) until a refit or
-// append outdates the block. A block that misses its slot is revived from
-// its record's shadow when the epoch it was filled under stands, and
-// otherwise filled from its moves: the record is a window row, so its
+// on that record alone, so its block is kept under the record, and the
+// model re-scores it (means only) until a refit or append outdates the
+// block. A block that kept K* is re-scored from it; one that handed it back
+// is revived from its tail while the epoch it was filled under stands. Any
+// other is filled from its moves: the record is a window row, so its
 // neighbors' distances to the window are the model's stored ones plus the
 // two coordinates each move changes.
 //
-// The blocks are scored, and their argmax taken, first. Under EI a block
-// that keeps its slot and whose projections cover the goal basis is first
+// The blocks are scored, and their argmax taken, first. Under EI a kept
+// block that is current and whose projections cover the goal basis is first
 // bounded as a whole (gp.BlockCeiling): when EI's ceiling at the bound is
 // below the exploit threshold, no point of it can change the decision, and
 // it is ruled out unscored — its slots hold whatever the scratch held
@@ -889,8 +880,8 @@ func (e *Engine) scorePool(t *tick, walks gp.Walks) {
 	e.ruledOut = 0
 	for i, rec := range top {
 		hi := e.poolEnd[i]
-		blk := e.blockFor(rec, top)
-		if isEI && blk.rec == rec && hi > lo {
+		blk, kept := e.blockFor(rec, top)
+		if isEI && kept && hi > lo {
 			if m, s, ok := e.model.BlockCeiling(&blk.Block, hi-lo); ok && ei.Ceiling(m, s, t.best) < e.exploitBelow {
 				e.ruledOut |= 1 << i
 				e.blocksOut++
@@ -900,10 +891,10 @@ func (e *Engine) scorePool(t *tick, walks gp.Walks) {
 			}
 		}
 		switch {
-		case blk.rec == rec && e.model.RepredictBlockInto(&blk.Block, mu[lo:hi], sigma[lo:hi]):
+		case kept && e.model.RepredictBlockInto(&blk.Block, mu[lo:hi], sigma[lo:hi]):
 			e.blockHits++
-		case e.revive(sc, blk, rec, mu[lo:hi], sigma[lo:hi]):
-			e.shadows.revivals++
+		case kept && e.revive(sc, blk, mu[lo:hi], sigma[lo:hi]):
+			e.blockRevivals++
 		default:
 			e.blockMisses++
 			mv := e.neighborMoves(rec.slot)
@@ -989,65 +980,42 @@ func (e *Engine) freshCanWin(t *tick) bool {
 	return false
 }
 
-// revive hands blk to rec and re-scores rec's neighborhood into mu and sigma
-// without a triangular solve, from σ kept under the model's current epoch,
-// and reports whether it could. When blk held another record, that record's
-// block is shadowed first if it is current, and rec's shadow, if any, is
-// taken off the ring; when blk already held rec, it is itself a shadow whose
-// projections no longer cover the basis. Either way the shadow's epoch must
-// be the model's (gp.ReviveMovedBlockInto), and a revived block whose
-// projections fall short has its K* refilled from its moves.
-func (e *Engine) revive(sc *gp.PredictScratch, blk *neighborBlock, rec ref, mu, sigma []float64) bool {
-	if e.shadows == nil {
-		e.shadows = new(shadowRing)
-	}
-	ring, sh := e.shadows, &blk.Block
-	if st := e.model.Stats(); st.Refits+st.Extends != ring.epoch {
-		ring.recs, ring.epoch = [shadowSlots]ref{}, st.Refits+st.Extends
-	}
-	if blk.rec != rec {
-		i := slices.Index(ring.recs[:], rec)
-		if at := slices.Index(ring.recs[:], ref{}); blk.rec != (ref{}) {
-			if at < 0 {
-				at = ring.next
-				if at == i {
-					at = (at + 1) % shadowSlots // never over the shadow about to be read
-				}
-				ring.next = (at + 1) % shadowSlots
-			}
-			if e.model.ShadowBlock(&ring.blks[at], &blk.Block) {
-				ring.recs[at] = blk.rec
-			}
-		}
-		blk.rec = rec
-		if i < 0 {
-			return false
-		}
-		ring.recs[i], sh = ref{}, &ring.blks[i]
-	}
-	mv := e.neighborMoves(rec.slot)
-	ok, refilled := e.model.ReviveMovedBlockInto(sc, &blk.Block, sh, mu, sigma, &mv)
+// revive re-scores blk's neighborhood into mu and sigma from its tail,
+// without a triangular solve, and reports whether it could: not when the
+// block was filled under another kernel epoch (gp.ReviveMovedBlockInto). A
+// revived block whose projections fall short of the basis has its K*
+// refilled from its moves.
+func (e *Engine) revive(sc *gp.PredictScratch, blk *neighborBlock, mu, sigma []float64) bool {
+	mv := e.neighborMoves(blk.rec.slot)
+	ok, refilled := e.model.ReviveMovedBlockInto(sc, &blk.Block, mu, sigma, &mv)
 	if refilled {
-		ring.refills++
+		e.blockRefills++
 	}
 	return ok
 }
 
-// blockFor returns the slot holding rec's neighborhood block, or failing
-// that a slot whose record is not among this tick's top configurations
-// (there are as many slots as top configurations, so one always is).
-func (e *Engine) blockFor(rec ref, top []ref) *neighborBlock {
-	var free *neighborBlock
-	for i := range e.blocks {
-		blk := &e.blocks[i]
-		if blk.rec == rec {
-			return blk
-		}
-		if !slices.Contains(top, blk.rec) {
-			free = blk
+// blockFor moves rec's block to the front of the store and returns it, and
+// kept: whether it is the block rec had. When rec has none, the least
+// recently met block whose record is not among this tick's top
+// configurations is re-keyed to rec, its contents left for the fill to
+// overwrite (there are more blocks than top configurations, so one always
+// is). The store is allocated by the first call.
+func (e *Engine) blockFor(rec ref, top []ref) (blk *neighborBlock, kept bool) {
+	if e.blocks == nil {
+		e.blocks = make([]neighborBlock, blockSlots)
+	}
+	at := 0
+	for at < len(e.blocks) && e.blocks[at].rec != rec {
+		at++
+	}
+	if kept = at < len(e.blocks); !kept {
+		for at = len(e.blocks) - 1; slices.Contains(top, e.blocks[at].rec); at-- {
 		}
 	}
-	return free
+	moved := e.blocks[at]
+	copy(e.blocks[1:at+1], e.blocks[:at])
+	e.blocks[0], e.blocks[0].rec = moved, rec
+	return &e.blocks[0], kept
 }
 
 // walkSteps is how many one-unit moves a fresh walk tries.
@@ -1250,14 +1218,14 @@ type Stats struct {
 	// FitFailures counts model updates that failed (syncModel).
 	FitFailures int
 	// BlockHits, BlockRevivals and BlockMisses count the neighborhood
-	// blocks re-scored from their slot, re-scored from a shadow kept under
-	// the current kernel epoch without a solve, and filled afresh;
-	// BlocksRuledOut counts those left unscored in their slot because EI's
-	// ceiling over the whole block fell below the exploit threshold. Every
-	// block a tick meets is one of the four. BlockRefills counts the
-	// revivals whose K* had to be refilled from the moves first (their
-	// projections fell short of the goal basis). FreshSkips counts the ticks
-	// whose fresh panel was not solved (scorePool).
+	// blocks re-scored from the K* they kept, re-scored without a solve from
+	// a block without K* filled under the current kernel epoch, and filled
+	// afresh; BlocksRuledOut counts those left unscored because EI's ceiling
+	// over the whole block fell below the exploit threshold. Every block a
+	// tick meets is one of the four. BlockRefills counts the revivals whose
+	// K* had to be refilled from the moves first (their projections fell
+	// short of the goal basis). FreshSkips counts the ticks whose fresh
+	// panel was not solved (scorePool).
 	BlockHits, BlockRevivals, BlockRefills, BlockMisses, BlocksRuledOut, FreshSkips int
 	// The same, candidate by candidate: BlockCandidatesRuledOut counts the
 	// candidates of the blocks ruled out by their ceiling,
@@ -1282,12 +1250,9 @@ func (e *Engine) Stats() Stats {
 	s := Stats{
 		ForcedTicks: e.forcedTicks, SeedTicks: e.seedTicks, ModelTicks: e.modelTicks,
 		RecordHeadHits: e.recs.HeadHits(), AppendRefits: e.appendRefits, FitFailures: e.fitFailures,
-		BlockHits: e.blockHits, BlockMisses: e.blockMisses, BlocksRuledOut: e.blocksOut, FreshSkips: e.freshSkips, NarrowTicks: e.narrowTicks,
+		BlockHits: e.blockHits, BlockRevivals: e.blockRevivals, BlockRefills: e.blockRefills, BlockMisses: e.blockMisses, BlocksRuledOut: e.blocksOut, FreshSkips: e.freshSkips, NarrowTicks: e.narrowTicks,
 		BlockCandidatesRuledOut: e.blockCandsOut, FreshCandidatesRuledOut: e.freshCandsOut, CandidatesScored: e.candsScored,
 		Exploits: e.exploits, AcquisitionFailures: e.acqFailures,
-	}
-	if e.shadows != nil {
-		s.BlockRevivals, s.BlockRefills = e.shadows.revivals, e.shadows.refills
 	}
 	if e.model != nil {
 		gs := e.model.Stats()

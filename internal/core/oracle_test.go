@@ -203,7 +203,7 @@ func (o *refitOracle) check(s *gp.PredictScratch, tick int, current, next resour
 		engMu, engSigma = append(engMu, muBuf[i]), append(engSigma, sigmaBuf[i])
 	}
 	blocks := e.candCount - e.opt.Candidates // the pool's tail
-	o.bound(tick, mu[len(mu)-blocks:], sigma[len(sigma)-blocks:])
+	o.bound(tick, ref, mu[len(mu)-blocks:], sigma[len(sigma)-blocks:])
 	o.scored++
 	if skipped {
 		o.skipped++
@@ -262,8 +262,10 @@ func (o *refitOracle) check(s *gp.PredictScratch, tick int, current, next resour
 // refit: its ceiling (gp.BlockCeiling), which a later tick may rule the
 // block out by, must be at or above the refit's mean and σ at each of its
 // points. refMu and refSigma are the refit's posterior over the blocks'
-// pool indices, the pool past every fresh slot.
-func (o *refitOracle) bound(tick int, refMu, refSigma []float64) {
+// pool indices, the pool past every fresh slot; the store's blocks of
+// records outside the top, which a later tick that meets them may rule out
+// from their tails alone, are held to the refit at their neighbourhoods.
+func (o *refitOracle) bound(tick int, refit *gp.GP, refMu, refSigma []float64) {
 	o.t.Helper()
 	e := o.eng
 	lo := 0
@@ -287,6 +289,25 @@ func (o *refitOracle) bound(tick int, refMu, refSigma []float64) {
 			o.bounded++
 		}
 		lo = hi
+	}
+	for b := range e.blocks {
+		blk := &e.blocks[b]
+		if blk.rec == (ref{}) || slices.Contains(e.poolTop[:e.poolTopN], blk.rec) ||
+			int(blk.rec.slot) >= len(e.recs.recs) || e.recs.ref(blk.rec.slot) != blk.rec {
+			continue // no record's, a top record's (above), or its record evicted
+		}
+		nb := appendManagedNeighbors(e, nil, e.recs.configOf(blk.rec.slot))
+		m, sd, ok := e.model.BlockCeiling(&blk.Block, len(nb))
+		if !ok {
+			continue
+		}
+		for i, c := range nb {
+			if rm, rs := refit.Predict(e.space.Vector(c)); !(m >= rm-1e-9 && sd >= rs-1e-9) {
+				o.t.Fatalf("tick %d: the ceiling (%v, %v) of block %d, outside the top, lies below the refit (%v, %v) at neighbour %d (%s)",
+					tick, m, sd, b, rm, rs, i, c.Key())
+			}
+		}
+		o.bounded++
 	}
 }
 

@@ -114,18 +114,20 @@ func TestInterleavedEnginesShareTheScratch(t *testing.T) {
 	t.Logf("%d ticks of %d engines, %d of them model ticks that shared one scratch", ticks, len(drives), model)
 }
 
-// blockStorage returns the length and the capacity of b's storage: its K*
-// and tail, or a shadow's tail; 0 when b is empty.
-func blockStorage(b *gp.Block) (n, capacity int) {
-	data := reflect.ValueOf(b).Elem().FieldByName("data")
-	return data.Len(), data.Cap()
+// blockStorage returns the lengths and the capacities of b's K* and tail.
+func blockStorage(b *gp.Block) (kstar, tail [2]int) {
+	v := reflect.ValueOf(b).Elem()
+	k, tl := v.FieldByName("kstar"), v.FieldByName("tail")
+	return [2]int{k.Len(), k.Cap()}, [2]int{tl.Len(), tl.Cap()}
 }
 
 // TestBlocksKeepKStarOnlyForAWindowDecision: after every scored Decide, an
-// engine's neighbourhood blocks hold storage exactly when the decision is a
-// record of the model's window. Then every block of the tick's top records
-// holds it, at most twice what its data takes; after any other decision,
-// whose next tick moves the kernel epoch, no block holds any. The drives
+// engine's neighbourhood blocks hold storage only when the decision is a
+// record of the model's window. Then only the blocks of the tick's top
+// records may hold K*, each of them holding a tail and each part at most
+// twice what its data takes, and every other block holds a tail at most;
+// after any other decision, whose next tick moves the kernel epoch, no
+// block holds any. The drives
 // run under the refit oracle, in turn on one goroutine: five PARSEC jobs on
 // the simulator at window 64, whose blocks leave spares larger than twice
 // what the next engines' blocks take, then the synthetic landscape — EI at
@@ -149,7 +151,7 @@ func TestBlocksKeepKStarOnlyForAWindowDecision(t *testing.T) {
 			metrics.NormalizedFairness(metrics.DefaultFairness, s.IPS, isolated)
 	}
 	synthetic := newSyntheticEnv(0.01)
-	kept, recycled, stood := 0, 0, 0
+	kept, recycled, stood, shed := 0, 0, 0, 0
 	for i, run := range []struct {
 		space *resource.Space
 		eval  func(resource.Config) (throughput, fairness float64)
@@ -183,13 +185,17 @@ func TestBlocksKeepKStarOnlyForAWindowDecision(t *testing.T) {
 				inWindow := slices.ContainsFunc(eng.modelRecs, func(s int32) bool { return eng.recs.configOf(s).Equal(next) })
 				for s := range eng.blocks {
 					blk := &eng.blocks[s]
-					n, capacity := blockStorage(&blk.Block)
-					held := capacity > 0
-					if !inWindow && held || inWindow && !held && slices.Contains(eng.poolTop[:eng.poolTopN], blk.rec) {
-						t.Fatalf("run %d tick %d: decision in the window %v, block %d holds storage %v", i, tick, inWindow, s, held)
-					}
-					if capacity > 2*n {
-						t.Fatalf("run %d tick %d: block %d keeps %d floats for %d", i, tick, s, capacity, n)
+					kstar, tail := blockStorage(&blk.Block)
+					top := slices.Contains(eng.poolTop[:eng.poolTopN], blk.rec)
+					switch {
+					case !inWindow && kstar[1]+tail[1] > 0:
+						t.Fatalf("run %d tick %d: a decision outside the window left block %d %d floats of K* and %d of tail", i, tick, s, kstar[1], tail[1])
+					case inWindow && !top && kstar[1] > 0:
+						t.Fatalf("run %d tick %d: block %d, of a record outside the top, keeps %d floats of K*", i, tick, s, kstar[1])
+					case inWindow && top && (tail[0] == 0 || kstar[1] > 2*kstar[0] || tail[1] > 2*tail[0]):
+						t.Fatalf("run %d tick %d: top block %d keeps %d floats for %d of K* and %d for %d of tail", i, tick, s, kstar[1], kstar[0], tail[1], tail[0])
+					case inWindow && !top && tail[0] > 0:
+						shed++
 					}
 				}
 				if inWindow {
@@ -205,8 +211,39 @@ func TestBlocksKeepKStarOnlyForAWindowDecision(t *testing.T) {
 			emptied, current = false, next
 		}
 	}
-	if kept == 0 || recycled == 0 || stood == 0 {
-		t.Fatalf("%d decisions kept the blocks, %d emptied them, %d ticks met emptied blocks under a standing epoch: a case never ran", kept, recycled, stood)
+	if kept == 0 || recycled == 0 || stood == 0 || shed == 0 {
+		t.Fatalf("%d decisions kept the blocks, %d emptied them, %d ticks met emptied blocks under a standing epoch, %d blocks outside the top kept a tail alone: a case never ran", kept, recycled, stood, shed)
 	}
-	t.Logf("%d decisions kept the blocks, %d emptied them, %d ticks met emptied blocks under a standing epoch", kept, recycled, stood)
+	t.Logf("%d decisions kept the blocks, %d emptied them, %d ticks met emptied blocks under a standing epoch, %d blocks outside the top kept a tail alone", kept, recycled, stood, shed)
+}
+
+// TestBlockForNeverRekeysATopRecord: when a record of the tick's top has no
+// block, blockFor re-keys the least recently met block whose record is not
+// in the top, even when the least recently met blocks of all are the other
+// top records' — which their own turn in the tick then finds kept.
+func TestBlockForNeverRekeysATopRecord(t *testing.T) {
+	var e Engine
+	e.blocks = make([]neighborBlock, blockSlots)
+	for i := range e.blocks {
+		e.blocks[i].rec = ref{slot: int32(i), stamp: 1} // blocks[len−1] was met least recently
+	}
+	last := int32(blockSlots - 1)
+	top := []ref{{slot: 99, stamp: 1}, {slot: last, stamp: 1}, {slot: last - 1, stamp: 1}}
+	blk, kept := e.blockFor(top[0], top)
+	if kept || blk.rec != top[0] || &e.blocks[0] != blk {
+		t.Fatalf("a record without a block got %+v, kept %v", blk.rec, kept)
+	}
+	for _, rec := range []ref{top[1], top[2]} {
+		if !slices.ContainsFunc(e.blocks, func(b neighborBlock) bool { return b.rec == rec }) {
+			t.Fatalf("the block of top record %+v was re-keyed", rec)
+		}
+	}
+	if slices.ContainsFunc(e.blocks, func(b neighborBlock) bool { return b.rec.slot == last-2 }) {
+		t.Fatalf("the least recently met block outside the top, record %d, was not the one re-keyed", last-2)
+	}
+	for _, rec := range top[1:] {
+		if blk, kept := e.blockFor(rec, top); !kept || blk.rec != rec {
+			t.Fatalf("top record %+v did not find its block", rec)
+		}
+	}
 }

@@ -166,6 +166,14 @@ var gates = []gate{
 		bad:   goSrc(`type Engine struct { candidateCfg []resource.Config; postBuf []float64 }`),
 	},
 	{
+		// Blocks and their shadows were two stores: three slots and a ring
+		// the slots' tails were copied into and back out of.
+		name:  "Resident-state: one block store per engine; no shadow ring, no shadow copy",
+		files: files{paths: []string{"internal/..."}},
+		check: none("ident", `^(shadowRing|shadowSlots|ShadowBlock)$`),
+		bad:   goSrc(`type shadowRing struct{ blks [shadowSlots]gp.Block }`),
+	},
+	{
 		name:  "Resident-state: the Cholesky factor is packed, with no row stride",
 		files: files{paths: []string{"internal/linalg"}},
 		check: none("member", `^Cholesky\.stride `),

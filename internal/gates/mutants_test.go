@@ -15,7 +15,7 @@ import (
 
 // The mutation table judges the checks that judge the engine's shortcuts.
 // Each shortcut on the scoring path — the window's kept distances, the goal
-// basis, neighbourhood blocks (moved fills and shadows), draw-only skips,
+// basis, neighbourhood blocks (moved fills and revivals), draw-only skips,
 // narrowing, the block ceiling, walks filled from their moves, the batched
 // draws, the fresh panel's σ ceilings and the state a node keeps between
 // ticks — is held by two broad checks in internal/core: the refit oracle,
@@ -35,7 +35,7 @@ import (
 const (
 	windowDistances = "window distances"
 	goalBasis       = "goal basis"
-	blocks          = "neighbourhood blocks, moved fills and shadows"
+	blocks          = "neighbourhood blocks, moved fills and revivals"
 	drawSkips       = "draw-only skips"
 	narrowing       = "narrowing"
 	blockCeiling    = "block ceiling"
@@ -100,14 +100,13 @@ var mutants = []mutant{
 		old:      "if g == 1 || int(m.nlive)+nm == maxLive {",
 		new:      "if g == 1 || int(m.nlive)+nm == maxLive+1 {", // a third live row admitted
 		shortcut: goalBasis,
-		// It panics, which ends the test binary: the first test to meet a
-		// third live row is the one to name.
+		// It panics, at the first test to meet a third live row.
 		tests: []string{onSimulator},
 	},
 	{
 		file:     "internal/gp/batch.go",
-		old:      "if sh.epoch != m.epoch || len(tail) != tailLen(q) || len(sigma) != q {",
-		new:      "if len(tail) != tailLen(q) || len(sigma) != q {", // a shadow revived across epochs
+		old:      "if b.epoch != m.epoch || len(b.tail) != tailLen(q) || len(sigma) != q {",
+		new:      "if len(b.tail) != tailLen(q) || len(sigma) != q {", // a block without K* revived across epochs
 		shortcut: blocks,
 		tests:    []string{refitOracle, onSimulator, drives},
 	},
@@ -263,59 +262,87 @@ var mutants = []mutant{
 	},
 	{
 		file:     "internal/gp/gp.go",
-		old:      "b.epoch, b.data = 0, nil",
-		new:      "b.epoch = 0", // the recycled block keeps the buffer it handed on
+		old:      "b.epoch, b.kstar, b.tail = 0, nil, nil",
+		new:      "b.epoch = 0", // the recycled block keeps the buffers it handed on
 		shortcut: residentState,
 		tests:    []string{drives, retention},
 	},
 	{
 		file:     "internal/gp/gp.go",
-		old:      "b.epoch, b.data = 0, nil",
+		old:      "b.epoch, b.kstar, b.tail = 0, nil, nil",
 		new:      "_ = b // the recycled block keeps its epoch stamp and the storage it handed on",
 		shortcut: residentState,
 		tests:    []string{onSimulator, drives, retention},
 	},
 	{
+		file:     "internal/gp/gp.go",
+		old:      "b.epoch, b.kstar, b.tail = 0, nil, nil",
+		new:      "b.epoch, b.kstar = 0, nil // Recycle keeps the tail it handed on",
+		shortcut: residentState,
+		tests:    []string{retention, "TestShedHandsBackKStarAlone"},
+	},
+	{
+		file:     "internal/gp/gp.go",
+		old:      "\tb.kstar = nil\n",
+		new:      "\t_ = b // Shed keeps the K* it handed on\n",
+		shortcut: residentState,
+		tests:    []string{retention, "TestShedHandsBackKStarAlone"},
+	},
+	{
 		file:     "internal/core/engine.go",
-		old:      "s.Trim(&e.blocks[i].Block)",
+		old:      "s.Trim(blk)",
 		new:      "_ = s // a kept block never trimmed",
 		shortcut: residentState,
 		tests:    []string{retention},
 	},
 	{
+		file:     "internal/core/engine.go",
+		old:      "case i < e.poolTopN:",
+		new:      "case i <= e.poolTopN: // a block outside the top keeps K*",
+		shortcut: residentState,
+		tests:    []string{retention},
+	},
+	{
 		file:     "internal/gp/gp.go",
-		old:      "if cap(b.data) <= 2*len(b.data) {",
-		new:      "if true { // Trim trims nothing",
+		old:      "if cap(buf) <= 2*len(buf) {",
+		new:      "if true { // trim trims nothing",
 		shortcut: residentState,
 		tests:    []string{"TestTrimKeepsABlockNearItsSize"},
 	},
 	{
 		file:     "internal/gp/gp.go",
-		old:      "b.data = append([]float64(nil), old...)",
-		new:      "b.data = make([]float64, len(old)) // the trimmed block's data not copied",
+		old:      "kept := append([]float64(nil), buf...)",
+		new:      "kept := make([]float64, len(buf)) // the trimmed data not copied",
 		shortcut: residentState,
 		tests:    []string{onSimulator, "TestTrimKeepsABlockNearItsSize"},
 	},
 	{
 		file:     "internal/gp/gp.go",
-		old:      "\ts.spare(old)\n",
-		new:      "\t_ = old // the trimmed storage dropped\n",
+		old:      "\tsp.keep(buf)\n\treturn kept\n",
+		new:      "\t_ = buf // the trimmed storage dropped\n\treturn kept\n",
 		shortcut: residentState,
 		tests:    []string{"TestTrimKeepsABlockNearItsSize"},
 	},
 	{
 		file:     "internal/gp/gp.go",
-		old:      "if cap(buf) > cap(s.spares[at]) {",
-		new:      "if s.spares[at] == nil { // a buffer dropped once three are held",
+		old:      "if cap(buf) > cap(sp[at]) {",
+		new:      "if sp[at] == nil { // a buffer dropped once three are held",
 		shortcut: residentState,
 		tests:    []string{"TestSparesKeepTheLargest"},
 	},
 	{
 		file:     "internal/gp/gp.go",
-		old:      "clear(data[n*q:])",
-		new:      "_ = data[n*q:] // a lent spare's tail left as the last block wrote it",
+		old:      "b.kstar, b.tail = s.spares.take(b.kstar, n*q), s.tails.take(b.tail, tailLen(q))",
+		new:      "b.kstar, b.tail = s.spares.take(b.kstar, n*q), s.spares.take(b.tail, tailLen(q)) // a tail lent a K* spare",
 		shortcut: residentState,
 		tests:    []string{"TestSparesKeepTheLargest"},
+	},
+	{
+		file:     "internal/core/engine.go",
+		old:      "for at = len(e.blocks) - 1; slices.Contains(top, e.blocks[at].rec); at-- {",
+		new:      "for at = len(e.blocks) - 1; false; at-- { // a top record's block re-keyed",
+		shortcut: blocks,
+		tests:    []string{"TestBlockForNeverRekeysATopRecord"},
 	},
 	{
 		file:     "internal/core/engine.go",
@@ -396,11 +423,30 @@ func TestMutants(t *testing.T) {
 			if out, err := run(dir, "go", "build", "./..."); err != nil {
 				t.Fatalf("broken row: the mutant does not build: %v\n%s", err, out)
 			}
-			out, _ := run(dir, "go", "test", "-count=1", "-vet=off", "-timeout=10m", "-v",
-				"-run", "^("+strings.Join(m.tests, "|")+")$", "./internal/core", "./internal/gp", "./internal/stats", "./internal/resource")
-			failed := map[string]bool{}
-			for _, f := range failLine.FindAllStringSubmatch(out, -1) {
-				failed[f[1]] = true
+			out, failed := "", map[string]bool{}
+			for pending := m.tests; len(pending) > 0; {
+				o, _ := run(dir, "go", "test", "-count=1", "-vet=off", "-timeout=10m", "-v",
+					"-run", "^("+strings.Join(pending, "|")+")$", "./internal/core", "./internal/gp", "./internal/stats", "./internal/resource")
+				out += o
+				for _, f := range failLine.FindAllStringSubmatch(o, -1) {
+					failed[f[1]] = true
+				}
+				// A panic ends its test binary: the named tests it never
+				// started run again without the one that panicked.
+				started := map[string]bool{}
+				for _, r := range runLine.FindAllStringSubmatch(o, -1) {
+					started[r[1]] = true
+				}
+				var rest []string
+				for _, name := range pending {
+					if !started[name] && !failed[name] {
+						rest = append(rest, name)
+					}
+				}
+				if !strings.Contains(o, "panic:") || len(rest) == len(pending) {
+					break
+				}
+				pending = rest
 			}
 			var missed []string
 			for _, name := range m.tests {
@@ -416,8 +462,12 @@ func TestMutants(t *testing.T) {
 	}
 }
 
-// failLine is go test -v's line for a failed top-level test.
-var failLine = regexp.MustCompile(`(?m)^--- FAIL: (\w+) `)
+// failLine is go test -v's line for a failed top-level test, runLine the
+// one for a top-level test it starts.
+var (
+	failLine = regexp.MustCompile(`(?m)^--- FAIL: (\w+) `)
+	runLine  = regexp.MustCompile(`(?m)^=== RUN\s+(\w+)$`)
+)
 
 // diff counts the lines in which new differs from old, a line added or
 // removed counting as changed, and returns the first changed line of new.

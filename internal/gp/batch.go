@@ -341,48 +341,36 @@ func (m *Incremental) SigmaCeilingsInto(s *PredictScratch, sigma []float64, i in
 // basis vector the block has not seen in O(n). The zero value is an empty
 // block; a block belongs to one model and one fixed group of points.
 //
-// A block without its K* columns is a shadow (ShadowBlock): it still
-// re-scores its group while its projections cover the model's basis, and
-// otherwise needs K* refilled, which ReviveMovedBlockInto does without the
-// triangular solve.
+// A block whose K* columns were handed back (PredictScratch.Shed) keeps its
+// tail: it still re-scores its group while its projections cover the
+// model's basis, and otherwise needs K* refilled, which ReviveMovedBlockInto
+// does without the triangular solve.
 //
 // A block also keeps the extremes of what it stores — the largest σ and each
 // projection's least and greatest value — so that BlockCeiling can bound
 // every mean and σ the group would re-score to without writing any of them.
 type Block struct {
 	epoch uint64 // the model's kernel epoch at the last fill; 0 = never filled
-	// data holds the group's n×q K* columns, unless the block is a shadow,
-	// then its tail: the q standard deviations, the nproj projections of q,
-	// the largest σ, the nproj projections' minima and their maxima, the
-	// basis generation the projections were taken under, how many of them
-	// are, and q. n is the model's size, fixed while its epoch stands.
-	data []float64
+	// kstar holds the group's n×q K* columns, nil once handed back; n is the
+	// model's size, fixed while its epoch stands. tail holds the rest: the q
+	// standard deviations, the nproj projections of q, the largest σ, the
+	// nproj projections' minima and their maxima, the basis generation the
+	// projections were taken under and how many of them are.
+	kstar, tail []float64
 }
 
-// tailLen is the length of a Block's data past its K* columns, for q
-// points; blockLen is the whole, for n inputs. ext is where a tail's
+// tailLen is the length of a Block's tail for q points; ext is where its
 // extremes start.
-func tailLen(q int) int     { return ext(q) + 1 + 2*nproj + 3 }
-func blockLen(n, q int) int { return n*q + tailLen(q) }
-func ext(q int) int         { return (1 + nproj) * q }
-
-// tail returns b's data past its K* columns: all of a shadow's, or nil
-// when b was never filled.
-func (b *Block) tail() []float64 {
-	if len(b.data) == 0 {
-		return nil
-	}
-	return b.data[len(b.data)-tailLen(int(b.data[len(b.data)-1])):]
-}
+func tailLen(q int) int { return ext(q) + 1 + 2*nproj + 2 }
+func ext(q int) int     { return (1 + nproj) * q }
 
 // PredictBlockInto scores pts like PredictBatchInto, keeping the group's
 // kernel-only results in b for RepredictBlockInto; the means are then
 // taken from b, to RepredictBlockInto's bits.
 func (m *Incremental) PredictBlockInto(s *PredictScratch, b *Block, mu, sigma []float64, pts *Points) {
-	nq := m.n * pts.Len()
-	b.data = s.blockData(b, m.n, pts.Len())
-	m.predictBatch(s, b.data[:nq], mu, sigma, pts)
-	copy(b.data[nq:], sigma)
+	s.blockData(b, m.n, pts.Len())
+	m.predictBatch(s, b.kstar, mu, sigma, pts)
+	copy(b.tail, sigma)
 	m.fillBlock(b, mu)
 }
 
@@ -399,8 +387,7 @@ func (m *Incremental) BlockCeiling(b *Block, q int) (mu, sigma float64, ok bool)
 	if b.epoch != m.epoch || !m.covers(b, q) {
 		return 0, 0, false
 	}
-	tail := b.tail()
-	x := tail[ext(q) : ext(q)+1+2*nproj]
+	x := b.tail[ext(q) : ext(q)+1+2*nproj]
 	coef := m.basis[:m.active()]
 	var pick [nproj]float64
 	for j, c := range coef {
@@ -463,15 +450,13 @@ type move struct{ from, to int32 }
 func (m *Incremental) PredictMovedBlockInto(s *PredictScratch, b *Block, mu, sigma []float64, mv *Moves) {
 	n, q := m.n, len(mu)
 	m.checkMoves(mv, q, len(sigma))
-	nq := n * q
-	b.data = s.blockData(b, n, q)
-	kstar := b.data[:nq]
-	m.fillMoved(s, kstar, mv, q)
+	s.blockData(b, n, q)
+	m.fillMoved(s, b.kstar, mv, q)
 	for p0 := 0; p0 < q; p0 += panelWidth {
 		p1 := min(p0+panelWidth, q)
-		m.solvePanel(s, kstar[n*p0:n*p1], sigma[p0:p1])
+		m.solvePanel(s, b.kstar[n*p0:n*p1], sigma[p0:p1])
 	}
-	copy(b.data[nq:], sigma)
+	copy(b.tail, sigma)
 	m.fillBlock(b, mu)
 }
 
@@ -539,81 +524,58 @@ func (m *Incremental) movePairs(mv *Moves, q int) []move {
 // filled (PredictBlockInto or PredictMovedBlockInto). It reports false,
 // writing nothing, when b is stale — the model's inputs, kernel or factor
 // changed since b was filled — or was filled for a group of another size
-// than len(mu), or is a shadow whose projections do not cover the basis.
+// than len(mu), or holds no K* (ReviveMovedBlockInto re-scores it then).
 func (m *Incremental) RepredictBlockInto(b *Block, mu, sigma []float64) bool {
 	q := len(mu)
-	if b.epoch != m.epoch || len(sigma) != q || len(b.data) != blockLen(m.n, q) && !m.covers(b, q) {
+	if b.epoch != m.epoch || len(sigma) != q || len(b.kstar) != m.n*q {
 		return false
 	}
-	copy(sigma, b.tail())
+	copy(sigma, b.tail)
 	m.blockMeans(b, mu)
 	return true
 }
 
-// ShadowBlock keeps in sh what of b outlives b's K* columns — its σ,
-// projections and stamps — so that the group can be re-scored from sh while
-// the model's epoch stands (ReviveMovedBlockInto), and reports whether it
-// did: a stale block is not kept, and sh is then left as it was.
-func (m *Incremental) ShadowBlock(sh, b *Block) bool {
-	if b.epoch != m.epoch || len(b.data) == 0 {
-		return false
-	}
-	sh.epoch, sh.data = b.epoch, append(sh.data[:0], b.tail()...)
-	return true
-}
-
-// ReviveMovedBlockInto re-scores the points mv describes from sh, a shadow
-// of a block filled for them (ShadowBlock, or b itself when b is a shadow),
-// leaving b their block, and reports whether it could: not when sh is stale
-// or of another group size. σ comes from sh. When sh's projections cover
-// the model's basis, μ is their weighted sum and b stays a shadow;
-// otherwise K* is refilled from mv into b, without the triangular solve, and
-// the missing projections are taken from it (refilled). Either way mu and
-// sigma are the bits a fresh PredictMovedBlockInto writes.
-func (m *Incremental) ReviveMovedBlockInto(s *PredictScratch, b, sh *Block, mu, sigma []float64, mv *Moves) (ok, refilled bool) {
-	n, q := m.n, len(mu)
-	tail := sh.tail()
-	if sh.epoch != m.epoch || len(tail) != tailLen(q) || len(sigma) != q {
+// ReviveMovedBlockInto re-scores the points mv describes from b, a block
+// filled for them whose K* was handed back (PredictScratch.Shed), and
+// reports whether it could: not when b is stale or of another group size.
+// σ comes from b's tail. When b's projections cover the model's basis, μ is
+// their weighted sum and b stays without K*; otherwise K* is refilled from
+// mv, without the triangular solve, and the missing projections are taken
+// from it (refilled). Either way mu and sigma are the bits a fresh
+// PredictMovedBlockInto writes.
+func (m *Incremental) ReviveMovedBlockInto(s *PredictScratch, b *Block, mu, sigma []float64, mv *Moves) (ok, refilled bool) {
+	q := len(mu)
+	if b.epoch != m.epoch || len(b.tail) != tailLen(q) || len(sigma) != q {
 		return false, false
 	}
-	if m.covers(sh, q) {
-		if b != sh {
-			b.epoch, b.data = sh.epoch, append(b.data[:0], tail...)
-		}
-		copy(sigma, tail)
-		m.blockMeans(b, mu)
-		return true, false
+	if refilled = !m.covers(b, q); refilled {
+		m.checkMoves(mv, q, len(sigma))
+		b.kstar = s.spares.take(b.kstar, m.n*q)
+		m.fillMoved(s, b.kstar, mv, q)
 	}
-	m.checkMoves(mv, q, len(sigma))
-	data := s.blockData(b, n, q)
-	copy(data[n*q:], tail) // a memmove: tail may be b's own
-	b.epoch, b.data = sh.epoch, data
-	m.fillMoved(s, data[:n*q], mv, q)
-	copy(sigma, data[n*q:])
+	copy(sigma, b.tail)
 	m.blockMeans(b, mu)
-	return true, true
+	return true, refilled
 }
 
 // covers reports whether b, filled for q points, holds a projection of
 // every basis vector α weighs, so that its means need no K*.
 func (m *Incremental) covers(b *Block, q int) bool {
-	tail := b.tail()
+	tail := b.tail
 	if m.goals == 0 || len(tail) != tailLen(q) {
 		return false
 	}
-	stamp := tail[len(tail)-3:]
+	stamp := tail[len(tail)-2:]
 	return stamp[0] == float64(m.stats.BasisBuilds) && int(stamp[1]) == m.active()
 }
 
 // fillBlock stamps b, whose K* and σ were just filled, with the model's
-// epoch, its largest σ, no projections and its point count, and writes its
-// means.
+// epoch, its largest σ and no projections, and writes its means.
 func (m *Incremental) fillBlock(b *Block, mu []float64) {
-	q := len(mu)
+	q, tail := len(mu), b.tail
 	b.epoch = m.epoch
-	stamp := b.data[len(b.data)-3:]
-	stamp[0], stamp[1], stamp[2] = 0, 0, float64(q)
-	tail := b.tail()
+	stamp := tail[len(tail)-2:]
+	stamp[0], stamp[1] = 0, 0
 	_, tail[ext(q)] = extremes(tail[:q])
 	m.blockMeans(b, mu)
 }
@@ -637,11 +599,10 @@ func extremes(v []float64) (lo, hi float64) {
 // model's); a panel's projection is one DotsInto, as panelMeans takes
 // K*ᵀα, so one goal's means have panelMeans' bits. Without a basis — α was
 // solved, after a Reset or an Append — they are panelMeans over K*. Only
-// the missing projections and the solved means read K*, so a shadow whose
+// the missing projections and the solved means read K*, so a block whose
 // projections cover the basis needs none.
 func (m *Incremental) blockMeans(b *Block, mu []float64) {
-	n, q := m.n, len(mu)
-	kstar := b.data[:len(b.data)-tailLen(q)]
+	n, q, kstar := m.n, len(mu), b.kstar
 	if m.goals == 0 {
 		for p0 := 0; p0 < q; p0 += panelWidth {
 			p1 := min(p0+panelWidth, q)
@@ -649,8 +610,8 @@ func (m *Incremental) blockMeans(b *Block, mu []float64) {
 		}
 		return
 	}
-	tail := b.tail()
-	proj, x, stamp := tail[q:ext(q)], tail[ext(q)+1:ext(q)+1+2*nproj], tail[len(tail)-3:]
+	tail := b.tail
+	proj, x, stamp := tail[q:ext(q)], tail[ext(q)+1:ext(q)+1+2*nproj], tail[len(tail)-2:]
 	have, k := int(stamp[1]), m.active()
 	if stamp[0] != float64(m.stats.BasisBuilds) {
 		have = 0

@@ -17,9 +17,10 @@ type ceilingRun struct {
 // FuzzBlockMeanCeiling holds BlockCeiling to what RepredictBlockInto
 // writes: on random grid windows under swinging weights, moved rows (live
 // rows, so negative coefficients) and new epochs, every re-scored mean of a
-// dense, a moved and a revived block is <= the ceiling's mean and every σ
-// <= its σ, both compared exactly; and the ceiling is given exactly when the
-// block re-scores from its projections.
+// dense, a moved and a revived block — one whose K* was handed back — is
+// <= the ceiling's mean and every σ <= its σ, both compared exactly; and
+// the ceiling is given exactly when the block re-scores from its
+// projections.
 func FuzzBlockMeanCeiling(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(2), uint8(4), uint8(60))
 	f.Add(int64(2), uint8(40), uint8(3), uint8(5), uint8(90))
@@ -73,15 +74,21 @@ func fuzzBlockCeiling(t *testing.T, seed int64, n, groups, group, steps int) (ru
 		case 1:
 			m.PredictMovedBlockInto(s, &blocks[1], mu, sigma, mv)
 		default:
-			var filled, shadow Block
-			m.PredictMovedBlockInto(s, &filled, mu, sigma, mv)
-			if !m.ShadowBlock(&shadow, &filled) {
-				t.Fatalf("seed %d: a current block was not shadowed", seed)
-			}
-			if ok, _ := m.ReviveMovedBlockInto(s, &blocks[2], &shadow, mu, sigma, mv); !ok {
-				t.Fatalf("seed %d: a current shadow was not revived", seed)
+			m.PredictMovedBlockInto(s, &blocks[2], mu, sigma, mv)
+			s.Shed(&blocks[2])
+			if ok, _ := m.ReviveMovedBlockInto(s, &blocks[2], mu, sigma, mv); !ok {
+				t.Fatalf("seed %d: a current block without K* was not revived", seed)
 			}
 		}
+	}
+	// rescore re-scores a block from what it kept: K*, or the revived
+	// block's tail alone, which covers the basis whenever a ceiling is given.
+	rescore := func(kind int, mu, sigma []float64) bool {
+		if kind < 2 {
+			return m.RepredictBlockInto(&blocks[kind], mu, sigma)
+		}
+		ok, refilled := m.ReviveMovedBlockInto(s, &blocks[2], mu, sigma, mv)
+		return ok && !refilled
 	}
 	mu, sigma := make([]float64, q), make([]float64, q)
 	wT := rng.Float64()
@@ -116,7 +123,7 @@ func fuzzBlockCeiling(t *testing.T, seed int64, n, groups, group, steps int) (ru
 				if muMax, sigmaMax, ok = m.BlockCeiling(b, q); !ok {
 					t.Fatalf("%s: block %d: no ceiling after a fill under a goal basis", ctx, kind)
 				}
-			} else if !m.RepredictBlockInto(b, mu, sigma) {
+			} else if !rescore(kind, mu, sigma) {
 				t.Fatalf("%s: block %d: a ceiling was given, yet the block did not re-score", ctx, kind)
 			}
 			attained := false

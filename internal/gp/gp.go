@@ -171,9 +171,10 @@ type PredictScratch struct {
 	post   []float64
 	in     [][]float64
 	inData []float64
-	// spares holds the storage of blocks handed back (Recycle), for the
-	// block fills that need more than their own (blockData).
-	spares [maxSpares][]float64
+	// spares and tails hold the K* and tail storage of blocks handed back
+	// (Shed, Recycle, Trim), for the fills that need more than their own
+	// (blockData).
+	spares, tails spareBufs
 	// Points holds query points laid out for the fill: the ones
 	// PredictBatchInto was handed, or a caller's own.
 	Points Points
@@ -239,69 +240,92 @@ func (s *PredictScratch) Inputs(n, dim int) [][]float64 {
 	return s.in
 }
 
-// maxSpares is how many block buffers a scratch keeps: a tick fills at most
-// three blocks, one per top configuration.
+// maxSpares is how many buffers of each kind a scratch keeps: a tick fills
+// at most three blocks, one per top configuration.
 const maxSpares = 3
 
-// Recycle takes b's storage into s as a spare and leaves b empty, as if
-// never filled: a caller that knows no later call reads b's K* (the model's
-// kernel epoch is about to move) hands the buffer on instead of keeping it.
+// Recycle takes b's storage, K* and tail, into s as spares and leaves b
+// empty, as if never filled: a caller that knows no later call reads b (the
+// model's kernel epoch is about to move) hands the buffers on instead of
+// keeping them.
 func (s *PredictScratch) Recycle(b *Block) {
-	s.spare(b.data)
-	b.epoch, b.data = 0, nil
+	s.spares.keep(b.kstar)
+	s.tails.keep(b.tail)
+	b.epoch, b.kstar, b.tail = 0, nil, nil
+}
+
+// Shed takes b's K* into s as a spare and leaves b its tail, trimmed as Trim
+// trims it: b re-scores from it while its projections cover the model's
+// basis, and has its K* refilled without a solve otherwise, while the epoch
+// stands (Incremental.ReviveMovedBlockInto).
+func (s *PredictScratch) Shed(b *Block) {
+	s.spares.keep(b.kstar)
+	b.kstar = nil
+	b.tail = s.tails.trim(b.tail)
 }
 
 // Trim leaves b, which its caller keeps past the tick, holding at most
-// twice the storage its data takes. A block filled into a larger spare
-// (blockData) moves its data into storage of its own size, and the spare
-// goes back to s as Recycle hands it. b reads as before, to the bit.
+// twice the storage each of its K* and tail takes. A slice filled into a
+// larger buffer (blockData) moves into storage of its own size, and the
+// buffer goes back to s as Recycle hands it. b reads as before, to the bit.
 func (s *PredictScratch) Trim(b *Block) {
-	if cap(b.data) <= 2*len(b.data) {
-		return
-	}
-	old := b.data
-	b.data = append([]float64(nil), old...)
-	s.spare(old)
+	b.kstar, b.tail = s.spares.trim(b.kstar), s.tails.trim(b.tail)
 }
 
-// spare keeps buf in s when it is larger than the smallest spare held. The
-// scratch keeps the maxSpares largest: a buffer smaller than every one it
-// holds is dropped, so that the spares fit the blocks that come.
-func (s *PredictScratch) spare(buf []float64) {
+// blockData sizes b's storage for a block of q points over n inputs, K*
+// and tail each from its own kind of spare (take). Contents are not
+// preserved.
+func (s *PredictScratch) blockData(b *Block, n, q int) {
+	b.kstar, b.tail = s.spares.take(b.kstar, n*q), s.tails.take(b.tail, tailLen(q))
+}
+
+// spareBufs holds the maxSpares largest buffers of one kind handed back.
+type spareBufs [maxSpares][]float64
+
+// keep holds buf when it is larger than the smallest spare held: a buffer
+// smaller than every one held is dropped, so that the spares fit the blocks
+// that come.
+func (sp *spareBufs) keep(buf []float64) {
 	at := 0 // the smallest spare, an empty slot first
-	for i, sp := range s.spares {
-		if cap(sp) < cap(s.spares[at]) {
+	for i := range sp {
+		if cap(sp[i]) < cap(sp[at]) {
 			at = i
 		}
 	}
-	if cap(buf) > cap(s.spares[at]) {
-		s.spares[at] = buf[:0]
+	if cap(buf) > cap(sp[at]) {
+		sp[at] = buf[:0]
 	}
 }
 
-// blockData returns storage for the data of a block of q points over n
-// inputs: b's own when large enough, else the smallest spare that is, else a
-// new buffer. Contents are not preserved, but a spare's tail — where the σ,
-// projections, extremes and stamps go — comes out zeroed as a new buffer's
-// does, so a block never starts from another block's stamps.
-func (s *PredictScratch) blockData(b *Block, n, q int) []float64 {
-	size := blockLen(n, q)
-	if cap(b.data) >= size {
-		return b.data[:size]
+// take returns storage for size floats: buf when large enough, else the
+// smallest spare that is, taken off sp, else a new buffer. Contents are not
+// preserved.
+func (sp *spareBufs) take(buf []float64, size int) []float64 {
+	if cap(buf) >= size {
+		return buf[:size]
 	}
 	at := -1
-	for i, sp := range s.spares {
-		if cap(sp) >= size && (at < 0 || cap(sp) < cap(s.spares[at])) {
+	for i := range sp {
+		if cap(sp[i]) >= size && (at < 0 || cap(sp[i]) < cap(sp[at])) {
 			at = i
 		}
 	}
 	if at < 0 {
 		return grow(nil, size)
 	}
-	data := s.spares[at][:size]
-	s.spares[at] = nil
-	clear(data[n*q:])
-	return data
+	buf, sp[at] = sp[at][:size], nil
+	return buf
+}
+
+// trim returns buf, or when it holds more than twice its length a copy of
+// it in storage of its own size, buf then kept as a spare.
+func (sp *spareBufs) trim(buf []float64) []float64 {
+	if cap(buf) <= 2*len(buf) {
+		return buf
+	}
+	kept := append([]float64(nil), buf...)
+	sp.keep(buf)
+	return kept
 }
 
 // Predict returns the posterior mean and standard deviation at x — the

@@ -92,14 +92,14 @@ func TestSharedScratchMatchesAFreshOne(t *testing.T) {
 			for r := range rounds {
 				c := cases[rng.Intn(len(cases))]
 				s := TakeScratch()
-				for _, buf := range append([][]float64{s.kmat, s.panel, s.post, s.inData, s.Points.Data}, s.spares[:]...) {
+				for _, buf := range append(append([][]float64{s.kmat, s.panel, s.post, s.inData, s.Points.Data}, s.spares[:]...), s.tails[:]...) {
 					buf = buf[:cap(buf)]
 					for i := range buf {
 						buf[i] = math.NaN()
 					}
 				}
 				s.Points.Load(c.pool)
-				if slices.ContainsFunc(s.spares[:], func(sp []float64) bool { return cap(sp) >= blockLen(len(c.xs), c.mv.Len()) }) {
+				if slices.ContainsFunc(s.spares[:], func(sp []float64) bool { return cap(sp) >= len(c.xs)*c.mv.Len() }) {
 					fromSpare.Add(1)
 				}
 				got, err := c.score(s)
@@ -253,93 +253,137 @@ func TestPointsGrowKeepsThePoints(t *testing.T) {
 	t.Logf("%d grows widened a last panel", moved)
 }
 
-// TestSparesKeepTheLargest: a scratch handed five block buffers keeps the
-// three largest, and leaves every recycled block empty; a fill that needs
-// more than its block holds takes the smallest spare that fits, its tail
-// zeroed and its K* part as it was, and a fill no spare fits gets a new
-// buffer and leaves the spares alone.
+// spareCaps returns the capacities of sp's buffers, ascending.
+func spareCaps(sp *spareBufs) []int {
+	var caps []int
+	for _, b := range sp {
+		caps = append(caps, cap(b))
+	}
+	slices.Sort(caps)
+	return caps
+}
+
+// TestSparesKeepTheLargest: a scratch handed five blocks' K* and tails
+// keeps the three largest of each kind, and leaves every recycled block
+// empty; a fill whose K* or tail needs more than its block holds takes the
+// smallest spare of that kind that fits, its contents as they were, never
+// one of the other kind; a fill no spare fits gets new buffers and leaves
+// the spares alone.
 func TestSparesKeepTheLargest(t *testing.T) {
 	var s PredictScratch
 	for _, n := range []int{100, 500, 200, 50, 800} {
-		b := Block{epoch: 7, data: make([]float64, n)}
-		for i := range b.data {
-			b.data[i] = float64(n)
+		b := Block{epoch: 7, kstar: make([]float64, n), tail: make([]float64, n/2)}
+		for i := range b.kstar {
+			b.kstar[i] = float64(n)
 		}
 		s.Recycle(&b)
-		if b.epoch != 0 || b.data != nil {
-			t.Fatalf("a recycled block of %d keeps epoch %d and %d floats", n, b.epoch, cap(b.data))
+		if b.epoch != 0 || b.kstar != nil || b.tail != nil {
+			t.Fatalf("a recycled block of %d keeps epoch %d, %d floats of K* and %d of tail", n, b.epoch, cap(b.kstar), cap(b.tail))
 		}
 	}
-	var caps []int
-	for _, sp := range s.spares {
-		caps = append(caps, cap(sp))
+	if caps := spareCaps(&s.spares); !slices.Equal(caps, []int{200, 500, 800}) {
+		t.Fatalf("K* spares %v, want the three largest, [200 500 800]", caps)
 	}
-	slices.Sort(caps)
-	if !slices.Equal(caps, []int{200, 500, 800}) {
-		t.Fatalf("spares %v, want the three largest, [200 500 800]", caps)
+	if caps := spareCaps(&s.tails); !slices.Equal(caps, []int{100, 250, 400}) {
+		t.Fatalf("tail spares %v, want the three largest, [100 250 400]", caps)
 	}
-	n, q := 10, 20 // blockLen(10, 20) floats: more than 200, at most 500
-	if size := blockLen(n, q); size <= 200 || size > 500 {
-		t.Fatalf("blockLen(%d, %d) = %d is no test of the smallest fit", n, q, size)
+	n, q := 10, 30 // 300 floats of K*: more than 200, at most 500; a tail of more than 100, at most 250
+	if size := tailLen(q); size <= 100 || size > 250 {
+		t.Fatalf("tailLen(%d) = %d is no test of the smallest fit", q, size)
 	}
 	var b Block
-	data := s.blockData(&b, n, q)
-	if cap(data) != 500 || len(data) != blockLen(n, q) {
-		t.Fatalf("the fill got %d of %d floats, want the 500-float spare", len(data), cap(data))
+	s.blockData(&b, n, q)
+	if cap(b.kstar) != 500 || len(b.kstar) != n*q || cap(b.tail) != 250 || len(b.tail) != tailLen(q) {
+		t.Fatalf("the fill got %d of %d floats of K* and %d of %d of tail, want the 500- and the 250-float spares", len(b.kstar), cap(b.kstar), len(b.tail), cap(b.tail))
 	}
-	for i, v := range data {
-		want := 0.0
-		if i < n*q {
-			want = 500
-		}
-		if v != want {
-			t.Fatalf("float %d of the lent spare is %v, want %v (K* as it was, the tail zeroed)", i, v, want)
+	for i, v := range b.kstar {
+		if v != 500 {
+			t.Fatalf("float %d of the lent spare is %v, want it as it was, 500", i, v)
 		}
 	}
-	if slices.ContainsFunc(s.spares[:], func(sp []float64) bool { return cap(sp) == 500 }) {
-		t.Fatal("the lent spare is still on the scratch")
+	var big Block
+	if s.blockData(&big, 100, 100); cap(big.kstar) < 100*100 || cap(big.tail) < tailLen(100) {
+		t.Fatalf("a fill no spare fits got %d floats of K* and %d of tail", cap(big.kstar), cap(big.tail))
 	}
-	if data := s.blockData(&b, 100, 100); cap(data) < blockLen(100, 100) {
-		t.Fatalf("a fill no spare fits got %d floats", cap(data))
+	if caps := spareCaps(&s.spares); !slices.Equal(caps, []int{0, 200, 800}) {
+		t.Fatalf("after the two fills the K* spares are %v, want [0 200 800]", caps)
 	}
-	caps = caps[:0]
-	for _, sp := range s.spares {
-		caps = append(caps, cap(sp))
-	}
-	slices.Sort(caps)
-	if !slices.Equal(caps, []int{0, 200, 800}) {
-		t.Fatalf("after the two fills the spares are %v, want [0 200 800]", caps)
+	if caps := spareCaps(&s.tails); !slices.Equal(caps, []int{0, 100, 400}) {
+		t.Fatalf("after the two fills the tail spares are %v, want [0 100 400]", caps)
 	}
 }
 
-// TestTrimKeepsABlockNearItsSize: a kept block filled into a spare four
-// times its size moves into storage of its own size, its data, epoch and
-// stamps as they were, and the spare goes back to the scratch; a block
-// within twice its size stays where it is.
+// TestShedHandsBackKStarAlone: Shed hands a block's K* to the scratch and
+// leaves its tail and epoch as they were, so that it still re-scores from
+// its projections, and a tail in storage past twice its size is trimmed;
+// Recycle then hands back the tail too.
+func TestShedHandsBackKStarAlone(t *testing.T) {
+	var s PredictScratch
+	b := Block{epoch: 5, kstar: make([]float64, 200), tail: make([]float64, 40)}
+	tail := b.tail
+	s.Shed(&b)
+	if b.kstar != nil || b.epoch != 5 || len(b.tail) != 40 || &b.tail[0] != &tail[0] {
+		t.Fatalf("after Shed the block holds %d floats of K*, epoch %d and %d of tail", cap(b.kstar), b.epoch, len(b.tail))
+	}
+	if !slices.Contains(spareCaps(&s.spares), 200) {
+		t.Fatal("the shed K* is not a spare")
+	}
+	s.Recycle(&b)
+	if b.tail != nil || b.epoch != 0 {
+		t.Fatalf("after Recycle the block holds %d floats of tail, epoch %d", cap(b.tail), b.epoch)
+	}
+	if !slices.Contains(spareCaps(&s.tails), 40) {
+		t.Fatal("the recycled tail is not a spare")
+	}
+	wide := Block{epoch: 5, kstar: make([]float64, 200), tail: make([]float64, 10, 40)}
+	if s.Shed(&wide); cap(wide.tail) > 20 || len(wide.tail) != 10 {
+		t.Fatalf("a shed block keeps a tail of %d floats in %d", len(wide.tail), cap(wide.tail))
+	}
+}
+
+// TestTrimKeepsABlockNearItsSize: a kept block whose K* and tail were
+// filled into spares four times their sizes moves each into storage of
+// its own size, its data and epoch as they were, and the two buffers go
+// back to the scratch, each to its own kind of spare; a block within twice
+// its size stays where it is.
 func TestTrimKeepsABlockNearItsSize(t *testing.T) {
 	n, q := 10, 20
-	size := blockLen(n, q)
-	s := PredictScratch{spares: [maxSpares][]float64{make([]float64, 0, 4*size)}}
+	s := PredictScratch{
+		spares: spareBufs{make([]float64, 0, 4*n*q)},
+		tails:  spareBufs{make([]float64, 0, 4*tailLen(q))},
+	}
 	var b Block
-	b.data = s.blockData(&b, n, q)
-	for i := range b.data {
-		b.data[i] = float64(i)
+	s.blockData(&b, n, q)
+	for i := range b.kstar {
+		b.kstar[i] = float64(i)
+	}
+	for i := range b.tail {
+		b.tail[i] = -float64(i)
 	}
 	b.epoch = 3
-	lent := b.data
+	lent, tail := b.kstar, b.tail
 	s.Trim(&b)
-	if cap(b.data) > 2*len(b.data) || &b.data[0] == &lent[0] {
-		t.Fatalf("a block of %d floats in a %d-float spare kept %d floats after Trim", size, cap(lent), cap(b.data))
+	for _, part := range []struct {
+		name      string
+		now, then []float64
+		spares    *spareBufs
+	}{{"K*", b.kstar, lent, &s.spares}, {"tail", b.tail, tail, &s.tails}} {
+		if cap(part.now) > 2*len(part.now) || &part.now[0] == &part.then[0] {
+			t.Fatalf("%s of %d floats in a %d-float buffer kept %d floats after Trim", part.name, len(part.then), cap(part.then), cap(part.now))
+		}
+		if !slices.Equal(part.now, part.then) {
+			t.Fatalf("Trim changed the block's %s", part.name)
+		}
+		if !slices.Contains(spareCaps(part.spares), cap(part.then)) {
+			t.Fatalf("the trimmed %s storage is not a spare of its kind", part.name)
+		}
 	}
-	if b.epoch != 3 || !slices.Equal(b.data, lent) {
-		t.Fatalf("Trim changed the block: epoch %d, data equal %v", b.epoch, slices.Equal(b.data, lent))
+	if b.epoch != 3 {
+		t.Fatalf("Trim changed the block's epoch to %d", b.epoch)
 	}
-	if !slices.ContainsFunc(s.spares[:], func(sp []float64) bool { return cap(sp) == cap(lent) }) {
-		t.Fatal("the trimmed storage is not a spare")
-	}
-	at := &b.data[0]
+	at := &b.kstar[0]
 	s.Trim(&b)
-	if &b.data[0] != at {
+	if &b.kstar[0] != at {
 		t.Fatal("a block within twice its size moved")
 	}
 }
