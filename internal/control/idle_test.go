@@ -11,9 +11,10 @@ import (
 	"satori/internal/workloads"
 )
 
-// newSimLoopReset is newSimLoop with a custom equalization period, so
-// horizon/boundary interactions are testable without 100-tick runs.
-func newSimLoopReset(t *testing.T, sampling SamplingOptions, pol policy.Policy, resetEvery int) *Loop {
+// newSimLoopReset builds a loop over three PARSEC jobs on the simulator
+// with a custom equalization period (0: the default), so horizon/boundary
+// interactions are testable without 100-tick runs.
+func newSimLoopReset(t *testing.T, pol policy.Policy, resetEvery int) *Loop {
 	t.Helper()
 	profiles := workloads.PARSEC()[:3]
 	simulator, err := sim.New(sim.DefaultMachine(), profiles, sim.Options{Seed: 11})
@@ -27,7 +28,6 @@ func newSimLoopReset(t *testing.T, sampling SamplingOptions, pol policy.Policy, 
 	loop, err := New(Options{
 		Platform:           sp,
 		Policy:             func(rdt.Platform) (policy.Policy, error) { return pol, nil },
-		Sampling:           sampling,
 		BaselineResetTicks: resetEvery,
 	})
 	if err != nil {
@@ -37,11 +37,11 @@ func newSimLoopReset(t *testing.T, sampling SamplingOptions, pol policy.Policy, 
 }
 
 // IdleHorizon must stay zero until the stability window arms, must never
-// promise past the next equalization boundary or the MaxRun budget, and
-// must zero itself at a refresh-due tick.
+// promise past the next equalization boundary, and must zero itself at a
+// refresh-due tick.
 func TestIdleHorizonGating(t *testing.T) {
 	resetEvery := 25
-	loop := newSimLoopReset(t, SamplingOptions{Enabled: true}, policy.Static{}, resetEvery)
+	loop := newSimLoopReset(t, policy.Static{}, resetEvery)
 	if h := loop.IdleHorizon(); h != 0 {
 		t.Fatalf("fresh loop IdleHorizon = %d, want 0 (window not armed)", h)
 	}
@@ -53,9 +53,6 @@ func TestIdleHorizonGating(t *testing.T) {
 		h := loop.IdleHorizon()
 		if h > 0 {
 			armed = true
-		}
-		if maxRun := loop.sampling.MaxRun - loop.sampledRun; h > maxRun {
-			t.Fatalf("tick %d: IdleHorizon %d exceeds MaxRun budget %d", loop.Ticks(), h, maxRun)
 		}
 		if toBoundary := resetEvery - loop.Ticks()%resetEvery; loop.Ticks()%resetEvery != 0 && h > toBoundary {
 			t.Fatalf("tick %d: IdleHorizon %d skips the equalization boundary %d ticks away", loop.Ticks(), h, toBoundary)
@@ -76,8 +73,8 @@ func TestIdleHorizonGating(t *testing.T) {
 // not bit-identical — the skipped intervals' noise is not realized — so
 // the run means agree only to within that noise.
 func TestSkipIdleDriverTracksLockstep(t *testing.T) {
-	lockstep := newSimLoop(t, SamplingOptions{Enabled: true}, policy.Static{})
-	idle := newSimLoop(t, SamplingOptions{Enabled: true}, policy.Static{})
+	lockstep := newSimLoop(t, policy.Static{})
+	idle := newSimLoop(t, policy.Static{})
 	const ticks = 400
 	if _, err := lockstep.Run(ticks); err != nil {
 		t.Fatal(err)
@@ -133,7 +130,7 @@ func TestSkipIdleDriverTracksLockstep(t *testing.T) {
 // extrapolated idle ticks (no hidden detailed samples), since the fleet's
 // cost model depends on it.
 func TestSkipIdleStaysSampled(t *testing.T) {
-	loop := newSimLoop(t, SamplingOptions{Enabled: true}, policy.Static{})
+	loop := newSimLoop(t, policy.Static{})
 	for i := 0; i < 600 && loop.IdleHorizon() == 0; i++ {
 		if _, err := loop.Step(); err != nil {
 			t.Fatal(err)
@@ -162,7 +159,7 @@ func TestSkipIdleStaysSampled(t *testing.T) {
 // trajectory.
 func TestSkipIdleCoarseBatch(t *testing.T) {
 	run := func() (*Loop, int) {
-		loop := newSimLoop(t, SamplingOptions{Enabled: true}, policy.Static{})
+		loop := newSimLoop(t, policy.Static{})
 		for i := 0; i < 600 && loop.IdleHorizon() == 0; i++ {
 			if _, err := loop.Step(); err != nil {
 				t.Fatal(err)
@@ -215,15 +212,8 @@ func TestSkipIdleCoarseBatch(t *testing.T) {
 	}
 }
 
-// fastOnly decorates a platform opaquely (no Unwrap) and forwards the
-// FastSampler capability alone: single ticks extrapolate, nothing jumps.
-type fastOnly struct {
-	rdt.Platform
-	fast rdt.FastSampler
-}
-
-func (p fastOnly) SampleFast() ([]float64, bool) { return p.fast.SampleFast() }
-func (p fastOnly) FastHorizon() int              { return p.fast.FastHorizon() }
+// opaque decorates a platform without Unwrap, hiding every capability.
+type opaque struct{ rdt.Platform }
 
 // A platform that cannot jump a run of intervals is never promised idle
 // ticks, and a SkipIdle against it — or past what a batch-capable platform
@@ -239,17 +229,15 @@ func TestSkipIdleRefusedIsTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	decorated, err := New(Options{
-		Platform: fastOnly{Platform: sp, fast: sp},
+		Platform: opaque{sp},
 		Policy:   func(rdt.Platform) (policy.Policy, error) { return policy.Static{}, nil },
-		Sampling: SamplingOptions{Enabled: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, loop := range map[string]*Loop{
-		"FastSampler-only decorator": decorated,
-		"sampling disabled":          newSimLoop(t, SamplingOptions{}, policy.Static{}),
-		"past the platform's jump":   newSimLoop(t, SamplingOptions{Enabled: true}, policy.Static{}),
+		"opaque decorator":         decorated,
+		"past the platform's jump": newSimLoop(t, policy.Static{}),
 	} {
 		for i := 0; i < 60; i++ {
 			if _, err := loop.Step(); err != nil {
@@ -273,8 +261,5 @@ func TestSkipIdleRefusedIsTyped(t *testing.T) {
 		if st, err := loop.Step(); err != nil || st.Tick != 61 || st.Held != 0 {
 			t.Fatalf("%s: step after the refusal: %+v, %v", name, st, err)
 		}
-	}
-	if decorated.Summary().SampledTicks == 0 {
-		t.Fatal("the decorated loop never extrapolated a tick: FastSampler was not found")
 	}
 }

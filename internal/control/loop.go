@@ -44,9 +44,6 @@ type Options struct {
 	// BaselineResetTicks is the isolated-baseline refresh period
 	// (default 100 ticks = 10 s, the equalization period).
 	BaselineResetTicks int
-	// Sampling enables Pac-Sim-style sampled simulation on backends with
-	// the rdt.FastSampler capability; zero-valued fields take defaults.
-	Sampling SamplingOptions
 	// Resilience tunes retry/backoff, graceful degradation and the
 	// circuit breaker (see ResilienceOptions); zero-valued fields take
 	// defaults, and none of them change behavior on a fault-free run.
@@ -57,42 +54,13 @@ type Options struct {
 	SLO SLOOptions
 }
 
-// SamplingOptions tunes phase-stability detection for sampled simulation:
-// once every job's observed IPS has stayed within a relative ε-band for K
-// consecutive ticks, the loop asks the backend to extrapolate intervals
-// (rdt.FastSampler.SampleFast) instead of evaluating them in detail,
-// until a phase change, configuration change, membership churn, or
-// baseline refresh re-triggers detailed evaluation. On the analytical
-// simulator the extrapolated observations are bit-identical to detailed
-// ones (see sim.StepSampled), so enabling sampling changes no outputs —
-// only the per-tick evaluation cost.
-type SamplingOptions struct {
-	// Enabled turns sampled simulation on. Backends without the
-	// FastSampler capability silently run every tick detailed.
-	Enabled bool
-	// StableTicks is how many consecutive in-band ticks arm
-	// extrapolation (default 5).
-	StableTicks int
-	// MaxRun caps consecutive extrapolated ticks before a detailed
-	// re-validation is forced (default 20).
-	MaxRun int
-}
-
 // stabilityEpsilon is the relative IPS band defining phase stability:
 // a job whose IPS moved by more than ±10% since the previous tick is not
 // phase-stable.
 const stabilityEpsilon = 0.1
 
-// fill resolves defaulted sampling knobs.
-func (o SamplingOptions) fill() SamplingOptions {
-	if o.StableTicks <= 0 {
-		o.StableTicks = 5
-	}
-	if o.MaxRun <= 0 {
-		o.MaxRun = 20
-	}
-	return o
-}
+// stableTicks is how many consecutive in-band ticks arm IdleHorizon.
+const stableTicks = 5
 
 // Status is one interval's outcome: the Observation the policy was shown
 // (Tick and Time are stamped on every tick, IPS whenever a reading
@@ -102,10 +70,6 @@ type Status struct {
 	policy.Observation
 	// Config is the partition that will run during the next interval.
 	Config resource.Config
-	// SampledTick reports that this interval's observation was
-	// extrapolated from phase-stable state (sampled simulation) instead
-	// of evaluated in detail.
-	SampledTick bool
 	// Regrouped reports the policy committed a cluster-membership
 	// migration during this tick's decision (clustered policies only).
 	Regrouped bool
@@ -208,24 +172,17 @@ type Loop struct {
 
 	// The platform's optional capabilities, resolved once by New through
 	// rdt.As (so they are found behind any decorator); nil when absent.
-	// fast and batch are additionally nil unless sampling is enabled: fast
-	// extrapolates single ticks inside Step, batch jumps whole promises in
-	// SkipIdle, and IdleHorizon promises only what batch can honour.
+	// batch jumps whole promises in SkipIdle, and IdleHorizon promises
+	// only what batch can honour.
 	churn rdt.Churner
-	fast  rdt.FastSampler
 	batch rdt.BatchSampler
 	lc    rdt.SLOProvider
 
-	// Sampled-simulation state: prevIPS/stable track the phase-stability
-	// ε-band; sampledRun counts consecutive extrapolated ticks toward
-	// MaxRun.
-	sampling     SamplingOptions
-	prevIPS      []float64
-	stable       int
-	sampledRun   int
-	sampledTicks int
-	idleTicks    int
-	badSamples   int
+	// IdleHorizon's arm: prevIPS/stable track the phase-stability ε-band.
+	prevIPS    []float64
+	stable     int
+	idleTicks  int
+	badSamples int
 
 	// Resilience state: consecFail is the current run of ticks that
 	// failed to land a decision; the breaker/safe-config fields back
@@ -263,7 +220,7 @@ type Loop struct {
 // regrouper is the optional policy capability for cluster-membership
 // migrations (implemented by cluster.Partitioner and cluster.LFOC): a
 // monotone count of committed migrations. The loop treats a migration
-// tick like churn — a re-measurement boundary that disarms the sampled
+// tick like churn — a re-measurement boundary that disarms IdleHorizon's
 // phase-stability window — and surfaces the count in its Summary.
 type regrouper interface{ Regroups() int }
 
@@ -294,7 +251,6 @@ func New(opt Options) (*Loop, error) {
 		fm:         opt.Fairness.Resolve(),
 		resetEvery: resetEvery,
 		pendReset:  true,
-		sampling:   opt.Sampling.fill(),
 		resil:      opt.Resilience.fill(),
 		sloOpt:     opt.SLO,
 	}
@@ -303,10 +259,7 @@ func New(opt Options) (*Loop, error) {
 	}
 	l.churn, _ = rdt.As[rdt.Churner](opt.Platform)
 	l.lc, _ = rdt.As[rdt.SLOProvider](opt.Platform)
-	if opt.Sampling.Enabled {
-		l.fast, _ = rdt.As[rdt.FastSampler](opt.Platform)
-		l.batch, _ = rdt.As[rdt.BatchSampler](opt.Platform)
-	}
+	l.batch, _ = rdt.As[rdt.BatchSampler](opt.Platform)
 	l.slo = newSLOTracker(l.lc, l.sloOpt)
 	l.captureRegrouper()
 	iso, err := l.measureIsolatedRetry()
@@ -395,7 +348,7 @@ func (l *Loop) refreshIfDue() error {
 
 // commitBaselines installs a baseline measurement and makes it a
 // re-measurement boundary: the next accepted observation carries
-// BaselineReset and the stability window re-arms through detailed ticks.
+// BaselineReset and IdleHorizon's stability window re-arms.
 // A failed measurement (membership-change callers only — a failed
 // refresh of an unchanged job set keeps its old baselines instead)
 // installs a placeholder of the live length marked missing: refreshIfDue
@@ -415,29 +368,13 @@ func (l *Loop) commitBaselines(iso []float64, err error) error {
 // them into the running aggregates, writing the tick's status to the
 // zero-valued st. ok reports a usable observation; otherwise st is
 // already closed as a held tick. A non-transient sampling failure
-// returns the error with the clock and st untouched.
-//
-// Sampled simulation: once the phase-stability window is armed the
-// backend is asked to extrapolate the interval instead of evaluating it
-// in detail, and MaxRun bounds how long extrapolation may run before a
-// detailed re-validation. The backend refuses (with no side effects)
-// whenever extrapolation could diverge — imminent phase boundary,
-// configuration change, churn — and the detailed sample runs.
+// returns the error with the clock and st untouched. How cheaply the
+// interval is observed is the platform's business: the simulator
+// extrapolates it whenever that is exact (sim.Simulator.Step).
 func (l *Loop) observe(st *Status) (ok bool, err error) {
-	var ips []float64
-	sampled := false
-	if l.fast != nil && l.stable >= l.sampling.StableTicks && l.sampledRun < l.sampling.MaxRun {
-		if ips, sampled = l.fast.SampleFast(); sampled {
-			l.sampledRun++
-			l.sampledTicks++
-		}
-	}
-	if !sampled {
-		ips, err = l.platform.Sample()
-		if err != nil && !rdt.IsTransient(err) {
-			return false, err
-		}
-		l.sampledRun = 0
+	ips, err := l.platform.Sample()
+	if err != nil && !rdt.IsTransient(err) {
+		return false, err
 	}
 	l.tick++
 	if err != nil {
@@ -455,7 +392,7 @@ func (l *Loop) observe(st *Status) (ok bool, err error) {
 	// torn resctrl read) would silently poison the Welford aggregates and
 	// the proxy model. l.pendReset is left pending so the policy still
 	// sees the BaselineReset flag on the next accepted observation.
-	st.IPS, st.SampledTick = ips, sampled
+	st.IPS = ips
 	for _, v := range ips {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 			l.badSamples++
@@ -513,7 +450,7 @@ func (l *Loop) decide(st *Status) error {
 			// The policy committed a cluster-membership migration inside
 			// this Decide: the control-group layout just changed under the
 			// running jobs, so treat the tick as a churn-like boundary —
-			// disarm extrapolation until the ε-band re-fills.
+			// disarm IdleHorizon until the ε-band re-fills.
 			l.regroups += n - l.lastRegroups
 			l.lastRegroups = n
 			l.resetStability()
@@ -592,38 +529,29 @@ func (l *Loop) speedupBuf(n int) []float64 {
 // consecutive ticks in which every job's IPS stayed within the relative
 // ε-band of the previous tick's observation.
 func (l *Loop) updateStability(ips []float64) {
-	if l.fast == nil {
-		return
-	}
 	if len(l.prevIPS) != len(ips) {
 		l.prevIPS = append(l.prevIPS[:0], ips...)
 		l.stable = 0
 		return
 	}
-	within := true
+	l.stable++
 	for j, v := range ips {
 		ref := math.Abs(l.prevIPS[j])
 		if ref < 1e-12 {
 			ref = 1e-12
 		}
 		if math.Abs(v-l.prevIPS[j])/ref > stabilityEpsilon {
-			within = false
+			l.stable = 0
 			break
 		}
-	}
-	if within {
-		l.stable++
-	} else {
-		l.stable = 0
 	}
 	copy(l.prevIPS, ips)
 }
 
-// resetStability disarms extrapolation until the ε-band re-fills — called
+// resetStability disarms IdleHorizon until the ε-band re-fills — called
 // on baseline refreshes, membership churn, and rejected observations.
 func (l *Loop) resetStability() {
 	l.stable = 0
-	l.sampledRun = 0
 	l.prevIPS = l.prevIPS[:0]
 }
 
@@ -631,18 +559,15 @@ func (l *Loop) resetStability() {
 // without consulting the policy and without a detailed evaluation — the
 // event-driven fleet's skip budget for a node with nothing going on. It
 // is 0 unless the backend can jump a run of intervals (rdt.BatchSampler),
-// the phase-stability window is armed, no baseline refresh is due or
-// pending delivery to the policy, and the circuit breaker is closed. The
-// promise is bounded by the backend's own phase-boundary lookahead
-// (FastSampler.FastHorizon), by the remaining MaxRun extrapolation
-// budget, and by the distance to the next equalization boundary — so a
-// caller advancing at most IdleHorizon ticks via SkipIdle never skips
-// past a baseline refresh or a needed detailed re-validation.
+// every job's IPS has stayed in the ε-band for stableTicks ticks, no
+// baseline refresh is due or pending delivery to the policy, and the
+// circuit breaker is closed. The promise is bounded by the backend's own
+// phase-boundary lookahead (FastSampler.FastHorizon) and by the distance
+// to the next equalization boundary — so a caller advancing at most
+// IdleHorizon ticks via SkipIdle never skips past a baseline refresh or a
+// phase edge.
 func (l *Loop) IdleHorizon() int {
-	if l.batch == nil || l.breakerOpen || l.pendReset {
-		return 0
-	}
-	if l.stable < l.sampling.StableTicks {
+	if l.batch == nil || l.breakerOpen || l.pendReset || l.stable < stableTicks {
 		return 0
 	}
 	// An SLO detector mid-streak is advancing toward an onset or a
@@ -653,21 +578,13 @@ func (l *Loop) IdleHorizon() int {
 	if l.slo != nil && l.slo.det.MidStreak() {
 		return 0
 	}
-	// A periodic refresh is due right now: the next Step must run it.
-	if l.tick > 0 && l.tick%l.resetEvery == 0 {
+	// A periodic refresh is due right now: the next Step must run it
+	// (tick 0 is pendReset's).
+	toBoundary := l.resetEvery - l.tick%l.resetEvery
+	if toBoundary == l.resetEvery {
 		return 0
 	}
-	h := l.batch.FastHorizon()
-	if m := l.sampling.MaxRun - l.sampledRun; m < h {
-		h = m
-	}
-	if m := l.resetEvery - l.tick%l.resetEvery; m < h {
-		h = m
-	}
-	if h < 0 {
-		return 0
-	}
-	return h
+	return max(min(l.batch.FastHorizon(), toBoundary), 0)
 }
 
 // ErrSkipRefused is SkipIdle's typed refusal: the backend has no batch
@@ -698,8 +615,6 @@ func (l *Loop) SkipIdle(n int) error {
 	}
 	l.tick += n
 	l.idleTicks += n
-	l.sampledTicks += n
-	l.sampledRun += n
 	l.lastGoodSample = l.tick
 	if l.slo != nil {
 		l.slo.hold(n)
@@ -858,8 +773,9 @@ type Summary struct {
 	// garbage is indistinguishable from one deliberately holding the
 	// current configuration.
 	RejectedApplies int
-	// SampledTicks counts intervals observed by extrapolation instead of
-	// detailed evaluation (sampled simulation).
+	// SampledTicks equals IdleTicks: the benchmark reports it as
+	// control.sampled_tick_ratio. Which observed intervals a platform
+	// extrapolated is its own business (sim.Simulator.Step).
 	SampledTicks int
 	// IdleTicks counts intervals advanced through SkipIdle — batched,
 	// policy-free catch-up ticks from the event-driven fleet path.
@@ -903,7 +819,7 @@ func (l *Loop) Summary() Summary {
 		StdThroughput:   l.accT.StdDev(),
 		StdFairness:     l.accF.StdDev(),
 		RejectedApplies: l.rejected,
-		SampledTicks:    l.sampledTicks,
+		SampledTicks:    l.idleTicks,
 		IdleTicks:       l.idleTicks,
 		BadSamples:      l.badSamples,
 		SampleErrors:    l.sampleErrs,
@@ -925,9 +841,6 @@ func (l *Loop) Summary() Summary {
 func (s Summary) String() string {
 	out := fmt.Sprintf("ticks=%d throughput=%.3f fairness=%.3f objective=%.3f",
 		s.Ticks, s.MeanThroughput, s.MeanFairness, s.MeanObjective)
-	if s.SampledTicks > 0 {
-		out += fmt.Sprintf(" sampled=%d", s.SampledTicks)
-	}
 	if s.IdleTicks > 0 {
 		out += fmt.Sprintf(" idle=%d", s.IdleTicks)
 	}

@@ -82,7 +82,6 @@ func (m *ledger) fold(t *testing.T, st Status) {
 	count(&m.sampleErrs, st.Held == HeldSampleLost)
 	count(&m.rejected, st.Held == HeldApplyRejected)
 	count(&m.resetErrs, st.ResetErr != nil)
-	count(&m.sampled, st.SampledTick)
 	count(&m.regroups, st.Regrouped)
 	if st.Held == 0 {
 		m.landed()
@@ -222,7 +221,6 @@ func runRandomOps(t *testing.T, seed uint64, ops int, kind policyKind, tally *op
 				Classifier: cluster.ClassifierOptions{ReclassifyEvery: 3, MinSamples: 3, Hysteresis: 1}})
 		},
 		BaselineResetTicks: 25,
-		Sampling:           SamplingOptions{Enabled: true},
 		Resilience:         ResilienceOptions{MaxRetries: 1, BreakerThreshold: modelBreakerThreshold},
 	})
 	if err != nil {

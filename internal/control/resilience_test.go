@@ -113,6 +113,45 @@ func TestLoopFaultCountersMatchScriptExactly(t *testing.T) {
 	}
 }
 
+// A fault script counts every observed tick: over a fault injector on the
+// simulator, with the configuration held as on a phase-stable fleet node,
+// the platform extrapolates most intervals, yet sample:nan@50 still lands
+// on tick 50 and the injector's tally reconciles with the loop's.
+func TestFaultScriptCountsEveryTick(t *testing.T) {
+	script, err := rdt.ParseFaultScript("sample:nan@50")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop, fi := newFaultLoop(t, script, Options{})
+	fast, ok := rdt.As[rdt.FastSampler](fi)
+	if !ok {
+		t.Fatal("the injector hides the simulator's FastSampler")
+	}
+	var bad []int
+	extrapolable := 0
+	for tick := 1; tick <= 120; tick++ {
+		if tick < 50 && fast.FastHorizon() > 0 {
+			extrapolable++
+		}
+		st, err := loop.Step()
+		if err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+		if st.Held == HeldSampleCorrupt {
+			bad = append(bad, st.Tick)
+		}
+	}
+	if extrapolable == 0 {
+		t.Fatal("no tick before 50 could be extrapolated: the script is not tested against the fast path")
+	}
+	if len(bad) != 1 || bad[0] != 50 {
+		t.Fatalf("corrupt readings on ticks %v, want [50]", bad)
+	}
+	if c, s := fi.Counts(), loop.Summary(); c.SampleNaNs != 1 || s.BadSamples != c.SampleNaNs+c.SampleNegatives {
+		t.Fatalf("injector %+v, loop BadSamples %d", c, s.BadSamples)
+	}
+}
+
 // Bounded retry absorbs short transient bursts: a 1-call Apply fault and
 // a 2-call MeasureIsolated burst vanish behind retries, costing only the
 // Retries counter — no rejected applies, no reset errors.

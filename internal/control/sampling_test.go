@@ -11,133 +11,49 @@ import (
 	"satori/internal/workloads"
 )
 
-func newSimLoop(t *testing.T, sampling SamplingOptions, pol policy.Policy) *Loop {
-	t.Helper()
-	profiles := workloads.PARSEC()[:3]
-	simulator, err := sim.New(sim.DefaultMachine(), profiles, sim.Options{Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := rdt.NewSimPlatform(simulator)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loop, err := New(Options{
-		Platform: sp,
-		Policy:   func(rdt.Platform) (policy.Policy, error) { return pol, nil },
-		Sampling: sampling,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return loop
+func newSimLoop(t *testing.T, pol policy.Policy) *Loop {
+	return newSimLoopReset(t, pol, 0)
 }
 
-// TestSampledRunBitIdenticalToDetailed is the core sampled-simulation
-// contract: an extrapolated run observes the exact same IPS stream —
-// bit for bit, including the noise draws — as a fully detailed run, so
-// enabling sampling can never move a golden.
-func TestSampledRunBitIdenticalToDetailed(t *testing.T) {
-	detailed := newSimLoop(t, SamplingOptions{}, policy.Static{})
-	sampled := newSimLoop(t, SamplingOptions{Enabled: true}, policy.Static{})
-	const ticks = 400
-	for i := 0; i < ticks; i++ {
-		sd, err := detailed.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss, err := sampled.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range sd.IPS {
-			if sd.IPS[j] != ss.IPS[j] {
-				t.Fatalf("tick %d job %d: sampled IPS %v != detailed %v", i+1, j, ss.IPS[j], sd.IPS[j])
-			}
-		}
-		if sd.Throughput != ss.Throughput || sd.Fairness != ss.Fairness {
-			t.Fatalf("tick %d: sampled scores (%v, %v) != detailed (%v, %v)",
-				i+1, ss.Throughput, ss.Fairness, sd.Throughput, sd.Fairness)
-		}
-	}
-	sum := sampled.Summary()
-	if sum.SampledTicks == 0 {
-		t.Fatal("sampling enabled on a static phase-stable run but no tick was extrapolated")
-	}
-	if detailed.Summary().SampledTicks != 0 {
-		t.Fatal("detailed loop reported sampled ticks")
-	}
-	t.Logf("extrapolated %d of %d ticks", sum.SampledTicks, ticks)
-}
-
-// TestSampledReTriggersDetailedOnChurn: a mix change (ReplaceJob) and a
-// membership change (AddJob) must each knock the loop out of
-// extrapolation and force at least StableTicks detailed intervals before
-// sampling can resume.
-func TestSampledReTriggersDetailedOnChurn(t *testing.T) {
-	const k = 5
-	loop := newSimLoop(t, SamplingOptions{Enabled: true, StableTicks: k}, policy.Static{})
-	warmUntilSampled := func(label string) {
+// TestIdleHorizonDisarmsOnChurn: a mix change (ReplaceJob) and a
+// membership change (AddJob) must each disarm IdleHorizon for at least
+// stableTicks observed intervals, and the promise must re-arm after.
+func TestIdleHorizonDisarmsOnChurn(t *testing.T) {
+	loop := newSimLoop(t, policy.Static{})
+	warmUntilArmed := func(label string) {
 		t.Helper()
 		for i := 0; i < 300; i++ {
-			st, err := loop.Step()
-			if err != nil {
+			if _, err := loop.Step(); err != nil {
 				t.Fatal(err)
 			}
-			if st.SampledTick {
+			if loop.IdleHorizon() > 0 {
 				return
 			}
 		}
-		t.Fatalf("%s: no extrapolated tick within 300 intervals", label)
+		t.Fatalf("%s: no idle promise within 300 intervals", label)
 	}
-	expectDetailedRun := func(label string, n int) {
+	expectDisarmed := func(label string) {
 		t.Helper()
-		for i := 0; i < n; i++ {
-			st, err := loop.Step()
-			if err != nil {
-				t.Fatal(err)
+		for i := 0; i < stableTicks; i++ {
+			if h := loop.IdleHorizon(); h != 0 {
+				t.Fatalf("%s: IdleHorizon %d after %d ticks; want 0 for %d ticks", label, h, i, stableTicks)
 			}
-			if st.SampledTick {
-				t.Fatalf("%s: tick %d after churn was extrapolated; want >= %d detailed ticks", label, i+1, n)
+			if _, err := loop.Step(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	warmUntilSampled("initial")
+	warmUntilArmed("initial")
 	if err := loop.ReplaceJob(0, workloads.PARSEC()[4]); err != nil {
 		t.Fatal(err)
 	}
-	expectDetailedRun("mix change", k)
-	warmUntilSampled("after mix change")
+	expectDisarmed("mix change")
+	warmUntilArmed("after mix change")
 	if err := loop.AddJob(workloads.PARSEC()[5]); err != nil {
 		t.Fatal(err)
 	}
-	expectDetailedRun("job arrival", k)
-	warmUntilSampled("after job arrival")
-}
-
-// TestSampledMaxRunForcesRevalidation: extrapolation must pause for a
-// detailed tick after MaxRun consecutive sampled intervals.
-func TestSampledMaxRunForcesRevalidation(t *testing.T) {
-	const maxRun = 7
-	loop := newSimLoop(t, SamplingOptions{Enabled: true, MaxRun: maxRun}, policy.Static{})
-	run := 0
-	for i := 0; i < 500; i++ {
-		st, err := loop.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.SampledTick {
-			run++
-			if run > maxRun {
-				t.Fatalf("tick %d: %d consecutive extrapolated ticks exceeds MaxRun=%d", i+1, run, maxRun)
-			}
-		} else {
-			run = 0
-		}
-	}
-	if loop.Summary().SampledTicks == 0 {
-		t.Fatal("no extrapolated ticks at all")
-	}
+	expectDisarmed("job arrival")
+	warmUntilArmed("after job arrival")
 }
 
 // corruptPlatform injects a corrupt observation every badEvery samples,

@@ -81,7 +81,7 @@ func newLCOnsetMix(t *testing.T) []*sim.Profile {
 	return []*sim.Profile{lc, batchTestProfile("b1"), batchTestProfile("b2")}
 }
 
-func newLCLoop(t *testing.T, mix []*sim.Profile, sampling SamplingOptions, sloOpt SLOOptions) *Loop {
+func newLCLoop(t *testing.T, mix []*sim.Profile, sloOpt SLOOptions) *Loop {
 	t.Helper()
 	simulator, err := sim.New(sim.DefaultMachine(), mix, sim.Options{Seed: 17})
 	if err != nil {
@@ -94,7 +94,6 @@ func newLCLoop(t *testing.T, mix []*sim.Profile, sampling SamplingOptions, sloOp
 	loop, err := New(Options{
 		Platform: sp,
 		Policy:   func(rdt.Platform) (policy.Policy, error) { return policy.Static{}, nil },
-		Sampling: sampling,
 		SLO:      sloOpt,
 	})
 	if err != nil {
@@ -113,10 +112,9 @@ func newLCLoop(t *testing.T, mix []*sim.Profile, sampling SamplingOptions, sloOp
 func TestViolationOnsetNeverSkipped(t *testing.T) {
 	mix := newLCOnsetMix(t)
 	const ticks = 150
-	sampling := SamplingOptions{Enabled: true, MaxRun: 100}
 
 	// Lockstep reference.
-	lock := newLCLoop(t, mix, sampling, SLOOptions{})
+	lock := newLCLoop(t, mix, SLOOptions{})
 	lockFirst := -1
 	for i := 0; i < ticks; i++ {
 		st, err := lock.Step()
@@ -140,7 +138,7 @@ func TestViolationOnsetNeverSkipped(t *testing.T) {
 	// could jump the flip — so jumps are only granted in steady states,
 	// the onset itself is always seen by a Step, and the violated-tick
 	// ledger still matches lockstep exactly.
-	skip := newLCLoop(t, mix, sampling, SLOOptions{})
+	skip := newLCLoop(t, mix, SLOOptions{})
 	skipFirst, skips := -1, 0
 	for skip.Ticks() < ticks {
 		h := min(skip.IdleHorizon(), ticks-skip.Ticks())

@@ -18,10 +18,9 @@ type Options struct {
 	Seed uint64
 	// Scheduler configures the goal-weight dynamics (Sec. III-C).
 	Scheduler SchedulerOptions
-	// StaticWT, when StaticWTSet is true, pins static weights at an
-	// explicit throughput weight (honoring 0 for Fairness SATORI).
-	StaticWT    float64
-	StaticWTSet bool
+	// StaticWT is the throughput weight WeightsStatic pins (0 is honored:
+	// Fairness SATORI); other modes ignore it.
+	StaticWT float64
 	// Window caps how many most-recent distinct configurations the
 	// proxy model is fitted on (default 64). A bounded window keeps
 	// the 100 ms iteration cheap and lets the model track phase
@@ -243,13 +242,9 @@ type tick struct {
 // New builds a SATORI engine over space.
 func New(space *resource.Space, opt Options) (*Engine, error) {
 	opt.fill()
-	var sched *Scheduler
-	if opt.Scheduler.Mode == WeightsStatic && opt.StaticWTSet {
-		sched = NewStaticScheduler(opt.StaticWT)
-		sched.tpTicks = orDefault(opt.Scheduler.PrioritizationTicks, 10)
-		sched.teTicks = orDefault(opt.Scheduler.EqualizationTicks, 100)
-	} else {
-		sched = NewScheduler(opt.Scheduler)
+	sched := NewScheduler(opt.Scheduler)
+	if opt.Scheduler.Mode == WeightsStatic {
+		sched.pin(opt.StaticWT)
 	}
 	e := &Engine{
 		space:        space,
@@ -312,13 +307,6 @@ func New(space *resource.Space, opt Options) (*Engine, error) {
 		}
 	}
 	return e, nil
-}
-
-func orDefault(v, d int) int {
-	if v <= 0 {
-		return d
-	}
-	return v
 }
 
 // Name implements policy.Policy.

@@ -149,9 +149,9 @@ func TestEngineNames(t *testing.T) {
 		want string
 	}{
 		{Options{}, "satori"},
-		{Options{Scheduler: SchedulerOptions{Mode: WeightsStatic}, StaticWT: 0.5, StaticWTSet: true}, "satori-static"},
-		{Options{Scheduler: SchedulerOptions{Mode: WeightsStatic}, StaticWT: 1, StaticWTSet: true}, "satori-throughput"},
-		{Options{Scheduler: SchedulerOptions{Mode: WeightsStatic}, StaticWT: 0, StaticWTSet: true}, "satori-fairness"},
+		{Options{Scheduler: SchedulerOptions{Mode: WeightsStatic}, StaticWT: 0.5}, "satori-static"},
+		{Options{Scheduler: SchedulerOptions{Mode: WeightsStatic}, StaticWT: 1}, "satori-throughput"},
+		{Options{Scheduler: SchedulerOptions{Mode: WeightsStatic}, StaticWT: 0}, "satori-fairness"},
 		{Options{Scheduler: SchedulerOptions{Mode: WeightsFavorStronger}}, "satori-favor-stronger"},
 		{Options{Name: "custom"}, "custom"},
 	}

@@ -673,7 +673,7 @@ func randomDrive(t *testing.T, seed int64, ticks int, mixes []workloads.Mix, run
 		}
 		switch k := rng.Intn(8); {
 		case k == 0:
-			opt.Scheduler.Mode, opt.StaticWTSet, opt.StaticWT = WeightsStatic, true, rng.Float64()
+			opt.Scheduler.Mode, opt.StaticWT = WeightsStatic, rng.Float64()
 		case k == 1:
 			opt.Scheduler.Mode = WeightsSLOAware
 		case k == 2:

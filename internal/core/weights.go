@@ -125,8 +125,8 @@ type SchedulerOptions struct {
 	// WeightFloor and WeightCeil override the [0.25, 0.75] bounds of
 	// Sec. III-C (used by the bounds ablation). The zero value keeps the
 	// defaults; an explicit 0 floor (the truly unbounded ablation) is
-	// expressed by also setting WeightFloorSet — the same sentinel pattern
-	// as Options.StaticWTSet. A ceiling of exactly 1 needs no flag.
+	// expressed by also setting WeightFloorSet. A ceiling of exactly 1
+	// needs no flag.
 	WeightFloor float64
 	WeightCeil  float64
 	// WeightFloorSet marks WeightFloor as explicit, so WeightFloor: 0 is
@@ -157,7 +157,7 @@ func NewScheduler(opt SchedulerOptions) *Scheduler {
 	}
 	s := &Scheduler{
 		mode:    opt.Mode,
-		staticT: 0.5, // WeightsStatic's balanced default; Options.StaticWT overrides it
+		staticT: 0.5, // WeightsStatic's balanced default; an Engine pins Options.StaticWT
 		tpTicks: opt.PrioritizationTicks,
 		teTicks: opt.EqualizationTicks,
 		floor:   opt.WeightFloor,
@@ -171,13 +171,9 @@ func NewScheduler(opt SchedulerOptions) *Scheduler {
 	return s
 }
 
-// NewStaticScheduler builds a static-weight scheduler with an explicit
-// throughput weight (0 is honored, enabling the Fairness SATORI variant).
-func NewStaticScheduler(wT float64) *Scheduler {
-	s := NewScheduler(SchedulerOptions{Mode: WeightsStatic})
-	s.staticT = stats.Clamp(wT, 0, 1)
-	return s
-}
+// pin sets the throughput weight WeightsStatic holds (0 is honored,
+// enabling the Fairness SATORI variant).
+func (s *Scheduler) pin(wT float64) { s.staticT = stats.Clamp(wT, 0, 1) }
 
 // Step consumes the tick's normalized throughput and fairness observation
 // and returns the weights to use when constructing this tick's objective

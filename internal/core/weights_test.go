@@ -10,7 +10,12 @@ import (
 )
 
 func TestStaticWeights(t *testing.T) {
-	s := NewStaticScheduler(0.5)
+	static := func(wT float64) *Scheduler {
+		s := NewScheduler(SchedulerOptions{Mode: WeightsStatic})
+		s.pin(wT)
+		return s
+	}
+	s := static(0.5)
 	for i := 0; i < 50; i++ {
 		w := s.Step(0.5, 0.5)
 		if w.T != 0.5 || w.F != 0.5 {
@@ -18,11 +23,11 @@ func TestStaticWeights(t *testing.T) {
 		}
 	}
 	// Single-goal variants honor explicit 0 and 1.
-	s = NewStaticScheduler(1)
+	s = static(1)
 	if w := s.Step(0.5, 0.5); w.T != 1 || w.F != 0 {
 		t.Errorf("throughput-only weights: %+v", w)
 	}
-	s = NewStaticScheduler(0)
+	s = static(0)
 	if w := s.Step(0.5, 0.5); w.T != 0 || w.F != 1 {
 		t.Errorf("fairness-only weights: %+v", w)
 	}

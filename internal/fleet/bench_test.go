@@ -134,7 +134,7 @@ func benchFleetScale(b *testing.B, nodes int, policy string, slots int, eventDri
 const benchActiveInstr = 2.5e9
 
 // Long phases: ~50k ticks per phase; nodes are phase-stable and spend
-// MaxRun-bounded runs on idle promises. This is the idle-heavy case.
+// equalization-period-bounded runs on idle promises. This is the idle-heavy case.
 const benchIdleInstr = 1e14
 
 func BenchmarkFleetTick100Active(b *testing.B) {

@@ -548,14 +548,6 @@ func (n *node) admit(job *Job, now float64, opt Options) error {
 		loop, err := control.New(control.Options{
 			Platform: platform,
 			Policy:   build,
-			// Sampled simulation is default-on for fleet runs: node ticks
-			// are bit-identical either way on the sim backend, and
-			// phase-stable nodes skip the detailed model evaluation. The
-			// revalidation cadence is stretched to the equalization
-			// period — the boundary forces a detailed tick anyway, and
-			// the default MaxRun of 20 would cut every idle promise to a
-			// twentieth of the period.
-			Sampling: control.SamplingOptions{Enabled: true, MaxRun: 100},
 		})
 		if err != nil {
 			return err

@@ -120,6 +120,14 @@ var gates = []gate{
 		check: none("ident", `AdvanceIdle`),
 		bad:   goSrc(`func (l *Loop) AdvanceIdle(n int) {}`),
 	},
+	{
+		// sim.Simulator.Step extrapolates whenever that is exact, so the
+		// loop keeps no sampling switch and no stability gate of its own.
+		name:  "One-record: the loop observes every tick through Platform.Sample",
+		files: files{paths: []string{"internal/control"}},
+		check: none("ident", `^(SampleFast|SamplingOptions|StableTicks|MaxRun)$`),
+		bad:   goSrc(`func (l *Loop) f() { if l.stable >= l.sampling.StableTicks && l.sampledRun < l.sampling.MaxRun { l.fast.SampleFast() } }`),
+	},
 
 	// Recency list: core.Records keeps its records in window order.
 	{
@@ -284,7 +292,7 @@ var gates = []gate{
 		bad:   goSrc(`import _ "satori/internal/stack"`),
 	},
 	{
-		name:  "One-assembly: no -sampled flag; a session built from flags evaluates every tick in detail",
+		name:  "One-assembly: no -sampled flag; a session built from flags evaluates every tick as sim.Simulator.Step chooses",
 		files: files{paths: []string{"internal/stack", "cmd/satori", "cmd/satorid"}, tests: withTests},
 		check: none("string", `^-?sampled$`),
 		bad:   goSrc(`import "flag"; var sampled = flag.Bool("sampled", false, "extrapolate phase-stable ticks")`),
@@ -554,8 +562,12 @@ var unreferenced = map[string]string{
 // only tests, or the frozen benchmark, write, each with the reason it stays.
 // A field no test needs goes, with the branches that read it.
 var unwritten = map[string]string{
-	// Set only by the frozen benchmark (ROADMAP standing rule 1).
-	"satori.SessionConfig.Sampled":       "benchmark/workload.go runs its sampled workloads with it",
+	// Set only by the frozen benchmark (ROADMAP standing rule 1). Two
+	// names it reaches are in neither list, being read by nothing and
+	// called by nothing: satori.SessionConfig.Sampled and
+	// rdt.FastSampler.SampleFast (benchmark/workload.go sets the one,
+	// benchmark/interpose.go forwards the other) — frozen benchmark; the
+	// bundle deletes them.
 	"satori.SessionConfig.SLOGoalSwitch": "benchmark/workload.go and bench_test.go's latency-critical sessions set it",
 	"fleet.Options.WrapPlatform":         "benchmark/workload.go traces the fleet workloads' platforms; fleet's shard and random-ops tests inject faults through it",
 	"fleet.Options.WrapPolicy":           "TestFleetUnderScribblingPolicy wraps every node's policy with policytest.Scribble",
@@ -584,7 +596,6 @@ var unwritten = map[string]string{
 	"control.ResilienceOptions.MaxRetries":       "the resilience and random-ops tests bound the retries",
 	"control.ResilienceOptions.BackoffBase":      "the resilience tests shorten the backoff",
 	"control.ResilienceOptions.BreakerThreshold": "the resilience and random-ops tests trip the breaker early",
-	"control.SamplingOptions.StableTicks":        "the sampling tests arm sampled stepping after k stable ticks",
 	"fleet.StreamOptions.DurationMin":            "benchmark/workload.go's fleet_churn stream and fleet's shard, bench, random-ops and determinism tests bound the service times",
 	"fleet.StreamOptions.DurationMax":            "benchmark/workload.go's fleet_churn stream and fleet's shard, bench, random-ops and determinism tests bound the service times",
 	"fleet.StreamOptions.Seed":                   "fleet.New derives it from Options.Seed; fleet_test's NewJobStream case seeds a bare stream",

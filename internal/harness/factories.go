@@ -51,10 +51,9 @@ func StaticSatori(wT float64) func(rdt.Platform, uint64) (policy.Policy, error) 
 
 func staticOptions(wT float64, name string) core.Options {
 	return core.Options{
-		Scheduler:   core.SchedulerOptions{Mode: core.WeightsStatic},
-		StaticWT:    wT,
-		StaticWTSet: true,
-		Name:        name,
+		Scheduler: core.SchedulerOptions{Mode: core.WeightsStatic},
+		StaticWT:  wT,
+		Name:      name,
 	}
 }
 

@@ -196,11 +196,14 @@ func (c FaultCounts) Total() int {
 // injection is counted so tests can reconcile loop counters against
 // ground truth.
 //
-// The inner platform's optional capabilities stay reachable through
-// Unwrap (see As), so churn, fast-sample, SLO and grouping calls reach
-// the inner backend un-faulted. Churn resyncs internally; the script's
-// resync faults target explicit Resync calls, which keeps counter
-// reconciliation exact. With a zero-value script the decorator is a
+// Every observed interval is one Sample call, however cheaply the inner
+// platform observes it (the simulator extrapolates inside Sample), so a
+// script's sample call index is the control loop's tick until the first
+// idle skip. The inner platform's optional capabilities stay reachable
+// through Unwrap (see As), so churn, idle-skip, SLO and grouping calls
+// reach the inner backend un-faulted. Churn resyncs internally; the
+// script's resync faults target explicit Resync calls, which keeps
+// counter reconciliation exact. With a zero-value script the decorator is a
 // transparent pass-through.
 type FaultInjector struct {
 	inner  Platform

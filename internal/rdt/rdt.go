@@ -397,7 +397,8 @@ func (p *SimPlatform) Grouping() *resource.Grouping { return p.grouping }
 // MaxCLOS implements CLOSLimiter.
 func (p *SimPlatform) MaxCLOS() int { return p.maxCLOS }
 
-// Sample implements Platform.
+// Sample implements Platform. The simulator extrapolates the interval
+// whenever that is bit-identical to a detailed evaluation (sim.Simulator.Step).
 func (p *SimPlatform) Sample() ([]float64, error) {
 	return p.sim.Step().IPS, nil
 }

@@ -177,7 +177,6 @@ type TickMetrics struct {
 	Throughput   float64 `json:"throughput"`
 	Fairness     float64 `json:"fairness"`
 	BaselineRst  bool    `json:"baselineReset,omitempty"`
-	Sampled      bool    `json:"sampled,omitempty"`
 	BadSample    bool    `json:"badSample,omitempty"`
 	Degraded     bool    `json:"degraded,omitempty"`
 	SafeFallback bool    `json:"safeFallback,omitempty"`
@@ -215,9 +214,9 @@ func tickMetrics(st control.Status, jobs int) TickMetrics {
 	m := TickMetrics{
 		Tick: st.Tick, Time: st.Time, Jobs: jobs,
 		Throughput: st.Throughput, Fairness: st.Fairness,
-		BaselineRst: st.BaselineReset, Sampled: st.SampledTick,
-		BadSample: st.Held == control.HeldSampleCorrupt, Degraded: st.Held == control.HeldSampleLost,
-		SafeFallback: st.SafeFallback, Rejected: st.Held == control.HeldApplyRejected,
+		BaselineRst: st.BaselineReset, BadSample: st.Held == control.HeldSampleCorrupt,
+		Degraded: st.Held == control.HeldSampleLost, SafeFallback: st.SafeFallback,
+		Rejected: st.Held == control.HeldApplyRejected,
 	}
 	if st.SLO != nil {
 		m.SLO = &TickSLO{

@@ -842,15 +842,15 @@ func TestSampledHorizonBoundsExtrapolation(t *testing.T) {
 	if h := s.SampledHorizon(); h != 0 {
 		t.Fatalf("horizon = %d before any detailed step, want 0", h)
 	}
-	// Run detailed ticks until the extrapolation cache is valid with a
-	// positive lookahead.
+	// Step until the extrapolation cache is valid with a positive
+	// lookahead.
 	h := 0
 	for i := 0; i < 300 && h == 0; i++ {
 		s.Step()
 		h = s.SampledHorizon()
 	}
 	if h == 0 {
-		t.Fatal("no positive horizon within 300 detailed ticks")
+		t.Fatal("no positive horizon within 300 ticks")
 	}
 	// The promise is hard: all h sampled ticks succeed, no refusal.
 	for i := 0; i < h; i++ {
@@ -863,8 +863,8 @@ func TestSampledHorizonBoundsExtrapolation(t *testing.T) {
 	if left := s.SampledHorizon(); left > 1 {
 		t.Errorf("horizon = %d after consuming the full promise, want <= 1", left)
 	}
-	// Whatever the next tick is, the detailed path must absorb it and
-	// re-establish a fresh promise that is again fully honored.
+	// Whatever the next tick is, Step must absorb it and re-establish a
+	// fresh promise that is again fully honored.
 	s.Step()
 	for i, h2 := 0, s.SampledHorizon(); i < h2; i++ {
 		if _, ok := s.StepSampled(); !ok {

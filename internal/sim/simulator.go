@@ -41,7 +41,7 @@ type Simulator struct {
 	iCores, iWays, iBW, iPower int // resource row indices
 
 	// Sampled-simulation state (Pac-Sim style): the noise-free model IPS
-	// of every job as computed by the last detailed Step, valid only
+	// of every job as computed by the last detailed tick, valid only
 	// while nothing that feeds ipsModel can have moved — same phases,
 	// same configuration, same job set. StepSampled extrapolates from it.
 	modelIPS []float64
@@ -182,7 +182,7 @@ func (s *Simulator) Apply(c resource.Config) error {
 		s.current = c.Clone()
 		s.applies++
 		// A new partition changes every job's model IPS: force the next
-		// tick through the detailed path.
+		// tick through the detailed evaluation.
 		s.ipsValid = false
 	}
 	return nil
@@ -425,8 +425,20 @@ type Sample struct {
 
 // Step advances the simulation by one 100 ms tick under the current
 // configuration and returns the monitoring sample. Work progresses at the
-// model rate, crossing phase boundaries mid-tick exactly.
+// model rate, crossing phase boundaries mid-tick exactly. The tick is
+// extrapolated (StepSampled) whenever that is exact and evaluated in
+// detail otherwise; the two are bit-identical, so a caller never chooses.
 func (s *Simulator) Step() Sample {
+	if sample, ok := s.StepSampled(); ok {
+		return sample
+	}
+	return s.stepDetailed()
+}
+
+// stepDetailed is Step's full evaluation: every job's model rate is
+// recomputed and phase boundaries crossed mid-tick. It refreshes the
+// extrapolation cache StepSampled reads.
+func (s *Simulator) stepDetailed() Sample {
 	dt := TickSeconds
 	sample := Sample{
 		Tick:         s.ticks + 1,
@@ -483,7 +495,7 @@ func (s *Simulator) Step() Sample {
 // SampledHorizon returns a conservative count of consecutive StepSampled
 // calls guaranteed to succeed from the current state — the lookahead an
 // event-driven caller uses to defer a run of ticks in one decision. 0
-// means the next tick needs a detailed Step (no valid extrapolation
+// means the next tick needs a detailed evaluation (no valid extrapolation
 // cache, or a phase boundary within one tick). The bound is conservative
 // against floating-point drift: workDone accumulates by repeated adds in
 // StepSampled, so the analytic count is shortened by one tick; a caller
@@ -546,14 +558,14 @@ func (s *Simulator) SkipSampled(n int) bool {
 
 // StepSampled advances one tick by extrapolation (Pac-Sim style sampled
 // simulation): instead of re-evaluating the analytical model it reuses
-// each job's noise-free IPS cached by the last detailed Step, drawing the
+// each job's noise-free IPS cached by the last detailed tick, drawing the
 // same single noise sample per job. ok is false — with NO side effects —
 // whenever extrapolation would diverge from a detailed step: no valid
 // cache (configuration change, churn, or a stall since the last detailed
-// tick) or an imminent phase-boundary crossing; the caller must then run
-// the detailed Step. When ok is true the returned sample, the RNG stream,
-// and all job state are bit-identical to what Step would have produced,
-// which is what lets sampled runs share committed goldens.
+// tick) or an imminent phase-boundary crossing. When ok is true the
+// returned sample, the RNG stream, and all job state are bit-identical to
+// what the detailed evaluation would have produced, which is why Step
+// tries it first.
 func (s *Simulator) StepSampled() (Sample, bool) {
 	if !s.ipsValid || len(s.modelIPS) != len(s.jobs) {
 		return Sample{}, false

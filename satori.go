@@ -52,11 +52,10 @@ type SessionConfig struct {
 	Policy func(Platform) (Policy, error)
 	// Seed makes the session reproducible (default 1).
 	Seed uint64
-	// Sampled enables Pac-Sim-style sampled simulation: phase-stable
-	// intervals are extrapolated instead of evaluated in detail (see
-	// control.SamplingOptions). On the simulator backend the outputs are
-	// bit-identical to a fully detailed run, so this is purely a
-	// per-tick cost knob.
+	// Sampled is ignored. The simulator extrapolates a phase-stable
+	// interval whenever that is bit-identical to evaluating it in detail
+	// (sim.Simulator.Step), so there is no switch left to set. The field
+	// stays because the frozen benchmark sets it.
 	Sampled bool
 	// SLOGoalSwitch arbitrates goals under SLO violations: while a
 	// violation persists (hysteretically detected), the fairness channel
@@ -104,7 +103,7 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 // NewSessionOn builds a session driving an already-constructed Platform
 // backend — the deployment path for rdt.ResctrlPlatform (and any future
 // backend). cfg.Workloads and Machine are ignored (the platform fixes
-// both); Policy, Seed, Sampled and SLOGoalSwitch apply as in NewSession.
+// both); Policy, Seed and SLOGoalSwitch apply as in NewSession.
 // The goals are the paper's defaults (SumIPS throughput, Jain fairness)
 // and the baselines refresh every equalization period (100 ticks).
 func NewSessionOn(platform Platform, cfg SessionConfig) (*Session, error) {
@@ -127,7 +126,6 @@ func NewSessionOn(platform Platform, cfg SessionConfig) (*Session, error) {
 	loop, err := control.New(control.Options{
 		Platform: platform,
 		Policy:   build,
-		Sampling: control.SamplingOptions{Enabled: cfg.Sampled},
 		SLO:      control.SLOOptions{GoalSwitch: cfg.SLOGoalSwitch},
 	})
 	if err != nil {
