@@ -115,7 +115,7 @@ type Engine struct {
 	equalSplit resource.Config
 	// single is set by New when the managed space holds exactly one
 	// configuration (the equal split): every Decide is then forced, and the
-	// engine carries no initial design, proxy model or candidate pool.
+	// engine carries no initial design, proxy model, candidate pool or RNG.
 	single bool
 	// settled counts the consecutive ticks settle ended at exploit with the
 	// fresh panel ruled out (t.freshSkipped), saturating at settleTicks; at
@@ -132,7 +132,7 @@ type Engine struct {
 	// included, stays in its 768-byte size class.
 	lastWeights   Weights // scheduleWeights
 	lastObj       float64 // scheduleWeights
-	forcedTicks   int     // forced
+	forcedTicks   int     // forced; after the first tick, the top of Decide
 	seedTicks     int     // seed
 	modelTicks    int     // syncModel
 	appendRefits  int     // syncModel
@@ -249,7 +249,6 @@ func New(space *resource.Space, opt Options) (*Engine, error) {
 	e := &Engine{
 		space:        space,
 		opt:          opt,
-		rng:          stats.NewRNG(opt.Seed ^ 0x5A7031),
 		sched:        sched,
 		recs:         NewRecords(),
 		equalSplit:   space.EqualSplit(),
@@ -285,8 +284,9 @@ func New(space *resource.Space, opt Options) (*Engine, error) {
 		e.single = e.single && (space.Jobs == 1 || space.Resources[r].Units == space.Jobs)
 	}
 	if e.single {
-		return e, nil
+		return e, nil // no RNG either: a forced engine never draws
 	}
+	e.rng = stats.NewRNG(opt.Seed ^ 0x5A7031)
 	e.model = gp.NewIncremental(gp.Options{Noise: modelNoise})
 	if opt.RandomInit {
 		// Ablation mode: random initial design.
@@ -354,8 +354,13 @@ func (e *Engine) randomConfig() resource.Config {
 // list of its stages. Only the stages touch engine state, and each
 // diagnostic counter has one stage that writes it. An exploit returns the
 // engine's own configuration (out), which the next Decide overwrites, as
-// policy.Policy allows.
+// policy.Policy allows. A forced engine runs the list once, to forced; every
+// later tick returns the equal split here and only counts itself.
 func (e *Engine) Decide(obs policy.Observation, current resource.Config) resource.Config {
+	if e.single && e.forcedTicks > 0 {
+		e.forcedTicks++
+		return e.equalSplit
+	}
 	t := tick{obs: obs, current: current}
 	e.scheduleWeights(&t)
 	e.record(&t)
@@ -445,8 +450,10 @@ func (e *Engine) record(t *tick) {
 // the space: a managed space of one configuration (a node running a single
 // job, a cluster space at K = 1, every managed row on its 1-unit floor)
 // leaves nothing to seed, model or acquire, so the tick ends here with that
-// configuration. The weights and the one record above stay live for their
-// readers; nothing else is written and no random number is drawn.
+// configuration. Only the engine's first tick reaches it: its weights and
+// its one record are what the engine's readers see for its whole life, as
+// no later tick weighs, records or reaches a stage (Decide). A forced
+// engine has no RNG.
 func (e *Engine) forced() (only resource.Config, forced bool) {
 	if e.single {
 		e.forcedTicks++
@@ -1167,28 +1174,31 @@ func (e *Engine) trackProxyChange(window []int32) {
 }
 
 // LastWeights returns the weight decomposition of the last Decide call
-// (Fig. 14(a)).
+// (Fig. 14(a)); a forced engine's are its first tick's, the only one that
+// weighs.
 func (e *Engine) LastWeights() Weights { return e.lastWeights }
 
 // LastObjective returns the objective value W_T·T + W_F·F observed at the
-// last Decide call (Fig. 17(a)).
+// last Decide call (Fig. 17(a)); a forced engine's is its first tick's.
 func (e *Engine) LastObjective() float64 { return e.lastObj }
 
 // ProxyChange returns the latest mean % change of the proxy model's
 // predictions between consecutive iterations (Fig. 17(b)).
 func (e *Engine) ProxyChange() float64 { return e.proxyChange }
 
-// Records returns the per-goal configuration records.
+// Records returns the per-goal configuration records. A forced engine's
+// hold one record, of one visit, made by its first tick.
 func (e *Engine) Records() *Records { return e.recs }
 
 // Stats counts what an engine's ticks did, one integer per event, over the
 // engine's life. Each counter has one writer, the stage of Decide named
 // with it; nothing reads a clock, so counting costs an increment.
 type Stats struct {
-	// ForcedTicks counts the ticks of a one-configuration space (forced),
-	// SeedTicks those that handed out the initial design (seed), and
-	// ModelTicks those that reached the proxy model (syncModel); every
-	// Decide is exactly one of the three.
+	// ForcedTicks counts the ticks of a one-configuration space (forced,
+	// then the top of Decide for every tick after the first), SeedTicks
+	// those that handed out the initial design (seed), and ModelTicks those
+	// that reached the proxy model (syncModel); every Decide is exactly one
+	// of the three.
 	ForcedTicks, SeedTicks, ModelTicks int
 	// RecordHeadHits counts the ticks whose configuration was the one
 	// recorded last, found by the record store without building its key
@@ -1233,7 +1243,7 @@ type Stats struct {
 }
 
 // Stats returns the engine's counters. An engine whose every decision is
-// forced has no model: only ForcedTicks and RecordHeadHits move.
+// forced has no model and records once: only ForcedTicks moves.
 func (e *Engine) Stats() Stats {
 	s := Stats{
 		ForcedTicks: e.forcedTicks, SeedTicks: e.seedTicks, ModelTicks: e.modelTicks,

@@ -64,20 +64,33 @@ type refitOracle struct {
 func (o *refitOracle) Decide(obs policy.Observation, current resource.Config) resource.Config {
 	o.t.Helper()
 	e := o.eng
-	seeding, before, rng := len(e.initQueue) > 0, e.Stats(), *e.rng
+	seeding, before := len(e.initQueue) > 0, e.Stats()
+	var rng stats.RNG
+	if e.rng != nil {
+		rng = *e.rng
+	} else if !e.single {
+		o.t.Fatalf("tick %d: an engine with a space to search has no RNG", obs.Tick)
+	}
 	s := gp.TakeScratch()
 	s.Points.Reset(0, 0) // emptied, so check can tell that Decide scored in s
 	s.Release()          // the top of the list, which Decide takes next
 	next := e.Decide(obs, current)
 	after := e.Stats()
 	switch {
-	case e.single || seeding:
-		// Nothing to decide, or the initial design: no draw.
-		if *e.rng != rng || e.single && !next.Equal(e.equalSplit) {
-			o.t.Fatalf("tick %d: a forced or seeding tick drew (%v) or left the equal split (%s)", obs.Tick, *e.rng != rng, next.Key())
+	case e.single:
+		// Nothing to decide: no RNG to draw from, the equal split, and the
+		// one record the first tick made, never visited again.
+		if e.rng != nil || !next.Equal(e.equalSplit) {
+			o.t.Fatalf("tick %d: a forced engine holds an RNG (%v) or left the equal split (%s)", obs.Tick, e.rng != nil, next.Key())
 		}
-		if e.single {
-			o.forced++
+		if n, hits := e.recs.Len(), e.recs.HeadHits(); n != 1 || hits != 0 {
+			o.t.Fatalf("tick %d: a forced engine holds %d records, met %d times at the head; want its first tick's one", obs.Tick, n, hits)
+		}
+		o.forced++
+	case seeding:
+		// The initial design: no draw.
+		if *e.rng != rng {
+			o.t.Fatalf("tick %d: a seeding tick drew", obs.Tick)
 		}
 	case after.FitFailures != before.FitFailures:
 		// No model: the tick explores one pinned random configuration.

@@ -155,6 +155,10 @@ type Cluster struct {
 	nodes   []*node
 	stream  *JobStream
 	shards  []*shard // placement subproblems; len 1 = unsharded
+	// waiting holds the indices of the shards whose queue holds a job this
+	// tick, and placedBy[k] how many jobs shard waiting[k] placed: the
+	// placement phase's storage, kept across ticks.
+	waiting, placedBy []int
 
 	ticks  int
 	series *trace.Series
@@ -240,12 +244,13 @@ func New(opt Options) (*Cluster, error) {
 		return nil, err
 	}
 	c := &Cluster{
-		opt:     opt,
-		machine: machine,
-		maxJobs: maxJobs,
-		stream:  stream,
-		shards:  shards,
-		series:  trace.NewSeries(fleetColumns...),
+		opt:      opt,
+		machine:  machine,
+		maxJobs:  maxJobs,
+		stream:   stream,
+		shards:   shards,
+		placedBy: make([]int, len(shards)),
+		series:   trace.NewSeries(fleetColumns...),
 	}
 	for i := 0; i < opt.Nodes; i++ {
 		c.nodes = append(c.nodes, &node{id: i, machine: machine})
@@ -336,19 +341,26 @@ func (c *Cluster) Step() (TickStats, error) {
 		s.queue = append(s.queue, job)
 	}
 
-	// (3) Placement, one independent subproblem per shard. Shards own
-	// disjoint node sets and queues, so they place concurrently; the
-	// recombination is the union, with bookkeeping folded in shard order.
-	placedBy := make([]int, len(c.shards))
-	if err := harness.ForEach(c.opt.Workers, len(c.shards), func(s int) error {
-		n, err := c.placeShard(c.shards[s], now)
-		placedBy[s] = n
+	// (3) Placement, one independent subproblem per shard with a job
+	// waiting. Shards own disjoint node sets and queues, so they place
+	// concurrently; the recombination is the union, with bookkeeping folded
+	// in shard order. A shard with an empty queue has nothing to place, and
+	// a tick with no job waiting starts no worker.
+	c.waiting = c.waiting[:0]
+	for s, sh := range c.shards {
+		if len(sh.queue) > 0 {
+			c.waiting = append(c.waiting, s)
+		}
+	}
+	if err := harness.ForEach(c.opt.Workers, len(c.waiting), func(k int) error {
+		n, err := c.placeShard(c.shards[c.waiting[k]], now)
+		c.placedBy[k] = n
 		return err
 	}); err != nil {
 		c.err = fmt.Errorf("fleet: admit: %w", err)
 		return st, c.err
 	}
-	for _, n := range placedBy {
+	for _, n := range c.placedBy[:len(c.waiting)] {
 		c.placed += n
 	}
 	if q := c.queued(); q > c.maxQueue {

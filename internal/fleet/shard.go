@@ -114,11 +114,9 @@ func (c *Cluster) shardViews(s *shard) []NodeView {
 // incrementally (an admission bumps the job count and invalidates the
 // speedup snapshot), which matches rebuilding them from the live nodes.
 // Only this shard's nodes and queue are touched, so shards place
-// concurrently without synchronization.
+// concurrently without synchronization. Step calls it only for a shard
+// with a job waiting.
 func (c *Cluster) placeShard(s *shard, now float64) (int, error) {
-	if len(s.queue) == 0 {
-		return 0, nil
-	}
 	placed := 0
 	views := c.shardViews(s)
 	for len(s.queue) > 0 {

@@ -492,7 +492,7 @@ var gates = []gate{
 		files: files{paths: []string{"internal/gates/mutants_test.go"}, tests: testsOnly},
 		check: each("kv", "shortcut: windowDistances", "shortcut: goalBasis", "shortcut: blocks",
 			"shortcut: drawSkips", "shortcut: narrowing", "shortcut: blockCeiling", "shortcut: walkUpdate", "shortcut: drawBatch",
-			"shortcut: freshCeilings", "shortcut: residentState"),
+			"shortcut: freshCeilings", "shortcut: residentState", "shortcut: forcedSpace"),
 		bad: goSrc(`var rows = []mutant{{shortcut: windowDistances}, {shortcut: goalBasis}, {shortcut: blocks}, {shortcut: drawSkips}, {shortcut: narrowing}, {shortcut: blockCeiling}}`),
 	},
 

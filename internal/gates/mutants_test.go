@@ -17,12 +17,12 @@ import (
 // Each shortcut on the scoring path — the window's kept distances, the goal
 // basis, neighbourhood blocks (moved fills and revivals), draw-only skips,
 // narrowing, the block ceiling, walks filled from their moves, the batched
-// draws, the fresh panel's σ ceilings and the state a node keeps between
-// ticks — is held by two broad checks in internal/core: the refit oracle,
-// which refits the proxy model from scratch after every tick, and its
-// draw-stream check, which rebuilds the
-// tick's draws from a copy of the engine's generator (oracle_test.go, fed
-// by the seeded random drives). A row is one known bug of one shortcut, as
+// draws, the fresh panel's σ ceilings, the state a node keeps between
+// ticks and a forced engine's ticks after its first — is held by two broad
+// checks in internal/core: the refit oracle, which refits the proxy model
+// from scratch after every tick, and its draw-stream check, which rebuilds
+// the tick's draws from a copy of the engine's generator (oracle_test.go,
+// fed by the seeded random drives). A row is one known bug of one shortcut, as
 // a one-line mutation of the source, and the tests that must catch it. A
 // new shortcut adds rows here, not a test file of its own.
 //
@@ -43,6 +43,7 @@ const (
 	drawBatch       = "draws in registers"
 	freshCeilings   = "fresh ceilings"
 	residentState   = "resident state"
+	forcedSpace     = "nothing to decide"
 )
 
 // The checks that catch them.
@@ -55,6 +56,7 @@ const (
 	retention   = "TestBlocksKeepKStarOnlyForAWindowDecision"
 	pointers    = "TestRecordsMatchPointerStore"
 	sorted      = "TestRecordsMatchSortedOracle"
+	forcedTest  = "TestForcedSpaceSkipsTheSearch"
 )
 
 // A mutant is one row: in file, the text old, which must occur exactly once,
@@ -385,6 +387,20 @@ var mutants = []mutant{
 		new:      "if home := int(r.recs[r.index[j]-1].hash) & mask; (j-home)&mask > (j-i)&mask { // an entry homed at the hole left behind",
 		shortcut: residentState,
 		tests:    []string{pointers},
+	},
+	{
+		file:     "internal/core/engine.go",
+		old:      "if e.single && e.forcedTicks > 0 {",
+		new:      "if false && e.forcedTicks > 0 { // a forced engine weighs and re-records every tick",
+		shortcut: forcedSpace,
+		tests:    []string{forcedTest, "TestForcedDecideAllocatesNothing", drives},
+	},
+	{
+		file:     "internal/core/engine.go",
+		old:      "if e.single && e.forcedTicks > 0 {",
+		new:      "if e.single && e.forcedTicks >= 0 { // the first tick cut short too: no weights, no record",
+		shortcut: forcedSpace,
+		tests:    []string{forcedTest, drives},
 	},
 }
 

@@ -9,11 +9,14 @@ import (
 	"strings"
 )
 
-// Series is an append-only table of float64 rows with named columns.
+// Series is an append-only table of float64 rows with named columns. The
+// rows lie end to end in one slice, len(names) values apart, so a row costs
+// no allocation of its own.
 type Series struct {
 	names []string
 	index map[string]int
-	rows  [][]float64
+	data  []float64
+	n     int // rows: data cannot count them when there are no columns
 }
 
 // NewSeries creates a series with the given column names.
@@ -33,9 +36,8 @@ func (s *Series) Add(values ...float64) {
 	if len(values) != len(s.names) {
 		panic(fmt.Sprintf("trace: row has %d values, series has %d columns", len(values), len(s.names)))
 	}
-	row := make([]float64, len(values))
-	copy(row, values)
-	s.rows = append(s.rows, row)
+	s.data = append(s.data, values...)
+	s.n++
 }
 
 // Column returns a copy of the named column. It panics on unknown names.
@@ -44,9 +46,9 @@ func (s *Series) Column(name string) []float64 {
 	if !ok {
 		panic(fmt.Sprintf("trace: unknown column %q", name))
 	}
-	out := make([]float64, len(s.rows))
-	for r, row := range s.rows {
-		out[r] = row[i]
+	out := make([]float64, s.n)
+	for r := range out {
+		out[r] = s.data[r*len(s.names)+i]
 	}
 	return out
 }
@@ -56,7 +58,9 @@ func (s *Series) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, strings.Join(s.names, ",")); err != nil {
 		return err
 	}
-	for _, row := range s.rows {
+	width := len(s.names)
+	for r := range s.n {
+		row := s.data[r*width : (r+1)*width]
 		parts := make([]string, len(row))
 		for i, v := range row {
 			parts[i] = fmt.Sprintf("%g", v)

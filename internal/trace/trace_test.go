@@ -1,21 +1,22 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
 func TestSeriesBasics(t *testing.T) {
 	s := NewSeries("tick", "value")
-	if got := s.names; len(got) != 2 || got[0] != "tick" {
-		t.Fatalf("names = %v", got)
+	if n := len(s.Column("tick")); n != 0 {
+		t.Fatalf("a new series has %d rows", n)
 	}
 	s.Add(1, 10)
 	s.Add(2, 20)
-	if len(s.rows) != 2 {
-		t.Fatalf("%d rows", len(s.rows))
-	}
 	col := s.Column("value")
+	if len(col) != 2 {
+		t.Fatalf("%d rows", len(col))
+	}
 	if col[0] != 10 || col[1] != 20 {
 		t.Errorf("Column = %v", col)
 	}
@@ -29,7 +30,7 @@ func TestSeriesColumnIsCopy(t *testing.T) {
 	s.Add(1)
 	col := s.Column("x")
 	col[0] = 99
-	if s.rows[0][0] == 99 {
+	if s.Column("x")[0] == 99 {
 		t.Error("Column aliases internal storage")
 	}
 }
@@ -39,8 +40,34 @@ func TestSeriesAddCopiesRow(t *testing.T) {
 	row := []float64{1, 2}
 	s.Add(row...)
 	row[0] = 99
-	if s.rows[0][0] == 99 {
+	if s.Column("a")[0] == 99 {
 		t.Error("Add aliased the caller's slice")
+	}
+}
+
+// Rows lie end to end in one slice: every value is read back from its own
+// row and column, through Column and WriteCSV alike, after the storage has
+// grown many times.
+func TestSeriesReadsBackEveryCell(t *testing.T) {
+	s := NewSeries("r", "c1", "c2")
+	var want strings.Builder
+	want.WriteString("r,c1,c2\n")
+	for r := range 100 {
+		x := float64(r)
+		s.Add(x, x+0.5, -x)
+		fmt.Fprintf(&want, "%g,%g,%g\n", x, x+0.5, -x)
+	}
+	for r, v := range s.Column("c1") {
+		if v != float64(r)+0.5 {
+			t.Fatalf("Column(c1)[%d] = %g", r, v)
+		}
+	}
+	var b strings.Builder
+	if err := s.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != want.String() {
+		t.Errorf("CSV differs from the rows added:\n%s", b.String())
 	}
 }
 
